@@ -2,22 +2,25 @@
 
 GO ?= go
 
-.PHONY: all verify build lint vet test race chaos conformance smoke bench bench-baseline bench-drift fuzz sim examples clean
+.PHONY: all verify build lint vet test bench-test race chaos conformance smoke bench bench-baseline bench-drift fuzz sim examples clean
 
 # The benchmarks tracked in BENCH_baseline.json: telemetry and
 # accounting hot paths (the per-syscall meter must stay 0 allocs/op,
 # and so must an event-bus publish with no subscribers), wire round
-# trips, journal appends, coordinator cycles, tracing, and the decision
-# audit ring (record is lock-free and the nil-builder path 0 allocs/op).
-BASELINE_BENCH = 'BenchmarkTelemetryObserve$$|BenchmarkTelemetryCounter$$|BenchmarkFrameRoundTrip$$|BenchmarkJournalAppend|BenchmarkCycle100$$|BenchmarkCycle1000$$|BenchmarkPipelineCycle100$$|BenchmarkPipelineCycle1000$$|BenchmarkPipelineCycleAudited1000$$|BenchmarkTraceSpan$$|BenchmarkTraceSampledOut$$|BenchmarkTraceparentParse$$|BenchmarkAccountingSyscall$$|BenchmarkAccountingSyscallParallel$$|BenchmarkLedgerSnapshot$$|BenchmarkHealthObserve$$|BenchmarkBusPublish$$|BenchmarkBusPublishSubscribed$$|BenchmarkDecisionRecord$$|BenchmarkBuilderNil$$'
-BASELINE_PKGS = ./internal/telemetry/ ./internal/wire/ ./internal/journal/ ./internal/coordinator/ ./internal/trace/ ./internal/accounting/ ./internal/decision/
+# trips, the forwarded-syscall round trip through the full RU path (root
+# package), journal appends, coordinator cycles, tracing, and the
+# decision audit ring (record is lock-free and the nil-builder path
+# 0 allocs/op).
+BASELINE_BENCH = 'BenchmarkTelemetryObserve$$|BenchmarkTelemetryCounter$$|BenchmarkFrameRoundTrip$$|BenchmarkSyscallRoundTrip$$|BenchmarkJournalAppend|BenchmarkCycle100$$|BenchmarkCycle1000$$|BenchmarkPipelineCycle100$$|BenchmarkPipelineCycle1000$$|BenchmarkPipelineCycleAudited1000$$|BenchmarkTraceSpan$$|BenchmarkTraceSampledOut$$|BenchmarkTraceparentParse$$|BenchmarkAccountingSyscall$$|BenchmarkAccountingSyscallParallel$$|BenchmarkLedgerSnapshot$$|BenchmarkHealthObserve$$|BenchmarkBusPublish$$|BenchmarkBusPublishSubscribed$$|BenchmarkDecisionRecord$$|BenchmarkBuilderNil$$'
+BASELINE_PKGS = . ./internal/telemetry/ ./internal/wire/ ./internal/journal/ ./internal/coordinator/ ./internal/trace/ ./internal/accounting/ ./internal/decision/
 
 all: verify
 
 # Full pre-merge gate: compile, lint, plain tests, the race detector,
-# the crash-recovery chaos suite, the scheduling-policy conformance
-# suite, and the headless dashboard smoke.
-verify: build vet test race chaos conformance smoke
+# the end-to-end benchmark's own tests, the crash-recovery chaos suite,
+# the scheduling-policy conformance suite, and the headless dashboard
+# smoke.
+verify: build vet test bench-test race chaos conformance smoke
 
 build:
 	$(GO) build ./...
@@ -35,6 +38,11 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# bench/ is a module of its own, so `go test ./...` from the root does
+# not reach it: every workload at ~1/50 scale, a few seconds.
+bench-test:
+	cd bench && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...

@@ -1,0 +1,92 @@
+package chaos
+
+import (
+	"context"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"condor/internal/proto"
+	"condor/internal/wire"
+)
+
+// TestChaosCorruptedStreamRedials flips bits in an established
+// connection's byte stream. A connection carries one gob stream, so a
+// frame that fails to decode leaves the receiver's decoder useless: the
+// server must close that connection (not answer garbage, not limp on),
+// and the pool must get through on a fresh dial once the link is clean.
+func TestChaosCorruptedStreamRedials(t *testing.T) {
+	var mu sync.Mutex
+	var accepted []*wire.Peer
+	srv, err := wire.NewServerOpts("127.0.0.1:0",
+		// A flip that enlarges a length word leaves the server waiting for
+		// bytes that never come; bound that so the test keeps moving.
+		wire.ServerOptions{FrameTimeout: 100 * time.Millisecond},
+		func(p *wire.Peer) wire.Handler {
+			mu.Lock()
+			accepted = append(accepted, p)
+			mu.Unlock()
+			return func(_ context.Context, msg any) (any, error) { return msg, nil }
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	proxy, err := NewProxy(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+	pool := wire.NewClientPool(wire.PoolConfig{
+		DialTimeout: time.Second,
+		RPCTimeout:  300 * time.Millisecond,
+		Retry:       wire.Retry{MaxAttempts: 5, BaseDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond},
+	})
+	defer pool.Close()
+
+	ctx := context.Background()
+	msg := proto.JobSuspendedMsg{JobID: "ws1/7"}
+	for i := 0; i < 3; i++ { // establish the stream: descriptors cross on the first frame only
+		if _, err := pool.Call(ctx, proxy.Addr(), msg); err != nil {
+			t.Fatalf("clean call %d: %v", i, err)
+		}
+	}
+	if got := pool.Stats().Dials; got != 1 {
+		t.Fatalf("dials before the fault = %d, want 1", got)
+	}
+
+	// Corrupt caller→server bytes until some server-side connection has
+	// died of a decode error. A single flip can be harmless (it lands in a
+	// value) or hit a length word instead, so individual calls may succeed
+	// or fail in other ways meanwhile; those outcomes are not the subject.
+	proxy.SetPlans(wire.FaultPlan{CorruptProb: 1, Seed: 7}, wire.FaultPlan{})
+	decodeKilled := func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, p := range accepted {
+			if err := p.Err(); err != nil && strings.Contains(err.Error(), "wire: decode") {
+				return true
+			}
+		}
+		return false
+	}
+	for i := 0; !decodeKilled(); i++ {
+		if i == 200 {
+			t.Fatal("200 corrupted calls and no server connection died of a decode error")
+		}
+		pool.Call(ctx, proxy.Addr(), msg) //nolint:errcheck // see above
+	}
+
+	proxy.SetPlans(wire.FaultPlan{}, wire.FaultPlan{})
+	reply, err := pool.CallRetry(ctx, proxy.Addr(), msg)
+	if err != nil {
+		t.Fatalf("call after the link healed: %v", err)
+	}
+	if reply != msg {
+		t.Fatalf("reply after the link healed = %#v, want %#v", reply, msg)
+	}
+	if got := pool.Stats().Dials; got < 2 {
+		t.Fatalf("dials = %d; the pool never replaced the corrupted connection", got)
+	}
+}

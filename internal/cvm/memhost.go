@@ -147,10 +147,10 @@ func (h *MemHost) write(req SyscallRequest) SyscallReply {
 		return SyscallReply{Ret: -1, Errno: ErrnoInval}
 	}
 	end := off + int64(len(req.Data))
-	if end > int64(len(data)) {
-		grown := make([]byte, end)
-		copy(grown, data)
-		data = grown
+	if grow := end - int64(len(data)); grow > 0 {
+		// append grows capacity geometrically, so a file built from many
+		// small appends is copied O(log n) times, not once per write.
+		data = append(data, make([]byte, grow)...)
 	}
 	copy(data[off:end], req.Data)
 	h.files[req.Name] = data

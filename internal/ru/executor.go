@@ -194,7 +194,16 @@ func (e *execution) run() {
 			cp.Finish()
 		}
 		if cfg.SliceDelay > 0 {
-			time.Sleep(cfg.SliceDelay)
+			// A shadow that hangs up (or a closing starter, which aborts the
+			// connection) ends the pause at once: sleeping it out would
+			// keep the machine claimed and the job's memory reachable.
+			pause := time.NewTimer(cfg.SliceDelay)
+			select {
+			case <-pause.C:
+			case <-e.peer.Done():
+				pause.Stop()
+				return
+			}
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"condor/internal/cvm"
 	"condor/internal/proto"
+	"condor/internal/wire"
 )
 
 // flakyHost wraps a MemHost and fails every syscall after a trigger is
@@ -171,7 +172,9 @@ func TestDoublePlacementRace(t *testing.T) {
 		switch {
 		case r.err == nil:
 			wins++
-			r.sh.Close()
+			// The winner keeps the machine until both results are in: a
+			// starter whose job's shadow hung up is free again at once.
+			defer r.sh.Close()
 		case errors.Is(r.err, ErrPlacementRejected):
 			rejections++
 		default:
@@ -260,5 +263,70 @@ fail:
 	data, _ := host.File("log")
 	if got := strings.Count(string(data), "checkpoint-me"); got != 1 {
 		t.Fatalf("append appeared %d times, want exactly once:\n%q", got, data)
+	}
+}
+
+// TestHangupEndsSliceDelay: an executor pausing between slices must
+// notice its shadow hanging up and free the machine at once, not sleep
+// the pause out (an hour here) holding the job and the starter.
+func TestHangupEndsSliceDelay(t *testing.T) {
+	s := newSite(t, StarterConfig{SliceDelay: time.Hour, StepsPerSlice: 1_000})
+	rec := newRecorder()
+	sh := place(t, s, "napper", freshBlob(t, "napper", cvm.SumProgram(2_000_000)), cvm.NewMemHost(), rec)
+	if _, _, busy := s.starter.Running(); !busy {
+		t.Fatal("job not resident after placement")
+	}
+	sh.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, _, busy := s.starter.Running(); !busy {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("executor still sleeping out its slice delay after the shadow hung up")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPlaceAcceptsJobThatFinishedBeforeItsReply plays the execution site
+// by hand: on PlaceRequest it reports the job done and hangs up without
+// ever writing a PlaceReply — what a real starter does when the executor
+// outruns the goroutine that sends the reply. The done event proves the
+// placement was accepted; Place must not turn it into a failed placement
+// (the caller would requeue a job that has already completed).
+func TestPlaceAcceptsJobThatFinishedBeforeItsReply(t *testing.T) {
+	testOver := make(chan struct{})
+	defer close(testOver)
+	srv, err := wire.NewServer("127.0.0.1:0", func(p *wire.Peer) wire.Handler {
+		return func(ctx context.Context, msg any) (any, error) {
+			req := msg.(proto.PlaceRequest)
+			if _, err := p.Call(ctx, proto.JobDoneMsg{JobID: req.JobID, ExitCode: 7}); err != nil {
+				t.Errorf("executor's JobDone: %v", err)
+			}
+			p.Close()
+			<-testOver // no reply while the test can still see one
+			return nil, nil
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	rec := newRecorder()
+	sh, err := Place(context.Background(), srv.Addr(), proto.PlaceRequest{
+		JobID: "flash", Owner: "t", HomeHost: "home", Checkpoint: freshBlob(t, "flash", cvm.SumProgram(1)),
+	}, cvm.NewMemHost(), rec, PlaceConfig{})
+	if err != nil {
+		t.Fatalf("Place = %v; the job's done event had already arrived", err)
+	}
+	if done := waitDone(t, rec, time.Second); done.ExitCode != 7 {
+		t.Fatalf("done = %+v", done)
+	}
+	sh.Close()
+	select {
+	case err := <-rec.lostCh:
+		t.Fatalf("completed job reported lost: %v", err)
+	default:
 	}
 }

@@ -168,6 +168,14 @@ func Place(
 
 	reply, err := peer.Call(ctx, req)
 	if err != nil {
+		if s.sawTerminal() {
+			// The starter launches the executor before its PlaceReply is
+			// written, so a job that ends at once can report that — and
+			// hang up — first. The terminal event proves the placement
+			// was accepted.
+			go s.watch()
+			return s, nil
+		}
 		peer.Close()
 		return nil, fmt.Errorf("ru: place %s on %s: %w", req.JobID, execAddr, err)
 	}
@@ -210,16 +218,19 @@ func (s *Shadow) Close() {
 func (s *Shadow) watch() {
 	defer close(s.closed)
 	<-s.peer.Done()
-	s.mu.Lock()
-	terminal := s.terminal
-	s.mu.Unlock()
-	if !terminal {
+	if !s.sawTerminal() {
 		err := s.peer.Err()
 		if err == nil {
 			err = errors.New("connection closed")
 		}
 		s.events.JobLost(s.jobID, err)
 	}
+}
+
+func (s *Shadow) sawTerminal() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.terminal
 }
 
 func (s *Shadow) markTerminal() {

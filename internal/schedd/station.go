@@ -729,18 +729,39 @@ func (st *Station) PlaceNext(execName, execAddr string) (string, error) {
 	}
 	span.Finish()
 
+	// The shadow's events race this block: a job that halts in its first
+	// slice can deliver JobDone (or lose its connection) before ru.Place
+	// has returned here. The placement is recorded either way, but only
+	// a job still placing advances to running; one that is already
+	// terminal or back in the queue keeps that state and its cleared
+	// shadow.
 	placedAt := time.Now()
 	st.mu.Lock()
-	j.shadow = shadow
-	j.status.State = proto.JobRunning
-	j.status.ExecHost = execName
+	state := j.status.State
+	switch {
+	case state == proto.JobIdle:
+		// Requeued: ExecHost stays empty and WaitingSince marks the new
+		// idle episode.
+	case state.Terminal():
+		j.status.ExecHost = execName
+	default:
+		j.shadow = shadow
+		j.status.ExecHost = execName
+		j.status.WaitingSince = time.Time{}
+		if state == proto.JobPlacing {
+			j.status.State = proto.JobRunning
+			markTransition(proto.JobRunning)
+		}
+	}
 	j.status.Placements++
-	j.status.WaitingSince = time.Time{}
+	waitingSince := j.status.WaitingSince
 	st.lastPlacement = placedAt
 	st.updateQueueGaugesLocked()
 	st.mu.Unlock()
 	j.meter.Placed(placedAt)
-	markTransition(proto.JobRunning)
+	if state == proto.JobIdle {
+		j.meter.StartWaiting(waitingSince) // Placed closed the episode the requeue opened
+	}
 	st.logEvent(eventlog.KindPlace, jobID, execName, "")
 	return jobID, nil
 }

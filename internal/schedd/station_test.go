@@ -2,7 +2,9 @@ package schedd
 
 import (
 	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -576,4 +578,66 @@ func makeStationImage(t *testing.T) *cvm.Image {
 		t.Fatal(err)
 	}
 	return v.Snapshot()
+}
+
+// TestPlaceNextKeepsFastJobTerminal is the regression test for PlaceNext
+// overwriting a state that landed while it was still returning: a job
+// that halts in its first slice can deliver JobDone before ru.Place has
+// handed the shadow back, and the tail of PlaceNext then used to mark it
+// running forever. Several home/exec pairs place such jobs at once, so
+// the two goroutines of each placement contend for the cores.
+func TestPlaceNextKeepsFastJobTerminal(t *testing.T) {
+	const pairs, jobsPerPair = 4, 100
+	halt := cvm.MustAssemble("halt", ".text\nstart:\n HALT 0\n")
+	var wg sync.WaitGroup
+	for p := 0; p < pairs; p++ {
+		home := newStation(t, fmt.Sprintf("home%d", p), nil, nil)
+		exec := newStation(t, fmt.Sprintf("exec%d", p), nil, nil)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			deadline := time.Now().Add(20 * time.Second)
+			for i := 0; i < jobsPerPair; i++ {
+				if _, err := home.Submit("a", halt, 0); err != nil {
+					t.Error(err)
+					return
+				}
+				// The exec station runs one job at a time; a placement that
+				// arrives before the previous job has cleared is rejected.
+				for {
+					_, err := home.PlaceNext(exec.Name(), exec.Addr())
+					if err == nil {
+						break
+					}
+					if !errors.Is(err, ru.ErrPlacementRejected) || time.Now().After(deadline) {
+						t.Errorf("place job %d: %v", i, err)
+						return
+					}
+					time.Sleep(100 * time.Microsecond)
+				}
+			}
+			// The last JobDone may still be in flight; a stranded job never
+			// leaves running, so a short bounded wait tells them apart.
+			settle := time.Now().Add(5 * time.Second)
+			for {
+				var open []proto.JobStatus
+				for _, s := range home.Queue() {
+					if !s.State.Terminal() {
+						open = append(open, s)
+					}
+				}
+				if len(open) == 0 {
+					return
+				}
+				if time.Now().After(settle) {
+					for _, s := range open {
+						t.Errorf("job %s left in state %v, want completed", s.ID, s.State)
+					}
+					return
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}()
+	}
+	wg.Wait()
 }

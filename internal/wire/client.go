@@ -193,9 +193,14 @@ func (p *Peer) serve(env Envelope) {
 			reply.Msg = msg
 		}
 	}
-	// A send failure means the connection is going down; the reader loop
-	// will observe it and fail all pending calls.
-	_ = p.conn.Send(reply)
+	// A reply that will not encode or is over the frame limit leaves the
+	// connection up, so tell the caller instead of letting it wait out
+	// its deadline. Any other send failure means the connection is going
+	// down (this second Send then fails too); the reader loop will
+	// observe it and fail all pending calls.
+	if err := p.conn.Send(reply); err != nil && reply.Msg != nil {
+		_ = p.conn.Send(Envelope{ID: env.ID, Kind: KindReply, Err: err.Error()})
+	}
 }
 
 // envContext builds the handler context for one inbound envelope,

@@ -17,6 +17,21 @@ import (
 // corruption (or a checkpoint that should have been chunked).
 const MaxFrameBytes = 64 << 20
 
+// restartBit is the top bit of a frame's length word (free, since
+// MaxFrameBytes is 2²⁶). Set, it says the frame starts a new gob stream:
+// the receiver must decode it with a fresh decoder. The sender sets it
+// on a connection's first frame and on the frame after it dropped its
+// encoder (see streamResetBytes and Send).
+const restartBit = 1 << 31
+
+// streamResetBytes bounds the codec state a connection retains. A gob
+// encoder and decoder each keep a buffer as large as the largest message
+// they have carried, so one checkpoint would pin megabytes on its
+// connection for as long as it lives. After a frame whose payload
+// exceeds this, both ends drop their codec and the next frame starts a
+// new stream.
+const streamResetBytes = 64 << 10
+
 // Frame-level errors.
 var (
 	// ErrFrameTooLarge is returned when a peer announces an oversized frame.
@@ -55,14 +70,34 @@ type Envelope struct {
 	Trace string
 }
 
-// Conn wraps a net.Conn with framed gob envelopes. Reads and writes are
-// independently serialized, so one reader goroutine and many writers can
-// share a Conn.
+// Conn wraps a net.Conn with framed gob envelopes. A frame is a 4-byte
+// big-endian length word (top bit: restartBit) and that many payload
+// bytes. The payloads of one direction form one gob stream, so type
+// descriptors cross, and codec engines compile, once per connection
+// rather than once per frame. Reads and writes are independently
+// serialized, so one reader goroutine and many writers can share a Conn.
 type Conn struct {
 	raw net.Conn
 
 	readMu  sync.Mutex
 	writeMu sync.Mutex
+
+	// Write side, under writeMu. enc encodes into wbuf, which holds the
+	// frame being built: length word, then payload. A nil enc means the
+	// next frame starts a new stream.
+	enc  *gob.Encoder
+	wbuf bytes.Buffer
+
+	// Read side, under readMu. dec reads the current frame's payload
+	// through rd: an io.ByteReader, so gob reads it directly instead of
+	// through a bufio.Reader that could hold bytes across frames, and one
+	// that ends where the payload ends, so the decoder can never read
+	// past its frame. A nil dec means the next frame gets a new decoder.
+	// rbuf is the reused payload buffer for frames up to
+	// streamResetBytes (gob copies everything it decodes out of it).
+	dec  *gob.Decoder
+	rd   bytes.Reader
+	rbuf []byte
 
 	// writeTimeoutNs / frameTimeoutNs hold the per-frame I/O bounds
 	// (nanoseconds; 0 = unbounded). Atomics so SetFrameTimeouts never
@@ -107,34 +142,53 @@ func (c *Conn) Close() error {
 	return c.closeErr
 }
 
-// Send writes one envelope.
+// dropEncoder forgets the write-side codec and its buffers; the next
+// Send starts a new gob stream. Caller holds writeMu.
+func (c *Conn) dropEncoder() {
+	c.enc = nil
+	c.wbuf = bytes.Buffer{}
+}
+
+// Send writes one envelope as one frame in one Write. An envelope that
+// cannot be encoded (an unregistered Msg type) or exceeds MaxFrameBytes
+// is an error but leaves the connection usable: nothing was written,
+// and the next frame restarts the stream, since the abandoned encoder
+// may count descriptors as sent that never left.
 func (c *Conn) Send(env Envelope) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(&env); err != nil {
-		return fmt.Errorf("wire: encode: %w", err)
-	}
-	if payload.Len() > MaxFrameBytes {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, payload.Len())
-	}
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
+	var word uint32
+	if c.enc == nil {
+		c.enc = gob.NewEncoder(&c.wbuf)
+		word = restartBit
+	}
+	var lenWord [4]byte // placeholder, filled in once the length is known
+	c.wbuf.Reset()
+	c.wbuf.Write(lenWord[:])
+	if err := c.enc.Encode(&env); err != nil {
+		c.dropEncoder()
+		return fmt.Errorf("wire: encode: %w", err)
+	}
+	frame := c.wbuf.Bytes()
+	n := len(frame) - 4
+	if n > streamResetBytes {
+		c.dropEncoder() // frame keeps the bytes alive until they are written
+	}
+	if n > MaxFrameBytes {
+		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+	}
+	binary.BigEndian.PutUint32(frame, word|uint32(n))
 	if d := time.Duration(c.writeTimeoutNs.Load()); d > 0 {
 		_ = c.raw.SetWriteDeadline(time.Now().Add(d))
 	}
-	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(payload.Len()))
-	if _, err := c.raw.Write(lenBuf[:]); err != nil {
+	if _, err := c.raw.Write(frame); err != nil {
 		// A failed (possibly partial) frame write desynchronizes the
 		// stream; the connection cannot be used again.
 		c.Close()
-		return fmt.Errorf("wire: write length: %w", err)
-	}
-	if _, err := c.raw.Write(payload.Bytes()); err != nil {
-		c.Close()
-		return fmt.Errorf("wire: write payload: %w", err)
+		return fmt.Errorf("wire: write frame: %w", err)
 	}
 	mFramesSent.Inc()
-	mBytesSent.Add(uint64(4 + payload.Len()))
+	mBytesSent.Add(uint64(len(frame)))
 	if env.Kind == KindPing || env.Kind == KindPong {
 		mHeartbeatsSent.Inc()
 	}
@@ -151,19 +205,27 @@ func (c *Conn) Send(env Envelope) error {
 // MaxFrameBytes.
 const maxEagerFrameAlloc = 1 << 20
 
-// readPayload reads an n-byte frame payload, trusting n only as far as
-// maxEagerFrameAlloc; beyond that the buffer grows with the data.
-func readPayload(r io.Reader, n uint32) ([]byte, error) {
+// readPayload reads an n-byte frame payload. Frames up to
+// streamResetBytes land in the connection's reused buffer; larger ones
+// get a buffer of their own, trusting n only as far as
+// maxEagerFrameAlloc — beyond that it grows with the data.
+func (c *Conn) readPayload(n uint32) ([]byte, error) {
+	if n <= streamResetBytes {
+		if int(n) > cap(c.rbuf) {
+			c.rbuf = make([]byte, min(max(int(n), 2*cap(c.rbuf)), streamResetBytes))
+		}
+		payload := c.rbuf[:n]
+		_, err := io.ReadFull(c.raw, payload)
+		return payload, err
+	}
 	if n <= maxEagerFrameAlloc {
 		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return nil, err
-		}
-		return payload, nil
+		_, err := io.ReadFull(c.raw, payload)
+		return payload, err
 	}
 	var buf bytes.Buffer
 	buf.Grow(maxEagerFrameAlloc)
-	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
+	if _, err := io.CopyN(&buf, c.raw, int64(n)); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -173,7 +235,9 @@ func readPayload(r io.Reader, n uint32) ([]byte, error) {
 // connection fails. With a frame timeout set (SetFrameTimeouts), waiting
 // for a frame to *start* is unbounded, but once its first byte arrives
 // the rest must follow within the timeout — a peer that stalls mid-frame
-// fails fast instead of wedging the reader.
+// fails fast instead of wedging the reader. Any error past a frame's
+// first byte, a decode error included, closes the connection: the
+// decoder's stream state cannot be recovered.
 func (c *Conn) Recv() (Envelope, error) {
 	c.readMu.Lock()
 	defer c.readMu.Unlock()
@@ -195,19 +259,30 @@ func (c *Conn) Recv() (Envelope, error) {
 		c.Close() // mid-frame failure: stream desynchronized
 		return env, fmt.Errorf("wire: read length: %w", err)
 	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
+	word := binary.BigEndian.Uint32(lenBuf[:])
+	n := word &^ restartBit
 	if n > MaxFrameBytes {
 		c.Close() // cannot resynchronize without consuming the frame
 		return env, fmt.Errorf("%w: %d bytes announced", ErrFrameTooLarge, n)
 	}
-	payload, err := readPayload(c.raw, n)
+	payload, err := c.readPayload(n)
 	if err != nil {
 		c.Close()
 		return env, fmt.Errorf("wire: read payload: %w", err)
 	}
 	mFramesRecv.Inc()
 	mBytesRecv.Add(uint64(4 + n))
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&env); err != nil {
+	if word&restartBit != 0 || c.dec == nil {
+		c.dec = gob.NewDecoder(&c.rd)
+	}
+	c.rd.Reset(payload)
+	err = c.dec.Decode(&env)
+	c.rd.Reset(nil)
+	if n > streamResetBytes {
+		c.dec = nil // the sender restarts its stream after a frame this large
+	}
+	if err != nil {
+		c.Close()
 		return env, fmt.Errorf("wire: decode: %w", err)
 	}
 	if env.Kind == KindPing || env.Kind == KindPong {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"io"
 	"net"
 	"runtime"
 	"testing"
@@ -12,14 +11,17 @@ import (
 )
 
 // byteConn is a net.Conn that reads from a fixed byte stream and
-// discards writes — enough to drive Conn.Recv over arbitrary input.
+// records what is written to it — enough to drive Conn.Recv over
+// arbitrary input and to capture what Conn.Send emits.
 type byteConn struct {
-	r *bytes.Reader
+	r      *bytes.Reader
+	w      bytes.Buffer
+	closed bool
 }
 
 func (c *byteConn) Read(p []byte) (int, error)       { return c.r.Read(p) }
-func (c *byteConn) Write(p []byte) (int, error)      { return len(p), nil }
-func (c *byteConn) Close() error                     { return nil }
+func (c *byteConn) Write(p []byte) (int, error)      { return c.w.Write(p) }
+func (c *byteConn) Close() error                     { c.closed = true; return nil }
 func (c *byteConn) LocalAddr() net.Addr              { return fakeAddr{} }
 func (c *byteConn) RemoteAddr() net.Addr             { return fakeAddr{} }
 func (c *byteConn) SetDeadline(time.Time) error      { return nil }
@@ -31,23 +33,18 @@ type fakeAddr struct{}
 func (fakeAddr) Network() string { return "fake" }
 func (fakeAddr) String() string  { return "fake" }
 
-// encodeFrame renders one valid envelope as its wire bytes.
-func encodeFrame(t testing.TB, env Envelope) []byte {
+// encodeFrame renders envelopes as the wire bytes one connection sends
+// for them: the first frame starts the gob stream, the rest continue it.
+func encodeFrame(t testing.TB, envs ...Envelope) []byte {
 	t.Helper()
-	var sink bytes.Buffer
-	client, server := net.Pipe()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_, _ = io.Copy(&sink, server)
-	}()
-	conn := NewConn(client)
-	if err := conn.Send(env); err != nil {
-		t.Fatal(err)
+	sink := &byteConn{r: bytes.NewReader(nil)}
+	conn := NewConn(sink)
+	for _, env := range envs {
+		if err := conn.Send(env); err != nil {
+			t.Fatal(err)
+		}
 	}
-	client.Close()
-	<-done
-	return sink.Bytes()
+	return sink.w.Bytes()
 }
 
 // FuzzFrameDecode feeds arbitrary byte streams to the frame decoder. It
@@ -75,6 +72,10 @@ func FuzzFrameDecode(f *testing.F) {
 		Trace: "\x00\xff not a traceparent \xde\xad"}))
 	f.Add(encodeFrame(f, Envelope{ID: 4, Kind: KindRequest, Msg: pingMsg{},
 		Trace: string(bytes.Repeat([]byte{'a'}, 4096))}))
+	// Multi-frame streams from one connection, whole and broken.
+	for _, tc := range streamCases(f) {
+		f.Add(tc.data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		conn := NewConn(&byteConn{r: bytes.NewReader(data)})
