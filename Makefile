@@ -8,10 +8,11 @@ GO ?= go
 # accounting hot paths (the per-syscall meter must stay 0 allocs/op,
 # and so must an event-bus publish with no subscribers), wire round
 # trips, the forwarded-syscall round trip through the full RU path (root
-# package), journal appends, coordinator cycles, tracing, and the
-# decision audit ring (record is lock-free and the nil-builder path
-# 0 allocs/op).
-BASELINE_BENCH = 'BenchmarkTelemetryObserve$$|BenchmarkTelemetryCounter$$|BenchmarkFrameRoundTrip$$|BenchmarkSyscallRoundTrip$$|BenchmarkJournalAppend|BenchmarkCycle100$$|BenchmarkCycle1000$$|BenchmarkPipelineCycle100$$|BenchmarkPipelineCycle1000$$|BenchmarkPipelineCycleAudited1000$$|BenchmarkTraceSpan$$|BenchmarkTraceSampledOut$$|BenchmarkTraceparentParse$$|BenchmarkAccountingSyscall$$|BenchmarkAccountingSyscallParallel$$|BenchmarkLedgerSnapshot$$|BenchmarkHealthObserve$$|BenchmarkBusPublish$$|BenchmarkBusPublishSubscribed$$|BenchmarkDecisionRecord$$|BenchmarkBuilderNil$$'
+# package), checkpoint encode+decode per MB and guest instruction
+# throughput (root package too), journal appends, coordinator cycles,
+# tracing, and the decision audit ring (record is lock-free and the
+# nil-builder path 0 allocs/op).
+BASELINE_BENCH = 'BenchmarkTelemetryObserve$$|BenchmarkTelemetryCounter$$|BenchmarkFrameRoundTrip$$|BenchmarkSyscallRoundTrip$$|BenchmarkCheckpointPerMB$$|BenchmarkVMExecution$$|BenchmarkJournalAppend|BenchmarkCycle100$$|BenchmarkCycle1000$$|BenchmarkPipelineCycle100$$|BenchmarkPipelineCycle1000$$|BenchmarkPipelineCycleAudited1000$$|BenchmarkTraceSpan$$|BenchmarkTraceSampledOut$$|BenchmarkTraceparentParse$$|BenchmarkAccountingSyscall$$|BenchmarkAccountingSyscallParallel$$|BenchmarkLedgerSnapshot$$|BenchmarkHealthObserve$$|BenchmarkBusPublish$$|BenchmarkBusPublishSubscribed$$|BenchmarkDecisionRecord$$|BenchmarkBuilderNil$$'
 BASELINE_PKGS = . ./internal/telemetry/ ./internal/wire/ ./internal/journal/ ./internal/coordinator/ ./internal/trace/ ./internal/accounting/ ./internal/decision/
 
 all: verify
@@ -81,19 +82,23 @@ bench-baseline:
 	@cat BENCH_baseline.json
 
 # Gating drift check: re-run the baseline benchmarks and compare
-# against the committed JSON. Timing drift beyond 30% or a new
-# allocation on a 0 allocs/op path fails the exit code (and the CI
-# job). Benchmarks too noisy for shared runners are excused by name in
-# BENCH_allowlist.txt — timing only; allocation regressions always fail.
+# against the committed JSON. Timing drift beyond 30% or allocs/op
+# growth beyond 5% (any allocation at all on a 0 allocs/op path) fails
+# the exit code (and the CI job). Benchmarks too noisy for shared
+# runners are excused by name in BENCH_allowlist.txt — timing only;
+# allocation regressions always fail.
 bench-drift:
 	$(GO) test -run NONE -bench $(BASELINE_BENCH) -benchmem $(BASELINE_PKGS) \
 		| $(GO) run ./cmd/bench2json -compare BENCH_baseline.json -tolerance 0.3 -allowlist BENCH_allowlist.txt
 
-# Short fuzz budget over the wire frame decoder: hostile length
-# prefixes, truncated frames, and garbage must never panic or
-# over-allocate. CI runs this on every push.
+# Short fuzz budget over each byte-level reader of peer or disk input:
+# the wire frame decoder, the checkpoint decoder and journal replay.
+# Hostile length prefixes, truncated or corrupted input and garbage must
+# never panic or over-allocate. CI runs this on every push.
 fuzz:
-	$(GO) test -run NONE -fuzz FuzzFrameDecode -fuzztime 20s ./internal/wire/
+	$(GO) test -run NONE -fuzz '^FuzzFrameDecode$$' -fuzztime 20s ./internal/wire/
+	$(GO) test -run NONE -fuzz '^FuzzDecode$$' -fuzztime 20s ./internal/ckpt/
+	$(GO) test -run NONE -fuzz '^FuzzReplay$$' -fuzztime 20s ./internal/journal/
 
 sim:
 	$(GO) run ./cmd/condor-sim

@@ -346,9 +346,10 @@ func BenchmarkPolicyDecide(b *testing.B) {
 				table.Update(name, i%3, i%2 == 0)
 			}
 			cfg := policy.DefaultConfig()
+			pol := policy.MustNew("")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = policy.Decide(views, table, cfg)
+				_ = pol.Decide(views, table, cfg)
 			}
 		})
 	}
@@ -410,7 +411,7 @@ func BenchmarkAblationUpDownVsFIFO(b *testing.B) {
 	benchAblationPair(b, "updown",
 		func(base simulation.Config) (simulation.Config, simulation.Config) {
 			fifo := base
-			fifo.FIFO = true
+			fifo.Policy.Name = "fifo"
 			return base, fifo
 		},
 		func(r *simulation.Report) float64 { return r.MeanWaitRatioLight },

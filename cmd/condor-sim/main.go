@@ -43,7 +43,7 @@ func main() {
 		ablation = flag.String("ablation", "",
 			"run an ablation: vacate, pacing, updown, history, periodic")
 		policyNames = flag.String("policy", "",
-			"scheduling policy to run (updown, fifo, busiest-first, backfill, deadline); a comma-separated list runs an A/B comparison")
+			"scheduling policy to run ("+strings.Join(policy.Names(), ", ")+"); a comma-separated list runs an A/B comparison")
 		seeds   = flag.Int("seeds", 0, "aggregate over this many seeds (prints mean ± std) instead of one run")
 		jsonOut = flag.String("json", "", "also write the full report as JSON to this file")
 		csvOut  = flag.String("csv", "", "also write hourly+by-demand CSVs with this path prefix")
@@ -286,7 +286,7 @@ func runAblation(base simulation.Config, which string) error {
 		variants = []variant{{"paced placements (paper §4)", base}, {"unpaced bursts", burst}}
 	case "updown":
 		fifo := base
-		fifo.FIFO = true
+		fifo.Policy.Name = "fifo"
 		variants = []variant{{"Up-Down (paper)", base}, {"FIFO grants", fifo}}
 	case "history":
 		hist := base

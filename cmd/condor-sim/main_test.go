@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"condor/internal/policy"
 )
 
 func tiny() (machines, days int, seed int64) { return 5, 2, 1 }
@@ -37,7 +39,7 @@ func TestRunAblations(t *testing.T) {
 
 func TestRunPolicies(t *testing.T) {
 	m, d, s := tiny()
-	for _, pol := range []string{"updown", "fifo", "busiest-first", "backfill", "deadline"} {
+	for _, pol := range policy.Names() {
 		if err := run(m, d, s, "scalars", "", pol, "", ""); err != nil {
 			t.Fatalf("policy %s: %v", pol, err)
 		}

@@ -133,12 +133,8 @@ func printCoordinator(ci proto.CoordinatorInfo) {
 	if ci.StartedUnixMillis != 0 {
 		uptime = time.Since(time.UnixMilli(ci.StartedUnixMillis)).Round(time.Second).String()
 	}
-	pol := ci.PolicyName
-	if pol == "" {
-		pol = "updown (pre-pipeline)"
-	}
 	if !ci.Persistent {
-		fmt.Printf("coordinator: in-memory, up %s, %d cycles, policy %s\n", uptime, ci.Cycles, pol)
+		fmt.Printf("coordinator: in-memory, up %s, %d cycles, policy %s\n", uptime, ci.Cycles, ci.PolicyName)
 		printReady(ci)
 		printAllocation(ci)
 		printHealth(ci)
@@ -147,7 +143,7 @@ func printCoordinator(ci proto.CoordinatorInfo) {
 	}
 	j := ci.Journal
 	fmt.Printf("coordinator: incarnation %d, up %s, %d cycles, policy %s\n",
-		ci.Incarnation, uptime, ci.Cycles, pol)
+		ci.Incarnation, uptime, ci.Cycles, ci.PolicyName)
 	printReady(ci)
 	printAllocation(ci)
 	printHealth(ci)

@@ -9,7 +9,7 @@ import (
 	"condor/internal/cvm"
 )
 
-func makeImage(t *testing.T, prog *cvm.Program, steps uint64) *cvm.Image {
+func makeImage(t testing.TB, prog *cvm.Program, steps uint64) *cvm.Image {
 	t.Helper()
 	v, err := cvm.New(prog, cvm.NewMemHost(), cvm.Config{})
 	if err != nil {

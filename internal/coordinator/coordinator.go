@@ -66,13 +66,12 @@ type Config struct {
 	// IdleConnTimeout evicts pooled station connections unused this long
 	// (default 5 minutes; negative disables eviction).
 	IdleConnTimeout time.Duration
-	// DialPerRPC disables connection reuse, dialing every station fresh
-	// for each RPC — the pre-pool behaviour, kept for ablation
-	// benchmarks.
-	DialPerRPC bool
-	// Policy tunes allocation; zero value means policy.DefaultConfig.
+	// Policy selects and tunes allocation. It is handed to the pipeline
+	// as written: policy.Config documents what a zero or partly filled
+	// value means, the same here as in the simulator.
 	Policy policy.Config
-	// UpDown tunes the fairness index; zero value means defaults.
+	// UpDown tunes the fairness index, likewise as written (see
+	// updown.Config).
 	UpDown updown.Config
 	// DeadAfter unregisters a station that has failed this many
 	// consecutive contacts (default 5). With graded health this is the
@@ -137,41 +136,6 @@ func (c *Config) sanitize() {
 		c.Decisions = decision.Default
 	}
 	c.Health.sanitize(c.PollInterval, c.RPCTimeout)
-	// Sanitize sub-configs field-by-field: a partially filled struct keeps
-	// every field the user set and defaults only the rest. (Replacing the
-	// whole struct when one sentinel field was zero used to clobber, e.g.,
-	// a configured MaxPreemptsPerCycle.) A fully zero struct still means
-	// "use the package defaults".
-	if c.Policy == (policy.Config{}) {
-		c.Policy = policy.DefaultConfig()
-	} else {
-		if c.Policy.MaxGrantsPerCycle <= 0 {
-			c.Policy.MaxGrantsPerCycle = 1
-		}
-		if c.Policy.MaxPreemptsPerCycle < 0 {
-			c.Policy.MaxPreemptsPerCycle = 0
-		}
-		if c.Policy.Placement == 0 {
-			c.Policy.Placement = policy.PlaceFirstFit
-		}
-	}
-	if c.UpDown == (updown.Config{}) {
-		c.UpDown = updown.DefaultConfig()
-	} else {
-		def := updown.DefaultConfig()
-		if c.UpDown.UpRate <= 0 {
-			c.UpDown.UpRate = def.UpRate
-		}
-		if c.UpDown.DownRate <= 0 {
-			c.UpDown.DownRate = def.DownRate
-		}
-		if c.UpDown.DecayRate < 0 {
-			c.UpDown.DecayRate = 0
-		}
-		if c.UpDown.MaxAbs <= 0 {
-			c.UpDown.MaxAbs = def.MaxAbs
-		}
-	}
 }
 
 // station is the coordinator's view of one workstation.
@@ -237,7 +201,7 @@ type Coordinator struct {
 	cfg    Config
 	server *wire.Server
 	// pool caches one connection per station so the poll loop does not
-	// pay a dial per RPC (nil in DialPerRPC ablation mode).
+	// pay a dial per RPC.
 	pool   *wire.ClientPool
 	table  *updown.Table
 	events *eventlog.Log
@@ -316,24 +280,20 @@ func New(cfg Config) (*Coordinator, error) {
 	} else if err := c.resolvePolicy(""); err != nil {
 		return nil, err
 	}
-	if !cfg.DialPerRPC {
-		c.pool = wire.NewClientPool(wire.PoolConfig{
-			DialTimeout: cfg.DialTimeout,
-			// A frame that cannot complete within the RPC deadline would
-			// blow it anyway; fail the connection instead of wedging it.
-			WriteTimeout: cfg.RPCTimeout,
-			FrameTimeout: cfg.RPCTimeout,
-			IdleTimeout:  cfg.IdleConnTimeout,
-		})
-	}
+	c.pool = wire.NewClientPool(wire.PoolConfig{
+		DialTimeout: cfg.DialTimeout,
+		// A frame that cannot complete within the RPC deadline would
+		// blow it anyway; fail the connection instead of wedging it.
+		WriteTimeout: cfg.RPCTimeout,
+		FrameTimeout: cfg.RPCTimeout,
+		IdleTimeout:  cfg.IdleConnTimeout,
+	})
 	server, err := wire.NewServerOpts(cfg.ListenAddr, wire.ServerOptions{
 		WriteTimeout: cfg.RPCTimeout,
 		FrameTimeout: cfg.RPCTimeout,
 	}, c.handlerFor)
 	if err != nil {
-		if c.pool != nil {
-			c.pool.Close()
-		}
+		c.pool.Close()
 		if c.journal != nil {
 			c.journal.Close()
 		}
@@ -372,14 +332,22 @@ func (c *Coordinator) PolicyName() string { return c.pipeline.Name() }
 // previous incarnation's journaled name, then the default. A journaled
 // name this binary does not know (downgrade, corruption) degrades to
 // the default and is counted as a journal error rather than refusing
-// to start. When the resolved policy differs from the journaled one,
-// the change is journaled so the next restart keeps it.
+// to start. A policy that ranks by a StationView field only the
+// simulator fills is refused the same way: live it would silently
+// schedule as some other policy. When the resolved policy differs from
+// the journaled one, the change is journaled so the next restart keeps
+// it.
 func (c *Coordinator) resolvePolicy(journaled string) error {
 	name := c.cfg.Policy.Name
 	if name == "" {
 		name = journaled
 	}
 	pol, err := policy.New(name)
+	if err == nil && pol.SimulatedOnly() != "" {
+		err = fmt.Errorf("coordinator: policy %q ranks by StationView.%s, which station poll replies do not carry, "+
+			"so a live pool would silently fall back to its base order; it runs only under condor-sim",
+			name, pol.SimulatedOnly())
+	}
 	if err != nil {
 		if c.cfg.Policy.Name != "" {
 			return err
@@ -404,9 +372,7 @@ func (c *Coordinator) Close() {
 	<-c.done
 	telemetry.UnregisterReadiness(c.readyName)
 	c.server.Close()
-	if c.pool != nil {
-		c.pool.Close()
-	}
+	c.pool.Close()
 	if c.journal != nil {
 		// No farewell snapshot: the journal is already durable, and
 		// keeping shutdown identical to a crash means the replay path is
@@ -421,14 +387,12 @@ func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
 	out := c.stats
 	c.mu.Unlock()
-	if c.pool != nil {
-		ps := c.pool.Stats()
-		out.Dials = ps.Dials
-		out.Reuses = ps.Reuses
-		out.Reconnects = ps.Reconnects
-		out.Evictions = ps.Evictions
-		out.Retries = ps.Retries
-	}
+	ps := c.pool.Stats()
+	out.Dials = ps.Dials
+	out.Reuses = ps.Reuses
+	out.Reconnects = ps.Reconnects
+	out.Evictions = ps.Evictions
+	out.Retries = ps.Retries
 	if c.journal != nil {
 		js := c.journal.Stats()
 		out.Incarnation = js.Incarnation
@@ -456,7 +420,7 @@ func (c *Coordinator) registerLocked(name, addr string) {
 	prev, known := c.stations[name]
 	if !known {
 		c.events.Append(eventlog.Event{Kind: eventlog.KindRegister, Station: name, Detail: addr})
-	} else if prev.addr != addr && c.pool != nil {
+	} else if prev.addr != addr {
 		// The station came back at a new address; the cached connection
 		// to the old one is garbage.
 		c.pool.Invalidate(prev.addr)
@@ -836,10 +800,8 @@ func (c *Coordinator) Cycle() {
 	}
 
 	// Drop pooled connections to stations declared dead this cycle.
-	if c.pool != nil {
-		for _, addr := range invalidate {
-			c.pool.Invalidate(addr)
-		}
+	for _, addr := range invalidate {
+		c.pool.Invalidate(addr)
 	}
 
 	// Act.
@@ -853,15 +815,11 @@ func (c *Coordinator) Cycle() {
 			ExecName: g.Exec,
 			ExecAddr: addrs[g.Exec],
 		})
-		if err != nil {
-			// The grant never completed; whether the station would have
-			// used it is unknowable, so count it as denied capacity.
-			c.bump(func(st *Stats) { st.GrantsDenied++ })
-			mGrantsDenied.Inc()
-			c.led.GrantDenied(g.Requester)
-			continue
-		}
-		if gr, ok := reply.(proto.GrantReply); ok && gr.Used && gr.JobID == "" {
+		// A grant that never completed leaves gr zero: whether the station
+		// would have used it is unknowable, so it counts as denied
+		// capacity, like one the station declined.
+		gr, _ := reply.(proto.GrantReply)
+		if err == nil && gr.Used && gr.JobID == "" {
 			// "Used" with no job named is a grant the coordinator never
 			// placed — the byzantine signature on the grant path.
 			c.mu.Lock()
@@ -872,55 +830,53 @@ func (c *Coordinator) Cycle() {
 					"byzantine: claims used grant but names no job", time.Now())
 			}
 			c.mu.Unlock()
-			c.bump(func(st *Stats) { st.GrantsDenied++ })
-			mGrantsDenied.Inc()
-			c.led.GrantDenied(g.Requester)
-		} else if gr, ok := reply.(proto.GrantReply); ok && gr.Used {
-			c.bump(func(st *Stats) { st.GrantsUsed++ })
-			mGrantsUsed.Inc()
-			c.led.GrantUsed(g.Requester)
-			// The pipeline granted a machine to a station; only now is the
-			// concrete job known. Stamp it on the audit.
-			aud.AnnotateGrantJob(gi, gr.JobID)
-			// The reply names the placed job's trace; record the grant span
-			// after the fact, backdated to cover the grant RPC. Old stations
-			// send no trace and the span is simply skipped.
-			var traceID string
-			if sc, ok := trace.ParseTraceparent(gr.Trace); ok && sc.Sampled {
-				traceID = sc.TraceID.String()
-				trace.Record(trace.Span{
-					TraceID: sc.TraceID,
-					SpanID:  trace.NewSpanID(),
-					Parent:  sc.SpanID,
-					Name:    "grant",
-					Job:     gr.JobID,
-					Station: g.Exec,
-					Start:   grantStart,
-					End:     time.Now(),
-					Attrs: []trace.Attr{
-						{Key: "requester", Value: g.Requester},
-						{Key: "incarnation", Value: fmt.Sprint(incarnation)},
-					},
-				})
-			}
-			c.events.Append(eventlog.Event{
-				Kind: eventlog.KindGrant, Job: gr.JobID, Station: g.Exec,
-				Detail: "granted to " + g.Requester, TraceID: traceID,
-			})
-			// Mark the exec station claimed immediately so this cycle's
-			// state is not granted twice before the next poll.
-			c.mu.Lock()
-			if s, ok := c.stations[g.Exec]; ok {
-				s.lastReply.State = proto.StationClaimed
-				s.lastReply.ForeignJob = gr.JobID
-				s.lastReply.ForeignOwnerStation = g.Requester
-			}
-			c.mu.Unlock()
-		} else {
-			c.bump(func(st *Stats) { st.GrantsDenied++ })
-			mGrantsDenied.Inc()
-			c.led.GrantDenied(g.Requester)
 		}
+		if err != nil || !gr.Used || gr.JobID == "" {
+			c.bump(func(st *Stats) { st.GrantsDenied++ })
+			mGrantsDenied.Inc()
+			c.led.GrantDenied(g.Requester)
+			continue
+		}
+		c.bump(func(st *Stats) { st.GrantsUsed++ })
+		mGrantsUsed.Inc()
+		c.led.GrantUsed(g.Requester)
+		// The pipeline granted a machine to a station; only now is the
+		// concrete job known. Stamp it on the audit.
+		aud.AnnotateGrantJob(gi, gr.JobID)
+		// The reply names the placed job's trace; record the grant span
+		// after the fact, backdated to cover the grant RPC. Old stations
+		// send no trace and the span is simply skipped.
+		var traceID string
+		if sc, ok := trace.ParseTraceparent(gr.Trace); ok && sc.Sampled {
+			traceID = sc.TraceID.String()
+			trace.Record(trace.Span{
+				TraceID: sc.TraceID,
+				SpanID:  trace.NewSpanID(),
+				Parent:  sc.SpanID,
+				Name:    "grant",
+				Job:     gr.JobID,
+				Station: g.Exec,
+				Start:   grantStart,
+				End:     time.Now(),
+				Attrs: []trace.Attr{
+					{Key: "requester", Value: g.Requester},
+					{Key: "incarnation", Value: fmt.Sprint(incarnation)},
+				},
+			})
+		}
+		c.events.Append(eventlog.Event{
+			Kind: eventlog.KindGrant, Job: gr.JobID, Station: g.Exec,
+			Detail: "granted to " + g.Requester, TraceID: traceID,
+		})
+		// Mark the exec station claimed immediately so this cycle's
+		// state is not granted twice before the next poll.
+		c.mu.Lock()
+		if s, ok := c.stations[g.Exec]; ok {
+			s.lastReply.State = proto.StationClaimed
+			s.lastReply.ForeignJob = gr.JobID
+			s.lastReply.ForeignOwnerStation = g.Requester
+		}
+		c.mu.Unlock()
 	}
 	for _, p := range dec.Preempts {
 		c.bump(func(st *Stats) { st.Preempts++ })
@@ -954,19 +910,20 @@ func (c *Coordinator) Cycle() {
 	// something, so idle cycles don't drown job history) and the bus.
 	audit := aud.Done()
 	c.cfg.Decisions.Record(audit)
-	if len(audit.Grants) > 0 || len(audit.Preempts) > 0 || len(audit.Unserved) > 0 {
-		c.events.Append(eventlog.Event{
-			Kind: eventlog.KindDecision,
-			Detail: fmt.Sprintf("cycle %d (%s): %d requesters, %d rejections, %d grants, %d unserved, %d preempts",
-				cycles, audit.Policy, len(audit.Requesters), len(audit.Rejections),
-				len(audit.Grants), len(audit.Unserved), len(audit.Preempts)),
-		})
+	acted := len(audit.Grants) > 0 || len(audit.Preempts) > 0 || len(audit.Unserved) > 0
+	listening := telemetry.Events.Subscribers() > 0
+	var summary string
+	if acted || listening { // built (and allocated) only when someone reads it
+		summary = fmt.Sprintf("cycle %d (%s): %d requesters, %d rejections, %d grants, %d unserved, %d preempts",
+			cycles, audit.Policy, len(audit.Requesters), len(audit.Rejections),
+			len(audit.Grants), len(audit.Unserved), len(audit.Preempts))
 	}
-
-	// One cycle-summary event per allocation cycle: the dashboard's
-	// liveness signal. Built (and allocated) only when someone is
-	// actually listening.
-	if telemetry.Events.Subscribers() > 0 {
+	if acted {
+		c.events.Append(eventlog.Event{Kind: eventlog.KindDecision, Detail: summary})
+	}
+	if listening {
+		// One cycle-summary event per allocation cycle: the dashboard's
+		// liveness signal.
 		telemetry.Events.Publish(telemetry.BusEvent{
 			Source: "coordinator", Kind: "cycle",
 			Detail: fmt.Sprintf("cycle %d: %d stations, %d grants, %d preempts, %s",
@@ -975,12 +932,7 @@ func (c *Coordinator) Cycle() {
 		})
 		// The decision drill-down's refresh signal: announces that cycle
 		// `cycles` has a fresh audit on /decisions.
-		telemetry.Events.Publish(telemetry.BusEvent{
-			Source: "coordinator", Kind: "decision-cycle",
-			Detail: fmt.Sprintf("cycle %d (%s): %d requesters, %d rejections, %d grants, %d unserved, %d preempts",
-				cycles, audit.Policy, len(audit.Requesters), len(audit.Rejections),
-				len(audit.Grants), len(audit.Unserved), len(audit.Preempts)),
-		})
+		telemetry.Events.Publish(telemetry.BusEvent{Source: "coordinator", Kind: "decision-cycle", Detail: summary})
 	}
 }
 
@@ -1017,22 +969,7 @@ func (c *Coordinator) pollStation(addr string) (proto.PollReply, error) {
 // requests that are not idempotent (grants — a grant whose reply was
 // lost may already have placed a job).
 func (c *Coordinator) callStation(addr string, msg any) (any, error) {
-	if addr == "" {
-		return nil, errors.New("coordinator: no address")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.RPCTimeout)
-	defer cancel()
-	if c.pool == nil {
-		// DialPerRPC ablation mode: the pre-pool behaviour, one fresh
-		// connection per RPC.
-		peer, err := wire.Dial(addr, c.cfg.DialTimeout, nil)
-		if err != nil {
-			return nil, err
-		}
-		defer peer.Close()
-		return peer.Call(ctx, msg)
-	}
-	return c.pool.Call(ctx, addr, msg)
+	return c.callVia(c.pool.Call, addr, msg)
 }
 
 // callStationRetry is callStation under the pool's retry policy, for
@@ -1040,15 +977,16 @@ func (c *Coordinator) callStation(addr string, msg any) (any, error) {
 // transient transport fault is retried with backoff against a freshly
 // dialed connection, still within the RPCTimeout budget.
 func (c *Coordinator) callStationRetry(addr string, msg any) (any, error) {
-	if c.pool == nil {
-		return c.callStation(addr, msg)
-	}
+	return c.callVia(c.pool.CallRetry, addr, msg)
+}
+
+func (c *Coordinator) callVia(call func(context.Context, string, any) (any, error), addr string, msg any) (any, error) {
 	if addr == "" {
 		return nil, errors.New("coordinator: no address")
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.RPCTimeout)
 	defer cancel()
-	return c.pool.CallRetry(ctx, addr, msg)
+	return call(ctx, addr, msg)
 }
 
 // Index exposes a station's Up-Down index (for status and tests).

@@ -72,6 +72,43 @@ func TestPolicyNameUnknownFailsStartup(t *testing.T) {
 	}
 }
 
+// TestSimulatedOnlyPolicyRefused: backfill ranks by
+// StationView.ShortestJob, which no poll reply carries, so a live
+// coordinator asked for it must say so at startup instead of quietly
+// scheduling as Up-Down. A state directory that names it (written by a
+// binary that still accepted it) degrades to the default like any other
+// journaled name this binary cannot run.
+func TestSimulatedOnlyPolicyRefused(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{StateDir: dir, PollInterval: time.Hour, DialTimeout: time.Second}
+	cfg.Policy.Name = "backfill"
+	_, err := New(cfg)
+	if err == nil || !strings.Contains(err.Error(), "backfill") || !strings.Contains(err.Error(), "ShortestJob") {
+		t.Fatalf("backfill on a live coordinator: err = %v, want a refusal naming the policy and the field", err)
+	}
+
+	cfg.Policy.Name = ""
+	c1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c1.mu.Lock()
+	c1.appendJournalLocked(persistRecord{Kind: recPolicy, Name: "backfill"})
+	c1.mu.Unlock()
+	c1.Close()
+	c2, err := New(cfg)
+	if err != nil {
+		t.Fatalf("journaled backfill must degrade, not fail startup: %v", err)
+	}
+	defer c2.Close()
+	if got := c2.PolicyName(); got != "updown" {
+		t.Fatalf("policy after journaled backfill = %q, want updown", got)
+	}
+	if c2.Stats().JournalErrors == 0 {
+		t.Fatal("degrading a journaled policy must count as a journal error")
+	}
+}
+
 // TestPolicyNameDefault: with nothing configured and nothing journaled,
 // the coordinator schedules with the paper's Up-Down policy and says so
 // over the status RPC.

@@ -9,52 +9,28 @@ import (
 	"testing"
 	"time"
 
-	"condor/internal/policy"
 	"condor/internal/proto"
-	"condor/internal/updown"
 	"condor/internal/wire"
 )
 
-// --- config sanitize: partial structs must not be clobbered ------------
+// --- config sanitize: the RPC bound follows the dial timeout -----------
 
-func TestSanitizePreservesPartialPolicy(t *testing.T) {
-	cfg := Config{Policy: policy.Config{MaxPreemptsPerCycle: 3}}
-	cfg.sanitize()
-	if cfg.Policy.MaxPreemptsPerCycle != 3 {
-		t.Fatalf("MaxPreemptsPerCycle = %d, want the configured 3 (clobbered by defaults)",
-			cfg.Policy.MaxPreemptsPerCycle)
-	}
-	if cfg.Policy.MaxGrantsPerCycle != 1 {
-		t.Fatalf("MaxGrantsPerCycle = %d, want defaulted 1", cfg.Policy.MaxGrantsPerCycle)
-	}
-	if cfg.Policy.Placement != policy.PlaceFirstFit {
-		t.Fatalf("Placement = %v, want defaulted first-fit", cfg.Policy.Placement)
-	}
-}
-
-func TestSanitizePreservesPartialUpDown(t *testing.T) {
-	cfg := Config{UpDown: updown.Config{DownRate: 7}}
-	cfg.sanitize()
-	if cfg.UpDown.DownRate != 7 {
-		t.Fatalf("DownRate = %v, want the configured 7", cfg.UpDown.DownRate)
-	}
-	def := updown.DefaultConfig()
-	if cfg.UpDown.UpRate != def.UpRate || cfg.UpDown.MaxAbs != def.MaxAbs {
-		t.Fatalf("UpDown = %+v, want unset fields defaulted from %+v", cfg.UpDown, def)
-	}
-}
-
-func TestSanitizeZeroSubConfigsStillMeanDefaults(t *testing.T) {
-	cfg := Config{}
-	cfg.sanitize()
-	if cfg.Policy != policy.DefaultConfig() {
-		t.Fatalf("Policy = %+v, want full defaults for a zero struct", cfg.Policy)
-	}
-	if cfg.UpDown != updown.DefaultConfig() {
-		t.Fatalf("UpDown = %+v, want full defaults for a zero struct", cfg.UpDown)
-	}
-	if cfg.RPCTimeout != cfg.DialTimeout+10*time.Second {
-		t.Fatalf("RPCTimeout = %v, want DialTimeout+10s", cfg.RPCTimeout)
+func TestSanitizeRPCTimeoutDefault(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want time.Duration
+	}{
+		{"zero config", Config{}, 15 * time.Second},
+		{"dial timeout set", Config{DialTimeout: time.Second}, 11 * time.Second},
+		{"rpc timeout set", Config{DialTimeout: time.Second, RPCTimeout: 3 * time.Second}, 3 * time.Second},
+	} {
+		cfg := tc.cfg
+		cfg.sanitize()
+		if cfg.RPCTimeout != tc.want {
+			t.Errorf("%s: RPCTimeout = %v, want %v (DialTimeout %v + 10s unless set)",
+				tc.name, cfg.RPCTimeout, tc.want, cfg.DialTimeout)
+		}
 	}
 }
 
@@ -257,31 +233,11 @@ func TestCyclesReuseStationConnections(t *testing.T) {
 	}
 }
 
-func TestDialPerRPCAblationStillWorks(t *testing.T) {
-	coord, err := New(Config{PollInterval: time.Hour, DialPerRPC: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	srv := fakeStation(t, func(_ context.Context, msg any) (any, error) {
-		return proto.PollReply{Name: "ws", State: proto.StationIdle}, nil
-	})
-	coord.Register("ws", srv.Addr())
-	coord.Cycle()
-	stats := coord.Stats()
-	if stats.Polls != 1 {
-		t.Fatalf("stats = %+v, want a successful poll without the pool", stats)
-	}
-	if stats.Dials != 0 || stats.Reuses != 0 {
-		t.Fatalf("stats = %+v, want zero pool counters in dial-per-RPC mode", stats)
-	}
-}
+// --- benchmark: steady-state cycles over pooled connections -----------
 
-// --- benchmarks: pooled vs. dial-per-RPC cycles ------------------------
-
-func benchmarkCycle(b *testing.B, dialPerRPC bool) {
+func BenchmarkCoordinatorCycle(b *testing.B) {
 	const stations = 8
-	coord, err := New(Config{PollInterval: time.Hour, DialPerRPC: dialPerRPC})
+	coord, err := New(Config{PollInterval: time.Hour})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -299,14 +255,9 @@ func benchmarkCycle(b *testing.B, dialPerRPC bool) {
 		coord.Cycle()
 	}
 	b.StopTimer()
-	if !dialPerRPC {
-		stats := coord.Stats()
-		b.ReportMetric(float64(stats.Dials)/stations, "dials/station")
-		if stats.Dials > stations {
-			b.Fatalf("stats = %+v, want ≤1 dial per station in steady state", stats)
-		}
+	stats := coord.Stats()
+	b.ReportMetric(float64(stats.Dials)/stations, "dials/station")
+	if stats.Dials > stations {
+		b.Fatalf("stats = %+v, want ≤1 dial per station in steady state", stats)
 	}
 }
-
-func BenchmarkCoordinatorCycle(b *testing.B)           { benchmarkCycle(b, false) }
-func BenchmarkCoordinatorCycleDialPerRPC(b *testing.B) { benchmarkCycle(b, true) }

@@ -43,8 +43,8 @@ type Rejection struct {
 	Station   string `json:"station"`
 	Requester string `json:"requester,omitempty"`
 	Predicate string `json:"predicate"`
-	// Threshold/Observed explain the failing comparison when the
-	// predicate implements the policy.Explainer interface, e.g.
+	// Threshold/Observed explain the failing comparison (the
+	// predicate's Explain), e.g.
 	// "disk >= 1048576" vs "524288".
 	Threshold string `json:"threshold,omitempty"`
 	Observed  string `json:"observed,omitempty"`
@@ -55,8 +55,8 @@ type RankEntry struct {
 	Requester string `json:"requester"`
 	// Position is the 0-based rank (0 = served first).
 	Position int `json:"position"`
-	// Score is the prioritizer's schedule index when it exposes one
-	// (lower wins under Up-Down); HasScore distinguishes a real 0.
+	// Score is the requester's Up-Down schedule index (lower wins under
+	// Up-Down); HasScore distinguishes a real 0.
 	Score    float64   `json:"score,omitempty"`
 	HasScore bool      `json:"hasScore,omitempty"`
 	Features []Feature `json:"features,omitempty"`

@@ -26,7 +26,7 @@ func TestGoldenEquivalenceAudited(t *testing.T) {
 		tab := updown.NewTable(updown.DefaultConfig())
 		tab.Restore(fx.Indexes)
 		aud := decision.NewBuilder(1, time.Unix(0, 0))
-		got := NewUpDown().DecideAudited(fx.Views, tab, fx.Cfg, aud)
+		got := MustNew("updown").DecideAudited(fx.Views, tab, fx.Cfg, aud)
 		if !reflect.DeepEqual(got, fx.Decision) {
 			t.Errorf("fixture seed=%d: audited decision diverged\n got: %+v\nwant: %+v",
 				fx.Seed, got, fx.Decision)
@@ -149,7 +149,7 @@ func TestAuditExplainsDiskRejection(t *testing.T) {
 	cfg.MinDiskBytes = 1 << 20
 
 	aud := decision.NewBuilder(7, time.Unix(0, 0))
-	d := NewUpDown().DecideAudited(views, tab, cfg, aud)
+	d := MustNew("updown").DecideAudited(views, tab, cfg, aud)
 	if len(d.Grants) != 0 {
 		t.Fatalf("granted %+v despite the disk predicate", d.Grants)
 	}
@@ -185,7 +185,7 @@ func TestDecideAuditedNilBuilderAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	views, tab := randomPool(r)
 	cfg := DefaultConfig()
-	pol := NewUpDown()
+	pol := MustNew("updown")
 	pol.Decide(views, tab, cfg) // warm interned metrics
 
 	base := testing.AllocsPerRun(200, func() { pol.Decide(views, tab, cfg) })

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"condor/internal/proto"
+	"condor/internal/updown"
 )
 
 // The policy conformance suite: one shared property harness run against
@@ -30,7 +31,7 @@ func conformanceCfg(burst bool, maxGrants, maxPreempts uint8, minDisk bool, plac
 		MaxGrantsPerCycle:    int(maxGrants % 8),
 		MaxPreemptsPerCycle:  int(maxPreempts % 4),
 		AllowBurstPerStation: burst,
-		Placement:            PlacementStrategy(placement%3) + 1,
+		Placement:            PlacementStrategy(placement%2) + 1,
 	}
 	if minDisk {
 		cfg.MinDiskBytes = 1024
@@ -41,7 +42,7 @@ func conformanceCfg(burst bool, maxGrants, maxPreempts uint8, minDisk bool, plac
 // checkDecisionInvariants asserts every rule of the conformance
 // contract against one decision. It returns an error describing the
 // first violation so quick.Check failures are diagnosable.
-func checkDecisionInvariants(pol *Policy, views []StationView, prio Prioritizer, cfg Config, d Decision) error {
+func checkDecisionInvariants(pol *Policy, views []StationView, tab *updown.Table, cfg Config, d Decision) error {
 	sanitized := cfg
 	sanitized.sanitize()
 	byName := make(map[string]StationView, len(views))
@@ -127,7 +128,7 @@ func checkDecisionInvariants(pol *Policy, views []StationView, prio Prioritizer,
 		if p.Victim == p.Beneficiary {
 			return fmt.Errorf("station %q preempted to serve itself", p.Victim)
 		}
-		if !pol.Better(p.Beneficiary, p.Victim, views, prio, cfg) {
+		if !pol.Ranker.Better(p.Beneficiary, p.Victim, newPool(views), tab, &sanitized) {
 			return fmt.Errorf("beneficiary %q does not strictly outrank victim %q under policy %s",
 				p.Beneficiary, p.Victim, pol.Name())
 		}
@@ -177,11 +178,11 @@ func TestConformanceAllPolicies(t *testing.T) {
 	}
 }
 
-// TestConformanceRegistry: the registry carries at least the five
+// TestConformanceRegistry: the registry carries at least the four
 // shipped policies, resolves the empty name to updown, and rejects
 // unknown names with a helpful error.
 func TestConformanceRegistry(t *testing.T) {
-	want := []string{"backfill", "busiest-first", "deadline", "fifo", "updown"}
+	want := []string{"backfill", "busiest-first", "fifo", "updown"}
 	got := Names()
 	for _, w := range want {
 		found := false

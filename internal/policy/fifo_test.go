@@ -11,44 +11,26 @@ import (
 // cycle always survive pruning.
 func TestFIFOChurnBounded(t *testing.T) {
 	const max = 64
-	f := NewFIFOPrioritizerSized(max)
+	f := newFIFORanker(max)
 	live := []string{"ws00", "ws01", "ws02"}
 	for round := 0; round < 200; round++ {
 		names := append([]string(nil), live...)
 		for j := 0; j < 10; j++ {
 			names = append(names, fmt.Sprintf("ephemeral-%d-%d", round, j))
 		}
-		ranked := f.Rank(names)
+		ranked := f.Rank(names, nil, nil, nil)
 		if len(ranked) != len(names) {
 			t.Fatalf("round %d: Rank returned %d of %d names", round, len(ranked), len(names))
 		}
-		if f.Len() > max {
-			t.Fatalf("round %d: arrival table grew to %d entries (bound %d)", round, f.Len(), max)
+		if len(f.order) > max {
+			t.Fatalf("round %d: arrival table grew to %d entries (bound %d)", round, len(f.order), max)
 		}
 	}
 	// The continuously-seen stations keep their original order: ws00
 	// arrived first every round and must still rank first.
-	ranked := f.Rank([]string{"ws02", "ws00", "ws01"})
+	ranked := f.Rank([]string{"ws02", "ws00", "ws01"}, nil, nil, nil)
 	if ranked[0] != "ws00" || ranked[1] != "ws01" || ranked[2] != "ws02" {
 		t.Fatalf("live stations lost their arrival order: %v", ranked)
-	}
-}
-
-// TestFIFOForget: deregistration removes the entry; a returning station
-// re-enters at the back of the order like a new arrival.
-func TestFIFOForget(t *testing.T) {
-	f := NewFIFOPrioritizer()
-	f.Touch("a")
-	f.Touch("b")
-	if !f.Better("a", "b") {
-		t.Fatal("a arrived before b")
-	}
-	f.Forget("a")
-	if f.Len() != 1 {
-		t.Fatalf("Len = %d after Forget, want 1", f.Len())
-	}
-	if f.Better("a", "b") {
-		t.Fatal("a re-registered after Forget must rank behind b")
 	}
 }
 
@@ -57,28 +39,16 @@ func TestFIFOForget(t *testing.T) {
 // churn agree on the surviving order.
 func TestFIFOPruneDeterministic(t *testing.T) {
 	run := func() []string {
-		f := NewFIFOPrioritizerSized(4)
+		f := newFIFORanker(4)
 		for i := 0; i < 12; i++ {
-			f.Rank([]string{fmt.Sprintf("s%02d", i)})
+			f.Rank([]string{fmt.Sprintf("s%02d", i)}, nil, nil, nil)
 		}
-		return f.Rank([]string{"s08", "s09", "s10", "s11"})
+		return f.Rank([]string{"s08", "s09", "s10", "s11"}, nil, nil, nil)
 	}
 	a, b := run(), run()
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("prune nondeterministic: %v vs %v", a, b)
 		}
-	}
-}
-
-// TestFIFOUnboundedCompat: max <= 0 preserves the pre-bounding
-// behaviour for callers that sized the pool themselves.
-func TestFIFOUnboundedCompat(t *testing.T) {
-	f := NewFIFOPrioritizerSized(0)
-	for i := 0; i < 500; i++ {
-		f.Touch(fmt.Sprintf("s%d", i))
-	}
-	if f.Len() != 500 {
-		t.Fatalf("unbounded prioritizer pruned: Len = %d, want 500", f.Len())
 	}
 }

@@ -18,7 +18,7 @@ import (
 // the decisions the pre-pipeline (seed) Decide produced for them,
 // committed under testdata/. The pipelined Up-Down policy must
 // reproduce every one of them byte-for-byte — that is the proof that
-// the predicates → ranker → placer → preemptor decomposition is a pure
+// the predicates → ranker → placement → preemption pipeline is a pure
 // refactor of the paper's hard-wired algorithm, not a behaviour change.
 //
 // Regenerate (only when a deliberate, documented behaviour change is
@@ -133,7 +133,7 @@ func TestGenerateGoldenFixtures(t *testing.T) {
 			Cfg:      cfg,
 			Indexes:  indexes,
 			Views:    views,
-			Decision: Decide(views, tab, cfg),
+			Decision: decide(views, tab, cfg),
 		})
 	}
 	b, err := json.MarshalIndent(gf, "", "  ")
@@ -165,15 +165,14 @@ func loadGolden(t *testing.T) goldenFile {
 	return gf
 }
 
-// TestGoldenEquivalence: the package-level Decide (the pipelined
-// Up-Down policy) reproduces the seed algorithm's recorded decisions
+// TestGoldenEquivalence: the updown policy reproduces the seed algorithm's recorded decisions
 // byte-for-byte on every committed fixture.
 func TestGoldenEquivalence(t *testing.T) {
 	gf := loadGolden(t)
 	for _, fx := range gf.Fixtures {
 		tab := updown.NewTable(updown.DefaultConfig())
 		tab.Restore(fx.Indexes)
-		got := Decide(fx.Views, tab, fx.Cfg)
+		got := decide(fx.Views, tab, fx.Cfg)
 		if !reflect.DeepEqual(got, fx.Decision) {
 			t.Errorf("fixture seed=%d: decision diverged\n got: %+v\nwant: %+v",
 				fx.Seed, got, fx.Decision)

@@ -36,12 +36,12 @@ type policyMetrics struct {
 	filtered   *telemetry.Counter
 	grants     *telemetry.Counter
 	preempts   *telemetry.Counter
-	// denied is parallel to Policy.Predicates: denied[i] counts
+	// denied is parallel to predicates: denied[i] counts
 	// candidate-phase rejections by the i-th predicate.
 	denied []*telemetry.Counter
 }
 
-func newPolicyMetrics(name string, preds []Predicate) *policyMetrics {
+func newPolicyMetrics(name string) *policyMetrics {
 	m := &policyMetrics{
 		decide:     mDecideSeconds.With(name),
 		requesters: mStageRequesters.With(name),
@@ -50,8 +50,8 @@ func newPolicyMetrics(name string, preds []Predicate) *policyMetrics {
 		grants:     mStageGrants.With(name),
 		preempts:   mStagePreempts.With(name),
 	}
-	m.denied = make([]*telemetry.Counter, len(preds))
-	for i, p := range preds {
+	m.denied = make([]*telemetry.Counter, len(predicates))
+	for i, p := range predicates {
 		m.denied[i] = mPredicateDenied.With(name + "/" + p.Name())
 	}
 	return m

@@ -1,20 +1,18 @@
-// The composable scheduling pipeline. One decision cycle flows through
-// four pluggable stages, mirroring the predicates → prioritizers →
-// extenders shape of modern cluster schedulers:
+// The scheduling pipeline. One decision cycle flows through four stages:
 //
 //	Predicates  filter which machines may serve (idle, disk, health,
-//	            reservation match).
+//	            reservation match) — the same chain for every policy.
 //	Ranker      orders the requesting stations best-first (Up-Down,
-//	            FIFO, busiest-first, backfill, deadline, ...).
-//	Placer      orders the admitted machines best-first (first-fit,
-//	            availability-history, data-locality stub).
-//	Preemptor   picks victims when demand outlives idle capacity.
+//	            FIFO, busiest-first, backfill). The one stage a policy
+//	            chooses.
+//	Placement   orders the admitted machines best-first, selected by
+//	            Config.Placement (first-fit, availability-history).
+//	Preemption  the paper's §2.4 rule: evict the worst holder the best
+//	            unserved requester strictly outranks.
 //
-// A Policy is a named composition of the four; the registry
-// (registry.go) maps policy names to factories so the coordinator and
-// simulator select one by configuration. The hard-wired seed algorithm
-// survives as the "updown" policy, and the package-level Decide keeps
-// its exact behaviour — the golden fixtures under testdata/ pin it.
+// A Policy is a name, the standard predicate chain and a Ranker; the
+// registry (registry.go) maps policy names to rankers so the coordinator
+// and simulator select one by configuration.
 package policy
 
 import (
@@ -25,6 +23,7 @@ import (
 
 	"condor/internal/decision"
 	"condor/internal/proto"
+	"condor/internal/updown"
 )
 
 // Pool is the read-only cluster snapshot a pipeline stage sees.
@@ -41,12 +40,6 @@ func newPool(stations []StationView) *Pool {
 	return &Pool{Stations: stations, byName: byName}
 }
 
-// View returns the named station's snapshot.
-func (p *Pool) View(name string) (StationView, bool) {
-	s, ok := p.byName[name]
-	return s, ok
-}
-
 // Predicate decides whether a machine may serve a requester this cycle.
 type Predicate interface {
 	Name() string
@@ -55,77 +48,50 @@ type Predicate interface {
 	// least one requester) and again with the concrete requester during
 	// placement. Requester-independent predicates ignore req.
 	Admit(m *StationView, req string, cfg *Config) bool
+	// Explain articulates the comparison Admit failed, both sides as
+	// short strings — the audit's threshold-vs-observed detail. Only
+	// called on the rejection path, after Admit returned false.
+	Explain(m *StationView, req string, cfg *Config) (threshold, observed string)
 }
 
-// Ranker orders the requesting stations best-first.
+// predicates is the filter chain every policy runs, in order.
+var predicates = []Predicate{IdlePredicate{}, MinDiskPredicate{}, HealthPredicate{}, ReservationPredicate{}}
+
+// Ranker orders the requesting stations best-first. table is the pool's
+// Up-Down fairness memory; a ranker reads as much of it as its ordering
+// needs and never updates it.
 type Ranker interface {
-	Name() string
 	// Rank orders wanting best-first. wanting arrives in sorted-name
 	// order; implementations must not mutate it.
-	Rank(wanting []string, pool *Pool, prio Prioritizer, cfg *Config) []string
+	Rank(wanting []string, pool *Pool, table *updown.Table, cfg *Config) []string
 	// Better reports whether a strictly outranks b — the relation every
 	// preemption is judged by.
-	Better(a, b string, pool *Pool, prio Prioritizer, cfg *Config) bool
+	Better(a, b string, pool *Pool, table *updown.Table, cfg *Config) bool
 }
 
-// Placer orders the admitted candidate machines best-first.
-type Placer interface {
-	Name() string
-	// Order may sort candidates in place (the slice is the pipeline's
-	// own copy) but must not mutate the views; it returns machine names.
-	Order(candidates []StationView, cfg *Config) []string
-}
-
-// PreemptContext is everything a Preemptor sees after the grant stage.
-type PreemptContext struct {
-	Pool *Pool
-	// Requesters is the ranked requester list; Granted marks those
-	// already served this cycle.
-	Requesters []string
-	Granted    map[string]bool
-	// LeftoverIdle is the admitted machines not granted, still in
-	// placement order.
-	LeftoverIdle []string
-	// Better is the ranker's strict-outranking relation.
-	Better func(a, b string) bool
-	Cfg    *Config
-	// Audit, when non-nil, receives the preemptor's victim comparisons.
-	// All Builder methods are nil-receiver safe, so implementations may
-	// call them unconditionally.
-	Audit *decision.Builder
-}
-
-// Preemptor selects victims. Implementations must respect
-// Cfg.MaxPreemptsPerCycle and only evict foreign jobs whose owner the
-// beneficiary strictly outranks under ctx.Better.
-type Preemptor interface {
-	Name() string
-	Preempts(ctx *PreemptContext) []Preempt
-}
-
-// Policy is a named composition of the four pipeline stages.
+// Policy is a named Ranker behind the standard predicate chain.
 type Policy struct {
-	name       string
-	Predicates []Predicate
-	Ranker     Ranker
-	Placer     Placer
-	Preemptor  Preemptor
-	met        *policyMetrics
+	name    string
+	Ranker  Ranker
+	simOnly string
+	met     *policyMetrics
 }
 
 // Name returns the registry name the policy was built under.
 func (p *Policy) Name() string { return p.name }
 
-func (p *Policy) admit(m *StationView, req string, cfg *Config) bool {
-	return p.admitIdx(m, req, cfg) < 0
-}
+// SimulatedOnly names the StationView field the policy ranks by that
+// only the simulator fills, or "" when the policy schedules a live pool
+// exactly as it schedules a simulated one. The coordinator refuses a
+// simulated-only policy at startup rather than run it blind.
+func (p *Policy) SimulatedOnly() string { return p.simOnly }
 
 // admitIdx runs the predicate chain and returns the index of the first
 // rejecting predicate, or -1 when every predicate admits — so the audit
 // and the per-predicate deny counters know *which* gate closed without
 // a second pass.
-func (p *Policy) admitIdx(m *StationView, req string, cfg *Config) int {
-	for i, pred := range p.Predicates {
+func admitIdx(m *StationView, req string, cfg *Config) int {
+	for i, pred := range predicates {
 		if !pred.Admit(m, req, cfg) {
 			return i
 		}
@@ -135,11 +101,9 @@ func (p *Policy) admitIdx(m *StationView, req string, cfg *Config) int {
 
 // rejection assembles the audit record for predicate idx rejecting m.
 // Only called on the (cold) rejection path with a live builder.
-func (p *Policy) rejection(m *StationView, req string, idx int, cfg *Config) decision.Rejection {
-	r := decision.Rejection{Station: m.Name, Requester: req, Predicate: p.Predicates[idx].Name()}
-	if ex, ok := p.Predicates[idx].(Explainer); ok {
-		r.Threshold, r.Observed = ex.Explain(m, req, cfg)
-	}
+func rejection(m *StationView, req string, idx int, cfg *Config) decision.Rejection {
+	r := decision.Rejection{Station: m.Name, Requester: req, Predicate: predicates[idx].Name()}
+	r.Threshold, r.Observed = predicates[idx].Explain(m, req, cfg)
 	return r
 }
 
@@ -151,32 +115,24 @@ func requesterEligible(s *StationView) bool {
 	return s.Health == 0 || s.Health == proto.HealthHealthy
 }
 
-// Better reports whether a strictly outranks b under this policy's
-// effective ordering — the relation its preemptions are judged by.
-// Exposed for the conformance harness.
-func (p *Policy) Better(a, b string, stations []StationView, prio Prioritizer, cfg Config) bool {
-	cfg.sanitize()
-	return p.Ranker.Better(a, b, newPool(stations), prio, &cfg)
-}
-
 // Decide runs one allocation cycle through the pipeline. It never
 // mutates its inputs. The control flow is exactly the seed algorithm's:
 // rank requesters, grant admitted machines in placement order with
 // per-station pacing (§4), then — only when no unreserved idle capacity
-// remains — let the preemptor evict outranked foreign jobs (§2.4).
-func (p *Policy) Decide(stations []StationView, prio Prioritizer, cfg Config) Decision {
-	return p.DecideAudited(stations, prio, cfg, nil)
+// remains — evict outranked foreign jobs (§2.4).
+func (p *Policy) Decide(stations []StationView, table *updown.Table, cfg Config) Decision {
+	return p.DecideAudited(stations, table, cfg, nil)
 }
 
 // DecideAudited is Decide with an optional decision audit: when aud is
 // non-nil, every stage records why it did what it did — which predicate
 // rejected each machine (threshold vs observed), each requester's rank
-// score and feature breakdown, the placement order, and the preemptor's
+// score and feature breakdown, the placement order, and the preemption
 // victim comparisons. The audit is strictly observational: a nil and a
 // non-nil builder produce identical Decisions (the conformance suite
 // asserts this for every registered policy), and the nil path costs one
 // branch per hook — no allocations beyond Decide's own.
-func (p *Policy) DecideAudited(stations []StationView, prio Prioritizer, cfg Config, aud *decision.Builder) Decision {
+func (p *Policy) DecideAudited(stations []StationView, table *updown.Table, cfg Config, aud *decision.Builder) Decision {
 	start := time.Now()
 	cfg.sanitize()
 	pool := newPool(stations)
@@ -193,10 +149,10 @@ func (p *Policy) DecideAudited(stations []StationView, prio Prioritizer, cfg Con
 		}
 	}
 	sort.Strings(wanting) // deterministic base order before ranking
-	requesters := p.Ranker.Rank(wanting, pool, prio, &cfg)
+	requesters := p.Ranker.Rank(wanting, pool, table, &cfg)
 	p.met.requesters.Add(uint64(len(requesters)))
 	if aud != nil {
-		p.auditRank(requesters, pool, prio, aud)
+		auditRank(requesters, pool, table, aud)
 	}
 
 	// Candidate machines: every predicate must admit, requester-blind.
@@ -205,12 +161,10 @@ func (p *Policy) DecideAudited(stations []StationView, prio Prioritizer, cfg Con
 	// with an empty requester.
 	var candidates []StationView
 	for i := range stations {
-		if idx := p.admitIdx(&stations[i], "", &cfg); idx >= 0 {
-			if idx < len(p.met.denied) {
-				p.met.denied[idx].Inc()
-			}
+		if idx := admitIdx(&stations[i], "", &cfg); idx >= 0 {
+			p.met.denied[idx].Inc()
 			if aud != nil {
-				aud.Reject(p.rejection(&stations[i], "", idx, &cfg))
+				aud.Reject(rejection(&stations[i], "", idx, &cfg))
 			}
 		} else {
 			candidates = append(candidates, stations[i])
@@ -218,7 +172,7 @@ func (p *Policy) DecideAudited(stations []StationView, prio Prioritizer, cfg Con
 	}
 	p.met.candidates.Add(uint64(len(candidates)))
 	p.met.filtered.Add(uint64(len(stations) - len(candidates)))
-	idle := p.Placer.Order(candidates, &cfg)
+	idle := placementOrder(candidates, cfg.Placement)
 	if aud != nil {
 		aud.Idle(idle)
 	}
@@ -246,13 +200,13 @@ func (p *Policy) DecideAudited(stations []StationView, prio Prioritizer, cfg Con
 			pick := -1
 			for i, exec := range idle {
 				m := pool.byName[exec]
-				if idx := p.admitIdx(&m, req, &cfg); idx >= 0 {
+				if idx := admitIdx(&m, req, &cfg); idx >= 0 {
 					// Placement-phase rejection: this machine refused
 					// this concrete requester (typically a reservation
 					// held for someone else). Audit-only — the deny
 					// counters count the requester-blind phase.
 					if aud != nil {
-						aud.Reject(p.rejection(&m, req, idx, &cfg))
+						aud.Reject(rejection(&m, req, idx, &cfg))
 					}
 					continue
 				}
@@ -292,40 +246,20 @@ func (p *Policy) DecideAudited(stations []StationView, prio Prioritizer, cfg Con
 			aud.Unserved(req, reason)
 		}
 	}
-	d.Preempts = p.Preemptor.Preempts(&PreemptContext{
-		Pool:         pool,
-		Requesters:   requesters,
-		Granted:      granted,
-		LeftoverIdle: idle,
-		Better: func(a, b string) bool {
-			return p.Ranker.Better(a, b, pool, prio, &cfg)
-		},
-		Cfg:   &cfg,
-		Audit: aud,
-	})
+	d.Preempts = outrankPreempts(pool, requesters, granted, idle, &cfg, aud,
+		func(a, b string) bool { return p.Ranker.Better(a, b, pool, table, &cfg) })
 	p.met.grants.Add(uint64(len(d.Grants)))
 	p.met.preempts.Add(uint64(len(d.Preempts)))
 	p.met.decide.Observe(time.Since(start).Seconds())
 	return d
 }
 
-// Scorer is the optional Prioritizer extension the audit uses to attach
-// a numeric rank score to each requester: updown.Table exposes its
-// schedule index through exactly this shape (lower wins).
-type Scorer interface {
-	Index(name string) float64
-}
-
-// auditRank records each ranked requester with its prioritizer score
-// (when the Prioritizer is a Scorer) and the station-view features the
-// rankers read — the breakdown behind "why is my station ranked there".
-func (p *Policy) auditRank(requesters []string, pool *Pool, prio Prioritizer, aud *decision.Builder) {
-	sc, _ := prio.(Scorer)
+// auditRank records each ranked requester with its Up-Down schedule
+// index (lower wins) and the station-view features the rankers read —
+// the breakdown behind "why is my station ranked there".
+func auditRank(requesters []string, pool *Pool, table *updown.Table, aud *decision.Builder) {
 	for i, req := range requesters {
-		e := decision.RankEntry{Requester: req, Position: i}
-		if sc != nil {
-			e.Score, e.HasScore = sc.Index(req), true
-		}
+		e := decision.RankEntry{Requester: req, Position: i, Score: table.Index(req), HasScore: true}
 		m := pool.byName[req]
 		e.Features = append(e.Features,
 			decision.Feature{Key: "waiting", Value: strconv.Itoa(m.WaitingJobs)},
@@ -334,23 +268,11 @@ func (p *Policy) auditRank(requesters []string, pool *Pool, prio Prioritizer, au
 			e.Features = append(e.Features,
 				decision.Feature{Key: "shortest-job", Value: m.ShortestJob.String()})
 		}
-		if !m.EarliestDeadline.IsZero() {
-			e.Features = append(e.Features,
-				decision.Feature{Key: "deadline", Value: m.EarliestDeadline.Format(time.RFC3339)})
-		}
 		aud.Requester(e)
 	}
 }
 
 // ---- Standard predicates -------------------------------------------
-
-// Explainer is the optional Predicate extension behind the audit's
-// threshold-vs-observed detail: a predicate that can articulate the
-// comparison it failed returns both sides as short strings. Explain is
-// only called on the rejection path, after Admit returned false.
-type Explainer interface {
-	Explain(m *StationView, req string, cfg *Config) (threshold, observed string)
-}
 
 // IdlePredicate admits only machines with no owner or foreign activity.
 type IdlePredicate struct{}
@@ -362,7 +284,7 @@ func (IdlePredicate) Admit(m *StationView, _ string, _ *Config) bool {
 	return m.State == proto.StationIdle
 }
 
-// Explain implements Explainer.
+// Explain implements Predicate.
 func (IdlePredicate) Explain(m *StationView, _ string, _ *Config) (string, string) {
 	return "state == idle", "state " + m.State.String()
 }
@@ -378,7 +300,7 @@ func (MinDiskPredicate) Admit(m *StationView, _ string, cfg *Config) bool {
 	return cfg.MinDiskBytes <= 0 || m.DiskFree >= cfg.MinDiskBytes
 }
 
-// Explain implements Explainer.
+// Explain implements Predicate.
 func (MinDiskPredicate) Explain(m *StationView, _ string, cfg *Config) (string, string) {
 	return fmt.Sprintf("disk >= %d bytes", cfg.MinDiskBytes),
 		fmt.Sprintf("%d bytes free", m.DiskFree)
@@ -396,7 +318,7 @@ func (HealthPredicate) Admit(m *StationView, _ string, _ *Config) bool {
 	return m.Health == 0 || m.Health == proto.HealthHealthy
 }
 
-// Explain implements Explainer.
+// Explain implements Predicate.
 func (HealthPredicate) Explain(m *StationView, _ string, _ *Config) (string, string) {
 	return "health == healthy", "health " + m.Health.String()
 }
@@ -416,134 +338,73 @@ func (ReservationPredicate) Admit(m *StationView, req string, _ *Config) bool {
 	return m.ReservedFor == "" || m.ReservedFor == req
 }
 
-// Explain implements Explainer.
+// Explain implements Predicate.
 func (ReservationPredicate) Explain(m *StationView, req string, _ *Config) (string, string) {
 	return "reserved for " + m.ReservedFor, "requester " + req
 }
 
-// StandardPredicates is the filter chain every built-in policy uses.
-func StandardPredicates() []Predicate {
-	return []Predicate{IdlePredicate{}, MinDiskPredicate{}, HealthPredicate{}, ReservationPredicate{}}
-}
+// ---- Placement -----------------------------------------------------
 
-// ---- Standard placers ----------------------------------------------
-
-// FirstFitPlacer hands out idle machines in stable name order.
-type FirstFitPlacer struct{}
-
-func (FirstFitPlacer) Name() string { return "first-fit" }
-
-// Order implements Placer.
-func (FirstFitPlacer) Order(candidates []StationView, _ *Config) []string {
-	sort.SliceStable(candidates, func(i, j int) bool { return candidates[i].Name < candidates[j].Name })
-	return viewNames(candidates)
-}
-
-// HistoryPlacer prefers machines with long availability history — the
-// §5.1 proposal: stations with long past idle intervals tend to stay
-// idle, so long jobs suffer fewer preemptions there.
-type HistoryPlacer struct{}
-
-func (HistoryPlacer) Name() string { return "history" }
-
-// Order implements Placer.
-func (HistoryPlacer) Order(candidates []StationView, _ *Config) []string {
+// placementOrder sorts the admitted machines best-first under the
+// configured strategy and returns their names. It sorts candidates in
+// place (the slice is the cycle's own copy). First-fit is stable name
+// order; availability-history (§5.1) puts machines with long past idle
+// intervals first — they tend to stay idle, so long jobs suffer fewer
+// preemptions there — and falls back to name order on ties.
+func placementOrder(candidates []StationView, strategy PlacementStrategy) []string {
 	sort.SliceStable(candidates, func(i, j int) bool {
-		if candidates[i].AvgIdleLen != candidates[j].AvgIdleLen {
-			return candidates[i].AvgIdleLen > candidates[j].AvgIdleLen
+		a, b := &candidates[i], &candidates[j]
+		if strategy == PlaceHistory {
+			if a.AvgIdleLen != b.AvgIdleLen {
+				return a.AvgIdleLen > b.AvgIdleLen
+			}
+			if a.IdleStreak != b.IdleStreak {
+				return a.IdleStreak > b.IdleStreak
+			}
 		}
-		if candidates[i].IdleStreak != candidates[j].IdleStreak {
-			return candidates[i].IdleStreak > candidates[j].IdleStreak
-		}
-		return candidates[i].Name < candidates[j].Name
+		return a.Name < b.Name
 	})
-	return viewNames(candidates)
-}
-
-// DataLocalityPlacer is the ROADMAP item-3 stub: prefer machines that
-// already cache the job's input bytes so remote syscalls stop shipping
-// every read home to the shadow. Until stations report cached datasets
-// it ranks by CachedBytes (today always zero in live snapshots) and
-// falls back to first-fit, so it is safe to select but not yet useful.
-type DataLocalityPlacer struct{}
-
-func (DataLocalityPlacer) Name() string { return "data-locality" }
-
-// Order implements Placer.
-func (DataLocalityPlacer) Order(candidates []StationView, _ *Config) []string {
-	sort.SliceStable(candidates, func(i, j int) bool {
-		if candidates[i].CachedBytes != candidates[j].CachedBytes {
-			return candidates[i].CachedBytes > candidates[j].CachedBytes
-		}
-		return candidates[i].Name < candidates[j].Name
-	})
-	return viewNames(candidates)
-}
-
-// ConfigPlacer dispatches on Config.Placement, preserving the seed
-// behaviour where the placement strategy is part of the cycle config
-// rather than the policy identity.
-type ConfigPlacer struct{}
-
-func (ConfigPlacer) Name() string { return "config" }
-
-// Order implements Placer.
-func (ConfigPlacer) Order(candidates []StationView, cfg *Config) []string {
-	switch cfg.Placement {
-	case PlaceHistory:
-		return HistoryPlacer{}.Order(candidates, cfg)
-	case PlaceDataLocality:
-		return DataLocalityPlacer{}.Order(candidates, cfg)
-	default:
-		return FirstFitPlacer{}.Order(candidates, cfg)
-	}
-}
-
-func viewNames(views []StationView) []string {
-	out := make([]string, len(views))
-	for i := range views {
-		out[i] = views[i].Name
+	out := make([]string, len(candidates))
+	for i := range candidates {
+		out[i] = candidates[i].Name
 	}
 	return out
 }
 
-// ---- Standard preemptor --------------------------------------------
+// ---- Preemption ----------------------------------------------------
 
-// OutrankPreemptor is the paper's §2.4 rule: preempt only when no
+// outrankPreempts is the paper's §2.4 rule: preempt only when no
 // generally-usable idle capacity remains (machines reserved for someone
 // else are spoken for, §5.3), evicting for each unserved requester the
 // foreign job whose owner has the worst priority among those the
-// requester strictly outranks.
-type OutrankPreemptor struct{}
-
-func (OutrankPreemptor) Name() string { return "outrank" }
-
-// Preempts implements Preemptor.
-func (OutrankPreemptor) Preempts(ctx *PreemptContext) []Preempt {
-	unreservedIdle := 0
-	for _, exec := range ctx.LeftoverIdle {
-		if m, ok := ctx.Pool.View(exec); ok && m.ReservedFor == "" {
-			unreservedIdle++
-		}
-	}
-	if unreservedIdle > 0 || ctx.Cfg.MaxPreemptsPerCycle == 0 {
+// requester strictly outranks under better. requesters is the ranked
+// list, granted marks those served this cycle, leftoverIdle the
+// admitted machines not granted.
+func outrankPreempts(pool *Pool, requesters []string, granted map[string]bool, leftoverIdle []string,
+	cfg *Config, aud *decision.Builder, better func(a, b string) bool) []Preempt {
+	if cfg.MaxPreemptsPerCycle == 0 {
 		return nil
 	}
+	for _, exec := range leftoverIdle {
+		if pool.byName[exec].ReservedFor == "" {
+			return nil
+		}
+	}
 	var out []Preempt
-	for _, req := range ctx.Requesters {
-		if len(out) >= ctx.Cfg.MaxPreemptsPerCycle {
+	for _, req := range requesters {
+		if len(out) >= cfg.MaxPreemptsPerCycle {
 			break
 		}
-		if ctx.Granted[req] {
+		if granted[req] {
 			continue
 		}
-		ctx.Audit.BeginPreempt(req)
-		victim, ok := pickVictimCtx(ctx, req, out)
+		aud.BeginPreempt(req)
+		victim, ok := pickVictim(pool, req, out, aud, better)
 		if !ok {
-			ctx.Audit.PreemptOutcome("", "", "")
+			aud.PreemptOutcome("", "", "")
 			break // best requester can preempt nobody; worse ones cannot either
 		}
-		ctx.Audit.PreemptOutcome(victim.Name, victim.ForeignOwner, victim.ForeignJob)
+		aud.PreemptOutcome(victim.Name, victim.ForeignOwner, victim.ForeignJob)
 		out = append(out, Preempt{
 			Exec:        victim.Name,
 			JobID:       victim.ForeignJob,
@@ -554,30 +415,31 @@ func (OutrankPreemptor) Preempts(ctx *PreemptContext) []Preempt {
 	return out
 }
 
-// pickVictimCtx finds the claimed station whose foreign job's owner has
+// pickVictim finds the claimed station whose foreign job's owner has
 // the worst priority among those the requester strictly outranks,
 // skipping stations already being preempted this cycle and the
 // requester's own jobs.
-func pickVictimCtx(ctx *PreemptContext, requester string, already []Preempt) (StationView, bool) {
+func pickVictim(pool *Pool, requester string, already []Preempt, aud *decision.Builder,
+	better func(a, b string) bool) (StationView, bool) {
 	busy := make(map[string]bool, len(already))
 	for _, p := range already {
 		busy[p.Exec] = true
 	}
 	var victim StationView
 	found := false
-	for _, s := range ctx.Pool.Stations {
+	for _, s := range pool.Stations {
 		if s.State != proto.StationClaimed || s.ForeignJob == "" || busy[s.Name] {
 			continue
 		}
 		if s.ForeignOwner == requester {
 			continue // never preempt yourself to serve yourself
 		}
-		if !ctx.Better(requester, s.ForeignOwner) {
-			ctx.Audit.PreemptCompared(s.Name, s.ForeignOwner, false)
+		if !better(requester, s.ForeignOwner) {
+			aud.PreemptCompared(s.Name, s.ForeignOwner, false)
 			continue
 		}
-		ctx.Audit.PreemptCompared(s.Name, s.ForeignOwner, true)
-		if !found || ctx.Better(victim.ForeignOwner, s.ForeignOwner) {
+		aud.PreemptCompared(s.Name, s.ForeignOwner, true)
+		if !found || better(victim.ForeignOwner, s.ForeignOwner) {
 			// s's owner is worse than the current victim's owner:
 			// prefer evicting the worst-priority holder.
 			victim = s

@@ -1,16 +1,11 @@
-// The built-in policies. Each is a composition of pipeline stages
-// registered under a name (registry.go); all must pass the shared
-// conformance suite (conformance_test.go). Up-Down is the paper's
-// algorithm and the default; the rest are the alternatives ROADMAP
-// item 2 calls for, spanning the policy space *A Taxonomy of
-// Schedulers* surveys: arrival order (FIFO), queue pressure
-// (busiest-first), short-job promotion (backfill), and time
-// constraints (deadline).
+// The built-in rankers, one per registered policy (registry.go).
 package policy
 
 import (
 	"sort"
 	"time"
+
+	"condor/internal/updown"
 )
 
 // DefaultBackfillWindow bounds how long a job may run and still jump
@@ -18,94 +13,148 @@ import (
 // unset.
 const DefaultBackfillWindow = 30 * time.Minute
 
-// ---- Rankers --------------------------------------------------------
-
-// PrioRanker ranks by the cycle's injected Prioritizer — the Up-Down
-// table in production. It is the seed algorithm's ranking stage.
-type PrioRanker struct{}
-
-func (PrioRanker) Name() string { return "prio" }
+// UpDownRanker ranks by the Up-Down table alone — the paper's §2.4
+// ordering and the seed algorithm's ranking stage.
+type UpDownRanker struct{}
 
 // Rank implements Ranker.
-func (PrioRanker) Rank(wanting []string, _ *Pool, prio Prioritizer, _ *Config) []string {
-	return prio.Rank(wanting)
+func (UpDownRanker) Rank(wanting []string, _ *Pool, table *updown.Table, _ *Config) []string {
+	return table.Rank(wanting)
 }
 
 // Better implements Ranker.
-func (PrioRanker) Better(a, b string, _ *Pool, prio Prioritizer, _ *Config) bool {
-	return prio.Better(a, b)
+func (UpDownRanker) Better(a, b string, _ *Pool, table *updown.Table, _ *Config) bool {
+	return table.Better(a, b)
 }
 
-// FIFORanker ranks by first-seen order using its own bounded arrival
-// table, ignoring the injected Prioritizer. It exists for the A3
-// ablation (Up-Down vs FIFO) and is the one stateful ranker, so each
-// fifo Policy instance gets a fresh one.
+// FIFORanker ranks by first-seen order, ignoring consumption history.
+// It exists for the A3 ablation (Up-Down vs FIFO) and is the one
+// stateful ranker, so each fifo Policy instance gets a fresh one.
+//
+// The arrival table is bounded: stations unseen for longest are evicted
+// once the table outgrows max, so a churn of short-lived registrations
+// cannot grow it without limit. A pruned station that reappears
+// re-enters at the back of the order, exactly like a genuinely new
+// registration.
 type FIFORanker struct {
-	F *FIFOPrioritizer
+	order    map[string]int
+	lastSeen map[string]uint64
+	gen      uint64
+	next     int
+	max      int
 }
 
-func (*FIFORanker) Name() string { return "fifo" }
+// fifoMaxEntries bounds a fifo policy's arrival table — far above any
+// paper-scale pool, small enough that a month of registration churn
+// stays flat.
+const fifoMaxEntries = 4096
 
-// Touch pre-registers a station, pinning its FIFO position — callers
+func newFIFORanker(max int) *FIFORanker {
+	return &FIFORanker{
+		order:    make(map[string]int),
+		lastSeen: make(map[string]uint64),
+		max:      max,
+	}
+}
+
+// Touch registers a station, establishing its FIFO position — callers
 // that know the arrival order (the simulator) use it to make runs
 // reproducible.
-func (f *FIFORanker) Touch(name string) { f.F.Touch(name) }
-
-// Rank implements Ranker.
-func (f *FIFORanker) Rank(wanting []string, _ *Pool, _ Prioritizer, _ *Config) []string {
-	return f.F.Rank(wanting)
+func (f *FIFORanker) Touch(name string) {
+	if _, ok := f.order[name]; !ok {
+		f.order[name] = f.next
+		f.next++
+	}
+	f.lastSeen[name] = f.gen
 }
 
-// Better implements Ranker.
-func (f *FIFORanker) Better(a, b string, _ *Pool, _ Prioritizer, _ *Config) bool {
-	return f.F.Better(a, b)
-}
-
-// BusiestRanker serves the deepest queue first — pure pressure relief
-// with no fairness memory; ties fall back to the injected Prioritizer
-// so the order stays total and deterministic.
-type BusiestRanker struct{}
-
-func (BusiestRanker) Name() string { return "busiest-first" }
-
 // Rank implements Ranker.
-func (BusiestRanker) Rank(wanting []string, pool *Pool, prio Prioritizer, _ *Config) []string {
+func (f *FIFORanker) Rank(wanting []string, _ *Pool, _ *updown.Table, _ *Config) []string {
+	f.gen++
 	out := append([]string(nil), wanting...)
-	sort.SliceStable(out, func(i, j int) bool {
-		wi := pool.byName[out[i]].WaitingJobs
-		wj := pool.byName[out[j]].WaitingJobs
-		if wi != wj {
-			return wi > wj
-		}
-		return prio.Better(out[i], out[j])
-	})
+	for _, n := range out {
+		f.Touch(n)
+	}
+	f.prune()
+	sort.SliceStable(out, func(i, j int) bool { return f.order[out[i]] < f.order[out[j]] })
 	return out
 }
 
 // Better implements Ranker.
-func (BusiestRanker) Better(a, b string, pool *Pool, prio Prioritizer, _ *Config) bool {
+func (f *FIFORanker) Better(a, b string, _ *Pool, _ *updown.Table, _ *Config) bool {
+	f.Touch(a)
+	f.Touch(b)
+	return f.order[a] < f.order[b]
+}
+
+// prune evicts the longest-unseen stations once the table outgrows its
+// bound. Names seen in the current generation are never evicted, and
+// eviction order is deterministic: oldest lastSeen first, FIFO position
+// as the tie-break.
+func (f *FIFORanker) prune() {
+	if len(f.order) <= f.max {
+		return
+	}
+	type entry struct {
+		name string
+		seen uint64
+		pos  int
+	}
+	evictable := make([]entry, 0, len(f.order))
+	for name, pos := range f.order {
+		if seen := f.lastSeen[name]; seen < f.gen {
+			evictable = append(evictable, entry{name, seen, pos})
+		}
+	}
+	sort.Slice(evictable, func(i, j int) bool {
+		if evictable[i].seen != evictable[j].seen {
+			return evictable[i].seen < evictable[j].seen
+		}
+		return evictable[i].pos < evictable[j].pos
+	})
+	for _, e := range evictable {
+		if len(f.order) <= f.max {
+			return
+		}
+		delete(f.order, e.name)
+		delete(f.lastSeen, e.name)
+	}
+}
+
+// BusiestRanker serves the deepest queue first — pure pressure relief
+// with no fairness memory; ties fall back to the Up-Down table so the
+// order stays total and deterministic.
+type BusiestRanker struct{}
+
+// Rank implements Ranker.
+func (r BusiestRanker) Rank(wanting []string, pool *Pool, table *updown.Table, cfg *Config) []string {
+	out := append([]string(nil), wanting...)
+	sort.SliceStable(out, func(i, j int) bool { return r.Better(out[i], out[j], pool, table, cfg) })
+	return out
+}
+
+// Better implements Ranker.
+func (BusiestRanker) Better(a, b string, pool *Pool, table *updown.Table, _ *Config) bool {
 	wa := pool.byName[a].WaitingJobs
 	wb := pool.byName[b].WaitingJobs
 	if wa != wb {
 		return wa > wb
 	}
-	return prio.Better(a, b)
+	return table.Better(a, b)
 }
 
-// BackfillRanker keeps the base priority order but, behind the head of
-// the queue, promotes stations whose shortest waiting job fits in the
+// BackfillRanker keeps the Up-Down order but, behind the head of the
+// queue, promotes stations whose shortest waiting job fits in the
 // backfill window. They cannot delay the head: per-station pacing (§4)
 // caps the head at one grant per cycle regardless, so letting short
 // work jump the rest of the line raises utilization without starving
-// anyone. Preemption rights (Better) stay the base priority — jumping
-// the grant queue must not buy eviction power.
+// anyone. Preemption rights (Better) stay the Up-Down priority —
+// jumping the grant queue must not buy eviction power.
 type BackfillRanker struct{}
 
-func (BackfillRanker) Name() string { return "backfill" }
-
 // Rank implements Ranker.
-func (BackfillRanker) Rank(wanting []string, pool *Pool, prio Prioritizer, cfg *Config) []string {
-	ranked := prio.Rank(wanting)
+func (BackfillRanker) Rank(wanting []string, pool *Pool, table *updown.Table, cfg *Config) []string {
+	ranked := table.Rank(wanting)
 	if len(ranked) <= 2 {
 		return ranked
 	}
@@ -127,87 +176,6 @@ func (BackfillRanker) Rank(wanting []string, pool *Pool, prio Prioritizer, cfg *
 }
 
 // Better implements Ranker.
-func (BackfillRanker) Better(a, b string, _ *Pool, prio Prioritizer, _ *Config) bool {
-	return prio.Better(a, b)
-}
-
-// DeadlineRanker is earliest-deadline-first: stations advertising a
-// deadline outrank those with none, earlier deadlines win, and ties
-// (or no deadlines at all) fall back to the injected Prioritizer, so
-// a pool with no deadlines behaves exactly like Up-Down.
-type DeadlineRanker struct{}
-
-func (DeadlineRanker) Name() string { return "deadline" }
-
-func deadlineLess(pool *Pool, prio Prioritizer, a, b string) bool {
-	da := pool.byName[a].EarliestDeadline
-	db := pool.byName[b].EarliestDeadline
-	switch {
-	case !da.IsZero() && db.IsZero():
-		return true
-	case da.IsZero() && !db.IsZero():
-		return false
-	case !da.IsZero() && !da.Equal(db):
-		return da.Before(db)
-	}
-	return prio.Better(a, b)
-}
-
-// Rank implements Ranker.
-func (DeadlineRanker) Rank(wanting []string, pool *Pool, prio Prioritizer, _ *Config) []string {
-	out := append([]string(nil), wanting...)
-	sort.SliceStable(out, func(i, j int) bool { return deadlineLess(pool, prio, out[i], out[j]) })
-	return out
-}
-
-// Better implements Ranker.
-func (DeadlineRanker) Better(a, b string, pool *Pool, prio Prioritizer, _ *Config) bool {
-	return deadlineLess(pool, prio, a, b)
-}
-
-// ---- Policy factories ----------------------------------------------
-
-// NewUpDown composes the paper's §2.4 algorithm: rank by the injected
-// Up-Down table, place per the configured strategy, preempt the worst
-// outranked holder. It is decision-identical to the pre-pipeline
-// Decide — the golden fixtures prove it.
-func NewUpDown() *Policy {
-	return newStandardPolicy("updown", PrioRanker{})
-}
-
-// newStandardPolicy composes the standard predicate chain, config-driven
-// placement, and §2.4 outrank preemption around a ranker — the shape all
-// five built-ins share — and interns the policy's metric set (including
-// the per-predicate deny counters, parallel to the predicate chain).
-func newStandardPolicy(name string, ranker Ranker) *Policy {
-	preds := StandardPredicates()
-	return &Policy{
-		name:       name,
-		Predicates: preds,
-		Ranker:     ranker,
-		Placer:     ConfigPlacer{},
-		Preemptor:  OutrankPreemptor{},
-		met:        newPolicyMetrics(name, preds),
-	}
-}
-
-// NewFIFO composes the A3 ablation: arrival order instead of consumption
-// history.
-func NewFIFO() *Policy {
-	return newStandardPolicy("fifo", &FIFORanker{F: NewFIFOPrioritizer()})
-}
-
-// NewBusiestFirst composes the queue-pressure policy.
-func NewBusiestFirst() *Policy {
-	return newStandardPolicy("busiest-first", BusiestRanker{})
-}
-
-// NewBackfill composes the short-jobs-jump-the-queue policy.
-func NewBackfill() *Policy {
-	return newStandardPolicy("backfill", BackfillRanker{})
-}
-
-// NewDeadline composes earliest-deadline-first.
-func NewDeadline() *Policy {
-	return newStandardPolicy("deadline", DeadlineRanker{})
+func (BackfillRanker) Better(a, b string, _ *Pool, table *updown.Table, _ *Config) bool {
+	return table.Better(a, b)
 }

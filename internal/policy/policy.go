@@ -5,26 +5,29 @@
 // differs.
 //
 // One decision cycle corresponds to one coordinator poll (every 2 minutes
-// in the paper). Per cycle the coordinator:
+// in the paper). Per cycle a Policy:
 //
-//  1. Ranks the stations that have background jobs waiting (the
-//     Prioritizer — Up-Down in production, FIFO in the ablation).
-//  2. Grants idle machines (with sufficient disk, §4) to requesters in
-//     priority order, capped by MaxGrantsPerCycle — the paper places a
-//     single job every two minutes to spread placement cost (§4).
-//  3. If demand remains and no idle machine exists, preempts the foreign
+//  1. Filters the machines that may serve through the standard predicate
+//     chain (idle, sufficient disk §4, healthy, reservation §5.3).
+//  2. Ranks the stations that have background jobs waiting with its
+//     Ranker — the one stage policies differ in. Every Ranker is handed
+//     the Up-Down table (*updown.Table, the pool's fairness memory) and
+//     uses as much of it as it wants: all of it (updown), none (fifo),
+//     or as a tie-break (busiest-first).
+//  3. Grants admitted machines, ordered by Config.Placement, to
+//     requesters in rank order, capped by MaxGrantsPerCycle — the paper
+//     places a single job every two minutes to spread placement cost
+//     (§4).
+//  4. If demand remains and no idle machine exists, preempts the foreign
 //     job of the lowest-priority holder that the best unserved requester
 //     strictly outranks (§2.4).
 //
-// Since the pipeline refactor the cycle is composed from pluggable
-// stages (see pipeline.go) selected by name from a registry
-// (registry.go); the package-level Decide remains the paper's Up-Down
-// policy and is pinned byte-for-byte by the golden fixtures under
-// testdata/.
+// Policies are selected by name from a registry (registry.go). The
+// "updown" policy is the paper's algorithm, pinned byte-for-byte by the
+// golden fixtures under testdata/.
 package policy
 
 import (
-	"sort"
 	"time"
 
 	"condor/internal/proto"
@@ -57,24 +60,9 @@ type StationView struct {
 	Health proto.StationHealth
 	// ShortestJob is the remaining length of the shortest waiting job,
 	// if known. The backfill policy promotes stations whose shortest
-	// job fits inside the backfill window; zero means unknown.
+	// job fits inside the backfill window; zero means unknown. Only the
+	// simulator fills it: poll replies do not carry queue contents.
 	ShortestJob time.Duration
-	// EarliestDeadline is the soonest completion deadline among this
-	// station's waiting jobs; zero means none. Used by the deadline
-	// policy.
-	EarliestDeadline time.Time
-	// CachedBytes is how many input bytes of the requester's datasets
-	// this station already holds. Used by the data-locality placement
-	// stub (ROADMAP item 3); always zero until stations report caches.
-	CachedBytes int64
-}
-
-// Prioritizer orders stations for capacity allocation.
-type Prioritizer interface {
-	// Rank returns names sorted best-first.
-	Rank(names []string) []string
-	// Better reports whether a strictly outranks b.
-	Better(a, b string) bool
 }
 
 // PlacementStrategy selects which idle machine to hand out first.
@@ -88,21 +76,18 @@ const (
 	// the §5.1 proposal: stations with long past idle intervals tend to
 	// stay idle, so long jobs suffer fewer preemptions there.
 	PlaceHistory
-	// PlaceDataLocality prefers machines already caching the job's
-	// input data (ROADMAP item 3 stub; behaves like first-fit until
-	// stations report cached bytes).
-	PlaceDataLocality
 )
 
 // Config tunes a decision cycle.
 type Config struct {
-	// Name selects the registered policy pipeline ("" = updown). The
-	// coordinator and simulator resolve it through New; Decide itself
+	// Name selects the registered policy ("" = updown). The coordinator
+	// and simulator resolve it through New; a Policy's own Decide
 	// ignores it.
 	Name string
 	// MaxGrantsPerCycle caps placements per cycle (default 1, per §4).
 	MaxGrantsPerCycle int
-	// MaxPreemptsPerCycle caps preemptions per cycle (default 1).
+	// MaxPreemptsPerCycle caps preemptions per cycle (default 1; 0 in a
+	// Config that sets any other field turns preemption off).
 	MaxPreemptsPerCycle int
 	// MinDiskBytes disqualifies execution sites with less free space.
 	MinDiskBytes int64
@@ -129,7 +114,21 @@ func DefaultConfig() Config {
 	}
 }
 
+// sanitize resolves the Config a caller wrote into the one a cycle runs
+// under. It is the only copy of this rule: the coordinator and the
+// simulator hand their Config to Decide untouched, so one spelling means
+// the same cycle on both substrates.
+//
+// A Config that sets nothing but Name is that policy at DefaultConfig
+// (one grant and one preemption per cycle). A Config that sets anything
+// else keeps every field it set and defaults only what has no usable
+// zero: there MaxPreemptsPerCycle 0 means preemption off.
 func (c *Config) sanitize() {
+	if *c == (Config{Name: c.Name}) {
+		name := c.Name
+		*c = DefaultConfig()
+		c.Name = name
+	}
 	if c.MaxGrantsPerCycle <= 0 {
 		c.MaxGrantsPerCycle = 1
 	}
@@ -138,9 +137,6 @@ func (c *Config) sanitize() {
 	}
 	if c.Placement == 0 {
 		c.Placement = PlaceFirstFit
-	}
-	if c.BackfillWindow < 0 {
-		c.BackfillWindow = 0
 	}
 }
 
@@ -163,125 +159,4 @@ type Preempt struct {
 type Decision struct {
 	Grants   []Grant
 	Preempts []Preempt
-}
-
-// defaultUpDown backs the package-level Decide. All its stages are
-// stateless, so sharing one instance across callers is safe.
-var defaultUpDown = NewUpDown()
-
-// Decide computes one allocation cycle under the default Up-Down
-// pipeline policy. It never mutates its inputs. Kept as the package
-// entry point because both substrates called it before the pipeline
-// existed and the golden fixtures pin its behaviour.
-func Decide(stations []StationView, prio Prioritizer, cfg Config) Decision {
-	return defaultUpDown.Decide(stations, prio, cfg)
-}
-
-// FIFOPrioritizer ranks stations by first-seen order, ignoring
-// consumption history. It exists for the A3 ablation (Up-Down vs FIFO).
-// The arrival table is bounded: stations unseen for longest are evicted
-// once the table outgrows max, so a churn of short-lived registrations
-// cannot grow it without limit. A pruned station that reappears
-// re-enters at the back of the order, exactly like a genuinely new
-// registration.
-type FIFOPrioritizer struct {
-	order    map[string]int
-	lastSeen map[string]uint64
-	gen      uint64
-	next     int
-	max      int
-}
-
-var _ Prioritizer = (*FIFOPrioritizer)(nil)
-
-// DefaultFIFOMaxEntries bounds the arrival table of NewFIFOPrioritizer
-// — far above any paper-scale pool, small enough that a month of
-// registration churn stays flat.
-const DefaultFIFOMaxEntries = 4096
-
-// NewFIFOPrioritizer returns an empty FIFO prioritizer bounded at
-// DefaultFIFOMaxEntries.
-func NewFIFOPrioritizer() *FIFOPrioritizer {
-	return NewFIFOPrioritizerSized(DefaultFIFOMaxEntries)
-}
-
-// NewFIFOPrioritizerSized bounds the arrival table at max entries;
-// max <= 0 means unbounded (the pre-bounding behaviour).
-func NewFIFOPrioritizerSized(max int) *FIFOPrioritizer {
-	return &FIFOPrioritizer{
-		order:    make(map[string]int),
-		lastSeen: make(map[string]uint64),
-		max:      max,
-	}
-}
-
-// Touch registers a station, establishing its FIFO position.
-func (f *FIFOPrioritizer) Touch(name string) {
-	if _, ok := f.order[name]; !ok {
-		f.order[name] = f.next
-		f.next++
-	}
-	f.lastSeen[name] = f.gen
-}
-
-// Forget drops a station from the arrival table (deregistration).
-func (f *FIFOPrioritizer) Forget(name string) {
-	delete(f.order, name)
-	delete(f.lastSeen, name)
-}
-
-// Len reports how many stations the arrival table currently tracks.
-func (f *FIFOPrioritizer) Len() int { return len(f.order) }
-
-// Rank implements Prioritizer.
-func (f *FIFOPrioritizer) Rank(names []string) []string {
-	f.gen++
-	out := append([]string(nil), names...)
-	for _, n := range out {
-		f.Touch(n)
-	}
-	f.prune()
-	sort.SliceStable(out, func(i, j int) bool { return f.order[out[i]] < f.order[out[j]] })
-	return out
-}
-
-// Better implements Prioritizer.
-func (f *FIFOPrioritizer) Better(a, b string) bool {
-	f.Touch(a)
-	f.Touch(b)
-	return f.order[a] < f.order[b]
-}
-
-// prune evicts the longest-unseen stations once the table outgrows its
-// bound. Names seen in the current generation are never evicted, and
-// eviction order is deterministic: oldest lastSeen first, FIFO position
-// as the tie-break.
-func (f *FIFOPrioritizer) prune() {
-	if f.max <= 0 || len(f.order) <= f.max {
-		return
-	}
-	type entry struct {
-		name string
-		seen uint64
-		pos  int
-	}
-	evictable := make([]entry, 0, len(f.order))
-	for name, pos := range f.order {
-		if seen := f.lastSeen[name]; seen < f.gen {
-			evictable = append(evictable, entry{name, seen, pos})
-		}
-	}
-	sort.Slice(evictable, func(i, j int) bool {
-		if evictable[i].seen != evictable[j].seen {
-			return evictable[i].seen < evictable[j].seen
-		}
-		return evictable[i].pos < evictable[j].pos
-	})
-	for _, e := range evictable {
-		if len(f.order) <= f.max {
-			return
-		}
-		delete(f.order, e.name)
-		delete(f.lastSeen, e.name)
-	}
 }

@@ -13,6 +13,11 @@ func table(t *testing.T) *updown.Table {
 	return updown.NewTable(updown.DefaultConfig())
 }
 
+// decide runs one cycle of the default (Up-Down) policy.
+func decide(stations []StationView, tab *updown.Table, cfg Config) Decision {
+	return MustNew("").Decide(stations, tab, cfg)
+}
+
 func TestGrantGoesToHighestPriorityRequester(t *testing.T) {
 	tab := table(t)
 	// heavy has been holding capacity; light has been denied.
@@ -25,7 +30,7 @@ func TestGrantGoesToHighestPriorityRequester(t *testing.T) {
 		{Name: "light", State: proto.StationOwner, WaitingJobs: 1},
 		{Name: "ws3", State: proto.StationIdle},
 	}
-	d := Decide(stations, tab, DefaultConfig())
+	d := decide(stations, tab, DefaultConfig())
 	if len(d.Grants) != 1 {
 		t.Fatalf("grants = %+v, want exactly 1", d.Grants)
 	}
@@ -45,7 +50,7 @@ func TestPacingOneGrantPerCycle(t *testing.T) {
 		{Name: "i2", State: proto.StationIdle},
 		{Name: "i3", State: proto.StationIdle},
 	}
-	d := Decide(stations, tab, DefaultConfig())
+	d := decide(stations, tab, DefaultConfig())
 	if len(d.Grants) != 1 {
 		t.Fatalf("default pacing violated: %d grants", len(d.Grants))
 	}
@@ -53,7 +58,7 @@ func TestPacingOneGrantPerCycle(t *testing.T) {
 	// cost lands on the requester's machine, so pacing is per-station too.
 	cfg := DefaultConfig()
 	cfg.MaxGrantsPerCycle = 3
-	d = Decide(stations, tab, cfg)
+	d = decide(stations, tab, cfg)
 	if len(d.Grants) != 1 {
 		t.Fatalf("raised cap, one requester: %d grants, want 1", len(d.Grants))
 	}
@@ -71,7 +76,7 @@ func TestMultipleRequestersShareGrants(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.MaxGrantsPerCycle = 2
-	d := Decide(stations, tab, cfg)
+	d := decide(stations, tab, cfg)
 	if len(d.Grants) != 2 {
 		t.Fatalf("grants = %+v", d.Grants)
 	}
@@ -93,7 +98,7 @@ func TestPreemptionWhenNoIdleMachine(t *testing.T) {
 		{Name: "e1", State: proto.StationClaimed, ForeignJob: "heavy/1", ForeignOwner: "heavy"},
 		{Name: "e2", State: proto.StationClaimed, ForeignJob: "heavy/2", ForeignOwner: "heavy"},
 	}
-	d := Decide(stations, tab, DefaultConfig())
+	d := decide(stations, tab, DefaultConfig())
 	if len(d.Grants) != 0 {
 		t.Fatalf("grants with no idle machines: %+v", d.Grants)
 	}
@@ -120,7 +125,7 @@ func TestNoPreemptionWhenRequesterDoesNotOutrank(t *testing.T) {
 	tab2 := table(t)
 	tab2.Touch("b")
 	tab2.Touch("a")
-	d := Decide(stations, tab2, DefaultConfig())
+	d := decide(stations, tab2, DefaultConfig())
 	if len(d.Preempts) != 0 {
 		t.Fatalf("preempted despite not outranking: %+v", d.Preempts)
 	}
@@ -135,7 +140,7 @@ func TestNeverPreemptOwnJob(t *testing.T) {
 		{Name: "a", State: proto.StationOwner, WaitingJobs: 2, HeldMachines: 1},
 		{Name: "e1", State: proto.StationClaimed, ForeignJob: "a/1", ForeignOwner: "a"},
 	}
-	d := Decide(stations, tab, DefaultConfig())
+	d := decide(stations, tab, DefaultConfig())
 	if len(d.Preempts) != 0 {
 		t.Fatalf("station preempted its own job: %+v", d.Preempts)
 	}
@@ -157,7 +162,7 @@ func TestPreemptWorstPriorityVictim(t *testing.T) {
 		{Name: "e1", State: proto.StationClaimed, ForeignJob: "mid/1", ForeignOwner: "mid"},
 		{Name: "e2", State: proto.StationClaimed, ForeignJob: "worst/1", ForeignOwner: "worst"},
 	}
-	d := Decide(stations, tab, DefaultConfig())
+	d := decide(stations, tab, DefaultConfig())
 	if len(d.Preempts) != 1 || d.Preempts[0].Victim != "worst" {
 		t.Fatalf("preempts = %+v, want the worst-priority holder evicted", d.Preempts)
 	}
@@ -172,7 +177,7 @@ func TestDiskFullStationNotGranted(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.MinDiskBytes = 1024
-	d := Decide(stations, tab, cfg)
+	d := decide(stations, tab, cfg)
 	if len(d.Grants) != 1 || d.Grants[0].Exec != "roomy" {
 		t.Fatalf("grants = %+v, want roomy selected", d.Grants)
 	}
@@ -187,13 +192,13 @@ func TestHistoryPlacementPrefersLongIdleMachines(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Placement = PlaceHistory
-	d := Decide(stations, tab, cfg)
+	d := decide(stations, tab, cfg)
 	if len(d.Grants) != 1 || d.Grants[0].Exec != "stable" {
 		t.Fatalf("grants = %+v, want the stable machine", d.Grants)
 	}
 	// First-fit picks by name instead.
 	cfg.Placement = PlaceFirstFit
-	d = Decide(stations, tab, cfg)
+	d = decide(stations, tab, cfg)
 	if d.Grants[0].Exec != "flaky" {
 		t.Fatalf("first-fit grant = %+v, want name order", d.Grants)
 	}
@@ -205,7 +210,7 @@ func TestNoRequestersNoActions(t *testing.T) {
 		{Name: "i1", State: proto.StationIdle},
 		{Name: "e1", State: proto.StationClaimed, ForeignJob: "x/1", ForeignOwner: "x"},
 	}
-	d := Decide(stations, tab, DefaultConfig())
+	d := decide(stations, tab, DefaultConfig())
 	if len(d.Grants) != 0 || len(d.Preempts) != 0 {
 		t.Fatalf("decision = %+v, want empty", d)
 	}
@@ -217,7 +222,7 @@ func TestSuspendedStationNotGranted(t *testing.T) {
 		{Name: "a", State: proto.StationOwner, WaitingJobs: 1},
 		{Name: "s", State: proto.StationSuspended, ForeignJob: "b/1", ForeignOwner: "b"},
 	}
-	d := Decide(stations, tab, DefaultConfig())
+	d := decide(stations, tab, DefaultConfig())
 	if len(d.Grants) != 0 {
 		t.Fatalf("granted a suspended station: %+v", d.Grants)
 	}
@@ -228,32 +233,50 @@ func TestSuspendedStationNotGranted(t *testing.T) {
 	}
 }
 
-func TestFIFOPrioritizer(t *testing.T) {
-	f := NewFIFOPrioritizer()
-	rank := f.Rank([]string{"c", "a", "b"})
+func TestFIFORanker(t *testing.T) {
+	f := newFIFORanker(fifoMaxEntries)
+	rank := f.Rank([]string{"c", "a", "b"}, nil, nil, nil)
 	// First Rank call establishes order of appearance: c, a, b.
 	if rank[0] != "c" || rank[1] != "a" || rank[2] != "b" {
 		t.Fatalf("rank = %v", rank)
 	}
-	if !f.Better("c", "b") || f.Better("b", "c") {
+	if !f.Better("c", "b", nil, nil, nil) || f.Better("b", "c", nil, nil, nil) {
 		t.Fatal("Better inconsistent with rank")
 	}
 	// FIFO ignores consumption entirely: ranking is stable afterwards.
-	rank2 := f.Rank([]string{"b", "a", "c"})
+	rank2 := f.Rank([]string{"b", "a", "c"}, nil, nil, nil)
 	if rank2[0] != "c" {
 		t.Fatalf("rank2 = %v", rank2)
 	}
 }
 
+// TestConfigSanitize pins the one rule that resolves a written Config:
+// only Name set (or nothing) means DefaultConfig under that policy; any
+// other field set keeps what was written and defaults only the fields
+// with no usable zero, so MaxPreemptsPerCycle 0 there is "off".
 func TestConfigSanitize(t *testing.T) {
-	tab := table(t)
-	stations := []StationView{
-		{Name: "a", State: proto.StationOwner, WaitingJobs: 1},
-		{Name: "i", State: proto.StationIdle},
-	}
-	d := Decide(stations, tab, Config{}) // zero config must behave like default
-	if len(d.Grants) != 1 {
-		t.Fatalf("zero config grants = %+v", d.Grants)
+	def := DefaultConfig()
+	named := def
+	named.Name = "fifo"
+	for _, tc := range []struct {
+		in, want Config
+	}{
+		{Config{}, def},
+		{Config{Name: "fifo"}, named},
+		{Config{MaxGrantsPerCycle: 4, Placement: PlaceFirstFit},
+			Config{MaxGrantsPerCycle: 4, Placement: PlaceFirstFit}},
+		{Config{MaxPreemptsPerCycle: 3},
+			Config{MaxGrantsPerCycle: 1, MaxPreemptsPerCycle: 3, Placement: PlaceFirstFit}},
+		{Config{Name: "fifo", AllowBurstPerStation: true},
+			Config{Name: "fifo", MaxGrantsPerCycle: 1, Placement: PlaceFirstFit, AllowBurstPerStation: true}},
+		{Config{MaxGrantsPerCycle: -2, MaxPreemptsPerCycle: -1},
+			Config{MaxGrantsPerCycle: 1, Placement: PlaceFirstFit}},
+	} {
+		got := tc.in
+		got.sanitize()
+		if got != tc.want {
+			t.Errorf("sanitize(%+v) = %+v, want %+v", tc.in, got, tc.want)
+		}
 	}
 }
 
@@ -270,7 +293,7 @@ func TestMaxPreemptsZeroDisablesPreemption(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxPreemptsPerCycle = 0
 	// sanitize must keep 0 as "disabled", not reset to 1.
-	d := Decide(stations, tab, cfg)
+	d := decide(stations, tab, cfg)
 	if len(d.Preempts) != 0 {
 		t.Fatalf("preempts = %+v, want none", d.Preempts)
 	}
@@ -284,7 +307,7 @@ func TestReservedMachineOnlyGrantedToHolder(t *testing.T) {
 		{Name: "other", State: proto.StationOwner, WaitingJobs: 1},
 		{Name: "exec", State: proto.StationIdle, ReservedFor: "holder"},
 	}
-	d := Decide(stations, tab, DefaultConfig())
+	d := decide(stations, tab, DefaultConfig())
 	if len(d.Grants) != 0 {
 		t.Fatalf("reserved machine granted to non-holder: %+v", d.Grants)
 	}
@@ -294,7 +317,7 @@ func TestReservedMachineOnlyGrantedToHolder(t *testing.T) {
 	})
 	cfg := DefaultConfig()
 	cfg.MaxGrantsPerCycle = 2
-	d = Decide(stations, tab, cfg)
+	d = decide(stations, tab, cfg)
 	if len(d.Grants) != 1 || d.Grants[0].Requester != "holder" || d.Grants[0].Exec != "exec" {
 		t.Fatalf("grants = %+v, want holder on exec", d.Grants)
 	}
@@ -313,7 +336,7 @@ func TestReservedIdleMachineDoesNotBlockPreemption(t *testing.T) {
 		{Name: "idlebutres", State: proto.StationIdle, ReservedFor: "someoneelse"},
 		{Name: "e1", State: proto.StationClaimed, ForeignJob: "heavy/1", ForeignOwner: "heavy"},
 	}
-	d := Decide(stations, tab, DefaultConfig())
+	d := decide(stations, tab, DefaultConfig())
 	if len(d.Preempts) != 1 || d.Preempts[0].Victim != "heavy" {
 		t.Fatalf("preempts = %+v, want heavy evicted", d.Preempts)
 	}
@@ -330,7 +353,7 @@ func TestBurstPerStationAblationSwitch(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxGrantsPerCycle = 8
 	cfg.AllowBurstPerStation = true
-	d := Decide(stations, tab, cfg)
+	d := decide(stations, tab, cfg)
 	if len(d.Grants) != 3 {
 		t.Fatalf("burst grants = %d, want 3 (all idle machines)", len(d.Grants))
 	}
@@ -341,7 +364,7 @@ func TestBurstPerStationAblationSwitch(t *testing.T) {
 	}
 	// Burst never exceeds the station's waiting jobs.
 	stations[0].WaitingJobs = 2
-	d = Decide(stations, tab, cfg)
+	d = decide(stations, tab, cfg)
 	if len(d.Grants) != 2 {
 		t.Fatalf("grants = %d, want 2 (bounded by waiting jobs)", len(d.Grants))
 	}

@@ -42,20 +42,15 @@ func randomPool(r *rand.Rand) ([]StationView, *updown.Table) {
 			v.ReservedFor = names[r.Intn(n)]
 		}
 		// Pipeline-stage inputs: disk pressure, graded health, queue
-		// shape for backfill, deadlines for EDF, cached bytes for the
-		// data-locality stub. Zero values stay common so the seed paths
+		// shape for backfill. Zero values stay common so the seed paths
 		// keep getting exercised too.
 		v.DiskFree = int64(r.Intn(4)) * 512
 		v.Health = proto.StationHealth(r.Intn(5)) // 0 = ungraded
 		if v.WaitingJobs > 0 {
 			v.ShortestJob = time.Duration(r.Intn(5)) * 20 * time.Minute
-			if r.Intn(3) == 0 {
-				v.EarliestDeadline = time.Unix(int64(566000000+r.Intn(100000)*60), 0)
-			}
 		}
 		v.IdleStreak = time.Duration(r.Intn(120)) * time.Minute
 		v.AvgIdleLen = time.Duration(r.Intn(600)) * time.Minute
-		v.CachedBytes = int64(r.Intn(3)) * 1 << 20
 		// Random index history.
 		tab.Update(v.Name, r.Intn(4), r.Intn(2) == 0)
 		views = append(views, v)
@@ -80,7 +75,7 @@ func TestPropertyDecisionSafety(t *testing.T) {
 		}
 		sanitized := cfg
 		sanitized.sanitize()
-		d := Decide(views, tab, cfg)
+		d := decide(views, tab, cfg)
 
 		// Rule 1: every granted exec machine is idle, used at most once,
 		// and honours its reservation.
@@ -154,8 +149,8 @@ func TestPropertyDecideIsPure(t *testing.T) {
 		views, tab := randomPool(r)
 		snapshot := append([]StationView(nil), views...)
 		cfg := DefaultConfig()
-		a := Decide(views, tab, cfg)
-		b := Decide(views, tab, cfg)
+		a := decide(views, tab, cfg)
+		b := decide(views, tab, cfg)
 		if len(a.Grants) != len(b.Grants) || len(a.Preempts) != len(b.Preempts) {
 			return false
 		}

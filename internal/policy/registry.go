@@ -3,41 +3,35 @@ package policy
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // DefaultPolicy is the registry name resolved when no policy is
 // configured: the paper's Up-Down algorithm.
 const DefaultPolicy = "updown"
 
-// Factory builds a fresh Policy instance. Policies with per-instance
-// state (FIFO's arrival table) must not share it across factories.
-type Factory func() *Policy
-
-var (
-	regMu    sync.RWMutex
-	registry = make(map[string]Factory)
-)
-
-// Register adds a named policy factory. It panics on empty or duplicate
-// names — registration happens in init functions, where a collision is
-// a programming error.
-func Register(name string, f Factory) {
-	if name == "" || f == nil {
-		panic("policy: Register with empty name or nil factory")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic("policy: duplicate Register of " + name)
-	}
-	registry[name] = f
+// registry holds what tells the built-in policies apart. Up-Down is the
+// paper's §2.4 algorithm and the default, decision-identical to the seed
+// Decide (the golden fixtures prove it); the rest span the policy space
+// *A Taxonomy of Schedulers* surveys: arrival order (fifo, the A3
+// ablation), queue pressure (busiest-first) and short-job promotion
+// (backfill). All must pass the shared conformance suite
+// (conformance_test.go).
+var registry = map[string]struct {
+	// ranker builds a fresh Ranker for each Policy instance: FIFO's
+	// arrival table is per-instance state.
+	ranker func() Ranker
+	// simOnly names the StationView field the ranker reads that live
+	// poll replies do not carry.
+	simOnly string
+}{
+	"updown":        {ranker: func() Ranker { return UpDownRanker{} }},
+	"fifo":          {ranker: func() Ranker { return newFIFORanker(fifoMaxEntries) }},
+	"busiest-first": {ranker: func() Ranker { return BusiestRanker{} }},
+	"backfill":      {ranker: func() Ranker { return BackfillRanker{} }, simOnly: "ShortestJob"},
 }
 
 // Names lists the registered policies, sorted.
 func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	out := make([]string, 0, len(registry))
 	for name := range registry {
 		out = append(out, name)
@@ -46,19 +40,18 @@ func Names() []string {
 	return out
 }
 
-// New builds the named policy. The empty name resolves to
-// DefaultPolicy; unknown names are an error listing the alternatives.
+// New builds a fresh instance of the named policy. The empty name
+// resolves to DefaultPolicy; unknown names are an error listing the
+// alternatives.
 func New(name string) (*Policy, error) {
 	if name == "" {
 		name = DefaultPolicy
 	}
-	regMu.RLock()
-	f, ok := registry[name]
-	regMu.RUnlock()
+	entry, ok := registry[name]
 	if !ok {
 		return nil, fmt.Errorf("policy: unknown policy %q (registered: %v)", name, Names())
 	}
-	return f(), nil
+	return &Policy{name: name, Ranker: entry.ranker(), simOnly: entry.simOnly, met: newPolicyMetrics(name)}, nil
 }
 
 // MustNew is New for callers whose name is statically known.
@@ -68,12 +61,4 @@ func MustNew(name string) *Policy {
 		panic(err)
 	}
 	return p
-}
-
-func init() {
-	Register("updown", NewUpDown)
-	Register("fifo", NewFIFO)
-	Register("busiest-first", NewBusiestFirst)
-	Register("backfill", NewBackfill)
-	Register("deadline", NewDeadline)
 }

@@ -458,7 +458,7 @@ type JournalStats struct {
 // crash happened and what was restored.
 type CoordinatorInfo struct {
 	// PolicyName is the active scheduling policy (registry name, e.g.
-	// "updown"). Empty when talking to a pre-pipeline coordinator.
+	// "updown").
 	PolicyName string
 	// Incarnation is how many times this coordinator's state directory
 	// has been opened (0 = running without durable state).

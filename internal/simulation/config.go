@@ -58,15 +58,14 @@ type Config struct {
 	// interval (used with VacateKillImmediately; A5 ablation).
 	PeriodicCheckpoint time.Duration
 
-	// Policy configures allocation; zero value = policy.DefaultConfig().
-	// Policy.Name selects the registered scheduling pipeline ("" =
-	// updown), so any policy in the registry gets a month-scale A/B run.
+	// Policy selects and tunes allocation. It is handed to the pipeline
+	// as written — policy.Config documents what a zero or partly filled
+	// value means, the same here as in the coordinator. Policy.Name picks
+	// the registered policy ("" = updown), so any policy in the registry
+	// gets a month-scale A/B run.
 	Policy policy.Config
-	// UpDown configures fairness; zero value = updown defaults.
+	// UpDown configures fairness, likewise as written (see updown.Config).
 	UpDown updown.Config
-	// FIFO replaces Up-Down with FIFO priority (A3 ablation).
-	// Shorthand for Policy.Name = "fifo".
-	FIFO bool
 
 	// Cost is the §3.1 cost model; zero value = cost.Paper().
 	Cost cost.Model
@@ -132,17 +131,6 @@ func (c *Config) sanitize() {
 	}
 	if c.Vacate == 0 {
 		c.Vacate = VacateSuspendFirst
-	}
-	if c.Policy.MaxGrantsPerCycle == 0 {
-		name := c.Policy.Name
-		c.Policy = policy.DefaultConfig()
-		c.Policy.Name = name
-	}
-	if c.FIFO && c.Policy.Name == "" {
-		c.Policy.Name = "fifo"
-	}
-	if c.UpDown.UpRate == 0 {
-		c.UpDown = updown.DefaultConfig()
 	}
 	if c.Cost.PlacePerMB == 0 {
 		c.Cost = cost.Paper()

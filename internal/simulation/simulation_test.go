@@ -337,7 +337,7 @@ func TestFIFOAblationHurtsLightUsers(t *testing.T) {
 	base := shortConfig()
 	fair := Run(base)
 	fifoCfg := base
-	fifoCfg.FIFO = true
+	fifoCfg.Policy.Name = "fifo"
 	fifo := Run(fifoCfg)
 	// Under FIFO the heavy user's home station (registered first) owns
 	// the grant order; light users wait longer than under Up-Down.

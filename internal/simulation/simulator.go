@@ -96,11 +96,8 @@ type simulator struct {
 	jobs     []*simJob
 
 	table *updown.Table
-	// pol is the scheduling pipeline under test; fifoRanker is non-nil
-	// when it ranks by arrival order (table updates are skipped so the
-	// run matches the A3 ablation semantics).
-	pol        *policy.Policy
-	fifoRanker *policy.FIFORanker
+	// pol is the scheduling policy under test.
+	pol *policy.Policy
 
 	// cycles numbers poll cycles for the decision audit ring.
 	cycles uint64
@@ -137,7 +134,7 @@ func newSimulator(cfg Config) *simulator {
 		panic(fmt.Sprintf("simulation: %v", err))
 	}
 	s.pol = pol
-	s.fifoRanker, _ = pol.Ranker.(*policy.FIFORanker)
+	fifo, _ := pol.Ranker.(*policy.FIFORanker)
 	s.rep = newReport(cfg, start, end)
 
 	rng := sim.NewRNG(cfg.Seed)
@@ -157,10 +154,10 @@ func newSimulator(cfg Config) *simulator {
 		s.machines = append(s.machines, m)
 		s.byName[name] = m
 		s.table.Touch(name)
-		if s.fifoRanker != nil {
+		if fifo != nil {
 			// Pin FIFO arrival order to machine index so runs are
 			// reproducible regardless of which stations want first.
-			s.fifoRanker.Touch(name)
+			fifo.Touch(name)
 		}
 	}
 
@@ -525,10 +522,8 @@ func (s *simulator) pollCycle(now time.Time) {
 		}
 		views = append(views, v)
 	}
-	if s.fifoRanker == nil {
-		for _, v := range views {
-			s.table.Update(v.Name, v.HeldMachines, v.WaitingJobs > 0)
-		}
+	for _, v := range views {
+		s.table.Update(v.Name, v.HeldMachines, v.WaitingJobs > 0)
 	}
 	s.cycles++
 	var aud *decision.Builder

@@ -41,21 +41,30 @@ func DefaultConfig() Config {
 	return Config{UpRate: 1.0, DownRate: 1.0, DecayRate: 0.5, MaxAbs: 10_000, HistoryLen: 32}
 }
 
+// sanitize resolves a written Config; NewTable is its only caller, so
+// the coordinator and the simulator share this one copy of the rule. A
+// zero Config is DefaultConfig. A Config that sets anything keeps every
+// field it set and defaults only what has no usable zero: there
+// DecayRate 0 means no decay.
 func (c *Config) sanitize() {
+	def := DefaultConfig()
+	if *c == (Config{}) {
+		*c = def
+	}
 	if c.UpRate <= 0 {
-		c.UpRate = 1.0
+		c.UpRate = def.UpRate
 	}
 	if c.DownRate <= 0 {
-		c.DownRate = 1.0
+		c.DownRate = def.DownRate
 	}
 	if c.DecayRate < 0 {
 		c.DecayRate = 0
 	}
 	if c.MaxAbs <= 0 {
-		c.MaxAbs = 10_000
+		c.MaxAbs = def.MaxAbs
 	}
 	if c.HistoryLen == 0 {
-		c.HistoryLen = 32
+		c.HistoryLen = def.HistoryLen
 	}
 	if c.HistoryLen < 0 {
 		c.HistoryLen = 0

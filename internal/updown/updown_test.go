@@ -168,7 +168,27 @@ func TestSnapshotIsCopy(t *testing.T) {
 	}
 }
 
+// TestConfigSanitize pins the one rule that resolves a written Config:
+// zero means DefaultConfig; a partially filled Config keeps what it set
+// (DecayRate 0 included) and defaults only the fields with no usable
+// zero.
 func TestConfigSanitize(t *testing.T) {
+	def := DefaultConfig()
+	for _, tc := range []struct {
+		in, want Config
+	}{
+		{Config{}, def},
+		{Config{DownRate: 7},
+			Config{UpRate: def.UpRate, DownRate: 7, MaxAbs: def.MaxAbs, HistoryLen: def.HistoryLen}},
+		{Config{UpRate: -1, DecayRate: -1, HistoryLen: -1},
+			Config{UpRate: def.UpRate, DownRate: def.DownRate, MaxAbs: def.MaxAbs}},
+	} {
+		got := tc.in
+		got.sanitize()
+		if got != tc.want {
+			t.Errorf("sanitize(%+v) = %+v, want %+v", tc.in, got, tc.want)
+		}
+	}
 	tab := NewTable(Config{}) // all zero: must not divide/lock up
 	tab.Update("a", 1, false)
 	if tab.Index("a") <= 0 {
