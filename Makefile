@@ -92,13 +92,15 @@ bench-drift:
 		| $(GO) run ./cmd/bench2json -compare BENCH_baseline.json -tolerance 0.3 -allowlist BENCH_allowlist.txt
 
 # Short fuzz budget over each byte-level reader of peer or disk input:
-# the wire frame decoder, the checkpoint decoder and journal replay.
+# the wire frame decoder, the checkpoint decoder, journal replay and the
+# /metrics text parser (condor-web and condor-status scrape peers).
 # Hostile length prefixes, truncated or corrupted input and garbage must
 # never panic or over-allocate. CI runs this on every push.
 fuzz:
 	$(GO) test -run NONE -fuzz '^FuzzFrameDecode$$' -fuzztime 20s ./internal/wire/
 	$(GO) test -run NONE -fuzz '^FuzzDecode$$' -fuzztime 20s ./internal/ckpt/
 	$(GO) test -run NONE -fuzz '^FuzzReplay$$' -fuzztime 20s ./internal/journal/
+	$(GO) test -run NONE -fuzz '^FuzzParseText$$' -fuzztime 20s ./internal/telemetry/
 
 sim:
 	$(GO) run ./cmd/condor-sim

@@ -19,7 +19,7 @@ import (
 	"time"
 
 	"condor/internal/decision"
-	"condor/internal/metrics"
+	"condor/internal/figures"
 	"condor/internal/proto"
 	"condor/internal/wire"
 )
@@ -138,7 +138,7 @@ func run(station, remove string) error {
 			fmt.Sprintf("%d", j.Checkpoints),
 		})
 	}
-	fmt.Print(metrics.Table(
+	fmt.Print(figures.Table(
 		[]string{"Job", "Owner", "Program", "State", "Pri", "Exec", "Wait", "CPU", "Ckpts"},
 		rows))
 	if len(qr.Jobs) > 0 {

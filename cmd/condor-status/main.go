@@ -13,7 +13,7 @@ import (
 	"strings"
 	"time"
 
-	"condor/internal/metrics"
+	"condor/internal/figures"
 	"condor/internal/proto"
 	"condor/internal/web"
 )
@@ -77,12 +77,12 @@ func run(client *web.Client) error {
 			fmt.Sprintf("%d", s.RunningJobs),
 			s.ForeignJob,
 			fmt.Sprintf("%.1f", s.ScheduleIndex),
-			metrics.Sparkline(s.IndexHistory, 16),
+			figures.Sparkline(s.IndexHistory, 16),
 			reserved,
 			lastSeen,
 		})
 	}
-	fmt.Print(metrics.Table(
+	fmt.Print(figures.Table(
 		[]string{"Station", "State", "Health", "Waiting", "Running", "ForeignJob", "Index", "Trend", "Reserved", "LastSeen"},
 		rows))
 	w := sr.Wire

@@ -1,17 +1,18 @@
 package main
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
-	"condor/internal/metrics"
+	"condor/internal/figures"
+	"condor/internal/telemetry"
 )
 
 // runMetrics scrapes a daemon's /metrics endpoint (condor-coordinator or
@@ -34,196 +35,87 @@ func runMetrics(target string) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("scrape %s: HTTP %s", target, resp.Status)
 	}
-	scraped, err := parseMetrics(resp.Body)
+	page, err := telemetry.ParseText(resp.Body)
 	if err != nil {
-		return err
+		return fmt.Errorf("scrape %s: %w", target, err)
 	}
 	fmt.Printf("scraped %s\n\n", target)
-	printScraped(scraped)
+	printScraped(os.Stdout, page)
 	return nil
 }
 
-// series is one sample: a fully-labeled metric name and its value.
-type series struct {
-	name   string // family name (histogram suffixes stripped)
-	labels string // rendered label set, le excluded
-	le     string // histogram bucket bound ("" for non-buckets)
-	suffix string // "", "_bucket", "_sum", "_count"
-	value  float64
-}
-
-type scrape struct {
-	types  map[string]string // family -> counter|gauge|histogram
-	series []series
-}
-
-// parseMetrics reads Prometheus text exposition format — only as much of
-// it as the telemetry package emits.
-func parseMetrics(r io.Reader) (*scrape, error) {
-	s := &scrape{types: make(map[string]string)}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+// seriesName renders a sample's identity the way the page spelled it:
+// name{label="value",...}, minus the histogram bucket bound.
+func seriesName(name string, labels []telemetry.Label) string {
+	var b strings.Builder
+	b.WriteString(name)
+	sep := byte('{')
+	for _, l := range labels {
+		if l.Name == "le" {
 			continue
 		}
-		if strings.HasPrefix(line, "# TYPE ") {
-			fields := strings.Fields(line)
-			if len(fields) == 4 {
-				s.types[fields[2]] = fields[3]
-			}
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		idx := strings.LastIndexByte(line, ' ')
-		if idx < 0 {
-			continue
-		}
-		value, err := strconv.ParseFloat(line[idx+1:], 64)
-		if err != nil {
-			continue // not a sample line we understand
-		}
-		name, labels := line[:idx], ""
-		if b := strings.IndexByte(name, '{'); b >= 0 {
-			if !strings.HasSuffix(name, "}") {
-				continue
-			}
-			labels = name[b+1 : len(name)-1]
-			name = name[:b]
-		}
-		out := series{name: name, value: value}
-		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
-			base := strings.TrimSuffix(name, suffix)
-			if base != name && s.types[base] == "histogram" {
-				out.name, out.suffix = base, suffix
-				break
-			}
-		}
-		var kept []string
-		for _, pair := range splitLabels(labels) {
-			if le, ok := strings.CutPrefix(pair, `le="`); ok && out.suffix == "_bucket" {
-				out.le = strings.TrimSuffix(le, `"`)
-				continue
-			}
-			kept = append(kept, pair)
-		}
-		out.labels = strings.Join(kept, ",")
-		s.series = append(s.series, out)
+		b.WriteByte(sep)
+		b.WriteString(l.String())
+		sep = ','
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+	if sep == ',' {
+		b.WriteByte('}')
 	}
-	return s, nil
+	return b.String()
 }
 
-// splitLabels splits `a="x",b="y"` on commas outside quotes.
-func splitLabels(labels string) []string {
-	if labels == "" {
-		return nil
-	}
-	var out []string
-	depth := false
-	start := 0
-	for i := 0; i < len(labels); i++ {
-		switch labels[i] {
-		case '"':
-			if i == 0 || labels[i-1] != '\\' {
-				depth = !depth
-			}
-		case ',':
-			if !depth {
-				out = append(out, labels[start:i])
-				start = i + 1
-			}
-		}
-	}
-	return append(out, labels[start:])
-}
-
-// histKey identifies one histogram series (family + label set).
-type histKey struct{ name, labels string }
-
+// hist is one histogram series; buckets holds the cumulative counts in
+// page order, which the exposition format keeps ascending by bound.
 type hist struct {
 	count, sum float64
-	// buckets maps le (as parsed) to cumulative count.
-	buckets map[string]float64
+	buckets    []telemetry.Sample
 }
 
 // quantile returns the upper bound of the bucket where the cumulative
 // count crosses q — a coarse estimate, good enough for a status line.
 func (h *hist) quantile(q float64) string {
-	if h.count == 0 {
-		return "-"
-	}
-	type bkt struct {
-		le  float64
-		n   float64
-		raw string
-	}
-	var bkts []bkt
-	for le, n := range h.buckets {
-		v := math.Inf(1)
-		if le != "+Inf" {
-			f, err := strconv.ParseFloat(le, 64)
-			if err != nil {
-				continue
+	for _, b := range h.buckets {
+		if h.count > 0 && b.Value >= q*h.count {
+			if le := b.Get("le"); le != "+Inf" {
+				return "≤" + le
 			}
-			v = f
-		}
-		bkts = append(bkts, bkt{le: v, n: n, raw: le})
-	}
-	sort.Slice(bkts, func(i, j int) bool { return bkts[i].le < bkts[j].le })
-	rank := q * h.count
-	for _, b := range bkts {
-		if b.n >= rank {
-			if math.IsInf(b.le, 1) {
-				return "+Inf"
-			}
-			return "≤" + b.raw
+			return "+Inf"
 		}
 	}
 	return "-"
 }
 
-func printScraped(s *scrape) {
-	hists := make(map[histKey]*hist)
+func printScraped(w io.Writer, page *telemetry.ParsedPage) {
+	hists := make(map[string]*hist) // by seriesName
 	var scalarRows [][]string
-	for _, sr := range s.series {
-		if s.types[sr.name] == "histogram" {
-			k := histKey{sr.name, sr.labels}
+	for _, family := range page.Names() {
+		fam := page.Family(family)
+		for _, sm := range fam.Samples {
+			if fam.Type != "histogram" {
+				scalarRows = append(scalarRows, []string{seriesName(sm.Name, sm.Labels), fam.Type, formatValue(sm.Value)})
+				continue
+			}
+			k := seriesName(family, sm.Labels)
 			h := hists[k]
 			if h == nil {
-				h = &hist{buckets: make(map[string]float64)}
+				h = &hist{}
 				hists[k] = h
 			}
-			switch sr.suffix {
+			switch strings.TrimPrefix(sm.Name, family) {
 			case "_bucket":
-				h.buckets[sr.le] = sr.value
+				h.buckets = append(h.buckets, sm)
 			case "_sum":
-				h.sum = sr.value
+				h.sum = sm.Value
 			case "_count":
-				h.count = sr.value
+				h.count = sm.Value
 			}
-			continue
 		}
-		name := sr.name
-		if sr.labels != "" {
-			name += "{" + sr.labels + "}"
-		}
-		scalarRows = append(scalarRows, []string{name, s.types[sr.name], formatValue(sr.value)})
 	}
 	sort.Slice(scalarRows, func(i, j int) bool { return scalarRows[i][0] < scalarRows[j][0] })
-	fmt.Print(metrics.Table([]string{"Metric", "Type", "Value"}, scalarRows))
+	fmt.Fprint(w, figures.Table([]string{"Metric", "Type", "Value"}, scalarRows))
 
 	var histRows [][]string
-	for k, h := range hists {
-		name := k.name
-		if k.labels != "" {
-			name += "{" + k.labels + "}"
-		}
+	for name, h := range hists {
 		mean := "-"
 		if h.count > 0 {
 			mean = formatValue(h.sum / h.count)
@@ -234,8 +126,8 @@ func printScraped(s *scrape) {
 	}
 	sort.Slice(histRows, func(i, j int) bool { return histRows[i][0] < histRows[j][0] })
 	if len(histRows) > 0 {
-		fmt.Println()
-		fmt.Print(metrics.Table([]string{"Histogram", "Count", "Mean", "p50", "p95", "p99"}, histRows))
+		fmt.Fprintln(w)
+		fmt.Fprint(w, figures.Table([]string{"Histogram", "Count", "Mean", "p50", "p95", "p99"}, histRows))
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 	"strings"
 	"time"
 
-	"condor/internal/metrics"
+	"condor/internal/figures"
 )
 
 // Paper-style report rendering: the tables condor-report prints. Living
@@ -60,7 +60,7 @@ func renderView(b *strings.Builder, v View, width int) {
 				fmtLeverage(u.Leverage),
 			})
 		}
-		b.WriteString(metrics.Table(
+		b.WriteString(figures.Table(
 			[]string{"User", "Jobs", "Done", "Steps", "Remote CPU", "Syscalls", "Support", "Leverage"},
 			rows))
 		b.WriteString("\n")
@@ -87,7 +87,7 @@ func renderView(b *strings.Builder, v View, width int) {
 				fmtDur(a.CapacityNanos),
 			})
 		}
-		b.WriteString(metrics.Table(
+		b.WriteString(figures.Table(
 			[]string{"Station", "Jobs", "Steps", "Badput", "Preempts", "Ckpts", "Ckpt CPU",
 				"Grants i/u/d", "Held"},
 			rows))
@@ -104,7 +104,7 @@ func renderView(b *strings.Builder, v View, width int) {
 				fmt.Sprint(a.CapacityCycles), fmtDur(a.CapacityNanos),
 			})
 		}
-		b.WriteString(metrics.Table(
+		b.WriteString(figures.Table(
 			[]string{"Station", "Grants", "Used", "Denied", "Preempts", "Cycles", "Held"},
 			rows))
 		b.WriteString("\n")
@@ -138,7 +138,7 @@ func renderBreakdown(b *strings.Builder, v View) {
 		{"checkpoint overhead", fmt.Sprintf("%d ckpts, %s", t.Checkpoints, fmtBytes(t.CkptBytes)),
 			fmtDur(t.CkptNanos)},
 	}
-	b.WriteString(metrics.Table([]string{"Component", "Amount", "Share"}, rows))
+	b.WriteString(figures.Table([]string{"Component", "Amount", "Share"}, rows))
 	b.WriteString("\n")
 }
 
@@ -161,7 +161,7 @@ func renderWaitDist(b *strings.Builder, w WaitDist) {
 		bar := strings.Repeat("#", int(1+19*c/maxCount))
 		rows = append(rows, []string{WaitBucketLabel(i), fmt.Sprint(c), bar})
 	}
-	b.WriteString(metrics.Table([]string{"Wait", "Count", ""}, rows))
+	b.WriteString(figures.Table([]string{"Wait", "Count", ""}, rows))
 	mean := time.Duration(0)
 	if w.Count > 0 {
 		mean = time.Duration(w.SumNanos / int64(w.Count))
@@ -188,17 +188,17 @@ func renderSeries(b *strings.Builder, series map[string][]Point, width int) {
 			vals[i] = p.V
 		}
 		if strings.HasPrefix(name, "util/") {
-			b.WriteString(metrics.Chart("Utilization profile: "+name, vals, width, 8))
+			b.WriteString(figures.Chart("Utilization profile: "+name, vals, width, 8))
 			b.WriteString("\n")
 			continue
 		}
 		sparks = append(sparks, []string{
-			name, metrics.Sparkline(vals, 32), fmt.Sprintf("%.2f", vals[len(vals)-1]),
+			name, figures.Sparkline(vals, 32), fmt.Sprintf("%.2f", vals[len(vals)-1]),
 		})
 	}
 	if len(sparks) > 0 {
 		b.WriteString("Gauge trajectories (oldest → newest):\n")
-		b.WriteString(metrics.Table([]string{"Series", "Trend", "Last"}, sparks))
+		b.WriteString(figures.Table([]string{"Series", "Trend", "Last"}, sparks))
 		b.WriteString("\n")
 	}
 }

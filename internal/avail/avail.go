@@ -52,10 +52,8 @@ func DefaultClasses() []Class {
 
 // ClassFor assigns the i-th machine of n to a class, deterministic and
 // roughly 30% stable / 45% normal / 25% busy.
-func ClassFor(classes []Class, i, n int) Class {
-	if len(classes) == 0 {
-		classes = DefaultClasses()
-	}
+func ClassFor(i, n int) Class {
+	classes := DefaultClasses()
 	if n <= 0 {
 		n = 1
 	}
@@ -64,9 +62,9 @@ func ClassFor(classes []Class, i, n int) Class {
 	case frac < 0.30:
 		return classes[0]
 	case frac < 0.75:
-		return classes[1%len(classes)]
+		return classes[1]
 	default:
-		return classes[2%len(classes)]
+		return classes[2]
 	}
 }
 

@@ -33,7 +33,7 @@ func TestPoolActiveFractionNearPaper(t *testing.T) {
 	total := 0.0
 	const n = 23
 	for i := 0; i < n; i++ {
-		m := NewMachine(fmt.Sprintf("ws%02d", i), ClassFor(nil, i, n), rng.Derive())
+		m := NewMachine(fmt.Sprintf("ws%02d", i), ClassFor(i, n), rng.Derive())
 		tr := m.GenerateTrace(monthStart, end)
 		total += tr.ActiveFraction(monthStart, end)
 	}
@@ -51,7 +51,7 @@ func TestDiurnalShapeInTraces(t *testing.T) {
 	var samples int
 	const n = 23
 	for i := 0; i < n; i++ {
-		m := NewMachine(fmt.Sprintf("ws%02d", i), ClassFor(nil, i, n), rng.Derive())
+		m := NewMachine(fmt.Sprintf("ws%02d", i), ClassFor(i, n), rng.Derive())
 		tr := m.GenerateTrace(monthStart, end)
 		for day := 0; day < 28; day++ {
 			dayStart := monthStart.Add(time.Duration(day) * 24 * time.Hour)
@@ -148,12 +148,12 @@ func TestClassForDeterministicMix(t *testing.T) {
 	counts := map[string]int{}
 	const n = 23
 	for i := 0; i < n; i++ {
-		counts[ClassFor(nil, i, n).Name]++
+		counts[ClassFor(i, n).Name]++
 	}
 	if counts["stable"] == 0 || counts["normal"] == 0 || counts["busy"] == 0 {
 		t.Fatalf("class mix = %v, want all three present", counts)
 	}
-	if ClassFor(nil, 0, 0).Name == "" {
+	if ClassFor(0, 0).Name == "" {
 		t.Fatal("n=0 must not panic and must return a class")
 	}
 }

@@ -63,25 +63,18 @@ type Config struct {
 	// establishment included (default DialTimeout + 10s). It applies
 	// uniformly to polls, grants, preempts, and reservation enforcement.
 	RPCTimeout time.Duration
-	// IdleConnTimeout evicts pooled station connections unused this long
-	// (default 5 minutes; negative disables eviction).
-	IdleConnTimeout time.Duration
 	// Policy selects and tunes allocation. It is handed to the pipeline
 	// as written: policy.Config documents what a zero or partly filled
 	// value means, the same here as in the simulator.
 	Policy policy.Config
-	// UpDown tunes the fairness index, likewise as written (see
-	// updown.Config).
-	UpDown updown.Config
 	// DeadAfter unregisters a station that has failed this many
 	// consecutive contacts (default 5). With graded health this is the
 	// final escalation: quarantined stations keep accruing misses
 	// through their backoff probes until this threshold declares them
 	// dead.
 	DeadAfter int
-	// Health tunes the graded station-health state machine (healthy →
-	// suspect → quarantined → dead); zero value selects defaults derived
-	// from PollInterval and RPCTimeout. See HealthConfig.
+	// Health tunes how quarantined stations are probed; zero value
+	// selects defaults derived from PollInterval. See HealthConfig.
 	Health HealthConfig
 	// PollConcurrency caps how many station polls run at once in a
 	// cycle (default 64). Without a cap a 10k-station pool would burst
@@ -97,9 +90,6 @@ type Config struct {
 	// journal) every N poll cycles (default 16). The journal also
 	// compacts early whenever its log outgrows the size threshold.
 	SnapshotEvery int
-	// SyncEvery fsyncs the journal after every Nth append (default 1 =
-	// every append; negative disables fsync for benchmarks).
-	SyncEvery int
 	// Decisions receives each cycle's scheduling audit (why every
 	// machine was filtered, ranked, granted, or preempted — see
 	// internal/decision). Nil means decision.Default, which the
@@ -120,9 +110,6 @@ func (c *Config) sanitize() {
 	if c.RPCTimeout <= 0 {
 		c.RPCTimeout = c.DialTimeout + 10*time.Second
 	}
-	if c.IdleConnTimeout == 0 {
-		c.IdleConnTimeout = 5 * time.Minute
-	}
 	if c.DeadAfter <= 0 {
 		c.DeadAfter = 5
 	}
@@ -135,7 +122,12 @@ func (c *Config) sanitize() {
 	if c.Decisions == nil {
 		c.Decisions = decision.Default
 	}
-	c.Health.sanitize(c.PollInterval, c.RPCTimeout)
+	if c.Health.ProbeBase <= 0 {
+		c.Health.ProbeBase = c.PollInterval
+	}
+	if c.Health.ProbeMax <= 0 {
+		c.Health.ProbeMax = 16 * c.Health.ProbeBase
+	}
 }
 
 // station is the coordinator's view of one workstation.
@@ -233,8 +225,8 @@ type Coordinator struct {
 	// stations: a poll reply attributing a foreign job to one of these is
 	// legitimate (the home died after placing it), not byzantine.
 	removed map[string]time.Time
-	// degraded is set while more than Health.MaxUnhealthyFrac of the
-	// pool is non-healthy; up-down index movement is frozen so users are
+	// degraded is set while more than maxUnhealthyFrac of the pool is
+	// non-healthy; up-down index movement is frozen so users are
 	// not charged for infrastructure failure.
 	degraded bool
 
@@ -248,7 +240,7 @@ func New(cfg Config) (*Coordinator, error) {
 	cfg.sanitize()
 	c := &Coordinator{
 		cfg:          cfg,
-		table:        updown.NewTable(cfg.UpDown),
+		table:        updown.NewTable(updown.DefaultConfig()),
 		events:       eventlog.New(eventlog.DefaultCapacity),
 		led:          accounting.NewLedger(),
 		stations:     make(map[string]*station),
@@ -286,7 +278,6 @@ func New(cfg Config) (*Coordinator, error) {
 		// blow it anyway; fail the connection instead of wedging it.
 		WriteTimeout: cfg.RPCTimeout,
 		FrameTimeout: cfg.RPCTimeout,
-		IdleTimeout:  cfg.IdleConnTimeout,
 	})
 	server, err := wire.NewServerOpts(cfg.ListenAddr, wire.ServerOptions{
 		WriteTimeout: cfg.RPCTimeout,
@@ -612,52 +603,73 @@ func (c *Coordinator) pollLoop() {
 }
 
 // Cycle runs one poll-decide-act cycle synchronously. The loop calls it
-// on the poll interval; tests may call it directly.
+// on the poll interval; tests may call it directly. It only sequences
+// the phases; each takes c.mu for as long as its name says and no
+// longer, and no RPC is ever issued under the lock.
 func (c *Coordinator) Cycle() {
-	cycleStart := time.Now()
-	defer func() { mCycleDuration.ObserveDuration(time.Since(cycleStart)) }()
+	start := time.Now()
+	defer func() { mCycleDuration.ObserveDuration(time.Since(start)) }()
+
+	results := c.pollFanOut(start)
+
+	now := time.Now()
+	c.mu.Lock()
+	dead := c.absorbLocked(results, now)
+	r := c.roundLocked(now)
+	c.mu.Unlock()
+
+	c.sample(r)
+	// Drop pooled connections to stations declared dead this cycle.
+	for _, addr := range dead {
+		c.pool.Invalidate(addr)
+	}
+	c.act(r)
+	c.lastCycleNanos.Store(time.Now().UnixNano())
+	c.publish(r, start)
+}
+
+// pollResult is one station's answer to the cycle's poll. It carries
+// the station's name and polled address, not the *station itself:
+// registrations land while polls are in flight, so each result is
+// re-resolved under the lock and dropped if the station vanished or
+// re-registered elsewhere meanwhile — else a slow poll's failure could
+// unregister, or a stale success resurrect, a fresh registration.
+type pollResult struct {
+	name  string
+	addr  string
+	reply proto.PollReply
+	rtt   time.Duration
+	err   error
+}
+
+// pollFanOut opens the cycle and polls every station (§2.1: "every two
+// minutes the central coordinator polls the stations"), in name order.
+func (c *Coordinator) pollFanOut(start time.Time) []pollResult {
 	c.mu.Lock()
 	c.stats.Cycles++
 	if c.degraded {
 		c.stats.DegradedCycles++
 	}
-	targets := make([]*station, 0, len(c.stations))
+	results := make([]pollResult, 0, len(c.stations))
 	for _, s := range c.stations {
-		if s.health.state == proto.HealthQuarantined && cycleStart.Before(s.health.probeAt) {
+		if s.health.state == proto.HealthQuarantined && start.Before(s.health.probeAt) {
 			// Quarantined stations leave the per-cycle fan-out; they are
 			// probed on their own jittered exponential-backoff schedule.
 			continue
 		}
-		targets = append(targets, s)
+		results = append(results, pollResult{name: s.name, addr: s.addr})
 	}
 	c.mu.Unlock()
-	sort.Slice(targets, func(i, j int) bool { return targets[i].name < targets[j].name })
+	sort.Slice(results, func(i, j int) bool { return results[i].name < results[j].name })
 
-	// Poll every station (§2.1: "every two minutes the central
-	// coordinator polls the stations"). Results carry the station's name
-	// and polled address, not the *station itself: registrations land
-	// while polls are in flight, so each result is re-resolved under the
-	// lock and dropped if the station vanished or re-registered at a
-	// different address in the meantime. (Writing through pre-poll
-	// pointers used to let a slow poll's failure unregister — and a
-	// stale success resurrect — a station that had just re-registered.)
-	type pollResult struct {
-		name  string
-		addr  string
-		reply proto.PollReply
-		rtt   time.Duration
-		err   error
-	}
-	results := make([]pollResult, len(targets))
 	// Bounded fan-out: the semaphore is acquired *before* the goroutine
 	// spawns, so at most PollConcurrency polls (goroutines and dials) are
 	// ever alive at once — a 10k-station pool streams through a fixed
 	// window instead of bursting 10k goroutines each cycle.
 	sem := make(chan struct{}, c.cfg.PollConcurrency)
 	var wg sync.WaitGroup
-	for i, s := range targets {
-		i := i
-		name, addr := s.name, s.addr
+	for i := range results {
+		r := &results[i]
 		sem <- struct{}{}
 		wg.Add(1)
 		go func() {
@@ -665,220 +677,171 @@ func (c *Coordinator) Cycle() {
 			defer func() { <-sem }()
 			mPollInFlight.Inc()
 			pollStart := time.Now()
-			reply, err := c.pollStation(addr)
-			rtt := time.Since(pollStart)
-			mPollLatency.ObserveDuration(rtt)
+			r.reply, r.err = c.pollStation(r.addr)
+			r.rtt = time.Since(pollStart)
+			mPollLatency.ObserveDuration(r.rtt)
 			mPollInFlight.Dec()
-			results[i] = pollResult{name: name, addr: addr, reply: reply, rtt: rtt, err: err}
 		}()
 	}
 	wg.Wait()
+	return results
+}
 
-	now := time.Now()
-	c.mu.Lock()
-	var invalidate []string
+// absorbLocked folds the poll results into the station table and each
+// station's health record, then recomputes degraded mode. It returns
+// the addresses of stations declared dead. Caller holds c.mu.
+func (c *Coordinator) absorbLocked(results []pollResult, now time.Time) (dead []string) {
+	slowRTT := c.cfg.RPCTimeout / slowRTTDivisor
 	for _, r := range results {
-		s, ok := c.stations[r.name]
-		if !ok || s.addr != r.addr {
+		s, known := c.stations[r.name]
+		if !known || s.addr != r.addr {
 			// The station unregistered or re-registered at a new address
 			// while this poll was in flight; the result describes a
 			// previous incarnation.
 			continue
 		}
-		if r.err != nil {
+		ok := r.err == nil
+		s.health.observe(slowRTT, r.rtt, ok)
+		byz := ""
+		if ok {
+			c.stats.Polls++
+			// A decoded reply can still be a lie: validate it for
+			// impossible claims before trusting it for allocation.
+			byz = byzantineReason(r.name, r.reply, c.knownHomeLocked)
+		} else {
 			c.stats.PollFails++
 			mPollFails.Inc()
-			s.reachable = false
-			s.health.observe(&c.cfg.Health, r.rtt, false)
-			if addr := c.evalHealthLocked(s, now, false, ""); addr != "" {
-				invalidate = append(invalidate, addr)
-			}
+		}
+		if addr := c.evalHealthLocked(s, now, ok, byz); addr != "" {
+			dead = append(dead, addr)
 			continue
 		}
-		c.stats.Polls++
-		s.health.observe(&c.cfg.Health, r.rtt, true)
-		// A decoded reply can still be a lie: validate it for impossible
-		// claims before trusting it for allocation.
-		byz := byzantineReason(r.name, r.reply, c.knownHomeLocked)
-		if addr := c.evalHealthLocked(s, now, true, byz); addr != "" {
-			invalidate = append(invalidate, addr)
-			continue
+		// A failed poll or a poisoned reply keeps the previous picture
+		// of the station and leaves it out of this cycle's decisions.
+		s.reachable = ok && byz == ""
+		if s.reachable {
+			s.lastReply = r.reply
+			s.lastPoll = now
 		}
-		if byz != "" {
-			// The reply is poison; keep the previous picture of the
-			// station and leave it unreachable for this cycle's decisions.
-			s.reachable = false
-			continue
-		}
-		s.reachable = true
-		s.lastReply = r.reply
-		s.lastPoll = now
 	}
 	c.updateDegradedLocked(now)
+	return dead
+}
 
-	// Update Up-Down indexes from the fresh pool picture. The updated
-	// values are journaled as one batch record per cycle — absolute
-	// values, so replay converges on the latest state regardless of how
-	// many earlier batches survive.
-	held := c.heldCountLocked()
+// round is what a cycle's locked phases hand to its unlocked ones.
+type round struct {
+	n  uint64    // cycle number
+	at time.Time // when the poll fan-out finished
+	// held counts machines per home station; states counts reachable
+	// stations per state; updated holds the post-round Up-Down indexes
+	// (empty while degraded); addrs maps every station to its address.
+	held    map[string]int
+	states  map[proto.StationState]int
+	updated map[string]float64
+	addrs   map[string]string
+	aud     *decision.Builder
+	dec     policy.Decision
+}
+
+// roundLocked runs the policy round over the fresh pool picture: every
+// reachable station goes in with its graded health, and the pipeline's
+// predicate chain — not this function — decides what a suspect or
+// quarantined station may do. Caller holds c.mu.
+func (c *Coordinator) roundLocked(now time.Time) round {
+	r := round{
+		n:       c.stats.Cycles,
+		at:      now,
+		held:    c.heldCountLocked(),
+		states:  make(map[proto.StationState]int, 4),
+		updated: make(map[string]float64, len(c.stations)),
+		addrs:   make(map[string]string, len(c.stations)),
+	}
 	views := make([]policy.StationView, 0, len(c.stations))
-	updated := make(map[string]float64, len(c.stations))
-	states := make(map[proto.StationState]int, 4)
 	for _, s := range c.stations {
+		r.addrs[s.name] = s.addr
 		if !s.reachable {
 			continue
 		}
-		states[s.lastReply.State]++
-		if !c.degraded {
-			// Degraded mode freezes up-down movement: when most of the
-			// pool is unreachable, "holding" or "wanting" reflects the
-			// infrastructure failure, not user behaviour, and charging (or
-			// crediting) indexes for it would corrupt the fairness memory.
-			c.table.Update(s.name, held[s.name], s.lastReply.WaitingJobs > 0)
-			updated[s.name] = c.table.Index(s.name)
-		}
-		if s.health.state != proto.HealthHealthy {
-			// Suspect stations receive no new grants and donate no
-			// capacity — they keep their running jobs, nothing more.
-			continue
-		}
+		r.states[s.lastReply.State]++
 		views = append(views, policy.StationView{
 			Name:         s.name,
 			State:        s.lastReply.State,
 			WaitingJobs:  s.lastReply.WaitingJobs,
-			HeldMachines: held[s.name],
+			HeldMachines: r.held[s.name],
 			ForeignJob:   s.lastReply.ForeignJob,
 			ForeignOwner: s.lastReply.ForeignOwnerStation,
 			DiskFree:     s.lastReply.DiskFreeBytes,
 			IdleStreak:   time.Duration(s.lastReply.IdleStreakMillis) * time.Millisecond,
 			AvgIdleLen:   time.Duration(s.lastReply.AvgIdleMillis) * time.Millisecond,
 			ReservedFor:  c.reservationForLocked(s.name, now),
+			Health:       s.health.state,
 		})
 	}
-	if len(updated) > 0 {
-		c.appendJournalLocked(persistRecord{Kind: recUpdown, Indexes: updated})
-	}
-	cycles := c.stats.Cycles
 	sort.Slice(views, func(i, j int) bool { return views[i].Name < views[j].Name })
 	// Every live cycle is audited: the builder collects why each machine
 	// was filtered/ranked/granted, job IDs are annotated as grants are
-	// acted on below, and the finished audit lands in the bounded
-	// decisions ring (served by /decisions and the DecisionsRequest RPC).
-	aud := decision.NewBuilder(cycles, now)
-	dec := c.pipeline.DecideAudited(views, c.table, c.cfg.Policy, aud)
-	addrs := make(map[string]string, len(c.stations))
-	for _, s := range c.stations {
-		addrs[s.name] = s.addr
+	// acted on, and the finished audit lands in the bounded decisions
+	// ring (served by /decisions and the DecisionsRequest RPC).
+	r.aud = decision.NewBuilder(r.n, now)
+	// Degraded mode freezes up-down movement: when most of the pool is
+	// unreachable, "holding" or "wanting" reflects the infrastructure
+	// failure, not user behaviour, and charging (or crediting) indexes
+	// for it would corrupt the fairness memory.
+	r.dec = c.pipeline.Round(views, c.table, c.cfg.Policy, c.degraded, r.aud)
+	if !c.degraded && len(views) > 0 {
+		// The updated values are journaled as one batch record per cycle
+		// — absolute values, so replay converges on the latest state
+		// regardless of how many earlier batches survive.
+		for i := range views {
+			r.updated[views[i].Name] = c.table.Index(views[i].Name)
+		}
+		c.appendJournalLocked(persistRecord{Kind: recUpdown, Indexes: r.updated})
 	}
-	total := len(c.stations)
-	c.mu.Unlock()
+	return r
+}
 
-	// Accounting: charge each home station for the remote capacity its
-	// jobs held this cycle, and sample the cluster profile (the data
-	// behind the paper's Fig 5 utilization plot) plus every station's
-	// schedule-index trajectory.
-	for home, n := range held {
+// sample charges each home station for the remote capacity its jobs
+// held this cycle, samples the cluster profile (the data behind the
+// paper's Fig 5 utilization plot) plus every station's schedule-index
+// trajectory, and snapshots the journal when one is due.
+func (c *Coordinator) sample(r round) {
+	for home, n := range r.held {
 		c.led.Capacity(home, n, c.cfg.PollInterval)
 	}
 	sam := c.led.Sampler()
-	sam.Observe("stations", now, float64(total))
+	total := float64(len(r.addrs))
+	sam.Observe("stations", r.at, total)
 	if total > 0 {
-		frac := func(s proto.StationState) float64 { return float64(states[s]) / float64(total) }
-		sam.Observe("util/owner", now, frac(proto.StationOwner))
-		sam.Observe("util/idle", now, frac(proto.StationIdle))
-		sam.Observe("util/claimed", now, frac(proto.StationClaimed))
-		sam.Observe("util/suspended", now, frac(proto.StationSuspended))
+		frac := func(s proto.StationState) float64 { return float64(r.states[s]) / total }
+		sam.Observe("util/owner", r.at, frac(proto.StationOwner))
+		sam.Observe("util/idle", r.at, frac(proto.StationIdle))
+		sam.Observe("util/claimed", r.at, frac(proto.StationClaimed))
+		sam.Observe("util/suspended", r.at, frac(proto.StationSuspended))
 	}
-	for name, idx := range updated {
-		sam.Observe("index/"+name, now, idx)
+	for name, idx := range r.updated {
+		sam.Observe("index/"+name, r.at, idx)
 	}
-
 	// Periodic snapshot: every SnapshotEvery cycles, or early when the
 	// log has outgrown its compaction threshold.
-	if c.journal != nil && (cycles%uint64(c.cfg.SnapshotEvery) == 0 || c.journal.NeedsCompaction()) {
+	if c.journal != nil && (r.n%uint64(c.cfg.SnapshotEvery) == 0 || c.journal.NeedsCompaction()) {
 		c.snapshotJournal()
 	}
+}
 
-	// Drop pooled connections to stations declared dead this cycle.
-	for _, addr := range invalidate {
-		c.pool.Invalidate(addr)
+// act carries the round's decision out: grants, preemption orders,
+// reservation enforcement, then the allocation totals to the journal.
+func (c *Coordinator) act(r round) {
+	// Which start of the state directory this is (0 in memory): stamped
+	// on grant spans so a trace shows when allocation decisions straddle
+	// a coordinator restart.
+	var incarnation uint64
+	if c.journal != nil {
+		incarnation = c.journal.Stats().Incarnation
 	}
-
-	// Act.
-	incarnation := c.incarnation()
-	for gi, g := range dec.Grants {
-		c.bump(func(st *Stats) { st.Grants++ })
-		mGrants.Inc()
-		c.led.Grant(g.Requester)
-		grantStart := time.Now()
-		reply, err := c.callStation(addrs[g.Requester], proto.GrantRequest{
-			ExecName: g.Exec,
-			ExecAddr: addrs[g.Exec],
-		})
-		// A grant that never completed leaves gr zero: whether the station
-		// would have used it is unknowable, so it counts as denied
-		// capacity, like one the station declined.
-		gr, _ := reply.(proto.GrantReply)
-		if err == nil && gr.Used && gr.JobID == "" {
-			// "Used" with no job named is a grant the coordinator never
-			// placed — the byzantine signature on the grant path.
-			c.mu.Lock()
-			if s, ok := c.stations[g.Requester]; ok {
-				c.stats.ByzantineReplies++
-				mByzantine.Inc()
-				c.setHealthLocked(s, proto.HealthQuarantined,
-					"byzantine: claims used grant but names no job", time.Now())
-			}
-			c.mu.Unlock()
-		}
-		if err != nil || !gr.Used || gr.JobID == "" {
-			c.bump(func(st *Stats) { st.GrantsDenied++ })
-			mGrantsDenied.Inc()
-			c.led.GrantDenied(g.Requester)
-			continue
-		}
-		c.bump(func(st *Stats) { st.GrantsUsed++ })
-		mGrantsUsed.Inc()
-		c.led.GrantUsed(g.Requester)
-		// The pipeline granted a machine to a station; only now is the
-		// concrete job known. Stamp it on the audit.
-		aud.AnnotateGrantJob(gi, gr.JobID)
-		// The reply names the placed job's trace; record the grant span
-		// after the fact, backdated to cover the grant RPC. Old stations
-		// send no trace and the span is simply skipped.
-		var traceID string
-		if sc, ok := trace.ParseTraceparent(gr.Trace); ok && sc.Sampled {
-			traceID = sc.TraceID.String()
-			trace.Record(trace.Span{
-				TraceID: sc.TraceID,
-				SpanID:  trace.NewSpanID(),
-				Parent:  sc.SpanID,
-				Name:    "grant",
-				Job:     gr.JobID,
-				Station: g.Exec,
-				Start:   grantStart,
-				End:     time.Now(),
-				Attrs: []trace.Attr{
-					{Key: "requester", Value: g.Requester},
-					{Key: "incarnation", Value: fmt.Sprint(incarnation)},
-				},
-			})
-		}
-		c.events.Append(eventlog.Event{
-			Kind: eventlog.KindGrant, Job: gr.JobID, Station: g.Exec,
-			Detail: "granted to " + g.Requester, TraceID: traceID,
-		})
-		// Mark the exec station claimed immediately so this cycle's
-		// state is not granted twice before the next poll.
-		c.mu.Lock()
-		if s, ok := c.stations[g.Exec]; ok {
-			s.lastReply.State = proto.StationClaimed
-			s.lastReply.ForeignJob = gr.JobID
-			s.lastReply.ForeignOwnerStation = g.Requester
-		}
-		c.mu.Unlock()
+	for gi, g := range r.dec.Grants {
+		c.grant(r, gi, g, incarnation)
 	}
-	for _, p := range dec.Preempts {
+	for _, p := range r.dec.Preempts {
 		c.bump(func(st *Stats) { st.Preempts++ })
 		mPreempts.Inc()
 		c.led.Preempt(p.Victim)
@@ -886,12 +849,12 @@ func (c *Coordinator) Cycle() {
 			Kind: eventlog.KindPreempt, Job: p.JobID, Station: p.Exec,
 			Detail: fmt.Sprintf("%s outranks %s", p.Beneficiary, p.Victim),
 		})
-		_, _ = c.callStationRetry(addrs[p.Exec], proto.PreemptRequest{
+		_, _ = c.callStationRetry(r.addrs[p.Exec], proto.PreemptRequest{
 			JobID:  p.JobID,
 			Reason: fmt.Sprintf("up-down: %s outranks %s", p.Beneficiary, p.Victim),
 		})
 	}
-	c.enforceReservations(addrs)
+	c.enforceReservations(r.addrs)
 
 	// Persist the allocation totals touched this cycle as one absolute
 	// batch record — same convention as recUpdown — so grant, preempt,
@@ -903,19 +866,94 @@ func (c *Coordinator) Cycle() {
 			c.mu.Unlock()
 		}
 	}
-	c.lastCycleNanos.Store(time.Now().UnixNano())
+}
 
-	// Publish the finished audit. The ring write is lock-free and
-	// bounded; the summary rides the eventlog (only for cycles that did
-	// something, so idle cycles don't drown job history) and the bus.
-	audit := aud.Done()
+// grant offers one machine to its requester and books the outcome.
+func (c *Coordinator) grant(r round, gi int, g policy.Grant, incarnation uint64) {
+	c.bump(func(st *Stats) { st.Grants++ })
+	mGrants.Inc()
+	c.led.Grant(g.Requester)
+	grantStart := time.Now()
+	reply, err := c.callStation(r.addrs[g.Requester], proto.GrantRequest{
+		ExecName: g.Exec,
+		ExecAddr: r.addrs[g.Exec],
+	})
+	// A grant that never completed leaves gr zero: whether the station
+	// would have used it is unknowable, so it counts as denied
+	// capacity, like one the station declined.
+	gr, _ := reply.(proto.GrantReply)
+	if err == nil && gr.Used && gr.JobID == "" {
+		// "Used" with no job named is a grant the coordinator never
+		// placed — the byzantine signature on the grant path.
+		c.mu.Lock()
+		if s, ok := c.stations[g.Requester]; ok {
+			c.stats.ByzantineReplies++
+			mByzantine.Inc()
+			c.setHealthLocked(s, proto.HealthQuarantined,
+				"byzantine: claims used grant but names no job", time.Now())
+		}
+		c.mu.Unlock()
+	}
+	if err != nil || !gr.Used || gr.JobID == "" {
+		c.bump(func(st *Stats) { st.GrantsDenied++ })
+		mGrantsDenied.Inc()
+		c.led.GrantDenied(g.Requester)
+		return
+	}
+	c.bump(func(st *Stats) { st.GrantsUsed++ })
+	mGrantsUsed.Inc()
+	c.led.GrantUsed(g.Requester)
+	// The pipeline granted a machine to a station; only now is the
+	// concrete job known. Stamp it on the audit.
+	r.aud.AnnotateGrantJob(gi, gr.JobID)
+	// The reply names the placed job's trace; record the grant span
+	// after the fact, backdated to cover the grant RPC. Old stations
+	// send no trace and the span is simply skipped.
+	var traceID string
+	if sc, ok := trace.ParseTraceparent(gr.Trace); ok && sc.Sampled {
+		traceID = sc.TraceID.String()
+		trace.Record(trace.Span{
+			TraceID: sc.TraceID,
+			SpanID:  trace.NewSpanID(),
+			Parent:  sc.SpanID,
+			Name:    "grant",
+			Job:     gr.JobID,
+			Station: g.Exec,
+			Start:   grantStart,
+			End:     time.Now(),
+			Attrs: []trace.Attr{
+				{Key: "requester", Value: g.Requester},
+				{Key: "incarnation", Value: fmt.Sprint(incarnation)},
+			},
+		})
+	}
+	c.events.Append(eventlog.Event{
+		Kind: eventlog.KindGrant, Job: gr.JobID, Station: g.Exec,
+		Detail: "granted to " + g.Requester, TraceID: traceID,
+	})
+	// Mark the exec station claimed immediately so this cycle's
+	// state is not granted twice before the next poll.
+	c.mu.Lock()
+	if s, ok := c.stations[g.Exec]; ok {
+		s.lastReply.State = proto.StationClaimed
+		s.lastReply.ForeignJob = gr.JobID
+		s.lastReply.ForeignOwnerStation = g.Requester
+	}
+	c.mu.Unlock()
+}
+
+// publish records the finished audit. The ring write is lock-free and
+// bounded; the summary rides the eventlog (only for cycles that did
+// something, so idle cycles don't drown job history) and the bus.
+func (c *Coordinator) publish(r round, start time.Time) {
+	audit := r.aud.Done()
 	c.cfg.Decisions.Record(audit)
 	acted := len(audit.Grants) > 0 || len(audit.Preempts) > 0 || len(audit.Unserved) > 0
 	listening := telemetry.Events.Subscribers() > 0
 	var summary string
 	if acted || listening { // built (and allocated) only when someone reads it
 		summary = fmt.Sprintf("cycle %d (%s): %d requesters, %d rejections, %d grants, %d unserved, %d preempts",
-			cycles, audit.Policy, len(audit.Requesters), len(audit.Rejections),
+			r.n, audit.Policy, len(audit.Requesters), len(audit.Rejections),
 			len(audit.Grants), len(audit.Unserved), len(audit.Preempts))
 	}
 	if acted {
@@ -927,23 +965,13 @@ func (c *Coordinator) Cycle() {
 		telemetry.Events.Publish(telemetry.BusEvent{
 			Source: "coordinator", Kind: "cycle",
 			Detail: fmt.Sprintf("cycle %d: %d stations, %d grants, %d preempts, %s",
-				cycles, total, len(dec.Grants), len(dec.Preempts),
-				time.Since(cycleStart).Round(time.Millisecond)),
+				r.n, len(r.addrs), len(r.dec.Grants), len(r.dec.Preempts),
+				time.Since(start).Round(time.Millisecond)),
 		})
 		// The decision drill-down's refresh signal: announces that cycle
-		// `cycles` has a fresh audit on /decisions.
+		// r.n has a fresh audit on /decisions.
 		telemetry.Events.Publish(telemetry.BusEvent{Source: "coordinator", Kind: "decision-cycle", Detail: summary})
 	}
-}
-
-// incarnation returns which start of this coordinator's state directory
-// is running (0 for in-memory coordinators). Stamped on grant spans so a
-// trace shows when allocation decisions straddle a coordinator restart.
-func (c *Coordinator) incarnation() uint64 {
-	if c.journal == nil {
-		return 0
-	}
-	return c.journal.Stats().Incarnation
 }
 
 func (c *Coordinator) bump(f func(*Stats)) {
@@ -954,14 +982,11 @@ func (c *Coordinator) bump(f func(*Stats)) {
 
 func (c *Coordinator) pollStation(addr string) (proto.PollReply, error) {
 	reply, err := c.callStationRetry(addr, proto.PollRequest{})
-	if err != nil {
-		return proto.PollReply{}, err
-	}
 	pr, ok := reply.(proto.PollReply)
-	if !ok {
-		return proto.PollReply{}, fmt.Errorf("coordinator: unexpected poll reply %T", reply)
+	if err == nil && !ok {
+		err = fmt.Errorf("coordinator: unexpected poll reply %T", reply)
 	}
-	return pr, nil
+	return pr, err
 }
 
 // callStation issues one station RPC over the pooled connection,

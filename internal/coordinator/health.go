@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"strings"
 	"time"
 
 	"condor/internal/eventlog"
@@ -43,88 +44,32 @@ var (
 	mByzantine = telemetry.NewCounter("condor_coordinator_byzantine_replies_total",
 		"Station replies that claimed impossible state.")
 	mDegraded = telemetry.NewGauge("condor_coordinator_degraded",
-		"1 while more than MaxUnhealthyFrac of the pool is non-healthy (up-down movement frozen).")
+		"1 while more than half of the pool is non-healthy (up-down movement frozen).")
 )
 
-// HealthConfig tunes the graded station-health state machine. The zero
-// value selects defaults (filled in by Config.sanitize, which also
-// derives the time-valued defaults from PollInterval and RPCTimeout).
+// HealthConfig tunes how a quarantined station is probed — what a
+// deployment (and the chaos harness) scales with its poll interval.
 type HealthConfig struct {
-	// WindowSize is the sliding window of recent poll outcomes kept per
-	// station (max 64; default 16). Miss fraction and flap detection are
-	// computed over this window, so a station alternating failures and
-	// successes can no longer reset its record with a single success.
-	WindowSize int
-	// SuspectAt is the suspicion threshold entering suspect (default
-	// 0.5 — one missed poll).
-	SuspectAt float64
-	// QuarantineAt is the suspicion threshold entering quarantine
-	// (default 0.85 — three consecutive missed polls, or a mostly-missing
-	// window).
-	QuarantineAt float64
-	// ReadmitAfter consecutive successful probes readmit a quarantined
-	// station to healthy (default 2).
-	ReadmitAfter int
 	// ProbeBase is the initial gap before a quarantined station's first
 	// probe; failures double it up to ProbeMax, and every wait is
 	// jittered ±25% so a pool-wide outage does not heal in lockstep
 	// (defaults: PollInterval and 16×ProbeBase).
 	ProbeBase time.Duration
 	ProbeMax  time.Duration
-	// SlowRTT is the floor below which a poll round trip is never
-	// considered slow, however tight the station's historic variance
-	// (default RPCTimeout/4).
-	SlowRTT time.Duration
-	// SlowAfter consecutive slow polls raise suspicion to the suspect
-	// threshold (default 3).
-	SlowAfter int
-	// FlapFlips is how many reachable↔unreachable transitions within the
-	// window quarantine a station as flapping (default 4).
-	FlapFlips int
-	// MaxUnhealthyFrac is the fraction of the pool that may be
-	// non-healthy before the coordinator enters degraded mode and
-	// freezes up-down index movement (default 0.5).
-	MaxUnhealthyFrac float64
 }
 
-func (h *HealthConfig) sanitize(pollInterval, rpcTimeout time.Duration) {
-	if h.WindowSize <= 0 {
-		h.WindowSize = 16
-	}
-	if h.WindowSize > 64 {
-		h.WindowSize = 64
-	}
-	if h.SuspectAt <= 0 {
-		h.SuspectAt = 0.5
-	}
-	if h.QuarantineAt <= 0 {
-		h.QuarantineAt = 0.85
-	}
-	if h.QuarantineAt < h.SuspectAt {
-		h.QuarantineAt = h.SuspectAt
-	}
-	if h.ReadmitAfter <= 0 {
-		h.ReadmitAfter = 2
-	}
-	if h.ProbeBase <= 0 {
-		h.ProbeBase = pollInterval
-	}
-	if h.ProbeMax <= 0 {
-		h.ProbeMax = 16 * h.ProbeBase
-	}
-	if h.SlowRTT <= 0 {
-		h.SlowRTT = rpcTimeout / 4
-	}
-	if h.SlowAfter <= 0 {
-		h.SlowAfter = 3
-	}
-	if h.FlapFlips <= 0 {
-		h.FlapFlips = 4
-	}
-	if h.MaxUnhealthyFrac <= 0 {
-		h.MaxUnhealthyFrac = 0.5
-	}
-}
+// The grading thresholds: properties of the state machine, not of a
+// deployment — nothing has ever run with other values.
+const (
+	healthWindow     = 16   // recent poll outcomes kept per station (health.window holds 64)
+	suspectAt        = 0.5  // suspicion entering suspect: one missed poll
+	quarantineAt     = 0.85 // entering quarantine: three misses running, or a mostly-missing window
+	readmitAfter     = 2    // consecutive clean probes that readmit a quarantined station
+	slowRTTDivisor   = 4    // a poll faster than RPCTimeout/4 is never "slow", however tight the baseline
+	slowAfter        = 3    // consecutive slow polls that raise suspicion to suspectAt
+	flapFlips        = 4    // up↔down flips inside the window that quarantine as flapping
+	maxUnhealthyFrac = 0.5  // non-healthy share of the pool beyond which indexes freeze (degraded mode)
+)
 
 // health is one station's graded-health record. All scoring state is
 // scalar so the per-station hot path (observe, one call per poll result
@@ -191,10 +136,11 @@ func (h *health) jitter(d time.Duration) time.Duration {
 }
 
 // observe folds one poll (or probe) outcome into the station's health
-// statistics and recomputes the suspicion score. slow is computed
-// against the pre-update RTT baseline so one slow sample cannot raise
-// the bar it is judged by. Allocation-free.
-func (h *health) observe(cfg *HealthConfig, rtt time.Duration, ok bool) {
+// statistics and recomputes the suspicion score. slowRTT is the floor
+// under "slow" (see slowRTTDivisor); slow is computed against the
+// pre-update RTT baseline so one slow sample cannot raise the bar it is
+// judged by. Allocation-free.
+func (h *health) observe(slowRTT, rtt time.Duration, ok bool) {
 	h.window <<= 1
 	if !ok {
 		h.window |= 1
@@ -206,7 +152,7 @@ func (h *health) observe(cfg *HealthConfig, rtt time.Duration, ok bool) {
 		if h.rttMean == 0 {
 			h.rttMean = r
 		}
-		slow := rtt >= cfg.SlowRTT && (h.wlen < 3 || r > 2*h.rttMean+4*h.rttDev)
+		slow := rtt >= slowRTT && (h.wlen < 3 || r > 2*h.rttMean+4*h.rttDev)
 		dev := r - h.rttMean
 		if dev < 0 {
 			dev = -dev
@@ -219,7 +165,7 @@ func (h *health) observe(cfg *HealthConfig, rtt time.Duration, ok bool) {
 			h.slowStreak = 0
 		}
 	}
-	if h.wlen < cfg.WindowSize {
+	if h.wlen < healthWindow {
 		h.wlen++
 	}
 
@@ -229,13 +175,13 @@ func (h *health) observe(cfg *HealthConfig, rtt time.Duration, ok bool) {
 	// failing long; the slow streak tops out below the quarantine
 	// threshold — persistent slowness makes a station suspect, never
 	// quarantined, because it is still doing the work.
-	// missFrac divides by the configured window size, not the populated
+	// missFrac divides by the full window size, not the populated
 	// length: a single miss in a fresh window is one data point, not a
 	// 100% failure rate (the consecutive-miss channel covers the young
 	// window).
-	missFrac := float64(bits.OnesCount64(h.window&h.mask())) / float64(cfg.WindowSize)
+	missFrac := float64(bits.OnesCount64(h.window&h.mask())) / healthWindow
 	consec := 1 - math.Exp2(-float64(h.consecMiss))
-	slowComp := cfg.SuspectAt * float64(h.slowStreak) / float64(cfg.SlowAfter)
+	slowComp := suspectAt * float64(h.slowStreak) / slowAfter
 	if slowComp > 0.6 {
 		slowComp = 0.6
 	}
@@ -293,12 +239,8 @@ func (h *health) resetScoring() {
 // coarseReason reduces a detailed reason to its metric label: the text
 // before the first ':' (timeout, slow, byzantine, flap).
 func coarseReason(reason string) string {
-	for i := 0; i < len(reason); i++ {
-		if reason[i] == ':' {
-			return reason[:i]
-		}
-	}
-	return reason
+	label, _, _ := strings.Cut(reason, ":")
+	return label
 }
 
 // byzantineReason inspects a successfully decoded poll reply for claims
@@ -430,7 +372,6 @@ func (c *Coordinator) knownHomeLocked(name string) bool {
 // "". Caller holds c.mu.
 func (c *Coordinator) evalHealthLocked(s *station, now time.Time, pollOK bool, byzReason string) (removedAddr string) {
 	h := &s.health
-	cfg := &c.cfg.Health
 
 	if byzReason != "" {
 		c.stats.ByzantineReplies++
@@ -458,54 +399,53 @@ func (c *Coordinator) evalHealthLocked(s *station, now time.Time, pollOK bool, b
 	case proto.HealthQuarantined:
 		if pollOK {
 			h.probeOK++
-			if h.probeOK >= cfg.ReadmitAfter {
+			if h.probeOK >= readmitAfter {
 				c.setHealthLocked(s, proto.HealthHealthy, "", now)
 			} else {
 				// Probe again soon: readmission wants consecutive
 				// successes, not one lucky packet.
-				h.probeAt = now.Add(h.jitter(cfg.ProbeBase))
+				h.probeAt = now.Add(h.jitter(c.cfg.Health.ProbeBase))
 			}
 		} else {
 			h.probeOK = 0
 			c.backoffProbeLocked(s, now)
 		}
 	case proto.HealthSuspect:
-		if reason, bad := c.quarantineReasonLocked(h); bad {
+		if reason, bad := quarantineReason(h); bad {
 			c.setHealthLocked(s, proto.HealthQuarantined, reason, now)
-		} else if h.suspicion < cfg.SuspectAt/2 && h.cleanStreak(cfg.ReadmitAfter) {
+		} else if h.suspicion < suspectAt/2 && h.cleanStreak(readmitAfter) {
 			// Hysteresis: leaving suspect takes both a low score and a
 			// streak of clean polls — one lucky success is not recovery.
 			c.setHealthLocked(s, proto.HealthHealthy, "", now)
 		}
 	default: // healthy
-		if reason, bad := c.quarantineReasonLocked(h); bad {
+		if reason, bad := quarantineReason(h); bad {
 			c.setHealthLocked(s, proto.HealthQuarantined, reason, now)
-		} else if h.suspicion >= cfg.SuspectAt {
-			c.setHealthLocked(s, proto.HealthSuspect, c.suspectReason(h), now)
+		} else if h.suspicion >= suspectAt {
+			c.setHealthLocked(s, proto.HealthSuspect, suspectReason(h), now)
 		}
 	}
 	return ""
 }
 
-// quarantineReasonLocked reports whether the station's evidence crosses
-// a quarantine threshold, and why.
-func (c *Coordinator) quarantineReasonLocked(h *health) (string, bool) {
-	cfg := &c.cfg.Health
-	if f := h.flips(); f >= cfg.FlapFlips {
+// quarantineReason reports whether the station's evidence crosses a
+// quarantine threshold, and why.
+func quarantineReason(h *health) (string, bool) {
+	if f := h.flips(); f >= flapFlips {
 		return fmt.Sprintf("flap: %d up/down transitions in window", f), true
 	}
-	if h.suspicion >= cfg.QuarantineAt && h.consecMiss > 0 {
+	if h.suspicion >= quarantineAt && h.consecMiss > 0 {
 		return fmt.Sprintf("timeout: suspicion %.2f (%d consecutive misses)",
 			h.suspicion, h.consecMiss), true
 	}
-	if h.suspicion >= cfg.QuarantineAt {
+	if h.suspicion >= quarantineAt {
 		return fmt.Sprintf("timeout: suspicion %.2f over window", h.suspicion), true
 	}
 	return "", false
 }
 
 // suspectReason labels why a station became suspect.
-func (c *Coordinator) suspectReason(h *health) string {
+func suspectReason(h *health) string {
 	if h.consecMiss > 0 {
 		return fmt.Sprintf("timeout: %d missed poll(s), suspicion %.2f", h.consecMiss, h.suspicion)
 	}
@@ -549,7 +489,7 @@ func (c *Coordinator) updateDegradedLocked(now time.Time) {
 	mHealthState.With("healthy").Set(total - nonHealthy)
 	mHealthState.With("suspect").Set(suspect)
 	mHealthState.With("quarantined").Set(quarantined)
-	degraded := total > 0 && float64(nonHealthy) > c.cfg.Health.MaxUnhealthyFrac*float64(total)
+	degraded := total > 0 && float64(nonHealthy) > maxUnhealthyFrac*float64(total)
 	if degraded == c.degraded {
 		return
 	}

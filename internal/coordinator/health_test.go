@@ -8,8 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"condor/internal/decision"
 	"condor/internal/eventlog"
 	"condor/internal/proto"
+	"condor/internal/telemetry"
 )
 
 // scriptedStation is a fake station whose poll behaviour can be changed
@@ -145,7 +147,7 @@ func TestQuarantineProbeBackoffAndReadmission(t *testing.T) {
 	}
 
 	// Station recovers; probes (due immediately now) must readmit it
-	// after ReadmitAfter consecutive successes.
+	// after readmitAfter consecutive successes.
 	ws.set(true, nil)
 	coord.mu.Lock()
 	coord.stations["ws1"].health.probeAt = time.Now()
@@ -380,15 +382,95 @@ func TestSuspectStationReceivesNoGrants(t *testing.T) {
 func BenchmarkHealthObserve(b *testing.B) {
 	// The per-station scoring runs inside the cycle's result loop under
 	// c.mu — it must stay allocation-free (see BENCH_baseline.json).
-	var cfg HealthConfig
-	cfg.sanitize(2*time.Minute, 15*time.Second)
+	slowRTT := 15 * time.Second / slowRTTDivisor
 	h := newHealth("ws0001", time.Unix(0, 0))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.observe(&cfg, time.Duration(i%20)*time.Millisecond, i%7 != 0)
+		h.observe(slowRTT, time.Duration(i%20)*time.Millisecond, i%7 != 0)
 	}
 	if h.wlen == 0 {
 		b.Fatal("observe did nothing")
+	}
+}
+
+// TestRoundGatesHealthInThePipeline: the coordinator hands every
+// reachable station to the policy round with its health set, and the
+// pipeline — the one health gate — keeps a suspect machine out of
+// grants, shows it on the audit as a `health` rejection, and leaves a
+// suspect machine's running foreign job alone even though the requester
+// outranks its owner and nothing else is idle.
+func TestRoundGatesHealthInThePipeline(t *testing.T) {
+	rec := decision.NewRecorder(8)
+	coord, scripted := healthPool(t, []string{"needy", "hog", "idle1", "busy1"},
+		Config{DeadAfter: 100, Decisions: rec})
+	scripted["needy"].set(true, func(r *proto.PollReply) {
+		r.State, r.WaitingJobs = proto.StationOwner, 2
+	})
+	scripted["hog"].set(true, func(r *proto.PollReply) { r.State = proto.StationOwner })
+	claimed := func(r *proto.PollReply) {
+		r.State, r.ForeignJob, r.ForeignOwnerStation = proto.StationClaimed, "hog/1", "hog"
+	}
+	// Both machines flub one poll → suspect; they answer the next one
+	// and stay suspect (leaving takes two clean polls).
+	scripted["idle1"].set(false, nil)
+	scripted["busy1"].set(false, nil)
+	coord.Cycle()
+	scripted["idle1"].set(true, nil)
+	scripted["busy1"].set(true, claimed)
+	denied := func() float64 {
+		page, err := telemetry.ParseTextString(telemetry.Default.Text())
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, _ := page.Value("condor_policy_predicate_denied_total", "pred", "updown/health")
+		return v
+	}
+	before := denied()
+	coord.Cycle()
+	for _, name := range []string{"idle1", "busy1"} {
+		if st, _ := healthOf(coord, name); st != proto.HealthSuspect {
+			t.Fatalf("%s health = %v, want suspect", name, st)
+		}
+	}
+
+	audits := rec.Snapshot()
+	audit := audits[len(audits)-1]
+	if audit.Stations != 4 {
+		t.Errorf("audit saw %d stations, want all 4 reachable ones", audit.Stations)
+	}
+	var healthRejected []string
+	for _, r := range audit.Rejections {
+		if r.Predicate == "health" {
+			healthRejected = append(healthRejected, r.Station)
+			if r.Observed != "health suspect" {
+				t.Errorf("health rejection observed %q, want %q", r.Observed, "health suspect")
+			}
+		}
+	}
+	if len(healthRejected) != 1 || healthRejected[0] != "idle1" {
+		t.Errorf("health rejections = %v, want [idle1] (busy1 is claimed: the idle predicate speaks first)", healthRejected)
+	}
+	if len(audit.Requesters) != 1 || audit.Requesters[0].Requester != "needy" {
+		t.Errorf("requesters = %+v, want only needy", audit.Requesters)
+	}
+	if len(audit.Grants) != 0 {
+		t.Errorf("grants = %+v, want none: the only idle machine is suspect", audit.Grants)
+	}
+	// needy (denied) outranks hog (holding a machine) and no machine is
+	// idle, so §2.4 looks for a victim — and must pass over busy1.
+	if !coord.table.Better("needy", "hog") {
+		t.Fatal("precondition: needy does not outrank hog")
+	}
+	for _, p := range audit.Preempts {
+		if p.Exec != "" {
+			t.Errorf("preempt ordered on %s, want suspect machines to keep their jobs", p.Exec)
+		}
+	}
+	if st := coord.Stats(); st.Grants != 0 || st.Preempts != 0 {
+		t.Errorf("stats: %d grants, %d preempts, want 0 and 0", st.Grants, st.Preempts)
+	}
+	if got := denied() - before; got != 1 {
+		t.Errorf("updown/health deny counter moved by %v, want 1", got)
 	}
 }

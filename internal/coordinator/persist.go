@@ -212,9 +212,7 @@ func rebuildState(snapshot []byte, records [][]byte, now time.Time) (persistStat
 // openJournal recovers StateDir and installs the rebuilt state. Called
 // from New before the server or poll loop start, so no locking races.
 func (c *Coordinator) openJournal() error {
-	j, recovered, err := journal.Open(c.cfg.StateDir, journal.Config{
-		SyncEvery: c.cfg.SyncEvery,
-	})
+	j, recovered, err := journal.Open(c.cfg.StateDir, journal.Config{})
 	if err != nil {
 		return err
 	}

@@ -1,8 +1,8 @@
-// Package metrics provides the statistical containers and text renderers
+// Package figures provides the statistical containers and text renderers
 // used to reproduce the paper's tables and figures: sample histograms
 // with CDFs (Figure 2), hourly time series (Figures 3, 5, 6, 7), and
 // demand-binned statistics (Figures 4, 8, 9).
-package metrics
+package figures
 
 import (
 	"fmt"

@@ -58,6 +58,9 @@ const (
 	snapVersion = 1
 	// recHeaderLen is the per-record header: uint32 length + uint32 CRC.
 	recHeaderLen = 8
+	// maxRecordBytes bounds one record (and one snapshot payload) so a
+	// corrupt length field cannot trigger a huge allocation on replay.
+	maxRecordBytes = 16 << 20
 )
 
 // ErrClosed is returned for operations on a closed journal.
@@ -72,9 +75,6 @@ type Config struct {
 	// CompactBytes is the log size beyond which NeedsCompaction reports
 	// true, prompting the owner to write a snapshot (default 1 MiB).
 	CompactBytes int64
-	// MaxRecordBytes bounds one record so a corrupt length field cannot
-	// trigger a huge allocation on replay (default 16 MiB).
-	MaxRecordBytes int64
 }
 
 func (c *Config) sanitize() {
@@ -83,9 +83,6 @@ func (c *Config) sanitize() {
 	}
 	if c.CompactBytes <= 0 {
 		c.CompactBytes = 1 << 20
-	}
-	if c.MaxRecordBytes <= 0 {
-		c.MaxRecordBytes = 16 << 20
 	}
 }
 
@@ -153,7 +150,7 @@ func Open(dir string, cfg Config) (*Journal, State, error) {
 
 	gen, snapshot := j.loadLatestSnapshot()
 	j.gen = gen
-	records, truncated, err := j.replayLog(j.logPath(gen), cfg.MaxRecordBytes)
+	records, truncated, err := j.replayLog(j.logPath(gen))
 	if err != nil {
 		return nil, State{}, err
 	}
@@ -229,7 +226,7 @@ func (j *Journal) loadLatestSnapshot() (uint64, []byte) {
 	}
 	sort.Slice(gens, func(a, b int) bool { return gens[a] > gens[b] })
 	for _, g := range gens {
-		if payload, err := readSnapshotFile(j.snapPath(g), j.cfg.MaxRecordBytes); err == nil {
+		if payload, err := readSnapshotFile(j.snapPath(g)); err == nil {
 			return g, payload
 		}
 	}
@@ -238,7 +235,7 @@ func (j *Journal) loadLatestSnapshot() (uint64, []byte) {
 
 // readSnapshotFile decodes one snapshot file, verifying magic, version
 // and CRC.
-func readSnapshotFile(path string, maxBytes int64) ([]byte, error) {
+func readSnapshotFile(path string) ([]byte, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -252,7 +249,7 @@ func readSnapshotFile(path string, maxBytes int64) ([]byte, error) {
 	}
 	length := binary.BigEndian.Uint32(b[len(snapMagic)+4:])
 	wantCRC := binary.BigEndian.Uint32(b[len(snapMagic)+8:])
-	if int64(length) > maxBytes || len(b) < header+int(length) {
+	if length > maxRecordBytes || len(b) < header+int(length) {
 		return nil, errors.New("journal: snapshot truncated")
 	}
 	payload := b[header : header+int(length)]
@@ -266,7 +263,7 @@ func readSnapshotFile(path string, maxBytes int64) ([]byte, error) {
 // — truncated header, truncated payload, zero length, absurd length, or
 // CRC mismatch — ends replay and is physically truncated away so the
 // next append starts on a clean boundary. A missing log is simply empty.
-func (j *Journal) replayLog(path string, maxRecord int64) (records [][]byte, truncated int64, err error) {
+func (j *Journal) replayLog(path string) (records [][]byte, truncated int64, err error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -281,7 +278,7 @@ func (j *Journal) replayLog(path string, maxRecord int64) (records [][]byte, tru
 		}
 		length := binary.BigEndian.Uint32(b[off:])
 		wantCRC := binary.BigEndian.Uint32(b[off+4:])
-		if length == 0 || int64(length) > maxRecord || len(b)-off-recHeaderLen < int(length) {
+		if length == 0 || length > maxRecordBytes || len(b)-off-recHeaderLen < int(length) {
 			break
 		}
 		payload := b[off+recHeaderLen : off+recHeaderLen+int(length)]
@@ -340,8 +337,8 @@ func (j *Journal) Append(rec []byte) error {
 }
 
 func (j *Journal) append(rec []byte) error {
-	if int64(len(rec)) > j.cfg.MaxRecordBytes {
-		return fmt.Errorf("journal: record of %d bytes exceeds limit %d", len(rec), j.cfg.MaxRecordBytes)
+	if len(rec) > maxRecordBytes {
+		return fmt.Errorf("journal: record of %d bytes exceeds limit %d", len(rec), maxRecordBytes)
 	}
 	if len(rec) == 0 {
 		return errors.New("journal: empty record")

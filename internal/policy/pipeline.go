@@ -107,12 +107,29 @@ func rejection(m *StationView, req string, idx int, cfg *Config) decision.Reject
 	return r
 }
 
-// requesterEligible gates which stations may ask for capacity: a
-// station the coordinator grades unhealthy neither receives grants nor
-// triggers preemptions. Zero Health (live coordinator pre-filters, old
-// fixtures, simulator) means no grading — eligible.
-func requesterEligible(s *StationView) bool {
+// healthy is the one health gate, live and simulated: a station graded
+// non-healthy neither asks for capacity (no grants, no preemptions on
+// its behalf), nor donates its machine (HealthPredicate), nor has its
+// running foreign job preempted (pickVictim) — it keeps what it has,
+// nothing more. Zero Health (old fixtures, the simulator) means no
+// grading — eligible.
+func healthy(s *StationView) bool {
 	return s.Health == 0 || s.Health == proto.HealthHealthy
+}
+
+// Round is one whole allocation round, the part of a coordinator cycle
+// the live daemon and the simulator share: charge or credit every
+// station in views on the Up-Down table (§2.4), then decide. views is
+// every station the substrate could reach, Health set where it grades
+// health. frozen skips the index update: a coordinator whose pool is
+// degraded must not book an infrastructure failure to its users.
+func (p *Policy) Round(views []StationView, table *updown.Table, cfg Config, frozen bool, aud *decision.Builder) Decision {
+	if !frozen {
+		for i := range views {
+			table.Update(views[i].Name, views[i].HeldMachines, views[i].WaitingJobs > 0)
+		}
+	}
+	return p.DecideAudited(views, table, cfg, aud)
 }
 
 // Decide runs one allocation cycle through the pipeline. It never
@@ -144,7 +161,7 @@ func (p *Policy) DecideAudited(stations []StationView, table *updown.Table, cfg 
 	// per-station as well as global.
 	var wanting []string
 	for i := range stations {
-		if stations[i].WaitingJobs > 0 && requesterEligible(&stations[i]) {
+		if stations[i].WaitingJobs > 0 && healthy(&stations[i]) {
 			wanting = append(wanting, stations[i].Name)
 		}
 	}
@@ -306,16 +323,15 @@ func (MinDiskPredicate) Explain(m *StationView, _ string, cfg *Config) (string, 
 		fmt.Sprintf("%d bytes free", m.DiskFree)
 }
 
-// HealthPredicate blocks grants to machines the health grader marked
-// non-healthy. Zero Health means ungraded (eligible) so snapshots from
-// pre-health callers keep their old meaning.
+// HealthPredicate blocks grants of machines the health grader marked
+// non-healthy (see healthy).
 type HealthPredicate struct{}
 
 func (HealthPredicate) Name() string { return "health" }
 
 // Admit implements Predicate.
 func (HealthPredicate) Admit(m *StationView, _ string, _ *Config) bool {
-	return m.Health == 0 || m.Health == proto.HealthHealthy
+	return healthy(m)
 }
 
 // Explain implements Predicate.
@@ -417,8 +433,9 @@ func outrankPreempts(pool *Pool, requesters []string, granted map[string]bool, l
 
 // pickVictim finds the claimed station whose foreign job's owner has
 // the worst priority among those the requester strictly outranks,
-// skipping stations already being preempted this cycle and the
-// requester's own jobs.
+// skipping stations already being preempted this cycle, the requester's
+// own jobs and non-healthy stations (a suspect machine may be too slow
+// to answer a vacate order; its job stays until it recovers or dies).
 func pickVictim(pool *Pool, requester string, already []Preempt, aud *decision.Builder,
 	better func(a, b string) bool) (StationView, bool) {
 	busy := make(map[string]bool, len(already))
@@ -428,7 +445,7 @@ func pickVictim(pool *Pool, requester string, already []Preempt, aud *decision.B
 	var victim StationView
 	found := false
 	for _, s := range pool.Stations {
-		if s.State != proto.StationClaimed || s.ForeignJob == "" || busy[s.Name] {
+		if s.State != proto.StationClaimed || s.ForeignJob == "" || busy[s.Name] || !healthy(&s) {
 			continue
 		}
 		if s.ForeignOwner == requester {

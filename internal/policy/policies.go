@@ -9,8 +9,7 @@ import (
 )
 
 // DefaultBackfillWindow bounds how long a job may run and still jump
-// the queue under the backfill policy when Config.BackfillWindow is
-// unset.
+// the queue under the backfill policy.
 const DefaultBackfillWindow = 30 * time.Minute
 
 // UpDownRanker ranks by the Up-Down table alone — the paper's §2.4
@@ -153,20 +152,16 @@ func (BusiestRanker) Better(a, b string, pool *Pool, table *updown.Table, _ *Con
 type BackfillRanker struct{}
 
 // Rank implements Ranker.
-func (BackfillRanker) Rank(wanting []string, pool *Pool, table *updown.Table, cfg *Config) []string {
+func (BackfillRanker) Rank(wanting []string, pool *Pool, table *updown.Table, _ *Config) []string {
 	ranked := table.Rank(wanting)
 	if len(ranked) <= 2 {
 		return ranked
-	}
-	win := cfg.BackfillWindow
-	if win <= 0 {
-		win = DefaultBackfillWindow
 	}
 	out := make([]string, 0, len(ranked))
 	out = append(out, ranked[0])
 	long := make([]string, 0, len(ranked)-1)
 	for _, name := range ranked[1:] {
-		if sj := pool.byName[name].ShortestJob; sj > 0 && sj <= win {
+		if sj := pool.byName[name].ShortestJob; sj > 0 && sj <= DefaultBackfillWindow {
 			out = append(out, name)
 		} else {
 			long = append(long, name)

@@ -54,9 +54,9 @@ type StationView struct {
 	// ReservedFor, when non-empty, restricts grants of this machine to
 	// the named station (§5.3 reservations).
 	ReservedFor string
-	// Health is the coordinator's graded health for the station. Zero
-	// means ungraded (snapshots from callers without a health machine),
-	// which every stage treats as eligible.
+	// Health is the station's graded health. The coordinator sets it on
+	// every station it could reach; zero means ungraded (the simulator,
+	// old fixtures), which every stage treats as eligible.
 	Health proto.StationHealth
 	// ShortestJob is the remaining length of the shortest waiting job,
 	// if known. The backfill policy promotes stations whose shortest
@@ -99,9 +99,6 @@ type Config struct {
 	// machine is severely degraded if all jobs are placed at the same
 	// time"). Exists for the A2 ablation.
 	AllowBurstPerStation bool
-	// BackfillWindow bounds the job length that may jump the queue
-	// under the backfill policy (0 = DefaultBackfillWindow).
-	BackfillWindow time.Duration
 }
 
 // DefaultConfig returns the paper's operating point.

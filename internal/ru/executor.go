@@ -301,13 +301,17 @@ type remoteHandler struct {
 	peer    *wire.Peer
 	jobID   string
 	timeout time.Duration
-	// parent/every drive head-based syscall sampling: within a traced
+	// parent/n drive head-based syscall sampling: within a traced
 	// execution the first forwarded syscall is always recorded, then
-	// every Nth. The sampled-out path costs one atomic add and a branch.
+	// every syscallTraceEvery-th. The sampled-out path costs one atomic
+	// add and a branch.
 	parent trace.SpanContext
-	every  uint64
 	n      atomic.Uint64
 }
+
+// syscallTraceEvery downsamples per-syscall tracing. Rare lifecycle
+// events (place, checkpoint, vacate, complete) are never downsampled.
+const syscallTraceEvery = 64
 
 var _ cvm.SyscallHandler = (*remoteHandler)(nil)
 
@@ -316,7 +320,7 @@ var _ cvm.SyscallHandler = (*remoteHandler)(nil)
 func (h *remoteHandler) Syscall(req cvm.SyscallRequest) (cvm.SyscallReply, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), h.timeout)
 	defer cancel()
-	sp := trace.StartNth(h.parent, "syscall", h.n.Add(1), h.every)
+	sp := trace.StartNth(h.parent, "syscall", h.n.Add(1), syscallTraceEvery)
 	sp.SetJob(h.jobID)
 	if sp.Recording() {
 		// Only sampled syscalls carry trace context to the shadow, so

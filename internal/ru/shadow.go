@@ -71,18 +71,19 @@ type Shadow struct {
 	closed chan struct{}
 }
 
+// placeTimeout bounds the placement handshake and, when DialRetry is
+// set, the whole dial-retry loop before it.
+const placeTimeout = 30 * time.Second
+
 // PlaceConfig parameterizes a placement.
 type PlaceConfig struct {
-	// DialTimeout bounds one TCP connect attempt (default 5s).
+	// DialTimeout bounds one TCP connect attempt (default 5s, wire's).
 	DialTimeout time.Duration
 	// DialRetry, when set, retries the TCP connect under its policy.
 	// Only the dial is ever retried: the PlaceRequest handshake runs at
 	// most once, because a handshake whose reply was lost may already
 	// have claimed the execution machine.
 	DialRetry *wire.Retry
-	// PlaceTimeout bounds the placement handshake (default 30s). When
-	// DialRetry is set it also bounds the whole dial-retry loop.
-	PlaceTimeout time.Duration
 	// WriteTimeout bounds each frame write on the shadow's connection
 	// (0 = unbounded), so a wedged execution machine cannot hang the
 	// shadow mid-send.
@@ -95,15 +96,6 @@ type PlaceConfig struct {
 	// connection (machine powered off mid-run) surfaces as JobLost
 	// rather than a shadow waiting forever. Zero disables probing.
 	Heartbeat time.Duration
-}
-
-func (c *PlaceConfig) sanitize() {
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 5 * time.Second
-	}
-	if c.PlaceTimeout <= 0 {
-		c.PlaceTimeout = 30 * time.Second
-	}
 }
 
 // Place ships a job to the starter at execAddr and returns its shadow.
@@ -120,7 +112,6 @@ func Place(
 	events Events,
 	cfg PlaceConfig,
 ) (*Shadow, error) {
-	cfg.sanitize()
 	if handler == nil {
 		return nil, errors.New("ru: nil syscall handler")
 	}
@@ -146,7 +137,7 @@ func Place(
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ctx, cancel := context.WithTimeout(ctx, cfg.PlaceTimeout)
+	ctx, cancel := context.WithTimeout(ctx, placeTimeout)
 	defer cancel()
 	var peer *wire.Peer
 	var err error

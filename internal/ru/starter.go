@@ -55,11 +55,6 @@ type StarterConfig struct {
 	// PeriodicCheckpoint, when positive, checkpoints the running job to
 	// its shadow at this interval (§4 proposal / A5 ablation).
 	PeriodicCheckpoint time.Duration
-	// SyscallTraceEvery downsamples per-syscall tracing: within a traced
-	// execution the first forwarded syscall is always recorded, then
-	// every Nth (default 64). Rare lifecycle events (place, checkpoint,
-	// vacate, complete) are never downsampled.
-	SyscallTraceEvery uint64
 }
 
 func (c *StarterConfig) sanitize() {
@@ -77,9 +72,6 @@ func (c *StarterConfig) sanitize() {
 	}
 	if c.Policy == 0 {
 		c.Policy = VacateSuspendFirst
-	}
-	if c.SyscallTraceEvery == 0 {
-		c.SyscallTraceEvery = 64
 	}
 }
 
@@ -241,7 +233,6 @@ func (st *Starter) place(ctx context.Context, peer *wire.Peer, req proto.PlaceRe
 		jobID:   req.JobID,
 		timeout: st.cfg.SyscallTimeout,
 		parent:  exec.traceCtx,
-		every:   st.cfg.SyscallTraceEvery,
 	})
 	if err != nil {
 		exec.span.SetError(err)

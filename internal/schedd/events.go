@@ -11,10 +11,12 @@ import (
 	"condor/internal/ru"
 )
 
-// jobEvents routes one job's shadow events back into the station.
+// jobEvents routes one placement's shadow events back into the station.
 type jobEvents struct {
 	station *Station
 	jobID   string
+	// epoch is the job's placement epoch when this placement began.
+	epoch uint64
 }
 
 var _ ru.Events = (*jobEvents)(nil)
@@ -109,14 +111,43 @@ func (e *jobEvents) storeCheckpoint(blob []byte) {
 
 // JobSuspended implements ru.Events.
 func (e *jobEvents) JobSuspended(jobID string) {
-	e.station.setJobState(jobID, proto.JobSuspendedState)
-	e.station.logEvent(eventlog.KindSuspend, jobID, "", "owner returned at exec site")
+	if e.graceNotice(proto.JobSuspendedState) {
+		e.station.logEvent(eventlog.KindSuspend, jobID, "", "owner returned at exec site")
+	}
 }
 
 // JobResumed implements ru.Events.
 func (e *jobEvents) JobResumed(jobID string) {
-	e.station.setJobState(jobID, proto.JobRunning)
-	e.station.logEvent(eventlog.KindResume, jobID, "", "owner left within grace")
+	if e.graceNotice(proto.JobRunning) {
+		e.station.logEvent(eventlog.KindResume, jobID, "", "owner left within grace")
+	}
+}
+
+// graceNotice moves the job to state on a suspended/resumed notice and
+// reports whether it did. The notices are one-way and each runs on its
+// own goroutine, so one can land after the JobVacated, JobDone or
+// JobLost that ended its placement; applied then, a stale "suspended"
+// strands a requeued job outside the idle queue or un-finishes a
+// finished one. A notice counts only while its own placement (epoch)
+// still has the job on the execution machine — placing included, since
+// the executor starts before PlaceNext's tail has run; anything else is
+// dropped and counted.
+func (e *jobEvents) graceNotice(state proto.JobState) bool {
+	st := e.station
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	j, ok := st.jobs[e.jobID]
+	if ok && j.epoch == e.epoch {
+		switch j.status.State {
+		case proto.JobPlacing, proto.JobRunning, proto.JobSuspendedState:
+			j.status.State = state
+			markTransition(state)
+			st.updateQueueGaugesLocked()
+			return true
+		}
+	}
+	mStaleEvents.Inc()
+	return false
 }
 
 // JobLost implements ru.Events: the execution site died without shipping

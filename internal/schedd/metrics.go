@@ -19,6 +19,8 @@ var (
 	mTransitions = telemetry.NewCounterVec("condor_schedd_job_transitions_total",
 		"Job state transitions, labeled by the state entered.",
 		"state")
+	mStaleEvents = telemetry.NewCounter("condor_schedd_stale_job_events_total",
+		"Suspended/resumed notices dropped because their placement no longer holds the job.")
 
 	mTransitionByState = map[proto.JobState]*telemetry.Counter{
 		proto.JobIdle:           mTransitions.With(proto.JobIdle.String()),

@@ -120,6 +120,10 @@ type job struct {
 	meter *accounting.Meter
 	// seq is the checkpoint sequence counter.
 	seq uint64
+	// epoch counts the job's placements; each placement's jobEvents
+	// carries the value it started under, which is how a notice from an
+	// earlier placement is told from a current one.
+	epoch uint64
 	// traceCtx is the job's trace anchor: the submit span's context (or
 	// the recover span's after a restart). Every later span of this job
 	// — place, exec, syscalls, vacate, complete — descends from it, and
@@ -679,6 +683,8 @@ func (st *Station) PlaceNext(execName, execAddr string) (string, error) {
 	host := j.host
 	jobTrace := j.traceCtx
 	j.status.State = proto.JobPlacing
+	j.epoch++
+	epoch := j.epoch
 	st.updateQueueGaugesLocked()
 	st.mu.Unlock()
 	markTransition(proto.JobPlacing)
@@ -712,7 +718,7 @@ func (st *Station) PlaceNext(execName, execAddr string) (string, error) {
 		Owner:      owner,
 		HomeHost:   st.cfg.Name,
 		Checkpoint: blob,
-	}, host, &jobEvents{station: st, jobID: jobID}, ru.PlaceConfig{
+	}, host, &jobEvents{station: st, jobID: jobID, epoch: epoch}, ru.PlaceConfig{
 		DialTimeout: st.cfg.DialTimeout,
 		// Retry only the TCP connect under the default policy; the
 		// handshake itself runs at most once (see ru.PlaceConfig).

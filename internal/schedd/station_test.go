@@ -641,3 +641,90 @@ func TestPlaceNextKeepsFastJobTerminal(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestStaleGraceNoticeDropped delivers a placement's suspended/resumed
+// notices after that placement has ended — the order their one-way,
+// goroutine-per-message delivery allows — and requires that they change
+// nothing: the requeued job stays idle and placeable, the re-placed job
+// is not suspended by its predecessor's notice, and the finished job
+// stays finished. A notice from the placement that holds the job still
+// applies.
+func TestStaleGraceNoticeDropped(t *testing.T) {
+	home := newStation(t, "home", nil, nil)
+	execMon := machine.NewScriptedMonitor(false)
+	slow, err := New(Config{
+		Name:    "slow",
+		Monitor: execMon,
+		Starter: ru.StarterConfig{
+			ScanInterval:  2 * time.Millisecond,
+			SuspendGrace:  5 * time.Millisecond,
+			StepsPerSlice: 2_000,
+			SliceDelay:    time.Millisecond,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(slow.Close)
+	jobID, err := home.Submit("alice", cvm.SumProgram(3_000_000), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := func() proto.JobState {
+		t.Helper()
+		s, err := home.Job(jobID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.State
+	}
+	if _, err := home.PlaceNext("slow", slow.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	first := &jobEvents{station: home, jobID: jobID, epoch: 1}
+	first.JobSuspended(jobID)
+	if got := state(); got != proto.JobSuspendedState {
+		t.Fatalf("live suspended notice: state = %v, want suspended", got)
+	}
+	first.JobResumed(jobID)
+	if got := state(); got != proto.JobRunning {
+		t.Fatalf("live resumed notice: state = %v, want running", got)
+	}
+
+	// The owner returns for good: the job is vacated and requeued.
+	execMon.SetActive(true)
+	for deadline := time.Now().Add(5 * time.Second); state() != proto.JobIdle; {
+		if time.Now().After(deadline) {
+			t.Fatalf("job never requeued; state = %v", state())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	dropped := mStaleEvents.Value()
+	first.JobSuspended(jobID)
+	if got := state(); got != proto.JobIdle {
+		t.Fatalf("stale suspended after requeue: state = %v, want idle", got)
+	}
+
+	fast := newStation(t, "fast", nil, nil)
+	if _, err := home.PlaceNext("fast", fast.Addr()); err != nil {
+		t.Fatalf("requeued job not placeable: %v", err)
+	}
+	first.JobSuspended(jobID)
+	if got := state(); got == proto.JobSuspendedState {
+		t.Fatal("first placement's notice suspended the second placement's job")
+	}
+	final, err := home.Wait(jobID, 20*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != proto.JobCompleted {
+		t.Fatalf("final = %+v", final)
+	}
+	(&jobEvents{station: home, jobID: jobID, epoch: 2}).JobResumed(jobID)
+	if got := state(); got != proto.JobCompleted {
+		t.Fatalf("notice after completion: state = %v, want completed", got)
+	}
+	if got := mStaleEvents.Value() - dropped; got != 3 {
+		t.Fatalf("stale notices counted = %d, want 3", got)
+	}
+}

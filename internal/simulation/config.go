@@ -12,12 +12,8 @@ package simulation
 import (
 	"time"
 
-	"condor/internal/avail"
-	"condor/internal/cost"
 	"condor/internal/decision"
 	"condor/internal/policy"
-	"condor/internal/updown"
-	"condor/internal/workload"
 )
 
 // VacatePolicy mirrors ru.VacatePolicy for the simulator.
@@ -33,13 +29,20 @@ const (
 	VacateKillImmediately
 )
 
+// The paper's operating point, fixed: no run has used other values.
+const (
+	pollInterval = 2 * time.Minute // the coordinator cycle (§2.1)
+	suspendGrace = 5 * time.Minute // the §4 grace period
+)
+
+// windowStart is where every observation window begins: Monday
+// 1987-11-02, the month before the TR was published.
+var windowStart = time.Date(1987, time.November, 2, 0, 0, 0, 0, time.UTC)
+
 // Config parameterizes a simulation run.
 type Config struct {
 	// Machines is the pool size (paper: 23).
 	Machines int
-	// Start is the beginning of the observation window (default: Monday
-	// 1987-11-02, the month before the TR was published).
-	Start time.Time
 	// Days is the window length (paper: one month = 30 days).
 	Days int
 	// DrainDays allows jobs still in the system at window end to finish
@@ -48,10 +51,6 @@ type Config struct {
 	// Seed makes the run reproducible.
 	Seed int64
 
-	// PollInterval is the coordinator cycle (paper: 2 minutes).
-	PollInterval time.Duration
-	// SuspendGrace is the §4 grace period (paper: 5 minutes).
-	SuspendGrace time.Duration
 	// Vacate selects the owner-return policy.
 	Vacate VacatePolicy
 	// PeriodicCheckpoint, when positive, checkpoints running jobs at this
@@ -64,17 +63,6 @@ type Config struct {
 	// the registered policy ("" = updown), so any policy in the registry
 	// gets a month-scale A/B run.
 	Policy policy.Config
-	// UpDown configures fairness, likewise as written (see updown.Config).
-	UpDown updown.Config
-
-	// Cost is the §3.1 cost model; zero value = cost.Paper().
-	Cost cost.Model
-
-	// Workload overrides the job population; zero value = Table 1.
-	Workload workload.Config
-
-	// Classes overrides the machine availability classes.
-	Classes []avail.Class
 
 	// Audit, when non-nil, receives a decision audit for every poll
 	// cycle (internal/decision), exactly as the live coordinator records
@@ -96,17 +84,12 @@ type Config struct {
 // DefaultConfig returns the paper's operating point.
 func DefaultConfig() Config {
 	return Config{
-		Machines:     23,
-		Start:        time.Date(1987, time.November, 2, 0, 0, 0, 0, time.UTC),
-		Days:         30,
-		DrainDays:    10,
-		Seed:         1987,
-		PollInterval: 2 * time.Minute,
-		SuspendGrace: 5 * time.Minute,
-		Vacate:       VacateSuspendFirst,
-		Policy:       policy.DefaultConfig(),
-		UpDown:       updown.DefaultConfig(),
-		Cost:         cost.Paper(),
+		Machines:  23,
+		Days:      30,
+		DrainDays: 10,
+		Seed:      1987,
+		Vacate:    VacateSuspendFirst,
+		Policy:    policy.DefaultConfig(),
 	}
 }
 
@@ -114,34 +97,16 @@ func (c *Config) sanitize() {
 	if c.Machines <= 0 {
 		c.Machines = 23
 	}
-	if c.Start.IsZero() {
-		c.Start = time.Date(1987, time.November, 2, 0, 0, 0, 0, time.UTC)
-	}
 	if c.Days <= 0 {
 		c.Days = 30
 	}
 	if c.DrainDays < 0 {
 		c.DrainDays = 0
 	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 2 * time.Minute
-	}
-	if c.SuspendGrace <= 0 {
-		c.SuspendGrace = 5 * time.Minute
-	}
 	if c.Vacate == 0 {
 		c.Vacate = VacateSuspendFirst
 	}
-	if c.Cost.PlacePerMB == 0 {
-		c.Cost = cost.Paper()
-	}
 	if c.CrashMTBF > 0 && c.CrashRepair <= 0 {
 		c.CrashRepair = time.Hour
-	}
-	if c.Workload.Start.IsZero() {
-		c.Workload.Start = c.Start
-	}
-	if c.Workload.End.IsZero() {
-		c.Workload.End = c.Start.Add(time.Duration(c.Days) * 24 * time.Hour)
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"condor/internal/cost"
-	"condor/internal/metrics"
+	"condor/internal/figures"
 )
 
 // MachineRow profiles one workstation's month — the per-machine view of
@@ -50,25 +50,25 @@ type Report struct {
 	Machines []MachineRow
 
 	// Figure 2: service-demand distribution.
-	Demands metrics.Histogram
+	Demands figures.Histogram
 
 	// Figures 3 and 7: hourly queue lengths.
-	TotalQueue *metrics.HourlySeries
-	LightQueue *metrics.HourlySeries
+	TotalQueue *figures.HourlySeries
+	LightQueue *figures.HourlySeries
 
 	// Figures 5 and 6: hourly utilizations (fractions of the pool).
-	LocalUtil  *metrics.HourlySeries
-	SystemUtil *metrics.HourlySeries
+	LocalUtil  *figures.HourlySeries
+	SystemUtil *figures.HourlySeries
 
 	// Figure 4: mean wait ratio vs service demand.
-	WaitAll   *metrics.Bins
-	WaitLight *metrics.Bins
+	WaitAll   *figures.Bins
+	WaitLight *figures.Bins
 
 	// Figure 8: checkpoints per remote-CPU-hour vs service demand.
-	CkptRate *metrics.Bins
+	CkptRate *figures.Bins
 
 	// Figure 9: leverage vs service demand.
-	LeverageBins *metrics.Bins
+	LeverageBins *figures.Bins
 
 	// §3 scalars.
 	TotalMachineHours  float64
@@ -97,8 +97,6 @@ type Report struct {
 	// placement or checkpoint under the cost model.
 	MeanMoveCostSeconds float64
 
-	costModel cost.Model
-
 	// run accumulators (filled during simulation).
 	preempts         int
 	vacates          int
@@ -110,20 +108,23 @@ type Report struct {
 	transferBytes    int64
 }
 
-func newReport(cfg Config, start, end time.Time) *Report {
+// costModel prices placements, checkpoints and system calls for the
+// leverage figures: the paper's §3.1 measurements.
+var costModel = cost.Paper()
+
+func newReport(start, end time.Time) *Report {
 	hours := int(end.Sub(start) / time.Hour)
 	return &Report{
 		Start:        start,
 		End:          end,
-		TotalQueue:   metrics.NewHourlySeries(start, hours, time.Hour),
-		LightQueue:   metrics.NewHourlySeries(start, hours, time.Hour),
-		LocalUtil:    metrics.NewHourlySeries(start, hours, time.Hour),
-		SystemUtil:   metrics.NewHourlySeries(start, hours, time.Hour),
-		WaitAll:      metrics.DemandBins(),
-		WaitLight:    metrics.DemandBins(),
-		CkptRate:     metrics.DemandBins(),
-		LeverageBins: metrics.DemandBins(),
-		costModel:    cfg.Cost,
+		TotalQueue:   figures.NewHourlySeries(start, hours, time.Hour),
+		LightQueue:   figures.NewHourlySeries(start, hours, time.Hour),
+		LocalUtil:    figures.NewHourlySeries(start, hours, time.Hour),
+		SystemUtil:   figures.NewHourlySeries(start, hours, time.Hour),
+		WaitAll:      figures.DemandBins(),
+		WaitLight:    figures.DemandBins(),
+		CkptRate:     figures.DemandBins(),
+		LeverageBins: figures.DemandBins(),
 	}
 }
 
@@ -150,7 +151,7 @@ func (r *Report) collect(s *simulator) {
 	r.PeakStationBurst = r.peakStationBurst
 
 	// Machine-side accounting.
-	window := s.end.Sub(s.cfg.Start)
+	window := s.end.Sub(windowStart)
 	r.TotalMachineHours = window.Hours() * float64(len(s.machines))
 	var ownerHours, downHours float64
 	for _, m := range s.machines {
@@ -242,7 +243,7 @@ func (r *Report) collect(s *simulator) {
 		}
 
 		// Figure 9: leverage.
-		support := r.costModel.LocalSupport(cost.JobSupport{
+		support := costModel.LocalSupport(cost.JobSupport{
 			Placements:    j.placements,
 			Checkpoints:   j.checkpoints,
 			TransferBytes: j.transferBytes,
@@ -274,7 +275,7 @@ func (r *Report) collect(s *simulator) {
 	if r.transferMoves > 0 {
 		meanBytes := r.transferBytes / int64(r.transferMoves)
 		r.MeanCheckpointMB = float64(meanBytes) / (1 << 20)
-		r.MeanMoveCostSeconds = r.costModel.TransferCost(meanBytes).Seconds()
+		r.MeanMoveCostSeconds = costModel.TransferCost(meanBytes).Seconds()
 	}
 
 	var totalDemand float64
@@ -329,7 +330,7 @@ func (r *Report) Table1() string {
 		fmt.Sprintf("%.1f", demand/float64(jobs)),
 		fmt.Sprintf("%.0f", demand), "100",
 	})
-	return "Table 1: Profile of User Service Requests\n" + metrics.Table(
+	return "Table 1: Profile of User Service Requests\n" + figures.Table(
 		[]string{"User", "Jobs", "%Jobs", "AvgDemand(h)", "Total(h)", "%Demand"}, rows)
 }
 
@@ -347,15 +348,15 @@ func (r *Report) Figure2() string {
 	summary := fmt.Sprintf("mean %.1fh, median %.1fh, %d jobs\n",
 		r.Demands.Mean(), r.Demands.Median(), r.Demands.N())
 	return "Figure 2: Profile of Service Demand (CDF)\n" + summary +
-		metrics.Table([]string{"Demand", "CumFreq"}, rows)
+		figures.Table([]string{"Demand", "CumFreq"}, rows)
 }
 
 // Figure3 renders the month-long hourly queue lengths.
 func (r *Report) Figure3() string {
 	var b strings.Builder
 	b.WriteString("Figure 3: Queue Length (hourly, month)\n")
-	b.WriteString(metrics.Chart("total queue", r.TotalQueue.Values(), 72, 10))
-	b.WriteString(metrics.Chart("light users' queue", r.LightQueue.Values(), 72, 10))
+	b.WriteString(figures.Chart("total queue", r.TotalQueue.Values(), 72, 10))
+	b.WriteString(figures.Chart("light users' queue", r.LightQueue.Values(), 72, 10))
 	fmt.Fprintf(&b, "total mean %.1f, light mean %.1f\n",
 		r.TotalQueue.Mean(), r.LightQueue.Mean())
 	return b.String()
@@ -378,15 +379,15 @@ func (r *Report) Figure4() string {
 	summary := fmt.Sprintf("mean wait ratio: all %.2f, light users %.2f\n",
 		r.MeanWaitRatioAll, r.MeanWaitRatioLight)
 	return "Figure 4: Average Wait Ratio vs Service Demand\n" + summary +
-		metrics.Table([]string{"Demand", "All", "Light", "Jobs"}, rows)
+		figures.Table([]string{"Demand", "All", "Light", "Jobs"}, rows)
 }
 
 // Figure5 renders the month-long utilization series.
 func (r *Report) Figure5() string {
 	var b strings.Builder
 	b.WriteString("Figure 5: Utilization of Remote Resources (month)\n")
-	b.WriteString(metrics.Chart("system utilization", r.SystemUtil.Values(), 72, 10))
-	b.WriteString(metrics.Chart("local utilization", r.LocalUtil.Values(), 72, 10))
+	b.WriteString(figures.Chart("system utilization", r.SystemUtil.Values(), 72, 10))
+	b.WriteString(figures.Chart("local utilization", r.LocalUtil.Values(), 72, 10))
 	fmt.Fprintf(&b, "available %.0f h of %.0f machine-hours (%.0f%%); consumed by Condor %.0f h\n",
 		r.AvailableHours, r.TotalMachineHours,
 		100*r.AvailableHours/r.TotalMachineHours, r.ConsumedHours)
@@ -409,8 +410,8 @@ func (r *Report) Figure6() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 6: Utilization for One Week (%s – %s)\n",
 		from.Format("Mon Jan 2"), to.Format("Mon Jan 2"))
-	b.WriteString(metrics.Chart("system utilization", r.SystemUtil.Slice(from, to), 72, 10))
-	b.WriteString(metrics.Chart("local utilization", r.LocalUtil.Slice(from, to), 72, 10))
+	b.WriteString(figures.Chart("system utilization", r.SystemUtil.Slice(from, to), 72, 10))
+	b.WriteString(figures.Chart("local utilization", r.LocalUtil.Slice(from, to), 72, 10))
 	return b.String()
 }
 
@@ -420,8 +421,8 @@ func (r *Report) Figure7() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 7: Queue Lengths for One Week (%s – %s)\n",
 		from.Format("Mon Jan 2"), to.Format("Mon Jan 2"))
-	b.WriteString(metrics.Chart("total queue", r.TotalQueue.Slice(from, to), 72, 10))
-	b.WriteString(metrics.Chart("light users' queue", r.LightQueue.Slice(from, to), 72, 10))
+	b.WriteString(figures.Chart("total queue", r.TotalQueue.Slice(from, to), 72, 10))
+	b.WriteString(figures.Chart("light users' queue", r.LightQueue.Slice(from, to), 72, 10))
 	return b.String()
 }
 
@@ -444,7 +445,7 @@ func (r *Report) Figure8() string {
 		r.MeanCkptsPerJob, r.Vacates, r.Preempts,
 		r.MeanCheckpointMB, r.MeanMoveCostSeconds)
 	return "Figure 8: Rate of Checkpointing (moves per CPU-hour of demand)\n" + summary +
-		metrics.Table([]string{"Demand", "Ckpts/h", "Jobs"}, rows)
+		figures.Table([]string{"Demand", "Ckpts/h", "Jobs"}, rows)
 }
 
 // Figure9 renders leverage vs service demand.
@@ -463,7 +464,7 @@ func (r *Report) Figure9() string {
 	summary := fmt.Sprintf("overall leverage %.0f (1 min local buys %.1f h remote); short jobs (<2h) %.0f\n",
 		r.OverallLeverage, r.OverallLeverage/60, r.ShortJobLeverage)
 	return "Figure 9: Remote Execution Leverage vs Service Demand\n" + summary +
-		metrics.Table([]string{"Demand", "Leverage", "Jobs"}, rows)
+		figures.Table([]string{"Demand", "Leverage", "Jobs"}, rows)
 }
 
 // MachineProfile renders the per-machine availability table.
@@ -479,7 +480,7 @@ func (r *Report) MachineProfile() string {
 			fmt.Sprintf("%.1f", m.AvgIdleHours),
 		})
 	}
-	return "Machine availability profile (per ref [1])\n" + metrics.Table(
+	return "Machine availability profile (per ref [1])\n" + figures.Table(
 		[]string{"Machine", "Class", "Owner%", "Condor%", "Unused%", "IdleIntervals", "AvgIdle(h)"},
 		rows)
 }

@@ -118,7 +118,7 @@ func Run(cfg Config) *Report {
 }
 
 func newSimulator(cfg Config) *simulator {
-	start := cfg.Start
+	start := windowStart
 	end := start.Add(time.Duration(cfg.Days) * 24 * time.Hour)
 	s := &simulator{
 		cfg:     cfg,
@@ -127,7 +127,7 @@ func newSimulator(cfg Config) *simulator {
 		hardEnd: end.Add(time.Duration(cfg.DrainDays) * 24 * time.Hour),
 		byHome:  make(map[string]*user),
 		byName:  make(map[string]*simMachine),
-		table:   updown.NewTable(cfg.UpDown),
+		table:   updown.NewTable(updown.DefaultConfig()),
 	}
 	pol, err := policy.New(cfg.Policy.Name)
 	if err != nil {
@@ -135,7 +135,7 @@ func newSimulator(cfg Config) *simulator {
 	}
 	s.pol = pol
 	fifo, _ := pol.Ranker.(*policy.FIFORanker)
-	s.rep = newReport(cfg, start, end)
+	s.rep = newReport(start, end)
 
 	rng := sim.NewRNG(cfg.Seed)
 	availRNG := rng.Derive()
@@ -143,7 +143,7 @@ func newSimulator(cfg Config) *simulator {
 
 	for i := 0; i < cfg.Machines; i++ {
 		name := fmt.Sprintf("ws%02d", i)
-		class := avail.ClassFor(cfg.Classes, i, cfg.Machines)
+		class := avail.ClassFor(i, cfg.Machines)
 		m := &simMachine{
 			name:       name,
 			class:      class,
@@ -161,7 +161,7 @@ func newSimulator(cfg Config) *simulator {
 		}
 	}
 
-	wl := workload.Generate(cfg.Workload, wlRNG)
+	wl := workload.Generate(workload.Config{Start: start, End: end}, wlRNG)
 	for i, p := range wl.Profiles {
 		u := &user{
 			profile: p,
@@ -213,14 +213,11 @@ func (s *simulator) install() {
 			s.engine.After(d, func(now time.Time) { s.crash(m, r, now) })
 		}
 	}
-	ticker, err := s.engine.Every(s.cfg.PollInterval, s.pollCycle)
-	_ = ticker
-	if err != nil {
-		panic(err) // interval is sanitized positive
+	// Both intervals are positive constants, so Every cannot fail.
+	if _, err := s.engine.Every(pollInterval, s.pollCycle); err != nil {
+		panic(err)
 	}
-	sampler, err := s.engine.Every(time.Hour, s.sampleHour)
-	_ = sampler
-	if err != nil {
+	if _, err := s.engine.Every(time.Hour, s.sampleHour); err != nil {
 		panic(err)
 	}
 }
@@ -280,7 +277,7 @@ func (s *simulator) ownerFlip(m *simMachine, now time.Time) {
 		default:
 			s.suspend(m.foreign, now)
 			job := m.foreign
-			m.graceTimer = s.engine.After(s.cfg.SuspendGrace, func(t time.Time) {
+			m.graceTimer = s.engine.After(suspendGrace, func(t time.Time) {
 				if m.foreign == job && job.state == jobSuspended {
 					s.vacate(job, t, "grace expired")
 				}
@@ -469,7 +466,8 @@ func (s *simulator) complete(j *simJob, now time.Time) {
 }
 
 // pollCycle is the coordinator's 2-minute cycle: feedback submissions,
-// Up-Down accounting, policy decision, grants and preemptions.
+// the policy round (Up-Down accounting and decision), grants and
+// preemptions.
 func (s *simulator) pollCycle(now time.Time) {
 	// Closed-loop submissions stop at the window end.
 	if now.Before(s.end) {
@@ -522,15 +520,12 @@ func (s *simulator) pollCycle(now time.Time) {
 		}
 		views = append(views, v)
 	}
-	for _, v := range views {
-		s.table.Update(v.Name, v.HeldMachines, v.WaitingJobs > 0)
-	}
 	s.cycles++
 	var aud *decision.Builder
 	if s.cfg.Audit != nil {
 		aud = decision.NewBuilder(s.cycles, now)
 	}
-	dec := s.pol.DecideAudited(views, s.table, s.cfg.Policy, aud)
+	dec := s.pol.Round(views, s.table, s.cfg.Policy, false, aud)
 	perStation := make(map[string]int, 4)
 	for _, g := range dec.Grants {
 		u, ok := s.byHome[g.Requester]

@@ -9,6 +9,28 @@ import (
 	"testing"
 )
 
+// hostileLabelValues: backslash, quote, newline, and the combination an
+// attacker would pick to break a line-oriented parser. Shared with
+// FuzzParseText's seeds.
+var hostileLabelValues = []string{
+	`plain`,
+	`back\slash`,
+	`quo"te`,
+	"new\nline",
+	`all\"of` + "\nthem",
+}
+
+// garbagePages are malformed pages the parser must reject. Shared with
+// FuzzParseText's seeds.
+var garbagePages = []string{
+	"no_value_here\n",
+	"1leading_digit 3\n",
+	`m{l="unterminated} 1` + "\n",
+	`m{l="x"} notanumber` + "\n",
+	`m{l="bad\escape"} 1` + "\n",
+	"# TYPE m wat\n",
+}
+
 // TestExpositionConformance round-trips our own /metrics output through
 // the format parser: every family we emit must come back with the right
 // type, every hostile label value must survive escaping, and the
@@ -20,17 +42,8 @@ func TestExpositionConformance(t *testing.T) {
 	c := reg.Counter("conf_requests_total", "Requests with a \\ backslash and\na newline in HELP.")
 	c.Add(42)
 
-	// Hostile label values: backslash, quote, newline, and the
-	// combination an attacker would pick to break a line-oriented
-	// parser.
 	vec := reg.CounterVec("conf_labeled_total", "Labeled series.", "path")
-	hostile := []string{
-		`plain`,
-		`back\slash`,
-		`quo"te`,
-		"new\nline",
-		`all\"of` + "\nthem",
-	}
+	hostile := hostileLabelValues
 	for i, v := range hostile {
 		vec.With(v).Add(uint64(i + 1))
 	}
@@ -136,14 +149,7 @@ func TestExemplarCommentsAreSkipped(t *testing.T) {
 // TestParseRejectsGarbage: the parser must fail loudly on malformed
 // pages, not quietly mis-ingest them.
 func TestParseRejectsGarbage(t *testing.T) {
-	for _, bad := range []string{
-		"no_value_here\n",
-		"1leading_digit 3\n",
-		`m{l="unterminated} 1` + "\n",
-		`m{l="x"} notanumber` + "\n",
-		`m{l="bad\escape"} 1` + "\n",
-		"# TYPE m wat\n",
-	} {
+	for _, bad := range garbagePages {
 		if _, err := ParseTextString(bad); err == nil {
 			t.Errorf("ParseTextString(%q) accepted garbage", bad)
 		}

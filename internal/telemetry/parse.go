@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -13,7 +12,7 @@ import (
 // A Prometheus text-format parser. Two consumers: the exposition
 // conformance test parses our own /metrics output back (what we emit
 // must be machine-readable by the contract we claim), and the
-// aggregation layer (condor-web, condor-status -watch) scrapes other
+// aggregation layer (condor-web, condor-status -metrics) scrapes other
 // daemons' pages without guessing at line shapes. It understands
 // exactly the subset the format defines: HELP/TYPE comments, samples
 // with optional label sets, and the escape sequences for label values
@@ -35,6 +34,10 @@ type Sample struct {
 
 // Label is one decoded label pair.
 type Label struct{ Name, Value string }
+
+// String renders the pair as the text format spells it: name="value",
+// the value escaped.
+func (l Label) String() string { return l.Name + `="` + escapeLabel(l.Value) + `"` }
 
 // Get returns the value of the named label ("" when absent).
 func (s Sample) Get(name string) string {
@@ -326,19 +329,4 @@ func validLabelName(s string) bool {
 		}
 	}
 	return true
-}
-
-// SortedSampleNames lists a family's distinct sample names (debugging
-// aid for conformance failures).
-func (f *ParsedFamily) SortedSampleNames() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, s := range f.Samples {
-		if !seen[s.Name] {
-			seen[s.Name] = true
-			out = append(out, s.Name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

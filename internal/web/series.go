@@ -29,9 +29,6 @@ type Ring struct {
 
 // NewRing returns a ring keeping the most recent capacity points.
 func NewRing(capacity int) *Ring {
-	if capacity <= 0 {
-		capacity = DefaultSeriesCapacity
-	}
 	return &Ring{buf: make([]Point, capacity)}
 }
 
@@ -74,9 +71,6 @@ type SeriesSet struct {
 
 // NewSeriesSet creates an empty set whose rings hold capacity points.
 func NewSeriesSet(capacity int) *SeriesSet {
-	if capacity <= 0 {
-		capacity = DefaultSeriesCapacity
-	}
 	return &SeriesSet{m: make(map[string]*Ring), cap: capacity}
 }
 

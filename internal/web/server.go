@@ -34,7 +34,6 @@ type Server struct {
 	client *Client
 	alerts *Alerts
 	series *SeriesSet
-	bus    *telemetry.Bus
 	mux    *http.ServeMux
 
 	mu         sync.RWMutex
@@ -77,16 +76,10 @@ type Config struct {
 	// whose /healthz states appear on the dashboard. Typically the
 	// coordinator's -http address.
 	Scrapes []string
-	// SeriesCapacity is the per-chart ring length (default
-	// DefaultSeriesCapacity).
-	SeriesCapacity int
-	// Bus carries live events to SSE clients; alert transitions are
-	// published onto it too (default telemetry.Events, the process bus —
-	// in-process pools stream their own events through it for free).
-	Bus *telemetry.Bus
-	// HistoryLimit caps /api/events responses (default 200).
-	HistoryLimit int
 }
+
+// historyLimit caps /api/events responses and a station's event trail.
+const historyLimit = 200
 
 // Overview is the aggregated pool snapshot served on /api/overview.
 type Overview struct {
@@ -176,12 +169,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.CycleInterval <= 0 {
 		cfg.CycleInterval = 2 * time.Minute
 	}
-	if cfg.Bus == nil {
-		cfg.Bus = telemetry.Events
-	}
-	if cfg.HistoryLimit <= 0 {
-		cfg.HistoryLimit = 200
-	}
 	if cfg.Rules == nil {
 		rules, err := ParseRules(DefaultRules)
 		if err != nil {
@@ -195,12 +182,13 @@ func NewServer(cfg Config) (*Server, error) {
 	if err := ValidateRuleFields(cfg.Rules); err != nil {
 		return nil, err
 	}
+	// Alert transitions ride the process bus that /events streams:
+	// in-process pools publish their own events onto it for free.
 	s := &Server{
 		cfg:        cfg,
 		client:     NewClient(cfg.CoordinatorAddr),
-		alerts:     NewAlerts(cfg.Rules, cfg.Bus),
-		series:     NewSeriesSet(cfg.SeriesCapacity),
-		bus:        cfg.Bus,
+		alerts:     NewAlerts(cfg.Rules, telemetry.Events),
+		series:     NewSeriesSet(DefaultSeriesCapacity),
 		lastFields: map[string]float64{},
 		lastDecide: map[string]decideTotals{},
 		done:       make(chan struct{}),
@@ -217,7 +205,7 @@ func (s *Server) buildMux() *http.ServeMux {
 		panic(err) // embed layout is fixed at build time
 	}
 	mux.Handle("/", http.FileServer(http.FS(page)))
-	mux.Handle("/events", telemetry.SSEHandler(s.bus, 0))
+	mux.Handle("/events", telemetry.SSEHandler(telemetry.Events, 0))
 	mux.HandleFunc("/api/overview", s.handleOverview)
 	mux.HandleFunc("/api/station", s.handleStation)
 	mux.HandleFunc("/api/jobs", s.handleJobs)
@@ -534,15 +522,15 @@ func (s *Server) handleStation(w http.ResponseWriter, r *http.Request) {
 				detail.Events = append(detail.Events, e)
 			}
 		}
-		if n := len(detail.Events); n > s.cfg.HistoryLimit {
-			detail.Events = detail.Events[n-s.cfg.HistoryLimit:]
+		if n := len(detail.Events); n > historyLimit {
+			detail.Events = detail.Events[n-historyLimit:]
 		}
 	}
 	writeJSON(w, detail)
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	limit := s.cfg.HistoryLimit
+	limit := historyLimit
 	if v := r.URL.Query().Get("limit"); v != "" {
 		if n, err := strconv.Atoi(v); err == nil && n > 0 {
 			limit = n

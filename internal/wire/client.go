@@ -88,14 +88,12 @@ type DialOptions struct {
 	// FrameTimeout bounds completing a frame read once its first byte has
 	// arrived (0 = unbounded). Idle waits are never timed out.
 	FrameTimeout time.Duration
-	// Heartbeat enables liveness probing (zero interval disables).
-	Heartbeat Heartbeat
 	// Handler serves the remote side's requests (nil = pure client).
 	Handler Handler
 }
 
-// DialOpts connects to addr with per-frame deadlines and an optional
-// heartbeat already armed on the returned peer.
+// DialOpts connects to addr with per-frame deadlines armed on the
+// returned peer.
 func DialOpts(addr string, opts DialOptions) (*Peer, error) {
 	if opts.Timeout <= 0 {
 		opts.Timeout = 5 * time.Second
@@ -106,9 +104,7 @@ func DialOpts(addr string, opts DialOptions) (*Peer, error) {
 	}
 	conn := NewConn(raw)
 	conn.SetFrameTimeouts(opts.WriteTimeout, opts.FrameTimeout)
-	p := NewPeer(conn, opts.Handler)
-	p.StartHeartbeat(opts.Heartbeat)
-	return p, nil
+	return NewPeer(conn, opts.Handler), nil
 }
 
 // Close tears down the connection and fails all pending calls.

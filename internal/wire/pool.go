@@ -23,15 +23,8 @@ type PoolConfig struct {
 	// IdleTimeout evicts connections unused this long (default 5m;
 	// negative disables eviction).
 	IdleTimeout time.Duration
-	// Heartbeat enables liveness probing on pooled connections, so a
-	// half-open peer is detected and redialed between calls (zero
-	// interval disables; the per-frame deadlines still apply).
-	Heartbeat Heartbeat
 	// Retry is the CallRetry policy (zero value = Retry defaults).
 	Retry Retry
-	// Handler serves requests the remote side sends back over pooled
-	// connections (nil = pure client).
-	Handler Handler
 }
 
 func (c *PoolConfig) sanitize() {
@@ -146,8 +139,6 @@ func (p *ClientPool) Get(addr string) (*Peer, error) {
 		Timeout:      p.cfg.DialTimeout,
 		WriteTimeout: p.cfg.WriteTimeout,
 		FrameTimeout: p.cfg.FrameTimeout,
-		Heartbeat:    p.cfg.Heartbeat,
-		Handler:      p.cfg.Handler,
 	})
 	if err != nil {
 		return nil, err

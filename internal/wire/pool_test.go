@@ -120,6 +120,11 @@ func TestPoolCallRetryRidesOutTransientDialFailure(t *testing.T) {
 	started := make(chan *Server, 1)
 	go func() {
 		deadline := time.Now().Add(5 * time.Second)
+		// Bind only once a refused attempt has been retried: a server
+		// that wins the race to the first dial leaves nothing to ride out.
+		for p.Stats().Retries == 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
 		for {
 			srv, err := NewServer(addr, func(pe *Peer) Handler {
 				return func(_ context.Context, msg any) (any, error) { return pong{N: msg.(ping).N + 1}, nil }

@@ -88,29 +88,22 @@ type Config struct {
 	// Start and End bound the observation window.
 	Start time.Time
 	End   time.Time
-	// Profiles is the user population (default Table1Profiles).
-	Profiles []UserProfile
-	// MeanCheckpointBytes is the mean checkpoint file size (paper: ½ MB).
-	MeanCheckpointBytes int64
-	// MeanSyscallRate is the mean remote-syscall rate per second of
-	// remote CPU. Calibrated so the overall leverage lands near the
-	// paper's ≈1300: at 10 ms per call, leverage 1300 needs roughly
-	// (3600/1300 - transfer) ≈ 0.2–2.5 s of syscall cost per CPU-hour.
-	MeanSyscallRate float64
 }
 
+const (
+	// meanCheckpointBytes is the mean checkpoint file size (paper: ½ MB).
+	meanCheckpointBytes = 512 * 1024
+	// meanSyscallRate is the mean remote-syscall rate per second of
+	// remote CPU (≈43 calls per CPU-hour). Calibrated so the overall
+	// leverage lands near the paper's ≈1300: at 10 ms per call, leverage
+	// 1300 needs roughly (3600/1300 - transfer) ≈ 0.2–2.5 s of syscall
+	// cost per CPU-hour.
+	meanSyscallRate = 0.012
+)
+
 func (c *Config) sanitize() {
-	if c.Profiles == nil {
-		c.Profiles = Table1Profiles()
-	}
 	if c.End.IsZero() {
 		c.End = c.Start.Add(30 * 24 * time.Hour)
-	}
-	if c.MeanCheckpointBytes <= 0 {
-		c.MeanCheckpointBytes = 512 * 1024
-	}
-	if c.MeanSyscallRate <= 0 {
-		c.MeanSyscallRate = 0.012 // ≈43 calls per CPU-hour
 	}
 }
 
@@ -127,7 +120,7 @@ type Workload struct {
 // Generate rolls a workload from the config and seed stream.
 func Generate(cfg Config, rng *sim.RNG) *Workload {
 	cfg.sanitize()
-	w := &Workload{Profiles: cfg.Profiles}
+	w := &Workload{Profiles: Table1Profiles()}
 	span := cfg.End.Sub(cfg.Start)
 	jobNum := 0
 	newJob := func(p UserProfile, submit time.Time) Job {
@@ -137,11 +130,11 @@ func Generate(cfg Config, rng *sim.RNG) *Workload {
 		if demand < time.Minute {
 			demand = time.Minute
 		}
-		ckpt := int64(rng.LogNormal(float64(cfg.MeanCheckpointBytes), 0.6))
+		ckpt := int64(rng.LogNormal(meanCheckpointBytes, 0.6))
 		if ckpt < 16*1024 {
 			ckpt = 16 * 1024
 		}
-		rate := rng.LogNormal(cfg.MeanSyscallRate, 1.0)
+		rate := rng.LogNormal(meanSyscallRate, 1.0)
 		return Job{
 			ID:              fmt.Sprintf("%s-%04d", p.User(), jobNum),
 			User:            p.Name,
@@ -151,7 +144,7 @@ func Generate(cfg Config, rng *sim.RNG) *Workload {
 			SyscallRate:     rate,
 		}
 	}
-	for _, p := range cfg.Profiles {
+	for _, p := range w.Profiles {
 		if p.Feedback {
 			fs := &FeedbackStream{
 				user:      p.Name,
