@@ -8,11 +8,12 @@ GO ?= go
 # accounting hot paths (the per-syscall meter must stay 0 allocs/op,
 # and so must an event-bus publish with no subscribers), wire round
 # trips, the forwarded-syscall round trip through the full RU path (root
-# package), checkpoint encode+decode per MB and guest instruction
-# throughput (root package too), journal appends, coordinator cycles,
+# package), checkpoint encode+decode per MB and of one small compressed
+# image (its fixed cost: a per-call deflate writer fails here as allocs
+# growth) and guest instruction throughput (root package too), journal appends, coordinator cycles,
 # tracing, and the decision audit ring (record is lock-free and the
 # nil-builder path 0 allocs/op).
-BASELINE_BENCH = 'BenchmarkTelemetryObserve$$|BenchmarkTelemetryCounter$$|BenchmarkFrameRoundTrip$$|BenchmarkSyscallRoundTrip$$|BenchmarkCheckpointPerMB$$|BenchmarkVMExecution$$|BenchmarkJournalAppend|BenchmarkCycle100$$|BenchmarkCycle1000$$|BenchmarkPipelineCycle100$$|BenchmarkPipelineCycle1000$$|BenchmarkPipelineCycleAudited1000$$|BenchmarkTraceSpan$$|BenchmarkTraceSampledOut$$|BenchmarkTraceparentParse$$|BenchmarkAccountingSyscall$$|BenchmarkAccountingSyscallParallel$$|BenchmarkLedgerSnapshot$$|BenchmarkHealthObserve$$|BenchmarkBusPublish$$|BenchmarkBusPublishSubscribed$$|BenchmarkDecisionRecord$$|BenchmarkBuilderNil$$'
+BASELINE_BENCH = 'BenchmarkTelemetryObserve$$|BenchmarkTelemetryCounter$$|BenchmarkFrameRoundTrip$$|BenchmarkSyscallRoundTrip$$|BenchmarkCheckpointPerMB$$|BenchmarkCheckpointSmallCompressed$$|BenchmarkVMExecution$$|BenchmarkJournalAppend|BenchmarkCycle100$$|BenchmarkCycle1000$$|BenchmarkPipelineCycle100$$|BenchmarkPipelineCycle1000$$|BenchmarkPipelineCycleAudited1000$$|BenchmarkTraceSpan$$|BenchmarkTraceSampledOut$$|BenchmarkTraceparentParse$$|BenchmarkAccountingSyscall$$|BenchmarkAccountingSyscallParallel$$|BenchmarkLedgerSnapshot$$|BenchmarkHealthObserve$$|BenchmarkBusPublish$$|BenchmarkBusPublishSubscribed$$|BenchmarkDecisionRecord$$|BenchmarkBuilderNil$$'
 BASELINE_PKGS = . ./internal/telemetry/ ./internal/wire/ ./internal/journal/ ./internal/coordinator/ ./internal/trace/ ./internal/accounting/ ./internal/decision/
 
 all: verify
@@ -92,15 +93,20 @@ bench-drift:
 		| $(GO) run ./cmd/bench2json -compare BENCH_baseline.json -tolerance 0.3 -allowlist BENCH_allowlist.txt
 
 # Short fuzz budget over each byte-level reader of peer or disk input:
-# the wire frame decoder, the checkpoint decoder, journal replay and the
-# /metrics text parser (condor-web and condor-status scrape peers).
+# the wire frame decoder, the checkpoint decoder and the stores' PutBlob
+# behind it, journal replay, the /metrics text parser (condor-web and
+# condor-status scrape peers), the traceparent parser and the submitted
+# program decoder.
 # Hostile length prefixes, truncated or corrupted input and garbage must
 # never panic or over-allocate. CI runs this on every push.
 fuzz:
 	$(GO) test -run NONE -fuzz '^FuzzFrameDecode$$' -fuzztime 20s ./internal/wire/
 	$(GO) test -run NONE -fuzz '^FuzzDecode$$' -fuzztime 20s ./internal/ckpt/
+	$(GO) test -run NONE -fuzz '^FuzzPutBlob$$' -fuzztime 20s ./internal/ckpt/
 	$(GO) test -run NONE -fuzz '^FuzzReplay$$' -fuzztime 20s ./internal/journal/
 	$(GO) test -run NONE -fuzz '^FuzzParseText$$' -fuzztime 20s ./internal/telemetry/
+	$(GO) test -run NONE -fuzz '^FuzzParseTraceparent$$' -fuzztime 20s ./internal/trace/
+	$(GO) test -run NONE -fuzz '^FuzzDecodeProgram$$' -fuzztime 20s ./internal/proto/
 
 sim:
 	$(GO) run ./cmd/condor-sim

@@ -305,6 +305,29 @@ func BenchmarkCheckpointPerMB(b *testing.B) {
 	b.ReportMetric(perMB*1000, "ms-per-MB")
 }
 
+// BenchmarkCheckpointSmallCompressed is the sched-burst shape: encode
+// (compressed) and decode of a fresh SpinProgram(1000) image, where the
+// fixed cost of a call, not the bytes, is the whole price. A per-call
+// flate.NewWriter shows up here as allocs/op growth.
+func BenchmarkCheckpointSmallCompressed(b *testing.B) {
+	vm, err := cvm.New(cvm.SpinProgram(1000), cvm.NewMemHost(), cvm.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	img := vm.Snapshot()
+	meta := ckpt.Meta{JobID: "bench/2", Owner: "bench", ProgramName: "spin"}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		blob, err := ckpt.EncodeBytesWith(meta, img, ckpt.Options{Compress: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := ckpt.DecodeBytes(blob); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkVMExecution measures guest instruction throughput.
 func BenchmarkVMExecution(b *testing.B) {
 	prog := cvm.SpinProgram(1 << 30)

@@ -1,7 +1,6 @@
 package ckpt
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,7 +12,8 @@ import (
 )
 
 // DirStore is a durable Store keeping one checkpoint file per job in a
-// directory. The local scheduler uses it so a machine reboot does not
+// directory: the blob exactly as PutBlob verified it (and as placements
+// ship it). The local scheduler uses it so a machine reboot does not
 // lose queued work — the paper's guarantee that "the job will eventually
 // complete" survives submitter restarts too.
 type DirStore struct {
@@ -41,70 +41,86 @@ func (s *DirStore) path(jobID string) string {
 	return filepath.Join(s.dir, safe+".ckpt")
 }
 
-// Put implements Store. The write is atomic: a temp file is renamed into
-// place, so a crash mid-write never leaves a truncated checkpoint under
-// the job's name.
-func (s *DirStore) Put(meta Meta, img *cvm.Image) error {
-	if meta.JobID == "" {
-		return errors.New("ckpt: empty job id")
-	}
-	if meta.TextChecksum == "" && img != nil {
-		meta.TextChecksum = img.Program.TextChecksum()
-	}
-	blob, err := EncodeBytes(meta, img)
+// PutBlob implements Store. The write is atomic: a temp file is renamed
+// into place, so a crash mid-write never leaves a truncated checkpoint
+// under the job's name.
+func (s *DirStore) PutBlob(jobID string, blob []byte) (Meta, error) {
+	meta, _, err := verify(jobID, blob)
 	if err != nil {
-		return err
+		return Meta{}, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.capacity > 0 {
 		used, err := s.bytesLocked()
 		if err != nil {
-			return err
+			return Meta{}, err
 		}
-		var reclaimed int64
-		if fi, err := os.Stat(s.path(meta.JobID)); err == nil {
-			reclaimed = fi.Size()
+		if fi, err := os.Stat(s.path(jobID)); err == nil {
+			used -= fi.Size()
 		}
-		if used-reclaimed+int64(len(blob)) > s.capacity {
-			return fmt.Errorf("%w: need %d bytes, capacity %d",
-				ErrDiskFull, used-reclaimed+int64(len(blob)), s.capacity)
+		if need := used + int64(len(blob)); need > s.capacity {
+			return Meta{}, fmt.Errorf("%w: need %d bytes, capacity %d", ErrDiskFull, need, s.capacity)
 		}
 	}
 	tmp, err := os.CreateTemp(s.dir, ".ckpt-*")
 	if err != nil {
-		return fmt.Errorf("ckpt: temp file: %w", err)
+		return Meta{}, fmt.Errorf("ckpt: temp file: %w", err)
 	}
 	tmpName := tmp.Name()
 	if _, err := tmp.Write(blob); err != nil {
 		tmp.Close()
 		os.Remove(tmpName)
-		return fmt.Errorf("ckpt: write: %w", err)
+		return Meta{}, fmt.Errorf("ckpt: write: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmpName)
-		return fmt.Errorf("ckpt: close: %w", err)
+		return Meta{}, fmt.Errorf("ckpt: close: %w", err)
 	}
-	if err := os.Rename(tmpName, s.path(meta.JobID)); err != nil {
+	if err := os.Rename(tmpName, s.path(jobID)); err != nil {
 		os.Remove(tmpName)
-		return fmt.Errorf("ckpt: rename: %w", err)
+		return Meta{}, fmt.Errorf("ckpt: rename: %w", err)
 	}
-	return nil
+	return meta, nil
 }
+
+// GetBlob implements Store. The file is decoded in full before its bytes
+// are handed out: it may have rotted on disk since PutBlob verified it.
+func (s *DirStore) GetBlob(jobID string) (Meta, []byte, error) {
+	blob, err := s.read(jobID)
+	if err != nil {
+		return Meta{}, nil, err
+	}
+	meta, _, err := DecodeBytes(blob)
+	if err != nil {
+		return Meta{}, nil, err
+	}
+	return meta, blob, nil
+}
+
+// Put implements Store.
+func (s *DirStore) Put(meta Meta, img *cvm.Image) error { return put(s, meta, img) }
 
 // Get implements Store.
 func (s *DirStore) Get(jobID string) (Meta, *cvm.Image, error) {
+	blob, err := s.read(jobID)
+	if err != nil {
+		return Meta{}, nil, err
+	}
+	return DecodeBytes(blob)
+}
+
+func (s *DirStore) read(jobID string) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f, err := os.Open(s.path(jobID))
+	blob, err := os.ReadFile(s.path(jobID))
 	if err != nil {
 		if os.IsNotExist(err) {
-			return Meta{}, nil, fmt.Errorf("%w: job %q", ErrNotFound, jobID)
+			return nil, fmt.Errorf("%w: job %q", ErrNotFound, jobID)
 		}
-		return Meta{}, nil, fmt.Errorf("ckpt: open: %w", err)
+		return nil, fmt.Errorf("ckpt: read: %w", err)
 	}
-	defer f.Close()
-	return Decode(f)
+	return blob, nil
 }
 
 // Delete implements Store.
@@ -140,12 +156,11 @@ func (s *DirStore) List() []Meta {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".ckpt") {
 			continue
 		}
-		f, err := os.Open(filepath.Join(s.dir, e.Name()))
+		blob, err := os.ReadFile(filepath.Join(s.dir, e.Name()))
 		if err != nil {
 			continue
 		}
-		meta, _, err := Decode(f)
-		f.Close()
+		meta, _, err := DecodeBytes(blob)
 		if err != nil {
 			continue
 		}

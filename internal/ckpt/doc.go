@@ -9,6 +9,11 @@
 // durability and integrity: a truncated or bit-flipped checkpoint must be
 // detected, never silently restored.
 //
+// The encoded blob is the unit a home station keeps and ships. A Store
+// decodes a blob once, on PutBlob, to verify it and charge its size, and
+// keeps the bytes; a placement sends GetBlob's bytes as they are, so a
+// checkpoint generation is encoded exactly once, where it was taken.
+//
 // The Store addresses two §4 operational problems:
 //
 //   - Full disks: checkpoint files of remotely executing jobs are kept on
@@ -17,7 +22,7 @@
 //     returns ErrDiskFull, which the local scheduler surfaces when
 //     placement would exceed it.
 //   - Shared text segments: users submit many copies of one program with
-//     different parameters, so the Store keeps a single reference-counted
-//     copy of each distinct text segment (keyed by checksum) instead of
-//     one per checkpoint.
+//     different parameters, so the Store charges each distinct text
+//     segment (keyed by checksum) once, reference-counted, instead of
+//     once per checkpoint. The bytes still travel inside every blob.
 package ckpt

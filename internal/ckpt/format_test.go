@@ -1,7 +1,6 @@
 package ckpt
 
 import (
-	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -26,11 +25,11 @@ func makeImage(t testing.TB, prog *cvm.Program, steps uint64) *cvm.Image {
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	img := makeImage(t, cvm.SumProgram(500), 37)
 	meta := Meta{JobID: "ws01/7", Owner: "userA", ProgramName: "sum", Sequence: 3, CPUSteps: 37}
-	var buf bytes.Buffer
-	if err := Encode(&buf, meta, img); err != nil {
+	blob, err := EncodeBytes(meta, img)
+	if err != nil {
 		t.Fatal(err)
 	}
-	gotMeta, gotImg, err := Decode(&buf)
+	gotMeta, gotImg, err := DecodeBytes(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,13 +115,12 @@ func TestDecodeRejectsForeignArchitecture(t *testing.T) {
 }
 
 func TestEncodeRejectsNilOrInvalidImage(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Encode(&buf, Meta{JobID: "j"}, nil); err == nil {
+	if _, err := EncodeBytes(Meta{JobID: "j"}, nil); err == nil {
 		t.Fatal("nil image encoded")
 	}
 	img := makeImage(t, cvm.SpinProgram(10), 5)
 	img.SP = 99 // corrupt
-	if err := Encode(&buf, Meta{JobID: "j"}, img); err == nil {
+	if _, err := EncodeBytes(Meta{JobID: "j"}, img); err == nil {
 		t.Fatal("invalid image encoded")
 	}
 }

@@ -1,8 +1,8 @@
 package ckpt
 
 import (
+	"bytes"
 	"encoding/binary"
-	"hash/crc32"
 	"testing"
 
 	"condor/internal/cvm"
@@ -13,28 +13,91 @@ import (
 // checksum and reach the inflate, gob and image-validation layers. Input
 // too short to hold that payload is returned unchanged.
 func withValidCRC(data []byte) []byte {
-	header := len(Magic) + 16
-	if len(data) < header {
+	if len(data) < headerLen {
 		return data
 	}
-	n := binary.BigEndian.Uint32(data[len(Magic)+8:])
-	if uint64(n) > uint64(len(data)-header) {
+	n := binary.BigEndian.Uint32(data[offLen:])
+	if uint64(n) > uint64(len(data)-headerLen) {
 		return data
 	}
 	out := append([]byte(nil), data...)
-	crc := crc32.NewIEEE()
-	crc.Write(out[len(Magic)+4 : len(Magic)+8])
-	crc.Write(out[header : header+int(n)])
-	binary.BigEndian.PutUint32(out[len(Magic)+12:], crc.Sum32())
+	binary.BigEndian.PutUint32(out[offCRC:], checksum(out[:headerLen+int(n)]))
 	return out
 }
 
 // FuzzDecode feeds arbitrary bytes to the checkpoint decoder, as a
 // stored file or a peer's PlaceRequest would. It must never panic;
 // whatever it accepts must be a checkpoint this package could have
-// written, so it encodes again. Seeds are the inputs of the corruption
-// tests in format_test.go.
+// written, so it encodes again.
 func FuzzDecode(f *testing.F) {
+	addDecodeSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte, fixCRC bool) {
+		if fixCRC {
+			data = withValidCRC(data)
+		}
+		meta, img, err := DecodeBytes(data)
+		if err != nil {
+			if img != nil {
+				t.Fatalf("Decode returned an image with error %v", err)
+			}
+			return
+		}
+		if _, err := EncodeBytes(meta, img); err != nil {
+			t.Fatalf("Decode accepted a checkpoint Encode refuses: %v", err)
+		}
+	})
+}
+
+// FuzzPutBlob drives both stores' PutBlob with FuzzDecode's inputs, as a
+// vacating execution machine would. A blob is accepted iff DecodeBytes
+// accepts it and it names the job; an accepted blob is stored verbatim,
+// and a refused one leaves the previous checkpoint and Usage unchanged.
+func FuzzPutBlob(f *testing.F) {
+	addDecodeSeeds(f)
+	const jobID = "j" // the job most seeds name
+	prev := makeImage(f, cvm.SumProgram(20), 7)
+	f.Fuzz(func(t *testing.T, data []byte, fixCRC bool) {
+		if fixCRC {
+			data = withValidCRC(data)
+		}
+		meta, _, err := DecodeBytes(data)
+		wantOK := err == nil && meta.JobID == jobID
+		dir, err := NewDirStore(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []Store{NewMemStore(0, false), NewMemStore(0, true), dir} {
+			if err := s.Put(Meta{JobID: jobID}, prev); err != nil {
+				t.Fatal(err)
+			}
+			_, before, err := s.GetBlob(jobID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			usage := s.Usage()
+			_, err = s.PutBlob(jobID, data)
+			if (err == nil) != wantOK {
+				t.Fatalf("%T: PutBlob err = %v, want accepted = %v", s, err, wantOK)
+			}
+			_, after, gerr := s.GetBlob(jobID)
+			if gerr != nil {
+				t.Fatalf("%T: GetBlob after PutBlob: %v", s, gerr)
+			}
+			switch {
+			case wantOK && !bytes.Equal(after, data):
+				t.Fatalf("%T: accepted blob not stored verbatim", s)
+			case !wantOK && !bytes.Equal(after, before):
+				t.Fatalf("%T: refused blob replaced the previous checkpoint", s)
+			case !wantOK && s.Usage() != usage:
+				t.Fatalf("%T: refused blob changed usage %+v -> %+v", s, usage, s.Usage())
+			}
+		}
+	})
+}
+
+// addDecodeSeeds seeds a (data, fixCRC) fuzz target with the inputs of
+// the corruption tests in format_test.go.
+func addDecodeSeeds(f *testing.F) {
 	img := makeImage(f, cvm.SpinProgram(10), 5)
 	plain, err := EncodeBytes(Meta{JobID: "j"}, img)
 	if err != nil {
@@ -68,20 +131,10 @@ func FuzzDecode(f *testing.F) {
 	absurd := append([]byte(nil), plain...)
 	binary.BigEndian.PutUint32(absurd[len(Magic)+8:], 0xffffffff)
 	f.Add(absurd, false)
-
-	f.Fuzz(func(t *testing.T, data []byte, fixCRC bool) {
-		if fixCRC {
-			data = withValidCRC(data)
-		}
-		meta, img, err := DecodeBytes(data)
-		if err != nil {
-			if img != nil {
-				t.Fatalf("Decode returned an image with error %v", err)
-			}
-			return
-		}
-		if _, err := EncodeBytes(meta, img); err != nil {
-			t.Fatalf("Decode accepted a checkpoint Encode refuses: %v", err)
-		}
-	})
+	ours, err := EncodeBytesWith(Meta{JobID: "j"}, makeImage(f, cvm.SumProgram(50), 9), Options{Compress: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(ours, false)                                     // a compressed blob the job accepts
+	f.Add(append(plain[:len(plain):len(plain)], 0), false) // a byte past the payload
 }

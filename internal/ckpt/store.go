@@ -17,7 +17,12 @@ var (
 	// store's capacity — the §4 "users let their disk become full"
 	// condition that blocks further placements.
 	ErrDiskFull = errors.New("ckpt: disk full")
+	// ErrWrongJob is returned by PutBlob for a blob whose metadata names
+	// a job other than the one it is stored under.
+	ErrWrongJob = errors.New("ckpt: checkpoint belongs to another job")
 )
+
+var errEmptyJobID = errors.New("ckpt: empty job id")
 
 // Usage summarizes a store's footprint.
 type Usage struct {
@@ -31,12 +36,23 @@ type Usage struct {
 	SharedTexts int `json:"sharedTexts"`
 }
 
-// Store is a per-machine checkpoint repository. Implementations must be
-// safe for concurrent use.
+// Store is a per-machine checkpoint repository. It keeps each job's
+// latest checkpoint as the encoded blob it verified on the way in, so a
+// placement ships stored bytes and nothing encodes a generation twice.
+// Implementations must be safe for concurrent use.
 type Store interface {
-	// Put saves the checkpoint, replacing any previous one for the job.
+	// PutBlob verifies an encoded checkpoint with DecodeBytes, refuses it
+	// (ErrWrongJob) unless its metadata names jobID, and stores the bytes
+	// verbatim, replacing any previous checkpoint for the job. The store
+	// keeps blob: the caller must not modify it afterwards. A refused
+	// blob leaves the previous checkpoint and Usage unchanged.
+	PutBlob(jobID string, blob []byte) (Meta, error)
+	// GetBlob returns the job's stored blob. The bytes are shared and
+	// must not be modified.
+	GetBlob(jobID string) (Meta, []byte, error)
+	// Put encodes the checkpoint (compressed) and stores it with PutBlob.
 	Put(meta Meta, img *cvm.Image) error
-	// Get returns the most recent checkpoint for the job.
+	// Get decodes the job's stored checkpoint into a fresh image.
 	Get(jobID string) (Meta, *cvm.Image, error)
 	// Delete removes the job's checkpoint. Deleting a missing checkpoint
 	// is not an error.
@@ -51,34 +67,50 @@ type Store interface {
 	Capacity() int64
 }
 
+// verify is PutBlob's gate: the full decode, then the job check.
+func verify(jobID string, blob []byte) (Meta, *cvm.Image, error) {
+	if jobID == "" {
+		return Meta{}, nil, errEmptyJobID
+	}
+	meta, img, err := DecodeBytes(blob)
+	if err != nil {
+		return Meta{}, nil, err
+	}
+	if meta.JobID != jobID {
+		return Meta{}, nil, fmt.Errorf("%w: blob names %q, stored as %q", ErrWrongJob, meta.JobID, jobID)
+	}
+	return meta, img, nil
+}
+
+// put is every Store's Put: encode with the metadata defaults, then
+// PutBlob.
+func put(s Store, meta Meta, img *cvm.Image) error {
+	if meta.TextChecksum == "" && img != nil && img.Program != nil {
+		meta.TextChecksum = img.Program.TextChecksum()
+	}
+	blob, err := EncodeBytesWith(meta, img, Options{Compress: true})
+	if err != nil {
+		return err
+	}
+	_, err = s.PutBlob(meta.JobID, blob)
+	return err
+}
+
 const instrBytes = 32 // one Instr is 4 words
 
 func textBytes(n int) int64 { return int64(n) * instrBytes }
 
-// cloneImage deep-copies an image so the store and the caller cannot
-// mutate each other's state. The program text is immutable by the VM's
-// contract and may be shared.
-func cloneImage(img *cvm.Image) *cvm.Image {
-	clone := *img
-	clone.Mem = append([]int64(nil), img.Mem...)
-	clone.Stack = append([]int64(nil), img.Stack...)
-	clone.Files = append([]cvm.OpenFile(nil), img.Files...)
-	prog := *img.Program
-	prog.Data = append([]int64(nil), img.Program.Data...)
-	clone.Program = &prog
-	return &clone
-}
-
 // textEntry is one reference-counted shared text segment.
 type textEntry struct {
-	text []cvm.Instr
-	refs int
+	bytes int64
+	refs  int
 }
 
 type memCkpt struct {
 	meta  Meta
-	img   *cvm.Image
-	bytes int64 // space charged to this checkpoint (excludes shared text)
+	blob  []byte
+	text  string // shared-text key (the program's text checksum)
+	bytes int64  // space charged to this checkpoint (excludes shared text)
 }
 
 // MemStore is an in-memory Store with optional shared text segments.
@@ -95,7 +127,9 @@ type MemStore struct {
 var _ Store = (*MemStore)(nil)
 
 // NewMemStore returns an in-memory store. capacity is the byte budget (0
-// = unlimited); shareText enables the §4 shared-text optimization.
+// = unlimited); shareText enables the §4 shared-text optimization: a
+// text segment is charged once per content hash, however many stored
+// checkpoints carry it.
 func NewMemStore(capacity int64, shareText bool) *MemStore {
 	return &MemStore{
 		capacity: capacity,
@@ -105,74 +139,75 @@ func NewMemStore(capacity int64, shareText bool) *MemStore {
 	}
 }
 
-// Put implements Store.
-func (s *MemStore) Put(meta Meta, img *cvm.Image) error {
-	if img == nil {
-		return errors.New("ckpt: nil image")
+// PutBlob implements Store. The charge is the image's size, less its
+// text when text is shared.
+func (s *MemStore) PutBlob(jobID string, blob []byte) (Meta, error) {
+	meta, img, err := verify(jobID, blob)
+	if err != nil {
+		return Meta{}, err
 	}
-	if meta.JobID == "" {
-		return errors.New("ckpt: empty job id")
-	}
-	if err := img.Validate(); err != nil {
-		return fmt.Errorf("ckpt: refusing to store invalid image: %w", err)
-	}
-	if meta.TextChecksum == "" {
-		meta.TextChecksum = img.Program.TextChecksum()
-	}
-	if meta.Arch == "" {
-		meta.Arch = ArchCVM64
-	}
-	stored := cloneImage(img)
-
-	newBytes := stored.SizeBytes()
+	newBytes := img.SizeBytes()
+	text := textBytes(len(img.Program.Text))
+	var key string
 	if s.share {
-		newBytes -= textBytes(len(img.Program.Text))
+		newBytes -= text
+		key = meta.TextChecksum
+		if key == "" {
+			key = img.Program.TextChecksum()
+		}
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var newTextBytes int64
 	if s.share {
-		if _, exists := s.texts[meta.TextChecksum]; !exists {
-			newTextBytes = textBytes(len(img.Program.Text))
+		if _, exists := s.texts[key]; !exists {
+			newTextBytes = text
 		}
 	}
-	var reclaimed int64
-	if old, ok := s.ckpts[meta.JobID]; ok {
-		reclaimed = old.bytes
-	}
+	old, replacing := s.ckpts[jobID]
 	if s.capacity > 0 {
-		projected := s.usageLocked().Bytes - reclaimed + newBytes + newTextBytes
+		projected := s.usageLocked().Bytes - old.bytes + newBytes + newTextBytes
 		if projected > s.capacity {
-			return fmt.Errorf("%w: need %d bytes, capacity %d", ErrDiskFull, projected, s.capacity)
+			return Meta{}, fmt.Errorf("%w: need %d bytes, capacity %d", ErrDiskFull, projected, s.capacity)
 		}
 	}
-	if old, ok := s.ckpts[meta.JobID]; ok {
-		s.dropTextRefLocked(old.meta.TextChecksum)
+	if replacing {
+		s.dropTextRefLocked(old.text)
 	}
 	if s.share {
-		entry, ok := s.texts[meta.TextChecksum]
+		entry, ok := s.texts[key]
 		if !ok {
-			entry = &textEntry{text: img.Program.Text}
-			s.texts[meta.TextChecksum] = entry
+			entry = &textEntry{bytes: text}
+			s.texts[key] = entry
 		}
 		entry.refs++
-		// The stored image shares the canonical text slice.
-		stored.Program.Text = entry.text
 	}
-	s.ckpts[meta.JobID] = memCkpt{meta: meta, img: stored, bytes: newBytes}
-	return nil
+	s.ckpts[jobID] = memCkpt{meta: meta, blob: blob, text: key, bytes: newBytes}
+	return meta, nil
 }
 
-// Get implements Store.
-func (s *MemStore) Get(jobID string) (Meta, *cvm.Image, error) {
+// GetBlob implements Store.
+func (s *MemStore) GetBlob(jobID string) (Meta, []byte, error) {
 	s.mu.Lock()
 	ck, ok := s.ckpts[jobID]
 	s.mu.Unlock()
 	if !ok {
 		return Meta{}, nil, fmt.Errorf("%w: job %q", ErrNotFound, jobID)
 	}
-	return ck.meta, cloneImage(ck.img), nil
+	return ck.meta, ck.blob, nil
+}
+
+// Put implements Store.
+func (s *MemStore) Put(meta Meta, img *cvm.Image) error { return put(s, meta, img) }
+
+// Get implements Store.
+func (s *MemStore) Get(jobID string) (Meta, *cvm.Image, error) {
+	_, blob, err := s.GetBlob(jobID)
+	if err != nil {
+		return Meta{}, nil, err
+	}
+	return DecodeBytes(blob)
 }
 
 // Delete implements Store.
@@ -184,21 +219,21 @@ func (s *MemStore) Delete(jobID string) error {
 		return nil
 	}
 	delete(s.ckpts, jobID)
-	s.dropTextRefLocked(ck.meta.TextChecksum)
+	s.dropTextRefLocked(ck.text)
 	return nil
 }
 
-func (s *MemStore) dropTextRefLocked(sum string) {
+func (s *MemStore) dropTextRefLocked(key string) {
 	if !s.share {
 		return
 	}
-	entry, ok := s.texts[sum]
+	entry, ok := s.texts[key]
 	if !ok {
 		return
 	}
 	entry.refs--
 	if entry.refs <= 0 {
-		delete(s.texts, sum)
+		delete(s.texts, key)
 	}
 }
 
@@ -235,7 +270,7 @@ func (s *MemStore) usageLocked() Usage {
 		u.Bytes += ck.bytes
 	}
 	for _, t := range s.texts {
-		u.TextBytes += textBytes(len(t.text))
+		u.TextBytes += t.bytes
 	}
 	u.Bytes += u.TextBytes
 	return u

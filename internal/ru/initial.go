@@ -21,7 +21,8 @@ func (neverCalled) Syscall(cvm.SyscallRequest) (cvm.SyscallReply, error) {
 // InitialCheckpoint builds the sequence-zero checkpoint blob for a fresh
 // job: a snapshot of the program loaded but not yet started. Placement
 // and checkpointing are thereby the same operation with the same cost, as
-// in the paper's measurements (5 s/MB for either, §3.1).
+// in the paper's measurements (5 s/MB for either, §3.1). The home station
+// stores the blob as it is and its first placement ships those bytes.
 func InitialCheckpoint(meta ckpt.Meta, prog *cvm.Program, stackWords int) ([]byte, error) {
 	vm, err := cvm.New(prog, neverCalled{}, cvm.Config{StackWords: stackWords})
 	if err != nil {

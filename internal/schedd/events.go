@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"condor/internal/accounting"
-	"condor/internal/ckpt"
 	"condor/internal/eventlog"
 	"condor/internal/proto"
 	"condor/internal/ru"
@@ -61,9 +60,11 @@ func (e *jobEvents) JobDone(msg proto.JobDoneMsg) {
 	st.notifyWaiters(e.jobID, status)
 }
 
-// JobVacated implements ru.Events: store the checkpoint and requeue.
+// JobVacated implements ru.Events: store the checkpoint and requeue. If
+// the store refuses the checkpoint, the job is requeued from its last
+// good one and its progress counters stay where that one left them.
 func (e *jobEvents) JobVacated(msg proto.JobVacatedMsg) {
-	e.storeCheckpoint(msg.Checkpoint)
+	refused := e.storeCheckpoint(msg.Checkpoint)
 	st := e.station
 	now := time.Now()
 	st.mu.Lock()
@@ -71,23 +72,38 @@ func (e *jobEvents) JobVacated(msg proto.JobVacatedMsg) {
 		j.shadow = nil
 		j.status.State = proto.JobIdle
 		j.status.ExecHost = ""
-		j.status.CPUSteps = msg.Steps
-		j.status.Checkpoints++
 		j.status.WaitingSince = now
+		if refused == nil {
+			j.status.CPUSteps = msg.Steps
+			j.status.Checkpoints++
+		}
 		markTransition(proto.JobIdle)
 		st.updateQueueGaugesLocked()
 		if j.meter != nil {
-			j.meter.ObserveSteps(msg.Steps)
+			if refused == nil {
+				j.meter.ObserveSteps(msg.Steps)
+			} else {
+				// Everything past the last good checkpoint will be redone.
+				j.meter.Badput(j.meter.StepsBeyond(j.status.CPUSteps))
+			}
 			j.meter.StartWaiting(now) // requeued: a new idle episode begins
 		}
 	}
 	st.mu.Unlock()
-	st.logEvent(eventlog.KindVacate, e.jobID, "", msg.Reason)
+	reason := msg.Reason
+	if refused != nil {
+		reason += "; checkpoint refused, requeued from the last good one: " + refused.Error()
+	}
+	st.logEvent(eventlog.KindVacate, e.jobID, "", reason)
 }
 
-// JobCheckpointed implements ru.Events (periodic checkpoints).
+// JobCheckpointed implements ru.Events (periodic checkpoints). A refused
+// checkpoint changes nothing but the refusal counter and the event log.
 func (e *jobEvents) JobCheckpointed(msg proto.JobCheckpointMsg) {
-	e.storeCheckpoint(msg.Checkpoint)
+	if err := e.storeCheckpoint(msg.Checkpoint); err != nil {
+		e.station.logEvent(eventlog.KindCheckpoint, e.jobID, "", "periodic checkpoint refused: "+err.Error())
+		return
+	}
 	st := e.station
 	st.mu.Lock()
 	if j, ok := st.jobs[e.jobID]; ok {
@@ -101,12 +117,15 @@ func (e *jobEvents) JobCheckpointed(msg proto.JobCheckpointMsg) {
 	st.logEvent(eventlog.KindCheckpoint, e.jobID, "", "periodic")
 }
 
-func (e *jobEvents) storeCheckpoint(blob []byte) {
-	meta, img, err := ckpt.DecodeBytes(blob)
-	if err != nil {
-		return // corrupt checkpoint: keep the previous one
+// storeCheckpoint stores a blob from the execution machine under this
+// placement's job, whatever job the blob names: the store refuses one
+// that is corrupt or another job's, and the previous checkpoint stays.
+func (e *jobEvents) storeCheckpoint(blob []byte) error {
+	if _, err := e.station.cfg.Store.PutBlob(e.jobID, blob); err != nil {
+		mRefusedCheckpoints.Inc()
+		return err
 	}
-	_ = e.station.cfg.Store.Put(meta, img)
+	return nil
 }
 
 // JobSuspended implements ru.Events.

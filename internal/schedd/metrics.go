@@ -21,6 +21,8 @@ var (
 		"state")
 	mStaleEvents = telemetry.NewCounter("condor_schedd_stale_job_events_total",
 		"Suspended/resumed notices dropped because their placement no longer holds the job.")
+	mRefusedCheckpoints = telemetry.NewCounter("condor_schedd_refused_checkpoints_total",
+		"Checkpoints from an execution machine the store refused (corrupt, another job's, or no room); the job keeps its last good one.")
 
 	mTransitionByState = map[proto.JobState]*telemetry.Counter{
 		proto.JobIdle:           mTransitions.With(proto.JobIdle.String()),

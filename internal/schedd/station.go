@@ -457,18 +457,10 @@ func (st *Station) SubmitJob(owner string, prog *cvm.Program, opts SubmitOptions
 		TraceID:              traceCtx.TraceID.String(),
 	}
 	blob, err := ru.InitialCheckpoint(meta, prog, opts.StackWords)
-	if err != nil {
-		span.SetError(err)
-		span.Finish()
-		return "", err
+	if err == nil {
+		_, err = st.cfg.Store.PutBlob(jobID, blob)
 	}
-	_, img, err := ckpt.DecodeBytes(blob)
 	if err != nil {
-		span.SetError(err)
-		span.Finish()
-		return "", err
-	}
-	if err := st.cfg.Store.Put(meta, img); err != nil {
 		span.SetError(err)
 		span.Finish()
 		return "", fmt.Errorf("schedd: submit %s: %w", jobID, err)
@@ -690,24 +682,18 @@ func (st *Station) PlaceNext(execName, execAddr string) (string, error) {
 	markTransition(proto.JobPlacing)
 
 	// The place span covers checkpoint read + handshake; the starter's
-	// exec span hangs off it via the wire's trace context.
+	// exec span hangs off it via the wire's trace context. The stored
+	// blob ships as it is: it was verified when it came in.
 	span := trace.StartChildIfSampled(jobTrace, "place")
 	span.SetJob(jobID)
 	span.SetStation(execName)
 
-	meta, img, err := st.cfg.Store.Get(jobID)
+	_, blob, err := st.cfg.Store.GetBlob(jobID)
 	if err != nil {
 		span.SetError(err)
 		span.Finish()
 		st.setJobState(jobID, proto.JobIdle)
 		return "", fmt.Errorf("schedd: checkpoint for %s: %w", jobID, err)
-	}
-	blob, err := ckpt.EncodeBytesWith(meta, img, ckpt.Options{Compress: true})
-	if err != nil {
-		span.SetError(err)
-		span.Finish()
-		st.setJobState(jobID, proto.JobIdle)
-		return "", err
 	}
 	placeCtx := context.Background()
 	if span.Recording() {
