@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"condor/internal/cvm"
+	"condor/internal/telemetry"
 )
 
 // DirStore is a durable Store keeping one checkpoint file per job in a
@@ -142,7 +143,11 @@ func (s *DirStore) Has(jobID string) bool {
 	return err == nil
 }
 
-// List implements Store. Unreadable or corrupt files are skipped: a
+var mSkippedFiles = telemetry.NewCounter("condor_ckpt_store_skipped_files_total",
+	"Checkpoint files a durable store's List skipped as unreadable, corrupt or of another format version; they stay on disk.")
+
+// List implements Store. Unreadable or corrupt files, and files of
+// another format version, are skipped, counted and left in place: a
 // damaged checkpoint must not block recovery of the healthy ones.
 func (s *DirStore) List() []Meta {
 	s.mu.Lock()
@@ -158,10 +163,12 @@ func (s *DirStore) List() []Meta {
 		}
 		blob, err := os.ReadFile(filepath.Join(s.dir, e.Name()))
 		if err != nil {
+			mSkippedFiles.Inc()
 			continue
 		}
 		meta, _, err := DecodeBytes(blob)
 		if err != nil {
+			mSkippedFiles.Inc()
 			continue
 		}
 		out = append(out, meta)

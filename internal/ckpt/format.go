@@ -1,15 +1,14 @@
 package ckpt
 
 import (
-	"bufio"
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 	"sync"
 
 	"condor/internal/cvm"
@@ -18,10 +17,10 @@ import (
 // Magic identifies a Condor checkpoint file.
 const Magic = "CNDRCKPT"
 
-// Version is the current checkpoint format version. Version 2 added the
-// flags word (compression); version-1 files are no longer produced but
-// the constant history is: 1 = no flags word, 2 = flags word present.
-const Version = 2
+// Version is the checkpoint format version, the only one read. Version 1
+// had no flags word; 2 added it (compression) over a gob body; 3 replaced
+// gob with the hand-written body below and added the body-length word.
+const Version = 3
 
 // ArchCVM64 is the architecture tag for the 64-bit word VM. A checkpoint
 // written on one architecture can only be restored on the same one — the
@@ -32,7 +31,7 @@ const ArchCVM64 = "cvm64"
 var (
 	ErrBadMagic     = errors.New("ckpt: bad magic (not a checkpoint file)")
 	ErrBadVersion   = errors.New("ckpt: unsupported format version")
-	ErrCorrupt      = errors.New("ckpt: payload checksum mismatch")
+	ErrCorrupt      = errors.New("ckpt: corrupt checkpoint")
 	ErrArchMismatch = errors.New("ckpt: architecture mismatch")
 	ErrTruncated    = errors.New("ckpt: truncated file")
 )
@@ -66,22 +65,31 @@ type Meta struct {
 	TraceID string `json:"traceID,omitempty"`
 }
 
-// The header: magic, then four big-endian words — version, flags,
-// payload length, and a CRC-32 over the flags word and the payload.
+// The header: magic, then five big-endian words — version, flags,
+// payload length, body length (the inflated payload; equal to the payload
+// length when the blob is plain) and a CRC-32 over the flags, both
+// lengths and the payload.
 const (
 	offVersion = len(Magic)
 	offFlags   = offVersion + 4
 	offLen     = offFlags + 4
-	offCRC     = offLen + 4
+	offBodyLen = offLen + 4
+	offCRC     = offBodyLen + 4
 	headerLen  = offCRC + 4
 )
 
 // flag bits in the header's flags word.
 const flagDeflate = 1 << 0
 
-// maxPayloadBytes bounds a checkpoint payload (matches the wire frame
-// cap) so a corrupt length field cannot trigger a huge allocation.
+// maxPayloadBytes bounds a checkpoint's payload and body (matches the
+// wire frame cap) so a corrupt length field cannot trigger a huge
+// allocation.
 const maxPayloadBytes = 64 << 20
+
+// maxInflateRatio is the most deflate can expand: 258 bytes from a 1-bit
+// length code and a 1-bit distance code. A deflated blob announcing a
+// larger body is refused before anything is allocated for it.
+const maxInflateRatio = 1032
 
 // Options tunes encoding.
 type Options struct {
@@ -97,11 +105,11 @@ func EncodeBytes(meta Meta, img *cvm.Image) ([]byte, error) {
 	return EncodeBytesWith(meta, img, Options{})
 }
 
-// EncodeBytesWith encodes a checkpoint in one pass: gob writes the
-// metadata and image once, behind room reserved for the header; with
-// Compress a pooled deflate writer packs that body into at most one
-// second buffer, kept only when it is smaller. The returned slice is the
-// blob itself.
+// EncodeBytesWith encodes a checkpoint with one allocation for the plain
+// blob: a sizing walk over the body, then the body written behind room
+// reserved for the header. With Compress a pooled deflate writer packs
+// that body into at most one second buffer, kept only when it is
+// smaller. The returned slice is the blob itself.
 func EncodeBytesWith(meta Meta, img *cvm.Image, opts Options) ([]byte, error) {
 	if img == nil {
 		return nil, errors.New("ckpt: nil image")
@@ -112,17 +120,14 @@ func EncodeBytesWith(meta Meta, img *cvm.Image, opts Options) ([]byte, error) {
 	if meta.Arch == "" {
 		meta.Arch = ArchCVM64
 	}
-	// gob hands the image over in one Write, so the buffer grows once to
-	// the body's exact size: no size guess, no pooled payload buffer.
-	plain := bytes.NewBuffer(make([]byte, headerLen, 1024))
-	enc := gob.NewEncoder(plain)
-	if err := enc.Encode(meta); err != nil {
-		return nil, fmt.Errorf("ckpt: encode meta: %w", err)
+	size := bodyWriter{sizing: true}
+	size.body(&meta, img)
+	if size.n > maxPayloadBytes {
+		return nil, fmt.Errorf("ckpt: %d-byte body exceeds the %d-byte limit", size.n, maxPayloadBytes)
 	}
-	if err := enc.Encode(img); err != nil {
-		return nil, fmt.Errorf("ckpt: encode image: %w", err)
-	}
-	blob := plain.Bytes()
+	w := bodyWriter{buf: make([]byte, headerLen, headerLen+size.n)}
+	w.body(&meta, img)
+	blob := w.buf
 	var flags uint32
 	if opts.Compress {
 		if packed, ok := deflate(blob); ok {
@@ -133,15 +138,150 @@ func EncodeBytesWith(meta Meta, img *cvm.Image, opts Options) ([]byte, error) {
 	binary.BigEndian.PutUint32(blob[offVersion:], Version)
 	binary.BigEndian.PutUint32(blob[offFlags:], flags)
 	binary.BigEndian.PutUint32(blob[offLen:], uint32(len(blob)-headerLen))
+	binary.BigEndian.PutUint32(blob[offBodyLen:], uint32(size.n))
 	binary.BigEndian.PutUint32(blob[offCRC:], checksum(blob))
 	return blob, nil
 }
 
-// checksum is the header's CRC. It covers the flags word and the
-// payload, so a corrupted flag cannot silently change interpretation.
+// checksum is the header's CRC. It covers the flags word, both lengths
+// and the payload, so a corrupted flag or length cannot silently change
+// interpretation.
 func checksum(blob []byte) uint32 {
-	crc := crc32.Update(0, crc32.IEEETable, blob[offFlags:offLen])
+	crc := crc32.Update(0, crc32.IEEETable, blob[offFlags:offCRC])
 	return crc32.Update(crc, crc32.IEEETable, blob[headerLen:])
+}
+
+// The body is every field in declaration order: Meta's, then Program's
+// (Name, Text as a count then Op, A, B, C per instruction, Data, BssLen,
+// Entry), then Image's (Mem, Stack, Regs, PC, SP, RNG, Steps, SysCnt,
+// Status, Exit, Files as a count then FD, Name, Flags, Offset per file,
+// NextFD, StackCap). A slice is its count then its elements, a string its
+// length then its bytes, Regs its 16 words with no count.
+//
+// Numbers use gob's byte encoding, so every value is as long as it was in
+// Version 2: an unsigned value below 128 is one byte; a larger one is its
+// byte count, negated, then its minimal big-endian bytes. A signed value
+// is zigzagged first (the low bit is the sign).
+
+// bodyWriter walks the body. The encoder runs it twice over one image: a
+// sizing pass that only counts bytes, then a writing pass into a buffer
+// of exactly that size.
+type bodyWriter struct {
+	sizing bool
+	n      int    // sizing: body bytes so far
+	buf    []byte // writing: room for the header, then the body so far
+}
+
+func (w *bodyWriter) body(meta *Meta, img *cvm.Image) {
+	w.putString(meta.JobID)
+	w.putString(meta.Owner)
+	w.putString(meta.ProgramName)
+	w.putString(meta.TextChecksum)
+	w.putString(meta.Arch)
+	w.putUint(meta.Sequence)
+	w.putUint(meta.CPUSteps)
+	w.putInt(meta.SubmittedAtUnixMilli)
+	w.putInt(int64(meta.Priority))
+	w.putString(meta.TraceID)
+
+	p := img.Program
+	w.putString(p.Name)
+	w.putUint(uint64(len(p.Text)))
+	for _, in := range p.Text {
+		w.putUint(uint64(in.Op))
+		w.putInt(in.A)
+		w.putInt(in.B)
+		w.putInt(in.C)
+	}
+	w.putInts(p.Data)
+	w.putInt(int64(p.BssLen))
+	w.putInt(int64(p.Entry))
+
+	w.putInts(img.Mem)
+	w.putInts(img.Stack)
+	for _, r := range img.Regs {
+		w.putInt(r)
+	}
+	w.putInt(img.PC)
+	w.putInt(img.SP)
+	w.putUint(img.RNG)
+	w.putUint(img.Steps)
+	w.putUint(img.SysCnt)
+	w.putInt(int64(img.Status))
+	w.putInt(img.Exit)
+	w.putUint(uint64(len(img.Files)))
+	for _, f := range img.Files {
+		w.putInt(f.FD)
+		w.putString(f.Name)
+		w.putInt(f.Flags)
+		w.putInt(f.Offset)
+	}
+	w.putInt(img.NextFD)
+	w.putInt(int64(img.StackCap))
+}
+
+func (w *bodyWriter) putUint(x uint64) {
+	if w.sizing {
+		w.n += uintLen(x)
+		return
+	}
+	w.buf = appendUint(w.buf, x)
+}
+
+// uintLen is the encoded length of x: one byte, or a count byte and up to
+// eight value bytes.
+func uintLen(x uint64) int {
+	if x < 0x80 {
+		return 1
+	}
+	return 1 + (bits.Len64(x)+7)/8
+}
+
+func appendUint(b []byte, x uint64) []byte {
+	if x < 0x80 {
+		return append(b, byte(x))
+	}
+	n := uintLen(x) - 1
+	var be [8]byte
+	binary.BigEndian.PutUint64(be[:], x)
+	return append(append(b, byte(-n)), be[8-n:]...)
+}
+
+// zigzag maps a signed value to gob's unsigned form, the sign in the low
+// bit; unzigzag inverts it.
+func zigzag(x int64) uint64   { return uint64(x<<1 ^ x>>63) }
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+func (w *bodyWriter) putInt(x int64) { w.putUint(zigzag(x)) }
+
+func (w *bodyWriter) putString(s string) {
+	w.putUint(uint64(len(s)))
+	if w.sizing {
+		w.n += len(s)
+		return
+	}
+	w.buf = append(w.buf, s...)
+}
+
+// putInts is putInt over a word slice, one loop per pass: memory is most
+// of a body.
+func (w *bodyWriter) putInts(v []int64) {
+	w.putUint(uint64(len(v)))
+	if w.sizing {
+		for _, x := range v {
+			w.n += uintLen(zigzag(x))
+		}
+		return
+	}
+	b := w.buf
+	for _, x := range v {
+		if u := zigzag(x); u < 0x80 {
+			b = append(b, byte(u))
+		} else {
+			b = appendUint(b, u)
+		}
+	}
+	w.buf = b
 }
 
 // deflaters pools BestSpeed writers: a fresh one costs ≈ 1.2 MB and 16
@@ -181,50 +321,18 @@ func (b *boundedBuf) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// DecodeBytes decodes a checkpoint blob in place, verifying magic,
-// version, length, CRC, the deflate stream, the architecture and the
-// image. Bytes past the announced payload are refused.
+// DecodeBytes decodes a checkpoint blob, verifying magic, version,
+// lengths, CRC, the deflate stream, the body's encoding, the architecture
+// and the image. Bytes past the announced payload, or past the image in
+// the body, are refused. The result shares no memory with b.
 func DecodeBytes(b []byte) (Meta, *cvm.Image, error) {
-	if len(b) < headerLen {
-		return Meta{}, nil, fmt.Errorf("%w: %d-byte header", ErrTruncated, len(b))
+	body, err := openBody(b)
+	if err != nil {
+		return Meta{}, nil, err
 	}
-	if string(b[:len(Magic)]) != Magic {
-		return Meta{}, nil, ErrBadMagic
-	}
-	if version := binary.BigEndian.Uint32(b[offVersion:]); version != Version {
-		return Meta{}, nil, fmt.Errorf("%w: got %d, want %d", ErrBadVersion, version, Version)
-	}
-	n := binary.BigEndian.Uint32(b[offLen:])
-	if n > maxPayloadBytes {
-		return Meta{}, nil, fmt.Errorf("%w: absurd payload length %d", ErrCorrupt, n)
-	}
-	switch have := len(b) - headerLen; {
-	case have < int(n):
-		return Meta{}, nil, fmt.Errorf("%w: payload %d of %d bytes", ErrTruncated, have, n)
-	case have > int(n):
-		return Meta{}, nil, fmt.Errorf("%w: %d bytes past the payload", ErrCorrupt, have-int(n))
-	}
-	if checksum(b) != binary.BigEndian.Uint32(b[offCRC:]) {
-		return Meta{}, nil, ErrCorrupt
-	}
-	var meta Meta
-	var img cvm.Image
-	payload := b[headerLen:]
-	if binary.BigEndian.Uint32(b[offFlags:])&flagDeflate != 0 {
-		in := inflaters.Get().(*inflater)
-		err := in.decode(payload, &meta, &img)
-		inflaters.Put(in)
-		if err != nil {
-			return Meta{}, nil, err
-		}
-	} else {
-		r := bytes.NewReader(payload)
-		if err := decodeGob(r, &meta, &img); err != nil {
-			return Meta{}, nil, err
-		}
-		if r.Len() != 0 {
-			return Meta{}, nil, fmt.Errorf("%w: %d payload bytes past the image", ErrCorrupt, r.Len())
-		}
+	meta, img, err := decodeBody(body)
+	if err != nil {
+		return Meta{}, nil, err
 	}
 	if meta.Arch != ArchCVM64 {
 		return Meta{}, nil, fmt.Errorf("%w: checkpoint is %q, this pool runs %q",
@@ -233,49 +341,232 @@ func DecodeBytes(b []byte) (Meta, *cvm.Image, error) {
 	if err := img.Validate(); err != nil {
 		return Meta{}, nil, fmt.Errorf("ckpt: decoded image invalid: %w", err)
 	}
-	return meta, &img, nil
+	return meta, img, nil
 }
 
-func decodeGob(r io.Reader, meta *Meta, img *cvm.Image) error {
-	dec := gob.NewDecoder(r)
-	if err := dec.Decode(meta); err != nil {
-		return fmt.Errorf("ckpt: decode meta: %w", err)
+// openBody checks a blob's header and CRC and returns its body: the
+// payload itself when plain, a fresh inflated copy when deflated.
+func openBody(b []byte) ([]byte, error) {
+	if len(b) < headerLen {
+		return nil, fmt.Errorf("%w: %d-byte header", ErrTruncated, len(b))
 	}
-	if err := dec.Decode(img); err != nil {
-		return fmt.Errorf("ckpt: decode image: %w", err)
+	if string(b[:len(Magic)]) != Magic {
+		return nil, ErrBadMagic
 	}
-	return nil
+	if version := binary.BigEndian.Uint32(b[offVersion:]); version != Version {
+		return nil, fmt.Errorf("%w: got %d, want %d", ErrBadVersion, version, Version)
+	}
+	n := binary.BigEndian.Uint32(b[offLen:])
+	bodyLen := binary.BigEndian.Uint32(b[offBodyLen:])
+	if n > maxPayloadBytes || bodyLen > maxPayloadBytes {
+		return nil, fmt.Errorf("%w: absurd payload/body length %d/%d", ErrCorrupt, n, bodyLen)
+	}
+	switch have := len(b) - headerLen; {
+	case have < int(n):
+		return nil, fmt.Errorf("%w: payload %d of %d bytes", ErrTruncated, have, n)
+	case have > int(n):
+		return nil, fmt.Errorf("%w: %d bytes past the payload", ErrCorrupt, have-int(n))
+	}
+	if checksum(b) != binary.BigEndian.Uint32(b[offCRC:]) {
+		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	}
+	payload := b[headerLen:]
+	if binary.BigEndian.Uint32(b[offFlags:])&flagDeflate == 0 {
+		if bodyLen != n {
+			return nil, fmt.Errorf("%w: plain body length %d, payload %d", ErrCorrupt, bodyLen, n)
+		}
+		return payload, nil
+	}
+	if uint64(bodyLen) > maxInflateRatio*uint64(n) {
+		return nil, fmt.Errorf("%w: %d-byte payload cannot inflate to %d bytes", ErrCorrupt, n, bodyLen)
+	}
+	return inflate(payload, int(bodyLen))
 }
 
-// inflater is the fixed-size state of one streaming decode: gob reads
-// straight out of the inflater, so no inflated copy of the payload is
-// ever built.
+// inflater is the fixed-size state of one inflate. The body it fills is
+// allocated per decode at its announced length; payload-sized buffers are
+// never pooled.
 type inflater struct {
 	src bytes.Reader
 	fr  io.ReadCloser // a flate.Resetter
-	br  *bufio.Reader // gob needs an io.ByteReader; flate's reader is not one
+	one [1]byte       // the probe for the end of the stream
 }
 
 var inflaters = sync.Pool{New: func() any {
 	in := &inflater{}
 	in.fr = flate.NewReader(&in.src)
-	in.br = bufio.NewReader(in.fr)
 	return in
 }}
 
-func (in *inflater) decode(payload []byte, meta *Meta, img *cvm.Image) error {
+// inflate decompresses payload into a body of exactly bodyLen bytes. The
+// deflate stream must end there, and the payload with it.
+func inflate(payload []byte, bodyLen int) ([]byte, error) {
+	in := inflaters.Get().(*inflater)
+	defer inflaters.Put(in)
 	in.src.Reset(payload)
 	defer in.src.Reset(nil)
 	if err := in.fr.(flate.Resetter).Reset(&in.src, nil); err != nil {
-		return fmt.Errorf("%w: inflate: %v", ErrCorrupt, err)
+		return nil, fmt.Errorf("%w: inflate: %v", ErrCorrupt, err)
 	}
-	in.br.Reset(in.fr)
-	if err := decodeGob(in.br, meta, img); err != nil {
-		return err
+	body := make([]byte, bodyLen)
+	if _, err := io.ReadFull(in.fr, body); err != nil {
+		return nil, fmt.Errorf("%w: inflate: %v", ErrCorrupt, err)
 	}
-	// The deflate stream must end exactly where the image does.
-	if _, err := in.br.ReadByte(); err != io.EOF {
-		return fmt.Errorf("%w: inflate: stream does not end after the image (%v)", ErrCorrupt, err)
+	if n, err := in.fr.Read(in.one[:]); n != 0 || err != io.EOF || in.src.Len() != 0 {
+		return nil, fmt.Errorf("%w: inflate: stream does not end with the %d-byte body", ErrCorrupt, bodyLen)
 	}
-	return nil
+	return body, nil
+}
+
+// bodyReader reads the body bodyWriter writes. The first malformed field
+// sets err and empties b, so every later read returns zero.
+type bodyReader struct {
+	b   []byte
+	err error
+}
+
+func (r *bodyReader) fail(what string) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w: body: %s", ErrCorrupt, what)
+	}
+	r.b = nil
+}
+
+func decodeBody(body []byte) (Meta, *cvm.Image, error) {
+	r := bodyReader{b: body}
+	var meta Meta
+	meta.JobID = r.readString()
+	meta.Owner = r.readString()
+	meta.ProgramName = r.readString()
+	meta.TextChecksum = r.readString()
+	meta.Arch = r.readString()
+	meta.Sequence = r.readUint()
+	meta.CPUSteps = r.readUint()
+	meta.SubmittedAtUnixMilli = r.readInt()
+	meta.Priority = int(r.readInt())
+	meta.TraceID = r.readString()
+
+	p := &cvm.Program{Name: r.readString()}
+	if n := r.readCount(4); n > 0 { // an instruction is at least 4 bytes
+		p.Text = make([]cvm.Instr, n)
+		for i := range p.Text {
+			op := r.readUint()
+			if op > 0xff {
+				r.fail("opcode out of range")
+			}
+			in := &p.Text[i]
+			in.Op = cvm.Opcode(op)
+			in.A = r.readInt()
+			in.B = r.readInt()
+			in.C = r.readInt()
+		}
+	}
+	p.Data = r.readInts()
+	p.BssLen = int(r.readInt())
+	p.Entry = int(r.readInt())
+
+	img := &cvm.Image{Program: p}
+	img.Mem = r.readInts()
+	img.Stack = r.readInts()
+	for i := range img.Regs {
+		img.Regs[i] = r.readInt()
+	}
+	img.PC = r.readInt()
+	img.SP = r.readInt()
+	img.RNG = r.readUint()
+	img.Steps = r.readUint()
+	img.SysCnt = r.readUint()
+	img.Status = cvm.Status(r.readInt())
+	img.Exit = r.readInt()
+	if n := r.readCount(4); n > 0 { // a file entry is at least 4 bytes
+		img.Files = make([]cvm.OpenFile, n)
+		for i := range img.Files {
+			f := &img.Files[i]
+			f.FD = r.readInt()
+			f.Name = r.readString()
+			f.Flags = r.readInt()
+			f.Offset = r.readInt()
+		}
+	}
+	img.NextFD = r.readInt()
+	img.StackCap = int(r.readInt())
+	if len(r.b) != 0 {
+		r.fail(fmt.Sprintf("%d bytes past the image", len(r.b)))
+	}
+	if r.err != nil {
+		return Meta{}, nil, r.err
+	}
+	return meta, img, nil
+}
+
+// readUint reads one number, refusing a non-minimal form so that every
+// image has exactly one encoding.
+func (r *bodyReader) readUint() uint64 {
+	if len(r.b) == 0 {
+		r.fail("ends early")
+		return 0
+	}
+	c := r.b[0]
+	if c < 0x80 {
+		r.b = r.b[1:]
+		return uint64(c)
+	}
+	n := 256 - int(c) // the negated byte count
+	if n > 8 || n >= len(r.b) {
+		r.fail("malformed number")
+		return 0
+	}
+	var x uint64
+	for _, d := range r.b[1 : 1+n] {
+		x = x<<8 | uint64(d)
+	}
+	if r.b[1] == 0 || x < 0x80 {
+		r.fail("non-minimal number")
+		return 0
+	}
+	r.b = r.b[1+n:]
+	return x
+}
+
+func (r *bodyReader) readInt() int64 { return unzigzag(r.readUint()) }
+
+// readCount reads a length, refused when the rest of the body cannot hold
+// that many elements of at least minBytes each: a hostile count cannot
+// allocate more than a small multiple of the body.
+func (r *bodyReader) readCount(minBytes int) int {
+	n := r.readUint()
+	if n > uint64(len(r.b)/minBytes) {
+		r.fail("count exceeds the bytes left")
+		return 0
+	}
+	return int(n)
+}
+
+func (r *bodyReader) readString() string {
+	n := r.readCount(1)
+	s := string(r.b[:n])
+	r.b = r.b[n:]
+	return s
+}
+
+// readInts reads a word slice; an empty one is nil, as Snapshot makes it.
+func (r *bodyReader) readInts() []int64 {
+	n := r.readCount(1)
+	if n == 0 {
+		return nil
+	}
+	v := make([]int64, n)
+	b := r.b // a local cursor: no write barrier per word
+	for i := range v {
+		if len(b) > 0 && b[0] < 0x80 { // the common one-byte word, inline
+			v[i] = unzigzag(uint64(b[0]))
+			b = b[1:]
+			continue
+		}
+		r.b = b
+		v[i] = r.readInt()
+		b = r.b
+	}
+	r.b = b
+	return v
 }

@@ -1,7 +1,10 @@
 package ckpt
 
 import (
+	"encoding/binary"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -20,6 +23,81 @@ func makeImage(t testing.TB, prog *cvm.Program, steps uint64) *cvm.Image {
 		}
 	}
 	return v.Snapshot()
+}
+
+// frame wraps a hand-made body in a valid plain header, as a hostile peer
+// could: only the body is wrong.
+func frame(body []byte) []byte {
+	b := append(make([]byte, headerLen, headerLen+len(body)), body...)
+	copy(b, Magic)
+	binary.BigEndian.PutUint32(b[offVersion:], Version)
+	binary.BigEndian.PutUint32(b[offLen:], uint32(len(body)))
+	binary.BigEndian.PutUint32(b[offBodyLen:], uint32(len(body)))
+	binary.BigEndian.PutUint32(b[offCRC:], checksum(b))
+	return b
+}
+
+// plainBody is the body EncodeBytes writes for img under job id "j",
+// whose first byte is the id's length, 1.
+func plainBody(t testing.TB, img *cvm.Image) []byte {
+	t.Helper()
+	blob, err := EncodeBytes(Meta{JobID: "j"}, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob[headerLen:]
+}
+
+// TestDecodeRefusesMalformedBodies: a body behind a valid header and CRC
+// is still refused as ErrCorrupt when a number is not in its minimal
+// form, a count exceeds the bytes left, the image ends early or bytes
+// follow it; a deflated blob is refused when its stream and its announced
+// body length disagree.
+func TestDecodeRefusesMalformedBodies(t *testing.T) {
+	img := makeImage(t, cvm.SpinProgram(10), 5)
+	body := plainBody(t, img)
+	if body[0] != 1 {
+		t.Fatalf("body starts %#x, want the job id's length 1", body[0])
+	}
+	with := func(prefix ...byte) []byte { return append(prefix, body[1:]...) }
+	var count bodyWriter
+	count.putUint(1 << 40)
+	cases := map[string][]byte{
+		"one-byte value in the long form": frame(with(0xff, 0x01)),
+		"leading zero byte":               frame(with(0xfe, 0x00, 0x01)),
+		"bad byte count":                  frame(with(0x80)),
+		"count past the end":              frame(with(count.buf...)),
+		"ends early":                      frame(body[:len(body)-1]),
+		"byte after the image":            frame(append(body[:len(body):len(body)], 0)),
+	}
+	packed, err := EncodeBytesWith(Meta{JobID: "j"}, makeImage(t, cvm.SumProgram(50), 0), Options{Compress: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodyLen := binary.BigEndian.Uint32(packed[offBodyLen:])
+	for name, n := range map[string]uint32{
+		"inflates short": bodyLen + 1, "inflates long": bodyLen - 1, "deflate bomb": maxPayloadBytes,
+	} {
+		b := append([]byte(nil), packed...)
+		binary.BigEndian.PutUint32(b[offBodyLen:], n)
+		binary.BigEndian.PutUint32(b[offCRC:], checksum(b))
+		cases[name] = b
+	}
+	plain, err := EncodeBytes(Meta{JobID: "j"}, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.BigEndian.PutUint32(plain[offBodyLen:], uint32(len(body)+1))
+	binary.BigEndian.PutUint32(plain[offCRC:], checksum(plain))
+	cases["plain body length differs"] = plain
+	for name, blob := range cases {
+		if _, _, err := DecodeBytes(blob); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+	if _, _, err := DecodeBytes(frame(body)); err != nil {
+		t.Fatalf("the unmodified body is refused: %v", err)
+	}
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -98,6 +176,15 @@ func TestDecodeRejectsWrongVersion(t *testing.T) {
 	blob[len(Magic)+3] = 99 // version field
 	if _, _, err := DecodeBytes(blob); !errors.Is(err, ErrBadVersion) {
 		t.Fatalf("err = %v, want ErrBadVersion", err)
+	}
+	// No Version 2 decoder is kept: a blob from before Version 3 is
+	// refused as a version, not as garbage.
+	v2, err := os.ReadFile(filepath.Join("testdata", "v2-small-plain.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := DecodeBytes(v2); !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("v2 blob: err = %v, want ErrBadVersion", err)
 	}
 }
 

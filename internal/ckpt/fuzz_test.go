@@ -8,10 +8,10 @@ import (
 	"condor/internal/cvm"
 )
 
-// withValidCRC rewrites the header's CRC field to match the flags word
-// and the payload the header announces, so mutated bytes get past the
-// checksum and reach the inflate, gob and image-validation layers. Input
-// too short to hold that payload is returned unchanged.
+// withValidCRC rewrites the header's CRC field to match the flags, the
+// lengths and the payload the header announces, so mutated bytes get
+// past the checksum and reach the inflate, body and image-validation
+// layers. Input too short to hold that payload is returned unchanged.
 func withValidCRC(data []byte) []byte {
 	if len(data) < headerLen {
 		return data
@@ -26,9 +26,10 @@ func withValidCRC(data []byte) []byte {
 }
 
 // FuzzDecode feeds arbitrary bytes to the checkpoint decoder, as a
-// stored file or a peer's PlaceRequest would. It must never panic;
-// whatever it accepts must be a checkpoint this package could have
-// written, so it encodes again.
+// stored file or a peer's PlaceRequest would. It must never panic, and
+// whatever it accepts must restore (so an exec station can run it) and
+// encode again to the very body it came from (the encoding is
+// canonical: one image, one body).
 func FuzzDecode(f *testing.F) {
 	addDecodeSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte, fixCRC bool) {
@@ -42,8 +43,19 @@ func FuzzDecode(f *testing.F) {
 			}
 			return
 		}
-		if _, err := EncodeBytes(meta, img); err != nil {
+		if _, err := cvm.Restore(img, cvm.NewMemHost()); err != nil {
+			t.Fatalf("Decode accepted an image Restore refuses: %v", err)
+		}
+		body, err := openBody(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := EncodeBytes(meta, img)
+		if err != nil {
 			t.Fatalf("Decode accepted a checkpoint Encode refuses: %v", err)
+		}
+		if !bytes.Equal(again[headerLen:], body) {
+			t.Fatalf("accepted body (%d bytes) re-encodes differently (%d bytes)", len(body), len(again)-headerLen)
 		}
 	})
 }
@@ -125,11 +137,11 @@ func addDecodeSeeds(f *testing.F) {
 		f.Add(plain[:cut], false)
 	}
 	f.Add(mutate(plain, len(plain)-3, 0xff), false)  // payload byte, CRC catches it
-	f.Add(mutate(plain, len(plain)-3, 0xff), true)   // same, past the CRC into gob
+	f.Add(mutate(plain, len(plain)-3, 0xff), true)   // same, past the CRC into the body
 	f.Add(mutate(packed, len(packed)-2, 0x55), true) // into a broken deflate stream
-	f.Add(mutate(plain, len(Magic)+3, 99), false)    // version field
+	f.Add(mutate(plain, offVersion+3, 99), false)    // version field
 	absurd := append([]byte(nil), plain...)
-	binary.BigEndian.PutUint32(absurd[len(Magic)+8:], 0xffffffff)
+	binary.BigEndian.PutUint32(absurd[offLen:], 0xffffffff)
 	f.Add(absurd, false)
 	ours, err := EncodeBytesWith(Meta{JobID: "j"}, makeImage(f, cvm.SumProgram(50), 9), Options{Compress: true})
 	if err != nil {
@@ -137,4 +149,19 @@ func addDecodeSeeds(f *testing.F) {
 	}
 	f.Add(ours, false)                                     // a compressed blob the job accepts
 	f.Add(append(plain[:len(plain):len(plain)], 0), false) // a byte past the payload
+
+	// Bodies behind a valid header: a stack no station can allocate, a
+	// number in a non-minimal form, a count past the end, and a deflated
+	// blob announcing a body its payload cannot inflate to.
+	huge := *img
+	huge.StackCap = 1 << 62
+	var w bodyWriter
+	w.body(&Meta{JobID: "j", Arch: ArchCVM64}, &huge)
+	f.Add(frame(w.buf), false)
+	body := plain[headerLen:]
+	f.Add(frame(append([]byte{0xff, 0x01}, body[1:]...)), false)
+	f.Add(frame(append([]byte{0xfb, 0x01, 0, 0, 0, 0}, body[1:]...)), false)
+	bomb := append([]byte(nil), packed...)
+	binary.BigEndian.PutUint32(bomb[offBodyLen:], maxPayloadBytes)
+	f.Add(bomb, true)
 }

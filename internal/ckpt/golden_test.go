@@ -14,8 +14,18 @@ import (
 )
 
 // goldenCase is one committed blob in testdata/ and the inputs that
-// produced it. The blobs were written by the encoder before it pooled
-// its deflate state, so they pin Version 2 byte for byte.
+// produced it. The blobs pin Version 3 byte for byte. Each file is
+// exactly EncodeBytesWith(c.meta, c.img, c.opts) for its case below; a
+// deliberate format change regenerates them all with a one-off test in
+// this package:
+//
+//	for _, c := range goldenCases(t) {
+//		blob, _ := EncodeBytesWith(c.meta, c.img, c.opts)
+//		os.WriteFile(filepath.Join("testdata", c.file), blob, 0o644)
+//	}
+//
+// testdata/v2-small-plain.ckpt is small-plain's inputs as Version 2 (gob)
+// wrote them, kept so that a spool from before Version 3 is refused.
 type goldenCase struct {
 	file   string
 	meta   Meta

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -272,9 +273,24 @@ func TestDirStoreSkipsCorruptFilesInList(t *testing.T) {
 	if err := writeFile(t, dir+"/bad.ckpt", []byte("garbage")); err != nil {
 		t.Fatal(err)
 	}
+	// A spool written before Version 3 is refused like any corrupt file.
+	v2, err := os.ReadFile(filepath.Join("testdata", "v2-small-plain.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFile(t, dir+"/ws1_7.ckpt", v2); err != nil {
+		t.Fatal(err)
+	}
+	before := mSkippedFiles.Value()
 	list := s.List()
 	if len(list) != 1 || list[0].JobID != "good" {
 		t.Fatalf("list = %+v, want only the good checkpoint", list)
+	}
+	if got := mSkippedFiles.Value() - before; got != 2 {
+		t.Fatalf("skipped-files counter rose by %d, want 2", got)
+	}
+	if u := s.Usage(); u.Checkpoints != 3 {
+		t.Fatalf("usage = %+v, want the skipped files left on disk", u)
 	}
 }
 

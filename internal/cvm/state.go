@@ -68,6 +68,10 @@ func (img *Image) Validate() error {
 		return fmt.Errorf("cvm: image stack capacity %d below live size %d",
 			img.StackCap, len(img.Stack))
 	}
+	if img.StackCap > MaxStackWords {
+		return fmt.Errorf("cvm: image stack capacity %d exceeds the %d-word limit",
+			img.StackCap, MaxStackWords)
+	}
 	if img.Status == StatusRunning && (img.PC < 0 || img.PC >= int64(len(img.Program.Text))) {
 		return fmt.Errorf("cvm: image pc %d outside text", img.PC)
 	}

@@ -167,6 +167,7 @@ func TestImageValidate(t *testing.T) {
 			i.SP = 3
 			i.StackCap = 2
 		}),
+		"stack cap too large": corrupt(func(i *Image) { i.StackCap = 1 << 62 }),
 	}
 	for name, img := range bad {
 		if err := img.Validate(); err == nil {

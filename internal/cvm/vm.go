@@ -105,6 +105,12 @@ type Config struct {
 // DefaultStackWords is the stack capacity when Config.StackWords is zero.
 const DefaultStackWords = 4096
 
+// MaxStackWords bounds a stack's capacity (8 MiB of words). New refuses a
+// larger Config.StackWords and Image.Validate a larger StackCap, so a
+// stack size from a submitter or a peer's checkpoint cannot make the
+// station allocate without limit.
+const MaxStackWords = 1 << 20
+
 // VM is a single guest program execution. It is not safe for concurrent
 // use; the owner serializes Run and Snapshot calls.
 type VM struct {
@@ -142,6 +148,9 @@ func New(prog *Program, handler SyscallHandler, cfg Config) (*VM, error) {
 	stackWords := cfg.StackWords
 	if stackWords <= 0 {
 		stackWords = DefaultStackWords
+	}
+	if stackWords > MaxStackWords {
+		return nil, fmt.Errorf("cvm: stack of %d words exceeds the %d-word limit", stackWords, MaxStackWords)
 	}
 	mem := make([]int64, prog.StaticWords())
 	copy(mem, prog.Data)

@@ -309,6 +309,12 @@ func TestNewRejectsBadPrograms(t *testing.T) {
 	if _, err := New(big, NewMemHost(), Config{MaxStaticWords: 10}); err == nil {
 		t.Fatal("over-cap program accepted")
 	}
+	if _, err := New(p, NewMemHost(), Config{StackWords: MaxStackWords}); err != nil {
+		t.Fatalf("stack at the limit refused: %v", err)
+	}
+	if _, err := New(p, NewMemHost(), Config{StackWords: 1 << 62}); err == nil {
+		t.Fatal("stack past the limit accepted")
+	}
 }
 
 func TestProgramValidateCatchesBadTargets(t *testing.T) {

@@ -1,13 +1,17 @@
 package ru
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"condor/internal/ckpt"
 	"condor/internal/cvm"
 	"condor/internal/proto"
 	"condor/internal/wire"
@@ -142,6 +146,54 @@ func TestTamperedCheckpointRejectedAtPlacement(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "checksum") && !strings.Contains(err.Error(), "bad checkpoint") {
 		t.Fatalf("rejection reason opaque: %v", err)
+	}
+}
+
+// hugeStackBlob is a plain checkpoint for prog whose StackCap, the last
+// number of a Version 3 body, is rewritten to 1<<62 and the header
+// re-framed (see docs/ASSEMBLY.md): the blob a hostile peer would send,
+// since no encoder here writes one.
+func hugeStackBlob(t *testing.T, jobID string, prog *cvm.Program) []byte {
+	t.Helper()
+	vm, err := cvm.New(prog, cvm.NewMemHost(), cvm.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := ckpt.EncodeBytes(ckpt.Meta{JobID: jobID, Owner: "tester"}, vm.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const header = 28                      // magic, version, flags, payload length, body length, CRC
+	defaultCap := []byte{0xfe, 0x20, 0x00} // 4096 words, zigzagged to 8192
+	if !bytes.HasSuffix(blob, defaultCap) {
+		t.Fatal("the body no longer ends with the default StackCap")
+	}
+	blob = append(blob[:len(blob)-len(defaultCap)], 0xf8, 0x80, 0, 0, 0, 0, 0, 0, 0) // zigzag(1<<62)
+	n := uint32(len(blob) - header)
+	binary.BigEndian.PutUint32(blob[16:], n)
+	binary.BigEndian.PutUint32(blob[20:], n)
+	crc := crc32.Update(crc32.ChecksumIEEE(blob[12:24]), crc32.IEEETable, blob[header:])
+	binary.BigEndian.PutUint32(blob[24:], crc)
+	return blob
+}
+
+// TestPlacementRefusesHugeStack: a checkpoint asking for a stack no
+// station can allocate is refused with a reason, and the starter keeps
+// serving placements.
+func TestPlacementRefusesHugeStack(t *testing.T) {
+	s := newSite(t, StarterConfig{})
+	_, err := Place(context.Background(), s.server.Addr(), proto.PlaceRequest{
+		JobID: "huge", Checkpoint: hugeStackBlob(t, "huge", cvm.SumProgram(10)),
+	}, cvm.NewMemHost(), newRecorder(), PlaceConfig{})
+	if !errors.Is(err, ErrPlacementRejected) || !strings.Contains(err.Error(), "stack") {
+		t.Fatalf("err = %v, want a stack-capacity rejection", err)
+	}
+	host := cvm.NewMemHost()
+	rec := newRecorder()
+	place(t, s, "next", freshBlob(t, "next", cvm.SumProgram(100)), host, rec)
+	waitDone(t, rec, 10*time.Second)
+	if got := strings.TrimSpace(host.Stdout()); got != "5050" {
+		t.Fatalf("follow-up job output = %q", got)
 	}
 }
 

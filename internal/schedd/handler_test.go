@@ -75,6 +75,13 @@ func TestWireSubmitRejectsBadInput(t *testing.T) {
 	peer := dial(t, st)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
+	const tiny = ".text\nstart:\n HALT 0\n"
+	// A stack the station cannot allocate is the submitter's error, not
+	// the station's end: the last submit below still succeeds.
+	if _, err := peer.Call(ctx, proto.SubmitRequest{Owner: "x", Source: tiny, StackWords: 1 << 62}); err == nil ||
+		!strings.Contains(err.Error(), "stack") {
+		t.Fatalf("huge stack: err = %v, want a stack-size refusal", err)
+	}
 	if _, err := peer.Call(ctx, proto.SubmitRequest{Owner: "x"}); err == nil {
 		t.Fatal("empty submit accepted")
 	}
@@ -84,6 +91,7 @@ func TestWireSubmitRejectsBadInput(t *testing.T) {
 	if _, err := peer.Call(ctx, proto.SubmitRequest{Owner: "x", ProgramBlob: []byte("junk")}); err == nil {
 		t.Fatal("bad blob accepted")
 	}
+	call(t, peer, proto.SubmitRequest{Owner: "x", Source: tiny})
 }
 
 func TestWireQueueRemoveWaitHistory(t *testing.T) {
