@@ -8,13 +8,15 @@ GO ?= go
 # accounting hot paths (the per-syscall meter must stay 0 allocs/op,
 # and so must an event-bus publish with no subscribers), wire round
 # trips, the forwarded-syscall round trip through the full RU path (root
-# package), checkpoint encode+decode per MB and of one small compressed
+# package), a placement's fixed cost (root package: sequential placements
+# on one starter ride one link, so a dial and fresh gob streams per
+# placement fail here as allocs growth), checkpoint encode+decode per MB and of one small compressed
 # image (its fixed cost, 14 allocs/op with format Version 3: a per-call
 # deflate writer, or a fallback to reflection or gob, fails here as allocs
 # growth) and guest instruction throughput (root package too), journal appends, coordinator cycles,
 # tracing, and the decision audit ring (record is lock-free and the
 # nil-builder path 0 allocs/op).
-BASELINE_BENCH = 'BenchmarkTelemetryObserve$$|BenchmarkTelemetryCounter$$|BenchmarkFrameRoundTrip$$|BenchmarkSyscallRoundTrip$$|BenchmarkCheckpointPerMB$$|BenchmarkCheckpointSmallCompressed$$|BenchmarkVMExecution$$|BenchmarkJournalAppend|BenchmarkCycle100$$|BenchmarkCycle1000$$|BenchmarkPipelineCycle100$$|BenchmarkPipelineCycle1000$$|BenchmarkPipelineCycleAudited1000$$|BenchmarkTraceSpan$$|BenchmarkTraceSampledOut$$|BenchmarkTraceparentParse$$|BenchmarkAccountingSyscall$$|BenchmarkAccountingSyscallParallel$$|BenchmarkLedgerSnapshot$$|BenchmarkHealthObserve$$|BenchmarkBusPublish$$|BenchmarkBusPublishSubscribed$$|BenchmarkDecisionRecord$$|BenchmarkBuilderNil$$'
+BASELINE_BENCH = 'BenchmarkTelemetryObserve$$|BenchmarkTelemetryCounter$$|BenchmarkFrameRoundTrip$$|BenchmarkSyscallRoundTrip$$|BenchmarkPlaceSequential$$|BenchmarkCheckpointPerMB$$|BenchmarkCheckpointSmallCompressed$$|BenchmarkVMExecution$$|BenchmarkJournalAppend|BenchmarkCycle100$$|BenchmarkCycle1000$$|BenchmarkPipelineCycle100$$|BenchmarkPipelineCycle1000$$|BenchmarkPipelineCycleAudited1000$$|BenchmarkTraceSpan$$|BenchmarkTraceSampledOut$$|BenchmarkTraceparentParse$$|BenchmarkAccountingSyscall$$|BenchmarkAccountingSyscallParallel$$|BenchmarkLedgerSnapshot$$|BenchmarkHealthObserve$$|BenchmarkBusPublish$$|BenchmarkBusPublishSubscribed$$|BenchmarkDecisionRecord$$|BenchmarkBuilderNil$$'
 BASELINE_PKGS = . ./internal/telemetry/ ./internal/wire/ ./internal/journal/ ./internal/coordinator/ ./internal/trace/ ./internal/accounting/ ./internal/decision/
 
 all: verify
@@ -52,12 +54,13 @@ race:
 
 # Crash-recovery and fault-injection suite: journal torn-tail fuzz,
 # coordinator replay fuzz, crash/restart recovery, the graded-health
-# state machine (quarantine, flap, byzantine), and the cluster-level
-# chaos harness (partitions, slow links, scenario runner). Set
+# state machine (quarantine, flap, byzantine), the cluster-level chaos
+# harness (partitions, slow links, scenario runner), and the RU failure
+# paths (executor or shadow dying mid-job, on fresh and reused links). Set
 # CONDOR_CHAOS_LONG=1 for the nightly multi-seed soak.
 chaos:
-	$(GO) test -race -count=2 -run 'Crash|Chaos|Replay|Torn|Truncat|Recovery|Scenario|Partition|Quarantine|Flap|Byzantine' \
-		./internal/journal/... ./internal/coordinator/... ./internal/schedd/... ./internal/chaos/...
+	$(GO) test -race -count=2 -run 'Crash|Chaos|Replay|Torn|Truncat|Recovery|Scenario|Partition|Quarantine|Flap|Byzantine|Failure|Lost|Hangup|Wedging' \
+		./internal/journal/... ./internal/coordinator/... ./internal/schedd/... ./internal/chaos/... ./internal/ru/...
 
 # Scheduling-policy gate: every registered policy must satisfy the
 # shared invariant harness, and the pipelined Up-Down must reproduce

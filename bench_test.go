@@ -274,6 +274,51 @@ func BenchmarkSyscallRoundTrip(b *testing.B) {
 	})
 }
 
+// BenchmarkPlaceSequential is a placement's fixed cost through the full
+// RU path: one home places SpinProgram(1) jobs on one starter, one after
+// another, and waits for each JobDone. The link the first placement
+// dials carries every later one, so a return to a dial (and fresh gob
+// streams) per placement fails here as allocs growth.
+func BenchmarkPlaceSequential(b *testing.B) {
+	starter, err := ru.NewStarter(ru.StarterConfig{
+		Name: "bench-exec", Monitor: machine.NewScriptedMonitor(false), ScanInterval: time.Hour,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer starter.Close()
+	srv, err := wire.NewServer("127.0.0.1:0", starter.Handler)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	blob, err := ru.InitialCheckpoint(ckpt.Meta{JobID: "bench/1", Owner: "bench"}, cvm.SpinProgram(1), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	req := proto.PlaceRequest{JobID: "bench/1", Owner: "bench", HomeHost: "bench-home", Checkpoint: blob}
+	host := cvm.NewMemHost()
+	events := doneEvents(make(chan struct{}, 1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ru.Place(context.Background(), srv.Addr(), req, host, events, ru.PlaceConfig{}); err != nil {
+			b.Fatal(err)
+		}
+		<-events
+	}
+}
+
+// doneEvents signals each JobDone and ignores every other shadow event.
+type doneEvents chan struct{}
+
+func (e doneEvents) JobDone(proto.JobDoneMsg)             { e <- struct{}{} }
+func (doneEvents) JobVacated(proto.JobVacatedMsg)         {}
+func (doneEvents) JobCheckpointed(proto.JobCheckpointMsg) {}
+func (doneEvents) JobSuspended(string)                    {}
+func (doneEvents) JobResumed(string)                      {}
+func (doneEvents) JobLost(string, error)                  {}
+
 // BenchmarkCheckpointPerMB measures checkpoint encode+decode throughput
 // — the paper's 5 s/MB placement/checkpoint cost on 1987 hardware.
 func BenchmarkCheckpointPerMB(b *testing.B) {

@@ -512,8 +512,10 @@ type PoolStatusReply struct {
 
 // PlaceRequest ships a job to an execution machine. Checkpoint is a
 // ckpt-format blob (sequence 0 for a fresh job). The connection that
-// carried PlaceRequest stays open: the executor sends SyscallMsg and
-// finally one of JobDoneMsg/JobVacatedMsg back over it.
+// carried PlaceRequest (a link, see internal/ru) serves that job: the
+// executor sends SyscallMsg and finally one of JobDoneMsg/JobVacatedMsg
+// back over it. Once that terminal message is acknowledged the link
+// stays open for the home station's next PlaceRequest to this machine.
 type PlaceRequest struct {
 	JobID      string
 	Owner      string

@@ -283,8 +283,7 @@ func (e *execution) ship(sc trace.SpanContext, msg proto.JobVacatedMsg) {
 	if !sc.Valid() {
 		sc = e.traceCtx
 	}
-	_, _ = e.peer.Call(trace.ContextWith(ctx, sc), msg)
-	e.peer.Close()
+	e.terminal(trace.ContextWith(ctx, sc), msg)
 }
 
 func (e *execution) finish(msg proto.JobDoneMsg) {
@@ -292,8 +291,16 @@ func (e *execution) finish(msg proto.JobDoneMsg) {
 	defer cancel()
 	// Carry the exec span so the shadow's terminal "complete" span hangs
 	// off it in the tree.
-	_, _ = e.peer.Call(trace.ContextWith(ctx, e.traceCtx), msg)
-	e.peer.Close()
+	e.terminal(trace.ContextWith(ctx, e.traceCtx), msg)
+}
+
+// terminal sends the job's last message. Once the shadow acknowledges it
+// the connection is the home station's link again, free for its next
+// placement here; only a failed hand-off closes it.
+func (e *execution) terminal(ctx context.Context, msg any) {
+	if _, err := e.peer.Call(ctx, msg); err != nil {
+		e.peer.Close()
+	}
 }
 
 // remoteHandler forwards guest system calls to the shadow.

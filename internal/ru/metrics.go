@@ -13,4 +13,10 @@ var (
 		"Delay from the scan loop detecting the owner's return (posting suspend/kill/vacate) to the executor acting on it.", nil)
 	mSyscallErrors = telemetry.NewCounter("condor_ru_shadow_syscall_errors_total",
 		"Forwarded system calls that failed (shadow unreachable or deadline expired).")
+	mPlaceLinks = telemetry.NewCounterVec("condor_ru_place_links_total",
+		"Placement handshakes by the home-to-exec link they rode: freshly dialed, or reused from the idle pool.", "outcome")
+	mLinksDialed = mPlaceLinks.With("dialed")
+	mLinksReused = mPlaceLinks.With("reused")
+	mLinkStale   = telemetry.NewCounter("condor_ru_link_stale_msgs_total",
+		"Messages on a placement link naming no job the link carries (a late notice of its previous job): requests refused, one-way notices dropped.")
 )

@@ -106,6 +106,13 @@ type site struct {
 
 func newSite(t *testing.T, cfg StarterConfig) *site {
 	t.Helper()
+	return newSiteAt(t, "127.0.0.1:0", cfg)
+}
+
+// newSiteAt is newSite listening on addr (a restarted machine reuses its
+// predecessor's address).
+func newSiteAt(t *testing.T, addr string, cfg StarterConfig) *site {
+	t.Helper()
 	mon := machine.NewScriptedMonitor(false)
 	if cfg.Monitor == nil {
 		cfg.Monitor = mon
@@ -126,7 +133,7 @@ func newSite(t *testing.T, cfg StarterConfig) *site {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := wire.NewServer("127.0.0.1:0", st.Handler)
+	srv, err := wire.NewServer(addr, st.Handler)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -53,7 +52,7 @@ type ShadowStats struct {
 type Shadow struct {
 	jobID    string
 	execSite string
-	peer     *wire.Peer
+	link     *link
 	events   Events
 	handler  cvm.SyscallHandler
 	// meter charges home-side support time (syscall service, checkpoint
@@ -65,10 +64,8 @@ type Shadow struct {
 	ckptsIn   atomic.Uint64
 	ckptBytes atomic.Int64
 
-	mu       sync.Mutex
-	terminal bool // saw JobDone or JobVacated
-
-	closed chan struct{}
+	released chan struct{} // closed when the link is handed back
+	closed   chan struct{} // closed when watch has ended
 }
 
 // placeTimeout bounds the placement handshake and, when DialRetry is
@@ -83,8 +80,12 @@ type PlaceConfig struct {
 	// Only the dial is ever retried: the PlaceRequest handshake runs at
 	// most once, because a handshake whose reply was lost may already
 	// have claimed the execution machine.
+	//
+	// DialTimeout and DialRetry only matter when no idle link to the
+	// machine is kept; the three settings below are part of a link, and
+	// only placements that agree on them share one.
 	DialRetry *wire.Retry
-	// WriteTimeout bounds each frame write on the shadow's connection
+	// WriteTimeout bounds each frame write on the shadow's link
 	// (0 = unbounded), so a wedged execution machine cannot hang the
 	// shadow mid-send.
 	WriteTimeout time.Duration
@@ -93,17 +94,20 @@ type PlaceConfig struct {
 	// never timed out — Heartbeat covers those.
 	FrameTimeout time.Duration
 	// Heartbeat probes the execution machine's liveness so a half-open
-	// connection (machine powered off mid-run) surfaces as JobLost
-	// rather than a shadow waiting forever. Zero disables probing.
+	// link (machine powered off mid-run) surfaces as JobLost rather than
+	// a shadow waiting forever, and an idle one is dropped. Zero disables
+	// probing.
 	Heartbeat time.Duration
 }
 
 // Place ships a job to the starter at execAddr and returns its shadow.
-// The checkpoint blob is the job's full state (sequence zero for a fresh
-// job). handler executes the job's system calls on this machine. ctx
-// carries the caller's span context (trace.ContextWith) so the starter's
-// execution joins the job's trace; context.Background() is fine for
-// untraced callers.
+// It rides an idle link to execAddr when one is kept and dials one
+// otherwise; the shadow hands the link back after the job's terminal
+// message (see link). The checkpoint blob is the job's full state
+// (sequence zero for a fresh job). handler executes the job's system
+// calls on this machine. ctx carries the caller's span context
+// (trace.ContextWith) so the starter's execution joins the job's trace;
+// context.Background() is fine for untraced callers.
 func Place(
 	ctx context.Context,
 	execAddr string,
@@ -124,59 +128,67 @@ func Place(
 		events:   events,
 		handler:  handler,
 		meter:    accounting.Default.Job(req.JobID, req.Owner, req.HomeHost),
+		released: make(chan struct{}),
 		closed:   make(chan struct{}),
-	}
-	dial := func() (*wire.Peer, error) {
-		return wire.DialOpts(execAddr, wire.DialOptions{
-			Timeout:      cfg.DialTimeout,
-			WriteTimeout: cfg.WriteTimeout,
-			FrameTimeout: cfg.FrameTimeout,
-			Handler:      s.handle,
-		})
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	ctx, cancel := context.WithTimeout(ctx, placeTimeout)
 	defer cancel()
-	var peer *wire.Peer
+	key := linkKey{execAddr, cfg.WriteTimeout, cfg.FrameTimeout, cfg.Heartbeat}
+	// The handshake runs at most once: it moves from a reused link to a
+	// fresh dial only when its request provably never left. Once the frame
+	// is written, a lost reply may hide a placement that already claimed
+	// the machine, so any failure is a failed placement.
+	var reply any
 	var err error
-	if cfg.DialRetry != nil {
-		err = cfg.DialRetry.Do(ctx, func() error {
-			peer, err = dial()
-			return err
-		})
+	l, reused := takeIdle(key), true
+	for {
+		if l == nil {
+			if l, err = dialLink(ctx, key, cfg); err != nil {
+				return nil, err
+			}
+			reused = false
+		}
+		l.bind(s)
+		reply, err = l.peer.Call(ctx, req)
+		if err == nil || !reused || !errors.Is(err, wire.ErrNotSent) {
+			break
+		}
+		l.unbind(s)
+		l.peer.Close()
+		l = nil
+	}
+	if reused {
+		mLinksReused.Inc()
 	} else {
-		peer, err = dial()
+		mLinksDialed.Inc()
 	}
 	if err != nil {
-		return nil, err
-	}
-	if cfg.Heartbeat > 0 {
-		peer.StartHeartbeat(wire.Heartbeat{Interval: cfg.Heartbeat})
-	}
-	s.peer = peer
-
-	reply, err := peer.Call(ctx, req)
-	if err != nil {
-		if s.sawTerminal() {
+		if !l.unbind(s) {
 			// The starter launches the executor before its PlaceReply is
-			// written, so a job that ends at once can report that — and
-			// hang up — first. The terminal event proves the placement
-			// was accepted.
+			// written, so a job that ends at once can report that before
+			// the reply, and the link can die in between. Its terminal
+			// message, which took the link back, proves the placement was
+			// accepted.
 			go s.watch()
 			return s, nil
 		}
-		peer.Close()
+		l.peer.Close()
 		return nil, fmt.Errorf("ru: place %s on %s: %w", req.JobID, execAddr, err)
 	}
 	pr, ok := reply.(proto.PlaceReply)
 	if !ok {
-		peer.Close()
+		if l.unbind(s) {
+			l.peer.Close()
+		}
 		return nil, fmt.Errorf("ru: place %s: unexpected reply %T", req.JobID, reply)
 	}
 	if !pr.Accepted {
-		peer.Close()
+		if l.unbind(s) {
+			l.putIdle()
+		}
 		return nil, fmt.Errorf("%w: %s", ErrPlacementRejected, pr.Reason)
 	}
 	go s.watch()
@@ -199,35 +211,40 @@ func (s *Shadow) Stats() ShadowStats {
 	}
 }
 
-// Close tears the connection down (used when removing a job).
+// Close tears the job's link down (used when removing a job), unless the
+// shadow has already handed it back: by then the link may carry another
+// job.
 func (s *Shadow) Close() {
-	s.peer.Close()
+	s.link.closeIfBound(s)
 	<-s.closed
 }
 
-// watch turns an unexpected connection loss into a JobLost event.
+// watch ends when the shadow hands its link back or the link dies; a link
+// that dies while it still carries the job (no terminal message took it
+// back) is a JobLost event.
 func (s *Shadow) watch() {
 	defer close(s.closed)
-	<-s.peer.Done()
-	if !s.sawTerminal() {
-		err := s.peer.Err()
-		if err == nil {
-			err = errors.New("connection closed")
+	select {
+	case <-s.released:
+	case <-s.link.peer.Done():
+		if s.link.unbind(s) {
+			err := s.link.peer.Err()
+			if err == nil {
+				err = errors.New("connection closed")
+			}
+			s.events.JobLost(s.jobID, err)
 		}
-		s.events.JobLost(s.jobID, err)
 	}
 }
 
-func (s *Shadow) sawTerminal() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.terminal
-}
-
-func (s *Shadow) markTerminal() {
-	s.mu.Lock()
-	s.terminal = true
-	s.mu.Unlock()
+// handBack returns the link to the idle pool on the job's terminal
+// message. It runs before the event is delivered, so the machine's next
+// placement from this station can ride the link at once.
+func (s *Shadow) handBack() {
+	if s.link.unbind(s) {
+		close(s.released)
+		s.link.putIdle()
+	}
 }
 
 // handle serves the executor's requests and notices. ctx carries the
@@ -256,14 +273,14 @@ func (s *Shadow) handle(ctx context.Context, msg any) (any, error) {
 	case proto.JobDoneMsg:
 		sp := trace.StartChildIfSampled(trace.FromContext(ctx), "complete")
 		sp.SetJob(s.jobID)
-		s.markTerminal()
+		s.handBack()
 		s.events.JobDone(m)
 		sp.Finish()
 		return proto.Ack{}, nil
 	case proto.JobVacatedMsg:
 		s.ckptsIn.Add(1)
 		s.ckptBytes.Add(int64(len(m.Checkpoint)))
-		s.markTerminal()
+		s.handBack()
 		start := time.Now()
 		s.events.JobVacated(m)
 		s.meter.Support(time.Since(start)) // checkpoint ingest + requeue

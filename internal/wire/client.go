@@ -28,6 +28,12 @@ type RemoteError struct {
 // Error implements the error interface.
 func (e *RemoteError) Error() string { return "wire: remote: " + e.Msg }
 
+// ErrNotSent wraps a Call failure that happened before the request frame
+// was written: the peer was already closed, or the frame failed to encode
+// or to write. The remote side never dispatched the request, since a
+// receiver drops a partial frame and closes.
+var ErrNotSent = errors.New("wire: request not sent")
+
 // Handler processes inbound requests and one-way notifications on a
 // peer's connection. For one-way messages the returned value is ignored.
 // ctx carries the caller's propagated span context when the envelope
@@ -231,7 +237,7 @@ func (p *Peer) Call(ctx context.Context, msg any) (any, error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		return nil, ErrClosed
+		return nil, fmt.Errorf("%w: %w", ErrNotSent, ErrClosed)
 	}
 	p.nextID++
 	id := p.nextID
@@ -252,7 +258,7 @@ func (p *Peer) Call(ctx context.Context, msg any) (any, error) {
 		delete(p.pending, id)
 		p.mu.Unlock()
 		mRPCErrors.Inc()
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrNotSent, err)
 	}
 	select {
 	case env := <-ch:

@@ -141,8 +141,8 @@ func TestCallAfterServerClose(t *testing.T) {
 	}
 	srv.Close()
 	<-peer.Done()
-	if _, err := peer.Call(context.Background(), ping{N: 2}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("err = %v, want ErrClosed", err)
+	if _, err := peer.Call(context.Background(), ping{N: 2}); !errors.Is(err, ErrClosed) || !errors.Is(err, ErrNotSent) {
+		t.Fatalf("err = %v, want ErrClosed, not sent", err)
 	}
 }
 
@@ -172,8 +172,9 @@ func TestPendingCallsFailOnDisconnect(t *testing.T) {
 	peer.Close()
 	select {
 	case err := <-result:
-		if !errors.Is(err, ErrClosed) {
-			t.Fatalf("err = %v, want ErrClosed", err)
+		// The request was written: the caller must not take it as unsent.
+		if !errors.Is(err, ErrClosed) || errors.Is(err, ErrNotSent) {
+			t.Fatalf("err = %v, want ErrClosed after sending", err)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("pending call never failed after close")

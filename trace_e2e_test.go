@@ -5,12 +5,17 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"condor/internal/telemetry"
 	"condor/internal/trace"
 )
+
+// traceRuns numbers the runs of TestTraceEndToEndWithMigration in this
+// process, so each run (-count) names its stations afresh.
+var traceRuns atomic.Int32
 
 // TestTraceEndToEndWithMigration reconstructs one job's complete span
 // tree from the /traces endpoint: submitted on one station, granted by
@@ -26,10 +31,13 @@ func TestTraceEndToEndWithMigration(t *testing.T) {
 	defer srv.Close()
 
 	// A distinct station prefix keeps this pool's job IDs from matching
-	// traces recorded by other tests against the process-global recorder.
+	// traces recorded by other tests, or by an earlier run of this one,
+	// against the process-global recorder.
+	prefix := fmt.Sprintf("tr%d-", traceRuns.Add(1))
+	home := prefix + "0"
 	p, err := NewPool(PoolConfig{
 		Stations:      3,
-		StationPrefix: "tr",
+		StationPrefix: prefix,
 		Fast:          true,
 		SliceDelay:    200 * time.Microsecond,
 		StepsPerSlice: 5000,
@@ -39,7 +47,7 @@ func TestTraceEndToEndWithMigration(t *testing.T) {
 	}
 	defer p.Close()
 
-	jobID, err := p.Submit("tr0", "alice", SumProgram(5_000_000))
+	jobID, err := p.Submit(home, "alice", SumProgram(5_000_000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,21 +84,23 @@ func TestTraceEndToEndWithMigration(t *testing.T) {
 		t.Fatalf("job finished on %s where the owner is active", firstHost)
 	}
 
-	// Spans are finished asynchronously relative to Wait (the exec span
-	// closes after the done RPC returns to the execution side), so poll
-	// /traces until the tree is complete.
+	// Spans are finished asynchronously relative to Wait (the second exec
+	// span closes after the done RPC returns to the execution side, and
+	// its children are on the page before it), so poll /traces until the
+	// tree is complete: every name present, both exec spans closed, and
+	// every parent on the page.
 	want := []string{"submit", "grant", "place", "exec", "syscall", "shadow-syscall", "checkpoint", "vacate", "complete"}
 	var page trace.Page
 	deadline = time.Now().Add(10 * time.Second)
 	for {
 		page = fetchTraces(t, srv.Addr(), jobID)
-		if hasSpanNames(page, want) || time.Now().After(deadline) {
+		if treeComplete(page, want) || time.Now().After(deadline) {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if !hasSpanNames(page, want) {
-		t.Fatalf("span tree incomplete; want names %v, got:\n%s", want, spanDump(page))
+	if !treeComplete(page, want) {
+		t.Fatalf("span tree incomplete; want names %v, two exec spans and every parent, got:\n%s", want, spanDump(page))
 	}
 
 	// One trace ID across every span of the job.
@@ -116,8 +126,8 @@ func TestTraceEndToEndWithMigration(t *testing.T) {
 	if root.Parent != "" {
 		t.Fatalf("submit span has parent %s, want root", root.Parent)
 	}
-	if root.Station != "tr0" || root.Job != jobID {
-		t.Fatalf("submit span = %+v, want station tr0 job %s", root, jobID)
+	if root.Station != home || root.Job != jobID {
+		t.Fatalf("submit span = %+v, want station %s job %s", root, home, jobID)
 	}
 	parentName := func(s trace.SpanJSON) string { return byID[s.Parent].Name }
 	for _, g := range byName["grant"] {
@@ -127,8 +137,8 @@ func TestTraceEndToEndWithMigration(t *testing.T) {
 		if _, ok := g.Attrs["incarnation"]; !ok {
 			t.Errorf("grant span missing incarnation attr: %+v", g)
 		}
-		if g.Attrs["requester"] != "tr0" {
-			t.Errorf("grant span requester = %q, want tr0", g.Attrs["requester"])
+		if g.Attrs["requester"] != home {
+			t.Errorf("grant span requester = %q, want %s", g.Attrs["requester"], home)
 		}
 	}
 	if n := len(byName["place"]); n < 2 {
@@ -160,7 +170,7 @@ func TestTraceEndToEndWithMigration(t *testing.T) {
 		if parentName(s) != "syscall" {
 			t.Errorf("shadow-syscall parent = %s (%s), want a syscall span", s.Parent, parentName(s))
 		}
-		if s.Station != "" && s.Station != "tr0" {
+		if s.Station != "" && s.Station != home {
 			t.Errorf("shadow-syscall on station %q, want home side", s.Station)
 		}
 	}
@@ -171,7 +181,7 @@ func TestTraceEndToEndWithMigration(t *testing.T) {
 	}
 
 	// The eventlog is stitched to the same trace.
-	events, err := p.History("tr0", jobID, 0)
+	events, err := p.History(home, jobID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,13 +192,13 @@ func TestTraceEndToEndWithMigration(t *testing.T) {
 		}
 	}
 	if stitched == 0 {
-		t.Errorf("no tr0 events carry trace %s; events: %v", traceID, events)
+		t.Errorf("no %s events carry trace %s; events: %v", home, traceID, events)
 	}
 
 	// The waterfall renderer accepts the real page and leads with the
 	// submit root.
 	wf := trace.RenderWaterfall(page)
-	if !strings.Contains(wf, "trace "+traceID) || !strings.Contains(wf, "submit@tr0") {
+	if !strings.Contains(wf, "trace "+traceID) || !strings.Contains(wf, "submit@"+home) {
 		t.Errorf("waterfall missing header or root:\n%s", wf)
 	}
 }
@@ -211,13 +221,26 @@ func fetchTraces(t *testing.T, addr, jobID string) trace.Page {
 	return page
 }
 
-func hasSpanNames(p trace.Page, names []string) bool {
-	have := map[string]bool{}
+// treeComplete reports whether a migrated job's page holds every name in
+// names, at least two exec spans, and the parent of every span but the
+// root.
+func treeComplete(p trace.Page, names []string) bool {
+	have := map[string]int{}
+	ids := map[string]bool{}
 	for _, s := range p.Spans {
-		have[s.Name] = true
+		have[s.Name]++
+		ids[s.SpanID] = true
 	}
 	for _, n := range names {
-		if !have[n] {
+		if have[n] == 0 {
+			return false
+		}
+	}
+	if have["exec"] < 2 {
+		return false
+	}
+	for _, s := range p.Spans {
+		if s.Parent != "" && !ids[s.Parent] {
 			return false
 		}
 	}
