@@ -55,11 +55,12 @@ race:
 # Crash-recovery and fault-injection suite: journal torn-tail fuzz,
 # coordinator replay fuzz, crash/restart recovery, the graded-health
 # state machine (quarantine, flap, byzantine), the cluster-level chaos
-# harness (partitions, slow links, scenario runner), and the RU failure
-# paths (executor or shadow dying mid-job, on fresh and reused links). Set
+# harness (partitions, slow links, scenario runner), the RU failure
+# paths (executor or shadow dying mid-job, on fresh and reused links),
+# and the schedd job-state table (stale events, removal races). Set
 # CONDOR_CHAOS_LONG=1 for the nightly multi-seed soak.
 chaos:
-	$(GO) test -race -count=2 -run 'Crash|Chaos|Replay|Torn|Truncat|Recovery|Scenario|Partition|Quarantine|Flap|Byzantine|Failure|Lost|Hangup|Wedging' \
+	$(GO) test -race -count=2 -run 'Crash|Chaos|Replay|Torn|Truncat|Recovery|Scenario|Partition|Quarantine|Flap|Byzantine|Failure|Lost|Hangup|Wedging|Stale|Remove|Transition' \
 		./internal/journal/... ./internal/coordinator/... ./internal/schedd/... ./internal/chaos/... ./internal/ru/...
 
 # Scheduling-policy gate: every registered policy must satisfy the

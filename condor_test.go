@@ -256,14 +256,25 @@ func TestPoolHistory(t *testing.T) {
 		t.Fatalf("trail kinds = %v", trail)
 	}
 	coordEvents := p.CoordinatorHistory(0)
-	sawGrant := false
+	var grantAt time.Time
 	for _, e := range coordEvents {
-		if e.Kind == "grant" {
-			sawGrant = true
+		if e.Kind == "grant" && e.Job == jobID {
+			grantAt = e.At
 		}
 	}
-	if !sawGrant {
+	if grantAt.IsZero() {
 		t.Fatalf("coordinator history lacks the grant: %v", coordEvents)
+	}
+	// The grant is stamped when it was issued, so it never reads later
+	// than the place it caused.
+	var placeAt time.Time
+	for _, e := range trail {
+		if e.Kind == "place" {
+			placeAt = e.At
+		}
+	}
+	if placeAt.IsZero() || placeAt.Before(grantAt) {
+		t.Fatalf("place at %v, its grant at %v: want the grant first", placeAt, grantAt)
 	}
 	if _, err := p.History("nope", "", 0); err == nil {
 		t.Fatal("unknown station accepted")

@@ -927,8 +927,10 @@ func (c *Coordinator) grant(r round, gi int, g policy.Grant, incarnation uint64)
 			},
 		})
 	}
+	// Stamped when the grant was issued, like its span: the station logs
+	// the place it caused before this reply arrives.
 	c.events.Append(eventlog.Event{
-		Kind: eventlog.KindGrant, Job: gr.JobID, Station: g.Exec,
+		At: grantStart, Kind: eventlog.KindGrant, Job: gr.JobID, Station: g.Exec,
 		Detail: "granted to " + g.Requester, TraceID: traceID,
 	})
 	// Mark the exec station claimed immediately so this cycle's

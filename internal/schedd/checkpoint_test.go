@@ -61,7 +61,14 @@ func TestVacateRefusesAnotherJobsCheckpoint(t *testing.T) {
 	refused := mRefusedCheckpoints.Value()
 	placement := &jobEvents{station: home, jobID: idA, epoch: 1}
 	placement.JobCheckpointed(proto.JobCheckpointMsg{JobID: idA, Checkpoint: []byte("garbage"), Steps: 40})
-	home.setJobState(idA, proto.JobRunning)
+	// Put A on the machine as placement 1, through the table's own edges.
+	home.mu.Lock()
+	a := home.jobs[idA]
+	placed := home.stepLocked(a, evPlace, a.epoch) && home.stepLocked(a, evPlaced, placement.epoch)
+	home.mu.Unlock()
+	if !placed {
+		t.Fatal("job A not placed through the table")
+	}
 	placement.JobVacated(proto.JobVacatedMsg{JobID: idA, Checkpoint: forged, Reason: "owner returned", Steps: 50})
 
 	if _, got, _ := home.Store().GetBlob(idB); !bytes.Equal(got, blobB) {

@@ -107,13 +107,12 @@ func (st *Station) handlePoll() proto.PollReply {
 		IdleStreakMillis: st.tracker.IdleStreak().Milliseconds(),
 		AvgIdleMillis:    st.tracker.AvgIdleLen().Milliseconds(),
 	}
-	if jobID, owner, ok := st.starter.Running(); ok {
+	if jobID, _, ok := st.starter.Running(); ok {
 		reply.ForeignJob = jobID
-		// By convention job ids are "<station>/<n>"; owner is the user,
-		// but Up-Down accounting is per-station, so report the home
-		// station parsed from the job id.
+		// By convention job ids are "<station>/<n>"; the starter also
+		// knows the user, but Up-Down accounting is per-station, so report
+		// the home station parsed from the job id.
 		reply.ForeignOwnerStation = homeStationOf(jobID)
-		_ = owner
 	}
 	return reply
 }

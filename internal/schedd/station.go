@@ -17,6 +17,7 @@ import (
 	"condor/internal/machine"
 	"condor/internal/proto"
 	"condor/internal/ru"
+	"condor/internal/sim"
 	"condor/internal/telemetry"
 	"condor/internal/trace"
 	"condor/internal/wire"
@@ -107,30 +108,6 @@ func (c *Config) sanitize() error {
 	return nil
 }
 
-// job is one queue entry.
-type job struct {
-	status     proto.JobStatus
-	program    *cvm.Program
-	stackWords int
-	host       cvm.SyscallHandler
-	shadow     *ru.Shadow
-	// meter is the job's accounting meter (interned in accounting.Default
-	// at submit/recover time; retired when the job reaches a terminal
-	// state).
-	meter *accounting.Meter
-	// seq is the checkpoint sequence counter.
-	seq uint64
-	// epoch counts the job's placements; each placement's jobEvents
-	// carries the value it started under, which is how a notice from an
-	// earlier placement is told from a current one.
-	epoch uint64
-	// traceCtx is the job's trace anchor: the submit span's context (or
-	// the recover span's after a restart). Every later span of this job
-	// — place, exec, syscalls, vacate, complete — descends from it, and
-	// its trace ID stitches eventlog entries to /traces.
-	traceCtx trace.SpanContext
-}
-
 // frameIOTimeout bounds each in-progress frame on the station's
 // connections (server side and pooled client side). It only limits a
 // frame's transfer time, never idleness between frames, so it can be
@@ -157,12 +134,11 @@ type Station struct {
 	mu            sync.Mutex
 	jobs          map[string]*job
 	order         []string // submission order (local FIFO priority)
+	waiting       int      // jobs in state idle (kept by stepLocked)
 	nextNum       int
 	lastPlacement time.Time
 	lastPolled    time.Time
 	closed        bool
-
-	waiters map[string][]chan proto.JobStatus
 
 	stop chan struct{}
 	done chan struct{}
@@ -177,7 +153,6 @@ func New(cfg Config) (*Station, error) {
 	st := &Station{
 		cfg:      cfg,
 		jobs:     make(map[string]*job),
-		waiters:  make(map[string][]chan proto.JobStatus),
 		events:   eventlog.New(eventlog.DefaultCapacity),
 		gQueue:   mQueueDepth.With(cfg.Name),
 		gWaiting: mWaitingJobs.With(cfg.Name),
@@ -217,7 +192,7 @@ func New(cfg Config) (*Station, error) {
 		return nil, err
 	}
 	st.server = server
-	st.tracker = machine.NewTracker(realClock{})
+	st.tracker = machine.NewTracker(sim.RealClock{})
 	st.recoverJobs()
 	go st.trackLoop()
 	return st, nil
@@ -232,32 +207,26 @@ func New(cfg Config) (*Station, error) {
 // lexicographic listing, which would rank "ws/10" before "ws/2").
 func (st *Station) recoverJobs() {
 	prefix := st.cfg.Name + "/"
-	maxNum := 0
-	type recovered struct {
-		meta ckpt.Meta
-		num  int
-	}
-	var found []recovered
+	var found []ckpt.Meta
 	for _, meta := range st.cfg.Store.List() {
-		if !strings.HasPrefix(meta.JobID, prefix) {
-			continue // a foreign job's checkpoint; not ours to queue
+		if strings.HasPrefix(meta.JobID, prefix) { // a foreign job's checkpoint is not ours to queue
+			found = append(found, meta)
 		}
-		num := 0
-		if n, err := strconv.Atoi(meta.JobID[len(prefix):]); err == nil {
-			num = n
-			if n > maxNum {
-				maxNum = n
-			}
-		}
-		found = append(found, recovered{meta: meta, num: num})
 	}
 	// Submission order: the numeric job counter is assigned at submit
 	// time and never reused, so it is the exact original order; the
 	// persisted timestamp is restored alongside for display and any
 	// age-based policy.
-	sort.Slice(found, func(i, j int) bool { return found[i].num < found[j].num })
-	for _, r := range found {
-		meta := r.meta
+	num := func(meta ckpt.Meta) int {
+		n, err := strconv.Atoi(meta.JobID[len(prefix):])
+		if err != nil {
+			return 0
+		}
+		return n
+	}
+	sort.Slice(found, func(a, b int) bool { return num(found[a]) < num(found[b]) })
+	for _, meta := range found {
+		st.nextNum = max(st.nextNum, num(meta))
 		submittedAt := time.Now()
 		if meta.SubmittedAtUnixMilli != 0 {
 			submittedAt = time.UnixMilli(meta.SubmittedAtUnixMilli)
@@ -268,15 +237,15 @@ func (st *Station) recoverJobs() {
 				ID:           meta.JobID,
 				Owner:        meta.Owner,
 				Program:      meta.ProgramName,
-				State:        proto.JobIdle,
 				SubmittedAt:  submittedAt,
 				CPUSteps:     meta.CPUSteps,
 				Checkpoints:  int(meta.Sequence),
 				Priority:     meta.Priority,
 				WaitingSince: recoveredAt,
 			},
-			host:  st.cfg.Hosts(meta.JobID, meta.Owner),
-			meter: accounting.Default.Job(meta.JobID, meta.Owner, st.cfg.Name),
+			host:     st.cfg.Hosts(meta.JobID, meta.Owner),
+			meter:    accounting.Default.Job(meta.JobID, meta.Owner, st.cfg.Name),
+			finished: make(chan struct{}),
 		}
 		// The recovered checkpoint already carries executed steps; a new
 		// idle episode starts now (the pre-crash wait was lost with the
@@ -288,38 +257,19 @@ func (st *Station) recoverJobs() {
 		// trace spans the schedd crash.
 		if sc, ok := trace.Resume(meta.TraceID); ok {
 			j.traceCtx = sc
-			now := time.Now()
 			trace.Record(trace.Span{
-				TraceID: sc.TraceID,
-				SpanID:  sc.SpanID,
-				Name:    "recover",
-				Job:     meta.JobID,
-				Station: st.cfg.Name,
-				Start:   now,
-				End:     now,
-				Attrs: []trace.Attr{
-					{Key: "seq", Value: strconv.FormatUint(meta.Sequence, 10)},
-				},
+				TraceID: sc.TraceID, SpanID: sc.SpanID, Name: "recover",
+				Job: meta.JobID, Station: st.cfg.Name, Start: recoveredAt, End: recoveredAt,
+				Attrs: []trace.Attr{{Key: "seq", Value: strconv.FormatUint(meta.Sequence, 10)}},
 			})
 		}
 		st.jobs[meta.JobID] = j
 		st.order = append(st.order, meta.JobID)
-		st.logEvent(eventlog.KindSubmit, meta.JobID, st.cfg.Name,
+		st.stepLocked(j, evRecover, j.epoch)
+		st.logEvent(eventlog.KindSubmit, j, st.cfg.Name,
 			fmt.Sprintf("recovered from checkpoint (seq %d)", meta.Sequence))
 	}
-	for range found {
-		markTransition(proto.JobIdle)
-	}
-	st.updateQueueGaugesLocked()
-	if st.nextNum < maxNum {
-		st.nextNum = maxNum
-	}
 }
-
-type realClock struct{}
-
-// Now implements sim.Clock.
-func (realClock) Now() time.Time { return time.Now() }
 
 // Name returns the station name.
 func (st *Station) Name() string { return st.cfg.Name }
@@ -336,10 +286,15 @@ func (st *Station) Store() ckpt.Store { return st.cfg.Store }
 // Events exposes the station's event history.
 func (st *Station) Events() *eventlog.Log { return st.events }
 
-func (st *Station) logEvent(kind eventlog.Kind, jobID, station, detail string) {
+// logEvent records one step of j's life. A job's ID and trace anchor
+// never change, so they are read without st.mu.
+func (st *Station) logEvent(kind eventlog.Kind, j *job, station, detail string) {
+	var traceID string
+	if j.traceCtx.Valid() {
+		traceID = j.traceCtx.TraceID.String()
+	}
 	st.events.Append(eventlog.Event{
-		Kind: kind, Job: jobID, Station: station, Detail: detail,
-		TraceID: st.traceIDOf(jobID),
+		Kind: kind, Job: j.status.ID, Station: station, Detail: detail, TraceID: traceID,
 	})
 }
 
@@ -351,15 +306,6 @@ func (st *Station) traceCtxOf(jobID string) trace.SpanContext {
 		return j.traceCtx
 	}
 	return trace.SpanContext{}
-}
-
-// traceIDOf returns the job's trace ID in hex, or "" when untraced.
-func (st *Station) traceIDOf(jobID string) string {
-	sc := st.traceCtxOf(jobID)
-	if !sc.Valid() {
-		return ""
-	}
-	return sc.TraceID.String()
 }
 
 // Close shuts the station down.
@@ -471,26 +417,23 @@ func (st *Station) SubmitJob(owner string, prog *cvm.Program, opts SubmitOptions
 			ID:           jobID,
 			Owner:        owner,
 			Program:      prog.Name,
-			State:        proto.JobIdle,
 			SubmittedAt:  submittedAt,
 			Priority:     opts.Priority,
 			WaitingSince: submittedAt,
 		},
-		program:    prog,
-		stackWords: opts.StackWords,
-		host:       st.cfg.Hosts(jobID, owner),
-		traceCtx:   traceCtx,
-		meter:      accounting.Default.Job(jobID, owner, st.cfg.Name),
+		host:     st.cfg.Hosts(jobID, owner),
+		traceCtx: traceCtx,
+		meter:    accounting.Default.Job(jobID, owner, st.cfg.Name),
+		finished: make(chan struct{}),
 	}
 	j.meter.StartWaiting(submittedAt)
 	st.mu.Lock()
 	st.jobs[jobID] = j
 	st.order = append(st.order, jobID)
-	st.updateQueueGaugesLocked()
+	st.stepLocked(j, evSubmit, j.epoch)
 	st.mu.Unlock()
-	markTransition(proto.JobIdle)
 	span.Finish()
-	st.logEvent(eventlog.KindSubmit, jobID, st.cfg.Name,
+	st.logEvent(eventlog.KindSubmit, j, st.cfg.Name,
 		fmt.Sprintf("%s by %s (pri %d)", prog.Name, owner, opts.Priority))
 	return jobID, nil
 }
@@ -531,43 +474,30 @@ func (st *Station) Queue() []proto.JobStatus {
 func (st *Station) WaitingJobs() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	n := 0
-	for _, j := range st.jobs {
-		if j.status.State == proto.JobIdle {
-			n++
-		}
-	}
-	return n
+	return st.waiting
 }
 
 // Remove deletes a job; a running job's shadow connection is torn down,
-// which vacates the execution machine.
+// which vacates the execution machine (a job still being placed is
+// vacated when its placement lands). Removing a finished job changes
+// nothing.
 func (st *Station) Remove(jobID string) bool {
 	st.mu.Lock()
 	j, ok := st.jobs[jobID]
-	if !ok {
+	if !ok || !st.stepLocked(j, evRemove, j.epoch) {
 		st.mu.Unlock()
-		return false
+		return ok
 	}
 	shadow := j.shadow
 	j.shadow = nil
-	wasTerminal := j.status.State.Terminal()
-	if !wasTerminal {
-		j.status.State = proto.JobRemoved
-		markTransition(proto.JobRemoved)
-	}
-	status := st.statusLocked(j)
-	st.updateQueueGaugesLocked()
 	st.mu.Unlock()
 	if shadow != nil {
 		shadow.Close()
 	}
 	_ = st.cfg.Store.Delete(jobID)
-	if !wasTerminal {
-		accounting.Default.Retire(jobID)
-		st.logEvent(eventlog.KindRemove, jobID, st.cfg.Name, "")
-		st.notifyWaiters(jobID, status)
-	}
+	accounting.Default.Retire(jobID)
+	st.logEvent(eventlog.KindRemove, j, st.cfg.Name, "")
+	close(j.finished)
 	return true
 }
 
@@ -575,36 +505,23 @@ func (st *Station) Remove(jobID string) bool {
 func (st *Station) Wait(jobID string, timeout time.Duration) (proto.JobStatus, error) {
 	st.mu.Lock()
 	j, ok := st.jobs[jobID]
+	st.mu.Unlock()
 	if !ok {
-		st.mu.Unlock()
 		return proto.JobStatus{}, fmt.Errorf("%w: %s", ErrNoSuchJob, jobID)
 	}
-	if j.status.State.Terminal() {
-		status := st.statusLocked(j)
-		st.mu.Unlock()
-		return status, nil
-	}
-	ch := make(chan proto.JobStatus, 1)
-	st.waiters[jobID] = append(st.waiters[jobID], ch)
-	st.mu.Unlock()
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	select {
-	case status := <-ch:
-		return status, nil
-	case <-time.After(timeout):
-		return st.Job(jobID)
+	case <-j.finished:
+	case <-timer.C:
 	case <-st.stop:
-		return proto.JobStatus{}, ErrQueueClosed
+		select {
+		case <-j.finished: // a finished job's status outlives the station
+		default:
+			return proto.JobStatus{}, ErrQueueClosed
+		}
 	}
-}
-
-func (st *Station) notifyWaiters(jobID string, status proto.JobStatus) {
-	st.mu.Lock()
-	chans := st.waiters[jobID]
-	delete(st.waiters, jobID)
-	st.mu.Unlock()
-	for _, ch := range chans {
-		ch <- status
-	}
+	return st.Job(jobID)
 }
 
 // State reports the station's scheduling state for coordinator polls.
@@ -628,11 +545,7 @@ func (st *Station) diskFree() int64 {
 	if capacity <= 0 {
 		return int64(1) << 62
 	}
-	free := capacity - st.cfg.Store.Usage().Bytes
-	if free < 0 {
-		free = 0
-	}
-	return free
+	return max(capacity-st.cfg.Store.Usage().Bytes, 0)
 }
 
 // nextIdleJobLocked picks the station's next job to place: highest
@@ -670,16 +583,14 @@ func (st *Station) PlaceNext(execName, execAddr string) (string, error) {
 		st.mu.Unlock()
 		return "", errors.New("schedd: no idle jobs")
 	}
+	st.stepLocked(j, evPlace, j.epoch)
+	j.status.ExecHost = execName
 	jobID := j.status.ID
 	owner := j.status.Owner
 	host := j.host
 	jobTrace := j.traceCtx
-	j.status.State = proto.JobPlacing
-	j.epoch++
 	epoch := j.epoch
-	st.updateQueueGaugesLocked()
 	st.mu.Unlock()
-	markTransition(proto.JobPlacing)
 
 	// The place span covers checkpoint read + handshake; the starter's
 	// exec span hangs off it via the wire's trace context. The stored
@@ -692,7 +603,7 @@ func (st *Station) PlaceNext(execName, execAddr string) (string, error) {
 	if err != nil {
 		span.SetError(err)
 		span.Finish()
-		st.setJobState(jobID, proto.JobIdle)
+		st.placeFailed(j, epoch)
 		return "", fmt.Errorf("schedd: checkpoint for %s: %w", jobID, err)
 	}
 	placeCtx := context.Background()
@@ -716,54 +627,49 @@ func (st *Station) PlaceNext(execName, execAddr string) (string, error) {
 	if err != nil {
 		span.SetError(err)
 		span.Finish()
-		st.setJobState(jobID, proto.JobIdle)
+		st.placeFailed(j, epoch)
 		return "", err
 	}
 	span.Finish()
 
 	// The shadow's events race this block: a job that halts in its first
 	// slice can deliver JobDone (or lose its connection) before ru.Place
-	// has returned here. The placement is recorded either way, but only
-	// a job still placing advances to running; one that is already
-	// terminal or back in the queue keeps that state and its cleared
-	// shadow.
+	// has returned here, and the owner can remove it meanwhile. The table
+	// decides: a job still on the machine keeps the shadow; one that has
+	// finished or been requeued keeps that state, and its shadow, which
+	// has already let go of the link, is dropped; a removed one refuses
+	// the edge, and closing its shadow vacates the machine.
 	placedAt := time.Now()
 	st.mu.Lock()
+	took := st.stepLocked(j, evPlaced, epoch)
 	state := j.status.State
-	switch {
-	case state == proto.JobIdle:
-		// Requeued: ExecHost stays empty and WaitingSince marks the new
-		// idle episode.
-	case state.Terminal():
-		j.status.ExecHost = execName
-	default:
+	if !took {
+		st.mu.Unlock()
+		shadow.Close()
+		return "", fmt.Errorf("schedd: %s is %v, placement on %s dropped", jobID, state, execName)
+	}
+	if state == proto.JobRunning || state == proto.JobSuspendedState {
 		j.shadow = shadow
-		j.status.ExecHost = execName
 		j.status.WaitingSince = time.Time{}
-		if state == proto.JobPlacing {
-			j.status.State = proto.JobRunning
-			markTransition(proto.JobRunning)
-		}
 	}
 	j.status.Placements++
 	waitingSince := j.status.WaitingSince
 	st.lastPlacement = placedAt
-	st.updateQueueGaugesLocked()
 	st.mu.Unlock()
 	j.meter.Placed(placedAt)
 	if state == proto.JobIdle {
 		j.meter.StartWaiting(waitingSince) // Placed closed the episode the requeue opened
 	}
-	st.logEvent(eventlog.KindPlace, jobID, execName, "")
+	st.logEvent(eventlog.KindPlace, j, execName, "")
 	return jobID, nil
 }
 
-func (st *Station) setJobState(jobID string, state proto.JobState) {
+// placeFailed requeues a job whose placement failed. A job removed
+// meanwhile stays removed.
+func (st *Station) placeFailed(j *job, epoch uint64) {
 	st.mu.Lock()
-	defer st.mu.Unlock()
-	if j, ok := st.jobs[jobID]; ok {
-		j.status.State = state
-		markTransition(state)
-		st.updateQueueGaugesLocked()
+	if st.stepLocked(j, evPlaceFailed, epoch) {
+		j.status.ExecHost = ""
 	}
+	st.mu.Unlock()
 }

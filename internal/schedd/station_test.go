@@ -1,6 +1,7 @@
 package schedd
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"condor/internal/machine"
 	"condor/internal/proto"
 	"condor/internal/ru"
+	"condor/internal/wire"
 )
 
 // newStation builds a fast-interval station for tests.
@@ -726,5 +728,216 @@ func TestStaleGraceNoticeDropped(t *testing.T) {
 	}
 	if got := mStaleEvents.Value() - dropped; got != 3 {
 		t.Fatalf("stale notices counted = %d, want 3", got)
+	}
+}
+
+// slowExec is an execution station whose jobs run slowly enough to be
+// caught mid-run (2 000 steps a millisecond).
+func slowExec(t *testing.T, name string) *Station {
+	t.Helper()
+	st, err := New(Config{
+		Name:    name,
+		Monitor: machine.NewScriptedMonitor(false),
+		Starter: ru.StarterConfig{
+			ScanInterval:  2 * time.Millisecond,
+			SuspendGrace:  5 * time.Millisecond,
+			StepsPerSlice: 2_000,
+			SliceDelay:    time.Millisecond,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(st.Close)
+	return st
+}
+
+// placeHook serves placements on a test address: before answering a
+// PlaceRequest it calls before, then answers with reply, or hands the
+// request to starter when reply is nil.
+func placeHook(t *testing.T, starter *ru.Starter, before func(proto.PlaceRequest), reply *proto.PlaceReply) string {
+	t.Helper()
+	srv, err := wire.NewServer("127.0.0.1:0", func(p *wire.Peer) wire.Handler {
+		var starterHandler wire.Handler
+		if starter != nil {
+			starterHandler = starter.Handler(p)
+		}
+		return func(ctx context.Context, msg any) (any, error) {
+			if req, ok := msg.(proto.PlaceRequest); ok {
+				before(req)
+				if reply != nil {
+					return *reply, nil
+				}
+			}
+			if starterHandler == nil {
+				return nil, fmt.Errorf("unexpected %T", msg)
+			}
+			return starterHandler(ctx, msg)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return srv.Addr()
+}
+
+// TestRemoveDuringRejectedPlacement: the owner removes a job while its
+// placement handshake is in flight, and the execution machine then
+// rejects it. The job stays removed (its checkpoint is gone, so a
+// requeued job could never be placed again and, first in queue order,
+// would wedge the station), and the next placement takes the next job.
+func TestRemoveDuringRejectedPlacement(t *testing.T) {
+	home := newStation(t, "home", nil, nil)
+	first, err := home.Submit("alice", cvm.SumProgram(100), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := home.Submit("alice", cvm.SumProgram(200), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := placeHook(t, nil, func(req proto.PlaceRequest) { home.Remove(req.JobID) },
+		&proto.PlaceReply{Accepted: false, Reason: "owner active"})
+	if _, err := home.PlaceNext("fake", addr); !errors.Is(err, ru.ErrPlacementRejected) {
+		t.Fatalf("placement err = %v, want rejected", err)
+	}
+	if s, _ := home.Job(first); s.State != proto.JobRemoved {
+		t.Fatalf("removed job came back as %v", s.State)
+	}
+	if n := home.WaitingJobs(); n != 1 {
+		t.Fatalf("waiting jobs = %d, want 1", n)
+	}
+	exec := newStation(t, "exec", nil, nil)
+	placed, err := home.PlaceNext("exec", exec.Addr())
+	if err != nil || placed != second {
+		t.Fatalf("next placement = %q, %v; want %s", placed, err, second)
+	}
+	if final, err := home.Wait(second, 10*time.Second); err != nil || final.State != proto.JobCompleted {
+		t.Fatalf("second job = %+v, %v", final, err)
+	}
+}
+
+// TestRemoveDuringAcceptedPlacement: the owner removes a job while its
+// placement handshake is in flight, and the execution machine accepts
+// it. The job stays removed, and the machine is vacated as Remove
+// promises instead of running the removed job to the end.
+func TestRemoveDuringAcceptedPlacement(t *testing.T) {
+	home := newStation(t, "home", nil, nil)
+	exec := slowExec(t, "exec")
+	jobID, err := home.Submit("alice", cvm.SumProgram(100_000_000), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := placeHook(t, exec.Starter(), func(req proto.PlaceRequest) { home.Remove(req.JobID) }, nil)
+	if placed, err := home.PlaceNext("exec", addr); err == nil {
+		t.Fatalf("placement of removed job %s reported used", placed)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		if _, _, ok := exec.Starter().Running(); !ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("exec machine still runs the removed job")
+		}
+	}
+	if s, _ := home.Job(jobID); s.State != proto.JobRemoved {
+		t.Fatalf("state = %v, want removed", s.State)
+	}
+}
+
+// TestRemoveThenLateEvents: a placement's vacate, periodic checkpoint
+// and completion that arrive after the owner removed the job change
+// nothing: the job stays removed, no checkpoint is left in the store,
+// nothing waits, and each late event is counted.
+func TestRemoveThenLateEvents(t *testing.T) {
+	home := newStation(t, "home", nil, nil)
+	exec := slowExec(t, "exec")
+	jobID, err := home.Submit("alice", cvm.SumProgram(100_000_000), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, blob, err := home.Store().GetBlob(jobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := home.PlaceNext("exec", exec.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if !home.Remove(jobID) {
+		t.Fatal("remove refused")
+	}
+	late := &jobEvents{station: home, jobID: jobID, epoch: 1}
+	for _, ev := range []struct {
+		name    string
+		deliver func()
+	}{
+		{"vacate", func() {
+			late.JobVacated(proto.JobVacatedMsg{JobID: jobID, Checkpoint: blob, Reason: "owner returned", Steps: 10})
+		}},
+		{"checkpoint", func() {
+			late.JobCheckpointed(proto.JobCheckpointMsg{JobID: jobID, Checkpoint: blob, Steps: 20})
+		}},
+		{"done", func() { late.JobDone(proto.JobDoneMsg{JobID: jobID, Steps: 30}) }},
+	} {
+		stale := mStaleEvents.Value()
+		ev.deliver()
+		s, err := home.Job(jobID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.State != proto.JobRemoved || s.CPUSteps != 0 {
+			t.Errorf("late %s: state %v, %d steps; want removed, 0", ev.name, s.State, s.CPUSteps)
+		}
+		if home.Store().Has(jobID) {
+			t.Errorf("late %s left a checkpoint in the store", ev.name)
+		}
+		if n := home.WaitingJobs(); n != 0 {
+			t.Errorf("late %s: waiting jobs = %d, want 0", ev.name, n)
+		}
+		if got := mStaleEvents.Value() - stale; got != 1 {
+			t.Errorf("late %s counted %d stale events, want 1", ev.name, got)
+		}
+	}
+}
+
+// TestStaleJobDoneDropped: a completion from a placement that has since
+// been vacated and replaced by another does not finish the job's current
+// placement.
+func TestStaleJobDoneDropped(t *testing.T) {
+	home := newStation(t, "home", nil, nil)
+	exec1, exec2 := slowExec(t, "exec1"), slowExec(t, "exec2")
+	jobID, err := home.Submit("alice", cvm.SumProgram(100_000_000), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := home.PlaceNext("exec1", exec1.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if !exec1.Starter().Vacate(jobID, "test") {
+		t.Fatal("nothing to vacate")
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if s, _ := home.Job(jobID); s.State == proto.JobIdle {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("vacated job never requeued")
+		}
+	}
+	if _, err := home.PlaceNext("exec2", exec2.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	stale := mStaleEvents.Value()
+	(&jobEvents{station: home, jobID: jobID, epoch: 1}).JobDone(proto.JobDoneMsg{JobID: jobID, Steps: 99})
+	s, err := home.Job(jobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.State != proto.JobRunning || s.CPUSteps == 99 {
+		t.Fatalf("stale completion: state %v, %d steps; want running", s.State, s.CPUSteps)
+	}
+	if got := mStaleEvents.Value() - stale; got != 1 {
+		t.Fatalf("stale completions counted = %d, want 1", got)
 	}
 }
