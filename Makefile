@@ -57,11 +57,13 @@ race:
 # state machine (quarantine, flap, byzantine), the cluster-level chaos
 # harness (partitions, slow links, scenario runner), the RU failure
 # paths (executor or shadow dying mid-job, on fresh and reused links),
-# and the schedd job-state table (stale events, removal races). Set
-# CONDOR_CHAOS_LONG=1 for the nightly multi-seed soak.
+# the schedd job-state table (stale events, removal races), and the
+# wire's frame deadlines (a Call's deadline bounds its write; a stalled
+# peer fails a frame within the frame timeout). Set CONDOR_CHAOS_LONG=1
+# for the nightly multi-seed soak.
 chaos:
-	$(GO) test -race -count=2 -run 'Crash|Chaos|Replay|Torn|Truncat|Recovery|Scenario|Partition|Quarantine|Flap|Byzantine|Failure|Lost|Hangup|Wedging|Stale|Remove|Transition' \
-		./internal/journal/... ./internal/coordinator/... ./internal/schedd/... ./internal/chaos/... ./internal/ru/...
+	$(GO) test -race -count=2 -run 'Crash|Chaos|Replay|Torn|Truncat|Recovery|Scenario|Partition|Quarantine|Flap|Byzantine|Failure|Lost|Hangup|Wedging|Stale|Remove|Transition|Stall|Deadline' \
+		./internal/journal/... ./internal/coordinator/... ./internal/schedd/... ./internal/chaos/... ./internal/ru/... ./internal/wire/...
 
 # Scheduling-policy gate: every registered policy must satisfy the
 # shared invariant harness, and the pipelined Up-Down must reproduce

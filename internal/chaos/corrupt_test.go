@@ -19,16 +19,12 @@ import (
 func TestChaosCorruptedStreamRedials(t *testing.T) {
 	var mu sync.Mutex
 	var accepted []*wire.Peer
-	srv, err := wire.NewServerOpts("127.0.0.1:0",
-		// A flip that enlarges a length word leaves the server waiting for
-		// bytes that never come; bound that so the test keeps moving.
-		wire.ServerOptions{FrameTimeout: 100 * time.Millisecond},
-		func(p *wire.Peer) wire.Handler {
-			mu.Lock()
-			accepted = append(accepted, p)
-			mu.Unlock()
-			return func(_ context.Context, msg any) (any, error) { return msg, nil }
-		})
+	srv, err := wire.NewServer("127.0.0.1:0", func(p *wire.Peer) wire.Handler {
+		mu.Lock()
+		accepted = append(accepted, p)
+		mu.Unlock()
+		return func(_ context.Context, msg any) (any, error) { return msg, nil }
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,17 +34,20 @@ func TestChaosCorruptedStreamRedials(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer proxy.Close()
-	pool := wire.NewClientPool(wire.PoolConfig{
-		DialTimeout: time.Second,
-		RPCTimeout:  300 * time.Millisecond,
-		Retry:       wire.Retry{MaxAttempts: 5, BaseDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond},
-	})
+	pool := wire.NewClientPool(wire.PoolConfig{DialTimeout: time.Second})
 	defer pool.Close()
 
-	ctx := context.Background()
+	// A flip that enlarges a length word leaves the server waiting for
+	// bytes that never come. Each call's deadline bounds that, and the
+	// pool then drops the connection, so the test keeps moving.
 	msg := proto.JobSuspendedMsg{JobID: "ws1/7"}
+	call := func() (any, error) {
+		ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+		defer cancel()
+		return pool.Call(ctx, proxy.Addr(), msg)
+	}
 	for i := 0; i < 3; i++ { // establish the stream: descriptors cross on the first frame only
-		if _, err := pool.Call(ctx, proxy.Addr(), msg); err != nil {
+		if _, err := call(); err != nil {
 			t.Fatalf("clean call %d: %v", i, err)
 		}
 	}
@@ -75,11 +74,18 @@ func TestChaosCorruptedStreamRedials(t *testing.T) {
 		if i == 200 {
 			t.Fatal("200 corrupted calls and no server connection died of a decode error")
 		}
-		pool.Call(ctx, proxy.Addr(), msg) //nolint:errcheck // see above
+		call() //nolint:errcheck // see above
 	}
 
+	// The cached connection may still be one a flip left mid-frame; a
+	// call on it fails at its deadline and the next one redials.
 	proxy.SetPlans(wire.FaultPlan{}, wire.FaultPlan{})
-	reply, err := pool.CallRetry(ctx, proxy.Addr(), msg)
+	var reply any
+	for attempt := 1; ; attempt++ {
+		if reply, err = call(); err == nil || attempt == 5 {
+			break
+		}
+	}
 	if err != nil {
 		t.Fatalf("call after the link healed: %v", err)
 	}

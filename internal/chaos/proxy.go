@@ -87,13 +87,6 @@ func (p *Proxy) SetPlans(forward, backward wire.FaultPlan) {
 	p.mu.Unlock()
 }
 
-// Plans returns the current default plans.
-func (p *Proxy) Plans() (forward, backward wire.FaultPlan) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.forward, p.backward
-}
-
 // Sever closes every live proxied connection (future dials still
 // succeed) — a crisp connection-loss event rather than a plan.
 func (p *Proxy) Sever() {

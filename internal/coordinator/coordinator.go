@@ -61,7 +61,10 @@ type Config struct {
 	DialTimeout time.Duration
 	// RPCTimeout bounds one station RPC end-to-end, connection
 	// establishment included (default DialTimeout + 10s). It applies
-	// uniformly to polls, grants, preempts, and reservation enforcement.
+	// uniformly to polls, grants, preempts, and reservation enforcement,
+	// as each call's context deadline, so it bounds the request's write
+	// to a station that has stopped reading as well as the wait for its
+	// reply.
 	RPCTimeout time.Duration
 	// Policy selects and tunes allocation. It is handed to the pipeline
 	// as written: policy.Config documents what a zero or partly filled
@@ -272,17 +275,8 @@ func New(cfg Config) (*Coordinator, error) {
 	} else if err := c.resolvePolicy(""); err != nil {
 		return nil, err
 	}
-	c.pool = wire.NewClientPool(wire.PoolConfig{
-		DialTimeout: cfg.DialTimeout,
-		// A frame that cannot complete within the RPC deadline would
-		// blow it anyway; fail the connection instead of wedging it.
-		WriteTimeout: cfg.RPCTimeout,
-		FrameTimeout: cfg.RPCTimeout,
-	})
-	server, err := wire.NewServerOpts(cfg.ListenAddr, wire.ServerOptions{
-		WriteTimeout: cfg.RPCTimeout,
-		FrameTimeout: cfg.RPCTimeout,
-	}, c.handlerFor)
+	c.pool = wire.NewClientPool(wire.PoolConfig{DialTimeout: cfg.DialTimeout})
+	server, err := wire.NewServer(cfg.ListenAddr, c.handlerFor)
 	if err != nil {
 		c.pool.Close()
 		if c.journal != nil {
@@ -395,9 +389,6 @@ func (c *Coordinator) Stats() Stats {
 	}
 	return out
 }
-
-// Started returns when this coordinator incarnation came up.
-func (c *Coordinator) Started() time.Time { return c.started }
 
 // Register adds a station directly (used by in-process pools; network
 // registrations arrive via RegisterRequest).
@@ -515,16 +506,7 @@ func (c *Coordinator) handlerFor(peer *wire.Peer) wire.Handler {
 		case proto.CancelReservationRequest:
 			return proto.CancelReservationReply{Cancelled: c.CancelReservation(m.Station)}, nil
 		case proto.HistoryRequest:
-			var events []eventlog.Event
-			switch {
-			case m.TraceID != "":
-				events = c.events.ForTrace(m.TraceID)
-			case m.JobID != "":
-				events = c.events.ForJob(m.JobID)
-			default:
-				events = c.events.Recent(m.Limit)
-			}
-			return proto.HistoryReply{Events: events}, nil
+			return proto.HistoryReply{Events: c.events.Query(m.JobID, m.TraceID, m.Limit)}, nil
 		case proto.AccountingRequest:
 			// Both ledgers: the coordinator's allocation view, and the
 			// process-global job view (populated when schedd/ru run in the

@@ -165,6 +165,19 @@ func (l *Log) Total() uint64 {
 	return l.total
 }
 
+// Query is the history lookup every daemon serves: the events stitched
+// to traceID when it is set, else jobID's trail when that is set, else
+// up to limit of the most recent. Oldest first.
+func (l *Log) Query(jobID, traceID string, limit int) []Event {
+	switch {
+	case traceID != "":
+		return l.ForTrace(traceID)
+	case jobID != "":
+		return l.ForJob(jobID)
+	}
+	return l.Recent(limit)
+}
+
 // ForJob returns the retained events for one job, oldest first.
 func (l *Log) ForJob(jobID string) []Event {
 	var out []Event

@@ -23,10 +23,10 @@ type link struct {
 }
 
 // linkKey is what two placements must share to ride one link: the
-// execution machine and the connection settings PlaceConfig fixes at dial.
+// execution machine and the heartbeat PlaceConfig fixes at dial.
 type linkKey struct {
-	addr                                  string
-	writeTimeout, frameTimeout, heartbeat time.Duration
+	addr      string
+	heartbeat time.Duration
 }
 
 // idleLinks holds at most one idle link per key, like net/http's
@@ -36,33 +36,20 @@ var idleLinks = struct {
 	m map[linkKey]*link
 }{m: make(map[linkKey]*link)}
 
-// dialLink opens a link, retrying only the TCP connect under cfg's
+// dialLink opens a link, retrying only the TCP connect under the default
 // policy. The heartbeat starts here, once per link: it keeps probing
 // while the link is idle, so a half-open idle link dies within three
 // intervals, as a busy one does.
-func dialLink(ctx context.Context, key linkKey, cfg PlaceConfig) (*link, error) {
+func dialLink(ctx context.Context, key linkKey, dialTimeout time.Duration) (*link, error) {
 	l := &link{key: key}
-	dial := func() (err error) {
-		l.peer, err = wire.DialOpts(key.addr, wire.DialOptions{
-			Timeout:      cfg.DialTimeout,
-			WriteTimeout: key.writeTimeout,
-			FrameTimeout: key.frameTimeout,
-			Handler:      l.handle,
-		})
+	err := wire.Retry{}.Do(ctx, func() (err error) {
+		l.peer, err = wire.Dial(key.addr, dialTimeout, l.handle)
 		return err
-	}
-	var err error
-	if cfg.DialRetry != nil {
-		err = cfg.DialRetry.Do(ctx, dial)
-	} else {
-		err = dial()
-	}
+	})
 	if err != nil {
 		return nil, err
 	}
-	if key.heartbeat > 0 {
-		l.peer.StartHeartbeat(wire.Heartbeat{Interval: key.heartbeat})
-	}
+	l.peer.StartHeartbeat(key.heartbeat)
 	go func() {
 		<-l.peer.Done()
 		idleLinks.Lock()

@@ -50,11 +50,10 @@ type ShadowStats struct {
 
 // Shadow is the submit-side surrogate of one remotely executing job.
 type Shadow struct {
-	jobID    string
-	execSite string
-	link     *link
-	events   Events
-	handler  cvm.SyscallHandler
+	jobID   string
+	link    *link
+	events  Events
+	handler cvm.SyscallHandler
 	// meter charges home-side support time (syscall service, checkpoint
 	// ingest) to the job — the denominator of the leverage metric.
 	meter *accounting.Meter
@@ -68,35 +67,23 @@ type Shadow struct {
 	closed   chan struct{} // closed when watch has ended
 }
 
-// placeTimeout bounds the placement handshake and, when DialRetry is
-// set, the whole dial-retry loop before it.
+// placeTimeout bounds the placement handshake and the dial-retry loop
+// before it.
 const placeTimeout = 30 * time.Second
 
 // PlaceConfig parameterizes a placement.
 type PlaceConfig struct {
 	// DialTimeout bounds one TCP connect attempt (default 5s, wire's).
+	// The connect is retried under the default wire.Retry policy; the
+	// PlaceRequest handshake runs at most once, because a handshake whose
+	// reply was lost may already have claimed the execution machine. It
+	// only matters when no idle link to the machine is kept.
 	DialTimeout time.Duration
-	// DialRetry, when set, retries the TCP connect under its policy.
-	// Only the dial is ever retried: the PlaceRequest handshake runs at
-	// most once, because a handshake whose reply was lost may already
-	// have claimed the execution machine.
-	//
-	// DialTimeout and DialRetry only matter when no idle link to the
-	// machine is kept; the three settings below are part of a link, and
-	// only placements that agree on them share one.
-	DialRetry *wire.Retry
-	// WriteTimeout bounds each frame write on the shadow's link
-	// (0 = unbounded), so a wedged execution machine cannot hang the
-	// shadow mid-send.
-	WriteTimeout time.Duration
-	// FrameTimeout bounds completing an inbound frame once its first
-	// byte has arrived (0 = unbounded). Idle waits between frames are
-	// never timed out — Heartbeat covers those.
-	FrameTimeout time.Duration
 	// Heartbeat probes the execution machine's liveness so a half-open
 	// link (machine powered off mid-run) surfaces as JobLost rather than
 	// a shadow waiting forever, and an idle one is dropped. Zero disables
-	// probing.
+	// probing. It is part of a link: only placements that agree on it
+	// share one.
 	Heartbeat time.Duration
 }
 
@@ -124,7 +111,6 @@ func Place(
 	}
 	s := &Shadow{
 		jobID:    req.JobID,
-		execSite: execAddr,
 		events:   events,
 		handler:  handler,
 		meter:    accounting.Default.Job(req.JobID, req.Owner, req.HomeHost),
@@ -136,7 +122,7 @@ func Place(
 	}
 	ctx, cancel := context.WithTimeout(ctx, placeTimeout)
 	defer cancel()
-	key := linkKey{execAddr, cfg.WriteTimeout, cfg.FrameTimeout, cfg.Heartbeat}
+	key := linkKey{execAddr, cfg.Heartbeat}
 	// The handshake runs at most once: it moves from a reused link to a
 	// fresh dial only when its request provably never left. Once the frame
 	// is written, a lost reply may hide a placement that already claimed
@@ -146,7 +132,7 @@ func Place(
 	l, reused := takeIdle(key), true
 	for {
 		if l == nil {
-			if l, err = dialLink(ctx, key, cfg); err != nil {
+			if l, err = dialLink(ctx, key, cfg.DialTimeout); err != nil {
 				return nil, err
 			}
 			reused = false
@@ -194,9 +180,6 @@ func Place(
 	go s.watch()
 	return s, nil
 }
-
-// ExecSite returns the execution machine's address.
-func (s *Shadow) ExecSite() string { return s.execSite }
 
 // JobID returns the job this shadow serves.
 func (s *Shadow) JobID() string { return s.jobID }

@@ -7,7 +7,6 @@ import (
 
 	"condor/internal/accounting"
 	"condor/internal/cvm"
-	"condor/internal/eventlog"
 	"condor/internal/proto"
 	"condor/internal/wire"
 )
@@ -38,16 +37,7 @@ func (st *Station) handlerFor(peer *wire.Peer) wire.Handler {
 		case proto.GrantRequest:
 			return st.handleGrant(m), nil
 		case proto.HistoryRequest:
-			var events []eventlog.Event
-			switch {
-			case m.TraceID != "":
-				events = st.events.ForTrace(m.TraceID)
-			case m.JobID != "":
-				events = st.events.ForJob(m.JobID)
-			default:
-				events = st.events.Recent(m.Limit)
-			}
-			return proto.HistoryReply{Events: events}, nil
+			return proto.HistoryReply{Events: st.events.Query(m.JobID, m.TraceID, m.Limit)}, nil
 		case proto.AccountingRequest:
 			// Stations answer with the process ledger (their jobs' meters
 			// live in accounting.Default); only the coordinator has an

@@ -108,13 +108,6 @@ func (c *Config) sanitize() error {
 	return nil
 }
 
-// frameIOTimeout bounds each in-progress frame on the station's
-// connections (server side and pooled client side). It only limits a
-// frame's transfer time, never idleness between frames, so it can be
-// generous: its job is to unwedge connections to machines that died
-// mid-frame.
-const frameIOTimeout = time.Minute
-
 // Station is the per-workstation daemon.
 type Station struct {
 	cfg     Config
@@ -176,16 +169,8 @@ func New(cfg Config) (*Station, error) {
 		return nil, err
 	}
 	st.starter = starter
-	st.pool = wire.NewClientPool(wire.PoolConfig{
-		DialTimeout:  cfg.DialTimeout,
-		RPCTimeout:   cfg.DialTimeout + 5*time.Second,
-		WriteTimeout: frameIOTimeout,
-		FrameTimeout: frameIOTimeout,
-	})
-	server, err := wire.NewServerOpts(cfg.ListenAddr, wire.ServerOptions{
-		WriteTimeout: frameIOTimeout,
-		FrameTimeout: frameIOTimeout,
-	}, st.handlerFor)
+	st.pool = wire.NewClientPool(wire.PoolConfig{DialTimeout: cfg.DialTimeout})
+	server, err := wire.NewServer(cfg.ListenAddr, st.handlerFor)
 	if err != nil {
 		starter.Close()
 		st.pool.Close()
@@ -617,12 +602,7 @@ func (st *Station) PlaceNext(execName, execAddr string) (string, error) {
 		Checkpoint: blob,
 	}, host, &jobEvents{station: st, jobID: jobID, epoch: epoch}, ru.PlaceConfig{
 		DialTimeout: st.cfg.DialTimeout,
-		// Retry only the TCP connect under the default policy; the
-		// handshake itself runs at most once (see ru.PlaceConfig).
-		DialRetry:    &wire.Retry{},
-		WriteTimeout: frameIOTimeout,
-		FrameTimeout: frameIOTimeout,
-		Heartbeat:    st.cfg.PlacementHeartbeat,
+		Heartbeat:   st.cfg.PlacementHeartbeat,
 	})
 	if err != nil {
 		span.SetError(err)

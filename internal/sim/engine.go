@@ -96,9 +96,6 @@ func (e *Engine) Clock() *VirtualClock { return e.clock }
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Time { return e.clock.Now() }
 
-// Fired returns the number of events executed so far.
-func (e *Engine) Fired() uint64 { return e.fired }
-
 // Pending returns the number of scheduled (non-cancelled) events.
 func (e *Engine) Pending() int {
 	n := 0

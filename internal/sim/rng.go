@@ -50,11 +50,6 @@ func (g *RNG) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*g.r.Float64()
 }
 
-// Normal returns a normal variate with the given mean and stddev.
-func (g *RNG) Normal(mean, stddev float64) float64 {
-	return mean + stddev*g.r.NormFloat64()
-}
-
 // LogNormal returns a log-normal variate parameterized by the mean and
 // coefficient of variation (stddev/mean) of the *resulting* distribution,
 // which is the natural way to calibrate job-demand distributions from the

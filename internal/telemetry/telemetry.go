@@ -267,9 +267,6 @@ func (r *Registry) GaugeFunc(name, help string, f func() float64) {
 	r.family(name, help, kindGauge).add(&gaugeFunc{f: f})
 }
 
-// NewGaugeFunc registers a sampled gauge on the Default registry.
-func NewGaugeFunc(name, help string, f func() float64) { Default.GaugeFunc(name, help, f) }
-
 // --- histogram ---------------------------------------------------------
 
 // Histogram accumulates observations into fixed buckets. Observe is
@@ -337,14 +334,6 @@ func (h *Histogram) ObserveExemplar(v float64, ref string) {
 // ObserveDurationExemplar records d in seconds with an exemplar ref.
 func (h *Histogram) ObserveDurationExemplar(d time.Duration, ref string) {
 	h.ObserveExemplar(d.Seconds(), ref)
-}
-
-// Exemplar returns the most recent exemplar ref and value ("" if none).
-func (h *Histogram) Exemplar() (ref string, v float64) {
-	if e := h.ex.Load(); e != nil {
-		return e.ref, e.v
-	}
-	return "", 0
 }
 
 // Count returns how many observations were recorded.

@@ -24,23 +24,18 @@ type Client struct {
 	coord string
 	pool  *wire.ClientPool
 	http  *http.Client
-	// RPCTimeout bounds one aggregation RPC end-to-end (default 5s).
-	RPCTimeout time.Duration
 }
+
+// rpcTimeout bounds one aggregation RPC end-to-end.
+const rpcTimeout = 5 * time.Second
 
 // NewClient creates a client aggregating from the coordinator at
 // coordAddr (its wire address, not its -http one).
 func NewClient(coordAddr string) *Client {
 	return &Client{
 		coord: coordAddr,
-		pool: wire.NewClientPool(wire.PoolConfig{
-			DialTimeout:  3 * time.Second,
-			WriteTimeout: 10 * time.Second,
-			FrameTimeout: 10 * time.Second,
-			IdleTimeout:  5 * time.Minute,
-		}),
-		http:       &http.Client{Timeout: 10 * time.Second},
-		RPCTimeout: 5 * time.Second,
+		pool:  wire.NewClientPool(wire.PoolConfig{DialTimeout: 3 * time.Second}),
+		http:  &http.Client{Timeout: 10 * time.Second},
 	}
 }
 
@@ -52,16 +47,9 @@ func (c *Client) Close() { c.pool.Close() }
 func (c *Client) CoordinatorAddr() string { return c.coord }
 
 func (c *Client) call(ctx context.Context, addr string, msg any) (any, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.timeout())
+	ctx, cancel := context.WithTimeout(ctx, rpcTimeout)
 	defer cancel()
 	return c.pool.CallRetry(ctx, addr, msg)
-}
-
-func (c *Client) timeout() time.Duration {
-	if c.RPCTimeout > 0 {
-		return c.RPCTimeout
-	}
-	return 5 * time.Second
 }
 
 // PoolStatus fetches the coordinator's pool table and self-description.

@@ -397,7 +397,7 @@ func (s *Server) Refresh(ctx context.Context) error {
 }
 
 func (s *Server) refresh() {
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.Refresh+s.client.timeout())
+	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.Refresh+rpcTimeout)
 	defer cancel()
 	s.Refresh(ctx) //nolint:errcheck // failure is recorded in the overview
 }
@@ -507,7 +507,7 @@ func (s *Server) handleStation(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	detail := StationDetail{Station: *view}
-	ctx, cancel := context.WithTimeout(r.Context(), s.client.timeout())
+	ctx, cancel := context.WithTimeout(r.Context(), rpcTimeout)
 	defer cancel()
 	if qr, err := s.client.StationQueue(ctx, view.Addr); err == nil {
 		for _, j := range qr.Jobs {
@@ -536,7 +536,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			limit = n
 		}
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.client.timeout())
+	ctx, cancel := context.WithTimeout(r.Context(), rpcTimeout)
 	defer cancel()
 	events, err := s.client.History(ctx, limit)
 	if err != nil {
@@ -564,7 +564,7 @@ func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("last"); v != "" {
 		last, _ = strconv.Atoi(v)
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.client.timeout())
+	ctx, cancel := context.WithTimeout(r.Context(), rpcTimeout)
 	defer cancel()
 	reply, err := s.client.Decisions(ctx, q.Get("job"), q.Get("station"), cycle, last)
 	if err != nil {

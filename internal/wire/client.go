@@ -29,8 +29,9 @@ type RemoteError struct {
 func (e *RemoteError) Error() string { return "wire: remote: " + e.Msg }
 
 // ErrNotSent wraps a Call failure that happened before the request frame
-// was written: the peer was already closed, or the frame failed to encode
-// or to write. The remote side never dispatched the request, since a
+// was written: the peer was already closed, the caller's context ended
+// while the Call waited to write, or the frame failed to encode or to
+// write. The remote side never dispatched the request, since a
 // receiver drops a partial frame and closes.
 var ErrNotSent = errors.New("wire: request not sent")
 
@@ -80,37 +81,18 @@ func newStoppedPeer(conn *Conn, handler Handler) *Peer {
 
 func (p *Peer) start() { go p.readLoop() }
 
-// Dial connects to addr and returns a peer over the new connection.
+// Dial connects to addr, with timeout (default 5s) bounding the connect,
+// and returns a peer over the new connection. handler serves the remote
+// side's requests (nil = pure client).
 func Dial(addr string, timeout time.Duration, handler Handler) (*Peer, error) {
-	return DialOpts(addr, DialOptions{Timeout: timeout, Handler: handler})
-}
-
-// DialOptions tunes DialOpts.
-type DialOptions struct {
-	// Timeout bounds the TCP connect (default 5s).
-	Timeout time.Duration
-	// WriteTimeout bounds each frame write (0 = unbounded).
-	WriteTimeout time.Duration
-	// FrameTimeout bounds completing a frame read once its first byte has
-	// arrived (0 = unbounded). Idle waits are never timed out.
-	FrameTimeout time.Duration
-	// Handler serves the remote side's requests (nil = pure client).
-	Handler Handler
-}
-
-// DialOpts connects to addr with per-frame deadlines armed on the
-// returned peer.
-func DialOpts(addr string, opts DialOptions) (*Peer, error) {
-	if opts.Timeout <= 0 {
-		opts.Timeout = 5 * time.Second
+	if timeout <= 0 {
+		timeout = 5 * time.Second
 	}
-	raw, err := net.DialTimeout("tcp", addr, opts.Timeout)
+	raw, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
-	conn := NewConn(raw)
-	conn.SetFrameTimeouts(opts.WriteTimeout, opts.FrameTimeout)
-	return NewPeer(conn, opts.Handler), nil
+	return NewPeer(NewConn(raw), handler), nil
 }
 
 // Close tears down the connection and fails all pending calls.
@@ -232,7 +214,10 @@ func (p *Peer) failAll(err error) {
 }
 
 // Call sends msg as a request and waits for the matching reply or ctx
-// cancellation.
+// cancellation. ctx's deadline bounds the request's write too: a Call
+// that is still waiting for the connection's write side when it passes
+// fails with ErrNotSent and leaves the connection up, and one whose frame
+// is still being written then closes it, as any partial frame does.
 func (p *Peer) Call(ctx context.Context, msg any) (any, error) {
 	p.mu.Lock()
 	if p.closed {
@@ -253,7 +238,7 @@ func (p *Peer) Call(ctx context.Context, msg any) (any, error) {
 	}
 
 	start := time.Now()
-	if err := p.conn.Send(Envelope{ID: id, Kind: KindRequest, Msg: msg, Trace: traceparent}); err != nil {
+	if err := p.conn.send(ctx, Envelope{ID: id, Kind: KindRequest, Msg: msg, Trace: traceparent}); err != nil {
 		p.mu.Lock()
 		delete(p.pending, id)
 		p.mu.Unlock()
@@ -289,7 +274,8 @@ func (p *Peer) Notify(msg any) error {
 }
 
 // NotifyCtx is Notify carrying ctx's span context on the envelope so
-// one-way messages (job events, checkpoint shipments) join the trace.
+// one-way messages (job events, checkpoint shipments) join the trace;
+// ctx's deadline bounds the write as it does Call's.
 func (p *Peer) NotifyCtx(ctx context.Context, msg any) error {
 	p.mu.Lock()
 	closed := p.closed
@@ -301,13 +287,12 @@ func (p *Peer) NotifyCtx(ctx context.Context, msg any) error {
 	if sc := trace.FromContext(ctx); sc.Valid() {
 		traceparent = sc.Traceparent()
 	}
-	return p.conn.Send(Envelope{Kind: KindOneWay, Msg: msg, Trace: traceparent})
+	return p.conn.send(ctx, Envelope{Kind: KindOneWay, Msg: msg, Trace: traceparent})
 }
 
 // Server accepts connections and runs a Peer for each.
 type Server struct {
 	listener net.Listener
-	opts     ServerOptions
 	// NewHandler builds the handler for one connection; it may capture
 	// per-connection state and receives the peer for calling back.
 	newHandler func(p *Peer) Handler
@@ -318,29 +303,13 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// ServerOptions tunes accepted connections.
-type ServerOptions struct {
-	// WriteTimeout bounds each frame write on accepted connections
-	// (0 = unbounded), so a wedged client cannot pin a serve goroutine.
-	WriteTimeout time.Duration
-	// FrameTimeout bounds completing an inbound frame once its first byte
-	// has arrived (0 = unbounded).
-	FrameTimeout time.Duration
-}
-
 // NewServer listens on addr (e.g. "127.0.0.1:0").
 func NewServer(addr string, newHandler func(p *Peer) Handler) (*Server, error) {
-	return NewServerOpts(addr, ServerOptions{}, newHandler)
-}
-
-// NewServerOpts is NewServer with per-frame deadlines applied to every
-// accepted connection.
-func NewServerOpts(addr string, opts ServerOptions, newHandler func(p *Peer) Handler) (*Server, error) {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("wire: listen %s: %w", addr, err)
 	}
-	s := &Server{listener: l, opts: opts, newHandler: newHandler, peers: make(map[*Peer]struct{})}
+	s := &Server{listener: l, newHandler: newHandler, peers: make(map[*Peer]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -356,11 +325,9 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		conn := NewConn(raw)
-		conn.SetFrameTimeouts(s.opts.WriteTimeout, s.opts.FrameTimeout)
 		// The handler may call back through the peer, so build the peer
 		// first and only then start its reader.
-		peer := newStoppedPeer(conn, nil)
+		peer := newStoppedPeer(NewConn(raw), nil)
 		if h := s.newHandler(peer); h != nil {
 			peer.handler = h
 		} else {

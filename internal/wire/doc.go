@@ -9,4 +9,12 @@
 // submitting machine's shadow dials the execution machine to place a job,
 // and from then on the executor sends system-call requests *back* over
 // the same connection.
+//
+// Connections are opened in one place (Dial, which ClientPool uses too)
+// and accepted in one (NewServer), and none carries timeout settings.
+// Deadlines come from the call: a frame write must finish by the
+// caller's context deadline or within one package-wide frame timeout,
+// whichever is earlier, and an inbound frame must complete within that
+// timeout once its first byte has arrived. Idle connections never time
+// out; heartbeats (Peer.StartHeartbeat) detect a peer that has gone.
 package wire

@@ -22,7 +22,7 @@ func pipeConns(t *testing.T) (*Conn, *FaultConn, net.Conn) {
 
 func TestSendStalledWriterFailsByDeadline(t *testing.T) {
 	conn, fc, _ := pipeConns(t)
-	conn.SetFrameTimeouts(50*time.Millisecond, 0)
+	conn.timeout = 50 * time.Millisecond
 	fc.SetPlan(FaultPlan{StallWrites: true})
 	start := time.Now()
 	err := conn.Send(Envelope{ID: 1, Kind: KindPing, Msg: pingMsg{Seq: 1}})
@@ -85,7 +85,7 @@ func TestRecvMidFrameStallFailsByFrameTimeout(t *testing.T) {
 	defer remote.Close()
 	conn := NewConn(local)
 	defer conn.Close()
-	conn.SetFrameTimeouts(0, 50*time.Millisecond)
+	conn.timeout = 50 * time.Millisecond
 	go remote.Write([]byte{0x00, 0x00}) //nolint:errcheck // 2 of 4 header bytes, then silence
 	start := time.Now()
 	if _, err := conn.Recv(); err == nil {
@@ -102,7 +102,7 @@ func TestRecvIdleConnectionNotTimedOut(t *testing.T) {
 	sender := NewConn(remote)
 	defer receiver.Close()
 	defer sender.Close()
-	receiver.SetFrameTimeouts(0, 40*time.Millisecond)
+	receiver.timeout = 40 * time.Millisecond
 	go func() {
 		// Far longer than the frame timeout: idleness between frames must
 		// not trip the deadline.
@@ -124,7 +124,7 @@ func TestRecvConsecutiveFramesRearmDeadline(t *testing.T) {
 	sender := NewConn(remote)
 	defer receiver.Close()
 	defer sender.Close()
-	receiver.SetFrameTimeouts(0, 50*time.Millisecond)
+	receiver.timeout = 50 * time.Millisecond
 	go func() {
 		for i := uint64(1); i <= 3; i++ {
 			sender.Send(Envelope{ID: i, Kind: KindPing, Msg: pingMsg{Seq: i}}) //nolint:errcheck
@@ -149,7 +149,7 @@ func TestPeerCallAgainstStalledConnFailsFast(t *testing.T) {
 	defer remote.Close()
 	fc := NewFaultConn(local)
 	conn := NewConn(fc)
-	conn.SetFrameTimeouts(50*time.Millisecond, 0)
+	conn.timeout = 50 * time.Millisecond
 	fc.SetPlan(FaultPlan{StallWrites: true, StallReads: true})
 	peer := NewPeer(conn, nil)
 	defer peer.Close()
@@ -192,8 +192,8 @@ func TestFaultCorruptionFailsLoudly(t *testing.T) {
 	receiver := NewConn(remote)
 	defer sender.Close()
 	defer receiver.Close()
-	sender.SetFrameTimeouts(200*time.Millisecond, 0)
-	receiver.SetFrameTimeouts(0, 500*time.Millisecond)
+	sender.timeout = 200 * time.Millisecond
+	receiver.timeout = 500 * time.Millisecond
 	fc.SetPlan(FaultPlan{CorruptProb: 1, Seed: 42})
 	go func() {
 		for i := uint64(1); i <= 4; i++ {
@@ -217,7 +217,7 @@ func TestFaultCorruptionFailsLoudly(t *testing.T) {
 func TestFaultFlapScheduleBlackholesAndHeals(t *testing.T) {
 	conn, fc, remote := pipeConns(t)
 	go io.Copy(io.Discard, remote) //nolint:errcheck // drain
-	conn.SetFrameTimeouts(30*time.Millisecond, 0)
+	conn.timeout = 30 * time.Millisecond
 	// Down first is impossible (phase starts up), so use a short up
 	// phase: writes land in the up window or fail in the down window,
 	// and after a full period they must succeed again.
@@ -232,8 +232,8 @@ func TestFaultFlapScheduleBlackholesAndHeals(t *testing.T) {
 }
 
 func TestFaultSetPlanWakesStalledOperation(t *testing.T) {
-	// A stalled write with no deadline must heal the moment the plan is
-	// cleared — not wait for a deadline that never comes.
+	// A stalled write must heal the moment the plan is cleared — not wait
+	// out its frame timeout.
 	conn, fc, remote := pipeConns(t)
 	go io.Copy(io.Discard, remote) //nolint:errcheck // drain
 	fc.SetPlan(FaultPlan{StallWrites: true})

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
@@ -9,7 +10,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -31,6 +31,14 @@ const restartBit = 1 << 31
 // exceeds this, both ends drop their codec and the next frame starts a
 // new stream.
 const streamResetBytes = 64 << 10
+
+// frameTimeout bounds one frame in flight on every connection: a write
+// must finish within it (or by its caller's context deadline, if that is
+// earlier), and an inbound frame must complete within it once its first
+// byte has arrived. Idleness between frames is never bounded (heartbeats
+// cover that), so it can be generous: its job is to unwedge a connection
+// whose peer died or stopped reading mid-frame.
+const frameTimeout = time.Minute
 
 // Frame-level errors.
 var (
@@ -78,11 +86,15 @@ type Envelope struct {
 // serialized, so one reader goroutine and many writers can share a Conn.
 type Conn struct {
 	raw net.Conn
+	// timeout is frameTimeout; tests shorten it before the Conn is used.
+	timeout time.Duration
 
-	readMu  sync.Mutex
-	writeMu sync.Mutex
+	readMu sync.Mutex
+	// writing is the write side's lock: a one-slot semaphore rather than a
+	// mutex, so a sender can stop waiting for it when its context ends.
+	writing chan struct{}
 
-	// Write side, under writeMu. enc encodes into wbuf, which holds the
+	// Write side, under writing. enc encodes into wbuf, which holds the
 	// frame being built: length word, then payload. A nil enc means the
 	// next frame starts a new stream.
 	enc  *gob.Encoder
@@ -99,38 +111,13 @@ type Conn struct {
 	rd   bytes.Reader
 	rbuf []byte
 
-	// writeTimeoutNs / frameTimeoutNs hold the per-frame I/O bounds
-	// (nanoseconds; 0 = unbounded). Atomics so SetFrameTimeouts never
-	// contends with a reader blocked in Recv holding readMu.
-	writeTimeoutNs atomic.Int64
-	frameTimeoutNs atomic.Int64
-
 	closeOnce sync.Once
 	closeErr  error
 }
 
 // NewConn wraps raw.
 func NewConn(raw net.Conn) *Conn {
-	return &Conn{raw: raw}
-}
-
-// SetFrameTimeouts bounds each frame's I/O so a wedged peer fails fast
-// instead of blocking the connection's write or read side forever:
-// a Send must complete within write, and once a frame's first byte has
-// arrived the remainder must arrive within read. An idle connection is
-// never timed out — Recv waits for a frame's first byte without a
-// deadline (heartbeats, not frame deadlines, bound idleness). Zero
-// disables the respective bound. After a deadline expires mid-frame the
-// stream is desynchronized, so the connection is closed.
-func (c *Conn) SetFrameTimeouts(write, read time.Duration) {
-	if write < 0 {
-		write = 0
-	}
-	if read < 0 {
-		read = 0
-	}
-	c.writeTimeoutNs.Store(int64(write))
-	c.frameTimeoutNs.Store(int64(read))
+	return &Conn{raw: raw, timeout: frameTimeout, writing: make(chan struct{}, 1)}
 }
 
 // RemoteAddr returns the peer address.
@@ -143,20 +130,33 @@ func (c *Conn) Close() error {
 }
 
 // dropEncoder forgets the write-side codec and its buffers; the next
-// Send starts a new gob stream. Caller holds writeMu.
+// Send starts a new gob stream. Caller holds the write side.
 func (c *Conn) dropEncoder() {
 	c.enc = nil
 	c.wbuf = bytes.Buffer{}
 }
 
-// Send writes one envelope as one frame in one Write. An envelope that
-// cannot be encoded (an unregistered Msg type) or exceeds MaxFrameBytes
-// is an error but leaves the connection usable: nothing was written,
-// and the next frame restarts the stream, since the abandoned encoder
-// may count descriptors as sent that never left.
-func (c *Conn) Send(env Envelope) error {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
+// Send writes one envelope under the frame timeout alone, as replies and
+// heartbeats are.
+func (c *Conn) Send(env Envelope) error { return c.send(context.Background(), env) }
+
+// send writes one envelope as one frame in one Write, which must finish
+// by ctx's deadline or within the frame timeout, whichever is earlier.
+// A sender whose ctx ends while it waits for the write side gets ctx's
+// error, writes nothing and leaves the connection up. So does an
+// envelope that cannot be encoded (an unregistered Msg type) or exceeds
+// MaxFrameBytes; the next frame then restarts the stream, since the
+// abandoned encoder may count descriptors as sent that never left.
+func (c *Conn) send(ctx context.Context, env Envelope) error {
+	select {
+	case c.writing <- struct{}{}:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	defer func() { <-c.writing }()
+	if err := ctx.Err(); err != nil {
+		return err // both cases were ready and the lock won
+	}
 	var word uint32
 	if c.enc == nil {
 		c.enc = gob.NewEncoder(&c.wbuf)
@@ -178,9 +178,11 @@ func (c *Conn) Send(env Envelope) error {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
 	binary.BigEndian.PutUint32(frame, word|uint32(n))
-	if d := time.Duration(c.writeTimeoutNs.Load()); d > 0 {
-		_ = c.raw.SetWriteDeadline(time.Now().Add(d))
+	deadline := time.Now().Add(c.timeout)
+	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+		deadline = d
 	}
+	_ = c.raw.SetWriteDeadline(deadline)
 	if _, err := c.raw.Write(frame); err != nil {
 		// A failed (possibly partial) frame write desynchronizes the
 		// stream; the connection cannot be used again.
@@ -232,29 +234,23 @@ func (c *Conn) readPayload(n uint32) ([]byte, error) {
 }
 
 // Recv reads one envelope, blocking until a frame arrives or the
-// connection fails. With a frame timeout set (SetFrameTimeouts), waiting
-// for a frame to *start* is unbounded, but once its first byte arrives
-// the rest must follow within the timeout — a peer that stalls mid-frame
-// fails fast instead of wedging the reader. Any error past a frame's
-// first byte, a decode error included, closes the connection: the
-// decoder's stream state cannot be recovered.
+// connection fails. Waiting for a frame to *start* is unbounded, but once
+// its first byte arrives the rest must follow within the frame timeout —
+// a peer that stalls mid-frame fails fast instead of wedging the reader.
+// Any error past a frame's first byte, a decode error included, closes
+// the connection: the decoder's stream state cannot be recovered.
 func (c *Conn) Recv() (Envelope, error) {
 	c.readMu.Lock()
 	defer c.readMu.Unlock()
 	var env Envelope
 	var lenBuf [4]byte
-	frameTimeout := time.Duration(c.frameTimeoutNs.Load())
-	if frameTimeout > 0 {
-		// Clear any deadline armed for the previous frame: idleness
-		// between frames is normal.
-		_ = c.raw.SetReadDeadline(time.Time{})
-	}
+	// Clear the deadline armed for the previous frame: idleness between
+	// frames is normal.
+	_ = c.raw.SetReadDeadline(time.Time{})
 	if _, err := io.ReadFull(c.raw, lenBuf[:1]); err != nil {
 		return env, fmt.Errorf("wire: read length: %w", err)
 	}
-	if frameTimeout > 0 {
-		_ = c.raw.SetReadDeadline(time.Now().Add(frameTimeout))
-	}
+	_ = c.raw.SetReadDeadline(time.Now().Add(c.timeout))
 	if _, err := io.ReadFull(c.raw, lenBuf[1:]); err != nil {
 		c.Close() // mid-frame failure: stream desynchronized
 		return env, fmt.Errorf("wire: read length: %w", err)

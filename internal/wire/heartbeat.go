@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"fmt"
 	"time"
 )
 
@@ -14,46 +13,20 @@ import (
 type pingMsg struct{ Seq uint64 }
 type pongMsg struct{ Seq uint64 }
 
-// Heartbeat configures liveness probing on a Peer.
-type Heartbeat struct {
-	// Interval between pings (0 disables heartbeats).
-	Interval time.Duration
-	// Timeout after a ping with no traffic before the connection is
-	// declared dead and closed (default 3×Interval).
-	Timeout time.Duration
-}
-
-func (h *Heartbeat) sanitize() {
-	if h.Interval > 0 && h.Timeout <= 0 {
-		h.Timeout = 3 * h.Interval
-	}
-}
-
-// DialHeartbeat is Dial plus a heartbeat: the returned peer pings the
-// remote side and closes (failing pending calls, firing Done) when the
-// remote stops answering.
-func DialHeartbeat(addr string, timeout time.Duration, handler Handler, hb Heartbeat) (*Peer, error) {
-	p, err := Dial(addr, timeout, handler)
-	if err != nil {
-		return nil, err
-	}
-	p.StartHeartbeat(hb)
-	return p, nil
-}
-
-// StartHeartbeat begins liveness probing on an existing peer. Calling it
-// with a zero interval is a no-op.
-func (p *Peer) StartHeartbeat(hb Heartbeat) {
-	hb.sanitize()
-	if hb.Interval <= 0 {
+// StartHeartbeat begins liveness probing on a peer: it pings the remote
+// side every interval and closes (failing pending calls, firing Done)
+// once nothing has been heard from it for three intervals. A
+// non-positive interval is a no-op.
+func (p *Peer) StartHeartbeat(interval time.Duration) {
+	if interval <= 0 {
 		return
 	}
 	p.markHeard() // grace: measure staleness from heartbeat start
-	go p.heartbeatLoop(hb)
+	go p.heartbeatLoop(interval)
 }
 
-func (p *Peer) heartbeatLoop(hb Heartbeat) {
-	ticker := time.NewTicker(hb.Interval)
+func (p *Peer) heartbeatLoop(interval time.Duration) {
+	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	var seq uint64
 	for {
@@ -74,7 +47,7 @@ func (p *Peer) heartbeatLoop(hb Heartbeat) {
 			p.mu.Lock()
 			last := p.lastHeard
 			p.mu.Unlock()
-			if time.Since(last) > hb.Timeout {
+			if time.Since(last) > 3*interval {
 				// Remote unresponsive: tear the connection down so the
 				// reader loop fails everything and Done fires.
 				p.conn.Close()
@@ -104,12 +77,4 @@ func (p *Peer) handleHeartbeat(env Envelope) bool {
 	default:
 		return false
 	}
-}
-
-// String renders heartbeat config for logs.
-func (h Heartbeat) String() string {
-	if h.Interval <= 0 {
-		return "heartbeat off"
-	}
-	return fmt.Sprintf("heartbeat every %v (timeout %v)", h.Interval, h.Timeout)
 }

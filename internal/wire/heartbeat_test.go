@@ -15,12 +15,12 @@ func TestHeartbeatKeepsHealthyConnectionAlive(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	peer, err := DialHeartbeat(srv.Addr(), time.Second, nil,
-		Heartbeat{Interval: 10 * time.Millisecond, Timeout: 40 * time.Millisecond})
+	peer, err := Dial(srv.Addr(), time.Second, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer peer.Close()
+	peer.StartHeartbeat(15 * time.Millisecond) // declared dead after 45ms of silence
 	// Stay quiet for several timeouts; pongs must keep the peer alive.
 	time.Sleep(150 * time.Millisecond)
 	select {
@@ -51,12 +51,12 @@ func TestHeartbeatDetectsBlackholedPeer(t *testing.T) {
 			accepted <- c // hold it open, never read
 		}
 	}()
-	peer, err := DialHeartbeat(l.Addr().String(), time.Second, nil,
-		Heartbeat{Interval: 10 * time.Millisecond, Timeout: 50 * time.Millisecond})
+	peer, err := Dial(l.Addr().String(), time.Second, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer peer.Close()
+	peer.StartHeartbeat(15 * time.Millisecond)
 	select {
 	case <-peer.Done():
 		// detected: good
@@ -77,22 +77,11 @@ func TestHeartbeatZeroIntervalIsNoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer peer.Close()
-	peer.StartHeartbeat(Heartbeat{}) // no-op
+	peer.StartHeartbeat(0) // no-op
 	time.Sleep(20 * time.Millisecond)
 	select {
 	case <-peer.Done():
 		t.Fatal("no-op heartbeat killed the connection")
 	default:
-	}
-}
-
-func TestHeartbeatString(t *testing.T) {
-	if (Heartbeat{}).String() != "heartbeat off" {
-		t.Fatal("off rendering")
-	}
-	h := Heartbeat{Interval: time.Second}
-	h.sanitize()
-	if h.Timeout != 3*time.Second {
-		t.Fatalf("default timeout = %v", h.Timeout)
 	}
 }

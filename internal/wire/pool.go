@@ -9,47 +9,13 @@ import (
 
 // PoolConfig tunes a ClientPool.
 type PoolConfig struct {
-	// DialTimeout bounds one TCP connect (default 5s).
+	// DialTimeout bounds one TCP connect (default 5s, Dial's).
 	DialTimeout time.Duration
-	// RPCTimeout bounds one Call when the caller's context carries no
-	// deadline of its own (0 = no implicit bound).
-	RPCTimeout time.Duration
-	// WriteTimeout bounds each frame write on pooled connections
-	// (default 30s; negative disables).
-	WriteTimeout time.Duration
-	// FrameTimeout bounds completing an inbound frame once started
-	// (default 30s; negative disables).
-	FrameTimeout time.Duration
-	// IdleTimeout evicts connections unused this long (default 5m;
-	// negative disables eviction).
-	IdleTimeout time.Duration
-	// Retry is the CallRetry policy (zero value = Retry defaults).
-	Retry Retry
 }
 
-func (c *PoolConfig) sanitize() {
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 5 * time.Second
-	}
-	if c.WriteTimeout == 0 {
-		c.WriteTimeout = 30 * time.Second
-	}
-	if c.WriteTimeout < 0 {
-		c.WriteTimeout = 0
-	}
-	if c.FrameTimeout == 0 {
-		c.FrameTimeout = 30 * time.Second
-	}
-	if c.FrameTimeout < 0 {
-		c.FrameTimeout = 0
-	}
-	if c.IdleTimeout == 0 {
-		c.IdleTimeout = 5 * time.Minute
-	}
-	if c.IdleTimeout < 0 {
-		c.IdleTimeout = 0
-	}
-}
+// idleTimeout is how long a pooled connection may sit unused before the
+// janitor closes it.
+const idleTimeout = 5 * time.Minute
 
 // PoolStats counts a ClientPool's connection and retry activity.
 type PoolStats struct {
@@ -95,7 +61,6 @@ type ClientPool struct {
 
 // NewClientPool creates a pool; Close releases its connections.
 func NewClientPool(cfg PoolConfig) *ClientPool {
-	cfg.sanitize()
 	p := &ClientPool{
 		cfg:         cfg,
 		conns:       make(map[string]*poolEntry),
@@ -103,11 +68,7 @@ func NewClientPool(cfg PoolConfig) *ClientPool {
 		stop:        make(chan struct{}),
 		janitorDone: make(chan struct{}),
 	}
-	if cfg.IdleTimeout > 0 {
-		go p.janitor()
-	} else {
-		close(p.janitorDone)
-	}
+	go p.janitor()
 	return p
 }
 
@@ -135,11 +96,7 @@ func (p *ClientPool) Get(addr string) (*Peer, error) {
 	}
 	p.mu.Unlock()
 
-	peer, err := DialOpts(addr, DialOptions{
-		Timeout:      p.cfg.DialTimeout,
-		WriteTimeout: p.cfg.WriteTimeout,
-		FrameTimeout: p.cfg.FrameTimeout,
-	})
+	peer, err := Dial(addr, p.cfg.DialTimeout, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -174,16 +131,12 @@ func (p *ClientPool) Get(addr string) (*Peer, error) {
 // reconnecting as needed. Any failure other than a RemoteError drops the
 // cached connection, so the next call starts from a fresh dial rather
 // than reusing a suspect peer. The call itself is never retried — see
-// CallRetry for idempotent requests.
+// CallRetry for idempotent requests. ctx's deadline is the call's only
+// bound beyond the frame timeout, so callers should always set one.
 func (p *ClientPool) Call(ctx context.Context, addr string, msg any) (any, error) {
 	peer, err := p.Get(addr)
 	if err != nil {
 		return nil, err
-	}
-	if _, bounded := ctx.Deadline(); !bounded && p.cfg.RPCTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.cfg.RPCTimeout)
-		defer cancel()
 	}
 	reply, err := peer.Call(ctx, msg)
 	if err != nil {
@@ -195,14 +148,14 @@ func (p *ClientPool) Call(ctx context.Context, addr string, msg any) (any, error
 	return reply, err
 }
 
-// CallRetry is Call under the pool's Retry policy: transient transport
+// CallRetry is Call under the default Retry policy: transient transport
 // failures are retried with backoff against a freshly dialed connection.
 // Only use it for idempotent requests (polls, registrations, preempts) —
 // a request whose reply was lost in flight will execute again.
 func (p *ClientPool) CallRetry(ctx context.Context, addr string, msg any) (any, error) {
 	var reply any
 	attempt := 0
-	err := p.cfg.Retry.Do(ctx, func() error {
+	err := Retry{}.Do(ctx, func() error {
 		attempt++
 		if attempt > 1 {
 			p.mu.Lock()
@@ -268,14 +221,10 @@ func (p *ClientPool) Close() {
 	}
 }
 
-// janitor evicts idle and dead connections on a fraction of IdleTimeout.
+// janitor evicts idle and dead connections on a fraction of idleTimeout.
 func (p *ClientPool) janitor() {
 	defer close(p.janitorDone)
-	interval := p.cfg.IdleTimeout / 4
-	if interval < time.Millisecond {
-		interval = time.Millisecond
-	}
-	ticker := time.NewTicker(interval)
+	ticker := time.NewTicker(idleTimeout / 4)
 	defer ticker.Stop()
 	for {
 		select {
@@ -291,7 +240,7 @@ func (p *ClientPool) evictIdle(now time.Time) {
 	p.mu.Lock()
 	var victims []*Peer
 	for addr, e := range p.conns {
-		if e.peer.Dead() || now.Sub(e.lastUsed) > p.cfg.IdleTimeout {
+		if e.peer.Dead() || now.Sub(e.lastUsed) > idleTimeout {
 			delete(p.conns, addr)
 			if e.peer.Dead() {
 				p.retired[addr] = struct{}{}

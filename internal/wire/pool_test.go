@@ -86,16 +86,17 @@ func TestPoolReconnectsAfterServerRestart(t *testing.T) {
 
 func TestPoolEvictsIdleConnections(t *testing.T) {
 	srv := echoServer(t)
-	p := newTestPool(t, PoolConfig{IdleTimeout: 30 * time.Millisecond})
+	p := newTestPool(t, PoolConfig{})
 	if _, err := p.Call(context.Background(), srv.Addr(), ping{N: 1}); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for p.Size() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("idle connection never evicted (size %d)", p.Size())
-		}
-		time.Sleep(10 * time.Millisecond)
+	p.evictIdle(time.Now().Add(idleTimeout / 2))
+	if p.Size() != 1 {
+		t.Fatalf("connection used %v ago was evicted", idleTimeout/2)
+	}
+	p.evictIdle(time.Now().Add(idleTimeout + time.Second))
+	if p.Size() != 0 {
+		t.Fatalf("idle connection never evicted (size %d)", p.Size())
 	}
 	if got := p.Stats().Evictions; got == 0 {
 		t.Fatalf("evictions = %d, want > 0", got)
@@ -113,10 +114,7 @@ func TestPoolCallRetryRidesOutTransientDialFailure(t *testing.T) {
 	addr := tmp.Addr()
 	tmp.Close()
 
-	p := newTestPool(t, PoolConfig{
-		Retry: Retry{MaxAttempts: 50, BaseDelay: 20 * time.Millisecond,
-			MaxDelay: 20 * time.Millisecond, Jitter: -1},
-	})
+	p := newTestPool(t, PoolConfig{})
 	started := make(chan *Server, 1)
 	go func() {
 		deadline := time.Now().Add(5 * time.Second)
@@ -165,7 +163,7 @@ func TestPoolCallRetryDoesNotRetryRemoteError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	p := newTestPool(t, PoolConfig{Retry: Retry{MaxAttempts: 5, BaseDelay: time.Millisecond}})
+	p := newTestPool(t, PoolConfig{})
 	_, err = p.CallRetry(context.Background(), srv.Addr(), ping{N: 1})
 	var remote *RemoteError
 	if !errors.As(err, &remote) {
@@ -177,8 +175,8 @@ func TestPoolCallRetryDoesNotRetryRemoteError(t *testing.T) {
 }
 
 func TestPoolAppliesRPCTimeout(t *testing.T) {
-	// A server that accepts but never replies: the pool's RPCTimeout must
-	// bound the call even though the caller's ctx has no deadline.
+	// A server that accepts but never replies: the caller's deadline must
+	// bound the pooled call.
 	block := make(chan struct{})
 	srv, err := NewServer("127.0.0.1:0", func(pe *Peer) Handler {
 		return func(_ context.Context, msg any) (any, error) { <-block; return pong{}, nil }
@@ -187,14 +185,16 @@ func TestPoolAppliesRPCTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { close(block); srv.Close() }()
-	p := newTestPool(t, PoolConfig{RPCTimeout: 50 * time.Millisecond})
+	p := newTestPool(t, PoolConfig{})
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	_, err = p.Call(context.Background(), srv.Addr(), ping{N: 1})
+	_, err = p.Call(ctx, srv.Addr(), ping{N: 1})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("call blocked %v despite RPCTimeout", elapsed)
+		t.Fatalf("call blocked %v despite its deadline", elapsed)
 	}
 }
 

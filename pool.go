@@ -270,10 +270,7 @@ func (p *Pool) History(station, jobID string, limit int) ([]Event, error) {
 	if !ok {
 		return nil, fmt.Errorf("condor: unknown station %q", station)
 	}
-	if jobID != "" {
-		return st.Events().ForJob(jobID), nil
-	}
-	return st.Events().Recent(limit), nil
+	return st.Events().Query(jobID, "", limit), nil
 }
 
 // CoordinatorHistory returns the coordinator's decision log (grants,
