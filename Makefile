@@ -7,15 +7,17 @@ GO ?= go
 # The benchmarks tracked in BENCH_baseline.json: telemetry and
 # accounting hot paths (the per-syscall meter must stay 0 allocs/op,
 # and so must an event-bus publish with no subscribers), wire round
-# trips, the forwarded-syscall round trip through the full RU path (root
-# package), a placement's fixed cost (root package: sequential placements
-# on one starter ride one link, so a dial and fresh gob streams per
-# placement fail here as allocs growth), checkpoint encode+decode per MB and of one small compressed
-# image (its fixed cost, 14 allocs/op with format Version 3: a per-call
-# deflate writer, or a fallback to reflection or gob, fails here as allocs
-# growth) and guest instruction throughput (root package too), journal appends, coordinator cycles,
-# tracing, and the decision audit ring (record is lock-free and the
-# nil-builder path 0 allocs/op).
+# trips (a reflective codec on the frame path fails here as allocs
+# growth), the forwarded-syscall round trip through the full RU path
+# (root package), a placement's fixed cost (root package: sequential
+# placements on one starter ride one link, so a dial per placement
+# fails here as allocs growth), checkpoint encode+decode per MB and of
+# one small compressed image (its fixed cost, 14 allocs/op with format
+# Version 3: a per-call deflate writer, or a fallback to reflection,
+# fails here as allocs growth) and guest instruction throughput (root
+# package too), journal appends, coordinator cycles, tracing, and the
+# decision audit ring (record is lock-free and the nil-builder path 0
+# allocs/op).
 BASELINE_BENCH = 'BenchmarkTelemetryObserve$$|BenchmarkTelemetryCounter$$|BenchmarkFrameRoundTrip$$|BenchmarkSyscallRoundTrip$$|BenchmarkPlaceSequential$$|BenchmarkCheckpointPerMB$$|BenchmarkCheckpointSmallCompressed$$|BenchmarkVMExecution$$|BenchmarkJournalAppend|BenchmarkCycle100$$|BenchmarkCycle1000$$|BenchmarkPipelineCycle100$$|BenchmarkPipelineCycle1000$$|BenchmarkPipelineCycleAudited1000$$|BenchmarkTraceSpan$$|BenchmarkTraceSampledOut$$|BenchmarkTraceparentParse$$|BenchmarkAccountingSyscall$$|BenchmarkAccountingSyscallParallel$$|BenchmarkLedgerSnapshot$$|BenchmarkHealthObserve$$|BenchmarkBusPublish$$|BenchmarkBusPublishSubscribed$$|BenchmarkDecisionRecord$$|BenchmarkBuilderNil$$'
 BASELINE_PKGS = . ./internal/telemetry/ ./internal/wire/ ./internal/journal/ ./internal/coordinator/ ./internal/trace/ ./internal/accounting/ ./internal/decision/
 
@@ -30,12 +32,17 @@ verify: build vet test bench-test race chaos conformance smoke
 build:
 	$(GO) build ./...
 
-# Static gate: go vet plus a gofmt diff check that fails on any
-# unformatted file (gofmt -l lists but exits 0, so test the output).
+# Static gate: go vet, a gofmt diff check that fails on any unformatted
+# file (gofmt -l lists but exits 0, so test the output), and a check that
+# no package or test links encoding/gob: every byte the system writes
+# goes through internal/codec.
 lint: vet
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
+	fi
+	@if $(GO) list -deps -test ./... | grep -qx encoding/gob; then \
+		echo "encoding/gob is linked; encode with internal/codec instead"; exit 1; \
 	fi
 
 vet:
@@ -57,13 +64,15 @@ race:
 # state machine (quarantine, flap, byzantine), the cluster-level chaos
 # harness (partitions, slow links, scenario runner), the RU failure
 # paths (executor or shadow dying mid-job, on fresh and reused links),
-# the schedd job-state table (stale events, removal races), and the
-# wire's frame deadlines (a Call's deadline bounds its write; a stalled
-# peer fails a frame within the frame timeout). Set CONDOR_CHAOS_LONG=1
-# for the nightly multi-seed soak.
+# the schedd job-state table (stale events, removal races), the wire's
+# frame deadlines (a Call's deadline bounds its write; a stalled peer
+# fails a frame within the frame timeout), and the codec round trips
+# (every message through a connection, journal records and snapshots,
+# gob-era journals refused). Set CONDOR_CHAOS_LONG=1 for the nightly
+# multi-seed soak.
 chaos:
-	$(GO) test -race -count=2 -run 'Crash|Chaos|Replay|Torn|Truncat|Recovery|Scenario|Partition|Quarantine|Flap|Byzantine|Failure|Lost|Hangup|Wedging|Stale|Remove|Transition|Stall|Deadline' \
-		./internal/journal/... ./internal/coordinator/... ./internal/schedd/... ./internal/chaos/... ./internal/ru/... ./internal/wire/...
+	$(GO) test -race -count=2 -run 'Crash|Chaos|Replay|Torn|Truncat|Recovery|Scenario|Partition|Quarantine|Flap|Byzantine|Failure|Lost|Hangup|Wedging|Stale|Remove|Transition|Stall|Deadline|Codec|RoundTrip|Rebuild|PreChange' \
+		./internal/journal/... ./internal/coordinator/... ./internal/schedd/... ./internal/chaos/... ./internal/ru/... ./internal/wire/... ./internal/proto/...
 
 # Scheduling-policy gate: every registered policy must satisfy the
 # shared invariant harness, and the pipelined Up-Down must reproduce
@@ -100,10 +109,11 @@ bench-drift:
 		| $(GO) run ./cmd/bench2json -compare BENCH_baseline.json -tolerance 0.3 -allowlist BENCH_allowlist.txt
 
 # Short fuzz budget over each byte-level reader of peer or disk input:
-# the wire frame decoder, the checkpoint decoder and the stores' PutBlob
-# behind it, journal replay, the /metrics text parser (condor-web and
-# condor-status scrape peers), the traceparent parser and the submitted
-# program decoder.
+# the wire frame decoder (with every message decoder behind it), the
+# checkpoint decoder and the stores' PutBlob behind it, journal replay,
+# the coordinator's journal record and snapshot decoders, the /metrics
+# text parser (condor-web and condor-status scrape peers), the
+# traceparent parser and the submitted program decoder.
 # Hostile length prefixes, truncated or corrupted input and garbage must
 # never panic or over-allocate. CI runs this on every push.
 fuzz:
@@ -111,6 +121,7 @@ fuzz:
 	$(GO) test -run NONE -fuzz '^FuzzDecode$$' -fuzztime 20s ./internal/ckpt/
 	$(GO) test -run NONE -fuzz '^FuzzPutBlob$$' -fuzztime 20s ./internal/ckpt/
 	$(GO) test -run NONE -fuzz '^FuzzReplay$$' -fuzztime 20s ./internal/journal/
+	$(GO) test -run NONE -fuzz '^FuzzRebuildState$$' -fuzztime 20s ./internal/coordinator/
 	$(GO) test -run NONE -fuzz '^FuzzParseText$$' -fuzztime 20s ./internal/telemetry/
 	$(GO) test -run NONE -fuzz '^FuzzParseTraceparent$$' -fuzztime 20s ./internal/trace/
 	$(GO) test -run NONE -fuzz '^FuzzDecodeProgram$$' -fuzztime 20s ./internal/proto/

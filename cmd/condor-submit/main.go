@@ -44,11 +44,7 @@ func buildRequest(owner, file, name, sample string) (proto.SubmitRequest, error)
 		if err != nil {
 			return req, err
 		}
-		blob, err := proto.EncodeProgram(prog)
-		if err != nil {
-			return req, err
-		}
-		req.ProgramBlob = blob
+		req.ProgramBlob = proto.EncodeProgram(prog)
 		req.Name = prog.Name
 	case file != "":
 		src, err := os.ReadFile(file)

@@ -156,7 +156,7 @@ func (m *Meter) Placed(t time.Time) {
 
 // JobTotals is the accumulated accounting of one job (or a fold over
 // many). All fields are plain values so the struct travels through JSON
-// and gob unchanged.
+// unchanged.
 type JobTotals struct {
 	RemoteSteps    uint64 `json:"remoteSteps"`
 	RemoteNanos    int64  `json:"remoteNanos"`

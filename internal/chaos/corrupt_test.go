@@ -12,10 +12,10 @@ import (
 )
 
 // TestChaosCorruptedStreamRedials flips bits in an established
-// connection's byte stream. A connection carries one gob stream, so a
-// frame that fails to decode leaves the receiver's decoder useless: the
-// server must close that connection (not answer garbage, not limp on),
-// and the pool must get through on a fresh dial once the link is clean.
+// connection's byte stream. A peer that sent a frame that fails to
+// decode is not trusted with the next: the server must close that
+// connection (not answer garbage, not limp on), and the pool must get
+// through on a fresh dial once the link is clean.
 func TestChaosCorruptedStreamRedials(t *testing.T) {
 	var mu sync.Mutex
 	var accepted []*wire.Peer
@@ -46,7 +46,7 @@ func TestChaosCorruptedStreamRedials(t *testing.T) {
 		defer cancel()
 		return pool.Call(ctx, proxy.Addr(), msg)
 	}
-	for i := 0; i < 3; i++ { // establish the stream: descriptors cross on the first frame only
+	for i := 0; i < 3; i++ { // establish the connection
 		if _, err := call(); err != nil {
 			t.Fatalf("clean call %d: %v", i, err)
 		}

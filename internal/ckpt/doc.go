@@ -5,11 +5,11 @@
 // carrying a magic number, format version, flags, the payload and body
 // lengths and a CRC, followed by the body — Meta (job identity,
 // architecture tag) and then the cvm.Image, field by field in
-// declaration order, every number in gob's variable-length byte encoding
-// (format Version 3; see format.go and docs/ASSEMBLY.md). The body is
-// hand-written, not reflected: there are no type descriptors to send or
-// compile, so a small checkpoint costs microseconds, and each image has
-// exactly one encoding. The paper's §2.3 dictates the contents (text,
+// declaration order, in internal/codec's encoding (gob's variable-length
+// number encoding; format Version 3; see format.go and
+// docs/ASSEMBLY.md). The body is hand-written, not reflected: there are
+// no type descriptors to send or compile, so a small checkpoint costs
+// microseconds, and each image has exactly one encoding. The paper's §2.3 dictates the contents (text,
 // data, bss, stack, registers, open files); the Image type already
 // captures those, so this package's job is durability and integrity: a
 // truncated or bit-flipped checkpoint must be detected, never silently

@@ -8,9 +8,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math/bits"
 	"sync"
 
+	"condor/internal/codec"
 	"condor/internal/cvm"
 )
 
@@ -151,17 +151,14 @@ func checksum(blob []byte) uint32 {
 	return crc32.Update(crc, crc32.IEEETable, blob[headerLen:])
 }
 
-// The body is every field in declaration order: Meta's, then Program's
-// (Name, Text as a count then Op, A, B, C per instruction, Data, BssLen,
-// Entry), then Image's (Mem, Stack, Regs, PC, SP, RNG, Steps, SysCnt,
-// Status, Exit, Files as a count then FD, Name, Flags, Offset per file,
-// NextFD, StackCap). A slice is its count then its elements, a string its
-// length then its bytes, Regs its 16 words with no count.
-//
-// Numbers use gob's byte encoding, so every value is as long as it was in
-// Version 2: an unsigned value below 128 is one byte; a larger one is its
-// byte count, negated, then its minimal big-endian bytes. A signed value
-// is zigzagged first (the low bit is the sign).
+// The body is every field in declaration order: Meta's, then the Program
+// section (Name, Text as a count then Op, A, B, C per instruction, Data,
+// BssLen, Entry), then Image's (Mem, Stack, Regs, PC, SP, RNG, Steps,
+// SysCnt, Status, Exit, Files as a count then FD, Name, Flags, Offset per
+// file, NextFD, StackCap). A slice is its count then its elements, a
+// string its length then its bytes, Regs its 16 words with no count.
+// Every value is in internal/codec's encoding, gob's number encoding, so
+// every value is as long as it was in Version 2.
 
 // bodyWriter walks the body. The encoder runs it twice over one image: a
 // sizing pass that only counts bytes, then a writing pass into a buffer
@@ -184,18 +181,7 @@ func (w *bodyWriter) body(meta *Meta, img *cvm.Image) {
 	w.putInt(int64(meta.Priority))
 	w.putString(meta.TraceID)
 
-	p := img.Program
-	w.putString(p.Name)
-	w.putUint(uint64(len(p.Text)))
-	for _, in := range p.Text {
-		w.putUint(uint64(in.Op))
-		w.putInt(in.A)
-		w.putInt(in.B)
-		w.putInt(in.C)
-	}
-	w.putInts(p.Data)
-	w.putInt(int64(p.BssLen))
-	w.putInt(int64(p.Entry))
+	w.program(img.Program)
 
 	w.putInts(img.Mem)
 	w.putInts(img.Stack)
@@ -220,68 +206,56 @@ func (w *bodyWriter) body(meta *Meta, img *cvm.Image) {
 	w.putInt(int64(img.StackCap))
 }
 
+// program writes the Program section.
+func (w *bodyWriter) program(p *cvm.Program) {
+	w.putString(p.Name)
+	w.putUint(uint64(len(p.Text)))
+	for _, in := range p.Text {
+		w.putUint(uint64(in.Op))
+		w.putInt(in.A)
+		w.putInt(in.B)
+		w.putInt(in.C)
+	}
+	w.putInts(p.Data)
+	w.putInt(int64(p.BssLen))
+	w.putInt(int64(p.Entry))
+}
+
+// AppendProgram appends p's Program section, the layout a checkpoint body
+// carries it in; ReadProgram reads it back. A submitted program blob is
+// this section alone.
+func AppendProgram(b []byte, p *cvm.Program) []byte {
+	w := bodyWriter{buf: b}
+	w.program(p)
+	return w.buf
+}
+
 func (w *bodyWriter) putUint(x uint64) {
 	if w.sizing {
-		w.n += uintLen(x)
+		w.n += codec.UintLen(x)
 		return
 	}
-	w.buf = appendUint(w.buf, x)
+	w.buf = codec.AppendUint(w.buf, x)
 }
 
-// uintLen is the encoded length of x: one byte, or a count byte and up to
-// eight value bytes.
-func uintLen(x uint64) int {
-	if x < 0x80 {
-		return 1
-	}
-	return 1 + (bits.Len64(x)+7)/8
-}
-
-func appendUint(b []byte, x uint64) []byte {
-	if x < 0x80 {
-		return append(b, byte(x))
-	}
-	n := uintLen(x) - 1
-	var be [8]byte
-	binary.BigEndian.PutUint64(be[:], x)
-	return append(append(b, byte(-n)), be[8-n:]...)
-}
-
-// zigzag maps a signed value to gob's unsigned form, the sign in the low
-// bit; unzigzag inverts it.
-func zigzag(x int64) uint64   { return uint64(x<<1 ^ x>>63) }
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-func (w *bodyWriter) putInt(x int64) { w.putUint(zigzag(x)) }
+func (w *bodyWriter) putInt(x int64) { w.putUint(codec.Zigzag(x)) }
 
 func (w *bodyWriter) putString(s string) {
-	w.putUint(uint64(len(s)))
 	if w.sizing {
-		w.n += len(s)
+		w.n += codec.UintLen(uint64(len(s))) + len(s)
 		return
 	}
-	w.buf = append(w.buf, s...)
+	w.buf = codec.AppendString(w.buf, s)
 }
 
 // putInts is putInt over a word slice, one loop per pass: memory is most
 // of a body.
 func (w *bodyWriter) putInts(v []int64) {
-	w.putUint(uint64(len(v)))
 	if w.sizing {
-		for _, x := range v {
-			w.n += uintLen(zigzag(x))
-		}
+		w.n += codec.IntsLen(v)
 		return
 	}
-	b := w.buf
-	for _, x := range v {
-		if u := zigzag(x); u < 0x80 {
-			b = append(b, byte(u))
-		} else {
-			b = appendUint(b, u)
-		}
-	}
-	w.buf = b
+	w.buf = codec.AppendInts(w.buf, v)
 }
 
 // deflaters pools BestSpeed writers: a fresh one costs ≈ 1.2 MB and 16
@@ -418,155 +392,71 @@ func inflate(payload []byte, bodyLen int) ([]byte, error) {
 	return body, nil
 }
 
-// bodyReader reads the body bodyWriter writes. The first malformed field
-// sets err and empties b, so every later read returns zero.
-type bodyReader struct {
-	b   []byte
-	err error
-}
-
-func (r *bodyReader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: body: %s", ErrCorrupt, what)
-	}
-	r.b = nil
-}
-
 func decodeBody(body []byte) (Meta, *cvm.Image, error) {
-	r := bodyReader{b: body}
+	r := codec.NewReader(body)
 	var meta Meta
-	meta.JobID = r.readString()
-	meta.Owner = r.readString()
-	meta.ProgramName = r.readString()
-	meta.TextChecksum = r.readString()
-	meta.Arch = r.readString()
-	meta.Sequence = r.readUint()
-	meta.CPUSteps = r.readUint()
-	meta.SubmittedAtUnixMilli = r.readInt()
-	meta.Priority = int(r.readInt())
-	meta.TraceID = r.readString()
+	meta.JobID = r.ReadString()
+	meta.Owner = r.ReadString()
+	meta.ProgramName = r.ReadString()
+	meta.TextChecksum = r.ReadString()
+	meta.Arch = r.ReadString()
+	meta.Sequence = r.ReadUint()
+	meta.CPUSteps = r.ReadUint()
+	meta.SubmittedAtUnixMilli = r.ReadInt()
+	meta.Priority = int(r.ReadInt())
+	meta.TraceID = r.ReadString()
 
-	p := &cvm.Program{Name: r.readString()}
-	if n := r.readCount(4); n > 0 { // an instruction is at least 4 bytes
-		p.Text = make([]cvm.Instr, n)
-		for i := range p.Text {
-			op := r.readUint()
-			if op > 0xff {
-				r.fail("opcode out of range")
-			}
-			in := &p.Text[i]
-			in.Op = cvm.Opcode(op)
-			in.A = r.readInt()
-			in.B = r.readInt()
-			in.C = r.readInt()
-		}
-	}
-	p.Data = r.readInts()
-	p.BssLen = int(r.readInt())
-	p.Entry = int(r.readInt())
-
-	img := &cvm.Image{Program: p}
-	img.Mem = r.readInts()
-	img.Stack = r.readInts()
+	img := &cvm.Image{Program: ReadProgram(&r)}
+	img.Mem = r.ReadInts()
+	img.Stack = r.ReadInts()
 	for i := range img.Regs {
-		img.Regs[i] = r.readInt()
+		img.Regs[i] = r.ReadInt()
 	}
-	img.PC = r.readInt()
-	img.SP = r.readInt()
-	img.RNG = r.readUint()
-	img.Steps = r.readUint()
-	img.SysCnt = r.readUint()
-	img.Status = cvm.Status(r.readInt())
-	img.Exit = r.readInt()
-	if n := r.readCount(4); n > 0 { // a file entry is at least 4 bytes
+	img.PC = r.ReadInt()
+	img.SP = r.ReadInt()
+	img.RNG = r.ReadUint()
+	img.Steps = r.ReadUint()
+	img.SysCnt = r.ReadUint()
+	img.Status = cvm.Status(r.ReadInt())
+	img.Exit = r.ReadInt()
+	if n := r.ReadCount(4); n > 0 { // a file entry is at least 4 bytes
 		img.Files = make([]cvm.OpenFile, n)
 		for i := range img.Files {
 			f := &img.Files[i]
-			f.FD = r.readInt()
-			f.Name = r.readString()
-			f.Flags = r.readInt()
-			f.Offset = r.readInt()
+			f.FD = r.ReadInt()
+			f.Name = r.ReadString()
+			f.Flags = r.ReadInt()
+			f.Offset = r.ReadInt()
 		}
 	}
-	img.NextFD = r.readInt()
-	img.StackCap = int(r.readInt())
-	if len(r.b) != 0 {
-		r.fail(fmt.Sprintf("%d bytes past the image", len(r.b)))
-	}
-	if r.err != nil {
-		return Meta{}, nil, r.err
+	img.NextFD = r.ReadInt()
+	img.StackCap = int(r.ReadInt())
+	if err := r.End(); err != nil {
+		return Meta{}, nil, fmt.Errorf("%w: body: %v", ErrCorrupt, err)
 	}
 	return meta, img, nil
 }
 
-// readUint reads one number, refusing a non-minimal form so that every
-// image has exactly one encoding.
-func (r *bodyReader) readUint() uint64 {
-	if len(r.b) == 0 {
-		r.fail("ends early")
-		return 0
-	}
-	c := r.b[0]
-	if c < 0x80 {
-		r.b = r.b[1:]
-		return uint64(c)
-	}
-	n := 256 - int(c) // the negated byte count
-	if n > 8 || n >= len(r.b) {
-		r.fail("malformed number")
-		return 0
-	}
-	var x uint64
-	for _, d := range r.b[1 : 1+n] {
-		x = x<<8 | uint64(d)
-	}
-	if r.b[1] == 0 || x < 0x80 {
-		r.fail("non-minimal number")
-		return 0
-	}
-	r.b = r.b[1+n:]
-	return x
-}
-
-func (r *bodyReader) readInt() int64 { return unzigzag(r.readUint()) }
-
-// readCount reads a length, refused when the rest of the body cannot hold
-// that many elements of at least minBytes each: a hostile count cannot
-// allocate more than a small multiple of the body.
-func (r *bodyReader) readCount(minBytes int) int {
-	n := r.readUint()
-	if n > uint64(len(r.b)/minBytes) {
-		r.fail("count exceeds the bytes left")
-		return 0
-	}
-	return int(n)
-}
-
-func (r *bodyReader) readString() string {
-	n := r.readCount(1)
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s
-}
-
-// readInts reads a word slice; an empty one is nil, as Snapshot makes it.
-func (r *bodyReader) readInts() []int64 {
-	n := r.readCount(1)
-	if n == 0 {
-		return nil
-	}
-	v := make([]int64, n)
-	b := r.b // a local cursor: no write barrier per word
-	for i := range v {
-		if len(b) > 0 && b[0] < 0x80 { // the common one-byte word, inline
-			v[i] = unzigzag(uint64(b[0]))
-			b = b[1:]
-			continue
+// ReadProgram reads the Program section AppendProgram writes. A malformed
+// section fails r.
+func ReadProgram(r *codec.Reader) *cvm.Program {
+	p := &cvm.Program{Name: r.ReadString()}
+	if n := r.ReadCount(4); n > 0 { // an instruction is at least 4 bytes
+		p.Text = make([]cvm.Instr, n)
+		for i := range p.Text {
+			op := r.ReadUint()
+			if op > 0xff {
+				r.Fail("opcode out of range")
+			}
+			in := &p.Text[i]
+			in.Op = cvm.Opcode(op)
+			in.A = r.ReadInt()
+			in.B = r.ReadInt()
+			in.C = r.ReadInt()
 		}
-		r.b = b
-		v[i] = r.readInt()
-		b = r.b
 	}
-	r.b = b
-	return v
+	p.Data = r.ReadInts()
+	p.BssLen = int(r.ReadInt())
+	p.Entry = int(r.ReadInt())
+	return p
 }

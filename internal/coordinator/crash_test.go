@@ -262,7 +262,7 @@ func TestCoordinatorReplayTruncationFuzz(t *testing.T) {
 }
 
 // copyStateDir clones a journal state directory into a fresh temp dir.
-func copyStateDir(t *testing.T, src string) string {
+func copyStateDir(t testing.TB, src string) string {
 	t.Helper()
 	dst, err := os.MkdirTemp(t.TempDir(), "cut")
 	if err != nil {

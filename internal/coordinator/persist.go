@@ -1,11 +1,12 @@
 package coordinator
 
 import (
-	"bytes"
-	"encoding/gob"
+	"errors"
+	"sort"
 	"time"
 
 	"condor/internal/accounting"
+	"condor/internal/codec"
 	"condor/internal/journal"
 	"condor/internal/proto"
 )
@@ -52,8 +53,7 @@ type persistRecord struct {
 	Alloc map[string]accounting.AllocTotals
 	// Health, Reason, and SinceUnixMilli describe a station health-state
 	// transition (health records): the absolute state after the
-	// transition, why, and when. Gob tolerates these fields missing in
-	// old logs and ignores them in old binaries, both directions.
+	// transition, why, and when.
 	Health         int
 	Reason         string
 	SinceUnixMilli int64
@@ -87,37 +87,146 @@ type persistState struct {
 	// readmission probes under the new incarnation).
 	Health map[string]persistHealth
 	// PolicyName is the active scheduling policy, so a restart without
-	// an explicit -policy keeps scheduling the same way. Empty in old
-	// snapshots, which rebuildState treats as the default policy.
+	// an explicit -policy keeps scheduling the same way. Empty means the
+	// default policy.
 	PolicyName string
 }
 
-func encodeRecord(rec persistRecord) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+// Records and snapshots are persistFormat, then every field in
+// declaration order in internal/codec's encoding. A map is its count,
+// then key and value per entry in key order, so a state has exactly one
+// encoding.
+//
+// persistFormat is a byte no gob message starts with (gob opens with a
+// byte count below 0x80 or from 0xf8 up), so a record or snapshot that
+// gob wrote before this layout is refused on its first byte and counted
+// as a journal error, never misread.
+const persistFormat = 0x81
+
+var errPersistFormat = errors.New("coordinator: not a journal record or snapshot of this format")
+
+func encodeRecord(rec persistRecord) []byte {
+	b := []byte{persistFormat}
+	b = codec.AppendString(b, rec.Kind)
+	b = codec.AppendString(b, rec.Name)
+	b = codec.AppendString(b, rec.Addr)
+	b = appendMap(b, rec.Indexes, codec.AppendFloat)
+	b = codec.AppendString(b, rec.Holder)
+	b = codec.AppendInt(b, rec.UntilUnixMilli)
+	b = appendMap(b, rec.Alloc, appendAlloc)
+	b = codec.AppendInt(b, int64(rec.Health))
+	b = codec.AppendString(b, rec.Reason)
+	return codec.AppendInt(b, rec.SinceUnixMilli)
 }
 
 func decodeRecord(b []byte) (persistRecord, error) {
-	var rec persistRecord
-	err := gob.NewDecoder(bytes.NewReader(b)).Decode(&rec)
-	return rec, err
+	r, err := persistReader(b)
+	if err != nil {
+		return persistRecord{}, err
+	}
+	rec := persistRecord{Kind: r.ReadString(), Name: r.ReadString(), Addr: r.ReadString(),
+		Indexes: readMap(&r, (*codec.Reader).ReadFloat),
+		Holder:  r.ReadString(), UntilUnixMilli: r.ReadInt(),
+		Alloc:  readMap(&r, readAlloc),
+		Health: int(r.ReadInt()), Reason: r.ReadString(), SinceUnixMilli: r.ReadInt()}
+	if err := r.End(); err != nil {
+		return persistRecord{}, err
+	}
+	return rec, nil
 }
 
-func encodeState(st persistState) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+func encodeState(st persistState) []byte {
+	b := []byte{persistFormat}
+	b = appendMap(b, st.Stations, codec.AppendString)
+	b = appendMap(b, st.Indexes, codec.AppendFloat)
+	b = appendMap(b, st.Reservations, func(b []byte, r persistReservation) []byte {
+		return codec.AppendInt(codec.AppendString(b, r.Holder), r.UntilUnixMilli)
+	})
+	b = appendMap(b, st.Alloc, appendAlloc)
+	b = appendMap(b, st.Health, func(b []byte, h persistHealth) []byte {
+		b = codec.AppendInt(b, int64(h.State))
+		return codec.AppendInt(codec.AppendString(b, h.Reason), h.SinceUnixMilli)
+	})
+	return codec.AppendString(b, st.PolicyName)
 }
 
 func decodeState(b []byte) (persistState, error) {
-	var st persistState
-	err := gob.NewDecoder(bytes.NewReader(b)).Decode(&st)
-	return st, err
+	r, err := persistReader(b)
+	if err != nil {
+		return persistState{}, err
+	}
+	st := persistState{
+		Stations: readMap(&r, (*codec.Reader).ReadString),
+		Indexes:  readMap(&r, (*codec.Reader).ReadFloat),
+		Reservations: readMap(&r, func(r *codec.Reader) persistReservation {
+			return persistReservation{Holder: r.ReadString(), UntilUnixMilli: r.ReadInt()}
+		}),
+		Alloc: readMap(&r, readAlloc),
+		Health: readMap(&r, func(r *codec.Reader) persistHealth {
+			return persistHealth{State: int(r.ReadInt()), Reason: r.ReadString(), SinceUnixMilli: r.ReadInt()}
+		}),
+		PolicyName: r.ReadString(),
+	}
+	if err := r.End(); err != nil {
+		return persistState{}, err
+	}
+	return st, nil
+}
+
+// persistReader checks b's format byte and reads the rest.
+func persistReader(b []byte) (codec.Reader, error) {
+	if len(b) == 0 || b[0] != persistFormat {
+		return codec.Reader{}, errPersistFormat
+	}
+	return codec.NewReader(b[1:]), nil
+}
+
+func appendAlloc(b []byte, a accounting.AllocTotals) []byte {
+	b = codec.AppendUint(b, a.Grants)
+	b = codec.AppendUint(b, a.GrantsUsed)
+	b = codec.AppendUint(b, a.GrantsDenied)
+	b = codec.AppendUint(b, a.Preempts)
+	b = codec.AppendUint(b, a.CapacityCycles)
+	return codec.AppendInt(b, a.CapacityNanos)
+}
+
+func readAlloc(r *codec.Reader) accounting.AllocTotals {
+	return accounting.AllocTotals{Grants: r.ReadUint(), GrantsUsed: r.ReadUint(), GrantsDenied: r.ReadUint(),
+		Preempts: r.ReadUint(), CapacityCycles: r.ReadUint(), CapacityNanos: r.ReadInt()}
+}
+
+// appendMap appends m: its count, then each key and value in key order.
+func appendMap[V any](b []byte, m map[string]V, appendValue func([]byte, V) []byte) []byte {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	b = codec.AppendUint(b, uint64(len(keys)))
+	for _, k := range keys {
+		b = appendValue(codec.AppendString(b, k), m[k])
+	}
+	return b
+}
+
+// readMap reads appendMap's form, refusing keys out of order; an empty
+// map is nil.
+func readMap[V any](r *codec.Reader, readValue func(*codec.Reader) V) map[string]V {
+	n := r.ReadCount(2) // an entry is at least a key length and a value
+	if n == 0 {
+		return nil
+	}
+	m := make(map[string]V, n)
+	var prev string
+	for i := 0; i < n; i++ {
+		k := r.ReadString()
+		if i > 0 && k <= prev {
+			r.Fail("map keys out of order")
+		}
+		m[k] = readValue(r)
+		prev = k
+	}
+	return m
 }
 
 // rebuildState folds a recovered snapshot and record tail into the
@@ -271,13 +380,7 @@ func (c *Coordinator) appendJournalLocked(rec persistRecord) {
 	if c.journal == nil {
 		return
 	}
-	b, err := encodeRecord(rec)
-	if err != nil {
-		c.stats.JournalErrors++
-		c.journalHealthy.Store(false)
-		return
-	}
-	if err := c.journal.Append(b); err != nil {
+	if err := c.journal.Append(encodeRecord(rec)); err != nil {
 		c.stats.JournalErrors++
 		c.journalHealthy.Store(false)
 		return
@@ -322,13 +425,7 @@ func (c *Coordinator) snapshotJournal() {
 		}
 	}
 	c.mu.Unlock()
-	b, err := encodeState(st)
-	if err != nil {
-		c.bump(func(s *Stats) { s.JournalErrors++ })
-		c.journalHealthy.Store(false)
-		return
-	}
-	if err := c.journal.Snapshot(b); err != nil {
+	if err := c.journal.Snapshot(encodeState(st)); err != nil {
 		c.bump(func(s *Stats) { s.JournalErrors++ })
 		c.journalHealthy.Store(false)
 		return

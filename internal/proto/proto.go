@@ -3,15 +3,15 @@
 // station (submit/queue), and shadow ↔ starter (place/syscall/vacate —
 // the Remote Unix protocol).
 //
-// All message types are registered with encoding/gob so they can travel
-// inside wire.Envelope. Checkpoints travel as opaque ckpt-format blobs
+// Every message type is a wire.Message with a hand-written body (see
+// codec.go), registered with internal/wire so it can travel inside a
+// wire.Envelope. Checkpoints travel as opaque ckpt-format blobs
 // (see internal/ckpt), never as live structures: a fresh job placement is
 // just a restore from a sequence-zero checkpoint, which is why placing
 // and checkpointing cost the same 5 s/MB in the paper's measurements.
 package proto
 
 import (
-	"encoding/gob"
 	"fmt"
 	"time"
 
@@ -217,7 +217,7 @@ type SubmitRequest struct {
 	Source string
 	// Name names the program (used for text sharing and display).
 	Name string
-	// ProgramBlob is an alternative to Source: a gob-encoded cvm.Program.
+	// ProgramBlob is an alternative to Source: an EncodeProgram blob.
 	ProgramBlob []byte
 	// StackWords optionally overrides the default stack size.
 	StackWords int
@@ -580,49 +580,3 @@ type JobResumedMsg struct {
 
 // Ack is a generic empty acknowledgement.
 type Ack struct{}
-
-// EncodeProgram gob-encodes a program for SubmitRequest.ProgramBlob.
-func EncodeProgram(p *cvm.Program) ([]byte, error) {
-	return gobEncode(p)
-}
-
-// DecodeProgram decodes SubmitRequest.ProgramBlob.
-func DecodeProgram(blob []byte) (*cvm.Program, error) {
-	var p cvm.Program
-	if err := gobDecode(blob, &p); err != nil {
-		return nil, err
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return &p, nil
-}
-
-// Message types are registered with gob at package load. This is one of
-// the sanctioned init uses (an encoding type registry): deterministic, no
-// I/O, no environment access.
-func init() {
-	for _, msg := range []any{
-		SubmitRequest{}, SubmitReply{},
-		QueueRequest{}, QueueReply{},
-		RemoveRequest{}, RemoveReply{},
-		WaitRequest{}, WaitReply{},
-		RegisterRequest{}, RegisterReply{},
-		PollRequest{}, PollReply{},
-		GrantRequest{}, GrantReply{},
-		PreemptRequest{}, PreemptReply{},
-		ReserveRequest{}, ReserveReply{},
-		HistoryRequest{}, HistoryReply{},
-		CancelReservationRequest{}, CancelReservationReply{},
-		PoolStatusRequest{}, PoolStatusReply{},
-		AccountingRequest{}, AccountingReply{},
-		DecisionsRequest{}, DecisionsReply{},
-		PlaceRequest{}, PlaceReply{},
-		SyscallMsg{}, SyscallReplyMsg{},
-		JobDoneMsg{}, JobVacatedMsg{}, JobCheckpointMsg{},
-		JobSuspendedMsg{}, JobResumedMsg{},
-		Ack{},
-	} {
-		gob.Register(msg)
-	}
-}

@@ -28,7 +28,7 @@
 // machine and connection settings) once the job's JobDone or JobVacated
 // is handled, and the executor leaves it open once that message is
 // acknowledged; the next placement from the same station to the same
-// machine then skips the dial and the fresh gob streams. A link delivers
+// machine then skips the dial. A link delivers
 // a message only to the shadow it carries and only if the message names
 // that shadow's job, so a late notice of the previous job is dropped. A
 // link that dies under a job is JobLost; one that dies idle is forgotten.

@@ -13,7 +13,7 @@ import (
 // A link is one home→exec placement connection. It carries at most one
 // placement at a time (an execution machine hosts one foreign job), and
 // between placements it waits in an idle pool, so a station that places
-// on the same machine again skips the dial and the fresh gob streams.
+// on the same machine again skips the dial.
 type link struct {
 	key  linkKey
 	peer *wire.Peer

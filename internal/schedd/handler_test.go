@@ -54,13 +54,9 @@ func TestWireSubmitFromSource(t *testing.T) {
 func TestWireSubmitFromProgramBlob(t *testing.T) {
 	st := newStation(t, "ws1", nil, nil)
 	peer := dial(t, st)
-	blob, err := proto.EncodeProgram(cvm.SumProgram(77))
-	if err != nil {
-		t.Fatal(err)
-	}
 	reply := call(t, peer, proto.SubmitRequest{
 		Owner:       "bob",
-		ProgramBlob: blob,
+		ProgramBlob: proto.EncodeProgram(cvm.SumProgram(77)),
 		Priority:    4,
 	})
 	sr := reply.(proto.SubmitReply)
@@ -101,7 +97,7 @@ func TestWireQueueRemoveWaitHistory(t *testing.T) {
 
 	submit := call(t, peer, proto.SubmitRequest{
 		Owner: "alice", Name: "sum", Source: "",
-		ProgramBlob: mustBlob(t, cvm.SumProgram(4000)),
+		ProgramBlob: proto.EncodeProgram(cvm.SumProgram(4000)),
 	}).(proto.SubmitReply)
 
 	queue := call(t, peer, proto.QueueRequest{}).(proto.QueueReply)
@@ -169,13 +165,4 @@ func TestWireHistoryLimit(t *testing.T) {
 	if len(hist.Events) != 2 {
 		t.Fatalf("limited history = %d events", len(hist.Events))
 	}
-}
-
-func mustBlob(t *testing.T, p *cvm.Program) []byte {
-	t.Helper()
-	blob, err := proto.EncodeProgram(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return blob
 }

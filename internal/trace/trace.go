@@ -14,8 +14,8 @@
 //     value type so the not-recording case never escapes to the heap.
 //  2. Identifiers are W3C trace-context compatible: 16-byte trace IDs,
 //     8-byte span IDs, carried on the wire as a standard `traceparent`
-//     string ("00-<32 hex>-<16 hex>-<2 hex flags>") in an optional gob
-//     field old peers silently ignore.
+//     string ("00-<32 hex>-<16 hex>-<2 hex flags>") in the wire
+//     envelope's Trace field, empty when the caller is not traced.
 //  3. Recording is a lock-free bounded ring of atomic pointers. Writers
 //     never block or allocate beyond the one span copy; under overflow
 //     the oldest spans are overwritten and counted, never the newest.

@@ -7,7 +7,7 @@ import (
 )
 
 // BenchmarkFrameRoundTrip measures one complete RPC over a real TCP
-// loopback connection: gob encode, frame write, server decode, handler
+// loopback connection: encode, frame write, server decode, handler
 // dispatch, reply frame, and client decode.
 func BenchmarkFrameRoundTrip(b *testing.B) {
 	srv, err := NewServer("127.0.0.1:0", func(p *Peer) Handler {
@@ -24,7 +24,7 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 	defer peer.Close()
 
 	ctx := context.Background()
-	msg := pingMsg{} // registered concrete type, minimal payload
+	msg := ping{} // a registered message, minimal payload
 	if _, err := peer.Call(ctx, msg); err != nil {
 		b.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -11,13 +10,6 @@ import (
 
 	"condor/internal/trace"
 )
-
-// Heartbeat frame types ride inside envelopes like any other message.
-// Registered here (an encoding registry is a sanctioned init use).
-func init() {
-	gob.Register(pingMsg{})
-	gob.Register(pongMsg{})
-}
 
 // RemoteError is a handler failure reported by the peer, as opposed to a
 // transport failure.

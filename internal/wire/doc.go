@@ -1,7 +1,8 @@
 // Package wire is the transport layer shared by every Condor daemon:
-// length-prefixed message frames over a net.Conn, the payloads of each
-// direction forming one gob stream per connection, plus a small
-// request/response client and a per-connection server loop.
+// length-prefixed, self-contained message frames over a net.Conn, each
+// one Envelope in internal/codec's encoding with a registered Message
+// inside, plus a small request/response client and a per-connection
+// server loop.
 //
 // The design is deliberately symmetric at the frame level — an Envelope
 // is either a request, a reply, or a one-way notification — because the

@@ -25,7 +25,7 @@ func TestSendStalledWriterFailsByDeadline(t *testing.T) {
 	conn.timeout = 50 * time.Millisecond
 	fc.SetPlan(FaultPlan{StallWrites: true})
 	start := time.Now()
-	err := conn.Send(Envelope{ID: 1, Kind: KindPing, Msg: pingMsg{Seq: 1}})
+	err := conn.Send(Envelope{ID: 1, Kind: KindPing})
 	if err == nil {
 		t.Fatal("Send to a stalled peer succeeded")
 	}
@@ -33,7 +33,7 @@ func TestSendStalledWriterFailsByDeadline(t *testing.T) {
 		t.Fatalf("Send blocked %v; the 50ms write deadline never fired", elapsed)
 	}
 	// The half-written stream is poisoned: the conn must now be closed.
-	if err := conn.Send(Envelope{ID: 2, Kind: KindPing, Msg: pingMsg{Seq: 2}}); err == nil {
+	if err := conn.Send(Envelope{ID: 2, Kind: KindPing}); err == nil {
 		t.Fatal("Send succeeded on a connection poisoned by a write timeout")
 	}
 }
@@ -41,7 +41,7 @@ func TestSendStalledWriterFailsByDeadline(t *testing.T) {
 func TestSendWithoutDeadlineStillSucceeds(t *testing.T) {
 	conn, _, remote := pipeConns(t)
 	go io.Copy(io.Discard, remote) //nolint:errcheck // drain
-	if err := conn.Send(Envelope{ID: 1, Kind: KindPing, Msg: pingMsg{Seq: 1}}); err != nil {
+	if err := conn.Send(Envelope{ID: 1, Kind: KindPing}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -50,10 +50,10 @@ func TestSendPartialWriteClosesConn(t *testing.T) {
 	conn, fc, remote := pipeConns(t)
 	go io.Copy(io.Discard, remote) //nolint:errcheck // drain what does arrive
 	fc.SetPlan(FaultPlan{WriteCap: 2})
-	if err := conn.Send(Envelope{ID: 1, Kind: KindPing, Msg: pingMsg{Seq: 1}}); err == nil {
+	if err := conn.Send(Envelope{ID: 1, Kind: KindPing}); err == nil {
 		t.Fatal("Send with partial writes succeeded")
 	}
-	if err := conn.Send(Envelope{ID: 2, Kind: KindPing, Msg: pingMsg{Seq: 2}}); err == nil {
+	if err := conn.Send(Envelope{ID: 2, Kind: KindPing}); err == nil {
 		t.Fatal("Send succeeded after a partial frame desynchronized the stream")
 	}
 }
@@ -62,7 +62,7 @@ func TestSendResetFailsImmediately(t *testing.T) {
 	conn, fc, _ := pipeConns(t)
 	fc.SetPlan(FaultPlan{Reset: true})
 	start := time.Now()
-	err := conn.Send(Envelope{ID: 1, Kind: KindPing, Msg: pingMsg{Seq: 1}})
+	err := conn.Send(Envelope{ID: 1, Kind: KindPing})
 	if !errors.Is(err, ErrFaultReset) {
 		t.Fatalf("err = %v, want ErrFaultReset", err)
 	}
@@ -75,7 +75,7 @@ func TestSendDropMidFrameSeversConnection(t *testing.T) {
 	conn, fc, remote := pipeConns(t)
 	go io.Copy(io.Discard, remote)           //nolint:errcheck // drain the leading bytes
 	fc.SetPlan(FaultPlan{DropAfterBytes: 6}) // header (4) + 2 payload bytes
-	if err := conn.Send(Envelope{ID: 1, Kind: KindPing, Msg: pingMsg{Seq: 1}}); !errors.Is(err, ErrFaultReset) {
+	if err := conn.Send(Envelope{ID: 1, Kind: KindPing}); !errors.Is(err, ErrFaultReset) {
 		t.Fatalf("err = %v, want ErrFaultReset mid-frame", err)
 	}
 }
@@ -107,7 +107,7 @@ func TestRecvIdleConnectionNotTimedOut(t *testing.T) {
 		// Far longer than the frame timeout: idleness between frames must
 		// not trip the deadline.
 		time.Sleep(150 * time.Millisecond)
-		sender.Send(Envelope{ID: 7, Kind: KindPing, Msg: pingMsg{Seq: 7}}) //nolint:errcheck
+		sender.Send(Envelope{ID: 7, Kind: KindPing}) //nolint:errcheck
 	}()
 	env, err := receiver.Recv()
 	if err != nil {
@@ -127,8 +127,8 @@ func TestRecvConsecutiveFramesRearmDeadline(t *testing.T) {
 	receiver.timeout = 50 * time.Millisecond
 	go func() {
 		for i := uint64(1); i <= 3; i++ {
-			sender.Send(Envelope{ID: i, Kind: KindPing, Msg: pingMsg{Seq: i}}) //nolint:errcheck
-			time.Sleep(80 * time.Millisecond)                                  // idle gap > frame timeout
+			sender.Send(Envelope{ID: i, Kind: KindPing}) //nolint:errcheck
+			time.Sleep(80 * time.Millisecond)            // idle gap > frame timeout
 		}
 	}()
 	for i := uint64(1); i <= 3; i++ {
@@ -173,7 +173,7 @@ func TestFaultLatencyDelaysWrites(t *testing.T) {
 	go io.Copy(io.Discard, remote) //nolint:errcheck // drain
 	fc.SetPlan(FaultPlan{LatencyMin: 40 * time.Millisecond, LatencyMax: 60 * time.Millisecond, Seed: 7})
 	start := time.Now()
-	if err := conn.Send(Envelope{ID: 1, Kind: KindPing, Msg: pingMsg{Seq: 1}}); err != nil {
+	if err := conn.Send(Envelope{ID: 1, Kind: KindPing}); err != nil {
 		t.Fatal(err)
 	}
 	// A frame is several Write calls (length prefix + payload); each pays
@@ -197,7 +197,7 @@ func TestFaultCorruptionFailsLoudly(t *testing.T) {
 	fc.SetPlan(FaultPlan{CorruptProb: 1, Seed: 42})
 	go func() {
 		for i := uint64(1); i <= 4; i++ {
-			sender.Send(Envelope{ID: i, Kind: KindPing, Msg: pingMsg{Seq: i}}) //nolint:errcheck
+			sender.Send(Envelope{ID: i, Kind: KindPing}) //nolint:errcheck
 		}
 	}()
 	for {
@@ -222,11 +222,11 @@ func TestFaultFlapScheduleBlackholesAndHeals(t *testing.T) {
 	// phase: writes land in the up window or fail in the down window,
 	// and after a full period they must succeed again.
 	fc.SetPlan(FaultPlan{FlapUp: 50 * time.Millisecond, FlapDown: 50 * time.Millisecond})
-	if err := conn.Send(Envelope{ID: 1, Kind: KindPing, Msg: pingMsg{Seq: 1}}); err != nil {
+	if err := conn.Send(Envelope{ID: 1, Kind: KindPing}); err != nil {
 		t.Fatalf("send during up phase: %v", err)
 	}
 	time.Sleep(60 * time.Millisecond) // into the down phase
-	if err := conn.Send(Envelope{ID: 2, Kind: KindPing, Msg: pingMsg{Seq: 2}}); err == nil {
+	if err := conn.Send(Envelope{ID: 2, Kind: KindPing}); err == nil {
 		t.Fatal("send during down phase succeeded")
 	}
 }
@@ -239,7 +239,7 @@ func TestFaultSetPlanWakesStalledOperation(t *testing.T) {
 	fc.SetPlan(FaultPlan{StallWrites: true})
 	done := make(chan error, 1)
 	go func() {
-		done <- conn.Send(Envelope{ID: 1, Kind: KindPing, Msg: pingMsg{Seq: 1}})
+		done <- conn.Send(Envelope{ID: 1, Kind: KindPing})
 	}()
 	select {
 	case err := <-done:

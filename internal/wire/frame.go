@@ -1,36 +1,27 @@
 package wire
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
 	"time"
+
+	"condor/internal/codec"
 )
 
 // MaxFrameBytes bounds a single message; larger frames indicate protocol
 // corruption (or a checkpoint that should have been chunked).
 const MaxFrameBytes = 64 << 20
 
-// restartBit is the top bit of a frame's length word (free, since
-// MaxFrameBytes is 2²⁶). Set, it says the frame starts a new gob stream:
-// the receiver must decode it with a fresh decoder. The sender sets it
-// on a connection's first frame and on the frame after it dropped its
-// encoder (see streamResetBytes and Send).
-const restartBit = 1 << 31
-
-// streamResetBytes bounds the codec state a connection retains. A gob
-// encoder and decoder each keep a buffer as large as the largest message
-// they have carried, so one checkpoint would pin megabytes on its
-// connection for as long as it lives. After a frame whose payload
-// exceeds this, both ends drop their codec and the next frame starts a
-// new stream.
-const streamResetBytes = 64 << 10
+// keepBufBytes bounds the buffers a connection keeps between frames: a
+// frame up to this size is built and read in one reused buffer per
+// direction, and a larger one gets buffers of its own that go with it,
+// so one checkpoint does not pin megabytes on its connection for life.
+const keepBufBytes = 64 << 10
 
 // frameTimeout bounds one frame in flight on every connection: a write
 // must finish within it (or by its caller's context deadline, if that is
@@ -62,28 +53,24 @@ const (
 	KindPong
 )
 
-// Envelope is one framed message. Msg carries a gob-registered concrete
-// type (see internal/proto).
+// Envelope is one framed message. Msg is nil or a registered Message
+// (see internal/proto); heartbeats and failed replies carry none.
 type Envelope struct {
 	ID   uint64
 	Kind Kind
-	// Err is set on replies when the handler failed; Msg may be nil then.
+	// Err is set on replies when the handler failed; Msg is nil then.
 	Err string
 	Msg any
 	// Trace optionally carries a W3C traceparent string propagating the
-	// caller's span context (see internal/trace). Gob keeps this
-	// backward compatible in both directions: old peers silently skip
-	// the unknown field on receive, and envelopes from old peers decode
-	// here with Trace == "".
+	// caller's span context (see internal/trace).
 	Trace string
 }
 
-// Conn wraps a net.Conn with framed gob envelopes. A frame is a 4-byte
-// big-endian length word (top bit: restartBit) and that many payload
-// bytes. The payloads of one direction form one gob stream, so type
-// descriptors cross, and codec engines compile, once per connection
-// rather than once per frame. Reads and writes are independently
-// serialized, so one reader goroutine and many writers can share a Conn.
+// Conn wraps a net.Conn with framed envelopes. A frame is a 4-byte
+// big-endian payload length and that many payload bytes, and every frame
+// is self-contained: no codec state crosses from one frame to the next.
+// Reads and writes are independently serialized, so one reader goroutine
+// and many writers can share a Conn.
 type Conn struct {
 	raw net.Conn
 	// timeout is frameTimeout; tests shorten it before the Conn is used.
@@ -94,22 +81,12 @@ type Conn struct {
 	// mutex, so a sender can stop waiting for it when its context ends.
 	writing chan struct{}
 
-	// Write side, under writing. enc encodes into wbuf, which holds the
-	// frame being built: length word, then payload. A nil enc means the
-	// next frame starts a new stream.
-	enc  *gob.Encoder
-	wbuf bytes.Buffer
-
-	// Read side, under readMu. dec reads the current frame's payload
-	// through rd: an io.ByteReader, so gob reads it directly instead of
-	// through a bufio.Reader that could hold bytes across frames, and one
-	// that ends where the payload ends, so the decoder can never read
-	// past its frame. A nil dec means the next frame gets a new decoder.
-	// rbuf is the reused payload buffer for frames up to
-	// streamResetBytes (gob copies everything it decodes out of it).
-	dec  *gob.Decoder
-	rd   bytes.Reader
+	// wbuf, under writing, is the reused frame buffer; rbuf and rd, under
+	// readMu, are the reused payload buffer and the reader over it (kept
+	// here so reading a frame does not allocate one).
+	wbuf []byte
 	rbuf []byte
+	rd   codec.Reader
 
 	closeOnce sync.Once
 	closeErr  error
@@ -129,13 +106,6 @@ func (c *Conn) Close() error {
 	return c.closeErr
 }
 
-// dropEncoder forgets the write-side codec and its buffers; the next
-// Send starts a new gob stream. Caller holds the write side.
-func (c *Conn) dropEncoder() {
-	c.enc = nil
-	c.wbuf = bytes.Buffer{}
-}
-
 // Send writes one envelope under the frame timeout alone, as replies and
 // heartbeats are.
 func (c *Conn) Send(env Envelope) error { return c.send(context.Background(), env) }
@@ -144,9 +114,8 @@ func (c *Conn) Send(env Envelope) error { return c.send(context.Background(), en
 // by ctx's deadline or within the frame timeout, whichever is earlier.
 // A sender whose ctx ends while it waits for the write side gets ctx's
 // error, writes nothing and leaves the connection up. So does an
-// envelope that cannot be encoded (an unregistered Msg type) or exceeds
-// MaxFrameBytes; the next frame then restarts the stream, since the
-// abandoned encoder may count descriptors as sent that never left.
+// envelope that cannot be encoded (a Msg that is not a registered
+// Message) or exceeds MaxFrameBytes.
 func (c *Conn) send(ctx context.Context, env Envelope) error {
 	select {
 	case c.writing <- struct{}{}:
@@ -157,27 +126,20 @@ func (c *Conn) send(ctx context.Context, env Envelope) error {
 	if err := ctx.Err(); err != nil {
 		return err // both cases were ready and the lock won
 	}
-	var word uint32
-	if c.enc == nil {
-		c.enc = gob.NewEncoder(&c.wbuf)
-		word = restartBit
+	frame, err := appendEnvelope(append(c.wbuf[:0], 0, 0, 0, 0), &env)
+	if cap(frame) <= keepBufBytes {
+		c.wbuf = frame[:0]
+	} else {
+		c.wbuf = nil // frame keeps the bytes alive until they are written
 	}
-	var lenWord [4]byte // placeholder, filled in once the length is known
-	c.wbuf.Reset()
-	c.wbuf.Write(lenWord[:])
-	if err := c.enc.Encode(&env); err != nil {
-		c.dropEncoder()
-		return fmt.Errorf("wire: encode: %w", err)
+	if err != nil {
+		return err
 	}
-	frame := c.wbuf.Bytes()
 	n := len(frame) - 4
-	if n > streamResetBytes {
-		c.dropEncoder() // frame keeps the bytes alive until they are written
-	}
 	if n > MaxFrameBytes {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
-	binary.BigEndian.PutUint32(frame, word|uint32(n))
+	binary.BigEndian.PutUint32(frame, uint32(n))
 	deadline := time.Now().Add(c.timeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
@@ -207,30 +169,30 @@ func (c *Conn) send(ctx context.Context, env Envelope) error {
 // MaxFrameBytes.
 const maxEagerFrameAlloc = 1 << 20
 
-// readPayload reads an n-byte frame payload. Frames up to
-// streamResetBytes land in the connection's reused buffer; larger ones
-// get a buffer of their own, trusting n only as far as
-// maxEagerFrameAlloc — beyond that it grows with the data.
+// readPayload reads an n-byte frame payload. Frames up to keepBufBytes
+// land in the connection's reused buffer; larger ones get a buffer of
+// their own, exactly n bytes long (the decoded message may keep it), and
+// trust n only as far as maxEagerFrameAlloc: beyond that the buffer
+// doubles, up to n, only as the bytes arrive.
 func (c *Conn) readPayload(n uint32) ([]byte, error) {
-	if n <= streamResetBytes {
+	if n <= keepBufBytes {
 		if int(n) > cap(c.rbuf) {
-			c.rbuf = make([]byte, min(max(int(n), 2*cap(c.rbuf)), streamResetBytes))
+			c.rbuf = make([]byte, min(max(int(n), 2*cap(c.rbuf)), keepBufBytes))
 		}
 		payload := c.rbuf[:n]
 		_, err := io.ReadFull(c.raw, payload)
 		return payload, err
 	}
-	if n <= maxEagerFrameAlloc {
-		payload := make([]byte, n)
-		_, err := io.ReadFull(c.raw, payload)
-		return payload, err
+	payload := make([]byte, min(int(n), maxEagerFrameAlloc))
+	for have := 0; ; {
+		m, err := io.ReadFull(c.raw, payload[have:])
+		if have += m; err != nil || have == int(n) {
+			return payload, err
+		}
+		grown := make([]byte, min(2*have, int(n)))
+		copy(grown, payload)
+		payload = grown
 	}
-	var buf bytes.Buffer
-	buf.Grow(maxEagerFrameAlloc)
-	if _, err := io.CopyN(&buf, c.raw, int64(n)); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
 
 // Recv reads one envelope, blocking until a frame arrives or the
@@ -238,48 +200,44 @@ func (c *Conn) readPayload(n uint32) ([]byte, error) {
 // its first byte arrives the rest must follow within the frame timeout —
 // a peer that stalls mid-frame fails fast instead of wedging the reader.
 // Any error past a frame's first byte, a decode error included, closes
-// the connection: the decoder's stream state cannot be recovered.
+// the connection: a peer that sent one malformed frame is not trusted
+// with the next.
 func (c *Conn) Recv() (Envelope, error) {
 	c.readMu.Lock()
 	defer c.readMu.Unlock()
-	var env Envelope
 	var lenBuf [4]byte
 	// Clear the deadline armed for the previous frame: idleness between
 	// frames is normal.
 	_ = c.raw.SetReadDeadline(time.Time{})
 	if _, err := io.ReadFull(c.raw, lenBuf[:1]); err != nil {
-		return env, fmt.Errorf("wire: read length: %w", err)
+		return Envelope{}, fmt.Errorf("wire: read length: %w", err)
 	}
 	_ = c.raw.SetReadDeadline(time.Now().Add(c.timeout))
 	if _, err := io.ReadFull(c.raw, lenBuf[1:]); err != nil {
 		c.Close() // mid-frame failure: stream desynchronized
-		return env, fmt.Errorf("wire: read length: %w", err)
+		return Envelope{}, fmt.Errorf("wire: read length: %w", err)
 	}
-	word := binary.BigEndian.Uint32(lenBuf[:])
-	n := word &^ restartBit
+	n := binary.BigEndian.Uint32(lenBuf[:])
 	if n > MaxFrameBytes {
 		c.Close() // cannot resynchronize without consuming the frame
-		return env, fmt.Errorf("%w: %d bytes announced", ErrFrameTooLarge, n)
+		return Envelope{}, fmt.Errorf("%w: %d bytes announced", ErrFrameTooLarge, n)
 	}
 	payload, err := c.readPayload(n)
 	if err != nil {
 		c.Close()
-		return env, fmt.Errorf("wire: read payload: %w", err)
+		return Envelope{}, fmt.Errorf("wire: read payload: %w", err)
 	}
 	mFramesRecv.Inc()
 	mBytesRecv.Add(uint64(4 + n))
-	if word&restartBit != 0 || c.dec == nil {
-		c.dec = gob.NewDecoder(&c.rd)
-	}
-	c.rd.Reset(payload)
-	err = c.dec.Decode(&env)
-	c.rd.Reset(nil)
-	if n > streamResetBytes {
-		c.dec = nil // the sender restarts its stream after a frame this large
-	}
+	// A payload larger than keepBufBytes is a buffer of its own, so the
+	// message's byte fields may keep it; the reused one must be copied.
+	c.rd = codec.NewReader(payload)
+	c.rd.Alias = n > keepBufBytes
+	env, err := readEnvelope(&c.rd)
+	c.rd = codec.Reader{}
 	if err != nil {
 		c.Close()
-		return env, fmt.Errorf("wire: decode: %w", err)
+		return Envelope{}, fmt.Errorf("wire: decode: %w", err)
 	}
 	if env.Kind == KindPing || env.Kind == KindPong {
 		mHeartbeatsRecv.Inc()

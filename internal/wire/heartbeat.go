@@ -7,11 +7,9 @@ import (
 // Heartbeats detect half-open connections: a powered-off peer whose TCP
 // endpoint never RSTs would otherwise leave a shadow waiting forever for
 // a JobDone that cannot come. Ping/pong frames are handled entirely
-// inside the Peer — application handlers never see them.
-
-// pingMsg and pongMsg are internal heartbeat frames.
-type pingMsg struct{ Seq uint64 }
-type pongMsg struct{ Seq uint64 }
+// inside the Peer — application handlers never see them. They carry no
+// message: a ping's sequence number is its envelope ID, and its pong
+// echoes it.
 
 // StartHeartbeat begins liveness probing on a peer: it pings the remote
 // side every interval and closes (failing pending calls, firing Done)
@@ -38,7 +36,6 @@ func (p *Peer) heartbeatLoop(interval time.Duration) {
 			if err := p.conn.Send(Envelope{
 				ID:   seq,
 				Kind: KindPing,
-				Msg:  pingMsg{Seq: seq},
 			}); err != nil {
 				p.conn.Close()
 				return
@@ -70,7 +67,7 @@ func (p *Peer) handleHeartbeat(env Envelope) bool {
 	switch env.Kind {
 	case KindPing:
 		// Answer immediately; failure will surface in the reader loop.
-		_ = p.conn.Send(Envelope{ID: env.ID, Kind: KindPong, Msg: pongMsg{Seq: env.ID}})
+		_ = p.conn.Send(Envelope{ID: env.ID, Kind: KindPong})
 		return true
 	case KindPong:
 		return true

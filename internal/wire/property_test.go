@@ -2,16 +2,11 @@ package wire
 
 import (
 	"bytes"
-	"encoding/gob"
 	"net"
 	"testing"
 	"testing/quick"
 	"time"
 )
-
-type blobMsg struct{ Data []byte }
-
-func init() { gob.Register(blobMsg{}) }
 
 // pipePair returns two Conns joined by an in-memory pipe, with the
 // writes pumped on a goroutine so Send/Recv do not deadlock.

@@ -3,7 +3,6 @@ package wire
 import (
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -11,28 +10,31 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"condor/internal/codec"
 )
 
+// The test messages. Their tags sit above every internal/proto tag,
+// since this package's external tests link both sets.
 type ping struct{ N int }
 type pong struct{ N int }
 type note struct{ Text string }
+type blobMsg struct{ Data []byte }
 
-func registerTestTypes() {
-	gob.Register(ping{})
-	gob.Register(pong{})
-	gob.Register(note{})
-}
+func (ping) WireTag() byte                   { return 124 }
+func (pong) WireTag() byte                   { return 125 }
+func (note) WireTag() byte                   { return 126 }
+func (blobMsg) WireTag() byte                { return 127 }
+func (m ping) AppendWire(b []byte) []byte    { return codec.AppendInt(b, int64(m.N)) }
+func (m pong) AppendWire(b []byte) []byte    { return codec.AppendInt(b, int64(m.N)) }
+func (m note) AppendWire(b []byte) []byte    { return codec.AppendString(b, m.Text) }
+func (m blobMsg) AppendWire(b []byte) []byte { return codec.AppendBytes(b, m.Data) }
 
-func TestMain(m *testing.M) {
-	registerTestTypes()
-	testingMain(m)
-}
-
-func testingMain(m interface{ Run() int }) {
-	code := m.Run()
-	if code != 0 {
-		panic(fmt.Sprintf("tests failed with code %d", code))
-	}
+func init() {
+	Register(ping{}, func(r *codec.Reader) Message { return ping{N: int(r.ReadInt())} })
+	Register(pong{}, func(r *codec.Reader) Message { return pong{N: int(r.ReadInt())} })
+	Register(note{}, func(r *codec.Reader) Message { return note{Text: r.ReadString()} })
+	Register(blobMsg{}, func(r *codec.Reader) Message { return blobMsg{Data: r.ReadBytes()} })
 }
 
 func echoServer(t *testing.T) *Server {
