@@ -11,14 +11,17 @@ GO ?= go
 # growth), the forwarded-syscall round trip through the full RU path
 # (root package), a placement's fixed cost (root package: sequential
 # placements on one starter ride one link, so a dial per placement
-# fails here as allocs growth), checkpoint encode+decode per MB and of
-# one small compressed image (its fixed cost, 14 allocs/op with format
+# fails here as allocs growth), checkpoint encode+decode per MB, of one
+# small compressed image (its fixed cost, 14 allocs/op with format
 # Version 3: a per-call deflate writer, or a fallback to reflection,
-# fails here as allocs growth) and guest instruction throughput (root
+# fails here as allocs growth) and of a compressed 1 MiB image of random
+# words (the ckpt-migrate shape: a deflate that runs past its probe, or
+# a buffer grown per chunk, fails here), and guest instruction
+# throughput on a spin loop and on ckpt-migrate's memory fold (root
 # package too), journal appends, coordinator cycles, tracing, and the
 # decision audit ring (record is lock-free and the nil-builder path 0
 # allocs/op).
-BASELINE_BENCH = 'BenchmarkTelemetryObserve$$|BenchmarkTelemetryCounter$$|BenchmarkFrameRoundTrip$$|BenchmarkSyscallRoundTrip$$|BenchmarkPlaceSequential$$|BenchmarkCheckpointPerMB$$|BenchmarkCheckpointSmallCompressed$$|BenchmarkVMExecution$$|BenchmarkJournalAppend|BenchmarkCycle100$$|BenchmarkCycle1000$$|BenchmarkPipelineCycle100$$|BenchmarkPipelineCycle1000$$|BenchmarkPipelineCycleAudited1000$$|BenchmarkTraceSpan$$|BenchmarkTraceSampledOut$$|BenchmarkTraceparentParse$$|BenchmarkAccountingSyscall$$|BenchmarkAccountingSyscallParallel$$|BenchmarkLedgerSnapshot$$|BenchmarkHealthObserve$$|BenchmarkBusPublish$$|BenchmarkBusPublishSubscribed$$|BenchmarkDecisionRecord$$|BenchmarkBuilderNil$$'
+BASELINE_BENCH = 'BenchmarkTelemetryObserve$$|BenchmarkTelemetryCounter$$|BenchmarkFrameRoundTrip$$|BenchmarkSyscallRoundTrip$$|BenchmarkPlaceSequential$$|BenchmarkCheckpointPerMB$$|BenchmarkCheckpointSmallCompressed$$|BenchmarkCheckpointIncompressible$$|BenchmarkVMExecution$$|BenchmarkVMFold$$|BenchmarkJournalAppend|BenchmarkCycle100$$|BenchmarkCycle1000$$|BenchmarkPipelineCycle100$$|BenchmarkPipelineCycle1000$$|BenchmarkPipelineCycleAudited1000$$|BenchmarkTraceSpan$$|BenchmarkTraceSampledOut$$|BenchmarkTraceparentParse$$|BenchmarkAccountingSyscall$$|BenchmarkAccountingSyscallParallel$$|BenchmarkLedgerSnapshot$$|BenchmarkHealthObserve$$|BenchmarkBusPublish$$|BenchmarkBusPublishSubscribed$$|BenchmarkDecisionRecord$$|BenchmarkBuilderNil$$'
 BASELINE_PKGS = . ./internal/telemetry/ ./internal/wire/ ./internal/journal/ ./internal/coordinator/ ./internal/trace/ ./internal/accounting/ ./internal/decision/
 
 all: verify
@@ -110,7 +113,9 @@ bench-drift:
 
 # Short fuzz budget over each byte-level reader of peer or disk input:
 # the wire frame decoder (with every message decoder behind it), the
-# checkpoint decoder and the stores' PutBlob behind it, journal replay,
+# checkpoint decoder and the stores' PutBlob behind it, a guest program
+# run in checkpointed slices against the same program run once (the
+# interpreter's exits and the codec under it), journal replay,
 # the coordinator's journal record and snapshot decoders, the /metrics
 # text parser (condor-web and condor-status scrape peers), the
 # traceparent parser and the submitted program decoder.
@@ -120,6 +125,7 @@ fuzz:
 	$(GO) test -run NONE -fuzz '^FuzzFrameDecode$$' -fuzztime 20s ./internal/wire/
 	$(GO) test -run NONE -fuzz '^FuzzDecode$$' -fuzztime 20s ./internal/ckpt/
 	$(GO) test -run NONE -fuzz '^FuzzPutBlob$$' -fuzztime 20s ./internal/ckpt/
+	$(GO) test -run NONE -fuzz '^FuzzRunSlices$$' -fuzztime 20s ./internal/ckpt/
 	$(GO) test -run NONE -fuzz '^FuzzReplay$$' -fuzztime 20s ./internal/journal/
 	$(GO) test -run NONE -fuzz '^FuzzRebuildState$$' -fuzztime 20s ./internal/coordinator/
 	$(GO) test -run NONE -fuzz '^FuzzParseText$$' -fuzztime 20s ./internal/telemetry/

@@ -10,6 +10,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -371,6 +373,80 @@ func BenchmarkCheckpointSmallCompressed(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkCheckpointIncompressible is the ckpt-migrate shape: encode
+// with Compress and decode a 1 MiB image of random words, which deflate
+// cannot shrink, so the blob stays plain. What it costs is the attempt
+// (given up on after its probe) and the codec's long-word paths.
+func BenchmarkCheckpointIncompressible(b *testing.B) {
+	prog := cvm.MustAssemble("noise", ".bss\nbuf: .space 131072\n.text\nstart:\n HALT 0\n")
+	vm, err := cvm.New(prog, cvm.NewMemHost(), cvm.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	img := vm.Snapshot()
+	r := rand.New(rand.NewSource(1))
+	for i := range img.Mem {
+		img.Mem[i] = r.Int63()
+	}
+	meta := ckpt.Meta{JobID: "bench/3"}
+	// One P, so the pooled deflate writer is always in the P-local slot it
+	// was put in: a Get on another P misses, and the refill (16
+	// allocations) would make allocs/op jitter.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		blob, err := ckpt.EncodeBytesWith(meta, img, ckpt.Options{Compress: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := ckpt.DecodeBytes(blob); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkVMFold measures guest instruction throughput on ckpt-migrate's
+// fold loop: LD, XOR, ADD and ST over a 1 MiB buffer, swept forever.
+// BenchmarkVMExecution's spin loop never touches memory.
+func BenchmarkVMFold(b *testing.B) {
+	prog := cvm.MustAssemble("fold", `
+.bss
+buf: .space 131072
+.text
+start:
+    MOVI r12, 131072
+    MOVI r2, buf
+    MOVI r13, 0
+    MOVI r5, 0
+sweep:
+    MOVI r1, 0
+fold:
+    JGE  r1, r12, swept
+    ADD  r4, r2, r1
+    LD   r3, [r4]
+    XOR  r13, r13, r3
+    ADD  r13, r13, r5
+    ST   [r4], r13
+    ADDI r1, r1, 1
+    JMP  fold
+swept:
+    ADDI r5, r5, 1
+    JMP  sweep
+`)
+	vm, err := cvm.New(prog, cvm.NewMemHost(), cvm.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := vm.Run(100_000); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)*100_000/b.Elapsed().Seconds()/1e6, "Minstr-per-s")
 }
 
 // BenchmarkVMExecution measures guest instruction throughput.

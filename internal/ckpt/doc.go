@@ -15,6 +15,12 @@
 // truncated or bit-flipped checkpoint must be detected, never silently
 // restored.
 //
+// Compression is asked for per encode (Options.Compress) and kept only
+// when the payload shrinks. A body that has not shrunk by 1/16 after its
+// first 256 KiB is left plain without deflating the rest, so an
+// incompressible image costs a short probe. The layout does not depend on
+// it: the blob is plain, or the same deflate stream as ever.
+//
 // The encoded blob is the unit a home station keeps and ships. A Store
 // decodes a blob once, on PutBlob, to verify it and charge its size, and
 // keeps the bytes; a placement sends GetBlob's bytes as they are, so a

@@ -108,8 +108,10 @@ func EncodeBytes(meta Meta, img *cvm.Image) ([]byte, error) {
 // EncodeBytesWith encodes a checkpoint with one allocation for the plain
 // blob: a sizing walk over the body, then the body written behind room
 // reserved for the header. With Compress a pooled deflate writer packs
-// that body into at most one second buffer, kept only when it is
-// smaller. The returned slice is the blob itself.
+// that body into a second buffer, grown as output arrives and kept only
+// when it is smaller; a body that has not shrunk by its first 256 KiB is
+// kept plain without deflating the rest. The returned slice is the blob
+// itself.
 func EncodeBytesWith(meta Meta, img *cvm.Image, opts Options) ([]byte, error) {
 	if img == nil {
 		return nil, errors.New("ckpt: nil image")
@@ -266,32 +268,60 @@ var deflaters = sync.Pool{New: func() any {
 	return fw
 }}
 
+// Deflate is fed in deflateChunk pieces. Once deflateProbe bytes have
+// gone in, an output not at least 1/16 smaller than the input so far
+// abandons the attempt: an image of random words never shrinks, and
+// deflating all of it to find out costs more than the rest of an encode.
+// BestSpeed emits a block per 64 KiB of input, so the output so far
+// trails the input by no more than a few bytes per chunk.
+const (
+	deflateChunk = 128 << 10
+	deflateProbe = 256 << 10
+)
+
 // deflate compresses plain's payload behind a fresh header. It reports
-// false, and stops early, once the output would be no smaller than plain.
+// false, and stops early, once the output would be no smaller than plain
+// or, past the probe, is not shrinking. Chunking does not change the
+// stream: BestSpeed encodes whole 64 KiB blocks whatever the write sizes,
+// so a deflate that runs to the end writes what one Write would.
 func deflate(plain []byte) ([]byte, bool) {
-	out := boundedBuf(make([]byte, headerLen, len(plain)-1))
+	// Room for the probe's output even when it does not shrink (a stored
+	// block adds 5 bytes per 64 KiB), so an abandoned attempt allocates
+	// once and never copies.
+	out := boundedBuf{b: make([]byte, headerLen, min(len(plain)-1, headerLen+deflateProbe+deflateProbe/64)), max: len(plain) - 1}
 	fw := deflaters.Get().(*flate.Writer)
 	fw.Reset(&out)
-	_, err := fw.Write(plain[headerLen:])
+	var err error
+	for in := plain[headerLen:]; len(in) > 0 && err == nil; {
+		n := min(len(in), deflateChunk)
+		_, err = fw.Write(in[:n])
+		in = in[n:]
+		if fed := len(plain) - headerLen - len(in); fed >= deflateProbe && len(out.b)-headerLen > fed-fed/16 {
+			err = errNoGain
+		}
+	}
 	if err == nil {
 		err = fw.Close()
 	}
 	fw.Reset(nil)
 	deflaters.Put(fw)
-	return out, err == nil
+	return out.b, err == nil
 }
 
-// boundedBuf is an append-only sink that refuses to grow past its
-// capacity.
-type boundedBuf []byte
+// boundedBuf is an append-only sink that refuses to grow past max bytes.
+// It grows as output arrives, so an abandoned attempt costs what it wrote.
+type boundedBuf struct {
+	b   []byte
+	max int
+}
 
 var errNoGain = errors.New("ckpt: compression does not shrink the payload")
 
 func (b *boundedBuf) Write(p []byte) (int, error) {
-	if len(*b)+len(p) > cap(*b) {
+	if len(b.b)+len(p) > b.max {
 		return 0, errNoGain
 	}
-	*b = append(*b, p...)
+	b.b = append(b.b, p...)
 	return len(p), nil
 }
 

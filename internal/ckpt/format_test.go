@@ -1,8 +1,11 @@
 package ckpt
 
 import (
+	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -276,5 +279,61 @@ func TestAbsurdPayloadLengthRejected(t *testing.T) {
 	_, _, err = DecodeBytes(blob)
 	if err == nil {
 		t.Fatal("absurd length accepted")
+	}
+}
+
+// TestDeflateStreamAndEarlyAbandon: a compressible body past the probe
+// deflates, fed in chunks, to exactly the stream one Write of the whole
+// payload produces. A body of random words is given up on after the
+// probe and kept plain, its output buffer never grown past the probe's
+// room.
+func TestDeflateStreamAndEarlyAbandon(t *testing.T) {
+	prog := cvm.MustAssemble("big", ".bss\nbuf: .space 262144\n.text\nstart:\n HALT 0\n")
+	img := makeImage(t, prog, 0)
+	for i := range img.Mem {
+		img.Mem[i] = int64(i % 5000)
+	}
+	plain, err := EncodeBytes(Meta{JobID: "d/1"}, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plain)-headerLen < 2*deflateProbe {
+		t.Fatalf("%d-byte body does not reach past the probe", len(plain)-headerLen)
+	}
+	packed, err := EncodeBytesWith(Meta{JobID: "d/1"}, img, Options{Compress: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	fw, _ := flate.NewWriter(&want, flate.BestSpeed)
+	if _, err := fw.Write(plain[headerLen:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(packed[headerLen:], want.Bytes()) {
+		t.Fatalf("chunked deflate wrote %d bytes, one Write %d", len(packed)-headerLen, want.Len())
+	}
+
+	r := rand.New(rand.NewSource(28))
+	noise := makeImage(t, cvm.MustAssemble("noise", ".bss\nbuf: .space 131072\n.text\nstart:\n HALT 0\n"), 0)
+	for i := range noise.Mem {
+		noise.Mem[i] = r.Int63()
+	}
+	plain, err = EncodeBytes(Meta{JobID: "d/2"}, noise)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, ok := deflate(plain)
+	if ok || cap(out) > headerLen+deflateProbe+deflateProbe/64 {
+		t.Fatalf("random words: deflate kept = %v with a %d-byte buffer for a %d-byte body", ok, cap(out), len(plain))
+	}
+	kept, err := EncodeBytesWith(Meta{JobID: "d/2"}, noise, Options{Compress: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(kept, plain) {
+		t.Fatal("an abandoned deflate does not leave the plain blob")
 	}
 }

@@ -87,15 +87,27 @@ func IntsLen(v []int64) int {
 	return n
 }
 
-// AppendInts appends a word slice: its count, then each word.
+// AppendInts appends a word slice: its count, then each word. While b
+// has room for the longest number, a long word is one big-endian store
+// of its value, shifted to the top, behind its count byte; the store may
+// zero bytes of b's spare capacity past the word.
 func AppendInts(b []byte, v []int64) []byte {
 	b = AppendUint(b, uint64(len(v)))
 	for _, x := range v {
-		if u := Zigzag(x); u < 0x80 { // the common one-byte word, inline
+		u := Zigzag(x)
+		if u < 0x80 { // the common one-byte word, inline
 			b = append(b, byte(u))
-		} else {
-			b = AppendUint(b, u)
+			continue
 		}
+		n := (bits.Len64(u) + 7) / 8
+		if l := len(b); cap(b)-l > 8 {
+			b = b[:l+9]
+			b[l] = byte(-n)
+			binary.BigEndian.PutUint64(b[l+1:], u<<(64-8*n))
+			b = b[:l+1+n]
+			continue
+		}
+		b = AppendUint(b, u)
 	}
 	return b
 }
@@ -153,10 +165,9 @@ func (r *Reader) ReadUint() uint64 {
 		r.Fail("malformed number")
 		return 0
 	}
-	var x uint64
-	for _, d := range r.b[1 : 1+n] {
-		x = x<<8 | uint64(d)
-	}
+	var be [8]byte // the value bytes, left-aligned in one big-endian word
+	copy(be[:], r.b[1:])
+	x := binary.BigEndian.Uint64(be[:]) >> (64 - 8*n)
 	if r.b[1] == 0 || x < 0x80 {
 		r.Fail("non-minimal number")
 		return 0
@@ -228,12 +239,20 @@ func (r *Reader) ReadInts() []int64 {
 	v := make([]int64, n)
 	b := r.b // a local cursor: no write barrier per word
 	for i := range v {
-		if len(b) > 0 && b[0] < 0x80 { // the common one-byte word, inline
-			v[i] = unzigzag(uint64(b[0]))
-			b = b[1:]
-			continue
+		if len(b) > 8 { // room for the longest number: decode it in place
+			if c := b[0]; c < 0x80 { // the common one-byte word
+				v[i] = unzigzag(uint64(c))
+				b = b[1:]
+				continue
+			} else if n := 256 - int(c); n <= 8 { // one big-endian load
+				if x := binary.BigEndian.Uint64(b[1:9]) >> (64 - 8*n); b[1] != 0 && x >= 0x80 {
+					v[i] = unzigzag(x)
+					b = b[1+n:]
+					continue
+				}
+			}
 		}
-		r.b = b
+		r.b = b // the input's last bytes, or a malformed number ReadInt refuses
 		v[i] = r.ReadInt()
 		b = r.b
 	}

@@ -197,7 +197,6 @@ func (a *assembler) layout() error {
 	}
 	var items []pending
 	for _, ln := range a.lines {
-		ln := ln
 		switch ln.section {
 		case secData:
 			if ln.mnem == "" {

@@ -143,7 +143,7 @@ func (h *MemHost) read(req SyscallRequest) SyscallReply {
 func (h *MemHost) write(req SyscallRequest) SyscallReply {
 	data := h.files[req.Name]
 	off := req.Args[1]
-	if off < 0 {
+	if off < 0 || off > int64(len(data))+4096 { // a hole of at most 4 KiB: a guest's offset is unbounded
 		return SyscallReply{Ret: -1, Errno: ErrnoInval}
 	}
 	end := off + int64(len(req.Data))

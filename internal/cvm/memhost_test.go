@@ -2,6 +2,7 @@ package cvm
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
@@ -51,5 +52,21 @@ func TestMemHostAppendsAmortized(t *testing.T) {
 	}
 	if moves > 64 {
 		t.Fatalf("4096 appends moved the file %d times; want geometric growth (≤ 64)", moves)
+	}
+}
+
+// TestMemHostRefusesWildOffsets: a guest can seek anywhere, so a write
+// far past the end, or at MaxInt64 where the end wraps negative, is
+// refused with ErrnoInval rather than allocated or panicked on.
+func TestMemHostRefusesWildOffsets(t *testing.T) {
+	h := NewMemHost()
+	for _, off := range []int64{4097, 1 << 40, math.MaxInt64} {
+		rep, err := h.Syscall(SyscallRequest{Num: SysWrite, Name: "f", Args: [4]int64{0, off}, Data: []byte("x")})
+		if err != nil || rep.Errno != ErrnoInval {
+			t.Fatalf("write at %d: ret %d errno %d err %v", off, rep.Ret, rep.Errno, err)
+		}
+	}
+	if got, _ := h.File("f"); len(got) != 0 {
+		t.Fatalf("refused writes left %d bytes", len(got))
 	}
 }

@@ -117,7 +117,6 @@ func Restore(img *Image, handler SyscallHandler) (*VM, error) {
 	}
 	copy(v.stack, img.Stack)
 	for _, f := range img.Files {
-		f := f
 		v.files[f.FD] = &f
 	}
 	return v, nil

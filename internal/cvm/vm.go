@@ -220,160 +220,163 @@ func (v *VM) faultf(op Opcode, format string, args ...any) error {
 	return v.fault
 }
 
+// trap writes Run's locals back and faults the program there.
+func (v *VM) trap(pc, sp int64, steps uint64, op Opcode, format string, args ...any) error {
+	v.pc, v.sp, v.steps = pc, sp, steps
+	return v.faultf(op, format, args...)
+}
+
+// rmask masks a register operand: New and Restore run Program.Validate,
+// which refuses an out-of-range register, so it only drops bounds checks.
+const rmask = NumRegs - 1
+
 // Run executes up to maxSteps instructions. It returns the resulting
 // status. A non-nil error is either a host error (syscall transport
 // failure: the VM remains runnable and can be resumed or checkpointed) or
 // the program's FaultError (status becomes faulted).
+//
+// pc, sp and the step count live in locals, written back on every exit and
+// before each syscall. A faulting instruction, HALT and a syscall the host
+// fails count as a step and leave pc on themselves.
 func (v *VM) Run(maxSteps uint64) (Status, error) {
 	if v.status != StatusRunning {
 		return v.status, ErrNotRunnable
 	}
-	for n := uint64(0); n < maxSteps; n++ {
-		if err := v.step(); err != nil {
-			var fe *FaultError
-			if errors.As(err, &fe) {
-				return StatusFaulted, err
+	text, mem, stack, regs := v.prog.Text, v.mem, v.stack, &v.regs
+	pc, sp, steps := v.pc, v.sp, v.steps
+loop:
+	for n := maxSteps; n != 0; n-- {
+		if uint64(pc) >= uint64(len(text)) {
+			return StatusFaulted, v.trap(pc, sp, steps, OpNop, "pc %d outside text [0,%d)", pc, len(text))
+		}
+		in := &text[pc]
+		steps++
+		next := pc + 1
+		switch in.Op {
+		case OpNop:
+		case OpHalt:
+			v.status = StatusHalted
+			v.exit = in.A
+			break loop
+		case OpMovi:
+			regs[in.A&rmask] = in.B
+		case OpMov:
+			regs[in.A&rmask] = regs[in.B&rmask]
+		case OpLd:
+			addr := regs[in.B&rmask] + in.C
+			if uint64(addr) >= uint64(len(mem)) {
+				return StatusFaulted, v.trap(pc, sp, steps, in.Op, "load address %d outside static [0,%d)", addr, len(mem))
 			}
-			// Host error: leave status running so the job can migrate.
-			return v.status, err
+			regs[in.A&rmask] = mem[addr]
+		case OpSt:
+			addr := regs[in.A&rmask] + in.C
+			if uint64(addr) >= uint64(len(mem)) {
+				return StatusFaulted, v.trap(pc, sp, steps, in.Op, "store address %d outside static [0,%d)", addr, len(mem))
+			}
+			mem[addr] = regs[in.B&rmask]
+		case OpPush:
+			if uint64(sp) >= uint64(len(stack)) {
+				return StatusFaulted, v.trap(pc, sp, steps, in.Op, "stack overflow (capacity %d words)", len(stack))
+			}
+			stack[sp] = regs[in.A&rmask]
+			sp++
+		case OpPop:
+			if sp <= 0 {
+				return StatusFaulted, v.trap(pc, sp, steps, in.Op, "stack underflow")
+			}
+			sp--
+			regs[in.A&rmask] = stack[sp]
+		case OpAdd:
+			regs[in.A&rmask] = regs[in.B&rmask] + regs[in.C&rmask]
+		case OpSub:
+			regs[in.A&rmask] = regs[in.B&rmask] - regs[in.C&rmask]
+		case OpMul:
+			regs[in.A&rmask] = regs[in.B&rmask] * regs[in.C&rmask]
+		case OpDiv:
+			if regs[in.C&rmask] == 0 {
+				return StatusFaulted, v.trap(pc, sp, steps, in.Op, "division by zero")
+			}
+			regs[in.A&rmask] = regs[in.B&rmask] / regs[in.C&rmask]
+		case OpMod:
+			if regs[in.C&rmask] == 0 {
+				return StatusFaulted, v.trap(pc, sp, steps, in.Op, "modulo by zero")
+			}
+			regs[in.A&rmask] = regs[in.B&rmask] % regs[in.C&rmask]
+		case OpAddi:
+			regs[in.A&rmask] = regs[in.B&rmask] + in.C
+		case OpMuli:
+			regs[in.A&rmask] = regs[in.B&rmask] * in.C
+		case OpAnd:
+			regs[in.A&rmask] = regs[in.B&rmask] & regs[in.C&rmask]
+		case OpOr:
+			regs[in.A&rmask] = regs[in.B&rmask] | regs[in.C&rmask]
+		case OpXor:
+			regs[in.A&rmask] = regs[in.B&rmask] ^ regs[in.C&rmask]
+		case OpShl:
+			regs[in.A&rmask] = regs[in.B&rmask] << uint64(regs[in.C&rmask]&63)
+		case OpShr:
+			regs[in.A&rmask] = int64(uint64(regs[in.B&rmask]) >> uint64(regs[in.C&rmask]&63))
+		case OpJmp:
+			next = in.A
+		case OpJeq:
+			if regs[in.A&rmask] == regs[in.B&rmask] {
+				next = in.C
+			}
+		case OpJne:
+			if regs[in.A&rmask] != regs[in.B&rmask] {
+				next = in.C
+			}
+		case OpJlt:
+			if regs[in.A&rmask] < regs[in.B&rmask] {
+				next = in.C
+			}
+		case OpJle:
+			if regs[in.A&rmask] <= regs[in.B&rmask] {
+				next = in.C
+			}
+		case OpJgt:
+			if regs[in.A&rmask] > regs[in.B&rmask] {
+				next = in.C
+			}
+		case OpJge:
+			if regs[in.A&rmask] >= regs[in.B&rmask] {
+				next = in.C
+			}
+		case OpCall:
+			if uint64(sp) >= uint64(len(stack)) {
+				return StatusFaulted, v.trap(pc, sp, steps, in.Op, "stack overflow on call")
+			}
+			stack[sp] = next
+			sp++
+			next = in.A
+		case OpRet:
+			if sp <= 0 {
+				return StatusFaulted, v.trap(pc, sp, steps, in.Op, "stack underflow on return")
+			}
+			sp--
+			next = stack[sp]
+			if uint64(next) >= uint64(len(text)) {
+				return StatusFaulted, v.trap(pc, sp, steps, in.Op, "return to %d outside text", next)
+			}
+		case OpRand:
+			// xorshift64*: part of checkpointed state, so resumed runs
+			// continue the identical sequence.
+			v.rng ^= v.rng >> 12
+			v.rng ^= v.rng << 25
+			v.rng ^= v.rng >> 27
+			regs[in.A&rmask] = int64((v.rng * 0x2545f4914f6cdd1d) >> 1)
+		case OpSys:
+			v.pc, v.sp, v.steps = pc, sp, steps
+			if err := v.syscall(in.A); err != nil {
+				return v.status, err // faulted, or still running after a host error
+			}
+		default:
+			return StatusFaulted, v.trap(pc, sp, steps, in.Op, "invalid opcode")
 		}
-		if v.status != StatusRunning {
-			return v.status, nil
-		}
+		pc = next
 	}
-	return StatusRunning, nil
-}
-
-func (v *VM) step() error {
-	if v.pc < 0 || v.pc >= int64(len(v.prog.Text)) {
-		return v.faultf(OpNop, "pc %d outside text [0,%d)", v.pc, len(v.prog.Text))
-	}
-	in := v.prog.Text[v.pc]
-	v.steps++
-	next := v.pc + 1
-	switch in.Op {
-	case OpNop:
-	case OpHalt:
-		v.status = StatusHalted
-		v.exit = in.A
-	case OpMovi:
-		v.regs[in.A] = in.B
-	case OpMov:
-		v.regs[in.A] = v.regs[in.B]
-	case OpLd:
-		addr := v.regs[in.B] + in.C
-		if addr < 0 || addr >= int64(len(v.mem)) {
-			return v.faultf(in.Op, "load address %d outside static [0,%d)", addr, len(v.mem))
-		}
-		v.regs[in.A] = v.mem[addr]
-	case OpSt:
-		addr := v.regs[in.A] + in.C
-		if addr < 0 || addr >= int64(len(v.mem)) {
-			return v.faultf(in.Op, "store address %d outside static [0,%d)", addr, len(v.mem))
-		}
-		v.mem[addr] = v.regs[in.B]
-	case OpPush:
-		if v.sp >= int64(len(v.stack)) {
-			return v.faultf(in.Op, "stack overflow (capacity %d words)", len(v.stack))
-		}
-		v.stack[v.sp] = v.regs[in.A]
-		v.sp++
-	case OpPop:
-		if v.sp <= 0 {
-			return v.faultf(in.Op, "stack underflow")
-		}
-		v.sp--
-		v.regs[in.A] = v.stack[v.sp]
-	case OpAdd:
-		v.regs[in.A] = v.regs[in.B] + v.regs[in.C]
-	case OpSub:
-		v.regs[in.A] = v.regs[in.B] - v.regs[in.C]
-	case OpMul:
-		v.regs[in.A] = v.regs[in.B] * v.regs[in.C]
-	case OpDiv:
-		if v.regs[in.C] == 0 {
-			return v.faultf(in.Op, "division by zero")
-		}
-		v.regs[in.A] = v.regs[in.B] / v.regs[in.C]
-	case OpMod:
-		if v.regs[in.C] == 0 {
-			return v.faultf(in.Op, "modulo by zero")
-		}
-		v.regs[in.A] = v.regs[in.B] % v.regs[in.C]
-	case OpAddi:
-		v.regs[in.A] = v.regs[in.B] + in.C
-	case OpMuli:
-		v.regs[in.A] = v.regs[in.B] * in.C
-	case OpAnd:
-		v.regs[in.A] = v.regs[in.B] & v.regs[in.C]
-	case OpOr:
-		v.regs[in.A] = v.regs[in.B] | v.regs[in.C]
-	case OpXor:
-		v.regs[in.A] = v.regs[in.B] ^ v.regs[in.C]
-	case OpShl:
-		v.regs[in.A] = v.regs[in.B] << uint64(v.regs[in.C]&63)
-	case OpShr:
-		v.regs[in.A] = int64(uint64(v.regs[in.B]) >> uint64(v.regs[in.C]&63))
-	case OpJmp:
-		next = in.A
-	case OpJeq:
-		if v.regs[in.A] == v.regs[in.B] {
-			next = in.C
-		}
-	case OpJne:
-		if v.regs[in.A] != v.regs[in.B] {
-			next = in.C
-		}
-	case OpJlt:
-		if v.regs[in.A] < v.regs[in.B] {
-			next = in.C
-		}
-	case OpJle:
-		if v.regs[in.A] <= v.regs[in.B] {
-			next = in.C
-		}
-	case OpJgt:
-		if v.regs[in.A] > v.regs[in.B] {
-			next = in.C
-		}
-	case OpJge:
-		if v.regs[in.A] >= v.regs[in.B] {
-			next = in.C
-		}
-	case OpCall:
-		if v.sp >= int64(len(v.stack)) {
-			return v.faultf(in.Op, "stack overflow on call")
-		}
-		v.stack[v.sp] = next
-		v.sp++
-		next = in.A
-	case OpRet:
-		if v.sp <= 0 {
-			return v.faultf(in.Op, "stack underflow on return")
-		}
-		v.sp--
-		next = v.stack[v.sp]
-		if next < 0 || next >= int64(len(v.prog.Text)) {
-			return v.faultf(in.Op, "return to %d outside text", next)
-		}
-	case OpRand:
-		// xorshift64*: part of checkpointed state, so resumed runs
-		// continue the identical sequence.
-		v.rng ^= v.rng >> 12
-		v.rng ^= v.rng << 25
-		v.rng ^= v.rng >> 27
-		v.regs[in.A] = int64((v.rng * 0x2545f4914f6cdd1d) >> 1)
-	case OpSys:
-		if err := v.syscall(in.A); err != nil {
-			return err
-		}
-	default:
-		return v.faultf(in.Op, "invalid opcode")
-	}
-	if v.status == StatusRunning {
-		v.pc = next
-	}
-	return nil
+	v.pc, v.sp, v.steps = pc, sp, steps
+	return v.status, nil
 }
 
 func (v *VM) setSysResult(ret, errno int64) {
@@ -385,28 +388,30 @@ func (v *VM) setSysResult(ret, errno int64) {
 // here; the actual file operations happen in the handler (the shadow).
 func (v *VM) syscall(num int64) error {
 	v.sysCnt++
+	var err error
 	switch num {
 	case SysOpen:
-		return v.sysOpen()
+		err = v.sysOpen()
 	case SysClose:
-		return v.sysClose()
+		err = v.sysClose()
 	case SysRead:
-		return v.sysRead()
+		err = v.sysRead()
 	case SysWrite, SysPrint:
-		return v.sysWrite(num)
+		err = v.sysWrite(num)
 	case SysSeek:
-		return v.sysSeek()
+		err = v.sysSeek()
 	case SysTime:
-		reply, err := v.handler.Syscall(SyscallRequest{Num: SysTime})
-		if err != nil {
-			v.sysCnt-- // not delivered; safe to retry after migration
-			return err
+		var reply SyscallReply
+		if reply, err = v.handler.Syscall(SyscallRequest{Num: SysTime}); err == nil {
+			v.setSysResult(reply.Ret, reply.Errno)
 		}
-		v.setSysResult(reply.Ret, reply.Errno)
-		return nil
 	default:
-		return v.faultf(OpSys, "unknown syscall %d", num)
+		err = v.faultf(OpSys, "unknown syscall %d", num)
 	}
+	if err != nil && v.status == StatusRunning {
+		v.sysCnt-- // a host error: not delivered, so safe to retry after migration
+	}
+	return err
 }
 
 // readString decodes a guest string stored one byte per word.
@@ -414,7 +419,7 @@ func (v *VM) readString(addr, n int64) (string, error) {
 	if n < 0 || n > 4096 {
 		return "", v.faultf(OpSys, "string length %d invalid", n)
 	}
-	if addr < 0 || addr+n > int64(len(v.mem)) {
+	if addr < 0 || n > int64(len(v.mem))-addr {
 		return "", v.faultf(OpSys, "string [%d,%d) outside static memory", addr, addr+n)
 	}
 	b := make([]byte, n)
@@ -440,7 +445,6 @@ func (v *VM) sysOpen() error {
 		Name: name,
 	})
 	if err != nil {
-		v.sysCnt--
 		return err
 	}
 	if reply.Errno != ErrnoNone {
@@ -471,7 +475,6 @@ func (v *VM) sysClose() error {
 		Name: f.Name,
 	})
 	if err != nil {
-		v.sysCnt--
 		return err
 	}
 	delete(v.files, fd)
@@ -486,7 +489,7 @@ func (v *VM) sysRead() error {
 		v.setSysResult(-1, ErrnoBadFD)
 		return nil
 	}
-	if n < 0 || addr < 0 || addr+n > int64(len(v.mem)) {
+	if n < 0 || addr < 0 || n > int64(len(v.mem))-addr {
 		return v.faultf(OpSys, "read buffer [%d,%d) outside static memory", addr, addr+n)
 	}
 	reply, err := v.handler.Syscall(SyscallRequest{
@@ -495,7 +498,6 @@ func (v *VM) sysRead() error {
 		Name: f.Name,
 	})
 	if err != nil {
-		v.sysCnt--
 		return err
 	}
 	if reply.Errno != ErrnoNone {
@@ -533,7 +535,7 @@ func (v *VM) sysWrite(num int64) error {
 			return nil
 		}
 	}
-	if n < 0 || addr < 0 || addr+n > int64(len(v.mem)) {
+	if n < 0 || addr < 0 || n > int64(len(v.mem))-addr {
 		return v.faultf(OpSys, "write buffer [%d,%d) outside static memory", addr, addr+n)
 	}
 	data := make([]byte, n)
@@ -547,7 +549,6 @@ func (v *VM) sysWrite(num int64) error {
 	}
 	reply, err := v.handler.Syscall(req)
 	if err != nil {
-		v.sysCnt--
 		return err
 	}
 	if reply.Errno != ErrnoNone {
@@ -574,7 +575,6 @@ func (v *VM) sysSeek() error {
 		Name: f.Name,
 	})
 	if err != nil {
-		v.sysCnt--
 		return err
 	}
 	if reply.Errno == ErrnoNone && reply.Ret >= 0 {

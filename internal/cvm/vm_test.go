@@ -2,6 +2,7 @@ package cvm
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -387,11 +388,16 @@ func TestRandomProgramsNeverPanic(t *testing.T) {
 	for trial := 0; trial < 3000; trial++ {
 		textLen := 1 + r.Intn(20)
 		text := make([]Instr, textLen)
+		memLen := int64(r.Intn(8) + r.Intn(8))
 		field := func() int64 {
 			// Mostly plausible values (registers / nearby targets), with a
-			// tail of wild ones so invalid programs also appear.
-			if r.Intn(10) == 0 {
+			// tail of wild ones so invalid programs also appear, and the
+			// extremes a bounds check can overflow on.
+			switch r.Intn(20) {
+			case 0, 1:
 				return int64(r.Intn(4000) - 2000)
+			case 2:
+				return []int64{math.MinInt64, math.MaxInt64, math.MaxInt64 - 1, memLen, -memLen}[r.Intn(5)]
 			}
 			return int64(r.Intn(textLen + NumRegs))
 		}
@@ -406,8 +412,8 @@ func TestRandomProgramsNeverPanic(t *testing.T) {
 		prog := &Program{
 			Name:   "fuzz",
 			Text:   text,
-			Data:   make([]int64, r.Intn(8)),
-			BssLen: r.Intn(8),
+			Data:   make([]int64, memLen/2),
+			BssLen: int(memLen - memLen/2),
 			Entry:  r.Intn(textLen),
 		}
 		if prog.Validate() != nil {
@@ -589,5 +595,48 @@ func TestSyscallHandlerFuncAdapter(t *testing.T) {
 	rep, err := h.Syscall(SyscallRequest{Num: SysTime})
 	if err != nil || rep.Ret != 7 || !called {
 		t.Fatalf("adapter broken: %+v %v", rep, err)
+	}
+}
+
+// TestSyscallBufferBoundsDoNotOverflow: a guest buffer whose end
+// overflows int64 (address near MaxInt64, small length) faults like any
+// other buffer outside static memory. Checked as addr+n it wrapped
+// negative, passed, and the copy panicked in the executor.
+func TestSyscallBufferBoundsDoNotOverflow(t *testing.T) {
+	const setup = `
+.data
+name: .str "f"
+.text
+start:
+    MOVI r0, name
+    MOVI r1, 1
+    MOVI r2, %s
+    SYS  open
+    MOVI r1, 9223372036854775806
+    MOVI r2, 8
+`
+	for _, tc := range []struct {
+		name, src, reason string
+	}{
+		{"print", ".text\nstart:\n MOVI r0, 9223372036854775806\n MOVI r1, 8\n SYS print\n HALT 0\n", "write buffer"},
+		{"open name", ".text\nstart:\n MOVI r0, 9223372036854775806\n MOVI r1, 8\n MOVI r2, 1\n SYS open\n HALT 0\n", "string"},
+		{"read", strings.Replace(setup, "%s", "1", 1) + " SYS read\n HALT 0\n", "read buffer"},
+		{"write", strings.Replace(setup, "%s", "2", 1) + " SYS write\n HALT 0\n", "write buffer"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			host := NewMemHost()
+			host.SetFile("f", []byte("0123456789"))
+			v := newVM(t, MustAssemble(tc.name, tc.src), host)
+			defer func() {
+				if rec := recover(); rec != nil {
+					t.Fatalf("vm panicked: %v", rec)
+				}
+			}()
+			st, err := v.Run(100)
+			if st != StatusFaulted || err == nil || !strings.Contains(v.Fault().Reason, tc.reason+" [") ||
+				!strings.Contains(v.Fault().Reason, "outside static memory") {
+				t.Fatalf("status %v, err %v; want a %q fault", st, err, tc.reason)
+			}
+		})
 	}
 }
