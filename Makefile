@@ -19,8 +19,9 @@ GO ?= go
 # a buffer grown per chunk, fails here), and guest instruction
 # throughput on a spin loop and on ckpt-migrate's memory fold (root
 # package too), journal appends, coordinator cycles, tracing, and the
-# decision audit ring (record is lock-free and the nil-builder path 0
-# allocs/op).
+# decision audit ring (a sampled span goes into internal/ring by value
+# and a recorded audit by pointer, both 0 allocs/op, and so is the
+# nil-builder path).
 BASELINE_BENCH = 'BenchmarkTelemetryObserve$$|BenchmarkTelemetryCounter$$|BenchmarkFrameRoundTrip$$|BenchmarkSyscallRoundTrip$$|BenchmarkPlaceSequential$$|BenchmarkCheckpointPerMB$$|BenchmarkCheckpointSmallCompressed$$|BenchmarkCheckpointIncompressible$$|BenchmarkVMExecution$$|BenchmarkVMFold$$|BenchmarkJournalAppend|BenchmarkCycle100$$|BenchmarkCycle1000$$|BenchmarkPipelineCycle100$$|BenchmarkPipelineCycle1000$$|BenchmarkPipelineCycleAudited1000$$|BenchmarkTraceSpan$$|BenchmarkTraceSampledOut$$|BenchmarkTraceparentParse$$|BenchmarkAccountingSyscall$$|BenchmarkAccountingSyscallParallel$$|BenchmarkLedgerSnapshot$$|BenchmarkHealthObserve$$|BenchmarkBusPublish$$|BenchmarkBusPublishSubscribed$$|BenchmarkDecisionRecord$$|BenchmarkBuilderNil$$'
 BASELINE_PKGS = . ./internal/telemetry/ ./internal/wire/ ./internal/journal/ ./internal/coordinator/ ./internal/trace/ ./internal/accounting/ ./internal/decision/
 

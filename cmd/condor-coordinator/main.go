@@ -34,7 +34,7 @@ func main() {
 		history = flag.Bool("history-placement", false,
 			"prefer machines with long availability history (§5.1)")
 		policyName = flag.String("policy", "",
-			"scheduling policy ("+strings.Join(livePolicies(), ", ")+"; empty = journaled policy or updown)")
+			"scheduling policy ("+strings.Join(policy.Names(), ", ")+"; empty = journaled policy or updown)")
 		rpcTimeout = flag.Duration("rpc-timeout", 0,
 			"end-to-end bound on one station RPC (0 = dial timeout + 10s)")
 		stateDir = flag.String("state-dir", "",
@@ -48,18 +48,6 @@ func main() {
 	if err := run(*listen, *poll, *grants, *history, *policyName, *rpcTimeout, *stateDir, *snapshotEvery, *httpAddr); err != nil {
 		log.Fatal(err)
 	}
-}
-
-// livePolicies lists the registered policies a live pool can run:
-// every one that ranks only by fields a poll reply carries.
-func livePolicies() []string {
-	var out []string
-	for _, name := range policy.Names() {
-		if policy.MustNew(name).SimulatedOnly() == "" {
-			out = append(out, name)
-		}
-	}
-	return out
 }
 
 func run(listen string, poll time.Duration, grants int, history bool, policyName string,

@@ -1,9 +1,10 @@
 package accounting
 
 import (
-	"sort"
 	"sync"
 	"time"
+
+	"condor/internal/ring"
 )
 
 // DefaultSamplerCapacity is the per-series ring size when NewSampler is
@@ -17,54 +18,17 @@ type Point struct {
 	V         float64 `json:"v"`
 }
 
-// ring is a fixed-capacity circular buffer of points.
-type ring struct {
-	pts  []Point
-	next int
-	full bool
-}
-
-func (r *ring) push(p Point) {
-	if len(r.pts) == 0 {
-		return
-	}
-	r.pts[r.next] = p
-	r.next++
-	if r.next == len(r.pts) {
-		r.next = 0
-		r.full = true
-	}
-}
-
-// history returns the retained points, oldest first.
-func (r *ring) history() []Point {
-	if !r.full {
-		return append([]Point(nil), r.pts[:r.next]...)
-	}
-	out := make([]Point, 0, len(r.pts))
-	out = append(out, r.pts[r.next:]...)
-	out = append(out, r.pts[:r.next]...)
-	return out
-}
-
-// Sampler retains bounded history for named gauges, so quantities that
+// Sampler retains bounded history for named series, so quantities that
 // /metrics can only show instantaneously (station-state counts, up-down
-// indexes) get a trajectory — the shape of the paper's Figure 5
-// utilization profile. Series are fixed rings: pushing is O(1) and
-// memory is capacity × series, regardless of uptime.
-//
-// Values arrive either pushed (Observe — the coordinator pushes once per
-// poll cycle, keeping samples aligned with decisions) or pulled from
-// registered sources on a timer (Gauge + Start).
+// indexes, the dashboard's aggregates) get a trajectory — the shape of
+// the paper's Figure 5 utilization profile. Each series is a fixed ring:
+// pushing is O(1) and memory is capacity × series, regardless of uptime.
+// Values are pushed by their owner (the coordinator once per poll
+// cycle, keeping samples aligned with decisions).
 type Sampler struct {
-	mu      sync.Mutex
-	cap     int
-	series  map[string]*ring
-	sources map[string]func() float64
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
+	mu     sync.Mutex
+	cap    int
+	series map[string]*ring.Ring[Point]
 }
 
 // NewSampler returns a sampler whose series each retain the last
@@ -73,135 +37,49 @@ func NewSampler(capacity int) *Sampler {
 	if capacity <= 0 {
 		capacity = DefaultSamplerCapacity
 	}
-	return &Sampler{
-		cap:     capacity,
-		series:  make(map[string]*ring),
-		sources: make(map[string]func() float64),
-	}
+	return &Sampler{cap: capacity, series: make(map[string]*ring.Ring[Point])}
 }
 
 // Observe pushes one sample onto the named series, creating it on first
 // use.
 func (s *Sampler) Observe(name string, t time.Time, v float64) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.observeLocked(name, t, v)
-}
-
-func (s *Sampler) observeLocked(name string, t time.Time, v float64) {
 	r, ok := s.series[name]
 	if !ok {
-		r = &ring{pts: make([]Point, s.cap)}
+		r = ring.New[Point](s.cap)
 		s.series[name] = r
 	}
-	r.push(Point{UnixMilli: t.UnixMilli(), V: v})
-}
-
-// Gauge registers a pull source sampled by SampleNow / the Start loop.
-// Re-registering a name replaces the source.
-func (s *Sampler) Gauge(name string, src func() float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sources[name] = src
-}
-
-// SampleNow reads every registered source once, stamping t.
-func (s *Sampler) SampleNow(t time.Time) {
-	s.mu.Lock()
-	names := make([]string, 0, len(s.sources))
-	for name := range s.sources {
-		names = append(names, name)
-	}
-	srcs := make([]func() float64, len(names))
-	for i, name := range names {
-		srcs[i] = s.sources[name]
-	}
 	s.mu.Unlock()
-	// Sources run outside the lock: they may take other locks (a source
-	// reading coordinator state must not order lock acquisition through
-	// the sampler).
-	vals := make([]float64, len(srcs))
-	for i, src := range srcs {
-		vals[i] = src()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, name := range names {
-		s.observeLocked(name, t, vals[i])
-	}
+	r.Push(Point{UnixMilli: t.UnixMilli(), V: v})
 }
 
-// Start samples all registered sources every interval until Stop.
-// Calling Start twice is a no-op after the first.
-func (s *Sampler) Start(interval time.Duration) {
+// Last returns the newest n points of one series, oldest first (all of
+// them when n < 0; nil when the series is unknown).
+func (s *Sampler) Last(name string, n int) []Point {
 	s.mu.Lock()
-	if s.stop != nil {
-		s.mu.Unlock()
-		return
-	}
-	s.stop = make(chan struct{})
-	s.done = make(chan struct{})
-	stop, done := s.stop, s.done
-	s.mu.Unlock()
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case now := <-ticker.C:
-				s.SampleNow(now)
-			}
-		}
-	}()
-}
-
-// Stop ends the Start loop (no-op if never started).
-func (s *Sampler) Stop() {
-	s.mu.Lock()
-	stop, done := s.stop, s.done
-	s.mu.Unlock()
-	if stop == nil {
-		return
-	}
-	s.stopOnce.Do(func() { close(stop) })
-	<-done
-}
-
-// History returns one series, oldest point first (nil when unknown).
-func (s *Sampler) History(name string) []Point {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	r, ok := s.series[name]
+	s.mu.Unlock()
 	if !ok {
 		return nil
 	}
-	return r.history()
+	return r.Last(n)
 }
 
-// Histories returns every non-empty series, oldest point first.
+// Histories returns every series, oldest point first.
 func (s *Sampler) Histories() map[string][]Point {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make(map[string][]Point, len(s.series))
 	for name, r := range s.series {
-		if h := r.history(); len(h) > 0 {
-			out[name] = h
-		}
+		out[name] = r.Snapshot()
 	}
 	return out
 }
 
-// SeriesNames returns the known series names, sorted.
-func (s *Sampler) SeriesNames() []string {
+// Forget drops one series, so a name observed again starts a fresh
+// trajectory.
+func (s *Sampler) Forget(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.series))
-	for name := range s.series {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
+	delete(s.series, name)
 }

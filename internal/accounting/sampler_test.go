@@ -11,7 +11,7 @@ func TestSamplerRingBounded(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.Observe("x", base.Add(time.Duration(i)*time.Second), float64(i))
 	}
-	h := s.History("x")
+	h := s.Last("x", -1)
 	if len(h) != 4 {
 		t.Fatalf("history len = %d, want capacity 4", len(h))
 	}
@@ -30,50 +30,17 @@ func TestSamplerPartialRing(t *testing.T) {
 	s := NewSampler(8)
 	s.Observe("y", time.UnixMilli(1), 1)
 	s.Observe("y", time.UnixMilli(2), 2)
-	if h := s.History("y"); len(h) != 2 || h[0].V != 1 || h[1].V != 2 {
+	if h := s.Last("y", -1); len(h) != 2 || h[0].V != 1 || h[1].V != 2 {
 		t.Errorf("partial history = %v", h)
 	}
-	if h := s.History("unknown"); h != nil {
+	if h := s.Last("y", 1); len(h) != 1 || h[0].V != 2 {
+		t.Errorf("newest point = %v", h)
+	}
+	s.Forget("y")
+	if h := s.Last("y", -1); h != nil {
+		t.Errorf("forgotten series = %v, want nil", h)
+	}
+	if h := s.Last("unknown", -1); h != nil {
 		t.Errorf("unknown series = %v, want nil", h)
 	}
-}
-
-func TestSamplerSources(t *testing.T) {
-	s := NewSampler(16)
-	n := 0.0
-	s.Gauge("counter", func() float64 { n++; return n })
-	s.SampleNow(time.UnixMilli(10))
-	s.SampleNow(time.UnixMilli(20))
-	h := s.History("counter")
-	if len(h) != 2 || h[0].V != 1 || h[1].V != 2 {
-		t.Errorf("source history = %v", h)
-	}
-	all := s.Histories()
-	if len(all) != 1 || len(all["counter"]) != 2 {
-		t.Errorf("Histories = %v", all)
-	}
-	if names := s.SeriesNames(); len(names) != 1 || names[0] != "counter" {
-		t.Errorf("SeriesNames = %v", names)
-	}
-}
-
-func TestSamplerStartStop(t *testing.T) {
-	s := NewSampler(64)
-	s.Gauge("tick", func() float64 { return 1 })
-	s.Start(time.Millisecond)
-	s.Start(time.Millisecond) // second Start is a no-op
-	deadline := time.Now().Add(2 * time.Second)
-	for len(s.History("tick")) == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	s.Stop()
-	if len(s.History("tick")) == 0 {
-		t.Fatal("Start loop never sampled")
-	}
-	n := len(s.History("tick"))
-	time.Sleep(5 * time.Millisecond)
-	if got := len(s.History("tick")); got != n {
-		t.Errorf("sampling continued after Stop: %d -> %d", n, got)
-	}
-	s.Stop() // idempotent
 }

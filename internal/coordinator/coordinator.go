@@ -317,22 +317,14 @@ func (c *Coordinator) PolicyName() string { return c.pipeline.Name() }
 // previous incarnation's journaled name, then the default. A journaled
 // name this binary does not know (downgrade, corruption) degrades to
 // the default and is counted as a journal error rather than refusing
-// to start. A policy that ranks by a StationView field only the
-// simulator fills is refused the same way: live it would silently
-// schedule as some other policy. When the resolved policy differs from
-// the journaled one, the change is journaled so the next restart keeps
-// it.
+// to start. When the resolved policy differs from the journaled one,
+// the change is journaled so the next restart keeps it.
 func (c *Coordinator) resolvePolicy(journaled string) error {
 	name := c.cfg.Policy.Name
 	if name == "" {
 		name = journaled
 	}
 	pol, err := policy.New(name)
-	if err == nil && pol.SimulatedOnly() != "" {
-		err = fmt.Errorf("coordinator: policy %q ranks by StationView.%s, which station poll replies do not carry, "+
-			"so a live pool would silently fall back to its base order; it runs only under condor-sim",
-			name, pol.SimulatedOnly())
-	}
 	if err != nil {
 		if c.cfg.Policy.Name != "" {
 			return err
@@ -447,7 +439,7 @@ func (c *Coordinator) Stations() []proto.StationInfo {
 			RunningJobs:   held[s.name],
 			ForeignJob:    s.lastReply.ForeignJob,
 			ScheduleIndex: c.table.Index(s.name),
-			IndexHistory:  c.table.History(s.name),
+			IndexHistory:  c.indexHistory(s.name),
 			LastPoll:      s.lastPoll,
 			DiskFreeBytes: s.lastReply.DiskFreeBytes,
 			Health:        s.health.state,
@@ -462,6 +454,29 @@ func (c *Coordinator) Stations() []proto.StationInfo {
 		out = append(out, info)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
+
+// indexHistoryLen is how many of a station's newest schedule-index
+// samples StationInfo carries (condor-status draws them as a sparkline).
+const indexHistoryLen = 32
+
+// indexSeries names a station's schedule-index trajectory in the
+// ledger's sampler: one point per cycle that updated the index, seeded
+// by a journal restore and forgotten when the station is unregistered.
+func indexSeries(station string) string { return "index/" + station }
+
+// indexHistory is the newest indexHistoryLen points of a station's
+// index series, oldest first (nil before its first sample).
+func (c *Coordinator) indexHistory(station string) []float64 {
+	pts := c.led.Sampler().Last(indexSeries(station), indexHistoryLen)
+	if len(pts) == 0 {
+		return nil
+	}
+	out := make([]float64, len(pts))
+	for i, p := range pts {
+		out[i] = p.V
+	}
 	return out
 }
 
@@ -801,7 +816,7 @@ func (c *Coordinator) sample(r round) {
 		sam.Observe("util/suspended", r.at, frac(proto.StationSuspended))
 	}
 	for name, idx := range r.updated {
-		sam.Observe("index/"+name, r.at, idx)
+		sam.Observe(indexSeries(name), r.at, idx)
 	}
 	// Periodic snapshot: every SnapshotEvery cycles, or early when the
 	// log has outgrown its compaction threshold.
@@ -926,9 +941,9 @@ func (c *Coordinator) grant(r round, gi int, g policy.Grant, incarnation uint64)
 	c.mu.Unlock()
 }
 
-// publish records the finished audit. The ring write is lock-free and
-// bounded; the summary rides the eventlog (only for cycles that did
-// something, so idle cycles don't drown job history) and the bus.
+// publish records the finished audit into the bounded decisions ring;
+// the summary rides the eventlog (only for cycles that did something,
+// so idle cycles don't drown job history) and the bus.
 func (c *Coordinator) publish(r round, start time.Time) {
 	audit := r.aud.Done()
 	c.cfg.Decisions.Record(audit)

@@ -98,7 +98,9 @@ func TestPollUpdatesPoolTable(t *testing.T) {
 	if _, err := p.stations["ws1"].Submit("a", cvm.SumProgram(10), 0); err != nil {
 		t.Fatal(err)
 	}
-	p.coord.Cycle()
+	for i := 0; i < indexHistoryLen+3; i++ {
+		p.coord.Cycle()
+	}
 	var ws1, ws2 proto.StationInfo
 	for _, s := range p.coord.Stations() {
 		switch s.Name {
@@ -114,9 +116,11 @@ func TestPollUpdatesPoolTable(t *testing.T) {
 	if ws2.State != proto.StationOwner {
 		t.Fatalf("ws2 = %+v", ws2)
 	}
-	// Denied demand must have lowered ws1's Up-Down index.
-	if p.coord.Index("ws1") >= 0 {
-		t.Fatalf("ws1 index = %v, want negative after denied demand", p.coord.Index("ws1"))
+	// Denied demand lowers ws1's Up-Down index by one per cycle, and the
+	// pool table carries the newest indexHistoryLen values of it.
+	if h := ws1.IndexHistory; len(h) != indexHistoryLen || h[0] != -4 || h[len(h)-1] != p.coord.Index("ws1") {
+		t.Fatalf("ws1 index history = %v, want %d points from -4 to the current index %v",
+			h, indexHistoryLen, p.coord.Index("ws1"))
 	}
 }
 
@@ -268,6 +272,9 @@ func TestCoordinatorSurvivesStationDeath(t *testing.T) {
 	}
 	if p.coord.Stats().PollFails == 0 {
 		t.Fatal("poll failures not counted")
+	}
+	if h := p.coord.led.Sampler().Last(indexSeries("ws2"), -1); h != nil {
+		t.Fatalf("unregistered station kept its index series %v", h)
 	}
 }
 

@@ -83,6 +83,10 @@ func TestCrashRecoveryRestoresScheduleAndReservations(t *testing.T) {
 		if s.Name == "ws2" && s.ReservedFor != "ws1" {
 			t.Fatalf("ws2 reservation lost across crash: %+v", s)
 		}
+		// The restored index seeds a fresh one-point trajectory.
+		if h := s.IndexHistory; len(h) != 1 || math.Abs(h[0]-pre[s.Name]) > 1e-9 {
+			t.Fatalf("%s index history after restart = %v, want [%v]", s.Name, h, pre[s.Name])
+		}
 	}
 	// The restored reservation is enforced, not just displayed.
 	if _, err := coord2.Reserve("ws2", "ws3", time.Minute); err == nil {

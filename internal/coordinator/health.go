@@ -329,6 +329,7 @@ func (c *Coordinator) removeStationLocked(s *station, reason string, now time.Ti
 	c.rememberRemovedLocked(s.name, now)
 	mStations.Set(int64(len(c.stations)))
 	c.table.Remove(s.name)
+	c.led.Sampler().Forget(indexSeries(s.name))
 	c.appendJournalLocked(persistRecord{Kind: recUnregister, Name: s.name})
 	c.events.Append(eventlog.Event{Kind: eventlog.KindDead, Station: s.name, Detail: reason})
 	return s.addr

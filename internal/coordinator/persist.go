@@ -350,6 +350,11 @@ func (c *Coordinator) openJournal() error {
 		c.stations[name] = s
 	}
 	c.table.Restore(st.Indexes)
+	// A restored index starts a fresh trajectory: pre-crash samples are
+	// not part of the journal.
+	for name := range st.Indexes {
+		c.led.Sampler().Observe(indexSeries(name), now, c.table.Index(name))
+	}
 	c.led.RestoreAlloc(st.Alloc)
 	for name, r := range st.Reservations {
 		c.reservations[name] = reservation{

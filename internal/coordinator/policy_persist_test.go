@@ -72,22 +72,12 @@ func TestPolicyNameUnknownFailsStartup(t *testing.T) {
 	}
 }
 
-// TestSimulatedOnlyPolicyRefused: backfill ranks by
-// StationView.ShortestJob, which no poll reply carries, so a live
-// coordinator asked for it must say so at startup instead of quietly
-// scheduling as Up-Down. A state directory that names it (written by a
-// binary that still accepted it) degrades to the default like any other
-// journaled name this binary cannot run.
+// TestSimulatedOnlyPolicyRefused: backfill, the one policy that ranked
+// by a field only the simulator filled, is gone. A state directory
+// naming it (written by a binary that still had it) degrades to the
+// default like any unknown journaled name, instead of failing startup.
 func TestSimulatedOnlyPolicyRefused(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{StateDir: dir, PollInterval: time.Hour, DialTimeout: time.Second}
-	cfg.Policy.Name = "backfill"
-	_, err := New(cfg)
-	if err == nil || !strings.Contains(err.Error(), "backfill") || !strings.Contains(err.Error(), "ShortestJob") {
-		t.Fatalf("backfill on a live coordinator: err = %v, want a refusal naming the policy and the field", err)
-	}
-
-	cfg.Policy.Name = ""
+	cfg := Config{StateDir: t.TempDir(), PollInterval: time.Hour, DialTimeout: time.Second}
 	c1, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -152,6 +152,17 @@ func (h *OSHost) read(req SyscallRequest) SyscallReply {
 	if off < 0 || n < 0 {
 		return SyscallReply{Ret: -1, Errno: ErrnoInval}
 	}
+	// n comes off the wire: allocate only what the file holds past off,
+	// as MemHost does, so a hostile count cannot panic or exhaust the
+	// shadow.
+	fi, err := f.Stat()
+	if err != nil {
+		return SyscallReply{Ret: -1, Errno: ErrnoIO}
+	}
+	if off >= fi.Size() {
+		return SyscallReply{Ret: 0} // EOF
+	}
+	n = min(n, fi.Size()-off)
 	buf := make([]byte, n)
 	got, err := f.ReadAt(buf, off)
 	if err != nil && err != io.EOF {

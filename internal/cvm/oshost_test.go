@@ -194,3 +194,22 @@ func TestOSHostTimeAdvances(t *testing.T) {
 		t.Fatalf("time = %+v err %v", rep, err)
 	}
 }
+
+// TestOSHostReadClampsCount: the read count arrives from the exec side,
+// so a huge one must yield the file's bytes, not a panic or an
+// allocation of that size.
+func TestOSHostReadClampsCount(t *testing.T) {
+	h := newOSHost(t)
+	if err := os.WriteFile(filepath.Join(h.Root(), "f"), []byte("0123456789"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		off  int64
+		want string
+	}{{4, "456789"}, {10, ""}, {1 << 40, ""}} {
+		rep, err := h.Syscall(SyscallRequest{Num: SysRead, Args: [4]int64{3, tc.off, 1 << 62, 0}, Name: "f"})
+		if err != nil || rep.Errno != ErrnoNone || rep.Ret != int64(len(tc.want)) || string(rep.Data) != tc.want {
+			t.Fatalf("read at %d = %+v err %v, want %q", tc.off, rep, err, tc.want)
+		}
+	}
+}

@@ -12,9 +12,9 @@
 //     *Builder; every Builder method is nil-receiver safe and the
 //     pipeline only assembles audit values behind a nil check, so a nil
 //     builder costs one branch per site and zero allocations.
-//  2. Recording is a lock-free bounded ring of atomic pointers to
-//     immutable CycleAudits. Writers never block; under overflow the
-//     oldest cycles are overwritten and counted, never the newest.
+//  2. Recording is a bounded ring (internal/ring) of pointers to
+//     immutable CycleAudits. Under overflow the oldest cycles are
+//     overwritten and counted, never the newest.
 //  3. One audit is built by one goroutine (the coordinator's cycle or
 //     the simulator's poll loop) and becomes immutable at Done; only
 //     then is it published, so readers never observe a torn audit.
@@ -22,9 +22,9 @@ package decision
 
 import (
 	"sort"
-	"sync/atomic"
 	"time"
 
+	"condor/internal/ring"
 	"condor/internal/telemetry"
 )
 
@@ -299,14 +299,10 @@ var (
 		"Old cycle audits overwritten by ring wraparound before being scraped.")
 )
 
-// Recorder is a lock-free bounded ring of finished cycle audits —
-// internal/trace's span ring, holding whole cycles. Writers claim a
-// slot with one atomic add and publish with one pointer swap; readers
-// snapshot without blocking writers.
+// Recorder is a bounded ring of finished cycle audits —
+// internal/trace's span recorder, holding whole cycles.
 type Recorder struct {
-	slots   []atomic.Pointer[CycleAudit]
-	next    atomic.Uint64
-	dropped atomic.Uint64
+	audits *ring.Ring[*CycleAudit]
 }
 
 // DefaultCapacity is the cycle capacity of the package-level Default
@@ -319,10 +315,7 @@ var Default = NewRecorder(DefaultCapacity)
 
 // NewRecorder creates a recorder retaining up to capacity cycles.
 func NewRecorder(capacity int) *Recorder {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Recorder{slots: make([]atomic.Pointer[CycleAudit], capacity)}
+	return &Recorder{audits: ring.New[*CycleAudit](max(capacity, 1))}
 }
 
 // Record publishes a finished audit (nil is a no-op, so callers can
@@ -331,31 +324,27 @@ func (r *Recorder) Record(a *CycleAudit) {
 	if r == nil || a == nil {
 		return
 	}
-	i := r.next.Add(1) - 1
-	if prev := r.slots[i%uint64(len(r.slots))].Swap(a); prev != nil {
-		r.dropped.Add(1)
+	if r.audits.Push(a) {
 		mAuditsDropped.Inc()
 	}
 	mAuditsRecorded.Inc()
 }
 
 // Total returns how many audits have ever been recorded.
-func (r *Recorder) Total() uint64 { return r.next.Load() }
+func (r *Recorder) Total() uint64 { return r.audits.Total() }
 
 // Dropped returns how many audits were overwritten before being read.
-func (r *Recorder) Dropped() uint64 { return r.dropped.Load() }
+func (r *Recorder) Dropped() uint64 { return r.audits.Dropped() }
 
-// Snapshot copies the retained audits, oldest cycle first. Point-in-time
-// read: concurrent writers may swap slots mid-scan, yielding a mix of
-// old and new cycles but never a torn audit.
+// Snapshot copies the retained audits, oldest cycle first (recorders
+// shared by several coordinators, as in tests, interleave cycles).
 func (r *Recorder) Snapshot() []CycleAudit {
-	out := make([]CycleAudit, 0, len(r.slots))
-	for i := range r.slots {
-		if a := r.slots[i].Load(); a != nil {
-			out = append(out, *a)
-		}
+	held := r.audits.Snapshot()
+	out := make([]CycleAudit, len(held))
+	for i, a := range held {
+		out[i] = *a
 	}
-	sort.Slice(out, func(i, j int) bool {
+	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Cycle != out[j].Cycle {
 			return out[i].Cycle < out[j].Cycle
 		}

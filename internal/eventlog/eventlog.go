@@ -8,8 +8,9 @@ package eventlog
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
+
+	"condor/internal/ring"
 )
 
 // Kind classifies an event.
@@ -92,10 +93,7 @@ func (e Event) String() string {
 // Log is a fixed-capacity ring of events. The zero value is unusable;
 // call New. Log is safe for concurrent use.
 type Log struct {
-	mu     sync.Mutex
-	buf    []Event
-	next   int
-	total  uint64
+	events *ring.Ring[Event]
 	notify func(Event)
 }
 
@@ -108,7 +106,7 @@ func New(capacity int) *Log {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Log{buf: make([]Event, 0, capacity)}
+	return &Log{events: ring.New[Event](capacity)}
 }
 
 // SetNotify installs a hook observing every subsequently appended
@@ -125,45 +123,23 @@ func (l *Log) Append(e Event) {
 	if e.At.IsZero() {
 		e.At = time.Now()
 	}
-	l.mu.Lock()
-	l.total++
-	if len(l.buf) < cap(l.buf) {
-		l.buf = append(l.buf, e)
-	} else {
-		l.buf[l.next] = e
-		l.next = (l.next + 1) % cap(l.buf)
-	}
-	notify := l.notify
-	l.mu.Unlock()
-	if notify != nil {
-		notify(e)
+	l.events.Push(e)
+	if l.notify != nil {
+		l.notify(e)
 	}
 }
 
 // Recent returns up to n of the most recent events, oldest first. n <= 0
 // returns everything retained.
 func (l *Log) Recent(n int) []Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	ordered := make([]Event, 0, len(l.buf))
-	if len(l.buf) < cap(l.buf) {
-		ordered = append(ordered, l.buf...)
-	} else {
-		ordered = append(ordered, l.buf[l.next:]...)
-		ordered = append(ordered, l.buf[:l.next]...)
+	if n <= 0 {
+		return l.events.Snapshot()
 	}
-	if n > 0 && len(ordered) > n {
-		ordered = ordered[len(ordered)-n:]
-	}
-	return ordered
+	return l.events.Last(n)
 }
 
 // Total returns the number of events ever appended (including evicted).
-func (l *Log) Total() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.total
-}
+func (l *Log) Total() uint64 { return l.events.Total() }
 
 // Query is the history lookup every daemon serves: the events stitched
 // to traceID when it is set, else jobID's trail when that is set, else

@@ -178,11 +178,11 @@ func TestConformanceAllPolicies(t *testing.T) {
 	}
 }
 
-// TestConformanceRegistry: the registry carries at least the four
+// TestConformanceRegistry: the registry carries at least the three
 // shipped policies, resolves the empty name to updown, and rejects
 // unknown names with a helpful error.
 func TestConformanceRegistry(t *testing.T) {
-	want := []string{"backfill", "busiest-first", "fifo", "updown"}
+	want := []string{"busiest-first", "fifo", "updown"}
 	got := Names()
 	for _, w := range want {
 		found := false

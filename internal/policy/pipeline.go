@@ -3,8 +3,7 @@
 //	Predicates  filter which machines may serve (idle, disk, health,
 //	            reservation match) — the same chain for every policy.
 //	Ranker      orders the requesting stations best-first (Up-Down,
-//	            FIFO, busiest-first, backfill). The one stage a policy
-//	            chooses.
+//	            FIFO, busiest-first). The one stage a policy chooses.
 //	Placement   orders the admitted machines best-first, selected by
 //	            Config.Placement (first-fit, availability-history).
 //	Preemption  the paper's §2.4 rule: evict the worst holder the best
@@ -71,20 +70,13 @@ type Ranker interface {
 
 // Policy is a named Ranker behind the standard predicate chain.
 type Policy struct {
-	name    string
-	Ranker  Ranker
-	simOnly string
-	met     *policyMetrics
+	name   string
+	Ranker Ranker
+	met    *policyMetrics
 }
 
 // Name returns the registry name the policy was built under.
 func (p *Policy) Name() string { return p.name }
-
-// SimulatedOnly names the StationView field the policy ranks by that
-// only the simulator fills, or "" when the policy schedules a live pool
-// exactly as it schedules a simulated one. The coordinator refuses a
-// simulated-only policy at startup rather than run it blind.
-func (p *Policy) SimulatedOnly() string { return p.simOnly }
 
 // admitIdx runs the predicate chain and returns the index of the first
 // rejecting predicate, or -1 when every predicate admits — so the audit
@@ -281,10 +273,6 @@ func auditRank(requesters []string, pool *Pool, table *updown.Table, aud *decisi
 		e.Features = append(e.Features,
 			decision.Feature{Key: "waiting", Value: strconv.Itoa(m.WaitingJobs)},
 			decision.Feature{Key: "held", Value: strconv.Itoa(m.HeldMachines)})
-		if m.ShortestJob > 0 {
-			e.Features = append(e.Features,
-				decision.Feature{Key: "shortest-job", Value: m.ShortestJob.String()})
-		}
 		aud.Requester(e)
 	}
 }

@@ -3,14 +3,9 @@ package policy
 
 import (
 	"sort"
-	"time"
 
 	"condor/internal/updown"
 )
-
-// DefaultBackfillWindow bounds how long a job may run and still jump
-// the queue under the backfill policy.
-const DefaultBackfillWindow = 30 * time.Minute
 
 // UpDownRanker ranks by the Up-Down table alone — the paper's §2.4
 // ordering and the seed algorithm's ranking stage.
@@ -139,38 +134,5 @@ func (BusiestRanker) Better(a, b string, pool *Pool, table *updown.Table, _ *Con
 	if wa != wb {
 		return wa > wb
 	}
-	return table.Better(a, b)
-}
-
-// BackfillRanker keeps the Up-Down order but, behind the head of the
-// queue, promotes stations whose shortest waiting job fits in the
-// backfill window. They cannot delay the head: per-station pacing (§4)
-// caps the head at one grant per cycle regardless, so letting short
-// work jump the rest of the line raises utilization without starving
-// anyone. Preemption rights (Better) stay the Up-Down priority —
-// jumping the grant queue must not buy eviction power.
-type BackfillRanker struct{}
-
-// Rank implements Ranker.
-func (BackfillRanker) Rank(wanting []string, pool *Pool, table *updown.Table, _ *Config) []string {
-	ranked := table.Rank(wanting)
-	if len(ranked) <= 2 {
-		return ranked
-	}
-	out := make([]string, 0, len(ranked))
-	out = append(out, ranked[0])
-	long := make([]string, 0, len(ranked)-1)
-	for _, name := range ranked[1:] {
-		if sj := pool.byName[name].ShortestJob; sj > 0 && sj <= DefaultBackfillWindow {
-			out = append(out, name)
-		} else {
-			long = append(long, name)
-		}
-	}
-	return append(out, long...)
-}
-
-// Better implements Ranker.
-func (BackfillRanker) Better(a, b string, _ *Pool, table *updown.Table, _ *Config) bool {
 	return table.Better(a, b)
 }

@@ -58,11 +58,6 @@ type StationView struct {
 	// every station it could reach; zero means ungraded (the simulator,
 	// old fixtures), which every stage treats as eligible.
 	Health proto.StationHealth
-	// ShortestJob is the remaining length of the shortest waiting job,
-	// if known. The backfill policy promotes stations whose shortest
-	// job fits inside the backfill window; zero means unknown. Only the
-	// simulator fills it: poll replies do not carry queue contents.
-	ShortestJob time.Duration
 }
 
 // PlacementStrategy selects which idle machine to hand out first.

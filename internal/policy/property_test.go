@@ -41,14 +41,10 @@ func randomPool(r *rand.Rand) ([]StationView, *updown.Table) {
 		if r.Intn(4) == 0 {
 			v.ReservedFor = names[r.Intn(n)]
 		}
-		// Pipeline-stage inputs: disk pressure, graded health, queue
-		// shape for backfill. Zero values stay common so the seed paths
-		// keep getting exercised too.
+		// Pipeline-stage inputs: disk pressure and graded health. Zero
+		// values stay common so the seed paths keep getting exercised too.
 		v.DiskFree = int64(r.Intn(4)) * 512
 		v.Health = proto.StationHealth(r.Intn(5)) // 0 = ungraded
-		if v.WaitingJobs > 0 {
-			v.ShortestJob = time.Duration(r.Intn(5)) * 20 * time.Minute
-		}
 		v.IdleStreak = time.Duration(r.Intn(120)) * time.Minute
 		v.AvgIdleLen = time.Duration(r.Intn(600)) * time.Minute
 		// Random index history.

@@ -13,21 +13,15 @@ const DefaultPolicy = "updown"
 // paper's §2.4 algorithm and the default, decision-identical to the seed
 // Decide (the golden fixtures prove it); the rest span the policy space
 // *A Taxonomy of Schedulers* surveys: arrival order (fifo, the A3
-// ablation), queue pressure (busiest-first) and short-job promotion
-// (backfill). All must pass the shared conformance suite
-// (conformance_test.go).
-var registry = map[string]struct {
-	// ranker builds a fresh Ranker for each Policy instance: FIFO's
-	// arrival table is per-instance state.
-	ranker func() Ranker
-	// simOnly names the StationView field the ranker reads that live
-	// poll replies do not carry.
-	simOnly string
-}{
-	"updown":        {ranker: func() Ranker { return UpDownRanker{} }},
-	"fifo":          {ranker: func() Ranker { return newFIFORanker(fifoMaxEntries) }},
-	"busiest-first": {ranker: func() Ranker { return BusiestRanker{} }},
-	"backfill":      {ranker: func() Ranker { return BackfillRanker{} }, simOnly: "ShortestJob"},
+// ablation) and queue pressure (busiest-first). Every one ranks only by
+// fields a live poll reply carries, so each runs live exactly as it
+// runs in simulation, and all must pass the shared conformance suite
+// (conformance_test.go). Each entry builds a fresh Ranker per Policy
+// instance: FIFO's arrival table is per-instance state.
+var registry = map[string]func() Ranker{
+	"updown":        func() Ranker { return UpDownRanker{} },
+	"fifo":          func() Ranker { return newFIFORanker(fifoMaxEntries) },
+	"busiest-first": func() Ranker { return BusiestRanker{} },
 }
 
 // Names lists the registered policies, sorted.
@@ -47,11 +41,11 @@ func New(name string) (*Policy, error) {
 	if name == "" {
 		name = DefaultPolicy
 	}
-	entry, ok := registry[name]
+	ranker, ok := registry[name]
 	if !ok {
 		return nil, fmt.Errorf("policy: unknown policy %q (registered: %v)", name, Names())
 	}
-	return &Policy{name: name, Ranker: entry.ranker(), simOnly: entry.simOnly, met: newPolicyMetrics(name)}, nil
+	return &Policy{name: name, Ranker: ranker(), met: newPolicyMetrics(name)}, nil
 }
 
 // MustNew is New for callers whose name is statically known.

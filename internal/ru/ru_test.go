@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"condor/internal/accounting"
 	"condor/internal/ckpt"
 	"condor/internal/cvm"
 	"condor/internal/machine"
@@ -182,6 +183,17 @@ func waitDone(t *testing.T, rec *recorder, timeout time.Duration) proto.JobDoneM
 	return proto.JobDoneMsg{}
 }
 
+// jobSyscalls is how many forwarded syscalls the job's shadows have
+// served, from its accounting.Default meter.
+func jobSyscalls(jobID string) uint64 {
+	for _, row := range accounting.Default.Snapshot().Jobs {
+		if row.JobID == jobID {
+			return row.Syscalls
+		}
+	}
+	return 0
+}
+
 func TestRemoteExecutionEndToEnd(t *testing.T) {
 	s := newSite(t, StarterConfig{})
 	host := cvm.NewMemHost()
@@ -194,8 +206,7 @@ func TestRemoteExecutionEndToEnd(t *testing.T) {
 	if got := strings.TrimSpace(host.Stdout()); got != "500500" {
 		t.Fatalf("remote stdout (via shadow) = %q", got)
 	}
-	stats := sh.Stats()
-	if stats.Syscalls == 0 {
+	if jobSyscalls(sh.JobID()) == 0 {
 		t.Fatal("shadow saw no syscalls; output must have flowed through it")
 	}
 	st := s.starter.Stats()

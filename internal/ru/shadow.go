@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"condor/internal/accounting"
@@ -39,15 +38,6 @@ type Events interface {
 	JobLost(jobID string, err error)
 }
 
-// ShadowStats counts the local capacity a shadow spent supporting remote
-// execution — the denominator of the paper's leverage metric.
-type ShadowStats struct {
-	Syscalls        uint64
-	SyscallBytes    int64
-	CheckpointsIn   uint64
-	CheckpointBytes int64
-}
-
 // Shadow is the submit-side surrogate of one remotely executing job.
 type Shadow struct {
 	jobID   string
@@ -57,11 +47,6 @@ type Shadow struct {
 	// meter charges home-side support time (syscall service, checkpoint
 	// ingest) to the job — the denominator of the leverage metric.
 	meter *accounting.Meter
-
-	syscalls  atomic.Uint64
-	sysBytes  atomic.Int64
-	ckptsIn   atomic.Uint64
-	ckptBytes atomic.Int64
 
 	released chan struct{} // closed when the link is handed back
 	closed   chan struct{} // closed when watch has ended
@@ -184,16 +169,6 @@ func Place(
 // JobID returns the job this shadow serves.
 func (s *Shadow) JobID() string { return s.jobID }
 
-// Stats returns the local-support counters.
-func (s *Shadow) Stats() ShadowStats {
-	return ShadowStats{
-		Syscalls:        s.syscalls.Load(),
-		SyscallBytes:    s.sysBytes.Load(),
-		CheckpointsIn:   s.ckptsIn.Load(),
-		CheckpointBytes: s.ckptBytes.Load(),
-	}
-}
-
 // Close tears the job's link down (used when removing a job), unless the
 // shadow has already handed it back: by then the link may carry another
 // job.
@@ -237,8 +212,6 @@ func (s *Shadow) handBack() {
 func (s *Shadow) handle(ctx context.Context, msg any) (any, error) {
 	switch m := msg.(type) {
 	case proto.SyscallMsg:
-		s.syscalls.Add(1)
-		s.sysBytes.Add(int64(len(m.Req.Data)))
 		sp := trace.StartChildIfSampled(trace.FromContext(ctx), "shadow-syscall")
 		sp.SetJob(s.jobID)
 		start := time.Now()
@@ -250,7 +223,6 @@ func (s *Shadow) handle(ctx context.Context, msg any) (any, error) {
 			s.meter.Syscall(len(m.Req.Data), elapsed)
 			return nil, err
 		}
-		s.sysBytes.Add(int64(len(rep.Data)))
 		s.meter.Syscall(len(m.Req.Data)+len(rep.Data), elapsed)
 		return proto.SyscallReplyMsg{Rep: rep}, nil
 	case proto.JobDoneMsg:
@@ -261,16 +233,12 @@ func (s *Shadow) handle(ctx context.Context, msg any) (any, error) {
 		sp.Finish()
 		return proto.Ack{}, nil
 	case proto.JobVacatedMsg:
-		s.ckptsIn.Add(1)
-		s.ckptBytes.Add(int64(len(m.Checkpoint)))
 		s.handBack()
 		start := time.Now()
 		s.events.JobVacated(m)
 		s.meter.Support(time.Since(start)) // checkpoint ingest + requeue
 		return proto.Ack{}, nil
 	case proto.JobCheckpointMsg:
-		s.ckptsIn.Add(1)
-		s.ckptBytes.Add(int64(len(m.Checkpoint)))
 		start := time.Now()
 		s.events.JobCheckpointed(m)
 		s.meter.Support(time.Since(start)) // checkpoint ingest

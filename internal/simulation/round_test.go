@@ -61,13 +61,10 @@ func TestRoundSameLiveAndSimulated(t *testing.T) {
 			if !reflect.DeepEqual(simIdx, liveIdx) {
 				t.Errorf("post-round indexes differ:\n sim  %v\n live %v", simIdx, liveIdx)
 			}
-			// Cycle number, timestamp and the simulator-only shortest-job
-			// feature are substrate bookkeeping, not the decision.
+			// Cycle number and timestamp are substrate bookkeeping, not
+			// the decision.
 			for _, a := range []*decision.CycleAudit{&simAudit, &liveAudit} {
 				a.Cycle, a.At = 0, time.Time{}
-				for i := range a.Requesters {
-					a.Requesters[i].Features = nil
-				}
 			}
 			if !reflect.DeepEqual(simAudit, liveAudit) {
 				t.Errorf("decision audits differ:\n sim  %+v\n live %+v", simAudit, liveAudit)

@@ -516,7 +516,6 @@ func (s *simulator) pollCycle(now time.Time) {
 		}
 		if u, ok := s.byHome[m.name]; ok {
 			v.WaitingJobs = len(u.queue)
-			v.ShortestJob = shortestQueued(u.queue)
 		}
 		views = append(views, v)
 	}
@@ -550,18 +549,6 @@ func (s *simulator) pollCycle(now time.Time) {
 		}
 	}
 	s.cfg.Audit.Record(aud.Done())
-}
-
-// shortestQueued is the remaining length of the shortest waiting job,
-// feeding the backfill policy's window test; 0 = empty queue.
-func shortestQueued(queue []*simJob) time.Duration {
-	var min time.Duration
-	for _, j := range queue {
-		if j.remaining > 0 && (min == 0 || j.remaining < min) {
-			min = j.remaining
-		}
-	}
-	return min
 }
 
 // crash takes the machine down: the resident job loses all progress

@@ -16,9 +16,10 @@
 //     8-byte span IDs, carried on the wire as a standard `traceparent`
 //     string ("00-<32 hex>-<16 hex>-<2 hex flags>") in the wire
 //     envelope's Trace field, empty when the caller is not traced.
-//  3. Recording is a lock-free bounded ring of atomic pointers. Writers
-//     never block or allocate beyond the one span copy; under overflow
-//     the oldest spans are overwritten and counted, never the newest.
+//  3. Recording is a bounded ring of span values (internal/ring).
+//     Writers take its lock for one copy and never allocate; under
+//     overflow the oldest spans are overwritten and counted, never the
+//     newest.
 //
 // Sampling policy: rare, high-value events (submit, grant, place,
 // preempt, vacate, checkpoint, fault, complete) are always sampled; only
@@ -31,9 +32,9 @@ import (
 	"encoding/hex"
 	"math/rand/v2"
 	"sort"
-	"sync/atomic"
 	"time"
 
+	"condor/internal/ring"
 	"condor/internal/telemetry"
 )
 
@@ -208,7 +209,7 @@ type Attr struct {
 }
 
 // Span is one finished operation in a trace. Spans are immutable once
-// recorded; the recorder stores pointers to private copies.
+// recorded; the recorder stores them by value.
 type Span struct {
 	TraceID TraceID
 	SpanID  SpanID
@@ -232,14 +233,10 @@ var (
 		"Old spans overwritten by ring-buffer wraparound before being scraped.")
 )
 
-// Recorder is a lock-free bounded ring of finished spans. Writers claim
-// a slot with one atomic add and publish with one pointer swap; readers
-// snapshot without blocking writers. When the ring wraps, the oldest
-// span is overwritten and counted as dropped.
+// Recorder is a bounded ring of finished spans. When the ring wraps,
+// the oldest span is overwritten and counted as dropped.
 type Recorder struct {
-	slots   []atomic.Pointer[Span]
-	next    atomic.Uint64
-	dropped atomic.Uint64
+	spans *ring.Ring[Span]
 }
 
 // DefaultCapacity is the span capacity of the package-level Default
@@ -252,17 +249,12 @@ var Default = NewRecorder(DefaultCapacity)
 
 // NewRecorder creates a recorder holding up to capacity spans.
 func NewRecorder(capacity int) *Recorder {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Recorder{slots: make([]atomic.Pointer[Span], capacity)}
+	return &Recorder{spans: ring.New[Span](max(capacity, 1))}
 }
 
-// record publishes a finished span copy into the ring.
-func (r *Recorder) record(sp *Span) {
-	i := r.next.Add(1) - 1
-	if prev := r.slots[i%uint64(len(r.slots))].Swap(sp); prev != nil {
-		r.dropped.Add(1)
+// record publishes a finished span into the ring.
+func (r *Recorder) record(sp Span) {
+	if r.spans.Push(sp) {
 		mSpansDropped.Inc()
 	}
 	mSpansRecorded.Inc()
@@ -275,31 +267,23 @@ func (r *Recorder) Record(sp Span) {
 	if !sp.TraceID.IsValid() || !sp.SpanID.IsValid() {
 		return
 	}
-	c := sp
-	r.record(&c)
+	r.record(sp)
 }
 
 // Record stores sp in the Default recorder.
 func Record(sp Span) { Default.Record(sp) }
 
 // Total returns how many spans have ever been recorded.
-func (r *Recorder) Total() uint64 { return r.next.Load() }
+func (r *Recorder) Total() uint64 { return r.spans.Total() }
 
 // Dropped returns how many spans were overwritten before being read.
-func (r *Recorder) Dropped() uint64 { return r.dropped.Load() }
+func (r *Recorder) Dropped() uint64 { return r.spans.Dropped() }
 
 // Snapshot copies the currently retained spans, oldest first by start
-// time. It is a point-in-time read: concurrent writers may replace slots
-// mid-scan, which yields a mix of old and new spans but never a torn
-// span (slots hold immutable copies behind atomic pointers).
+// time (the ring holds them in finish order).
 func (r *Recorder) Snapshot() []Span {
-	out := make([]Span, 0, len(r.slots))
-	for i := range r.slots {
-		if sp := r.slots[i].Load(); sp != nil {
-			out = append(out, *sp)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })
+	out := r.spans.Snapshot()
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })
 	return out
 }
 
@@ -361,8 +345,7 @@ func (a *ActiveSpan) Finish() {
 		return
 	}
 	a.span.End = time.Now()
-	sp := a.span
-	a.rec.record(&sp)
+	a.rec.record(a.span)
 	a.rec = nil
 }
 

@@ -31,14 +31,11 @@ type Config struct {
 	// MaxAbs clamps the index magnitude so no station can bank unbounded
 	// priority or debt.
 	MaxAbs float64
-	// HistoryLen bounds the per-station index history retained for
-	// observability (0 means the default; negative disables history).
-	HistoryLen int
 }
 
 // DefaultConfig mirrors the paper's behaviour at poll-cycle granularity.
 func DefaultConfig() Config {
-	return Config{UpRate: 1.0, DownRate: 1.0, DecayRate: 0.5, MaxAbs: 10_000, HistoryLen: 32}
+	return Config{UpRate: 1.0, DownRate: 1.0, DecayRate: 0.5, MaxAbs: 10_000}
 }
 
 // sanitize resolves a written Config; NewTable is its only caller, so
@@ -63,41 +60,6 @@ func (c *Config) sanitize() {
 	if c.MaxAbs <= 0 {
 		c.MaxAbs = def.MaxAbs
 	}
-	if c.HistoryLen == 0 {
-		c.HistoryLen = def.HistoryLen
-	}
-	if c.HistoryLen < 0 {
-		c.HistoryLen = 0
-	}
-}
-
-// histRing is one station's bounded index history.
-type histRing struct {
-	vals []float64
-	next int
-	full bool
-}
-
-func (r *histRing) push(v float64) {
-	if len(r.vals) == 0 {
-		return
-	}
-	r.vals[r.next] = v
-	r.next++
-	if r.next == len(r.vals) {
-		r.next = 0
-		r.full = true
-	}
-}
-
-func (r *histRing) history() []float64 {
-	if !r.full {
-		return append([]float64(nil), r.vals[:r.next]...)
-	}
-	out := make([]float64, 0, len(r.vals))
-	out = append(out, r.vals[r.next:]...)
-	out = append(out, r.vals[:r.next]...)
-	return out
 }
 
 // Table holds the schedule indexes. It is safe for concurrent use.
@@ -108,9 +70,6 @@ type Table struct {
 	// arrival tracks registration order for deterministic tie-breaks.
 	arrival map[string]int
 	nextArr int
-	// history retains each station's recent index trajectory (one point
-	// per Update/Restore), bounded by Config.HistoryLen.
-	history map[string]*histRing
 }
 
 // NewTable returns an empty index table.
@@ -120,21 +79,7 @@ func NewTable(cfg Config) *Table {
 		cfg:     cfg,
 		indexes: make(map[string]float64),
 		arrival: make(map[string]int),
-		history: make(map[string]*histRing),
 	}
-}
-
-// recordLocked appends the station's current index to its history.
-func (t *Table) recordLocked(name string, idx float64) {
-	if t.cfg.HistoryLen <= 0 {
-		return
-	}
-	r, ok := t.history[name]
-	if !ok {
-		r = &histRing{vals: make([]float64, t.cfg.HistoryLen)}
-		t.history[name] = r
-	}
-	r.push(idx)
 }
 
 // Touch registers a station (index starts at zero, per the paper).
@@ -184,32 +129,6 @@ func (t *Table) Update(name string, held int, wanting bool) {
 		idx = -t.cfg.MaxAbs
 	}
 	t.indexes[name] = idx
-	t.recordLocked(name, idx)
-}
-
-// History returns a station's recent index trajectory, oldest first
-// (nil when unknown or history is disabled).
-func (t *Table) History(name string) []float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	r, ok := t.history[name]
-	if !ok {
-		return nil
-	}
-	return r.history()
-}
-
-// Histories returns every station's retained trajectory, oldest first.
-func (t *Table) Histories() map[string][]float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[string][]float64, len(t.history))
-	for name, r := range t.history {
-		if h := r.history(); len(h) > 0 {
-			out[name] = h
-		}
-	}
-	return out
 }
 
 // Index returns a station's current schedule index (zero if unknown).
@@ -282,19 +201,13 @@ func (t *Table) Restore(indexes map[string]float64) {
 			idx = -t.cfg.MaxAbs
 		}
 		t.indexes[name] = idx
-		// The restored value seeds a fresh trajectory: pre-crash history
-		// is not part of the snapshot, and stale points from a removed
-		// station must not survive its re-registration.
-		delete(t.history, name)
-		t.recordLocked(name, idx)
 	}
 }
 
-// Remove forgets a station entirely, its history included.
+// Remove forgets a station entirely.
 func (t *Table) Remove(name string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	delete(t.indexes, name)
 	delete(t.arrival, name)
-	delete(t.history, name)
 }

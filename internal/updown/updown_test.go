@@ -179,8 +179,8 @@ func TestConfigSanitize(t *testing.T) {
 	}{
 		{Config{}, def},
 		{Config{DownRate: 7},
-			Config{UpRate: def.UpRate, DownRate: 7, MaxAbs: def.MaxAbs, HistoryLen: def.HistoryLen}},
-		{Config{UpRate: -1, DecayRate: -1, HistoryLen: -1},
+			Config{UpRate: def.UpRate, DownRate: 7, MaxAbs: def.MaxAbs}},
+		{Config{UpRate: -1, DecayRate: -1},
 			Config{UpRate: def.UpRate, DownRate: def.DownRate, MaxAbs: def.MaxAbs}},
 	} {
 		got := tc.in
@@ -205,65 +205,5 @@ func TestIndexIsAlwaysFinite(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestHistoryBounded(t *testing.T) {
-	tb := NewTable(Config{HistoryLen: 4})
-	for i := 0; i < 10; i++ {
-		tb.Update("ws", 1, false) // +1 per cycle
-	}
-	h := tb.History("ws")
-	if len(h) != 4 {
-		t.Fatalf("history len = %d, want 4", len(h))
-	}
-	for i, v := range h {
-		if want := float64(7 + i); v != want {
-			t.Errorf("h[%d] = %v, want %v (oldest first)", i, v, want)
-		}
-	}
-	if tb.History("unknown") != nil {
-		t.Error("unknown station should have nil history")
-	}
-}
-
-func TestHistoryDisabled(t *testing.T) {
-	tb := NewTable(Config{HistoryLen: -1})
-	tb.Update("ws", 1, false)
-	if h := tb.History("ws"); h != nil {
-		t.Errorf("history disabled but got %v", h)
-	}
-}
-
-func TestHistoryRestoreAndRemove(t *testing.T) {
-	tb := NewTable(Config{HistoryLen: 8})
-	tb.Update("a", 2, false)
-	tb.Update("a", 2, false)
-	tb.Update("b", 0, true)
-
-	// Remove drops the trajectory with the station.
-	tb.Remove("b")
-	if h := tb.History("b"); h != nil {
-		t.Fatalf("removed station kept history %v", h)
-	}
-
-	// Restore seeds a fresh one-point trajectory from the snapshot value,
-	// discarding pre-restore points (they are not part of the snapshot).
-	tb.Restore(map[string]float64{"a": 5, "b": -3})
-	if h := tb.History("a"); len(h) != 1 || h[0] != 5 {
-		t.Errorf("restored history a = %v, want [5]", h)
-	}
-	if h := tb.History("b"); len(h) != 1 || h[0] != -3 {
-		t.Errorf("restored history b = %v, want [-3]", h)
-	}
-
-	// Updates after a restore extend the seeded trajectory.
-	tb.Update("a", 1, false)
-	if h := tb.History("a"); len(h) != 2 || h[1] != 6 {
-		t.Errorf("post-restore history a = %v, want [5 6]", h)
-	}
-	all := tb.Histories()
-	if len(all) != 2 || len(all["a"]) != 2 {
-		t.Errorf("Histories = %v", all)
 	}
 }

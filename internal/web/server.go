@@ -33,7 +33,7 @@ type Server struct {
 	cfg    Config
 	client *Client
 	alerts *Alerts
-	series *SeriesSet
+	series *accounting.Sampler
 	mux    *http.ServeMux
 
 	mu         sync.RWMutex
@@ -78,6 +78,10 @@ type Config struct {
 	Scrapes []string
 }
 
+// seriesCapacity is the sparkline length: at the default 2-second
+// refresh, 20 minutes of history per chart.
+const seriesCapacity = 600
+
 // historyLimit caps /api/events responses and a station's event trail.
 const historyLimit = 200
 
@@ -100,7 +104,7 @@ type Overview struct {
 	// entry).
 	Daemons []DaemonHealth `json:"daemons,omitempty"`
 	// Series is the sparkline history, oldest point first.
-	Series map[string][]Point `json:"series"`
+	Series map[string][]accounting.Point `json:"series"`
 	// LastError is the most recent aggregation failure ("" when the last
 	// refresh succeeded).
 	LastError string `json:"lastError,omitempty"`
@@ -188,7 +192,7 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg:        cfg,
 		client:     NewClient(cfg.CoordinatorAddr),
 		alerts:     NewAlerts(cfg.Rules, telemetry.Events),
-		series:     NewSeriesSet(DefaultSeriesCapacity),
+		series:     accounting.NewSampler(seriesCapacity),
 		lastFields: map[string]float64{},
 		lastDecide: map[string]decideTotals{},
 		done:       make(chan struct{}),
@@ -472,7 +476,7 @@ func (s *Server) handleOverview(w http.ResponseWriter, _ *http.Request) {
 	s.mu.RLock()
 	ov := s.overview
 	s.mu.RUnlock()
-	ov.Series = s.series.Snapshot()
+	ov.Series = s.series.Histories()
 	writeJSON(w, ov)
 }
 

@@ -123,38 +123,6 @@ func TestAlertsMissingFieldIsZero(t *testing.T) {
 	}
 }
 
-func TestRingEvictsOldest(t *testing.T) {
-	r := NewRing(3)
-	t0 := time.Now()
-	for i := 0; i < 5; i++ {
-		r.Observe(t0.Add(time.Duration(i)*time.Second), float64(i))
-	}
-	pts := r.Snapshot()
-	if len(pts) != 3 {
-		t.Fatalf("len = %d, want 3", len(pts))
-	}
-	for i, want := range []float64{2, 3, 4} {
-		if pts[i].V != want {
-			t.Fatalf("pts[%d].V = %g, want %g (oldest first)", i, pts[i].V, want)
-		}
-	}
-}
-
-func TestSeriesSet(t *testing.T) {
-	s := NewSeriesSet(4)
-	now := time.Now()
-	s.Observe("b", now, 1)
-	s.Observe("a", now, 2)
-	names := s.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("Names = %v", names)
-	}
-	snap := s.Snapshot()
-	if len(snap["a"]) != 1 || snap["a"][0].V != 2 {
-		t.Fatalf("snapshot = %v", snap)
-	}
-}
-
 func TestHTTPURL(t *testing.T) {
 	for _, tc := range []struct{ base, path, want string }{
 		{"127.0.0.1:9100", "/metrics", "http://127.0.0.1:9100/metrics"},
