@@ -37,9 +37,11 @@ build:
 	$(GO) build ./...
 
 # Static gate: go vet, a gofmt diff check that fails on any unformatted
-# file (gofmt -l lists but exits 0, so test the output), and a check that
-# no package or test links encoding/gob: every byte the system writes
-# goes through internal/codec.
+# file (gofmt -l lists but exits 0, so test the output), a check that
+# no package or test links encoding/gob (every byte the system writes
+# goes through internal/codec), and a check that no non-test package
+# but internal/telemetry (the daemons' -http listener) and internal/web
+# (condor-web) imports net/http: tools read the daemons over the wire.
 lint: vet
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -47,6 +49,12 @@ lint: vet
 	fi
 	@if $(GO) list -deps -test ./... | grep -qx encoding/gob; then \
 		echo "encoding/gob is linked; encode with internal/codec instead"; exit 1; \
+	fi
+	@http=$$($(GO) list -f '{{.ImportPath}} {{.Imports}}' ./... | grep -w 'net/http' | \
+		grep -v '^condor/internal/telemetry \|^condor/internal/web '); \
+	if [ -n "$$http" ]; then \
+		echo "net/http imported outside internal/telemetry and internal/web; query the daemons over the wire:"; \
+		echo "$$http" | cut -d' ' -f1; exit 1; \
 	fi
 
 vet:
@@ -117,9 +125,9 @@ bench-drift:
 # checkpoint decoder and the stores' PutBlob behind it, a guest program
 # run in checkpointed slices against the same program run once (the
 # interpreter's exits and the codec under it), journal replay,
-# the coordinator's journal record and snapshot decoders, the /metrics
-# text parser (condor-web and condor-status scrape peers), the
-# traceparent parser and the submitted program decoder.
+# the coordinator's journal record and snapshot decoders, the
+# traceparent parser, the submitted program decoder and the assembler
+# (a SubmitRequest carries source).
 # Hostile length prefixes, truncated or corrupted input and garbage must
 # never panic or over-allocate. CI runs this on every push.
 fuzz:
@@ -129,9 +137,9 @@ fuzz:
 	$(GO) test -run NONE -fuzz '^FuzzRunSlices$$' -fuzztime 20s ./internal/ckpt/
 	$(GO) test -run NONE -fuzz '^FuzzReplay$$' -fuzztime 20s ./internal/journal/
 	$(GO) test -run NONE -fuzz '^FuzzRebuildState$$' -fuzztime 20s ./internal/coordinator/
-	$(GO) test -run NONE -fuzz '^FuzzParseText$$' -fuzztime 20s ./internal/telemetry/
 	$(GO) test -run NONE -fuzz '^FuzzParseTraceparent$$' -fuzztime 20s ./internal/trace/
 	$(GO) test -run NONE -fuzz '^FuzzDecodeProgram$$' -fuzztime 20s ./internal/proto/
+	$(GO) test -run NONE -fuzz '^FuzzAssemble$$' -fuzztime 20s ./internal/cvm/
 
 sim:
 	$(GO) run ./cmd/condor-sim

@@ -2,9 +2,7 @@ package condor
 
 import (
 	"context"
-	"io"
 	"math"
-	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -15,7 +13,6 @@ import (
 	"condor/internal/proto"
 	"condor/internal/ru"
 	"condor/internal/schedd"
-	"condor/internal/telemetry"
 	"condor/internal/wire"
 )
 
@@ -96,27 +93,29 @@ func TestAccountingEndToEnd(t *testing.T) {
 		}
 	}
 
-	// The same view serves over HTTP the way the daemons' -http flag
-	// exposes it.
-	srv, err := telemetry.Serve("127.0.0.1:0", telemetry.Default)
+	// The same view answers an AccountingRequest the way condor-report
+	// reads it.
+	peer, err := wire.Dial(p.CoordinatorAddr(), 5*time.Second, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	resp, err := http.Get("http://" + srv.Addr() + "/accounting")
+	defer peer.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	reply, err := peer.Call(ctx, proto.AccountingRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/accounting status = %s", resp.Status)
+	ar, ok := reply.(proto.AccountingReply)
+	if !ok {
+		t.Fatalf("unexpected reply %T", reply)
 	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
+	found := false
+	for _, u := range ar.Process.Users {
+		found = found || u.Name == owner
 	}
-	if !strings.Contains(string(body), `"process"`) || !strings.Contains(string(body), owner) {
-		t.Errorf("/accounting body missing process section or %s:\n%s", owner, body)
+	if !found {
+		t.Errorf("AccountingReply process section missing %s: %+v", owner, ar.Process.Users)
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"syscall"
 	"time"
 
-	"condor/internal/accounting"
 	"condor/internal/coordinator"
 	"condor/internal/policy"
 	"condor/internal/telemetry"
@@ -42,7 +41,7 @@ func main() {
 		snapshotEvery = flag.Int("snapshot-every", 0,
 			"cycles between journal snapshots (0 = default 16; only with -state-dir)")
 		httpAddr = flag.String("http", "",
-			"serve /metrics, /healthz and /debug/pprof on this address (empty = disabled)")
+			"serve /metrics, /healthz, /events and /debug/pprof on this address (empty = disabled)")
 	)
 	flag.Parse()
 	if err := run(*listen, *poll, *grants, *history, *policyName, *rpcTimeout, *stateDir, *snapshotEvery, *httpAddr); err != nil {
@@ -70,18 +69,13 @@ func run(listen string, poll time.Duration, grants int, history bool, policyName
 		return err
 	}
 	defer coord.Close()
-	// The coordinator keeps its allocation ledger separate from the
-	// process-global one so its totals can be journaled; surface it on
-	// the /accounting page alongside the default section.
-	accounting.Publish("coordinator", coord.Accounting())
-	defer accounting.Unpublish("coordinator")
 	if httpAddr != "" {
 		srv, err := telemetry.Serve(httpAddr, telemetry.Default)
 		if err != nil {
 			return err
 		}
 		defer srv.Close()
-		fmt.Printf("telemetry on http://%s/metrics (pprof at /debug/pprof/, accounting at /accounting)\n", srv.Addr())
+		fmt.Printf("telemetry on http://%s/metrics (pprof at /debug/pprof/)\n", srv.Addr())
 	}
 	if stateDir != "" {
 		s := coord.Stats()

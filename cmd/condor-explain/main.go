@@ -14,9 +14,9 @@
 //	                                  newest; positive is an absolute
 //	                                  cycle number)
 //
-// The coordinator keeps the last few hundred audited cycles in memory
-// (see /decisions on its -http listener); this tool reads them over the
-// wire protocol, so it works wherever condor-status does.
+// The coordinator keeps the last few hundred audited cycles in memory;
+// this tool reads them over the wire protocol (a DecisionsRequest), so
+// it works wherever condor-status does.
 package main
 
 import (

@@ -3,18 +3,16 @@
 // the grant/preempt/reservation decisions from the coordinator. With
 // -job it shows one job's full lifecycle; with -trace it shows every
 // event stitched to one distributed trace. With -waterfall it switches
-// from events to spans: it fetches a daemon's /traces endpoint and
-// renders the ConGUSTo-style "where did the time go" timeline.
+// from events to spans: it asks the daemon for the spans its process
+// recorded and renders the ConGUSTo-style "where did the time go"
+// timeline.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
-	"net/url"
 	"time"
 
 	"condor/internal/proto"
@@ -28,14 +26,12 @@ func main() {
 		jobID     = flag.String("job", "", "show only this job's trail")
 		traceID   = flag.String("trace", "", "show only events of this trace (32 hex chars)")
 		limit     = flag.Int("limit", 50, "max events (0 = all retained)")
-		waterfall = flag.Bool("waterfall", false, "render span waterfalls from -traces instead of events")
-		tracesURL = flag.String("traces", "http://127.0.0.1:9100/traces",
-			"a daemon's /traces endpoint (used with -waterfall)")
+		waterfall = flag.Bool("waterfall", false, "render the daemon's span waterfalls instead of events")
 	)
 	flag.Parse()
 	var err error
 	if *waterfall {
-		err = runWaterfall(*tracesURL, *traceID, *jobID)
+		err = runWaterfall(*addr, *traceID, *jobID)
 	} else {
 		err = runEvents(*addr, *jobID, *traceID, *limit)
 	}
@@ -45,14 +41,7 @@ func main() {
 }
 
 func runEvents(addr, jobID, traceID string, limit int) error {
-	peer, err := wire.Dial(addr, 5*time.Second, nil)
-	if err != nil {
-		return err
-	}
-	defer peer.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	reply, err := peer.Call(ctx, proto.HistoryRequest{JobID: jobID, Limit: limit, TraceID: traceID})
+	reply, err := call(addr, proto.HistoryRequest{JobID: jobID, Limit: limit, TraceID: traceID})
 	if err != nil {
 		return err
 	}
@@ -70,35 +59,30 @@ func runEvents(addr, jobID, traceID string, limit int) error {
 	return nil
 }
 
-// runWaterfall fetches the /traces page (optionally filtered) and prints
-// each trace as an indented timeline.
-func runWaterfall(tracesURL, traceID, jobID string) error {
-	u, err := url.Parse(tracesURL)
-	if err != nil {
-		return fmt.Errorf("bad -traces URL: %w", err)
-	}
-	q := u.Query()
-	if traceID != "" {
-		q.Set("trace", traceID)
-	}
-	if jobID != "" {
-		q.Set("job", jobID)
-	}
-	u.RawQuery = q.Encode()
-
-	client := &http.Client{Timeout: 10 * time.Second}
-	resp, err := client.Get(u.String())
+// runWaterfall asks the daemon at addr for the spans its process
+// recorded (optionally filtered) and prints each trace as an indented
+// timeline.
+func runWaterfall(addr, traceID, jobID string) error {
+	reply, err := call(addr, proto.TracesRequest{TraceID: traceID, JobID: jobID})
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: %s", u, resp.Status)
+	tr, ok := reply.(proto.TracesReply)
+	if !ok {
+		return fmt.Errorf("unexpected reply %T", reply)
 	}
-	var page trace.Page
-	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
-		return fmt.Errorf("decode %s: %w", u, err)
-	}
-	fmt.Print(trace.RenderWaterfall(page))
+	fmt.Print(trace.RenderWaterfall(tr.Page))
 	return nil
+}
+
+// call sends one request to addr and returns its reply.
+func call(addr string, msg any) (any, error) {
+	peer, err := wire.Dial(addr, 5*time.Second, nil)
+	if err != nil {
+		return nil, err
+	}
+	defer peer.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	return peer.Call(ctx, msg)
 }

@@ -56,7 +56,7 @@ func main() {
 		kill      = flag.Bool("kill-immediately", false, "kill on owner return instead of suspending")
 		periodic  = flag.Duration("periodic-checkpoint", 0, "periodic checkpoint interval (0 = off)")
 		jobDir    = flag.String("jobdir", "", "directory for jobs' real file I/O (default: per-job in-memory)")
-		httpAddr  = flag.String("http", "", "serve /metrics, /healthz and /debug/pprof on this address (empty = disabled)")
+		httpAddr  = flag.String("http", "", "serve /metrics, /healthz, /events and /debug/pprof on this address (empty = disabled)")
 	)
 	flag.Parse()
 	if err := run(stationOpts{

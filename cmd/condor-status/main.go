@@ -20,17 +20,9 @@ import (
 
 func main() {
 	coordAddr := flag.String("coordinator", "127.0.0.1:9618", "coordinator address")
-	metricsAddr := flag.String("metrics", "",
-		"scrape this daemon's /metrics endpoint (host:port or URL of a -http listener) instead of querying the coordinator")
 	watch := flag.Duration("watch", 0,
 		"re-render every interval (e.g. -watch 2s) over one pooled connection; ctrl-c to stop")
 	flag.Parse()
-	if *metricsAddr != "" {
-		if err := runMetrics(*metricsAddr); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 	client := web.NewClient(*coordAddr)
 	defer client.Close()
 	if *watch > 0 {

@@ -31,9 +31,7 @@ func main() {
 	refresh := flag.Duration("refresh", 2*time.Second, "aggregation interval")
 	cycleInterval := flag.Duration("cycle-interval", 2*time.Minute,
 		"coordinator's allocation-cycle interval (the cycle_lag alert field is cycle age over this)")
-	var scrapes, relays, rules repeatable
-	flag.Var(&scrapes, "scrape",
-		"operational listener (host:port of a -http flag) to scrape for decide latency and readiness; repeatable")
+	var relays, rules repeatable
 	flag.Var(&relays, "relay",
 		"operational listener whose /events stream is relayed onto this dashboard; repeatable (for multi-process pools)")
 	flag.Var(&rules, "rule",
@@ -53,7 +51,6 @@ func main() {
 		Refresh:         *refresh,
 		CycleInterval:   *cycleInterval,
 		Rules:           parsed,
-		Scrapes:         scrapes,
 	})
 	if err != nil {
 		log.Fatal(err)

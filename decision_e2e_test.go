@@ -2,9 +2,6 @@ package condor
 
 import (
 	"context"
-	"encoding/json"
-	"io"
-	"net/http"
 	"strconv"
 	"strings"
 	"testing"
@@ -21,8 +18,9 @@ import (
 // a live pool: every station is too disk-short for the policy's
 // min-disk predicate, a submitted job therefore starves, and the
 // decision audit must say exactly why — over the wire the way
-// condor-explain reads it, over HTTP the way the dashboard reads it,
-// and in agreement with the per-predicate deny counters on /metrics.
+// condor-explain and the dashboard read it, with and without a -last
+// bound, and in agreement with the per-predicate deny counters on
+// /metrics.
 func TestDecisionAuditEndToEnd(t *testing.T) {
 	srv, err := telemetry.Serve("127.0.0.1:0", telemetry.Default)
 	if err != nil {
@@ -112,7 +110,7 @@ func TestDecisionAuditEndToEnd(t *testing.T) {
 		}
 	}
 
-	// /decisions must agree with the /metrics deny counters: the
+	// The audits must agree with the /metrics deny counters: the
 	// candidate-phase rejections audited above are exactly what
 	// condor_policy_predicate_denied_total{pred="updown/min-disk"} grew by.
 	denied1 := deniedCounter(t, srv.Addr())
@@ -153,26 +151,22 @@ func TestDecisionAuditEndToEnd(t *testing.T) {
 		}
 	}
 
-	// And the HTTP surface the dashboard uses: /decisions on the
-	// telemetry listener serves the same ring, same filters.
-	resp, err := http.Get("http://" + srv.Addr() + "/decisions?station=dryws0&last=" + strconv.Itoa(cycles))
+	// And the query condor-web's /api/decisions forwards: the same
+	// ring, bounded to the newest cycles.
+	reply, err = peer.Call(ctx, proto.DecisionsRequest{Station: "dryws0", Last: cycles})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/decisions status = %s", resp.Status)
+	lastPage, ok := reply.(proto.DecisionsReply)
+	if !ok {
+		t.Fatalf("unexpected reply %T", reply)
 	}
-	var httpPage decision.Page
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 16<<20)).Decode(&httpPage); err != nil {
-		t.Fatal(err)
+	lastFresh := freshCycles(lastPage.Cycles, sinceCycle)
+	if len(lastFresh) != cycles {
+		t.Fatalf("Last=%d returned %d fresh cycles, want %d", cycles, len(lastFresh), cycles)
 	}
-	httpFresh := freshCycles(httpPage.Cycles, sinceCycle)
-	if len(httpFresh) != cycles {
-		t.Fatalf("/decisions returned %d fresh cycles, want %d", len(httpFresh), cycles)
-	}
-	if pred, _, ok := decision.TopRejection(httpFresh, "dryws0"); !ok || pred != "min-disk" {
-		t.Fatalf("/decisions TopRejection = %q %v, want min-disk", pred, ok)
+	if pred, _, ok := decision.TopRejection(lastFresh, "dryws0"); !ok || pred != "min-disk" {
+		t.Fatalf("Last=%d TopRejection = %q %v, want min-disk", cycles, pred, ok)
 	}
 }
 

@@ -13,8 +13,7 @@
 // The cold layer is the Ledger: it interns meters, folds finished jobs
 // into per-station and per-user totals, tracks the coordinator's
 // allocation counters (grants/denials/preempts/capacity), and renders
-// everything as a View for the /accounting endpoint, the wire RPC, and
-// condor-report.
+// everything as a View for the AccountingRequest RPC and condor-report.
 //
 // One subtlety when home and execution sides share a process (in-process
 // pools, tests): both sides intern the same meter, so each field has
@@ -450,8 +449,8 @@ type AllocRow struct {
 	AllocTotals
 }
 
-// View is one ledger's full rendering: the payload of the /accounting
-// endpoint, the AccountingRequest RPC, and condor-report.
+// View is one ledger's full rendering: the payload of the
+// AccountingRequest RPC and condor-report.
 type View struct {
 	GeneratedUnixMilli int64      `json:"generatedUnixMilli"`
 	Jobs               []JobRow   `json:"jobs,omitempty"`

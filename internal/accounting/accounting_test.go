@@ -1,9 +1,6 @@
 package accounting
 
 import (
-	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -174,34 +171,6 @@ func TestMeterConcurrency(t *testing.T) {
 	}
 	if tt.RemoteSteps != goroutines*per-1 {
 		t.Errorf("RemoteSteps = %d, want %d", tt.RemoteSteps, goroutines*per-1)
-	}
-}
-
-func TestPublishHandlerJSON(t *testing.T) {
-	l := NewLedger()
-	m := l.Job("wsX/1", "bob", "wsX")
-	m.ObserveSteps(123)
-	Publish("test-section", l)
-	defer Unpublish("test-section")
-
-	rec := httptest.NewRecorder()
-	Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/accounting", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d", rec.Code)
-	}
-	var page Page
-	if err := json.Unmarshal(rec.Body.Bytes(), &page); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	sec, ok := page.Sections["test-section"]
-	if !ok {
-		t.Fatalf("sections = %v", page.Sections)
-	}
-	if len(sec.Jobs) != 1 || sec.Jobs[0].JobID != "wsX/1" || sec.Jobs[0].RemoteSteps != 123 {
-		t.Errorf("section jobs = %+v", sec.Jobs)
-	}
-	if _, ok := page.Sections["process"]; !ok {
-		t.Error("process ledger not auto-published")
 	}
 }
 

@@ -32,7 +32,7 @@ func BenchmarkAccountingSyscallParallel(b *testing.B) {
 }
 
 // BenchmarkLedgerSnapshot bounds the cost of rendering a View with a
-// realistic number of live jobs (what /accounting pays per scrape).
+// realistic number of live jobs (what an AccountingRequest pays).
 func BenchmarkLedgerSnapshot(b *testing.B) {
 	l := NewLedger()
 	for i := 0; i < 100; i++ {

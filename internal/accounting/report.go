@@ -18,8 +18,7 @@ import (
 // leverage, displayed as the cap.
 const leverageCap = 1e6
 
-// Section is one named ledger view in a report (mirrors a /accounting
-// page section).
+// Section is one named ledger view in a report.
 type Section struct {
 	Name string
 	View View

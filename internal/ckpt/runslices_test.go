@@ -95,8 +95,7 @@ func runStraight(t *testing.T, prog *cvm.Program, budget uint64, failAt int) (*c
 // runSliced runs prog to the same budget in slices of cuts[i]+1 steps
 // (cycling; 7 without cuts). Between slices, and after a host error, the
 // VM migrates: Snapshot, a compressed checkpoint, DecodeBytes and Restore
-// on the same host. A running VM whose pc fell off the end of the text
-// has no valid image and runs on in place.
+// on the same host.
 func runSliced(t *testing.T, prog *cvm.Program, budget uint64, cuts []byte, failAt int) (*cvm.VM, *flakyHost) {
 	t.Helper()
 	host := newHost(failAt)
@@ -115,11 +114,7 @@ func runSliced(t *testing.T, prog *cvm.Program, budget uint64, cuts []byte, fail
 		if v.Status() != cvm.StatusRunning {
 			break
 		}
-		snap := v.Snapshot()
-		if snap.Validate() != nil {
-			continue // pc just past the text: Encode refuses it, and the next fetch faults
-		}
-		blob, err := EncodeBytesWith(Meta{JobID: "s/1"}, snap, Options{Compress: true})
+		blob, err := EncodeBytesWith(Meta{JobID: "s/1"}, v.Snapshot(), Options{Compress: true})
 		if err != nil {
 			t.Fatalf("slice %d: encode: %v", i, err)
 		}
@@ -167,6 +162,39 @@ func TestFaultKinds(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCheckpointAtEndOfText: a program without a final HALT, cut with
+// its pc just past the text, checkpoints and restores, and the restored
+// VM's first fetch faults as the in-place run does.
+func TestCheckpointAtEndOfText(t *testing.T) {
+	prog := cvm.MustAssemble("nohalt", ".text\nstart:\n MOVI r0, 7\n NOP\n")
+	inPlace, _ := runStraight(t, prog, 1000, 0)
+	v, err := cvm.New(prog, cvm.NewMemHost(), cvm.Config{StackWords: faultStack})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v.Run(2); err != nil || v.Status() != cvm.StatusRunning {
+		t.Fatalf("run to the end of the text: status %v, %v", v.Status(), err)
+	}
+	blob, err := EncodeBytesWith(Meta{JobID: "s/1"}, v.Snapshot(), Options{Compress: true})
+	if err != nil {
+		t.Fatalf("encode at pc %d: %v", v.Snapshot().PC, err)
+	}
+	_, img, err := DecodeBytes(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := cvm.Restore(img, cvm.NewMemHost())
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored.Run(1) //nolint:errcheck // the fault is the result
+	if got, want := restored.Fault(), inPlace.Fault(); got == nil || want == nil || *got != *want ||
+		restored.Steps() != inPlace.Steps() {
+		t.Fatalf("restored run stopped with %v after %d steps; in place %v after %d",
+			got, restored.Steps(), want, inPlace.Steps())
 	}
 }
 

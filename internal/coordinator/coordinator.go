@@ -95,8 +95,8 @@ type Config struct {
 	SnapshotEvery int
 	// Decisions receives each cycle's scheduling audit (why every
 	// machine was filtered, ranked, granted, or preempted — see
-	// internal/decision). Nil means decision.Default, which the
-	// /decisions endpoint on the -http listener serves.
+	// internal/decision). Nil means decision.Default. DecisionsRequest
+	// reads it.
 	Decisions *decision.Recorder
 }
 
@@ -532,17 +532,15 @@ func (c *Coordinator) handlerFor(peer *wire.Peer) wire.Handler {
 				HasCoordinator: true,
 			}, nil
 		case proto.DecisionsRequest:
-			page := c.cfg.Decisions.PageFor(m.Job, m.Station, m.Cycle, m.Last)
-			return proto.DecisionsReply{
-				Cycles:  page.Cycles,
-				Total:   page.Total,
-				Dropped: page.Dropped,
-			}, nil
+			return proto.DecisionsReply{Page: c.cfg.Decisions.PageFor(m.Job, m.Station, m.Cycle, m.Last)}, nil
+		case proto.TracesRequest:
+			return proto.TracesReply{Page: trace.Default.PageFor(m.TraceID, m.JobID)}, nil
 		case proto.PoolStatusRequest:
 			stats := c.Stats()
 			c.mu.Lock()
 			degraded := c.degraded
 			c.mu.Unlock()
+			decideCount, decideSeconds := c.pipeline.DecideTotals()
 			return proto.PoolStatusReply{
 				Stations: c.Stations(),
 				Wire: proto.WireStats{
@@ -567,6 +565,8 @@ func (c *Coordinator) handlerFor(peer *wire.Peer) wire.Handler {
 					Quarantines:       stats.Quarantines,
 					Readmissions:      stats.Readmissions,
 					ByzantineReplies:  stats.ByzantineReplies,
+					DecideCount:       decideCount,
+					DecideSeconds:     decideSeconds,
 					Persistent:        c.journal != nil,
 					Journal: proto.JournalStats{
 						Appends:        stats.JournalAppends,
@@ -778,7 +778,7 @@ func (c *Coordinator) roundLocked(now time.Time) round {
 	// Every live cycle is audited: the builder collects why each machine
 	// was filtered/ranked/granted, job IDs are annotated as grants are
 	// acted on, and the finished audit lands in the bounded decisions
-	// ring (served by /decisions and the DecisionsRequest RPC).
+	// ring (served by the DecisionsRequest RPC).
 	r.aud = decision.NewBuilder(r.n, now)
 	// Degraded mode freezes up-down movement: when most of the pool is
 	// unreachable, "holding" or "wanting" reflects the infrastructure
@@ -968,7 +968,7 @@ func (c *Coordinator) publish(r round, start time.Time) {
 				time.Since(start).Round(time.Millisecond)),
 		})
 		// The decision drill-down's refresh signal: announces that cycle
-		// r.n has a fresh audit on /decisions.
+		// r.n has a fresh audit for DecisionsRequest to read.
 		telemetry.Events.Publish(telemetry.BusEvent{Source: "coordinator", Kind: "decision-cycle", Detail: summary})
 	}
 }

@@ -2,16 +2,20 @@ package coordinator
 
 import (
 	"context"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"condor/internal/accounting"
 	"condor/internal/cvm"
 	"condor/internal/machine"
 	"condor/internal/policy"
 	"condor/internal/proto"
 	"condor/internal/ru"
 	"condor/internal/schedd"
+	"condor/internal/trace"
 	"condor/internal/wire"
 )
 
@@ -412,5 +416,83 @@ func TestCoordinatorRestartRediscoversPoolViaRegistrar(t *testing.T) {
 			t.Fatal("station never re-registered with the replacement coordinator")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestTracesAccountingConcurrentReaders answers TracesRequest and
+// AccountingRequest for 50 simultaneous readers while writers keep
+// recording spans and metering jobs. Every reply must decode — a
+// snapshot torn by a concurrent writer would not marshal to valid JSON.
+func TestTracesAccountingConcurrentReaders(t *testing.T) {
+	p := newPool(t, nil, Config{})
+
+	stop := make(chan struct{})
+	var writers sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		writers.Add(1)
+		go func(i int) {
+			defer writers.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				sp := trace.StartRoot("conc-span")
+				sp.SetJob(fmt.Sprintf("conc-job-%d-%d", i, n))
+				sp.SetAttr("writer", fmt.Sprintf("%d", i))
+				sp.Finish()
+				jobID := fmt.Sprintf("conc-acct-%d-%d", i, n%8)
+				m := accounting.Default.Job(jobID, "conc", "ws0")
+				m.ExecTime(time.Microsecond)
+				m.Syscall(64, time.Microsecond)
+				if n%8 == 7 {
+					accounting.Default.Retire(jobID)
+				}
+				// Throttle: the writers' job is to race the readers, not
+				// to make each reply as expensive as possible.
+				time.Sleep(200 * time.Microsecond)
+			}
+		}(i)
+	}
+
+	const readers = 50
+	var rg sync.WaitGroup
+	errs := make(chan error, readers)
+	for i := 0; i < readers; i++ {
+		rg.Add(1)
+		go func() {
+			defer rg.Done()
+			peer, err := wire.Dial(p.coord.Addr(), 5*time.Second, nil)
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer peer.Close()
+			for n := 0; n < 4; n++ {
+				for _, req := range []any{proto.TracesRequest{}, proto.AccountingRequest{}} {
+					ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+					reply, err := peer.Call(ctx, req)
+					cancel()
+					if err != nil {
+						errs <- fmt.Errorf("%T under load: %w", req, err)
+						return
+					}
+					switch reply.(type) {
+					case proto.TracesReply, proto.AccountingReply:
+					default:
+						errs <- fmt.Errorf("%T: unexpected reply %T", req, reply)
+						return
+					}
+				}
+			}
+		}()
+	}
+	rg.Wait()
+	close(stop)
+	writers.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -418,14 +418,9 @@ func TestRoundGatesHealthInThePipeline(t *testing.T) {
 	coord.Cycle()
 	scripted["idle1"].set(true, nil)
 	scripted["busy1"].set(true, claimed)
-	denied := func() float64 {
-		page, err := telemetry.ParseTextString(telemetry.Default.Text())
-		if err != nil {
-			t.Fatal(err)
-		}
-		v, _ := page.Value("condor_policy_predicate_denied_total", "pred", "updown/health")
-		return v
-	}
+	// The policy package registered the family; this returns its series.
+	deniedHealth := telemetry.Default.CounterVec("condor_policy_predicate_denied_total", "", "pred").With("updown/health")
+	denied := func() float64 { return float64(deniedHealth.Value()) }
 	before := denied()
 	coord.Cycle()
 	for _, name := range []string{"idle1", "busy1"} {

@@ -252,6 +252,9 @@ func (a *assembler) layout() error {
 			if err != nil {
 				return a.errf(it.line.num, "%v", err)
 			}
+			if n > MaxStaticWords-dataAddr {
+				return a.errf(it.line.num, "static memory exceeds the %d-word limit", MaxStaticWords)
+			}
 			dataAddr += n
 		case it.isText:
 			if it.line.label != "" {
@@ -278,6 +281,9 @@ func (a *assembler) layout() error {
 		n, err := it.sizeFn()
 		if err != nil {
 			return a.errf(it.line.num, "%v", err)
+		}
+		if n > MaxStaticWords-bssBase-bssWords {
+			return a.errf(it.line.num, "static memory exceeds the %d-word limit", MaxStaticWords)
 		}
 		bssWords += n
 	}

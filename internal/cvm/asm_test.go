@@ -283,20 +283,28 @@ func TestMustAssemblePanicsOnBadSource(t *testing.T) {
 	MustAssemble("bad", "FROB\n")
 }
 
-// TestAssembleNeverPanics feeds adversarial byte soup to the assembler:
-// it must return an error or a valid program, never panic.
+// hostileSources are adversarial byte soup for the assembler, and the
+// seeds of FuzzAssemble. The last three ask for more static memory than
+// MaxStaticWords: in .bss, in .data, and in both, with sizes that
+// overflow an int when summed.
+var hostileSources = []string{
+	"", "\x00\x01\x02", ":::", ".data\n.data\n.data",
+	".text\nstart:\n MOVI", ".text\n MOVI r0,", "label:",
+	".data\nx: .word", ".data\nx: .str", ".bss\nx: .space",
+	".entry", ".entry a b c", "; only a comment",
+	strings.Repeat("a", 10000), ".text\n" + strings.Repeat("NOP\n", 5000),
+	".data\ns: .str \"unterminated", "JMP JMP JMP",
+	".text\nstart:\n LD r0, [", ".text\nstart:\n ST ], r0",
+	".text\nstart:\n ADDI r0, r1, 'xx'",
+	".bss\nbuf: .space 1125899906842624\n.text\nHALT 0\n",
+	".data\nbuf: .space 1125899906842624\n.text\nHALT 0\n",
+	".data\na: .space 1048576\n.bss\nb: .space 9223372036854775807\n.text\nHALT 0\n",
+}
+
+// TestAssembleNeverPanics feeds hostileSources to the assembler: it must
+// return an error or a valid program, never panic.
 func TestAssembleNeverPanics(t *testing.T) {
-	sources := []string{
-		"", "\x00\x01\x02", ":::", ".data\n.data\n.data",
-		".text\nstart:\n MOVI", ".text\n MOVI r0,", "label:",
-		".data\nx: .word", ".data\nx: .str", ".bss\nx: .space",
-		".entry", ".entry a b c", "; only a comment",
-		strings.Repeat("a", 10000), ".text\n" + strings.Repeat("NOP\n", 5000),
-		".data\ns: .str \"unterminated", "JMP JMP JMP",
-		".text\nstart:\n LD r0, [", ".text\nstart:\n ST ], r0",
-		".text\nstart:\n ADDI r0, r1, 'xx'",
-	}
-	for _, src := range sources {
+	for _, src := range hostileSources {
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
@@ -311,6 +319,22 @@ func TestAssembleNeverPanics(t *testing.T) {
 			}
 		}()
 	}
+}
+
+// FuzzAssemble: the assembler reads peer-supplied source
+// (SubmitRequest.Source). It must never panic or over-allocate, and what
+// it accepts must validate.
+func FuzzAssemble(f *testing.F) {
+	for _, src := range hostileSources {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		if prog, err := Assemble("fuzz", src); err == nil {
+			if err := prog.Validate(); err != nil {
+				t.Fatalf("assembler emitted an invalid program: %v", err)
+			}
+		}
+	})
 }
 
 func truncate(s string) string {

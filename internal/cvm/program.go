@@ -23,10 +23,10 @@ type Program struct {
 	Entry int `json:"entry"`
 }
 
-// Validate checks structural invariants: entry in range, all jump/call
-// targets within text, register operands within range, and opcodes
-// defined. A validated program cannot fault on decode (it can still fault
-// on memory access or division).
+// Validate checks structural invariants: entry in range, static memory
+// within MaxStaticWords, all jump/call targets within text, register
+// operands within range, and opcodes defined. A validated program cannot
+// fault on decode (it can still fault on memory access or division).
 func (p *Program) Validate() error {
 	if len(p.Text) == 0 {
 		return fmt.Errorf("cvm: program %q has empty text", p.Name)
@@ -36,6 +36,9 @@ func (p *Program) Validate() error {
 	}
 	if p.BssLen < 0 {
 		return fmt.Errorf("cvm: program %q negative bss length %d", p.Name, p.BssLen)
+	}
+	if len(p.Data) > MaxStaticWords || p.BssLen > MaxStaticWords-len(p.Data) {
+		return fmt.Errorf("cvm: program %q static memory exceeds the %d-word limit", p.Name, MaxStaticWords)
 	}
 	for i, in := range p.Text {
 		if err := validateInstr(in, len(p.Text)); err != nil {

@@ -72,7 +72,10 @@ func (img *Image) Validate() error {
 		return fmt.Errorf("cvm: image stack capacity %d exceeds the %d-word limit",
 			img.StackCap, MaxStackWords)
 	}
-	if img.Status == StatusRunning && (img.PC < 0 || img.PC >= int64(len(img.Program.Text))) {
+	// A running image's pc may sit just past the text: a program without
+	// a final HALT is there after its last instruction, and the restored
+	// VM's first fetch faults exactly as the in-place run does.
+	if img.Status == StatusRunning && (img.PC < 0 || img.PC > int64(len(img.Program.Text))) {
 		return fmt.Errorf("cvm: image pc %d outside text", img.PC)
 	}
 	seen := make(map[int64]bool, len(img.Files))

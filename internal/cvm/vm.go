@@ -98,8 +98,6 @@ type OpenFile struct {
 type Config struct {
 	// StackWords is the stack capacity. Zero selects DefaultStackWords.
 	StackWords int
-	// MaxStaticWords caps static memory; zero means no extra cap.
-	MaxStaticWords int
 }
 
 // DefaultStackWords is the stack capacity when Config.StackWords is zero.
@@ -110,6 +108,13 @@ const DefaultStackWords = 4096
 // stack size from a submitter or a peer's checkpoint cannot make the
 // station allocate without limit.
 const MaxStackWords = 1 << 20
+
+// MaxStaticWords bounds a program's static memory, data plus bss
+// (8 MiB of words). Program.Validate refuses a larger program and the
+// assembler a larger layout, so a size in a submitted source, program
+// blob or peer's checkpoint cannot make the station allocate without
+// limit.
+const MaxStaticWords = 1 << 20
 
 // VM is a single guest program execution. It is not safe for concurrent
 // use; the owner serializes Run and Snapshot calls.
@@ -140,10 +145,6 @@ func New(prog *Program, handler SyscallHandler, cfg Config) (*VM, error) {
 	}
 	if handler == nil {
 		return nil, errors.New("cvm: nil syscall handler")
-	}
-	if cfg.MaxStaticWords > 0 && prog.StaticWords() > cfg.MaxStaticWords {
-		return nil, fmt.Errorf("cvm: program %q static size %d exceeds cap %d",
-			prog.Name, prog.StaticWords(), cfg.MaxStaticWords)
 	}
 	stackWords := cfg.StackWords
 	if stackWords <= 0 {

@@ -303,12 +303,13 @@ func TestNewRejectsBadPrograms(t *testing.T) {
 	if _, err := New(p, nil, Config{}); err == nil {
 		t.Fatal("nil handler accepted")
 	}
-	if _, err := New(p, NewMemHost(), Config{MaxStaticWords: 0}); err != nil {
-		t.Fatalf("zero cap should mean uncapped: %v", err)
+	big := &Program{Name: "big", Text: []Instr{{Op: OpHalt}}, Data: []int64{1}, BssLen: MaxStaticWords}
+	if _, err := New(big, NewMemHost(), Config{}); err == nil {
+		t.Fatal("program past the static limit accepted")
 	}
-	big := &Program{Name: "big", Text: []Instr{{Op: OpHalt}}, BssLen: 1000}
-	if _, err := New(big, NewMemHost(), Config{MaxStaticWords: 10}); err == nil {
-		t.Fatal("over-cap program accepted")
+	big.BssLen--
+	if _, err := New(big, NewMemHost(), Config{}); err != nil {
+		t.Fatalf("program at the static limit refused: %v", err)
 	}
 	if _, err := New(p, NewMemHost(), Config{StackWords: MaxStackWords}); err != nil {
 		t.Fatalf("stack at the limit refused: %v", err)

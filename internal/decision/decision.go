@@ -310,7 +310,7 @@ type Recorder struct {
 // history; at the simulator's pace, the last 256 cycles.
 const DefaultCapacity = 256
 
-// Default is the process-wide recorder; /decisions serves it.
+// Default is the process-wide recorder; DecisionsRequest reads it.
 var Default = NewRecorder(DefaultCapacity)
 
 // NewRecorder creates a recorder retaining up to capacity cycles.
@@ -353,7 +353,7 @@ func (r *Recorder) Snapshot() []CycleAudit {
 	return out
 }
 
-// Filter narrows a snapshot the way /decisions and the CLIs do:
+// Filter narrows a snapshot the way DecisionsRequest and the CLIs do:
 //
 //	job     keep cycles that name the job ID, or — because a job that
 //	        never ran appears only through its home station — cycles

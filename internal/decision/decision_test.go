@@ -1,8 +1,6 @@
 package decision
 
 import (
-	"encoding/json"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -124,34 +122,23 @@ func TestFilter(t *testing.T) {
 	}
 }
 
-func TestHandler(t *testing.T) {
+// TestPageFor: a page applies Filter and carries the ring's totals; an
+// empty ring gives an empty list, not null, so /api/decisions serves [].
+func TestPageFor(t *testing.T) {
 	r := NewRecorder(8)
 	base := time.Unix(4000, 0)
 	for c := uint64(1); c <= 3; c++ {
 		r.Record(sampleAudit(c, base.Add(time.Duration(c)*time.Minute)))
 	}
-	req := httptest.NewRequest("GET", "/decisions?station=pulsar&last=2", nil)
-	w := httptest.NewRecorder()
-	Handler(r).ServeHTTP(w, req)
-	if w.Code != 200 {
-		t.Fatalf("status %d", w.Code)
-	}
-	var page Page
-	if err := json.Unmarshal(w.Body.Bytes(), &page); err != nil {
-		t.Fatal(err)
-	}
+	page := r.PageFor("", "pulsar", 0, 2)
 	if len(page.Cycles) != 2 || page.Total != 3 {
 		t.Fatalf("page %+v", page)
 	}
 	if page.Cycles[1].Cycle != 3 {
 		t.Fatalf("newest cycle %d, want 3", page.Cycles[1].Cycle)
 	}
-
-	// An empty ring serves an empty list, not null.
-	w = httptest.NewRecorder()
-	Handler(NewRecorder(4)).ServeHTTP(w, httptest.NewRequest("GET", "/decisions", nil))
-	if body := strings.TrimSpace(w.Body.String()); !strings.Contains(body, `"cycles": []`) {
-		t.Fatalf("empty ring served %s", body)
+	if empty := NewRecorder(4).PageFor("", "", 0, 0); empty.Cycles == nil {
+		t.Fatal("empty ring gave null cycles")
 	}
 }
 

@@ -48,7 +48,7 @@ const (
 
 	// KindDecision summarizes one allocation cycle that did something
 	// (grants, preemptions, or starved requesters); the full per-station
-	// audit lives in the /decisions ring (internal/decision).
+	// audit lives in the decision ring (internal/decision).
 	KindDecision Kind = "decision-cycle"
 )
 
@@ -61,7 +61,7 @@ type Event struct {
 	Detail  string    `json:"detail,omitempty"`
 	// TraceID stitches the event to its job's distributed trace (32
 	// lowercase hex chars, see internal/trace), so condor-history can
-	// pivot from an event trail to the /traces span timeline and back.
+	// pivot from an event trail to the -waterfall span timeline and back.
 	TraceID string `json:"traceID,omitempty"`
 }
 
@@ -79,8 +79,8 @@ func (e Event) String() string {
 		fmt.Fprintf(&b, " (%s)", e.Detail)
 	}
 	if e.TraceID != "" {
-		// The 8-char prefix is enough to eyeball-match against /traces
-		// output without drowning the line.
+		// The 8-char prefix is enough to eyeball-match against a
+		// waterfall's trace header without drowning the line.
 		short := e.TraceID
 		if len(short) > 8 {
 			short = short[:8]
@@ -166,7 +166,7 @@ func (l *Log) ForJob(jobID string) []Event {
 }
 
 // ForTrace returns the retained events stitched to one trace ID, oldest
-// first — the event-side view of a /traces timeline.
+// first — the event-side view of a trace's span timeline.
 func (l *Log) ForTrace(traceID string) []Event {
 	var out []Event
 	if traceID == "" {

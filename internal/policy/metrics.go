@@ -23,8 +23,8 @@ var (
 	// rejected — the aggregate side of the decision audit. Counted in
 	// the requester-blind candidate phase only (the same machine may be
 	// re-tested per requester during placement, which would double
-	// count), so it agrees with the candidate-phase rejections on
-	// /decisions. The label value is "<policy>/<predicate>".
+	// count), so it agrees with the candidate-phase rejections in the
+	// decision audits. The label value is "<policy>/<predicate>".
 	mPredicateDenied = telemetry.NewCounterVec("condor_policy_predicate_denied_total",
 		"Candidate machines rejected, by policy/predicate (requester-blind phase).", "pred")
 )

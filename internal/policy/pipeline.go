@@ -78,6 +78,12 @@ type Policy struct {
 // Name returns the registry name the policy was built under.
 func (p *Policy) Name() string { return p.name }
 
+// DecideTotals returns the count and sum, in seconds, of this process's
+// condor_policy_decide_seconds observations for the policy's name.
+func (p *Policy) DecideTotals() (count uint64, seconds float64) {
+	return p.met.decide.Count(), p.met.decide.Sum()
+}
+
 // admitIdx runs the predicate chain and returns the index of the first
 // rejecting predicate, or -1 when every predicate admits — so the audit
 // and the per-predicate deny counters know *which* gate closed without
@@ -166,8 +172,8 @@ func (p *Policy) DecideAudited(stations []StationView, table *updown.Table, cfg 
 
 	// Candidate machines: every predicate must admit, requester-blind.
 	// A rejection here applies to every requester; it is what the
-	// per-predicate deny counters count and what /decisions reports
-	// with an empty requester.
+	// per-predicate deny counters count and what the decision audit
+	// records with an empty requester.
 	var candidates []StationView
 	for i := range stations {
 		if idx := admitIdx(&stations[i], "", &cfg); idx >= 0 {

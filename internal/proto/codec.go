@@ -14,11 +14,11 @@ import (
 // Every message is a wire.Message: a tag, and a body of its fields in
 // declaration order in internal/codec's encoding, except that a
 // checkpoint travels last, so a frame carrying one grows to its size
-// once. Four tooling replies (HistoryReply, PoolStatusReply,
-// AccountingReply, DecisionsReply) carry their encoding/json form
-// instead, the shape the HTTP surfaces already serve: no benchmarked path
-// carries them, and their audit and ledger trees are not worth a second
-// codec. JSON replaces invalid UTF-8 with U+FFFD, so a message carrying
+// once. Five tooling replies (HistoryReply, PoolStatusReply,
+// AccountingReply, DecisionsReply, TracesReply) carry their encoding/json
+// form instead, the shape condor-web's /api serves: no benchmarked path
+// carries them, and their audit, ledger and span trees are not worth a
+// second codec. JSON replaces invalid UTF-8 with U+FFFD, so a message carrying
 // guest output (JobStatus.Stdout) is hand-encoded like the rest.
 
 // Message tags. Appending to this list is free; renumbering one is a
@@ -63,6 +63,8 @@ const (
 	tagJobSuspendedMsg
 	tagJobResumedMsg
 	tagAck
+	tagTracesRequest
+	tagTracesReply
 )
 
 // Message types are registered with the wire at package load. This is
@@ -145,6 +147,10 @@ func init() {
 		{JobSuspendedMsg{}, func(r *codec.Reader) wire.Message { return JobSuspendedMsg{JobID: r.ReadString()} }},
 		{JobResumedMsg{}, func(r *codec.Reader) wire.Message { return JobResumedMsg{JobID: r.ReadString()} }},
 		{Ack{}, func(*codec.Reader) wire.Message { return Ack{} }},
+		{TracesRequest{}, func(r *codec.Reader) wire.Message {
+			return TracesRequest{TraceID: r.ReadString(), JobID: r.ReadString()}
+		}},
+		{TracesReply{}, func(r *codec.Reader) wire.Message { return readJSON(r, &TracesReply{}) }},
 	} {
 		wire.Register(m.zero, m.read)
 	}
@@ -180,6 +186,7 @@ func (m PoolStatusReply) AppendWire(b []byte) []byte { return appendJSON(b, m) }
 func (AccountingRequest) AppendWire(b []byte) []byte { return b }
 func (m AccountingReply) AppendWire(b []byte) []byte { return appendJSON(b, m) }
 func (m DecisionsReply) AppendWire(b []byte) []byte  { return appendJSON(b, m) }
+func (m TracesReply) AppendWire(b []byte) []byte     { return appendJSON(b, m) }
 func (m JobSuspendedMsg) AppendWire(b []byte) []byte { return codec.AppendString(b, m.JobID) }
 func (m JobResumedMsg) AppendWire(b []byte) []byte   { return codec.AppendString(b, m.JobID) }
 func (Ack) AppendWire(b []byte) []byte               { return b }
@@ -325,6 +332,10 @@ func (m DecisionsRequest) AppendWire(b []byte) []byte {
 	return codec.AppendInt(b, int64(m.Last))
 }
 
+func (m TracesRequest) AppendWire(b []byte) []byte {
+	return codec.AppendString(codec.AppendString(b, m.TraceID), m.JobID)
+}
+
 func (m PlaceRequest) AppendWire(b []byte) []byte {
 	b = codec.AppendString(b, m.JobID)
 	b = codec.AppendString(b, m.Owner)
@@ -459,3 +470,5 @@ func (JobCheckpointMsg) WireTag() byte         { return tagJobCheckpointMsg }
 func (JobSuspendedMsg) WireTag() byte          { return tagJobSuspendedMsg }
 func (JobResumedMsg) WireTag() byte            { return tagJobResumedMsg }
 func (Ack) WireTag() byte                      { return tagAck }
+func (TracesRequest) WireTag() byte            { return tagTracesRequest }
+func (TracesReply) WireTag() byte              { return tagTracesReply }

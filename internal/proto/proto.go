@@ -19,6 +19,7 @@ import (
 	"condor/internal/cvm"
 	"condor/internal/decision"
 	"condor/internal/eventlog"
+	"condor/internal/trace"
 )
 
 // StationState is a workstation's scheduling state as seen by its local
@@ -419,9 +420,22 @@ type DecisionsRequest struct {
 // lifetime totals (Dropped > 0 means the ring wrapped and older cycles
 // are gone).
 type DecisionsReply struct {
-	Cycles  []decision.CycleAudit
-	Total   uint64
-	Dropped uint64
+	decision.Page
+}
+
+// TracesRequest asks a daemon for the spans its process recorded
+// (trace.Default). TraceID keeps one trace (32 hex chars); JobID keeps
+// every trace holding a span tagged with that job (see trace.PageFor).
+// Both empty returns every retained span.
+type TracesRequest struct {
+	TraceID string
+	JobID   string
+}
+
+// TracesReply carries the matching spans plus the recorder's lifetime
+// totals.
+type TracesReply struct {
+	trace.Page
 }
 
 // WireStats reports the coordinator's pooled-connection activity:
@@ -495,6 +509,11 @@ type CoordinatorInfo struct {
 	// is unready. Empty means ready (and from coordinators predating
 	// this field).
 	ReadyFailures []string
+	// DecideCount and DecideSeconds are the active policy's
+	// condor_policy_decide_seconds count and sum in this process: the
+	// dashboard turns their deltas into a mean decide latency.
+	DecideCount   uint64
+	DecideSeconds float64
 }
 
 // PoolStatusReply is the pool table.

@@ -71,7 +71,7 @@ func send(t *testing.T, from, to *wire.Conn, msg any) any {
 func TestEveryMessageRoundTrips(t *testing.T) {
 	a, b := connPair(t)
 	msgs := wire.Registered()
-	if len(msgs) < 38 {
+	if len(msgs) < 40 {
 		t.Fatalf("%d registered messages; want every proto message", len(msgs))
 	}
 	for _, zero := range msgs {

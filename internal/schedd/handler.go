@@ -8,6 +8,7 @@ import (
 	"condor/internal/accounting"
 	"condor/internal/cvm"
 	"condor/internal/proto"
+	"condor/internal/trace"
 	"condor/internal/wire"
 )
 
@@ -43,6 +44,8 @@ func (st *Station) handlerFor(peer *wire.Peer) wire.Handler {
 			// live in accounting.Default); only the coordinator has an
 			// allocation view.
 			return proto.AccountingReply{Process: accounting.Default.Snapshot()}, nil
+		case proto.TracesRequest:
+			return proto.TracesReply{Page: trace.Default.PageFor(m.TraceID, m.JobID)}, nil
 		case proto.PreemptRequest:
 			return proto.PreemptReply{
 				Vacating: st.starter.Vacate(m.JobID, "preempted: "+m.Reason),

@@ -24,7 +24,7 @@ type job struct {
 	// traceCtx is the job's trace anchor: the submit span's context (or
 	// the recover span's after a restart). Every later span of this job
 	// — place, exec, syscalls, vacate, complete — descends from it, and
-	// its trace ID stitches eventlog entries to /traces.
+	// its trace ID stitches eventlog entries to its spans.
 	traceCtx trace.SpanContext
 	// finished is closed by whoever took the job's terminal edge, once
 	// its bookkeeping is done; Wait blocks on it.

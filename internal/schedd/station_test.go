@@ -82,6 +82,23 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestHostileSubmitIsRefused: a submit asking for petabytes of static
+// memory, as source or as a program blob, is an error, not a panic that
+// takes the station down.
+func TestHostileSubmitIsRefused(t *testing.T) {
+	st := newStation(t, "ws1", nil, nil)
+	blob := proto.EncodeProgram(&cvm.Program{Name: "h", Text: []cvm.Instr{{Op: cvm.OpHalt}}, BssLen: 1 << 50})
+	for name, m := range map[string]proto.SubmitRequest{
+		"bss source":  {Source: ".bss\nbuf: .space 1125899906842624\n.text\nHALT 0\n"},
+		"data source": {Source: ".data\nbuf: .space 1125899906842624\n.text\nHALT 0\n"},
+		"blob":        {ProgramBlob: blob},
+	} {
+		if _, err := st.handleSubmit(m); err == nil {
+			t.Errorf("%s: submit accepted", name)
+		}
+	}
+}
+
 func TestSubmitDiskFull(t *testing.T) {
 	store := ckpt.NewMemStore(2048, false) // tiny disk
 	st := newStation(t, "ws1", nil, store)

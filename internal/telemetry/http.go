@@ -11,23 +11,6 @@ import (
 	"time"
 )
 
-// extraHandlers are endpoints other packages register at init time (e.g.
-// internal/trace mounts /traces) so every daemon's -http listener picks
-// them up without telemetry importing those packages.
-var (
-	extraMu       sync.Mutex
-	extraHandlers = map[string]http.Handler{}
-)
-
-// Handle registers an additional handler mounted on every subsequently
-// started Serve listener. Registration is typically done from an init
-// function; re-registering a pattern replaces the previous handler.
-func Handle(pattern string, h http.Handler) {
-	extraMu.Lock()
-	defer extraMu.Unlock()
-	extraHandlers[pattern] = h
-}
-
 // Readiness checks turn /healthz from a liveness ping into a readiness
 // probe: a daemon registers a check describing a condition under which
 // it must stop looking healthy (the coordinator registers "poll cycles
@@ -94,10 +77,13 @@ func (r *Registry) Handler() http.Handler {
 	})
 }
 
-// Server is the daemons' operational side listener: /metrics in
-// Prometheus text format, /healthz, and the net/http/pprof surface under
-// /debug/pprof/. It rides a separate listener from the wire protocol so
-// scraping and profiling never contend with RPC traffic.
+// Server is the daemons' operational side listener. It routes exactly
+// what HTTP clients use: /metrics in Prometheus text format for
+// Prometheus, /healthz for probes, /events for browsers, and the
+// net/http/pprof surface under /debug/pprof/. Every other fact a daemon
+// holds is read over the wire protocol (internal/proto). The listener
+// rides apart from the wire so scraping and profiling never contend
+// with RPC traffic.
 type Server struct {
 	ln      net.Listener
 	srv     *http.Server
@@ -134,11 +120,6 @@ func Serve(addr string, reg *Registry) (*Server, error) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	extraMu.Lock()
-	for pattern, h := range extraHandlers {
-		mux.Handle(pattern, h)
-	}
-	extraMu.Unlock()
 	s.srv = &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
 	go s.srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close
 	return s, nil

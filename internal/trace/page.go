@@ -1,17 +1,14 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"sort"
 	"strings"
 	"time"
-
-	"condor/internal/telemetry"
 )
 
-// SpanJSON is the wire shape of one span on the /traces endpoint.
+// SpanJSON is the exported shape of one span: what a TracesReply and
+// condor-web's /api/traces carry.
 type SpanJSON struct {
 	TraceID string            `json:"traceID"`
 	SpanID  string            `json:"spanID"`
@@ -25,7 +22,7 @@ type SpanJSON struct {
 	Attrs   map[string]string `json:"attrs,omitempty"`
 }
 
-// Page is the /traces response envelope.
+// Page is a filtered snapshot of a recorder.
 type Page struct {
 	Spans   []SpanJSON `json:"spans"`
 	Total   uint64     `json:"total"`   // spans ever recorded
@@ -92,26 +89,6 @@ func (r *Recorder) PageFor(traceID, job string) Page {
 		p.Spans = append(p.Spans, toJSON(s))
 	}
 	return p
-}
-
-// Handler serves the recorder as JSON. Query parameters:
-//
-//	?trace=<32 hex>  only spans of that trace
-//	?job=<jobID>     all traces containing a span tagged with that job
-func Handler(r *Recorder) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		page := r.PageFor(req.URL.Query().Get("trace"), req.URL.Query().Get("job"))
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(page) //nolint:errcheck // client went away
-	})
-}
-
-func init() {
-	// Every daemon that starts telemetry.Serve gets /traces for free;
-	// wire imports trace, so any binary speaking the protocol links this.
-	telemetry.Handle("/traces", Handler(Default))
 }
 
 // --- waterfall rendering -----------------------------------------------

@@ -244,7 +244,7 @@ type Recorder struct {
 // at a few hundred bytes per span.
 const DefaultCapacity = 4096
 
-// Default is the process-wide recorder; the /traces endpoint serves it.
+// Default is the process-wide recorder; TracesRequest reads it.
 var Default = NewRecorder(DefaultCapacity)
 
 // NewRecorder creates a recorder holding up to capacity spans.

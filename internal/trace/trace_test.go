@@ -2,8 +2,6 @@ package trace
 
 import (
 	"context"
-	"encoding/json"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -253,7 +251,7 @@ func TestExplicitRecord(t *testing.T) {
 	root.Finish()
 }
 
-func TestHandlerFiltersAndWaterfall(t *testing.T) {
+func TestPageForFiltersAndWaterfall(t *testing.T) {
 	rec := NewRecorder(64)
 
 	root := rec.StartRoot("submit")
@@ -275,32 +273,12 @@ func TestHandlerFiltersAndWaterfall(t *testing.T) {
 	other.SetJob("ws2/9")
 	other.Finish()
 
-	srv := httptest.NewServer(Handler(rec))
-	defer srv.Close()
-
-	get := func(q string) Page {
-		t.Helper()
-		resp, err := srv.Client().Get(srv.URL + q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-			t.Fatalf("content type = %q", ct)
-		}
-		var p Page
-		if err := json.NewDecoder(resp.Body).Decode(&p); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-
-	all := get("")
+	all := rec.PageFor("", "")
 	if len(all.Spans) != 4 || all.Total != 4 {
 		t.Fatalf("unfiltered page: %d spans, total %d; want 4, 4", len(all.Spans), all.Total)
 	}
 
-	byJob := get("?job=ws0/1")
+	byJob := rec.PageFor("", "ws0/1")
 	if len(byJob.Spans) != 3 {
 		t.Fatalf("job filter returned %d spans, want full trace of 3", len(byJob.Spans))
 	}
@@ -310,7 +288,7 @@ func TestHandlerFiltersAndWaterfall(t *testing.T) {
 		}
 	}
 
-	byTrace := get("?trace=" + rootCtx.TraceID.String())
+	byTrace := rec.PageFor(rootCtx.TraceID.String(), "")
 	if len(byTrace.Spans) != 3 {
 		t.Fatalf("trace filter returned %d spans, want 3", len(byTrace.Spans))
 	}

@@ -3,27 +3,21 @@ package web
 import (
 	"context"
 	"fmt"
-	"io"
-	"net/http"
-	"strings"
 	"time"
 
 	"condor/internal/eventlog"
 	"condor/internal/proto"
-	"condor/internal/telemetry"
 	"condor/internal/wire"
 )
 
 // Client is the dashboard's aggregation client: pooled, deadline-bounded
 // wire RPCs against the coordinator (pool table, accounting, decision
-// history) and the stations it names (queue contents), plus HTTP
-// scrapes of any daemon's /metrics page through the telemetry text
-// parser. condor-web's refresh loop and condor-status -watch both ride
-// it instead of paying a fresh dial per refresh.
+// history, spans) and the stations it names (queue contents).
+// condor-web's refresh loop and condor-status -watch both ride it
+// instead of paying a fresh dial per refresh.
 type Client struct {
 	coord string
 	pool  *wire.ClientPool
-	http  *http.Client
 }
 
 // rpcTimeout bounds one aggregation RPC end-to-end.
@@ -35,7 +29,6 @@ func NewClient(coordAddr string) *Client {
 	return &Client{
 		coord: coordAddr,
 		pool:  wire.NewClientPool(wire.PoolConfig{DialTimeout: 3 * time.Second}),
-		http:  &http.Client{Timeout: 10 * time.Second},
 	}
 }
 
@@ -108,6 +101,20 @@ func (c *Client) Decisions(ctx context.Context, job, station string, cycle int64
 	return dr, nil
 }
 
+// Traces fetches the spans the coordinator's process recorded, filtered
+// server-side (see proto.TracesRequest).
+func (c *Client) Traces(ctx context.Context, traceID, job string) (proto.TracesReply, error) {
+	reply, err := c.call(ctx, c.coord, proto.TracesRequest{TraceID: traceID, JobID: job})
+	if err != nil {
+		return proto.TracesReply{}, err
+	}
+	tr, ok := reply.(proto.TracesReply)
+	if !ok {
+		return proto.TracesReply{}, fmt.Errorf("web: unexpected traces reply %T", reply)
+	}
+	return tr, nil
+}
+
 // StationQueue fetches one station's job queue by its wire address.
 func (c *Client) StationQueue(ctx context.Context, addr string) (proto.QueueReply, error) {
 	reply, err := c.call(ctx, addr, proto.QueueRequest{})
@@ -152,58 +159,4 @@ func (c *Client) Jobs(ctx context.Context, stations []proto.StationInfo) ([]JobR
 type JobRow struct {
 	Station string          `json:"station"`
 	Status  proto.JobStatus `json:"status"`
-}
-
-// ScrapeMetrics fetches and parses one daemon's /metrics page. base is
-// a host:port or URL of a telemetry -http listener.
-func (c *Client) ScrapeMetrics(ctx context.Context, base string) (*telemetry.ParsedPage, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, httpURL(base, "/metrics"), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("web: scrape %s: %s", base, resp.Status)
-	}
-	return telemetry.ParseText(io.LimitReader(resp.Body, 32<<20))
-}
-
-// Healthz probes one daemon's /healthz endpoint: ready, and if not, the
-// failing checks from the 503 body.
-func (c *Client) Healthz(ctx context.Context, base string) (ready bool, failures []string, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, httpURL(base, "/healthz"), nil)
-	if err != nil {
-		return false, nil, err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return false, nil, err
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if resp.StatusCode == http.StatusOK {
-		return true, nil, nil
-	}
-	// The 503 body is "not ready\n" followed by one "name: reason" line
-	// per failing check.
-	for _, line := range strings.Split(string(body), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || line == "not ready" {
-			continue
-		}
-		failures = append(failures, line)
-	}
-	return false, failures, nil
-}
-
-// httpURL normalizes "host:port" or "http://host:port" plus a path.
-func httpURL(base, path string) string {
-	if !strings.HasPrefix(base, "http://") && !strings.HasPrefix(base, "https://") {
-		base = "http://" + base
-	}
-	return strings.TrimSuffix(base, "/") + path
 }

@@ -11,11 +11,10 @@ import (
 	"condor/internal/decision"
 )
 
-// TestAPIDecisionsJSONShape pins the /api/decisions wire format to the
-// coordinator's own /decisions: lowercase cycles/total/dropped keys,
-// decodable as a decision.Page — the dashboard JS reads the same keys
-// from either origin, so a capitalized proto-struct leak here renders
-// the drill-down permanently empty.
+// TestAPIDecisionsJSONShape pins the /api/decisions JSON: lowercase
+// cycles/total/dropped keys, decodable as a decision.Page — the
+// dashboard JS reads those keys, so a capitalized proto-struct leak here
+// renders the drill-down permanently empty.
 func TestAPIDecisionsJSONShape(t *testing.T) {
 	rec := decision.NewRecorder(8)
 	coord, err := coordinator.New(coordinator.Config{

@@ -132,3 +132,11 @@ func (r *Relay) stream(ctx context.Context) bool {
 	}
 	return got
 }
+
+// httpURL normalizes "host:port" or "http://host:port" plus a path.
+func httpURL(base, path string) string {
+	if !strings.HasPrefix(base, "http://") && !strings.HasPrefix(base, "https://") {
+		base = "http://" + base
+	}
+	return strings.TrimSuffix(base, "/") + path
+}

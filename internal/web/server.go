@@ -14,11 +14,9 @@ import (
 	"time"
 
 	"condor/internal/accounting"
-	"condor/internal/decision"
 	"condor/internal/eventlog"
 	"condor/internal/proto"
 	"condor/internal/telemetry"
-	"condor/internal/trace"
 )
 
 // Server is condor-web: the pool's live dashboard daemon. It polls the
@@ -45,18 +43,13 @@ type Server struct {
 	// last moved, as observed by this aggregator.
 	lastCycles  uint64
 	lastCycleAt time.Time
-	// Per-policy decide-latency baselines for delta-rate sampling.
-	lastDecide map[string]decideTotals
+	// The previous refresh's decide totals, for delta-rate sampling.
+	lastDecide proto.CoordinatorInfo
 
 	ln   net.Listener
 	srv  *http.Server
 	done chan struct{}
 	wg   sync.WaitGroup
-}
-
-type decideTotals struct {
-	sum   float64
-	count float64
 }
 
 // Config configures a dashboard server.
@@ -71,11 +64,6 @@ type Config struct {
 	CycleInterval time.Duration
 	// Rules are the alert rules; nil means DefaultRules.
 	Rules []Rule
-	// Scrapes are extra operational-listener bases (host:port of -http
-	// listeners) whose /metrics pages feed the decide-latency series and
-	// whose /healthz states appear on the dashboard. Typically the
-	// coordinator's -http address.
-	Scrapes []string
 }
 
 // seriesCapacity is the sparkline length: at the default 2-second
@@ -100,9 +88,6 @@ type Overview struct {
 	// "what would this rule see right now".
 	Fields map[string]float64 `json:"fields"`
 	Alerts []AlertStatus      `json:"alerts"`
-	// Daemons is the scraped daemons' readiness (one row per Scrapes
-	// entry).
-	Daemons []DaemonHealth `json:"daemons,omitempty"`
 	// Series is the sparkline history, oldest point first.
 	Series map[string][]accounting.Point `json:"series"`
 	// LastError is the most recent aggregation failure ("" when the last
@@ -125,14 +110,6 @@ type StationView struct {
 	ScheduleIndex float64   `json:"scheduleIndex"`
 	IndexHistory  []float64 `json:"indexHistory,omitempty"`
 	LastPoll      time.Time `json:"lastPoll"`
-}
-
-// DaemonHealth is one scraped daemon's /healthz state.
-type DaemonHealth struct {
-	Base     string   `json:"base"`
-	Ready    bool     `json:"ready"`
-	Failures []string `json:"failures,omitempty"`
-	Error    string   `json:"error,omitempty"`
 }
 
 // StationDetail is the per-station drill-down served on /api/station.
@@ -194,7 +171,6 @@ func NewServer(cfg Config) (*Server, error) {
 		alerts:     NewAlerts(cfg.Rules, telemetry.Events),
 		series:     accounting.NewSampler(seriesCapacity),
 		lastFields: map[string]float64{},
-		lastDecide: map[string]decideTotals{},
 		done:       make(chan struct{}),
 	}
 	s.lastCycleAt = time.Now()
@@ -215,13 +191,9 @@ func (s *Server) buildMux() *http.ServeMux {
 	mux.HandleFunc("/api/jobs", s.handleJobs)
 	mux.HandleFunc("/api/events", s.handleEvents)
 	mux.HandleFunc("/api/decisions", s.handleDecisions)
-	// The dashboard daemon's own operational surface, plus local views of
-	// the shared trace recorder and accounting ledger (live when the
-	// daemons share this process; the coordinator's own -http listener
-	// serves the authoritative ones otherwise).
+	mux.HandleFunc("/api/traces", s.handleTraces)
+	// The dashboard daemon's own operational surface.
 	mux.Handle("/metrics", telemetry.Default.Handler())
-	mux.Handle("/traces", trace.Handler(trace.Default))
-	mux.Handle("/accounting", accounting.Handler())
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	return mux
 }
@@ -299,8 +271,6 @@ func (s *Server) Refresh(ctx context.Context) error {
 	}
 
 	jobs, jobsErr := s.client.Jobs(ctx, ps.Stations)
-	daemons := s.probeDaemons(ctx)
-	decide := s.sampleDecide(ctx)
 
 	info := ps.Coordinator
 	states := map[string]int{}
@@ -377,8 +347,15 @@ func (s *Server) Refresh(ctx context.Context) error {
 		}
 	}
 	s.series.Observe("alerts.firing", now, nFiring)
-	for policy, ms := range decide {
-		s.series.Observe("decide_ms."+policy, now, ms)
+	// The active policy's mean decide latency since the last refresh.
+	// Only a refresh that saw new decisions samples it, so the series
+	// tracks live cycles rather than flatlining on the historical mean.
+	prev := s.lastDecide
+	s.lastDecide = info
+	if info.PolicyName == prev.PolicyName && info.DecideCount > prev.DecideCount &&
+		info.DecideSeconds >= prev.DecideSeconds {
+		ms := (info.DecideSeconds - prev.DecideSeconds) / float64(info.DecideCount-prev.DecideCount) * 1000
+		s.series.Observe("decide_ms."+info.PolicyName, now, ms)
 	}
 
 	s.overview = Overview{
@@ -390,7 +367,6 @@ func (s *Server) Refresh(ctx context.Context) error {
 		Healths:         healths,
 		Fields:          fields,
 		Alerts:          alerts,
-		Daemons:         daemons,
 	}
 	if jobsErr != nil {
 		s.overview.LastError = jobsErr.Error()
@@ -404,72 +380,6 @@ func (s *Server) refresh() {
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.Refresh+rpcTimeout)
 	defer cancel()
 	s.Refresh(ctx) //nolint:errcheck // failure is recorded in the overview
-}
-
-// probeDaemons checks each configured scrape base's /healthz.
-func (s *Server) probeDaemons(ctx context.Context) []DaemonHealth {
-	if len(s.cfg.Scrapes) == 0 {
-		return nil
-	}
-	out := make([]DaemonHealth, 0, len(s.cfg.Scrapes))
-	for _, base := range s.cfg.Scrapes {
-		d := DaemonHealth{Base: base}
-		ready, failures, err := s.client.Healthz(ctx, base)
-		if err != nil {
-			d.Error = err.Error()
-		} else {
-			d.Ready = ready
-			d.Failures = failures
-		}
-		out = append(out, d)
-	}
-	return out
-}
-
-// sampleDecide scrapes the configured bases for the policy pipeline's
-// condor_policy_decide_seconds histogram and converts each policy's
-// delta since the previous tick into a mean decide latency in
-// milliseconds. Only policies that decided since the last tick produce
-// a sample, so the series tracks live cycles rather than flatlining on
-// the historical mean.
-func (s *Server) sampleDecide(ctx context.Context) map[string]float64 {
-	out := map[string]float64{}
-	for _, base := range s.cfg.Scrapes {
-		page, err := s.client.ScrapeMetrics(ctx, base)
-		if err != nil {
-			continue
-		}
-		fam := page.Family("condor_policy_decide_seconds")
-		if fam == nil {
-			continue
-		}
-		sums := map[string]float64{}
-		counts := map[string]float64{}
-		for _, sm := range fam.Samples {
-			policy := sm.Get("policy")
-			if policy == "" {
-				continue
-			}
-			switch sm.Name {
-			case "condor_policy_decide_seconds_sum":
-				sums[policy] = sm.Value
-			case "condor_policy_decide_seconds_count":
-				counts[policy] = sm.Value
-			}
-		}
-		s.mu.Lock()
-		for policy, count := range counts {
-			prev := s.lastDecide[policy]
-			dc := count - prev.count
-			ds := sums[policy] - prev.sum
-			s.lastDecide[policy] = decideTotals{sum: sums[policy], count: count}
-			if dc > 0 && ds >= 0 {
-				out[policy] = ds / dc * 1000
-			}
-		}
-		s.mu.Unlock()
-	}
-	return out
 }
 
 func (s *Server) handleOverview(w http.ResponseWriter, _ *http.Request) {
@@ -553,11 +463,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, events)
 }
 
-// handleDecisions proxies the coordinator's scheduling decision audits
-// (the /decisions ring) through the dashboard's pooled wire client, so
-// the page's "Decisions" drill-down needs no second origin. Filters
-// mirror the coordinator's own /decisions endpoint: ?job, ?station,
-// ?cycle (negative counts from the newest), ?last.
+// handleDecisions serves the coordinator's scheduling decision audits,
+// read through the dashboard's pooled wire client, so the page's
+// "Decisions" drill-down needs no second origin. Filters are
+// proto.DecisionsRequest's: ?job, ?station, ?cycle (negative counts from
+// the newest), ?last.
 func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	var cycle int64
@@ -575,14 +485,21 @@ func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	// Re-shape the wire reply as a decision.Page so this endpoint's JSON
-	// is byte-compatible with the coordinator's own /decisions (the
-	// page's JS reads the same lowercase keys from either).
-	page := decision.Page{Cycles: reply.Cycles, Total: reply.Total, Dropped: reply.Dropped}
-	if page.Cycles == nil {
-		page.Cycles = []decision.CycleAudit{}
+	writeJSON(w, reply.Page)
+}
+
+// handleTraces serves the coordinator's recorded spans (its process's
+// trace ring), filtered by ?trace=<32 hex> or ?job=<jobID> as
+// proto.TracesRequest is.
+func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
+	ctx, cancel := context.WithTimeout(r.Context(), rpcTimeout)
+	defer cancel()
+	reply, err := s.client.Traces(ctx, r.URL.Query().Get("trace"), r.URL.Query().Get("job"))
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadGateway)
+		return
 	}
-	writeJSON(w, page)
+	writeJSON(w, reply.Page)
 }
 
 // handleHealthz reports the aggregator's own readiness: it is ready

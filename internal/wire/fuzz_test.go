@@ -7,6 +7,7 @@ import (
 
 	"condor/internal/cvm"
 	"condor/internal/proto"
+	"condor/internal/trace"
 	"condor/internal/wire"
 )
 
@@ -15,7 +16,7 @@ import (
 // allocate eagerly on the strength of a hostile length prefix alone; any
 // malformed input is just an error. Every frame it accepts must re-encode
 // to exactly its own bytes: each hand-written message decoder is
-// canonical. The four JSON-bodied tooling replies are exempt, since
+// canonical. The five JSON-bodied tooling replies are exempt, since
 // encoding/json accepts many spellings of one value.
 func FuzzFrameDecode(f *testing.F) {
 	frame := func(env wire.Envelope) []byte {
@@ -38,6 +39,11 @@ func FuzzFrameDecode(f *testing.F) {
 		Jobs: []proto.JobStatus{{ID: "ws1/1", State: proto.JobRunning}}}}))
 	f.Add(frame(wire.Envelope{ID: 4, Kind: wire.KindReply, Msg: proto.WaitReply{Found: true,
 		Status: proto.JobStatus{ID: "ws1/1", State: proto.JobCompleted, Stdout: "\xff\xfe\n"}}}))
+	f.Add(frame(wire.Envelope{ID: 5, Kind: wire.KindRequest, Msg: proto.TracesRequest{
+		TraceID: "4bf92f3577b34da6a3ce929d0e0e4736", JobID: "ws1/1"}}))
+	f.Add(frame(wire.Envelope{ID: 6, Kind: wire.KindReply, Msg: proto.TracesReply{Page: trace.Page{
+		Spans: []trace.SpanJSON{{TraceID: "4bf92f3577b34da6a3ce929d0e0e4736", SpanID: "00f067aa0ba902b7",
+			Name: "grant", Job: "ws1/1", Attrs: map[string]string{"requester": "ws1"}}}, Total: 3, Dropped: 1}}}))
 	f.Add(frame(wire.Envelope{ID: 7, Kind: wire.KindReply, Err: "boom"}))
 	f.Add(frame(wire.Envelope{ID: 8, Kind: wire.KindPing}))
 	f.Add([]byte{})
@@ -71,7 +77,7 @@ func FuzzFrameDecode(f *testing.F) {
 				t.Fatalf("frame %d decoded but does not encode: %v", i, err)
 			}
 			switch env.Msg.(type) {
-			case proto.HistoryReply, proto.PoolStatusReply, proto.AccountingReply, proto.DecisionsReply:
+			case proto.HistoryReply, proto.PoolStatusReply, proto.AccountingReply, proto.DecisionsReply, proto.TracesReply:
 			default:
 				if !bytes.Equal(again, rest[:n]) {
 					t.Fatalf("frame %d re-encodes differently:\n got %x\nwant %x", i, again, rest[:n])

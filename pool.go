@@ -53,8 +53,7 @@ type PoolConfig struct {
 	Policy policy.Config
 	// Decisions overrides the decision-audit ring the coordinator
 	// records each cycle's explain trace into. Nil means the
-	// process-wide decision.Default ring, which the /decisions endpoint
-	// on a telemetry listener serves.
+	// process-wide decision.Default ring.
 	Decisions *decision.Recorder
 }
 
@@ -284,7 +283,7 @@ func (p *Pool) CoordinatorHistory(limit int) []Event {
 func (p *Pool) Cycle() { p.coord.Cycle() }
 
 // Decisions pages through the coordinator's decision-audit ring — the
-// per-cycle explain traces behind /decisions and condor-explain. The
+// per-cycle explain traces behind condor-explain. The
 // filters compose: job matches cycles whose grants or preempts name the
 // job, station matches any role (requester, rejected candidate, exec,
 // victim), cycle selects one cycle (>0 absolute, <0 from the newest),

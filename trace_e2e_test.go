@@ -1,16 +1,16 @@
 package condor
 
 import (
-	"encoding/json"
+	"context"
 	"fmt"
-	"net/http"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"condor/internal/telemetry"
+	"condor/internal/proto"
 	"condor/internal/trace"
+	"condor/internal/wire"
 )
 
 // traceRuns numbers the runs of TestTraceEndToEndWithMigration in this
@@ -18,18 +18,13 @@ import (
 var traceRuns atomic.Int32
 
 // TestTraceEndToEndWithMigration reconstructs one job's complete span
-// tree from the /traces endpoint: submitted on one station, granted by
+// tree from a TracesRequest, the way condor-history -waterfall reads it:
+// submitted on one station, granted by
 // the coordinator, placed and run remotely, evicted when that owner
 // returns (checkpoint + vacate), resumed on a second station, and run
 // to completion — with every span sharing a single trace ID and the
 // parent links forming the expected tree.
 func TestTraceEndToEndWithMigration(t *testing.T) {
-	srv, err := telemetry.Serve("127.0.0.1:0", telemetry.Default)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
 	// A distinct station prefix keeps this pool's job IDs from matching
 	// traces recorded by other tests, or by an earlier run of this one,
 	// against the process-global recorder.
@@ -86,14 +81,14 @@ func TestTraceEndToEndWithMigration(t *testing.T) {
 
 	// Spans are finished asynchronously relative to Wait (the second exec
 	// span closes after the done RPC returns to the execution side, and
-	// its children are on the page before it), so poll /traces until the
+	// its children are on the page before it), so ask again until the
 	// tree is complete: every name present, both exec spans closed, and
 	// every parent on the page.
 	want := []string{"submit", "grant", "place", "exec", "syscall", "shadow-syscall", "checkpoint", "vacate", "complete"}
 	var page trace.Page
 	deadline = time.Now().Add(10 * time.Second)
 	for {
-		page = fetchTraces(t, srv.Addr(), jobID)
+		page = fetchTraces(t, p.CoordinatorAddr(), jobID)
 		if treeComplete(page, want) || time.Now().After(deadline) {
 			break
 		}
@@ -203,22 +198,25 @@ func TestTraceEndToEndWithMigration(t *testing.T) {
 	}
 }
 
-// fetchTraces GETs /traces?job= from a live telemetry server.
+// fetchTraces asks the daemon at addr for the job's traces.
 func fetchTraces(t *testing.T, addr, jobID string) trace.Page {
 	t.Helper()
-	resp, err := http.Get("http://" + addr + "/traces?job=" + jobID)
+	peer, err := wire.Dial(addr, 5*time.Second, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/traces status = %s", resp.Status)
-	}
-	var page trace.Page
-	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
+	defer peer.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	reply, err := peer.Call(ctx, proto.TracesRequest{JobID: jobID})
+	if err != nil {
 		t.Fatal(err)
 	}
-	return page
+	tr, ok := reply.(proto.TracesReply)
+	if !ok {
+		t.Fatalf("unexpected reply %T", reply)
+	}
+	return tr.Page
 }
 
 // treeComplete reports whether a migrated job's page holds every name in

@@ -261,6 +261,16 @@ func TestDashboardSmoke(t *testing.T) {
 		}
 	}
 
+	// The decide-latency chart fills from the coordinator's pool status
+	// alone: nothing is scraped.
+	waitFor(t, 10*time.Second, func() bool {
+		var ov web.Overview
+		if err := json.Unmarshal([]byte(httpGet(t, base+"/api/overview")), &ov); err != nil {
+			t.Fatal(err)
+		}
+		return len(ov.Series["decide_ms.updown"]) > 0
+	})
+
 	// The jobs API answers (the job may have retired already).
 	httpGet(t, base+"/api/jobs")
 	// The events API proxies the coordinator's history.
