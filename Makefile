@@ -126,8 +126,10 @@ bench-drift:
 # run in checkpointed slices against the same program run once (the
 # interpreter's exits and the codec under it), journal replay,
 # the coordinator's journal record and snapshot decoders, the
-# traceparent parser, the submitted program decoder and the assembler
-# (a SubmitRequest carries source).
+# traceparent parser, the submitted program decoder, the assembler
+# (a SubmitRequest carries source), and the shadow's file host (a
+# forwarded syscall sequence on MemHost and OSHost must give the same
+# replies and files).
 # Hostile length prefixes, truncated or corrupted input and garbage must
 # never panic or over-allocate. CI runs this on every push.
 fuzz:
@@ -140,6 +142,7 @@ fuzz:
 	$(GO) test -run NONE -fuzz '^FuzzParseTraceparent$$' -fuzztime 20s ./internal/trace/
 	$(GO) test -run NONE -fuzz '^FuzzDecodeProgram$$' -fuzztime 20s ./internal/proto/
 	$(GO) test -run NONE -fuzz '^FuzzAssemble$$' -fuzztime 20s ./internal/cvm/
+	$(GO) test -run NONE -fuzz '^FuzzHostSyscall$$' -fuzztime 20s ./internal/cvm/
 
 sim:
 	$(GO) run ./cmd/condor-sim

@@ -84,9 +84,7 @@ func buildMonitor(o stationOpts) (machine.Monitor, error) {
 	case "", "file":
 		return fileMonitor{path: o.ownerFile}, nil
 	case "load":
-		return machine.NewLoadAvgMonitor(machine.ThresholdConfig{
-			MaxCPUBusy: o.maxBusy,
-		}), nil
+		return machine.NewLoadMonitor(o.maxBusy), nil
 	case "never":
 		return machine.NewScriptedMonitor(false), nil
 	default:
@@ -120,10 +118,18 @@ func run(o stationOpts) error {
 	if o.jobDir != "" {
 		// Jobs share one sandbox rooted at jobDir: their reads and
 		// writes hit the submitting machine's real files via the shadow.
+		// Creating the root here fails startup rather than a job.
+		if _, err := cvm.NewOSHost(o.jobDir); err != nil {
+			return err
+		}
 		hosts = func(jobID, owner string) cvm.SyscallHandler {
 			h, err := cvm.NewOSHost(o.jobDir)
 			if err != nil {
-				return cvm.NewMemHost() // degrade to in-memory
+				// The root went away after startup: fail the job's calls
+				// as a host error instead of dropping its writes.
+				return cvm.SyscallHandlerFunc(func(cvm.SyscallRequest) (cvm.SyscallReply, error) {
+					return cvm.SyscallReply{}, err
+				})
 			}
 			return h
 		}
@@ -160,9 +166,13 @@ func run(o stationOpts) error {
 		fmt.Printf("telemetry on http://%s/metrics (pprof at /debug/pprof/)\n", srv.Addr())
 	}
 	if o.coord != "" {
-		if err := st.Register(o.coord); err != nil {
+		// The registrar re-registers whenever polls stop, so a restarted
+		// coordinator finds this station again.
+		stop, err := st.StartRegistrar(o.coord)
+		if err != nil {
 			return err
 		}
+		defer stop()
 		fmt.Println("registered with coordinator at", o.coord)
 	}
 

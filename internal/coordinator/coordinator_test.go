@@ -364,7 +364,7 @@ func TestCoordinatorRestartRediscoversPoolViaRegistrar(t *testing.T) {
 	// A coordinator dies and a replacement starts at the same address.
 	// Stations running StartRegistrar must re-register on their own once
 	// polls stop arriving — the §2.1 recovery story with no manual step.
-	coord1, err := New(Config{PollInterval: time.Hour, ListenAddr: "127.0.0.1:0"})
+	coord1, err := New(Config{PollInterval: 10 * time.Millisecond, ListenAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestCoordinatorRestartRediscoversPoolViaRegistrar(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(st.Close)
-	stop, err := st.StartRegistrar(addr, 10*time.Millisecond)
+	stop, err := st.StartRegistrar(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func TestCoordinatorRestartRediscoversPoolViaRegistrar(t *testing.T) {
 	var coord2 *Coordinator
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		coord2, err = New(Config{PollInterval: time.Hour, ListenAddr: addr})
+		coord2, err = New(Config{PollInterval: 10 * time.Millisecond, ListenAddr: addr})
 		if err == nil {
 			break
 		}

@@ -417,7 +417,7 @@ func (v *VM) syscall(num int64) error {
 
 // readString decodes a guest string stored one byte per word.
 func (v *VM) readString(addr, n int64) (string, error) {
-	if n < 0 || n > 4096 {
+	if n < 0 || n > maxNameLen {
 		return "", v.faultf(OpSys, "string length %d invalid", n)
 	}
 	if addr < 0 || n > int64(len(v.mem))-addr {

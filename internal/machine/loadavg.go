@@ -5,56 +5,36 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"time"
 )
 
-// LoadAvgSampler reads owner activity from the host's 1-minute load
-// average (Linux /proc/loadavg), normalized by CPU count — the closest
-// stdlib-only analogue to the paper's "CPU consumption by other users"
-// signal. Keyboard/mouse idle time is not portably observable, so the
-// sampler reports a large SinceLastInput and activity detection rests on
-// the CPU threshold alone.
+// NewLoadMonitor returns a Monitor that reports the owner active while
+// the host's 1-minute load average per CPU (Linux /proc/loadavg) exceeds
+// maxBusy — the closest stdlib-only analogue to the paper's "CPU
+// consumption by other users" signal. Keyboard and mouse idle time is not
+// portably observable, so activity rests on the load alone.
 //
-// On systems without /proc/loadavg the sampler reports zero load (always
-// idle); deployments there should use the marker-file monitor instead.
-type LoadAvgSampler struct {
-	// Path is the loadavg file (default /proc/loadavg).
-	Path string
-	// CPUs normalizes the load (default runtime.NumCPU()).
-	CPUs int
+// Where the file is missing or unreadable the load counts as zero
+// (always idle); deployments there should use the marker-file monitor
+// instead.
+func NewLoadMonitor(maxBusy float64) Monitor {
+	return loadMonitor{path: "/proc/loadavg", maxBusy: maxBusy}
 }
 
-// Sample implements the sampling function for NewThresholdMonitor.
-func (l LoadAvgSampler) Sample() Sample {
-	path := l.Path
-	if path == "" {
-		path = "/proc/loadavg"
-	}
-	cpus := l.CPUs
-	if cpus <= 0 {
-		cpus = runtime.NumCPU()
-	}
-	s := Sample{SinceLastInput: 24 * time.Hour}
-	data, err := os.ReadFile(path)
+type loadMonitor struct {
+	path    string
+	maxBusy float64
+}
+
+// OwnerActive implements Monitor.
+func (m loadMonitor) OwnerActive() bool {
+	data, err := os.ReadFile(m.path)
 	if err != nil {
-		return s
+		return false
 	}
 	fields := strings.Fields(string(data))
 	if len(fields) == 0 {
-		return s
+		return false
 	}
 	load, err := strconv.ParseFloat(fields[0], 64)
-	if err != nil {
-		return s
-	}
-	s.CPUBusyFraction = load / float64(cpus)
-	return s
-}
-
-// NewLoadAvgMonitor builds a threshold monitor over the host load
-// average: the owner counts as active while normalized load exceeds
-// cfg.MaxCPUBusy.
-func NewLoadAvgMonitor(cfg ThresholdConfig) *ThresholdMonitor {
-	sampler := LoadAvgSampler{}
-	return NewThresholdMonitor(sampler.Sample, cfg)
+	return err == nil && load/float64(runtime.NumCPU()) > m.maxBusy
 }

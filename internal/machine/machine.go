@@ -5,16 +5,13 @@
 // The paper's local scheduler checks every ½ minute whether the owner
 // has resumed using the station (§2.1). What "resumed" means is a
 // machine-local detail — keyboard input, load average — so it is
-// abstracted behind Monitor. Production deployments use a
-// ThresholdMonitor over host samples; tests and the simulator drive a
-// ScriptedMonitor.
+// abstracted behind Monitor. NewLoadMonitor reads the host's load
+// average; tests and the in-process pool drive a ScriptedMonitor.
 package machine
 
 import (
 	"sync"
 	"time"
-
-	"condor/internal/sim"
 )
 
 // Monitor reports whether the workstation's owner is currently active.
@@ -51,96 +48,26 @@ func (m *ScriptedMonitor) SetActive(active bool) {
 	m.active = active
 }
 
-// Sample is one observation of host activity.
-type Sample struct {
-	// CPUBusyFraction is non-Condor CPU utilization in [0, 1].
-	CPUBusyFraction float64
-	// SinceLastInput is the time since the last keyboard/mouse input.
-	SinceLastInput time.Duration
-}
-
-// ThresholdConfig tunes a ThresholdMonitor.
-type ThresholdConfig struct {
-	// MaxCPUBusy is the CPU fraction above which the owner counts as
-	// active (default 0.25).
-	MaxCPUBusy float64
-	// MinInputIdle is how long input must have been quiet for the
-	// station to count as idle (default 5 minutes, a common Condor
-	// setting).
-	MinInputIdle time.Duration
-}
-
-// DefaultThresholdConfig returns conventional thresholds.
-func DefaultThresholdConfig() ThresholdConfig {
-	return ThresholdConfig{MaxCPUBusy: 0.25, MinInputIdle: 5 * time.Minute}
-}
-
-// ThresholdMonitor derives owner activity from host samples.
-type ThresholdMonitor struct {
-	sampler func() Sample
-	cfg     ThresholdConfig
-}
-
-var _ Monitor = (*ThresholdMonitor)(nil)
-
-// NewThresholdMonitor wraps sampler with the given thresholds. Zero
-// config fields take defaults.
-func NewThresholdMonitor(sampler func() Sample, cfg ThresholdConfig) *ThresholdMonitor {
-	def := DefaultThresholdConfig()
-	if cfg.MaxCPUBusy <= 0 {
-		cfg.MaxCPUBusy = def.MaxCPUBusy
-	}
-	if cfg.MinInputIdle <= 0 {
-		cfg.MinInputIdle = def.MinInputIdle
-	}
-	return &ThresholdMonitor{sampler: sampler, cfg: cfg}
-}
-
-// OwnerActive implements Monitor.
-func (m *ThresholdMonitor) OwnerActive() bool {
-	s := m.sampler()
-	if s.CPUBusyFraction > m.cfg.MaxCPUBusy {
-		return true
-	}
-	return s.SinceLastInput < m.cfg.MinInputIdle
-}
-
 // Tracker accumulates a station's availability history from periodic
 // observations: the current idle streak and the historic mean idle
 // interval, which feed the §5.1 history-based placement strategy.
-// Tracker is safe for concurrent use.
+// The caller passes the time of each call. The zero Tracker (owner
+// active, no history) is ready to use and is safe for concurrent use.
 type Tracker struct {
 	mu sync.Mutex
-
-	clock sim.Clock
 
 	idle      bool
 	idleSince time.Time
 	// completed idle intervals
 	intervals int
 	totalIdle time.Duration
-	observed  bool
 }
 
-// NewTracker returns a tracker reading time from clock.
-func NewTracker(clock sim.Clock) *Tracker {
-	return &Tracker{clock: clock}
-}
-
-// Observe records the station's current idleness. Call it from the local
+// Observe records the station's idleness at now. Call it from the local
 // scheduler's periodic scan.
-func (t *Tracker) Observe(idle bool) {
+func (t *Tracker) Observe(idle bool, now time.Time) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	now := t.clock.Now()
-	if !t.observed {
-		t.observed = true
-		t.idle = idle
-		if idle {
-			t.idleSince = now
-		}
-		return
-	}
 	if idle == t.idle {
 		return
 	}
@@ -154,15 +81,15 @@ func (t *Tracker) Observe(idle bool) {
 	t.idle = idle
 }
 
-// IdleStreak returns how long the station has currently been idle (zero
-// if the owner is active).
-func (t *Tracker) IdleStreak() time.Duration {
+// IdleStreak returns how long the station has been idle at now (zero if
+// the owner is active).
+func (t *Tracker) IdleStreak(now time.Time) time.Duration {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.observed || !t.idle {
+	if !t.idle {
 		return 0
 	}
-	return t.clock.Now().Sub(t.idleSince)
+	return now.Sub(t.idleSince)
 }
 
 // AvgIdleLen returns the mean length of completed idle intervals (zero
@@ -174,11 +101,4 @@ func (t *Tracker) AvgIdleLen() time.Duration {
 		return 0
 	}
 	return t.totalIdle / time.Duration(t.intervals)
-}
-
-// Intervals returns the number of completed idle intervals.
-func (t *Tracker) Intervals() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.intervals
 }

@@ -1,11 +1,13 @@
 package machine
 
 import (
+	"math"
 	"os"
+	"path/filepath"
+	"runtime"
+	"strconv"
 	"testing"
 	"time"
-
-	"condor/internal/sim"
 )
 
 func TestScriptedMonitor(t *testing.T) {
@@ -19,147 +21,80 @@ func TestScriptedMonitor(t *testing.T) {
 	}
 }
 
-func TestThresholdMonitor(t *testing.T) {
+// TestLoadMonitor: the owner is active while the load per CPU exceeds
+// maxBusy (0.25 here); a missing or unparsable loadavg file reads as idle.
+func TestLoadMonitor(t *testing.T) {
+	perCPU := func(frac float64) string {
+		return strconv.FormatFloat(frac*float64(runtime.NumCPU()), 'f', -1, 64) + " 1.00 0.50 1/234 5678\n"
+	}
 	cases := []struct {
-		name   string
-		sample Sample
-		active bool
+		name     string
+		contents string // "" means no file
+		active   bool
 	}{
-		{"busy cpu", Sample{CPUBusyFraction: 0.9, SinceLastInput: time.Hour}, true},
-		{"recent input", Sample{CPUBusyFraction: 0.0, SinceLastInput: time.Second}, true},
-		{"quiet", Sample{CPUBusyFraction: 0.01, SinceLastInput: time.Hour}, false},
-		{"boundary cpu", Sample{CPUBusyFraction: 0.25, SinceLastInput: time.Hour}, false},
-		{"boundary input", Sample{CPUBusyFraction: 0, SinceLastInput: 5 * time.Minute}, false},
+		{"busy", perCPU(0.9), true},
+		{"quiet", perCPU(0.01), false},
+		{"boundary", perCPU(0.25), false},
+		{"missing file", "", false},
+		{"garbage", "not a number", false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m := NewThresholdMonitor(func() Sample { return tc.sample }, ThresholdConfig{})
-			if got := m.OwnerActive(); got != tc.active {
+			path := filepath.Join(t.TempDir(), "loadavg")
+			if tc.contents != "" {
+				if err := os.WriteFile(path, []byte(tc.contents), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := (loadMonitor{path: path, maxBusy: 0.25}).OwnerActive(); got != tc.active {
 				t.Fatalf("OwnerActive = %v, want %v", got, tc.active)
 			}
 		})
 	}
-}
-
-func TestThresholdMonitorCustomConfig(t *testing.T) {
-	sample := Sample{CPUBusyFraction: 0.5, SinceLastInput: time.Minute}
-	strict := NewThresholdMonitor(func() Sample { return sample },
-		ThresholdConfig{MaxCPUBusy: 0.9, MinInputIdle: time.Second})
-	if strict.OwnerActive() {
-		t.Fatal("loose thresholds should report idle")
+	if NewLoadMonitor(math.Inf(1)).OwnerActive() {
+		t.Fatal("host load exceeded an infinite threshold")
 	}
 }
+
+var t0 = time.Date(1987, 11, 2, 8, 0, 0, 0, time.UTC)
 
 func TestTrackerIdleStreak(t *testing.T) {
-	clock := sim.NewVirtualClock(time.Date(1987, 11, 2, 8, 0, 0, 0, time.UTC))
-	engine := sim.NewEngine(clock.Now())
-	tr := NewTracker(engine.Clock())
-
-	tr.Observe(false) // owner active
-	if tr.IdleStreak() != 0 {
+	var tr Tracker
+	tr.Observe(false, t0) // owner active
+	if tr.IdleStreak(t0) != 0 {
 		t.Fatal("streak while active")
 	}
-	engine.After(10*time.Minute, func(time.Time) { tr.Observe(true) })
-	engine.After(40*time.Minute, func(time.Time) {
-		if got := tr.IdleStreak(); got != 30*time.Minute {
-			t.Fatalf("streak = %v, want 30m", got)
-		}
-	})
-	if err := engine.RunAll(10); err != nil {
-		t.Fatal(err)
+	tr.Observe(true, t0.Add(10*time.Minute))
+	if got := tr.IdleStreak(t0.Add(40 * time.Minute)); got != 30*time.Minute {
+		t.Fatalf("streak = %v, want 30m", got)
 	}
 }
 
 func TestTrackerAvgIdleLen(t *testing.T) {
-	engine := sim.NewEngine(time.Date(1987, 11, 2, 8, 0, 0, 0, time.UTC))
-	tr := NewTracker(engine.Clock())
+	var tr Tracker
 	// idle 1h, active 1h, idle 3h, active...
-	schedule := []struct {
-		at   time.Duration
-		idle bool
-	}{
-		{0, true},
-		{1 * time.Hour, false},
-		{2 * time.Hour, true},
-		{5 * time.Hour, false},
-	}
-	for _, s := range schedule {
-		s := s
-		engine.At(engine.Now().Add(s.at), func(time.Time) { tr.Observe(s.idle) })
-	}
-	if err := engine.RunAll(10); err != nil {
-		t.Fatal(err)
-	}
-	if got := tr.Intervals(); got != 2 {
-		t.Fatalf("intervals = %d, want 2", got)
-	}
+	tr.Observe(true, t0)
+	tr.Observe(false, t0.Add(1*time.Hour))
+	tr.Observe(true, t0.Add(2*time.Hour))
+	tr.Observe(false, t0.Add(5*time.Hour))
 	if got := tr.AvgIdleLen(); got != 2*time.Hour {
 		t.Fatalf("avg idle = %v, want 2h (mean of 1h and 3h)", got)
 	}
 }
 
 func TestTrackerRepeatedSameObservation(t *testing.T) {
-	engine := sim.NewEngine(time.Date(1987, 11, 2, 0, 0, 0, 0, time.UTC))
-	tr := NewTracker(engine.Clock())
-	tr.Observe(true)
-	engine.After(time.Hour, func(time.Time) { tr.Observe(true) }) // no transition
-	engine.After(2*time.Hour, func(time.Time) { tr.Observe(false) })
-	if err := engine.RunAll(10); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Intervals() != 1 {
-		t.Fatalf("intervals = %d, want 1", tr.Intervals())
-	}
+	var tr Tracker
+	tr.Observe(true, t0)
+	tr.Observe(true, t0.Add(time.Hour)) // no transition
+	tr.Observe(false, t0.Add(2*time.Hour))
 	if tr.AvgIdleLen() != 2*time.Hour {
-		t.Fatalf("avg = %v, want 2h", tr.AvgIdleLen())
+		t.Fatalf("avg = %v, want 2h (one interval, not two of 1h)", tr.AvgIdleLen())
 	}
 }
 
 func TestTrackerBeforeAnyObservation(t *testing.T) {
-	tr := NewTracker(sim.RealClock{})
-	if tr.IdleStreak() != 0 || tr.AvgIdleLen() != 0 || tr.Intervals() != 0 {
+	var tr Tracker
+	if tr.IdleStreak(t0) != 0 || tr.AvgIdleLen() != 0 {
 		t.Fatal("zero-value expectations violated")
-	}
-}
-
-func TestLoadAvgSamplerParsesFile(t *testing.T) {
-	dir := t.TempDir()
-	path := dir + "/loadavg"
-	if err := os.WriteFile(path, []byte("2.50 1.00 0.50 1/234 5678\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s := LoadAvgSampler{Path: path, CPUs: 5}.Sample()
-	if s.CPUBusyFraction != 0.5 {
-		t.Fatalf("busy = %v, want 0.5", s.CPUBusyFraction)
-	}
-	if s.SinceLastInput < time.Hour {
-		t.Fatal("input idle must be large (not observable)")
-	}
-}
-
-func TestLoadAvgSamplerMissingFileMeansIdle(t *testing.T) {
-	s := LoadAvgSampler{Path: "/nonexistent/loadavg", CPUs: 4}.Sample()
-	if s.CPUBusyFraction != 0 {
-		t.Fatalf("busy = %v, want 0 on missing file", s.CPUBusyFraction)
-	}
-}
-
-func TestLoadAvgSamplerGarbage(t *testing.T) {
-	dir := t.TempDir()
-	path := dir + "/loadavg"
-	if err := os.WriteFile(path, []byte("not a number"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s := LoadAvgSampler{Path: path, CPUs: 1}.Sample()
-	if s.CPUBusyFraction != 0 {
-		t.Fatalf("busy = %v, want 0 on garbage", s.CPUBusyFraction)
-	}
-}
-
-func TestNewLoadAvgMonitor(t *testing.T) {
-	m := NewLoadAvgMonitor(ThresholdConfig{MaxCPUBusy: 1e9})
-	// Threshold absurdly high: whatever the host load, this reports idle.
-	if m.OwnerActive() {
-		t.Fatal("monitor active despite impossible threshold")
 	}
 }

@@ -274,7 +274,8 @@ type RegisterRequest struct {
 // RegisterReply acknowledges registration.
 type RegisterReply struct {
 	OK bool
-	// PollInterval tells the station how often it will be polled.
+	// PollIntervalMillis tells the station how often it will be polled;
+	// its registrar re-registers after three intervals without a poll.
 	PollIntervalMillis int64
 }
 

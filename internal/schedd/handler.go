@@ -97,7 +97,7 @@ func (st *Station) handlePoll() proto.PollReply {
 		State:            st.State(),
 		WaitingJobs:      st.WaitingJobs(),
 		DiskFreeBytes:    st.diskFree(),
-		IdleStreakMillis: st.tracker.IdleStreak().Milliseconds(),
+		IdleStreakMillis: st.tracker.IdleStreak(time.Now()).Milliseconds(),
 		AvgIdleMillis:    st.tracker.AvgIdleLen().Milliseconds(),
 	}
 	if jobID, _, ok := st.starter.Running(); ok {
@@ -143,17 +143,17 @@ func (st *Station) LastPolled() time.Time {
 
 // StartRegistrar keeps the station registered: it registers immediately
 // and re-registers whenever the coordinator has not polled for three
-// intervals — so a restarted coordinator (§2.1: "its recovery at another
-// site is simplified") rediscovers the pool without manual action.
-// While the coordinator stays silent, re-registration backs off
-// exponentially with jitter (up to 16× the interval), so a pool of
-// stations does not hammer a restarting coordinator in lockstep; the
-// first poll that arrives resets the cadence. Returns a stop function.
-func (st *Station) StartRegistrar(coordAddr string, interval time.Duration) (stop func(), err error) {
-	if interval <= 0 {
-		interval = 2 * time.Minute
-	}
-	if err := st.Register(coordAddr); err != nil {
+// poll intervals — so a restarted coordinator (§2.1: "its recovery at
+// another site is simplified") rediscovers the pool without manual
+// action. The interval is the one the coordinator sent in its latest
+// RegisterReply. While the coordinator stays silent, re-registration
+// backs off exponentially with jitter (up to 16× the interval), so a
+// pool of stations does not hammer a restarting coordinator in lockstep;
+// the first poll that arrives resets the cadence. Returns a stop
+// function.
+func (st *Station) StartRegistrar(coordAddr string) (stop func(), err error) {
+	interval, err := st.register(coordAddr)
+	if err != nil {
 		return nil, err
 	}
 	st.mu.Lock()
@@ -163,7 +163,6 @@ func (st *Station) StartRegistrar(coordAddr string, interval time.Duration) (sto
 	doneCh := make(chan struct{})
 	go func() {
 		defer close(doneCh)
-		policy := wire.Retry{BaseDelay: interval, MaxDelay: 16 * interval, Jitter: 0.25}
 		attempts := 0
 		timer := time.NewTimer(interval)
 		defer timer.Stop()
@@ -175,9 +174,11 @@ func (st *Station) StartRegistrar(coordAddr string, interval time.Duration) (sto
 				wait := interval
 				if time.Since(st.LastPolled()) > 3*interval {
 					// Best effort; the coordinator may still be down.
-					_ = st.Register(coordAddr)
+					if iv, err := st.register(coordAddr); err == nil {
+						interval = iv
+					}
 					attempts++
-					wait = policy.Backoff(attempts)
+					wait = wire.Retry{BaseDelay: interval, MaxDelay: 16 * interval, Jitter: 0.25}.Backoff(attempts)
 				} else {
 					attempts = 0
 				}
@@ -196,6 +197,13 @@ func (st *Station) StartRegistrar(coordAddr string, interval time.Duration) (sto
 // transient transport faults — registering twice is harmless, so it is
 // safely idempotent.
 func (st *Station) Register(coordAddr string) error {
+	_, err := st.register(coordAddr)
+	return err
+}
+
+// register is Register returning the coordinator's poll interval (the
+// paper's 2 minutes if the reply carries none).
+func (st *Station) register(coordAddr string) (time.Duration, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), st.cfg.DialTimeout+5*time.Second)
 	defer cancel()
 	addr := st.cfg.AdvertiseAddr
@@ -204,11 +212,14 @@ func (st *Station) Register(coordAddr string) error {
 	}
 	reply, err := st.pool.CallRetry(ctx, coordAddr, proto.RegisterRequest{Name: st.cfg.Name, Addr: addr})
 	if err != nil {
-		return fmt.Errorf("schedd: register %s with %s: %w", st.cfg.Name, coordAddr, err)
+		return 0, fmt.Errorf("schedd: register %s with %s: %w", st.cfg.Name, coordAddr, err)
 	}
 	r, ok := reply.(proto.RegisterReply)
 	if !ok || !r.OK {
-		return fmt.Errorf("schedd: coordinator refused registration of %s", st.cfg.Name)
+		return 0, fmt.Errorf("schedd: coordinator refused registration of %s", st.cfg.Name)
 	}
-	return nil
+	if r.PollIntervalMillis <= 0 {
+		return 2 * time.Minute, nil
+	}
+	return time.Duration(r.PollIntervalMillis) * time.Millisecond, nil
 }

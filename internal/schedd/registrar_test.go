@@ -22,7 +22,7 @@ func TestRegistrarBacksOffWhileCoordinatorSilent(t *testing.T) {
 		return func(_ context.Context, msg any) (any, error) {
 			if _, ok := msg.(proto.RegisterRequest); ok {
 				registers.Add(1)
-				return proto.RegisterReply{OK: true}, nil
+				return proto.RegisterReply{OK: true, PollIntervalMillis: 10}, nil
 			}
 			return nil, nil
 		}
@@ -33,8 +33,7 @@ func TestRegistrarBacksOffWhileCoordinatorSilent(t *testing.T) {
 	defer coord.Close()
 
 	st := newStation(t, "ws1", nil, nil)
-	const interval = 10 * time.Millisecond
-	stop, err := st.StartRegistrar(coord.Addr(), interval)
+	stop, err := st.StartRegistrar(coord.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,6 @@ import (
 	"condor/internal/machine"
 	"condor/internal/proto"
 	"condor/internal/ru"
-	"condor/internal/sim"
 	"condor/internal/telemetry"
 	"condor/internal/trace"
 	"condor/internal/wire"
@@ -113,7 +112,7 @@ type Station struct {
 	cfg     Config
 	server  *wire.Server
 	starter *ru.Starter
-	tracker *machine.Tracker
+	tracker machine.Tracker
 	events  *eventlog.Log
 	// pool caches the station's outbound control connections (to the
 	// coordinator), so the registrar does not dial fresh on every
@@ -177,7 +176,6 @@ func New(cfg Config) (*Station, error) {
 		return nil, err
 	}
 	st.server = server
-	st.tracker = machine.NewTracker(sim.RealClock{})
 	st.recoverJobs()
 	go st.trackLoop()
 	return st, nil
@@ -333,7 +331,7 @@ func (st *Station) trackLoop() {
 		case <-st.stop:
 			return
 		case <-ticker.C:
-			st.tracker.Observe(!st.cfg.Monitor.OwnerActive())
+			st.tracker.Observe(!st.cfg.Monitor.OwnerActive(), time.Now())
 		}
 	}
 }

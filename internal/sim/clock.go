@@ -2,30 +2,12 @@ package sim
 
 import "time"
 
-// Clock abstracts the passage of time so that scheduling components can be
-// driven either by the wall clock (real daemons) or by the event loop
-// (simulation).
-type Clock interface {
-	// Now returns the current time on this clock.
-	Now() time.Time
-}
-
-// RealClock is a Clock backed by time.Now.
-type RealClock struct{}
-
-var _ Clock = RealClock{}
-
-// Now returns the current wall-clock time.
-func (RealClock) Now() time.Time { return time.Now() }
-
-// VirtualClock is a Clock whose time advances only when the event loop
+// VirtualClock is a clock whose time advances only when the event loop
 // tells it to. It is not safe for concurrent use; the simulator is
 // single-threaded by design.
 type VirtualClock struct {
 	now time.Time
 }
-
-var _ Clock = (*VirtualClock)(nil)
 
 // NewVirtualClock returns a virtual clock positioned at start.
 func NewVirtualClock(start time.Time) *VirtualClock {

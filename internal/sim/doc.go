@@ -1,7 +1,5 @@
 // Package sim provides the discrete-event simulation kernel used by the
-// month-scale Condor evaluation, together with the Clock abstraction that
-// lets the same scheduling code run against both virtual and wall-clock
-// time.
+// month-scale Condor evaluation.
 //
 // The kernel is deliberately small: an event heap ordered by (time,
 // sequence), a virtual clock that advances only when events fire, and

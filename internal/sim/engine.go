@@ -90,9 +90,6 @@ func NewEngine(start time.Time) *Engine {
 	return &Engine{clock: NewVirtualClock(start)}
 }
 
-// Clock returns the engine's virtual clock.
-func (e *Engine) Clock() *VirtualClock { return e.clock }
-
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Time { return e.clock.Now() }
 

@@ -199,11 +199,3 @@ func TestVirtualClockMonotonic(t *testing.T) {
 		t.Fatalf("clock moved backwards: %v", c.Now())
 	}
 }
-
-func TestRealClock(t *testing.T) {
-	var c Clock = RealClock{}
-	before := time.Now().Add(-time.Second)
-	if c.Now().Before(before) {
-		t.Fatal("RealClock.Now is not near wall time")
-	}
-}
