@@ -122,7 +122,10 @@ bench-drift:
 
 # Short fuzz budget over each byte-level reader of peer or disk input:
 # the wire frame decoder (with every message decoder behind it), the
-# checkpoint decoder and the stores' PutBlob behind it, a guest program
+# checkpoint decoder and the stores' PutBlob behind it, a sequence of
+# checkpoint-store operations on the in-memory and the directory store
+# (they must report the same usage, listing and blobs, and a directory
+# store reopened afterwards must charge the same), a guest program
 # run in checkpointed slices against the same program run once (the
 # interpreter's exits and the codec under it), journal replay,
 # the coordinator's journal record and snapshot decoders, the
@@ -136,6 +139,7 @@ fuzz:
 	$(GO) test -run NONE -fuzz '^FuzzFrameDecode$$' -fuzztime 20s ./internal/wire/
 	$(GO) test -run NONE -fuzz '^FuzzDecode$$' -fuzztime 20s ./internal/ckpt/
 	$(GO) test -run NONE -fuzz '^FuzzPutBlob$$' -fuzztime 20s ./internal/ckpt/
+	$(GO) test -run NONE -fuzz '^FuzzStoreOps$$' -fuzztime 20s ./internal/ckpt/
 	$(GO) test -run NONE -fuzz '^FuzzRunSlices$$' -fuzztime 20s ./internal/ckpt/
 	$(GO) test -run NONE -fuzz '^FuzzReplay$$' -fuzztime 20s ./internal/journal/
 	$(GO) test -run NONE -fuzz '^FuzzRebuildState$$' -fuzztime 20s ./internal/coordinator/

@@ -52,7 +52,7 @@ func main() {
 		grace     = flag.Duration("grace", 5*time.Minute, "suspend grace before vacate (§4)")
 		pacing    = flag.Duration("pacing", 2*time.Minute, "min gap between placements (§4)")
 		spoolDir  = flag.String("spool", "", "directory for durable checkpoints (default: in-memory)")
-		diskCap   = flag.Int64("disk", 0, "checkpoint store capacity in bytes (0 = unlimited)")
+		diskCap   = flag.Int64("disk", 0, "checkpoint store capacity in bytes (0 = unlimited): each checkpoint costs its decoded image, its program text once per distinct program; the same with or without -spool")
 		kill      = flag.Bool("kill-immediately", false, "kill on owner return instead of suspending")
 		periodic  = flag.Duration("periodic-checkpoint", 0, "periodic checkpoint interval (0 = off)")
 		jobDir    = flag.String("jobdir", "", "directory for jobs' real file I/O (default: per-job in-memory)")
@@ -102,11 +102,10 @@ func hostnameDefault() string {
 func run(o stationOpts) error {
 	var store ckpt.Store
 	if o.spool != "" {
-		dir, err := ckpt.NewDirStore(o.spool, o.disk)
-		if err != nil {
+		var err error
+		if store, err = ckpt.NewDirStore(o.spool, o.disk); err != nil {
 			return err
 		}
-		store = dir
 	} else if o.disk > 0 {
 		store = ckpt.NewMemStore(o.disk, true)
 	}

@@ -26,7 +26,7 @@ var errEmptyJobID = errors.New("ckpt: empty job id")
 
 // Usage summarizes a store's footprint.
 type Usage struct {
-	// Bytes is the total space consumed, including shared text.
+	// Bytes is the total space charged, including shared text.
 	Bytes int64 `json:"bytes"`
 	// Checkpoints is the number of stored checkpoints.
 	Checkpoints int `json:"checkpoints"`
@@ -67,6 +67,70 @@ type Store interface {
 	Capacity() int64
 }
 
+// backend is where a store's blobs live, one per job. write and remove
+// run under the store's mutex; read runs outside it, so a backend must
+// let a read race a write. read reports ErrNotFound for a missing blob.
+type backend interface {
+	write(jobID string, blob []byte) error
+	read(jobID string) ([]byte, error)
+	remove(jobID string) error
+}
+
+const instrBytes = 32 // one Instr is 4 words
+
+// entry is the index's record of one stored checkpoint.
+type entry struct {
+	meta      Meta
+	bytes     int64  // charged to this checkpoint alone (shared text excluded)
+	text      string // shared-text key (the program's text checksum); "" unshared
+	textBytes int64  // size of the shared text under key
+}
+
+// textEntry is one reference-counted shared text segment.
+type textEntry struct {
+	bytes int64
+	refs  int
+}
+
+// store is the one implementation of Store. It decides everything a
+// checkpoint store decides — verification, the job check, capacity,
+// usage, shared-text refcounts and the index of stored checkpoints — and
+// keeps only the bytes in its backend. Has, List, Usage, Capacity and
+// PutBlob's capacity check read the index alone.
+//
+// A checkpoint is charged its decoded image size. With shared text on,
+// its text segment is charged once per TextChecksum, reference-counted,
+// however many checkpoints carry it (§4); the bytes still travel inside
+// every blob.
+type store struct {
+	mu        sync.Mutex
+	blobs     backend
+	capacity  int64
+	share     bool
+	index     map[string]entry
+	texts     map[string]*textEntry
+	bytes     int64 // sum of the index's charges
+	textBytes int64 // sum of the texts' sizes
+}
+
+func newStore(blobs backend, capacity int64, shareText bool) *store {
+	return &store{
+		blobs:    blobs,
+		capacity: capacity,
+		share:    shareText,
+		index:    make(map[string]entry),
+		texts:    make(map[string]*textEntry),
+	}
+}
+
+// NewMemStore returns an in-memory store. capacity is the byte budget (0
+// = unlimited); shareText enables the §4 shared-text optimization: a
+// text segment is charged once per content hash, however many stored
+// checkpoints carry it.
+func NewMemStore(capacity int64, shareText bool) Store {
+	return newStore(&memBlobs{m: make(map[string][]byte)}, capacity, shareText)
+}
+
 // verify is PutBlob's gate: the full decode, then the job check.
 func verify(jobID string, blob []byte) (Meta, *cvm.Image, error) {
 	if jobID == "" {
@@ -82,9 +146,99 @@ func verify(jobID string, blob []byte) (Meta, *cvm.Image, error) {
 	return meta, img, nil
 }
 
-// put is every Store's Put: encode with the metadata defaults, then
-// PutBlob.
-func put(s Store, meta Meta, img *cvm.Image) error {
+// charge is the index entry for a decoded checkpoint: its image size,
+// less its text when text is shared.
+func (s *store) charge(meta Meta, img *cvm.Image) entry {
+	e := entry{meta: meta, bytes: img.SizeBytes()}
+	if s.share {
+		e.textBytes = int64(len(img.Program.Text)) * instrBytes
+		e.bytes -= e.textBytes
+		e.text = meta.TextChecksum
+		if e.text == "" {
+			e.text = img.Program.TextChecksum()
+		}
+	}
+	return e
+}
+
+// PutBlob implements Store. The index changes only once the backend has
+// the new blob, so a failed write leaves the old checkpoint and entry.
+func (s *store) PutBlob(jobID string, blob []byte) (Meta, error) {
+	meta, img, err := verify(jobID, blob)
+	if err != nil {
+		return Meta{}, err
+	}
+	e := s.charge(meta, img)
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.capacity > 0 {
+		need := s.bytes + s.textBytes - s.index[jobID].bytes + e.bytes
+		if _, ok := s.texts[e.text]; s.share && !ok {
+			need += e.textBytes
+		}
+		if need > s.capacity {
+			return Meta{}, fmt.Errorf("%w: need %d bytes, capacity %d", ErrDiskFull, need, s.capacity)
+		}
+	}
+	if err := s.blobs.write(jobID, blob); err != nil {
+		return Meta{}, err
+	}
+	s.dropLocked(jobID)
+	s.addLocked(jobID, e)
+	return meta, nil
+}
+
+func (s *store) addLocked(jobID string, e entry) {
+	s.index[jobID] = e
+	s.bytes += e.bytes
+	if !s.share {
+		return
+	}
+	t, ok := s.texts[e.text]
+	if !ok {
+		t = &textEntry{bytes: e.textBytes}
+		s.texts[e.text] = t
+		s.textBytes += t.bytes
+	}
+	t.refs++
+}
+
+func (s *store) dropLocked(jobID string) {
+	e, ok := s.index[jobID]
+	if !ok {
+		return
+	}
+	delete(s.index, jobID)
+	s.bytes -= e.bytes
+	t, ok := s.texts[e.text]
+	if !ok {
+		return
+	}
+	t.refs--
+	if t.refs == 0 {
+		delete(s.texts, e.text)
+		s.textBytes -= t.bytes
+	}
+}
+
+// GetBlob implements Store.
+func (s *store) GetBlob(jobID string) (Meta, []byte, error) {
+	s.mu.Lock()
+	e, ok := s.index[jobID]
+	s.mu.Unlock()
+	if !ok {
+		return Meta{}, nil, fmt.Errorf("%w: job %q", ErrNotFound, jobID)
+	}
+	blob, err := s.blobs.read(jobID)
+	if err != nil {
+		return Meta{}, nil, err
+	}
+	return e.meta, blob, nil
+}
+
+// Put implements Store: encode with the metadata defaults, then PutBlob.
+func (s *store) Put(meta Meta, img *cvm.Image) error {
 	if meta.TextChecksum == "" && img != nil && img.Program != nil {
 		meta.TextChecksum = img.Program.TextChecksum()
 	}
@@ -96,113 +250,8 @@ func put(s Store, meta Meta, img *cvm.Image) error {
 	return err
 }
 
-const instrBytes = 32 // one Instr is 4 words
-
-func textBytes(n int) int64 { return int64(n) * instrBytes }
-
-// textEntry is one reference-counted shared text segment.
-type textEntry struct {
-	bytes int64
-	refs  int
-}
-
-type memCkpt struct {
-	meta  Meta
-	blob  []byte
-	text  string // shared-text key (the program's text checksum)
-	bytes int64  // space charged to this checkpoint (excludes shared text)
-}
-
-// MemStore is an in-memory Store with optional shared text segments.
-// Daemons use it for fast in-process pools and tests; DirStore provides
-// the durable variant.
-type MemStore struct {
-	mu       sync.Mutex
-	capacity int64
-	share    bool
-	ckpts    map[string]memCkpt
-	texts    map[string]*textEntry
-}
-
-var _ Store = (*MemStore)(nil)
-
-// NewMemStore returns an in-memory store. capacity is the byte budget (0
-// = unlimited); shareText enables the §4 shared-text optimization: a
-// text segment is charged once per content hash, however many stored
-// checkpoints carry it.
-func NewMemStore(capacity int64, shareText bool) *MemStore {
-	return &MemStore{
-		capacity: capacity,
-		share:    shareText,
-		ckpts:    make(map[string]memCkpt),
-		texts:    make(map[string]*textEntry),
-	}
-}
-
-// PutBlob implements Store. The charge is the image's size, less its
-// text when text is shared.
-func (s *MemStore) PutBlob(jobID string, blob []byte) (Meta, error) {
-	meta, img, err := verify(jobID, blob)
-	if err != nil {
-		return Meta{}, err
-	}
-	newBytes := img.SizeBytes()
-	text := textBytes(len(img.Program.Text))
-	var key string
-	if s.share {
-		newBytes -= text
-		key = meta.TextChecksum
-		if key == "" {
-			key = img.Program.TextChecksum()
-		}
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var newTextBytes int64
-	if s.share {
-		if _, exists := s.texts[key]; !exists {
-			newTextBytes = text
-		}
-	}
-	old, replacing := s.ckpts[jobID]
-	if s.capacity > 0 {
-		projected := s.usageLocked().Bytes - old.bytes + newBytes + newTextBytes
-		if projected > s.capacity {
-			return Meta{}, fmt.Errorf("%w: need %d bytes, capacity %d", ErrDiskFull, projected, s.capacity)
-		}
-	}
-	if replacing {
-		s.dropTextRefLocked(old.text)
-	}
-	if s.share {
-		entry, ok := s.texts[key]
-		if !ok {
-			entry = &textEntry{bytes: text}
-			s.texts[key] = entry
-		}
-		entry.refs++
-	}
-	s.ckpts[jobID] = memCkpt{meta: meta, blob: blob, text: key, bytes: newBytes}
-	return meta, nil
-}
-
-// GetBlob implements Store.
-func (s *MemStore) GetBlob(jobID string) (Meta, []byte, error) {
-	s.mu.Lock()
-	ck, ok := s.ckpts[jobID]
-	s.mu.Unlock()
-	if !ok {
-		return Meta{}, nil, fmt.Errorf("%w: job %q", ErrNotFound, jobID)
-	}
-	return ck.meta, ck.blob, nil
-}
-
-// Put implements Store.
-func (s *MemStore) Put(meta Meta, img *cvm.Image) error { return put(s, meta, img) }
-
 // Get implements Store.
-func (s *MemStore) Get(jobID string) (Meta, *cvm.Image, error) {
+func (s *store) Get(jobID string) (Meta, *cvm.Image, error) {
 	_, blob, err := s.GetBlob(jobID)
 	if err != nil {
 		return Meta{}, nil, err
@@ -210,71 +259,82 @@ func (s *MemStore) Get(jobID string) (Meta, *cvm.Image, error) {
 	return DecodeBytes(blob)
 }
 
-// Delete implements Store.
-func (s *MemStore) Delete(jobID string) error {
+// Delete implements Store. A failed remove keeps the entry.
+func (s *store) Delete(jobID string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ck, ok := s.ckpts[jobID]
-	if !ok {
+	if _, ok := s.index[jobID]; !ok {
 		return nil
 	}
-	delete(s.ckpts, jobID)
-	s.dropTextRefLocked(ck.text)
+	if err := s.blobs.remove(jobID); err != nil {
+		return err
+	}
+	s.dropLocked(jobID)
 	return nil
 }
 
-func (s *MemStore) dropTextRefLocked(key string) {
-	if !s.share {
-		return
-	}
-	entry, ok := s.texts[key]
-	if !ok {
-		return
-	}
-	entry.refs--
-	if entry.refs <= 0 {
-		delete(s.texts, key)
-	}
-}
-
 // Has implements Store.
-func (s *MemStore) Has(jobID string) bool {
+func (s *store) Has(jobID string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.ckpts[jobID]
+	_, ok := s.index[jobID]
 	return ok
 }
 
 // List implements Store.
-func (s *MemStore) List() []Meta {
+func (s *store) List() []Meta {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Meta, 0, len(s.ckpts))
-	for _, ck := range s.ckpts {
-		out = append(out, ck.meta)
+	out := make([]Meta, 0, len(s.index))
+	for _, e := range s.index {
+		out = append(out, e.meta)
 	}
+	s.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].JobID < out[j].JobID })
 	return out
 }
 
 // Usage implements Store.
-func (s *MemStore) Usage() Usage {
+func (s *store) Usage() Usage {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.usageLocked()
-}
-
-func (s *MemStore) usageLocked() Usage {
-	u := Usage{Checkpoints: len(s.ckpts), SharedTexts: len(s.texts)}
-	for _, ck := range s.ckpts {
-		u.Bytes += ck.bytes
+	return Usage{
+		Bytes:       s.bytes + s.textBytes,
+		Checkpoints: len(s.index),
+		TextBytes:   s.textBytes,
+		SharedTexts: len(s.texts),
 	}
-	for _, t := range s.texts {
-		u.TextBytes += t.bytes
-	}
-	u.Bytes += u.TextBytes
-	return u
 }
 
 // Capacity implements Store.
-func (s *MemStore) Capacity() int64 { return s.capacity }
+func (s *store) Capacity() int64 { return s.capacity }
+
+// memBlobs keeps each blob in memory, as PutBlob was handed it. Its read
+// does not decode: PutBlob verified the bytes and nothing can rot them.
+type memBlobs struct {
+	mu sync.Mutex
+	m  map[string][]byte
+}
+
+func (b *memBlobs) write(jobID string, blob []byte) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.m[jobID] = blob
+	return nil
+}
+
+func (b *memBlobs) read(jobID string) ([]byte, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	blob, ok := b.m[jobID]
+	if !ok {
+		return nil, fmt.Errorf("%w: job %q", ErrNotFound, jobID)
+	}
+	return blob, nil
+}
+
+func (b *memBlobs) remove(jobID string) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	delete(b.m, jobID)
+	return nil
+}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"condor/internal/cvm"
@@ -113,6 +114,44 @@ func storeUnderTest(t *testing.T, name string, mk func(t *testing.T, capacity in
 		list := s.List()
 		if len(list) != 3 || list[0].JobID != "a" || list[2].JobID != "c" {
 			t.Fatalf("list = %+v", list)
+		}
+	})
+
+	t.Run(name+"/concurrent-use", func(t *testing.T) {
+		// GetBlob reads the backend outside the store's mutex, racing
+		// the writes and removes of other goroutines.
+		s := mk(t, 0)
+		img := makeImage(t, cvm.SumProgram(30), 4)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(id string) {
+				defer wg.Done()
+				for i := 0; i < 20; i++ {
+					if err := s.Put(Meta{JobID: id, Sequence: uint64(i)}, img); err != nil {
+						t.Error(err)
+						return
+					}
+					if _, _, err := s.GetBlob("shared"); err != nil && !errors.Is(err, ErrNotFound) {
+						t.Error(err)
+						return
+					}
+					s.Usage()
+					s.List()
+					if err := s.Delete("shared"); err != nil {
+						t.Error(err)
+						return
+					}
+					if _, err := s.PutBlob("shared", mustEncode(t, Meta{JobID: "shared"}, img)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(fmt.Sprintf("g%d", g))
+		}
+		wg.Wait()
+		if u := s.Usage(); u.Checkpoints != 5 {
+			t.Fatalf("usage after concurrent use = %+v, want 5 checkpoints", u)
 		}
 	})
 
@@ -270,7 +309,10 @@ func TestDirStoreSkipsCorruptFilesInList(t *testing.T) {
 	if err := s.Put(Meta{JobID: "good"}, img); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFile(t, dir+"/bad.ckpt", []byte("garbage")); err != nil {
+	// The store reads its directory once, at open: damaged files must be
+	// in place before it is reopened.
+	bad := filepath.Join(dir, "bad.ckpt")
+	if err := os.WriteFile(bad, []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// A spool written before Version 3 is refused like any corrupt file.
@@ -278,10 +320,15 @@ func TestDirStoreSkipsCorruptFilesInList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFile(t, dir+"/ws1_7.ckpt", v2); err != nil {
+	old := filepath.Join(dir, "ws1_7.ckpt")
+	if err := os.WriteFile(old, v2, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	before := mSkippedFiles.Value()
+	s, err = NewDirStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	list := s.List()
 	if len(list) != 1 || list[0].JobID != "good" {
 		t.Fatalf("list = %+v, want only the good checkpoint", list)
@@ -289,12 +336,154 @@ func TestDirStoreSkipsCorruptFilesInList(t *testing.T) {
 	if got := mSkippedFiles.Value() - before; got != 2 {
 		t.Fatalf("skipped-files counter rose by %d, want 2", got)
 	}
-	if u := s.Usage(); u.Checkpoints != 3 {
-		t.Fatalf("usage = %+v, want the skipped files left on disk", u)
+	for _, path := range []string{bad, old} {
+		if _, err := os.Stat(path); err != nil {
+			t.Fatalf("skipped file not left on disk: %v", err)
+		}
 	}
 }
 
-func writeFile(t *testing.T, path string, data []byte) error {
+// A temp file a crash left between create and rename was never
+// acknowledged: opening the store removes it, so it cannot hold spool
+// space forever.
+func TestDirStoreRemovesLeftoverTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewDirStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := makeImage(t, cvm.SpinProgram(10), 3)
+	for _, id := range []string{"ws1/1", "ws1/2"} {
+		if err := s.Put(Meta{JobID: id}, img); err != nil {
+			t.Fatal(err)
+		}
+	}
+	leftover := filepath.Join(dir, ".ckpt-123")
+	if err := os.WriteFile(leftover, []byte("half a checkpoint"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err = NewDirStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(leftover); !os.IsNotExist(err) {
+		t.Fatalf("leftover temp file still there: %v", err)
+	}
+	if list := s.List(); len(list) != 2 || list[0].JobID != "ws1/1" || list[1].JobID != "ws1/2" {
+		t.Fatalf("list = %+v, want both checkpoints", list)
+	}
+}
+
+// §4 shared text holds on the durable store too: 20 jobs of one program
+// charge one text, exactly as a shared in-memory store does.
+func TestDirStoreSharesText(t *testing.T) {
+	dir, err := NewDirStore(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := NewMemStore(0, true)
+	for i := 0; i < 20; i++ {
+		img := makeImage(t, cvm.SumProgram(int64(1000+i)), 10)
+		meta := Meta{JobID: fmt.Sprintf("j%02d", i)}
+		for _, s := range []Store{dir, mem} {
+			if err := s.Put(meta, img); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	du, mu := dir.Usage(), mem.Usage()
+	if du.SharedTexts != 1 || du != mu {
+		t.Fatalf("dir usage %+v, shared mem usage %+v: want one shared text and equal usage", du, mu)
+	}
+}
+
+// -disk means the same with or without -spool: a durable store and a
+// shared in-memory store of one capacity admit the same checkpoints and
+// refuse the next.
+func TestDirStoreDiskFullMatchesMemStore(t *testing.T) {
+	img := func(i int) *cvm.Image { return makeImage(t, cvm.SumProgram(int64(1000+i)), 10) }
+	probe := NewMemStore(0, true)
+	if err := probe.Put(Meta{JobID: "p0"}, img(0)); err != nil {
+		t.Fatal(err)
+	}
+	first := probe.Usage().Bytes
+	if err := probe.Put(Meta{JobID: "p1"}, img(1)); err != nil {
+		t.Fatal(err)
+	}
+	perJob := probe.Usage().Bytes - first
+	const fit = 5
+	capacity := first + (fit-1)*perJob + perJob/2
+
+	dir, err := NewDirStore(t.TempDir(), capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := NewMemStore(capacity, true)
+	for i := 0; i <= fit; i++ {
+		meta := Meta{JobID: fmt.Sprintf("j%d", i)}
+		derr, merr := dir.Put(meta, img(i)), mem.Put(meta, img(i))
+		if want := i < fit; (derr == nil) != want || (merr == nil) != want {
+			t.Fatalf("put %d: dir err %v, mem err %v; want accepted = %v", i, derr, merr, want)
+		}
+		if i == fit && (!errors.Is(derr, ErrDiskFull) || !errors.Is(merr, ErrDiskFull)) {
+			t.Fatalf("put %d: dir err %v, mem err %v; want ErrDiskFull", i, derr, merr)
+		}
+	}
+	if du, mu := dir.Usage(), mem.Usage(); du != mu {
+		t.Fatalf("dir usage %+v, mem usage %+v", du, mu)
+	}
+}
+
+// failingBlobs is a backend whose writes and removes fail on demand.
+type failingBlobs struct {
+	backend
+	fail bool
+}
+
+func (b *failingBlobs) write(jobID string, blob []byte) error {
+	if b.fail {
+		return errors.New("injected write failure")
+	}
+	return b.backend.write(jobID, blob)
+}
+
+func (b *failingBlobs) remove(jobID string) error {
+	if b.fail {
+		return errors.New("injected remove failure")
+	}
+	return b.backend.remove(jobID)
+}
+
+// The index changes exactly when the backend's blob does: a failed write
+// or remove leaves the old checkpoint, its entry and Usage.
+func TestFailedWriteKeepsEntry(t *testing.T) {
+	blobs := &failingBlobs{backend: &memBlobs{m: make(map[string][]byte)}}
+	s := newStore(blobs, 0, true)
+	if err := s.Put(Meta{JobID: "j", Sequence: 1}, makeImage(t, cvm.SumProgram(10), 5)); err != nil {
+		t.Fatal(err)
+	}
+	usage := s.Usage()
+	blobs.fail = true
+	if err := s.Put(Meta{JobID: "j", Sequence: 2}, makeImage(t, cvm.SpinProgram(10), 5)); err == nil {
+		t.Fatal("put with a failing backend succeeded")
+	}
+	if err := s.Put(Meta{JobID: "k"}, makeImage(t, cvm.SpinProgram(10), 5)); err == nil || s.Has("k") {
+		t.Fatalf("new job after a failed write: err %v, has %v", err, s.Has("k"))
+	}
+	if err := s.Delete("j"); err == nil {
+		t.Fatal("delete with a failing backend succeeded")
+	}
+	meta, _, err := s.Get("j")
+	if err != nil || meta.Sequence != 1 || s.Usage() != usage {
+		t.Fatalf("after failed writes: seq %d, err %v, usage %+v (was %+v)", meta.Sequence, err, s.Usage(), usage)
+	}
+}
+
+func mustEncode(t *testing.T, meta Meta, img *cvm.Image) []byte {
 	t.Helper()
-	return os.WriteFile(path, data, 0o644)
+	blob, err := EncodeBytes(meta, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
 }

@@ -28,8 +28,6 @@ var (
 	ErrQueueClosed = errors.New("schedd: station closed")
 	// ErrNoSuchJob is returned when a job id is unknown.
 	ErrNoSuchJob = errors.New("schedd: no such job")
-	// ErrDiskFull wraps ckpt.ErrDiskFull for submissions that do not fit.
-	ErrDiskFull = ckpt.ErrDiskFull
 )
 
 // HostFactory builds the syscall handler (the "files of the submitting
@@ -183,7 +181,7 @@ func New(cfg Config) (*Station, error) {
 
 // recoverJobs rebuilds the queue from checkpoints found in the store —
 // the submitter-reboot half of the completion guarantee: with a durable
-// store (ckpt.DirStore), a machine crash on the *submitting* side loses
+// store (ckpt.NewDirStore), a machine crash on the *submitting* side loses
 // no queued or checkpointed work either. The original submission time
 // and priority ride in the checkpoint metadata, so the recovered queue
 // keeps its pre-restart order (submission order, not the store's
@@ -347,8 +345,9 @@ type SubmitOptions struct {
 }
 
 // Submit queues a program for background execution and returns the job
-// id. It fails with ErrDiskFull when the checkpoint store cannot hold the
-// job's initial image (§4's disk-space limit on simultaneous jobs).
+// id. It fails with ckpt.ErrDiskFull when the checkpoint store cannot
+// hold the job's initial image (§4's disk-space limit on simultaneous
+// jobs).
 func (st *Station) Submit(owner string, prog *cvm.Program, stackWords int) (string, error) {
 	return st.SubmitJob(owner, prog, SubmitOptions{StackWords: stackWords})
 }

@@ -106,7 +106,7 @@ func TestSubmitDiskFull(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		_, err := st.Submit("a", cvm.SumProgram(int64(i)), 0)
 		if err != nil {
-			if !errors.Is(err, ErrDiskFull) {
+			if !errors.Is(err, ckpt.ErrDiskFull) {
 				t.Fatalf("unexpected submit error: %v", err)
 			}
 			sawFull = true
