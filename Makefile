@@ -22,7 +22,7 @@ GO ?= go
 # decision audit ring (a sampled span goes into internal/ring by value
 # and a recorded audit by pointer, both 0 allocs/op, and so is the
 # nil-builder path).
-BASELINE_BENCH = 'BenchmarkTelemetryObserve$$|BenchmarkTelemetryCounter$$|BenchmarkFrameRoundTrip$$|BenchmarkSyscallRoundTrip$$|BenchmarkPlaceSequential$$|BenchmarkCheckpointPerMB$$|BenchmarkCheckpointSmallCompressed$$|BenchmarkCheckpointIncompressible$$|BenchmarkVMExecution$$|BenchmarkVMFold$$|BenchmarkJournalAppend|BenchmarkCycle100$$|BenchmarkCycle1000$$|BenchmarkPipelineCycle100$$|BenchmarkPipelineCycle1000$$|BenchmarkPipelineCycleAudited1000$$|BenchmarkTraceSpan$$|BenchmarkTraceSampledOut$$|BenchmarkTraceparentParse$$|BenchmarkAccountingSyscall$$|BenchmarkAccountingSyscallParallel$$|BenchmarkLedgerSnapshot$$|BenchmarkHealthObserve$$|BenchmarkBusPublish$$|BenchmarkBusPublishSubscribed$$|BenchmarkDecisionRecord$$|BenchmarkBuilderNil$$'
+BASELINE_BENCH = 'BenchmarkTelemetryObserve$$|BenchmarkTelemetryCounter$$|BenchmarkFrameRoundTrip$$|BenchmarkSyscallRoundTrip$$|BenchmarkPlaceSequential$$|BenchmarkCheckpointPerMB$$|BenchmarkCheckpointSmallCompressed$$|BenchmarkCheckpointIncompressible$$|BenchmarkVMExecution$$|BenchmarkVMFold$$|BenchmarkJournalAppend$$|BenchmarkCycle100$$|BenchmarkCycle1000$$|BenchmarkPipelineCycle100$$|BenchmarkPipelineCycle1000$$|BenchmarkPipelineCycleAudited1000$$|BenchmarkTraceSpan$$|BenchmarkTraceSampledOut$$|BenchmarkTraceparentParse$$|BenchmarkAccountingSyscall$$|BenchmarkAccountingSyscallParallel$$|BenchmarkLedgerSnapshot$$|BenchmarkHealthObserve$$|BenchmarkBusPublish$$|BenchmarkBusPublishSubscribed$$|BenchmarkDecisionRecord$$|BenchmarkBuilderNil$$'
 BASELINE_PKGS = . ./internal/telemetry/ ./internal/wire/ ./internal/journal/ ./internal/coordinator/ ./internal/trace/ ./internal/accounting/ ./internal/decision/
 
 all: verify
@@ -71,17 +71,17 @@ bench-test:
 race:
 	$(GO) test -race ./...
 
-# Crash-recovery and fault-injection suite: journal torn-tail fuzz,
-# coordinator replay fuzz, crash/restart recovery, the graded-health
-# state machine (quarantine, flap, byzantine), the cluster-level chaos
-# harness (partitions, slow links, scenario runner), the RU failure
-# paths (executor or shadow dying mid-job, on fresh and reused links),
-# the schedd job-state table (stale events, removal races), the wire's
-# frame deadlines (a Call's deadline bounds its write; a stalled peer
-# fails a frame within the frame timeout), and the codec round trips
-# (every message through a connection, journal records and snapshots,
-# gob-era journals refused). Set CONDOR_CHAOS_LONG=1 for the nightly
-# multi-seed soak.
+# Crash-recovery and fault-injection suite: the newest state slot cut at
+# every byte in the journal and the coordinator, crash/restart recovery,
+# the graded-health state machine (quarantine, flap, byzantine), the
+# cluster-level chaos harness (partitions, slow links, scenario runner),
+# the RU failure paths (executor or shadow dying mid-job, on fresh and
+# reused links), the schedd job-state table (stale events, removal
+# races), the wire's frame deadlines (a Call's deadline bounds its
+# write; a stalled peer fails a frame within the frame timeout), and the
+# codec round trips (every message through a connection, the
+# coordinator's state, log-era state directories refused). Set
+# CONDOR_CHAOS_LONG=1 for the nightly multi-seed soak.
 chaos:
 	$(GO) test -race -count=2 -run 'Crash|Chaos|Replay|Torn|Truncat|Recovery|Scenario|Partition|Quarantine|Flap|Byzantine|Failure|Lost|Hangup|Wedging|Stale|Remove|Transition|Stall|Deadline|Codec|RoundTrip|Rebuild|PreChange' \
 		./internal/journal/... ./internal/coordinator/... ./internal/schedd/... ./internal/chaos/... ./internal/ru/... ./internal/wire/... ./internal/proto/...
@@ -127,8 +127,8 @@ bench-drift:
 # (they must report the same usage, listing and blobs, and a directory
 # store reopened afterwards must charge the same), a guest program
 # run in checkpointed slices against the same program run once (the
-# interpreter's exits and the codec under it), journal replay,
-# the coordinator's journal record and snapshot decoders, the
+# interpreter's exits and the codec under it), journal recovery from
+# two arbitrary state slots, the coordinator's state decoder, the
 # traceparent parser, the submitted program decoder, the assembler
 # (a SubmitRequest carries source), and the shadow's file host (a
 # forwarded syscall sequence on MemHost and OSHost must give the same

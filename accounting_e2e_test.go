@@ -173,9 +173,9 @@ func badput(owner string) uint64 {
 }
 
 // TestAccountingSurvivesCoordinatorRestart proves the allocation ledger
-// rides the coordinator journal: grants issued before a restart are
-// still reported (over the same AccountingRequest RPC condor-report
-// uses) by the replayed incarnation.
+// rides the coordinator's saved state: grants issued before a restart
+// are still reported (over the same AccountingRequest RPC condor-report
+// uses) by the restarted incarnation.
 func TestAccountingSurvivesCoordinatorRestart(t *testing.T) {
 	dir := t.TempDir()
 	// A huge poll interval freezes the background ticker so every

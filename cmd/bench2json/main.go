@@ -9,7 +9,9 @@
 // GitHub annotations when running in Actions) and fail the exit code.
 // CI gates on this; benchmarks too timing-sensitive for shared runners
 // are excused by name in the -allowlist file — timing only (their drift
-// is still printed, it just does not fail the build).
+// is still printed, it just does not fail the build). A baseline row
+// the run did not produce fails too, so a deleted or renamed benchmark
+// cannot silently leave the gate.
 package main
 
 import (
@@ -117,9 +119,9 @@ func loadAllowlist(path string) (map[string]bool, error) {
 const allocTolerance = 0.05
 
 // compare reports drift of the stdin run versus the committed baseline.
-// Returns the process exit code: 0 in tolerance, 1 on timing drift or
-// allocation growth. Allowlisted benchmarks report timing drift without
-// failing.
+// Returns the process exit code: 0 in tolerance, 1 on timing drift,
+// allocation growth or a baseline row missing from the run. Allowlisted
+// benchmarks report timing drift without failing.
 func compare(baselinePath string, tolerance float64, allow map[string]bool, cur *Document) int {
 	raw, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -137,8 +139,10 @@ func compare(baselinePath string, tolerance float64, allow map[string]bool, cur 
 	}
 	annotate := os.Getenv("GITHUB_ACTIONS") == "true"
 	bad := 0
+	ran := make(map[string]bool, len(cur.Results))
 	for _, r := range cur.Results {
 		name := normName(r.Name)
+		ran[name] = true
 		b, ok := baseline[name]
 		if !ok {
 			fmt.Printf("NEW   %-40s %10.1f ns/op (no baseline; add with `make bench-baseline`)\n",
@@ -173,8 +177,14 @@ func compare(baselinePath string, tolerance float64, allow map[string]bool, cur 
 			fmt.Printf("ok    %-40s %10.1f -> %10.1f ns/op (%+.0f%%)\n", name, b.NsOp, r.NsOp, 100*delta)
 		}
 	}
+	for _, r := range base.Results {
+		if name := normName(r.Name); !ran[name] {
+			bad++
+			fmt.Printf("MISSING %s (in the baseline, not in this run)\n", name)
+		}
+	}
 	if bad > 0 {
-		fmt.Printf("%d benchmark(s) outside tolerance\n", bad)
+		fmt.Printf("%d benchmark(s) outside tolerance or missing\n", bad)
 		return 1
 	}
 	return 0

@@ -3,8 +3,8 @@
 // schedule indexes, and hands out capacity grants. Stations register
 // themselves via condor-stationd -coordinator.
 //
-// With -state-dir the coordinator journals its up-down indexes,
-// reservations, and station table to disk and replays them on startup,
+// With -state-dir the coordinator keeps its up-down indexes,
+// reservations, and station table on disk and restores them on startup,
 // so a crash or restart loses neither the pool's fairness memory nor
 // its reservation promises. Without it the coordinator is pure
 // in-memory, as in the original paper.
@@ -37,26 +37,23 @@ func main() {
 		rpcTimeout = flag.Duration("rpc-timeout", 0,
 			"end-to-end bound on one station RPC (0 = dial timeout + 10s)")
 		stateDir = flag.String("state-dir", "",
-			"journal up-down and reservation state here and replay it on restart (empty = in-memory)")
-		snapshotEvery = flag.Int("snapshot-every", 0,
-			"cycles between journal snapshots (0 = default 16; only with -state-dir)")
+			"keep up-down and reservation state here and restore it on restart (empty = in-memory)")
 		httpAddr = flag.String("http", "",
 			"serve /metrics, /healthz, /events and /debug/pprof on this address (empty = disabled)")
 	)
 	flag.Parse()
-	if err := run(*listen, *poll, *grants, *history, *policyName, *rpcTimeout, *stateDir, *snapshotEvery, *httpAddr); err != nil {
+	if err := run(*listen, *poll, *grants, *history, *policyName, *rpcTimeout, *stateDir, *httpAddr); err != nil {
 		log.Fatal(err)
 	}
 }
 
 func run(listen string, poll time.Duration, grants int, history bool, policyName string,
-	rpcTimeout time.Duration, stateDir string, snapshotEvery int, httpAddr string) error {
+	rpcTimeout time.Duration, stateDir string, httpAddr string) error {
 	cfg := coordinator.Config{
-		ListenAddr:    listen,
-		PollInterval:  poll,
-		RPCTimeout:    rpcTimeout,
-		StateDir:      stateDir,
-		SnapshotEvery: snapshotEvery,
+		ListenAddr:   listen,
+		PollInterval: poll,
+		RPCTimeout:   rpcTimeout,
+		StateDir:     stateDir,
 	}
 	cfg.Policy = policy.DefaultConfig()
 	cfg.Policy.MaxGrantsPerCycle = grants
@@ -79,10 +76,10 @@ func run(listen string, poll time.Duration, grants int, history bool, policyName
 	}
 	if stateDir != "" {
 		s := coord.Stats()
-		fmt.Printf("condor-coordinator listening on %s (poll every %v, policy %s, state in %s, incarnation %d",
-			coord.Addr(), poll, coord.PolicyName(), stateDir, s.Incarnation)
-		if s.JournalReplayed > 0 || s.JournalTruncated > 0 {
-			fmt.Printf(", replayed %d records, truncated %d torn bytes", s.JournalReplayed, s.JournalTruncated)
+		fmt.Printf("condor-coordinator listening on %s (poll every %v, policy %s, state in %s, incarnation %d, %d stations in %d B of state",
+			coord.Addr(), poll, coord.PolicyName(), stateDir, s.Incarnation, len(coord.Stations()), s.JournalLogBytes)
+		if s.JournalErrors > 0 {
+			fmt.Printf(", %d journal errors", s.JournalErrors)
 		}
 		fmt.Println(")")
 	} else {

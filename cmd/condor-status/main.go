@@ -139,10 +139,7 @@ func printCoordinator(ci proto.CoordinatorInfo) {
 	printReady(ci)
 	printAllocation(ci)
 	printHealth(ci)
-	fmt.Printf("journal: %d appends, %d snapshots, %d B log", j.Appends, j.Snapshots, j.LogBytes)
-	if j.Replayed > 0 || j.TruncatedBytes > 0 {
-		fmt.Printf("; recovered %d records (%d torn bytes truncated)", j.Replayed, j.TruncatedBytes)
-	}
+	fmt.Printf("journal: %d state writes, %d B state", j.Appends, j.LogBytes)
 	if j.Errors > 0 {
 		fmt.Printf("; %d ERRORS", j.Errors)
 	}

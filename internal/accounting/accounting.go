@@ -410,7 +410,7 @@ func (l *Ledger) AllocSnapshot() map[string]AllocTotals {
 }
 
 // RestoreAlloc overwrites the allocation totals from a recovered
-// snapshot (coordinator journal replay).
+// state (the coordinator's saved state).
 func (l *Ledger) RestoreAlloc(totals map[string]AllocTotals) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

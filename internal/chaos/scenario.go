@@ -137,7 +137,6 @@ func Run(sc Scenario) (Report, error) {
 		RPCTimeout:      250 * time.Millisecond,
 		DeadAfter:       100_000, // quarantine, never unregister, during chaos
 		StateDir:        sc.StateDir,
-		SnapshotEvery:   8,
 		PollConcurrency: 16,
 		Health: coordinator.HealthConfig{
 			ProbeBase: 20 * time.Millisecond,

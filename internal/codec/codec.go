@@ -1,6 +1,6 @@
 // Package codec is the one byte encoding the system writes: checkpoint
 // bodies (internal/ckpt), wire envelopes and messages (internal/wire and
-// internal/proto), and the coordinator's journal records and snapshots.
+// internal/proto), and the coordinator's saved state.
 //
 // Values are appended to a byte slice by the Append functions and read
 // back, in the same order, by a Reader. There are no type descriptors: a

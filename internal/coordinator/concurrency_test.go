@@ -3,6 +3,7 @@ package coordinator
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -69,5 +70,58 @@ func TestPollConcurrencyDefault(t *testing.T) {
 	cfg.sanitize()
 	if cfg.PollConcurrency != 64 {
 		t.Fatalf("default PollConcurrency = %d, want 64", cfg.PollConcurrency)
+	}
+}
+
+// TestConcurrentSavesKeepNewestState: reservations, cancellations and
+// cycles save from many goroutines at once, and the state a restart
+// finds is the newest one — every station's last reservation holds.
+func TestConcurrentSavesKeepNewestState(t *testing.T) {
+	cfg := Config{StateDir: t.TempDir(), PollInterval: time.Hour, DialTimeout: time.Second, DeadAfter: 100}
+	coord, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const stations = 8
+	for i := 0; i < stations; i++ {
+		coord.Register(fmt.Sprintf("ws%d", i), "127.0.0.1:1")
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < stations; i++ {
+		name := fmt.Sprintf("ws%d", i)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 5; k++ {
+				if _, err := coord.Reserve(name, "ws0", time.Hour); err != nil {
+					t.Error(err)
+				}
+				coord.CancelReservation(name)
+			}
+			if _, err := coord.Reserve(name, "ws0", time.Hour); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		coord.Cycle()
+	}()
+	wg.Wait()
+	coord.Close()
+
+	restarted, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close()
+	for _, s := range restarted.Stations() {
+		if s.ReservedFor != "ws0" {
+			t.Fatalf("%s restored without its last reservation: %+v", s.Name, s)
+		}
+	}
+	if n := len(restarted.Stations()); n != stations {
+		t.Fatalf("restored %d stations, want %d", n, stations)
 	}
 }

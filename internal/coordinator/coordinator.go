@@ -11,7 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -86,13 +86,9 @@ type Config struct {
 	PollConcurrency int
 	// StateDir enables the durable-state journal: up-down indexes,
 	// reservations, and the station table survive a coordinator crash
-	// and are replayed on the next start. Empty means pure in-memory
+	// and are restored on the next start. Empty means pure in-memory
 	// (the paper's original behaviour).
 	StateDir string
-	// SnapshotEvery writes a full-state snapshot (compacting the
-	// journal) every N poll cycles (default 16). The journal also
-	// compacts early whenever its log outgrows the size threshold.
-	SnapshotEvery int
 	// Decisions receives each cycle's scheduling audit (why every
 	// machine was filtered, ranked, granted, or preempted — see
 	// internal/decision). Nil means decision.Default. DecisionsRequest
@@ -118,9 +114,6 @@ func (c *Config) sanitize() {
 	}
 	if c.PollConcurrency <= 0 {
 		c.PollConcurrency = 64
-	}
-	if c.SnapshotEvery <= 0 {
-		c.SnapshotEvery = 16
 	}
 	if c.Decisions == nil {
 		c.Decisions = decision.Default
@@ -179,16 +172,12 @@ type Stats struct {
 	// directory has been opened — 1 on a fresh persistent coordinator,
 	// incrementing on every restart; 0 for an in-memory coordinator.
 	Incarnation uint64
-	// Journal activity (all zero without StateDir): records appended and
-	// snapshots written this incarnation, current log size, records
-	// replayed at startup, torn-tail bytes truncated at startup, and
-	// append/encode failures.
-	JournalAppends   uint64
-	JournalSnapshots uint64
-	JournalLogBytes  int64
-	JournalReplayed  uint64
-	JournalTruncated int64
-	JournalErrors    uint64
+	// Journal activity (all zero without StateDir): whole-state writes
+	// this incarnation, the size of the newest state, and failures (a
+	// failed write, an unreadable state, a log-era file).
+	JournalAppends  uint64
+	JournalLogBytes int64
+	JournalErrors   uint64
 }
 
 // Coordinator is the central capacity allocator.
@@ -204,24 +193,33 @@ type Coordinator struct {
 	// Config.Policy.Name (or the journaled name of the previous
 	// incarnation) at startup and immutable afterwards.
 	pipeline *policy.Policy
-	// journal is the durable-state log (nil without StateDir).
-	journal *journal.Journal
-	started time.Time
+	// journal holds the durable state (nil without StateDir); saveMu
+	// orders saveState's writes and guards the station list and buffer
+	// each save reuses. incarnation is set once, in New.
+	journal      *journal.Journal
+	saveMu       sync.Mutex
+	saveStations []persistStation
+	saveBuf      []byte
+	incarnation  uint64
+	started      time.Time
 	// led is this coordinator's allocation ledger (grants, denials,
 	// preempts, capacity consumed per home station) plus the cluster
 	// time-series sampler. It is NOT accounting.Default: the coordinator's
-	// totals are journaled and restored with its state, so they need an
+	// totals are saved and restored with its state, so they need an
 	// instance whose lifecycle matches the journal's.
 	led *accounting.Ledger
 	// readyName identifies this coordinator's /healthz readiness check.
 	readyName string
 	// lastCycleNanos is when the last poll cycle completed; journalHealthy
-	// clears when a journal append/snapshot fails. Both feed Ready().
+	// clears when a state save fails. Both feed Ready().
 	lastCycleNanos atomic.Int64
 	journalHealthy atomic.Bool
 
-	mu           sync.Mutex
-	stations     map[string]*station
+	mu       sync.Mutex
+	stations map[string]*station
+	// names holds every registered station's name in order: the poll
+	// fan-out's order and the saved state's.
+	names        []string
 	stats        Stats
 	reservations map[string]reservation
 	// removed is a bounded tombstone set of recently unregistered
@@ -296,7 +294,7 @@ func New(cfg Config) (*Coordinator, error) {
 // over. Registered on /healthz, which answers 503 while it errors.
 func (c *Coordinator) Ready() error {
 	if !c.journalHealthy.Load() {
-		return errors.New("journal unhealthy (append or snapshot failing)")
+		return errors.New("journal unhealthy (state write failing)")
 	}
 	if age := time.Since(time.Unix(0, c.lastCycleNanos.Load())); age > 2*c.cfg.PollInterval {
 		return fmt.Errorf("last poll cycle %s ago (interval %s)",
@@ -317,8 +315,8 @@ func (c *Coordinator) PolicyName() string { return c.pipeline.Name() }
 // previous incarnation's journaled name, then the default. A journaled
 // name this binary does not know (downgrade, corruption) degrades to
 // the default and is counted as a journal error rather than refusing
-// to start. When the resolved policy differs from the journaled one,
-// the change is journaled so the next restart keeps it.
+// to start. The state saved once startup is done records the resolved
+// name, so the next restart keeps it.
 func (c *Coordinator) resolvePolicy(journaled string) error {
 	name := c.cfg.Policy.Name
 	if name == "" {
@@ -333,9 +331,6 @@ func (c *Coordinator) resolvePolicy(journaled string) error {
 		pol = policy.MustNew("")
 	}
 	c.pipeline = pol
-	if c.journal != nil && pol.Name() != journaled {
-		c.appendJournalLocked(persistRecord{Kind: recPolicy, Name: pol.Name()})
-	}
 	return nil
 }
 
@@ -351,9 +346,9 @@ func (c *Coordinator) Close() {
 	c.server.Close()
 	c.pool.Close()
 	if c.journal != nil {
-		// No farewell snapshot: the journal is already durable, and
-		// keeping shutdown identical to a crash means the replay path is
-		// the only recovery path — exercised on every restart.
+		// No farewell save: every change is already durable, and keeping
+		// shutdown identical to a crash means the restore path is the
+		// only recovery path — exercised on every restart.
 		c.journal.Close()
 	}
 }
@@ -370,27 +365,30 @@ func (c *Coordinator) Stats() Stats {
 	out.Reconnects = ps.Reconnects
 	out.Evictions = ps.Evictions
 	out.Retries = ps.Retries
+	out.Incarnation = c.incarnation
 	if c.journal != nil {
 		js := c.journal.Stats()
-		out.Incarnation = js.Incarnation
 		out.JournalAppends = js.Appends
-		out.JournalSnapshots = js.Snapshots
-		out.JournalLogBytes = js.LogBytes
-		out.JournalReplayed = js.ReplayedRecords
-		out.JournalTruncated = js.TruncatedBytes
+		out.JournalLogBytes = js.Bytes
 	}
 	return out
 }
 
-// Register adds a station directly (used by in-process pools; network
-// registrations arrive via RegisterRequest).
+// Register adds a station. A new name or a new address is saved before
+// it returns; a re-registration at the same address changes nothing
+// durable, which keeps StartRegistrar's periodic re-registrations cheap.
 func (c *Coordinator) Register(name, addr string) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.registerLocked(name, addr)
+	changed := c.registerLocked(name, addr)
+	c.mu.Unlock()
+	if changed {
+		c.saveState()
+	}
 }
 
-func (c *Coordinator) registerLocked(name, addr string) {
+// registerLocked reports whether the registration changed membership.
+// Caller holds c.mu.
+func (c *Coordinator) registerLocked(name, addr string) bool {
 	prev, known := c.stations[name]
 	if !known {
 		c.events.Append(eventlog.Event{Kind: eventlog.KindRegister, Station: name, Detail: addr})
@@ -398,12 +396,6 @@ func (c *Coordinator) registerLocked(name, addr string) {
 		// The station came back at a new address; the cached connection
 		// to the old one is garbage.
 		c.pool.Invalidate(prev.addr)
-	}
-	if !known || prev.addr != addr {
-		// Re-registrations at the same address change nothing durable;
-		// journaling only membership changes keeps the log quiet under
-		// StartRegistrar's periodic re-registration.
-		c.appendJournalLocked(persistRecord{Kind: recRegister, Name: name, Addr: addr})
 	}
 	s := &station{name: name, addr: addr, reachable: true}
 	if known {
@@ -415,9 +407,14 @@ func (c *Coordinator) registerLocked(name, addr string) {
 		s.health = newHealth(name, time.Now())
 	}
 	c.stations[name] = s
+	if !known {
+		i, _ := slices.BinarySearch(c.names, name)
+		c.names = slices.Insert(c.names, i, name)
+	}
 	delete(c.removed, name)
 	mStations.Set(int64(len(c.stations)))
 	c.table.Touch(name)
+	return !known || prev.addr != addr
 }
 
 // Events exposes the coordinator's decision history.
@@ -430,7 +427,8 @@ func (c *Coordinator) Stations() []proto.StationInfo {
 	out := make([]proto.StationInfo, 0, len(c.stations))
 	held := c.heldCountLocked()
 	now := time.Now()
-	for _, s := range c.stations {
+	for _, name := range c.names {
+		s := c.stations[name]
 		info := proto.StationInfo{
 			Name:          s.name,
 			Addr:          s.addr,
@@ -453,7 +451,6 @@ func (c *Coordinator) Stations() []proto.StationInfo {
 		}
 		out = append(out, info)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
@@ -504,9 +501,7 @@ func (c *Coordinator) handlerFor(peer *wire.Peer) wire.Handler {
 			if m.Name == "" || m.Addr == "" {
 				return nil, errors.New("coordinator: register needs name and addr")
 			}
-			c.mu.Lock()
-			c.registerLocked(m.Name, m.Addr)
-			c.mu.Unlock()
+			c.Register(m.Name, m.Addr)
 			return proto.RegisterReply{
 				OK:                 true,
 				PollIntervalMillis: c.cfg.PollInterval.Milliseconds(),
@@ -569,12 +564,9 @@ func (c *Coordinator) handlerFor(peer *wire.Peer) wire.Handler {
 					DecideSeconds:     decideSeconds,
 					Persistent:        c.journal != nil,
 					Journal: proto.JournalStats{
-						Appends:        stats.JournalAppends,
-						Snapshots:      stats.JournalSnapshots,
-						LogBytes:       stats.JournalLogBytes,
-						Replayed:       stats.JournalReplayed,
-						TruncatedBytes: stats.JournalTruncated,
-						Errors:         stats.JournalErrors,
+						Appends:  stats.JournalAppends,
+						LogBytes: stats.JournalLogBytes,
+						Errors:   stats.JournalErrors,
 					},
 				},
 			}, nil
@@ -621,6 +613,9 @@ func (c *Coordinator) Cycle() {
 		c.pool.Invalidate(addr)
 	}
 	c.act(r)
+	// One save covers the cycle's indexes, allocation totals, health
+	// transitions and removals.
+	c.saveState()
 	c.lastCycleNanos.Store(time.Now().UnixNano())
 	c.publish(r, start)
 }
@@ -647,8 +642,9 @@ func (c *Coordinator) pollFanOut(start time.Time) []pollResult {
 	if c.degraded {
 		c.stats.DegradedCycles++
 	}
-	results := make([]pollResult, 0, len(c.stations))
-	for _, s := range c.stations {
+	results := make([]pollResult, 0, len(c.names))
+	for _, name := range c.names {
+		s := c.stations[name]
 		if s.health.state == proto.HealthQuarantined && start.Before(s.health.probeAt) {
 			// Quarantined stations leave the per-cycle fan-out; they are
 			// probed on their own jittered exponential-backoff schedule.
@@ -657,7 +653,6 @@ func (c *Coordinator) pollFanOut(start time.Time) []pollResult {
 		results = append(results, pollResult{name: s.name, addr: s.addr})
 	}
 	c.mu.Unlock()
-	sort.Slice(results, func(i, j int) bool { return results[i].name < results[j].name })
 
 	// Bounded fan-out: the semaphore is acquired *before* the goroutine
 	// spawns, so at most PollConcurrency polls (goroutines and dials) are
@@ -753,8 +748,9 @@ func (c *Coordinator) roundLocked(now time.Time) round {
 		updated: make(map[string]float64, len(c.stations)),
 		addrs:   make(map[string]string, len(c.stations)),
 	}
-	views := make([]policy.StationView, 0, len(c.stations))
-	for _, s := range c.stations {
+	views := make([]policy.StationView, 0, len(c.names))
+	for _, name := range c.names {
+		s := c.stations[name]
 		r.addrs[s.name] = s.addr
 		if !s.reachable {
 			continue
@@ -774,7 +770,6 @@ func (c *Coordinator) roundLocked(now time.Time) round {
 			Health:       s.health.state,
 		})
 	}
-	sort.Slice(views, func(i, j int) bool { return views[i].Name < views[j].Name })
 	// Every live cycle is audited: the builder collects why each machine
 	// was filtered/ranked/granted, job IDs are annotated as grants are
 	// acted on, and the finished audit lands in the bounded decisions
@@ -786,13 +781,9 @@ func (c *Coordinator) roundLocked(now time.Time) round {
 	// for it would corrupt the fairness memory.
 	r.dec = c.pipeline.Round(views, c.table, c.cfg.Policy, c.degraded, r.aud)
 	if !c.degraded && len(views) > 0 {
-		// The updated values are journaled as one batch record per cycle
-		// — absolute values, so replay converges on the latest state
-		// regardless of how many earlier batches survive.
 		for i := range views {
 			r.updated[views[i].Name] = c.table.Index(views[i].Name)
 		}
-		c.appendJournalLocked(persistRecord{Kind: recUpdown, Indexes: r.updated})
 	}
 	return r
 }
@@ -800,7 +791,7 @@ func (c *Coordinator) roundLocked(now time.Time) round {
 // sample charges each home station for the remote capacity its jobs
 // held this cycle, samples the cluster profile (the data behind the
 // paper's Fig 5 utilization plot) plus every station's schedule-index
-// trajectory, and snapshots the journal when one is due.
+// trajectory.
 func (c *Coordinator) sample(r round) {
 	for home, n := range r.held {
 		c.led.Capacity(home, n, c.cfg.PollInterval)
@@ -818,25 +809,13 @@ func (c *Coordinator) sample(r round) {
 	for name, idx := range r.updated {
 		sam.Observe(indexSeries(name), r.at, idx)
 	}
-	// Periodic snapshot: every SnapshotEvery cycles, or early when the
-	// log has outgrown its compaction threshold.
-	if c.journal != nil && (r.n%uint64(c.cfg.SnapshotEvery) == 0 || c.journal.NeedsCompaction()) {
-		c.snapshotJournal()
-	}
 }
 
-// act carries the round's decision out: grants, preemption orders,
-// reservation enforcement, then the allocation totals to the journal.
+// act carries the round's decision out: grants, preemption orders and
+// reservation enforcement.
 func (c *Coordinator) act(r round) {
-	// Which start of the state directory this is (0 in memory): stamped
-	// on grant spans so a trace shows when allocation decisions straddle
-	// a coordinator restart.
-	var incarnation uint64
-	if c.journal != nil {
-		incarnation = c.journal.Stats().Incarnation
-	}
 	for gi, g := range r.dec.Grants {
-		c.grant(r, gi, g, incarnation)
+		c.grant(r, gi, g)
 	}
 	for _, p := range r.dec.Preempts {
 		c.bump(func(st *Stats) { st.Preempts++ })
@@ -852,21 +831,10 @@ func (c *Coordinator) act(r round) {
 		})
 	}
 	c.enforceReservations(r.addrs)
-
-	// Persist the allocation totals touched this cycle as one absolute
-	// batch record — same convention as recUpdown — so grant, preempt,
-	// and capacity totals survive a coordinator restart.
-	if c.journal != nil {
-		if alloc := c.led.AllocSnapshot(); len(alloc) > 0 {
-			c.mu.Lock()
-			c.appendJournalLocked(persistRecord{Kind: recAcct, Alloc: alloc})
-			c.mu.Unlock()
-		}
-	}
 }
 
 // grant offers one machine to its requester and books the outcome.
-func (c *Coordinator) grant(r round, gi int, g policy.Grant, incarnation uint64) {
+func (c *Coordinator) grant(r round, gi int, g policy.Grant) {
 	c.bump(func(st *Stats) { st.Grants++ })
 	mGrants.Inc()
 	c.led.Grant(g.Requester)
@@ -920,7 +888,10 @@ func (c *Coordinator) grant(r round, gi int, g policy.Grant, incarnation uint64)
 			End:     time.Now(),
 			Attrs: []trace.Attr{
 				{Key: "requester", Value: g.Requester},
-				{Key: "incarnation", Value: fmt.Sprint(incarnation)},
+				// Which start of the state directory this is (0 in
+				// memory), so a trace shows when allocation decisions
+				// straddle a coordinator restart.
+				{Key: "incarnation", Value: fmt.Sprint(c.incarnation)},
 			},
 		})
 	}
@@ -968,8 +939,11 @@ func (c *Coordinator) publish(r round, start time.Time) {
 				time.Since(start).Round(time.Millisecond)),
 		})
 		// The decision drill-down's refresh signal: announces that cycle
-		// r.n has a fresh audit for DecisionsRequest to read.
-		telemetry.Events.Publish(telemetry.BusEvent{Source: "coordinator", Kind: "decision-cycle", Detail: summary})
+		// r.n has a fresh audit for DecisionsRequest to read. An acting
+		// cycle's summary already rode the bus through the eventlog.
+		if !acted {
+			telemetry.Events.Publish(telemetry.BusEvent{Source: "coordinator", Kind: string(eventlog.KindDecision), Detail: summary})
+		}
 	}
 }
 

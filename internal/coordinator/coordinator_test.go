@@ -15,6 +15,7 @@ import (
 	"condor/internal/proto"
 	"condor/internal/ru"
 	"condor/internal/schedd"
+	"condor/internal/telemetry"
 	"condor/internal/trace"
 	"condor/internal/wire"
 )
@@ -176,6 +177,30 @@ func TestEndToEndJobCompletion(t *testing.T) {
 	stats := p.coord.Stats()
 	if stats.GrantsUsed == 0 {
 		t.Fatalf("stats = %+v", stats)
+	}
+}
+
+// TestDecisionCyclePublishedOnce: every cycle puts exactly one
+// decision-cycle event on the bus. An acting cycle's summary rides the
+// eventlog's bus hook; an idle cycle's is published directly.
+func TestDecisionCyclePublishedOnce(t *testing.T) {
+	p := newPool(t, []string{"ws1", "ws2"}, Config{})
+	p.monitors["ws1"].SetActive(true)
+	if _, err := p.stations["ws1"].Submit("a", cvm.SumProgram(100), 0); err != nil {
+		t.Fatal(err)
+	}
+	sub := telemetry.Events.Subscribe(0)
+	defer sub.Close()
+	p.coord.Cycle() // grants ws2 to ws1's job
+	p.coord.Cycle() // nothing left to grant
+	perCycle := map[string]int{}
+	for ev, ok := sub.TryNext(); ok; ev, ok = sub.TryNext() {
+		if ev.Source == "coordinator" && ev.Kind == "decision-cycle" {
+			perCycle[strings.SplitN(ev.Detail, " (", 2)[0]]++
+		}
+	}
+	if grants := p.coord.Stats().Grants; grants != 1 || len(perCycle) != 2 || perCycle["cycle 1"] != 1 || perCycle["cycle 2"] != 1 {
+		t.Fatalf("%d grants; decision-cycle events per cycle = %v, want one each for cycles 1 and 2", grants, perCycle)
 	}
 }
 

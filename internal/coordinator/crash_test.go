@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -23,15 +24,11 @@ import (
 
 // TestCrashRecoveryRestoresScheduleAndReservations is the core recovery
 // contract: a coordinator killed without warning (Close writes no
-// farewell snapshot) must come back with the exact up-down indexes, the
+// farewell state) must come back with the exact up-down indexes, the
 // station table, and every live reservation of its previous incarnation.
 func TestCrashRecoveryRestoresScheduleAndReservations(t *testing.T) {
 	dir := t.TempDir()
-	p := newPool(t, []string{"ws1", "ws2", "ws3"}, Config{
-		StateDir: dir,
-		// No periodic snapshot: recovery must come from the record tail.
-		SnapshotEvery: 1 << 20,
-	})
+	p := newPool(t, []string{"ws1", "ws2", "ws3"}, Config{StateDir: dir})
 	for _, m := range p.monitors {
 		m.SetActive(true) // nothing idle: denied demand moves ws1's index
 	}
@@ -66,9 +63,6 @@ func TestCrashRecoveryRestoresScheduleAndReservations(t *testing.T) {
 	st := coord2.Stats()
 	if st.Incarnation != 2 {
 		t.Fatalf("incarnation after restart = %d, want 2", st.Incarnation)
-	}
-	if st.JournalReplayed == 0 {
-		t.Fatalf("restart replayed no records: %+v", st)
 	}
 	for name, want := range pre {
 		if got := coord2.Index(name); math.Abs(got-want) > 1e-9 {
@@ -107,7 +101,7 @@ func TestCrashRecoveryRestoresScheduleAndReservations(t *testing.T) {
 }
 
 // TestReservationExpiryEdgesSurviveReplay pins the reservation boundary
-// semantics and proves each edge round-trips through journal replay:
+// semantics and proves each edge round-trips through a restart:
 // expiry exactly at the poll instant, cancel of an already-expired
 // reservation, and re-reserve of a held station.
 func TestReservationExpiryEdgesSurviveReplay(t *testing.T) {
@@ -162,7 +156,7 @@ func TestReservationExpiryEdgesSurviveReplay(t *testing.T) {
 		t.Fatalf("extension did not move the deadline: %v -> %v", until2, extended)
 	}
 
-	// Crash and replay: the live ws2 reservation survives at millisecond
+	// Crash and restart: the live ws2 reservation survives at millisecond
 	// fidelity, the expired/cancelled ws3 one stays gone, and every edge
 	// above still holds against the restored state.
 	p.coord.Close()
@@ -173,7 +167,7 @@ func TestReservationExpiryEdgesSurviveReplay(t *testing.T) {
 	defer coord2.Close()
 
 	if coord2.CancelReservation("ws3") {
-		t.Fatal("expired reservation resurrected by replay")
+		t.Fatal("expired reservation resurrected by the restart")
 	}
 	if _, err := coord2.Reserve("ws2", "ws3", time.Minute); err == nil {
 		t.Fatal("restored reservation not enforced against a different holder")
@@ -189,76 +183,73 @@ func TestReservationExpiryEdgesSurviveReplay(t *testing.T) {
 	if holderAt != "" {
 		t.Fatalf("restored reservation live at its expiry instant: holder %q", holderAt)
 	}
-	// ws3, freed by replay, is reservable again.
+	// ws3, freed before the crash, is reservable again.
 	if _, err := coord2.Reserve("ws3", "ws2", time.Hour); err != nil {
-		t.Fatalf("freed station not reservable after replay: %v", err)
+		t.Fatalf("freed station not reservable after restart: %v", err)
 	}
 }
 
-// TestCoordinatorReplayTruncationFuzz cuts the journal log at every byte
-// offset — every possible torn write a crash can leave — and requires
-// clean recovery at each: journal replay plus state rebuild must never
-// error, and a full coordinator boots from sampled cut points.
+// TestCoordinatorReplayTruncationFuzz cuts the newest state slot at
+// every byte offset — every torn write a crash can leave — and requires
+// each cut to restore the previous state exactly, never more stations
+// than were written; a full coordinator boots from sampled cut points.
 func TestCoordinatorReplayTruncationFuzz(t *testing.T) {
 	dir := t.TempDir()
 	coord, err := New(Config{StateDir: dir, PollInterval: time.Hour, DialTimeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Populate the log with every record kind: registers, reservations,
-	// a cancel, an up-down batch, and one unknown future kind (replay
-	// must skip, not choke).
+	// Four saves: startup, two registrations, then the reservation, the
+	// newest, in slot 4%2.
 	coord.Register("ws1", "127.0.0.1:1")
 	coord.Register("ws2", "127.0.0.1:2")
 	if _, err := coord.Reserve("ws2", "ws1", time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := coord.Reserve("ws1", "ws2", time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	coord.CancelReservation("ws1")
-	coord.mu.Lock()
-	coord.table.Update("ws1", 0, true)
-	coord.appendJournalLocked(persistRecord{Kind: recUpdown, Indexes: coord.table.Snapshot()})
-	coord.appendJournalLocked(persistRecord{Kind: "future-kind", Name: "ws1"})
-	coord.mu.Unlock()
 	coord.Close()
-
-	logs, err := filepath.Glob(filepath.Join(dir, "journal.*.log"))
-	if err != nil || len(logs) != 1 {
-		t.Fatalf("journal logs = %v (err %v), want exactly one", logs, err)
-	}
-	logName := filepath.Base(logs[0])
-	raw, err := os.ReadFile(logs[0])
+	newest := filepath.Join(dir, "state.0")
+	raw, err := os.ReadFile(newest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(raw) < 64 {
-		t.Fatalf("log only %d bytes — fuzz would prove nothing", len(raw))
-	}
-
-	for cut := 0; cut <= len(raw); cut++ {
-		sub := copyStateDir(t, dir)
-		if err := os.Truncate(filepath.Join(sub, logName), int64(cut)); err != nil {
+	restore := func(sub string) persistState {
+		j, rec, err := journal.Open(sub, journal.Config{})
+		if err != nil {
 			t.Fatal(err)
 		}
-		j, recovered, err := journal.Open(sub, journal.Config{})
+		j.Close()
+		st, err := rebuildState(rec, time.Now())
 		if err != nil {
-			t.Fatalf("cut at byte %d: journal.Open: %v", cut, err)
+			t.Fatal(err)
 		}
-		st, _ := rebuildState(recovered.Snapshot, recovered.Records, time.Now())
-		if len(st.Stations) > 2 {
-			t.Fatalf("cut at byte %d: rebuilt %d stations from a 2-station log", cut, len(st.Stations))
+		return st
+	}
+	if st := restore(dir); len(st.Stations) != 2 || st.Reservations["ws2"].Holder != "ws1" {
+		t.Fatalf("uncut state = %+v, want two stations and ws2 reserved", st)
+	}
+
+	var previous persistState
+	for cut := 0; cut < len(raw); cut++ {
+		sub := copyStateDir(t, dir)
+		if err := os.Truncate(filepath.Join(sub, "state.0"), int64(cut)); err != nil {
+			t.Fatal(err)
 		}
-		if err := j.Close(); err != nil {
-			t.Fatalf("cut at byte %d: close: %v", cut, err)
+		st := restore(sub)
+		if cut == 0 {
+			previous = st
+		}
+		if len(st.Stations) != 2 || len(st.Reservations) != 0 || !reflect.DeepEqual(st, previous) {
+			t.Fatalf("cut at byte %d: restored %+v, want the previous state %+v", cut, st, previous)
 		}
 		// Full coordinator boot at sampled offsets (every boot binds a
-		// listener; doing all of them buys nothing over the replay above).
-		if cut%16 == 0 || cut == len(raw) {
+		// listener; doing all of them buys nothing over the restore above).
+		if cut%16 == 0 {
 			c2, err := New(Config{StateDir: sub, PollInterval: time.Hour, DialTimeout: time.Second})
 			if err != nil {
 				t.Fatalf("cut at byte %d: coordinator restart: %v", cut, err)
+			}
+			if n := len(c2.Stations()); n != 2 || c2.Stats().Incarnation != 2 {
+				t.Fatalf("cut at byte %d: booted with %d stations, incarnation %d", cut, n, c2.Stats().Incarnation)
 			}
 			c2.Close()
 		}
@@ -411,9 +402,8 @@ func TestPoolChaosCrashMidWorkload(t *testing.T) {
 	if !rsvSeen {
 		t.Fatal("rsv station missing after restart")
 	}
-	// The killed in-flight cycle may have journaled one more up-down
-	// batch after `pre` was captured; allow at most that one cycle of
-	// index movement.
+	// The killed in-flight cycle may have saved once more after `pre`
+	// was captured; allow at most that one cycle of index movement.
 	for _, name := range names {
 		if got := coord2.Index(name); math.Abs(got-pre[name]) > 2.0 {
 			t.Fatalf("%s schedule index restored to %v, want ≈%v", name, got, pre[name])

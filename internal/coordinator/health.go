@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"strings"
 	"time"
 
@@ -272,9 +273,10 @@ func byzantineReason(polled string, r proto.PollReply, knownHome func(string) bo
 	return ""
 }
 
-// setHealthLocked moves a station to a new health state, journaling the
-// transition, emitting the event, and updating counters. Caller holds
-// c.mu. Dead is not set here — removal goes through removeStationLocked.
+// setHealthLocked moves a station to a new health state, emitting the
+// event and updating counters; the cycle's save makes it durable. Caller
+// holds c.mu. Dead is not set here — removal goes through
+// removeStationLocked.
 func (c *Coordinator) setHealthLocked(s *station, to proto.StationHealth, reason string, now time.Time) {
 	from := s.health.state
 	if from == to {
@@ -315,10 +317,6 @@ func (c *Coordinator) setHealthLocked(s *station, to proto.StationHealth, reason
 		s.health.probeAt = now.Add(s.health.jitter(s.health.backoff))
 		c.events.Append(eventlog.Event{Kind: eventlog.KindQuarantine, Station: s.name, Detail: reason})
 	}
-	c.appendJournalLocked(persistRecord{
-		Kind: recHealth, Name: s.name,
-		Health: int(to), Reason: s.health.reason, SinceUnixMilli: now.UnixMilli(),
-	})
 }
 
 // removeStationLocked declares a station dead and unregisters it.
@@ -326,11 +324,13 @@ func (c *Coordinator) setHealthLocked(s *station, to proto.StationHealth, reason
 func (c *Coordinator) removeStationLocked(s *station, reason string, now time.Time) string {
 	mHealthTransitions.With(proto.HealthDead.String()).Inc()
 	delete(c.stations, s.name)
+	if i, ok := slices.BinarySearch(c.names, s.name); ok {
+		c.names = slices.Delete(c.names, i, i+1)
+	}
 	c.rememberRemovedLocked(s.name, now)
 	mStations.Set(int64(len(c.stations)))
 	c.table.Remove(s.name)
 	c.led.Sampler().Forget(indexSeries(s.name))
-	c.appendJournalLocked(persistRecord{Kind: recUnregister, Name: s.name})
 	c.events.Append(eventlog.Event{Kind: eventlog.KindDead, Station: s.name, Detail: reason})
 	return s.addr
 }

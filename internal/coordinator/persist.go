@@ -7,147 +7,81 @@ import (
 
 	"condor/internal/accounting"
 	"condor/internal/codec"
+	"condor/internal/eventlog"
 	"condor/internal/journal"
 	"condor/internal/proto"
 )
 
-// The coordinator's durable-state layer. With Config.StateDir set, every
-// state transition that is not reconstructible from polls — up-down
-// index movements (§2.4: the index is the pool's fairness memory),
-// reservations (§5.3: promises made to users), and the station table —
-// is journaled, and the full state is snapshotted every SnapshotEvery
-// cycles (or earlier when the log outgrows its compaction threshold).
-// On startup the snapshot plus the record tail are replayed, so a
-// restarted coordinator resumes with the fairness state and reservation
-// promises of its previous incarnation instead of resetting every heavy
-// user to neutral priority and silently scavenging reserved machines.
+// The coordinator's durable state. With Config.StateDir set, the state
+// that polls cannot rebuild — up-down indexes (§2.4: the index is the
+// pool's fairness memory), reservations (§5.3: promises made to users),
+// the station table, quarantines, allocation totals, the policy name and
+// the incarnation — is one record, rewritten whole by saveState at the
+// end of every cycle and before Reserve, CancelReservation and a
+// membership-changing registration return. On startup rebuildState
+// decodes it, so a restarted coordinator resumes with the fairness state
+// and reservation promises of its previous incarnation instead of
+// resetting every heavy user to neutral priority and silently
+// scavenging reserved machines.
 
-// Journal record kinds.
-const (
-	recRegister   = "register"   // station joined (or changed address)
-	recUnregister = "unregister" // station declared dead / removed
-	recUpdown     = "updown"     // one cycle's absolute index values
-	recReserve    = "reserve"    // reservation granted or extended
-	recCancel     = "cancel"     // reservation released
-	recAcct       = "acct"       // one cycle's absolute allocation totals
-	recHealth     = "health"     // station health-state transition
-	recPolicy     = "policy"     // active scheduling-policy name (in Name)
-)
-
-// persistRecord is one journaled state delta. Index values are absolute
-// (the value *after* the update), so replay is idempotent and a record
-// can be applied without knowing its predecessors beyond the snapshot.
-type persistRecord struct {
-	Kind string
-	// Name is the station the record concerns.
-	Name string
-	// Addr is the station address (register records).
-	Addr string
-	// Indexes carries one cycle's updated up-down values (updown records).
-	Indexes map[string]float64
-	// Holder and UntilUnixMilli describe a reservation (reserve records).
-	Holder         string
-	UntilUnixMilli int64
-	// Alloc carries per-station allocation totals (acct records). Values
-	// are absolute, like Indexes.
-	Alloc map[string]accounting.AllocTotals
-	// Health, Reason, and SinceUnixMilli describe a station health-state
-	// transition (health records): the absolute state after the
-	// transition, why, and when.
-	Health         int
-	Reason         string
-	SinceUnixMilli int64
-}
-
-// persistReservation is a reservation inside a snapshot.
+// persistReservation is one live reservation.
 type persistReservation struct {
 	Holder         string
 	UntilUnixMilli int64
 }
 
-// persistHealth is one station's health state inside a snapshot.
-type persistHealth struct {
-	State          int
+// persistStation is one registered station: its address, its up-down
+// index, and its graded health, so a quarantine survives a coordinator
+// restart (the station must still pass its readmission probes under the
+// new incarnation). A healthy station saves Health 0 and no reason or
+// time.
+type persistStation struct {
+	Name           string
+	Addr           string
+	Index          float64
+	Health         int
 	Reason         string
 	SinceUnixMilli int64
 }
 
-// persistState is the full snapshot payload.
+// persistState is the journal's one record: the whole durable state.
 type persistState struct {
-	// Stations maps name → address for every registered station.
-	Stations map[string]string
-	// Indexes is the complete up-down table.
-	Indexes map[string]float64
+	// Stations is every registered station, in name order.
+	Stations []persistStation
 	// Reservations maps station → live reservation.
 	Reservations map[string]persistReservation
 	// Alloc is the accounting ledger's per-station allocation totals.
 	Alloc map[string]accounting.AllocTotals
-	// Health maps station → graded health state, so a quarantine
-	// survives a coordinator restart (the station must still pass its
-	// readmission probes under the new incarnation).
-	Health map[string]persistHealth
 	// PolicyName is the active scheduling policy, so a restart without
 	// an explicit -policy keeps scheduling the same way. Empty means the
 	// default policy.
 	PolicyName string
+	// Incarnation counts the starts of this state directory, 1 on the
+	// first.
+	Incarnation uint64
 }
 
-// Records and snapshots are persistFormat, then every field in
-// declaration order in internal/codec's encoding. A map is its count,
-// then key and value per entry in key order, so a state has exactly one
-// encoding.
-//
-// persistFormat is a byte no gob message starts with (gob opens with a
-// byte count below 0x80 or from 0xf8 up), so a record or snapshot that
-// gob wrote before this layout is refused on its first byte and counted
-// as a journal error, never misread.
+// A state is persistFormat, then every field in declaration order in
+// internal/codec's encoding. Stations and maps are their count, then
+// each entry in name or key order, so a state has exactly one encoding.
 const persistFormat = 0x81
 
-var errPersistFormat = errors.New("coordinator: not a journal record or snapshot of this format")
+var errPersistFormat = errors.New("coordinator: not a coordinator state of this format")
 
-func encodeRecord(rec persistRecord) []byte {
-	b := []byte{persistFormat}
-	b = codec.AppendString(b, rec.Kind)
-	b = codec.AppendString(b, rec.Name)
-	b = codec.AppendString(b, rec.Addr)
-	b = appendMap(b, rec.Indexes, codec.AppendFloat)
-	b = codec.AppendString(b, rec.Holder)
-	b = codec.AppendInt(b, rec.UntilUnixMilli)
-	b = appendMap(b, rec.Alloc, appendAlloc)
-	b = codec.AppendInt(b, int64(rec.Health))
-	b = codec.AppendString(b, rec.Reason)
-	return codec.AppendInt(b, rec.SinceUnixMilli)
-}
-
-func decodeRecord(b []byte) (persistRecord, error) {
-	r, err := persistReader(b)
-	if err != nil {
-		return persistRecord{}, err
+// encodeState appends st's encoding to dst.
+func encodeState(dst []byte, st persistState) []byte {
+	b := codec.AppendUint(append(dst, persistFormat), uint64(len(st.Stations)))
+	for _, s := range st.Stations {
+		b = codec.AppendFloat(codec.AppendString(codec.AppendString(b, s.Name), s.Addr), s.Index)
+		b = codec.AppendInt(b, int64(s.Health))
+		b = codec.AppendInt(codec.AppendString(b, s.Reason), s.SinceUnixMilli)
 	}
-	rec := persistRecord{Kind: r.ReadString(), Name: r.ReadString(), Addr: r.ReadString(),
-		Indexes: readMap(&r, (*codec.Reader).ReadFloat),
-		Holder:  r.ReadString(), UntilUnixMilli: r.ReadInt(),
-		Alloc:  readMap(&r, readAlloc),
-		Health: int(r.ReadInt()), Reason: r.ReadString(), SinceUnixMilli: r.ReadInt()}
-	if err := r.End(); err != nil {
-		return persistRecord{}, err
-	}
-	return rec, nil
-}
-
-func encodeState(st persistState) []byte {
-	b := []byte{persistFormat}
-	b = appendMap(b, st.Stations, codec.AppendString)
-	b = appendMap(b, st.Indexes, codec.AppendFloat)
 	b = appendMap(b, st.Reservations, func(b []byte, r persistReservation) []byte {
 		return codec.AppendInt(codec.AppendString(b, r.Holder), r.UntilUnixMilli)
 	})
 	b = appendMap(b, st.Alloc, appendAlloc)
-	b = appendMap(b, st.Health, func(b []byte, h persistHealth) []byte {
-		b = codec.AppendInt(b, int64(h.State))
-		return codec.AppendInt(codec.AppendString(b, h.Reason), h.SinceUnixMilli)
-	})
-	return codec.AppendString(b, st.PolicyName)
+	b = codec.AppendString(b, st.PolicyName)
+	return codec.AppendUint(b, st.Incarnation)
 }
 
 func decodeState(b []byte) (persistState, error) {
@@ -155,18 +89,22 @@ func decodeState(b []byte) (persistState, error) {
 	if err != nil {
 		return persistState{}, err
 	}
-	st := persistState{
-		Stations: readMap(&r, (*codec.Reader).ReadString),
-		Indexes:  readMap(&r, (*codec.Reader).ReadFloat),
-		Reservations: readMap(&r, func(r *codec.Reader) persistReservation {
-			return persistReservation{Holder: r.ReadString(), UntilUnixMilli: r.ReadInt()}
-		}),
-		Alloc: readMap(&r, readAlloc),
-		Health: readMap(&r, func(r *codec.Reader) persistHealth {
-			return persistHealth{State: int(r.ReadInt()), Reason: r.ReadString(), SinceUnixMilli: r.ReadInt()}
-		}),
-		PolicyName: r.ReadString(),
+	var st persistState
+	n := r.ReadCount(6) // a station is at least six one-byte fields
+	for i := 0; i < n; i++ {
+		s := persistStation{Name: r.ReadString(), Addr: r.ReadString(), Index: r.ReadFloat(),
+			Health: int(r.ReadInt()), Reason: r.ReadString(), SinceUnixMilli: r.ReadInt()}
+		if i > 0 && s.Name <= st.Stations[i-1].Name {
+			r.Fail("stations out of order")
+		}
+		st.Stations = append(st.Stations, s)
 	}
+	st.Reservations = readMap(&r, func(r *codec.Reader) persistReservation {
+		return persistReservation{Holder: r.ReadString(), UntilUnixMilli: r.ReadInt()}
+	})
+	st.Alloc = readMap(&r, readAlloc)
+	st.PolicyName = r.ReadString()
+	st.Incarnation = r.ReadUint()
 	if err := r.End(); err != nil {
 		return persistState{}, err
 	}
@@ -229,117 +167,58 @@ func readMap[V any](r *codec.Reader, readValue func(*codec.Reader) V) map[string
 	return m
 }
 
-// rebuildState folds a recovered snapshot and record tail into the
-// state a fresh coordinator should start from. Reservations already
-// expired at `now` are dropped. Undecodable inputs are skipped and
-// counted rather than fatal: a coordinator that lost a record must
-// still come up — the degradation is bounded (that record's delta) and
-// the next poll cycle re-observes the live pool anyway.
-func rebuildState(snapshot []byte, records [][]byte, now time.Time) (persistState, int) {
-	st := persistState{
-		Stations:     make(map[string]string),
-		Indexes:      make(map[string]float64),
-		Reservations: make(map[string]persistReservation),
-		Alloc:        make(map[string]accounting.AllocTotals),
-		Health:       make(map[string]persistHealth),
+// rebuildState decodes the journal's record into the state a fresh
+// coordinator starts from, dropping reservations already expired at
+// now. A nil record is an empty state; so is an undecodable one, with
+// its error.
+func rebuildState(b []byte, now time.Time) (persistState, error) {
+	if b == nil {
+		return persistState{}, nil
 	}
-	skipped := 0
-	if snapshot != nil {
-		if snap, err := decodeState(snapshot); err == nil {
-			for k, v := range snap.Stations {
-				st.Stations[k] = v
-			}
-			for k, v := range snap.Indexes {
-				st.Indexes[k] = v
-			}
-			for k, v := range snap.Reservations {
-				st.Reservations[k] = v
-			}
-			for k, v := range snap.Alloc {
-				st.Alloc[k] = v
-			}
-			for k, v := range snap.Health {
-				st.Health[k] = v
-			}
-			st.PolicyName = snap.PolicyName
-		} else {
-			skipped++
-		}
-	}
-	for _, b := range records {
-		rec, err := decodeRecord(b)
-		if err != nil {
-			skipped++
-			continue
-		}
-		switch rec.Kind {
-		case recRegister:
-			st.Stations[rec.Name] = rec.Addr
-			if _, ok := st.Indexes[rec.Name]; !ok {
-				st.Indexes[rec.Name] = 0 // Touch: fresh stations start neutral
-			}
-		case recUnregister:
-			delete(st.Stations, rec.Name)
-			delete(st.Indexes, rec.Name)
-			delete(st.Reservations, rec.Name)
-			delete(st.Health, rec.Name)
-		case recUpdown:
-			for name, idx := range rec.Indexes {
-				st.Indexes[name] = idx
-			}
-		case recReserve:
-			st.Reservations[rec.Name] = persistReservation{
-				Holder:         rec.Holder,
-				UntilUnixMilli: rec.UntilUnixMilli,
-			}
-		case recCancel:
-			delete(st.Reservations, rec.Name)
-		case recAcct:
-			for name, a := range rec.Alloc {
-				st.Alloc[name] = a
-			}
-		case recHealth:
-			st.Health[rec.Name] = persistHealth{
-				State:          rec.Health,
-				Reason:         rec.Reason,
-				SinceUnixMilli: rec.SinceUnixMilli,
-			}
-		case recPolicy:
-			st.PolicyName = rec.Name
-		default:
-			skipped++
-		}
+	st, err := decodeState(b)
+	if err != nil {
+		return persistState{}, err
 	}
 	for station, r := range st.Reservations {
 		if !time.UnixMilli(r.UntilUnixMilli).After(now) {
 			delete(st.Reservations, station)
 		}
 	}
-	return st, skipped
+	return st, nil
 }
 
-// openJournal recovers StateDir and installs the rebuilt state. Called
-// from New before the server or poll loop start, so no locking races.
+// openJournal restores StateDir's state, bumps the incarnation, resolves
+// the policy and saves at once, so a crash loop still counts
+// incarnations. Called from New before the server or poll loop start.
 func (c *Coordinator) openJournal() error {
-	j, recovered, err := journal.Open(c.cfg.StateDir, journal.Config{})
+	j, rec, err := journal.Open(c.cfg.StateDir, journal.Config{})
 	if err != nil {
 		return err
 	}
 	c.journal = j
-	st, skipped := rebuildState(recovered.Snapshot, recovered.Records, time.Now())
-	c.stats.JournalErrors += uint64(skipped)
+	// Files of the log-era layout are never read: each is logged and
+	// counted on every start while it exists.
+	for _, name := range j.Stats().Legacy {
+		c.stats.JournalErrors++
+		c.events.Append(eventlog.Event{Kind: eventlog.KindFault,
+			Detail: "journal: log-era file " + name + " ignored"})
+	}
 	now := time.Now()
-	for name, addr := range st.Stations {
-		s := &station{name: name, addr: addr, reachable: true}
-		s.health = newHealth(name, now)
-		if h, ok := st.Health[name]; ok && h.State != 0 {
-			s.health.state = proto.StationHealth(h.State)
-			s.health.reason = h.Reason
-			s.health.since = time.UnixMilli(h.SinceUnixMilli)
-			if s.health.state != proto.HealthHealthy {
-				s.health.unhealthySince = s.health.since
-			}
-			if s.health.state == proto.HealthQuarantined {
+	st, err := rebuildState(rec, now)
+	if err != nil {
+		c.stats.JournalErrors++
+	}
+	c.incarnation = st.Incarnation + 1
+	indexes := make(map[string]float64, len(st.Stations))
+	for _, ps := range st.Stations {
+		s := &station{name: ps.Name, addr: ps.Addr, reachable: true}
+		s.health = newHealth(ps.Name, now)
+		if h := proto.StationHealth(ps.Health); h != 0 && h != proto.HealthHealthy {
+			s.health.state = h
+			s.health.reason = ps.Reason
+			s.health.since = time.UnixMilli(ps.SinceUnixMilli)
+			s.health.unhealthySince = s.health.since
+			if h == proto.HealthQuarantined {
 				// Probe promptly under the new incarnation: the old
 				// backoff schedule died with the old process, and the
 				// station still has to earn readmission.
@@ -347,12 +226,14 @@ func (c *Coordinator) openJournal() error {
 				s.health.probeAt = now
 			}
 		}
-		c.stations[name] = s
+		c.stations[ps.Name] = s
+		c.names = append(c.names, ps.Name)
+		indexes[ps.Name] = ps.Index
 	}
-	c.table.Restore(st.Indexes)
+	c.table.Restore(indexes)
 	// A restored index starts a fresh trajectory: pre-crash samples are
-	// not part of the journal.
-	for name := range st.Indexes {
+	// not part of the state.
+	for name := range indexes {
 		c.led.Sampler().Observe(indexSeries(name), now, c.table.Index(name))
 	}
 	c.led.RestoreAlloc(st.Alloc)
@@ -362,63 +243,43 @@ func (c *Coordinator) openJournal() error {
 			until:  time.UnixMilli(r.UntilUnixMilli),
 		}
 	}
-	// Resolve the policy before compacting so the snapshot below
-	// records the active name (and an explicit-config mismatch fails
-	// startup before any state is rewritten).
+	// An explicit-config mismatch fails startup before the state is
+	// rewritten.
 	if err := c.resolvePolicy(st.PolicyName); err != nil {
 		c.journal.Close()
 		c.journal = nil
 		return err
 	}
-	// Compact immediately: recovery cost stays bounded even across a
-	// crash loop, and the replayed tail is folded into one snapshot.
-	if len(recovered.Records) > 0 || recovered.Snapshot != nil {
-		c.snapshotJournal()
-	}
+	c.saveState()
 	return nil
 }
 
-// appendJournalLocked encodes and appends one record. Caller holds c.mu
-// (which is what serializes record order). Journal failures must never
-// take down allocation — they are counted and surfaced via Stats.
-func (c *Coordinator) appendJournalLocked(rec persistRecord) {
+// saveState writes the whole current state as the journal's one record.
+// saveMu keeps a later state from being overwritten by an earlier one;
+// the fsync runs outside c.mu. Journal failures never take down
+// allocation: they are counted, and Ready reports them. Caller must NOT
+// hold c.mu.
+func (c *Coordinator) saveState() {
 	if c.journal == nil {
 		return
 	}
-	if err := c.journal.Append(encodeRecord(rec)); err != nil {
-		c.stats.JournalErrors++
-		c.journalHealthy.Store(false)
-		return
-	}
-	c.journalHealthy.Store(true)
-}
-
-// snapshotJournal writes the full current state as a new snapshot
-// generation. Caller must NOT hold c.mu.
-func (c *Coordinator) snapshotJournal() {
-	if c.journal == nil {
-		return
-	}
+	c.saveMu.Lock()
+	defer c.saveMu.Unlock()
 	c.mu.Lock()
 	st := persistState{
-		Stations:     make(map[string]string, len(c.stations)),
-		Indexes:      c.table.Snapshot(),
+		Stations:     c.saveStations[:0],
 		Reservations: make(map[string]persistReservation, len(c.reservations)),
 		Alloc:        c.led.AllocSnapshot(),
-		Health:       make(map[string]persistHealth, len(c.stations)),
 		PolicyName:   c.pipeline.Name(),
+		Incarnation:  c.incarnation,
 	}
-	for name, s := range c.stations {
-		st.Stations[name] = s.addr
-		if s.health.state != 0 && s.health.state != proto.HealthHealthy {
-			// Healthy is the default on restore; snapshotting only the
-			// exceptions keeps snapshots quiet for a healthy pool.
-			st.Health[name] = persistHealth{
-				State:          int(s.health.state),
-				Reason:         s.health.reason,
-				SinceUnixMilli: s.health.since.UnixMilli(),
-			}
+	for _, name := range c.names {
+		s := c.stations[name]
+		ps := persistStation{Name: name, Addr: s.addr, Index: c.table.Index(name)}
+		if s.health.state != proto.HealthHealthy {
+			ps.Health, ps.Reason, ps.SinceUnixMilli = int(s.health.state), s.health.reason, s.health.since.UnixMilli()
 		}
+		st.Stations = append(st.Stations, ps)
 	}
 	now := time.Now()
 	for name, r := range c.reservations {
@@ -430,7 +291,9 @@ func (c *Coordinator) snapshotJournal() {
 		}
 	}
 	c.mu.Unlock()
-	if err := c.journal.Snapshot(encodeState(st)); err != nil {
+	c.saveStations = st.Stations
+	c.saveBuf = encodeState(c.saveBuf[:0], st)
+	if err := c.journal.Append(c.saveBuf); err != nil {
 		c.bump(func(s *Stats) { s.JournalErrors++ })
 		c.journalHealthy.Store(false)
 		return

@@ -2,153 +2,119 @@ package coordinator
 
 import (
 	"bytes"
-	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
 	"condor/internal/accounting"
-	"condor/internal/journal"
 )
-
-// sampleRecords is one record of every kind, plus one kind this build
-// does not know.
-func sampleRecords() []persistRecord {
-	return []persistRecord{
-		{Kind: recRegister, Name: "ws1", Addr: "127.0.0.1:1"},
-		{Kind: recUnregister, Name: "ws9"},
-		{Kind: recUpdown, Indexes: map[string]float64{"ws1": 2.5, "ws2": -0.125, "ws3": 0}},
-		{Kind: recReserve, Name: "ws2", Holder: "ws1", UntilUnixMilli: 4102444800000},
-		{Kind: recCancel, Name: "ws2"},
-		{Kind: recAcct, Alloc: map[string]accounting.AllocTotals{
-			"ws1": {Grants: 3, GrantsUsed: 2, GrantsDenied: 1, Preempts: 1, CapacityCycles: 300, CapacityNanos: -1},
-		}},
-		{Kind: recHealth, Name: "ws2", Health: 3, Reason: "timeout", SinceUnixMilli: 1700000000000},
-		{Kind: recPolicy, Name: "fifo"},
-		{Kind: "future-kind", Name: "ws1"},
-	}
-}
 
 func sampleState() persistState {
 	return persistState{
-		Stations:     map[string]string{"ws1": "127.0.0.1:1", "ws2": "127.0.0.1:2"},
-		Indexes:      map[string]float64{"ws1": 1.75, "ws2": 0},
+		Stations: []persistStation{{Name: "ws1", Addr: "127.0.0.1:1", Index: 1.75},
+			{Name: "ws2", Addr: "127.0.0.1:2", Health: 3, Reason: "flap", SinceUnixMilli: 7}},
 		Reservations: map[string]persistReservation{"ws2": {Holder: "ws1", UntilUnixMilli: 4102444800000}},
 		Alloc:        map[string]accounting.AllocTotals{"ws1": {Grants: 1, CapacityNanos: 5}},
-		Health:       map[string]persistHealth{"ws2": {State: 3, Reason: "flap", SinceUnixMilli: 7}},
 		PolicyName:   "updown",
+		Incarnation:  4,
 	}
 }
 
-// TestJournalCodecRoundTrip: every record kind and a full snapshot decode
-// to what was encoded, and map order does not change the bytes.
+// TestJournalCodecRoundTrip: a full state decodes to what was encoded,
+// map order does not change the bytes, and a trailing byte is refused.
 func TestJournalCodecRoundTrip(t *testing.T) {
-	for _, rec := range sampleRecords() {
-		b := encodeRecord(rec)
-		got, err := decodeRecord(b)
-		if err != nil || !reflect.DeepEqual(got, rec) {
-			t.Fatalf("%s record: decoded %+v, %v; want %+v", rec.Kind, got, err, rec)
-		}
-		for i := 0; i < 10; i++ { // map iteration order varies run to run
-			if again := encodeRecord(rec); !bytes.Equal(again, b) {
-				t.Fatalf("%s record encodes two ways", rec.Kind)
-			}
-		}
-	}
 	st := sampleState()
-	got, err := decodeState(encodeState(st))
+	b := encodeState(nil, st)
+	got, err := decodeState(b)
 	if err != nil || !reflect.DeepEqual(got, st) {
-		t.Fatalf("snapshot: decoded %+v, %v; want %+v", got, err, st)
+		t.Fatalf("decoded %+v, %v; want %+v", got, err, st)
 	}
-	if _, err := decodeState(append(encodeState(st), 0)); err == nil {
-		t.Fatal("a byte past the snapshot was accepted")
+	for i := 0; i < 10; i++ { // map iteration order varies run to run
+		if again := encodeState(nil, st); !bytes.Equal(again, b) {
+			t.Fatal("a state encodes two ways")
+		}
+	}
+	if _, err := decodeState(append(b, 0)); err == nil {
+		t.Fatal("a byte past the state was accepted")
+	}
+}
+
+// TestIncarnationCounts: every start of a state directory bumps the
+// incarnation and saves it at once, so a crash loop still counts.
+func TestIncarnationCounts(t *testing.T) {
+	cfg := Config{StateDir: t.TempDir(), PollInterval: time.Hour, DialTimeout: time.Second}
+	for want := uint64(1); want <= 3; want++ {
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := c.Stats().Incarnation
+		c.Close()
+		if got != want {
+			t.Fatalf("incarnation = %d, want %d", got, want)
+		}
 	}
 }
 
 // TestPreChangeJournalIsRefused starts a coordinator on the state
-// directory of a build that journaled with gob (testdata/gob-journal: a
-// snapshot of two stations and a reservation, then register, updown,
-// acct, health and cancel records). The snapshot and every record are
-// refused on their format byte and counted, nothing is restored from
-// them, and the coordinator still comes up. It compacts into the current
-// layout at once, so the start after that is clean.
+// directory of a build that kept a log and snapshots
+// (testdata/gob-journal: incarnation, journal.1.log, snapshot.1.snap).
+// Those files are never read: the coordinator comes up empty, counts
+// one journal error per file on every start while they exist, and
+// leaves them on disk.
 func TestPreChangeJournalIsRefused(t *testing.T) {
 	fixture := filepath.Join("testdata", "gob-journal")
-	j, recovered, err := journal.Open(copyStateDir(t, fixture), journal.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-	if recovered.Snapshot == nil || len(recovered.Records) < 5 {
-		t.Fatalf("fixture holds %d records and snapshot %v; want a snapshot and ≥ 5 records",
-			len(recovered.Records), recovered.Snapshot != nil)
-	}
-	if _, err := decodeState(recovered.Snapshot); !errors.Is(err, errPersistFormat) {
-		t.Fatalf("gob snapshot: err = %v, want errPersistFormat", err)
-	}
-	for i, b := range recovered.Records {
-		if _, err := decodeRecord(b); !errors.Is(err, errPersistFormat) {
-			t.Fatalf("gob record %d: err = %v, want errPersistFormat", i, err)
-		}
-	}
-
 	dir := copyStateDir(t, fixture)
 	cfg := Config{StateDir: dir, PollInterval: time.Hour, DialTimeout: time.Second}
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatalf("coordinator on a gob-era journal: %v", err)
+	for start := 1; start <= 2; start++ {
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatalf("start %d on a log-era directory: %v", start, err)
+		}
+		st, stations := c.Stats(), len(c.Stations())
+		c.Close()
+		if st.JournalErrors != 3 || stations != 0 || st.Incarnation != uint64(start) {
+			t.Fatalf("start %d: %d journal errors, %d stations, incarnation %d; want 3, 0, %d",
+				start, st.JournalErrors, stations, st.Incarnation, start)
+		}
 	}
-	errs, stations := c.Stats().JournalErrors, len(c.Stations())
-	c.Close()
-	if want := uint64(1 + len(recovered.Records)); errs != want {
-		t.Fatalf("JournalErrors = %d, want %d (the snapshot and every record)", errs, want)
-	}
-	if stations != 0 {
-		t.Fatalf("%d stations restored from a journal this build cannot read", stations)
-	}
-	c, err = New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if errs := c.Stats().JournalErrors; errs != 0 {
-		t.Fatalf("second start: JournalErrors = %d, want 0", errs)
+	for _, name := range []string{"incarnation", "journal.1.log", "snapshot.1.snap"} {
+		want, _ := os.ReadFile(filepath.Join(fixture, name))
+		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("log-era file %s changed or went: %v", name, err)
+		}
 	}
 }
 
-// FuzzRebuildState hands recovery an arbitrary snapshot and two
-// arbitrary records. It must never panic, and every snapshot or record it
-// accepts must re-encode to exactly its own bytes.
+// FuzzRebuildState hands recovery an arbitrary state record. It must
+// never panic, and every record it accepts must re-encode to exactly its
+// own bytes.
 func FuzzRebuildState(f *testing.F) {
-	recs := sampleRecords()
-	for i := range recs {
-		f.Add(encodeState(sampleState()), encodeRecord(recs[i]), encodeRecord(recs[(i+1)%len(recs)]))
-	}
-	j, old, err := journal.Open(copyStateDir(f, filepath.Join("testdata", "gob-journal")), journal.Config{})
+	st := encodeState(nil, sampleState())
+	empty := encodeState(nil, persistState{})
+	gob, err := os.ReadFile(filepath.Join("testdata", "gob-journal", "snapshot.1.snap"))
 	if err != nil {
 		f.Fatal(err)
 	}
-	j.Close()
-	f.Add(old.Snapshot, old.Records[0], old.Records[1])
-	st := encodeState(sampleState())
-	f.Add(st[:len(st)-1], []byte{}, []byte{persistFormat})
-	f.Add([]byte(nil), encodeRecord(recs[2])[:9], append(encodeRecord(recs[0]), 0))
-
-	f.Fuzz(func(t *testing.T, snapshot, a, b []byte) {
-		_, skipped := rebuildState(snapshot, [][]byte{a, b}, time.Now())
-		if skipped > 3 {
-			t.Fatalf("skipped %d of 3 inputs", skipped)
-		}
-		if snapshot != nil {
-			if st, err := decodeState(snapshot); err == nil && !bytes.Equal(encodeState(st), snapshot) {
-				t.Fatalf("accepted snapshot re-encodes differently")
+	for _, seed := range [][]byte{
+		st, empty, nil, {}, {persistFormat}, gob, gob[20:],
+		st[:len(st)-1], st[:len(st)/2], append(append([]byte(nil), st...), 0),
+		encodeState(nil, persistState{Stations: []persistStation{{Name: "ws2"}, {Name: "ws1"}}}),
+		append([]byte{persistFormat, 0xfe}, empty[2:]...),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		st, err := rebuildState(b, time.Now())
+		if b != nil && err == nil {
+			if decoded, _ := decodeState(b); !bytes.Equal(encodeState(nil, decoded), b) {
+				t.Fatalf("accepted state re-encodes differently:\n got %x\nwant %x", encodeState(nil, decoded), b)
 			}
 		}
-		for _, rec := range [][]byte{a, b} {
-			if r, err := decodeRecord(rec); err == nil && !bytes.Equal(encodeRecord(r), rec) {
-				t.Fatalf("accepted record re-encodes differently:\n got %x\nwant %x", encodeRecord(r), rec)
-			}
+		if err != nil && !reflect.DeepEqual(st, persistState{}) {
+			t.Fatalf("refused state rebuilt as %+v", st)
 		}
 	})
 }

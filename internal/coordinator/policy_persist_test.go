@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"condor/internal/journal"
 )
 
 // TestPolicyNameJournaled: the active scheduling policy is part of the
@@ -24,7 +26,7 @@ func TestPolicyNameJournaled(t *testing.T) {
 	if got := c1.PolicyName(); got != "busiest-first" {
 		t.Fatalf("explicit policy = %q, want busiest-first", got)
 	}
-	c1.Close() // crash: no farewell state write beyond the journal
+	c1.Close() // crash: no farewell state write
 
 	// Restart with no policy configured: the journaled name rules.
 	c2, err := New(base)
@@ -73,19 +75,19 @@ func TestPolicyNameUnknownFailsStartup(t *testing.T) {
 }
 
 // TestSimulatedOnlyPolicyRefused: backfill, the one policy that ranked
-// by a field only the simulator filled, is gone. A state directory
-// naming it (written by a binary that still had it) degrades to the
-// default like any unknown journaled name, instead of failing startup.
+// by a field only the simulator filled, is gone. A state naming it
+// (written by a binary that still had it) degrades to the default like
+// any unknown journaled name, instead of failing startup.
 func TestSimulatedOnlyPolicyRefused(t *testing.T) {
 	cfg := Config{StateDir: t.TempDir(), PollInterval: time.Hour, DialTimeout: time.Second}
-	c1, err := New(cfg)
+	j, _, err := journal.Open(cfg.StateDir, journal.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1.mu.Lock()
-	c1.appendJournalLocked(persistRecord{Kind: recPolicy, Name: "backfill"})
-	c1.mu.Unlock()
-	c1.Close()
+	if err := j.Append(encodeState(nil, persistState{PolicyName: "backfill"})); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
 	c2, err := New(cfg)
 	if err != nil {
 		t.Fatalf("journaled backfill must degrade, not fail startup: %v", err)

@@ -17,8 +17,17 @@ type reservation struct {
 // Reserve grants holder exclusive remote use of station until now+d. A
 // live reservation by a different holder is refused; the same holder may
 // extend. The workstation owner's priority is unaffected — reservations
-// only arbitrate among remote users.
+// only arbitrate among remote users. A granted reservation is saved
+// before Reserve returns.
 func (c *Coordinator) Reserve(station, holder string, d time.Duration) (time.Time, error) {
+	until, err := c.reserve(station, holder, d)
+	if err == nil {
+		c.saveState()
+	}
+	return until, err
+}
+
+func (c *Coordinator) reserve(station, holder string, d time.Duration) (time.Time, error) {
 	if d <= 0 {
 		return time.Time{}, fmt.Errorf("coordinator: non-positive reservation duration %v", d)
 	}
@@ -37,9 +46,6 @@ func (c *Coordinator) Reserve(station, holder string, d time.Duration) (time.Tim
 	}
 	until := now.Add(d)
 	c.reservations[station] = reservation{holder: holder, until: until}
-	c.appendJournalLocked(persistRecord{
-		Kind: recReserve, Name: station, Holder: holder, UntilUnixMilli: until.UnixMilli(),
-	})
 	c.events.Append(eventlog.Event{
 		Kind: eventlog.KindReserve, Station: station,
 		Detail: fmt.Sprintf("for %s until %s", holder, until.Format(time.RFC3339)),
@@ -50,16 +56,16 @@ func (c *Coordinator) Reserve(station, holder string, d time.Duration) (time.Tim
 // CancelReservation releases a station's reservation; it reports
 // whether a live one existed. Cancelling an already-expired reservation
 // prunes the stale entry but reports false — the reservation had
-// already ended on its own.
+// already ended on its own. A release is saved before it returns.
 func (c *Coordinator) CancelReservation(station string) bool {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	r, ok := c.reservations[station]
+	delete(c.reservations, station)
+	c.mu.Unlock()
 	if !ok {
 		return false
 	}
-	delete(c.reservations, station)
-	c.appendJournalLocked(persistRecord{Kind: recCancel, Name: station})
+	c.saveState()
 	return r.until.After(time.Now())
 }
 

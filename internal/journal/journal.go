@@ -1,26 +1,23 @@
-// Package journal implements the coordinator's durable-state layer: a
-// generic append-only record log with CRC-checked, length-prefixed
-// records, periodic full-state snapshots, and crash-safe replay.
+// Package journal keeps the coordinator's durable state: one record, the
+// newest whole state, in two checksummed slot files.
 //
 // The paper's coordinator is deliberately thin — §2.1 argues "its
 // recovery at another site is simplified" because stations hold their
 // own queues — but some coordinator state is genuinely irreplaceable:
 // the Up-Down schedule indexes (§2.4) are the pool's fairness memory,
-// and §5.3 reservations are promises made to users. A journal makes
-// both survive a coordinator crash.
+// and §5.3 reservations are promises made to users. That state is a
+// table of a few kilobytes, so each Append rewrites all of it.
 //
-// On-disk layout (all inside one directory):
+// On-disk layout (inside one directory):
 //
-//	incarnation          decimal restart counter, bumped on every Open
-//	snapshot.<G>.snap    full state at generation G (magic + CRC framed)
-//	journal.<G>.log      records appended since snapshot G
+//	state.0, state.1    magic | sequence | length | CRC | record
 //
-// Writing snapshot G+1 starts a fresh empty log for generation G+1 and
-// retires generation G's files, so replay cost is bounded by the
-// snapshot interval (size-triggered compaction via NeedsCompaction).
-// Replay tolerates a torn tail — a record cut short by a crash is
-// truncated away, never an error — while a corrupt snapshot falls back
-// to the previous generation.
+// Append writes sequence N over slot N%2, the older one, truncates it
+// to the new length and fsyncs it. A crash in the middle of Append
+// leaves the other slot intact, so Open returns either the new record
+// or the one before it. The CRC covers the sequence and length as well
+// as the record, so a slot torn between its old and new contents never
+// verifies.
 package journal
 
 import (
@@ -30,301 +27,145 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
 	"sync"
 	"time"
 
 	"condor/internal/telemetry"
 )
 
-// Journal telemetry (see docs/OBSERVABILITY.md). Append latency includes
-// the fsync when the SyncEvery policy issues one, so the histogram shows
-// the bimodal synced/unsynced cost directly.
+// Journal telemetry (see docs/OBSERVABILITY.md).
 var (
 	mAppendLatency = telemetry.NewHistogram("condor_journal_append_seconds",
-		"Latency of one journal record append, fsync included when issued.", nil)
-	mSnapshotLatency = telemetry.NewHistogram("condor_journal_snapshot_seconds",
-		"Latency of one full-state snapshot write (fsync, rename, log rotation).", nil)
+		"Latency of one whole-state write, fsync included.", nil)
 	mJournalErrors = telemetry.NewCounter("condor_journal_errors_total",
-		"Journal appends or snapshots that failed.")
+		"Journal state writes that failed.")
 )
 
-// File framing constants.
 const (
-	// snapMagic identifies a snapshot file.
-	snapMagic = "CNDRSNAP"
-	// snapVersion is the current snapshot format version.
-	snapVersion = 1
-	// recHeaderLen is the per-record header: uint32 length + uint32 CRC.
-	recHeaderLen = 8
-	// maxRecordBytes bounds one record (and one snapshot payload) so a
-	// corrupt length field cannot trigger a huge allocation on replay.
+	// magic opens every slot file.
+	magic = "CNDRSTAT"
+	// headerLen is the magic's 8 bytes, then uint64 sequence, uint32
+	// length and uint32 CRC.
+	headerLen = 24
+	// maxRecordBytes bounds one record, so a hostile length field is
+	// refused before anything is read.
 	maxRecordBytes = 16 << 20
 )
 
 // ErrClosed is returned for operations on a closed journal.
 var ErrClosed = errors.New("journal: closed")
 
-// Config tunes a journal.
-type Config struct {
-	// SyncEvery fsyncs the log after every Nth append (1 = every
-	// append, the default; negative = never fsync, for tests and
-	// benchmarks that accept losing the tail on a machine crash).
-	SyncEvery int
-	// CompactBytes is the log size beyond which NeedsCompaction reports
-	// true, prompting the owner to write a snapshot (default 1 MiB).
-	CompactBytes int64
-}
-
-func (c *Config) sanitize() {
-	if c.SyncEvery == 0 {
-		c.SyncEvery = 1
-	}
-	if c.CompactBytes <= 0 {
-		c.CompactBytes = 1 << 20
-	}
-}
+// Config is empty: the two-slot journal has nothing to tune. It stays a
+// type so callers that spell journal.Config{} keep compiling.
+type Config struct{}
 
 // Stats counts journal activity since Open.
 type Stats struct {
-	// Generation is the current snapshot generation.
-	Generation uint64
-	// Incarnation is how many times this state directory has been
-	// opened (1 on the very first run).
-	Incarnation uint64
-	// Appends is how many records were appended this incarnation.
+	// Appends is how many states were written since Open.
 	Appends uint64
-	// Syncs is how many fsyncs the append path issued.
-	Syncs uint64
-	// Snapshots is how many snapshots were written this incarnation.
-	Snapshots uint64
-	// LogBytes is the current log file size.
-	LogBytes int64
-	// ReplayedRecords is how many records Open replayed.
-	ReplayedRecords uint64
-	// TruncatedBytes is how much torn tail Open cut off the log.
-	TruncatedBytes int64
-	// SnapshotRestored reports whether Open found a usable snapshot.
-	SnapshotRestored bool
+	// Bytes is the size of the newest state (0 before the first).
+	Bytes int64
+	// Legacy names the files a log-era build left in the directory
+	// (journal.*.log, snapshot.*.snap, incarnation). They are never read
+	// and never deleted.
+	Legacy []string
 }
 
-// State is what Open recovered from the directory: the latest valid
-// snapshot (nil when none was ever written) and every record appended
-// after it, in append order.
-type State struct {
-	Snapshot    []byte
-	Records     [][]byte
-	Incarnation uint64
-}
-
-// Journal is an open append-only log. It is safe for concurrent use.
+// Journal holds the two slot files. It is safe for concurrent use.
 type Journal struct {
-	dir string
-	cfg Config
-
-	mu          sync.Mutex
-	f           *os.File
-	gen         uint64
-	size        int64
-	unsynced    int
-	stats       Stats
-	incarnation uint64
-	closed      bool
+	mu     sync.Mutex
+	slots  [2]*os.File
+	sizes  [2]int64 // each slot file's size, -1 when unknown
+	seq    uint64   // sequence of the newest valid state; 0 before the first
+	buf    []byte   // reused frame buffer, so Append does not allocate
+	stats  Stats
+	closed bool
 }
 
-// Open recovers the directory's state and opens the log for appending,
-// bumping the incarnation counter. The directory is created if needed.
-func Open(dir string, cfg Config) (*Journal, State, error) {
-	cfg.sanitize()
+// Open opens dir's slot files, creating the directory and the files if
+// needed, and returns the newest record whose magic, sequence, length
+// and CRC verify, or nil when there is none.
+func Open(dir string, _ Config) (*Journal, []byte, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, State{}, fmt.Errorf("journal: create dir: %w", err)
+		return nil, nil, fmt.Errorf("journal: create dir: %w", err)
 	}
-	j := &Journal{dir: dir, cfg: cfg}
+	j := &Journal{}
+	var newest []byte
+	created := false
+	for i := range j.slots {
+		path := filepath.Join(dir, fmt.Sprintf("state.%d", i))
+		_, statErr := os.Stat(path)
+		f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+		if err != nil {
+			j.closeFiles()
+			return nil, nil, fmt.Errorf("journal: open slot: %w", err)
+		}
+		j.slots[i] = f
+		created = created || os.IsNotExist(statErr)
+		seq, rec, size := readSlot(f, i)
+		j.sizes[i] = size
+		if rec != nil && seq > j.seq {
+			j.seq, newest = seq, rec
+		}
+	}
+	if created {
+		syncDir(dir)
+	}
+	j.stats.Bytes = int64(len(newest))
+	for _, pattern := range []string{"journal.*.log", "snapshot.*.snap", "incarnation"} {
+		names, _ := filepath.Glob(filepath.Join(dir, pattern))
+		for _, name := range names {
+			j.stats.Legacy = append(j.stats.Legacy, filepath.Base(name))
+		}
+	}
+	return j, newest, nil
+}
 
-	inc, err := j.bumpIncarnation()
-	if err != nil {
-		return nil, State{}, err
-	}
-	j.incarnation = inc
-
-	gen, snapshot := j.loadLatestSnapshot()
-	j.gen = gen
-	records, truncated, err := j.replayLog(j.logPath(gen))
-	if err != nil {
-		return nil, State{}, err
-	}
-
-	f, err := os.OpenFile(j.logPath(gen), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, State{}, fmt.Errorf("journal: open log: %w", err)
-	}
+// readSlot returns slot i's sequence and record when they verify (nil
+// otherwise), and the file's size. A length larger than the file is
+// refused before anything is allocated.
+func readSlot(f *os.File, i int) (seq uint64, rec []byte, size int64) {
 	fi, err := f.Stat()
 	if err != nil {
-		f.Close()
-		return nil, State{}, fmt.Errorf("journal: stat log: %w", err)
+		return 0, nil, 0
 	}
-	j.f = f
-	j.size = fi.Size()
-	j.stats = Stats{
-		Generation:       gen,
-		Incarnation:      inc,
-		LogBytes:         j.size,
-		ReplayedRecords:  uint64(len(records)),
-		TruncatedBytes:   truncated,
-		SnapshotRestored: snapshot != nil,
+	size = fi.Size()
+	var h [headerLen]byte
+	if _, err := f.ReadAt(h[:], 0); err != nil || string(h[:len(magic)]) != magic {
+		return 0, nil, size
 	}
-	j.removeStaleFiles(gen)
-	return j, State{Snapshot: snapshot, Records: records, Incarnation: inc}, nil
+	seq = binary.BigEndian.Uint64(h[len(magic):])
+	length := binary.BigEndian.Uint32(h[len(magic)+8:])
+	if seq%2 != uint64(i) || length > maxRecordBytes || int64(length) > size-headerLen {
+		return 0, nil, size
+	}
+	rec = make([]byte, length)
+	if _, err := f.ReadAt(rec, headerLen); err != nil {
+		return 0, nil, size
+	}
+	if checksum(h[len(magic):len(magic)+12], rec) != binary.BigEndian.Uint32(h[len(magic)+12:]) {
+		return 0, nil, size
+	}
+	return seq, rec, size
 }
 
-// bumpIncarnation reads, increments, and atomically rewrites the
-// restart counter. An unreadable counter restarts from 1 rather than
-// blocking recovery.
-func (j *Journal) bumpIncarnation() (uint64, error) {
-	path := filepath.Join(j.dir, "incarnation")
-	var prev uint64
-	if b, err := os.ReadFile(path); err == nil {
-		if n, perr := strconv.ParseUint(string(b), 10, 64); perr == nil {
-			prev = n
-		}
-	}
-	next := prev + 1
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(strconv.FormatUint(next, 10)), 0o644); err != nil {
-		return 0, fmt.Errorf("journal: write incarnation: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("journal: commit incarnation: %w", err)
-	}
-	return next, nil
+// checksum is the CRC-32 of a frame's sequence and length, then its
+// record.
+func checksum(seqAndLen, rec []byte) uint32 {
+	return crc32.Update(crc32.ChecksumIEEE(seqAndLen), crc32.IEEETable, rec)
 }
 
-func (j *Journal) snapPath(gen uint64) string {
-	return filepath.Join(j.dir, fmt.Sprintf("snapshot.%d.snap", gen))
-}
-
-func (j *Journal) logPath(gen uint64) string {
-	return filepath.Join(j.dir, fmt.Sprintf("journal.%d.log", gen))
-}
-
-// loadLatestSnapshot returns the highest generation whose snapshot
-// decodes cleanly, falling back generation by generation on corruption.
-// Generation 0 with a nil payload means "no snapshot; empty state".
-func (j *Journal) loadLatestSnapshot() (uint64, []byte) {
-	entries, err := os.ReadDir(j.dir)
-	if err != nil {
-		return 0, nil
-	}
-	var gens []uint64
-	for _, e := range entries {
-		var g uint64
-		if n, _ := fmt.Sscanf(e.Name(), "snapshot.%d.snap", &g); n == 1 {
-			gens = append(gens, g)
-		}
-	}
-	sort.Slice(gens, func(a, b int) bool { return gens[a] > gens[b] })
-	for _, g := range gens {
-		if payload, err := readSnapshotFile(j.snapPath(g)); err == nil {
-			return g, payload
-		}
-	}
-	return 0, nil
-}
-
-// readSnapshotFile decodes one snapshot file, verifying magic, version
-// and CRC.
-func readSnapshotFile(path string) ([]byte, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	header := len(snapMagic) + 12 // version + length + crc
-	if len(b) < header || string(b[:len(snapMagic)]) != snapMagic {
-		return nil, errors.New("journal: bad snapshot header")
-	}
-	if v := binary.BigEndian.Uint32(b[len(snapMagic):]); v != snapVersion {
-		return nil, fmt.Errorf("journal: snapshot version %d unsupported", v)
-	}
-	length := binary.BigEndian.Uint32(b[len(snapMagic)+4:])
-	wantCRC := binary.BigEndian.Uint32(b[len(snapMagic)+8:])
-	if length > maxRecordBytes || len(b) < header+int(length) {
-		return nil, errors.New("journal: snapshot truncated")
-	}
-	payload := b[header : header+int(length)]
-	if crc32.ChecksumIEEE(payload) != wantCRC {
-		return nil, errors.New("journal: snapshot checksum mismatch")
-	}
-	return payload, nil
-}
-
-// replayLog reads every intact record from the log at path. A torn tail
-// — truncated header, truncated payload, zero length, absurd length, or
-// CRC mismatch — ends replay and is physically truncated away so the
-// next append starts on a clean boundary. A missing log is simply empty.
-func (j *Journal) replayLog(path string) (records [][]byte, truncated int64, err error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, 0, nil
-		}
-		return nil, 0, fmt.Errorf("journal: read log: %w", err)
-	}
-	off := 0
-	for {
-		if len(b)-off < recHeaderLen {
-			break
-		}
-		length := binary.BigEndian.Uint32(b[off:])
-		wantCRC := binary.BigEndian.Uint32(b[off+4:])
-		if length == 0 || length > maxRecordBytes || len(b)-off-recHeaderLen < int(length) {
-			break
-		}
-		payload := b[off+recHeaderLen : off+recHeaderLen+int(length)]
-		if crc32.ChecksumIEEE(payload) != wantCRC {
-			break
-		}
-		records = append(records, append([]byte(nil), payload...))
-		off += recHeaderLen + int(length)
-	}
-	if off < len(b) {
-		truncated = int64(len(b) - off)
-		if err := os.Truncate(path, int64(off)); err != nil {
-			return nil, 0, fmt.Errorf("journal: truncate torn tail: %w", err)
-		}
-	}
-	return records, truncated, nil
-}
-
-// removeStaleFiles deletes snapshots and logs of other generations
-// (best effort — leftovers are harmless and retried next open).
-func (j *Journal) removeStaleFiles(keep uint64) {
-	entries, err := os.ReadDir(j.dir)
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		var g uint64
-		switch {
-		case scanGen(e.Name(), "snapshot.%d.snap", &g), scanGen(e.Name(), "journal.%d.log", &g):
-			if g != keep {
-				os.Remove(filepath.Join(j.dir, e.Name()))
-			}
-		case filepath.Ext(e.Name()) == ".tmp":
-			os.Remove(filepath.Join(j.dir, e.Name()))
-		}
+// syncDir fsyncs a directory so a created file's name is durable (best
+// effort; some filesystems refuse directory fsync).
+func syncDir(dir string) {
+	if d, err := os.Open(dir); err == nil {
+		_ = d.Sync()
+		d.Close()
 	}
 }
 
-func scanGen(name, pattern string, g *uint64) bool {
-	n, _ := fmt.Sscanf(name, pattern, g)
-	// Sscanf accepts prefixes; require the reconstruction to match so
-	// "snapshot.3.snap.bak" is not mistaken for generation 3.
-	return n == 1 && fmt.Sprintf(pattern, *g) == name
-}
-
-// Append adds one record to the log, fsyncing per the SyncEvery policy.
+// Append makes rec the newest state: it writes it over the older slot,
+// truncates that slot to the new length and fsyncs it before returning.
 func (j *Journal) Append(rec []byte) error {
 	start := time.Now()
 	err := j.append(rec)
@@ -340,142 +181,49 @@ func (j *Journal) append(rec []byte) error {
 	if len(rec) > maxRecordBytes {
 		return fmt.Errorf("journal: record of %d bytes exceeds limit %d", len(rec), maxRecordBytes)
 	}
-	if len(rec) == 0 {
-		return errors.New("journal: empty record")
-	}
-	frame := make([]byte, recHeaderLen+len(rec))
-	binary.BigEndian.PutUint32(frame, uint32(len(rec)))
-	binary.BigEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(rec))
-	copy(frame[recHeaderLen:], rec)
-
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		return ErrClosed
 	}
-	if _, err := j.f.Write(frame); err != nil {
-		return fmt.Errorf("journal: append: %w", err)
+	seq := j.seq + 1
+	b := append(j.buf[:0], magic...)
+	b = binary.BigEndian.AppendUint64(b, seq)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(rec)))
+	b = binary.BigEndian.AppendUint32(b, checksum(b[len(magic):], rec))
+	b = append(b, rec...)
+	j.buf = b
+	i := seq % 2
+	f, size := j.slots[i], int64(len(b))
+	if _, err := f.WriteAt(b, 0); err != nil {
+		j.sizes[i] = -1 // unknown: truncate on the next write
+		return fmt.Errorf("journal: write: %w", err)
 	}
-	j.size += int64(len(frame))
-	j.stats.Appends++
-	j.stats.LogBytes = j.size
-	j.unsynced++
-	if j.cfg.SyncEvery > 0 && j.unsynced >= j.cfg.SyncEvery {
-		if err := j.f.Sync(); err != nil {
-			return fmt.Errorf("journal: sync: %w", err)
+	if j.sizes[i] < 0 || j.sizes[i] > size {
+		if err := f.Truncate(size); err != nil {
+			j.sizes[i] = -1
+			return fmt.Errorf("journal: truncate: %w", err)
 		}
-		j.unsynced = 0
-		j.stats.Syncs++
 	}
+	j.sizes[i] = size
+	if err := f.Sync(); err != nil {
+		return fmt.Errorf("journal: sync: %w", err)
+	}
+	j.seq = seq
+	j.stats.Appends++
+	j.stats.Bytes = int64(len(rec))
 	return nil
 }
 
-// Snapshot atomically writes the full state as generation G+1 and
-// starts a fresh empty log for it, retiring generation G's files. After
-// a crash at any point, Open recovers either the old generation intact
-// or the new one — never a mix.
-func (j *Journal) Snapshot(state []byte) error {
-	start := time.Now()
-	err := j.snapshot(state)
-	if err != nil {
-		mJournalErrors.Inc()
-	} else {
-		mSnapshotLatency.ObserveDuration(time.Since(start))
-	}
-	return err
-}
-
-func (j *Journal) snapshot(state []byte) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return ErrClosed
-	}
-	next := j.gen + 1
-
-	header := make([]byte, 0, len(snapMagic)+12)
-	header = append(header, snapMagic...)
-	header = binary.BigEndian.AppendUint32(header, snapVersion)
-	header = binary.BigEndian.AppendUint32(header, uint32(len(state)))
-	header = binary.BigEndian.AppendUint32(header, crc32.ChecksumIEEE(state))
-
-	tmp, err := os.CreateTemp(j.dir, "snapshot-*.tmp")
-	if err != nil {
-		return fmt.Errorf("journal: snapshot temp: %w", err)
-	}
-	tmpName := tmp.Name()
-	cleanup := func(e error) error { tmp.Close(); os.Remove(tmpName); return e }
-	if _, err := tmp.Write(header); err != nil {
-		return cleanup(fmt.Errorf("journal: snapshot write: %w", err))
-	}
-	if _, err := tmp.Write(state); err != nil {
-		return cleanup(fmt.Errorf("journal: snapshot write: %w", err))
-	}
-	if err := tmp.Sync(); err != nil {
-		return cleanup(fmt.Errorf("journal: snapshot sync: %w", err))
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("journal: snapshot close: %w", err)
-	}
-	if err := os.Rename(tmpName, j.snapPath(next)); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("journal: snapshot commit: %w", err)
-	}
-
-	newLog, err := os.OpenFile(j.logPath(next), os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("journal: new log: %w", err)
-	}
-	old := j.f
-	oldGen := j.gen
-	j.f = newLog
-	j.gen = next
-	j.size = 0
-	j.unsynced = 0
-	j.stats.Generation = next
-	j.stats.Snapshots++
-	j.stats.LogBytes = 0
-	if old != nil {
-		old.Close()
-	}
-	os.Remove(j.logPath(oldGen))
-	os.Remove(j.snapPath(oldGen))
-	syncDir(j.dir)
-	return nil
-}
-
-// syncDir fsyncs a directory so renames and removals are durable
-// (best effort; some filesystems refuse directory fsync).
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
-}
-
-// NeedsCompaction reports whether the log has outgrown CompactBytes and
-// the owner should write a snapshot.
-func (j *Journal) NeedsCompaction() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.size >= j.cfg.CompactBytes
-}
-
-// Incarnation returns the directory's restart counter (1 on first run).
-func (j *Journal) Incarnation() uint64 { return j.incarnation }
-
-// Stats returns a snapshot of the counters.
+// Stats returns a copy of the counters.
 func (j *Journal) Stats() Stats {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.stats
 }
 
-// Dir returns the state directory.
-func (j *Journal) Dir() string { return j.dir }
-
-// Close syncs and closes the log. Safe to call twice.
+// Close closes the slot files. Every Append has already synced, so it
+// writes nothing. Safe to call twice.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -483,13 +231,18 @@ func (j *Journal) Close() error {
 		return nil
 	}
 	j.closed = true
-	if j.f == nil {
-		return nil
+	return j.closeFiles()
+}
+
+func (j *Journal) closeFiles() error {
+	var first error
+	for _, f := range j.slots {
+		if f == nil {
+			continue
+		}
+		if err := f.Close(); err != nil && first == nil {
+			first = err
+		}
 	}
-	syncErr := j.f.Sync()
-	closeErr := j.f.Close()
-	if syncErr != nil {
-		return syncErr
-	}
-	return closeErr
+	return first
 }

@@ -8,276 +8,198 @@ import (
 	"testing"
 )
 
-func mustOpen(t *testing.T, dir string, cfg Config) (*Journal, State) {
+func mustOpen(t *testing.T, dir string) (*Journal, []byte) {
 	t.Helper()
-	j, state, err := Open(dir, cfg)
+	j, rec, err := Open(dir, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { j.Close() })
-	return j, state
+	return j, rec
+}
+
+// appendAll appends each record in turn and closes the journal.
+func appendAll(t *testing.T, dir string, recs ...string) {
+	t.Helper()
+	j, _ := mustOpen(t, dir)
+	for _, rec := range recs {
+		if err := j.Append([]byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+}
+
+// newestSlot is the path of the slot the last of n appends wrote.
+func newestSlot(dir string, n int) string {
+	return filepath.Join(dir, fmt.Sprintf("state.%d", n%2))
 }
 
 func TestAppendReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	j, state := mustOpen(t, dir, Config{})
-	if state.Snapshot != nil || len(state.Records) != 0 {
-		t.Fatalf("fresh dir state = %+v", state)
+	if _, rec := mustOpen(t, dir); rec != nil {
+		t.Fatalf("fresh dir state = %q, want nil", rec)
 	}
-	var want [][]byte
+	var recs []string
 	for i := 0; i < 20; i++ {
-		rec := []byte(fmt.Sprintf("record-%d", i))
-		if err := j.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, rec)
+		recs = append(recs, fmt.Sprintf("state-%d%s", i, bytes.Repeat([]byte{'x'}, 20-i)))
 	}
-	j.Close()
-
-	_, state2 := mustOpen(t, dir, Config{})
-	if len(state2.Records) != len(want) {
-		t.Fatalf("replayed %d records, want %d", len(state2.Records), len(want))
+	appendAll(t, dir, recs...)
+	if _, rec := mustOpen(t, dir); string(rec) != recs[19] {
+		t.Fatalf("reopened state = %q, want %q", rec, recs[19])
 	}
-	for i, rec := range state2.Records {
-		if !bytes.Equal(rec, want[i]) {
-			t.Fatalf("record %d = %q, want %q", i, rec, want[i])
-		}
+	if entries, _ := os.ReadDir(dir); len(entries) != 2 {
+		t.Fatalf("%d files in the state directory, want the two slots", len(entries))
 	}
 }
 
-func TestIncarnationCounts(t *testing.T) {
-	dir := t.TempDir()
-	for want := uint64(1); want <= 3; want++ {
-		j, state, err := Open(dir, Config{})
-		if err != nil {
+// TestReplayTruncationFuzz cuts the newest slot at every byte offset:
+// each cut must give back the previous state, and the next Append must
+// go into the torn slot and keep the good one.
+func TestReplayTruncationFuzz(t *testing.T) {
+	master := t.TempDir()
+	appendAll(t, master, "previous-state", "the-newest-state-is-longer")
+	newest, previous := mustRead(t, newestSlot(master, 2)), mustRead(t, newestSlot(master, 1))
+	for cut := 0; cut < len(newest); cut++ {
+		dir := t.TempDir()
+		if err := os.WriteFile(newestSlot(dir, 2), newest[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if state.Incarnation != want || j.Incarnation() != want {
-			t.Fatalf("incarnation = %d/%d, want %d", state.Incarnation, j.Incarnation(), want)
+		if err := os.WriteFile(newestSlot(dir, 1), previous, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, rec, err := Open(dir, Config{})
+		if err != nil || string(rec) != "previous-state" {
+			t.Fatalf("cut at %d: recovered %q, %v; want the previous state", cut, rec, err)
+		}
+		if err := j.Append([]byte("after")); err != nil {
+			t.Fatalf("cut at %d: append after recovery: %v", cut, err)
 		}
 		j.Close()
-	}
-}
-
-func TestSnapshotCompactsLog(t *testing.T) {
-	dir := t.TempDir()
-	j, _ := mustOpen(t, dir, Config{})
-	for i := 0; i < 5; i++ {
-		if err := j.Append([]byte("pre")); err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(mustRead(t, newestSlot(dir, 1)), previous) {
+			t.Fatalf("cut at %d: the append overwrote the good slot", cut)
 		}
-	}
-	if err := j.Snapshot([]byte("the-state")); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Append([]byte("post")); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-
-	_, state := mustOpen(t, dir, Config{})
-	if string(state.Snapshot) != "the-state" {
-		t.Fatalf("snapshot = %q", state.Snapshot)
-	}
-	if len(state.Records) != 1 || string(state.Records[0]) != "post" {
-		t.Fatalf("records = %q, want just the post-snapshot one", state.Records)
-	}
-	// Old generation files must be gone.
-	entries, _ := os.ReadDir(dir)
-	for _, e := range entries {
-		if e.Name() == "journal.0.log" || e.Name() == "snapshot.0.snap" {
-			t.Fatalf("stale generation file %s survived compaction", e.Name())
+		if _, rec := mustOpen(t, dir); string(rec) != "after" {
+			t.Fatalf("cut at %d: state after append = %q", cut, rec)
 		}
 	}
 }
 
-func TestNeedsCompaction(t *testing.T) {
-	j, _ := mustOpen(t, t.TempDir(), Config{CompactBytes: 64})
-	if j.NeedsCompaction() {
-		t.Fatal("empty log wants compaction")
-	}
-	for i := 0; i < 10; i++ {
-		if err := j.Append([]byte("0123456789abcdef")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !j.NeedsCompaction() {
-		t.Fatal("log past CompactBytes does not want compaction")
-	}
-	if err := j.Snapshot(nil); err != nil {
+func mustRead(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if j.NeedsCompaction() {
-		t.Fatal("fresh post-snapshot log wants compaction")
-	}
+	return b
 }
 
+// TestCorruptSnapshotFallsBack damages the newest state's header: Open
+// falls back to the other slot, and with both slots damaged it returns
+// nil.
 func TestCorruptSnapshotFallsBack(t *testing.T) {
 	dir := t.TempDir()
-	j, _ := mustOpen(t, dir, Config{})
-	if err := j.Snapshot([]byte("good")); err != nil {
+	appendAll(t, dir, "good", "newer")
+	for _, tc := range []struct{ damage, want string }{
+		{newestSlot(dir, 2), "good"},
+		{newestSlot(dir, 1), ""},
+	} {
+		b := mustRead(t, tc.damage)
+		b[9] ^= 0xff // inside the sequence number
+		if err := os.WriteFile(tc.damage, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, rec := mustOpen(t, dir)
+		j.Close()
+		if string(rec) != tc.want || (rec == nil) != (tc.want == "") {
+			t.Fatalf("after damaging %s: state = %q, want %q", filepath.Base(tc.damage), rec, tc.want)
+		}
+	}
+}
+
+// TestCorruptMiddleRecordTruncates flips a byte inside the newest
+// record: the CRC refuses it, the previous state comes back, and the
+// next, shorter state goes into the damaged slot and truncates it.
+func TestCorruptMiddleRecordTruncates(t *testing.T) {
+	dir := t.TempDir()
+	appendAll(t, dir, "record-0", "record-1-is-the-long-one")
+	path := newestSlot(dir, 2)
+	b := mustRead(t, path)
+	b[headerLen+5] ^= 0xff
+	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append([]byte("after-good")); err != nil {
+	j, rec := mustOpen(t, dir)
+	if string(rec) != "record-0" {
+		t.Fatalf("state = %q, want the intact record-0", rec)
+	}
+	if err := j.Append([]byte("short")); err != nil {
 		t.Fatal(err)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != headerLen+5 {
+		t.Fatalf("damaged slot after a shorter append: %v, %v; want %d bytes", fi.Size(), err, headerLen+5)
+	}
+}
+
+// TestZeroLengthRunIsTornTail: a newest slot that is all zero bytes (a
+// preallocated but unwritten region) or whose length runs past the end
+// of the file is a torn write, not a state.
+func TestZeroLengthRunIsTornTail(t *testing.T) {
+	dir := t.TempDir()
+	appendAll(t, dir, "real", "newer")
+	path := newestSlot(dir, 2)
+	good := mustRead(t, path)
+	for _, b := range [][]byte{make([]byte, 64), good[:len(good)-1]} {
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, rec := mustOpen(t, dir); string(rec) != "real" {
+			t.Fatalf("state = %q, want real", rec)
+		}
+	}
+}
+
+// TestLogEraFilesListedNotRead: a directory a log-era build wrote is
+// listed by name, not read and not deleted; its state starts empty.
+func TestLogEraFilesListedNotRead(t *testing.T) {
+	dir := t.TempDir()
+	legacy := []string{"journal.3.log", "snapshot.3.snap", "incarnation"}
+	for _, name := range legacy {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("old"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j, rec := mustOpen(t, dir)
+	if got := j.Stats().Legacy; rec != nil || fmt.Sprint(got) != fmt.Sprint(legacy) {
+		t.Fatalf("state %q, legacy files %v; want nil and %v", rec, got, legacy)
 	}
 	j.Close()
-	// A later snapshot generation that is corrupt on disk must be
-	// ignored in favour of the older intact one.
-	if err := os.WriteFile(filepath.Join(dir, "snapshot.9.snap"), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, state := mustOpen(t, dir, Config{})
-	if string(state.Snapshot) != "good" {
-		t.Fatalf("snapshot = %q, want fallback to the intact generation", state.Snapshot)
-	}
-	if len(state.Records) != 1 || string(state.Records[0]) != "after-good" {
-		t.Fatalf("records = %q", state.Records)
+	for _, name := range legacy {
+		if string(mustRead(t, filepath.Join(dir, name))) != "old" {
+			t.Fatalf("%s changed", name)
+		}
 	}
 }
 
 func TestAppendAfterCloseFails(t *testing.T) {
-	j, _ := mustOpen(t, t.TempDir(), Config{})
+	j, _ := mustOpen(t, t.TempDir())
 	j.Close()
 	if err := j.Append([]byte("x")); err != ErrClosed {
 		t.Fatalf("append after close = %v, want ErrClosed", err)
-	}
-	if err := j.Snapshot(nil); err != ErrClosed {
-		t.Fatalf("snapshot after close = %v, want ErrClosed", err)
 	}
 }
 
 func TestStats(t *testing.T) {
 	dir := t.TempDir()
-	j, _ := mustOpen(t, dir, Config{})
-	for i := 0; i < 3; i++ {
-		if err := j.Append([]byte("rec")); err != nil {
-			t.Fatal(err)
-		}
+	appendAll(t, dir, "rec", "longer-rec", "rec")
+	j, _ := mustOpen(t, dir)
+	if s := j.Stats(); s.Appends != 0 || s.Bytes != 3 {
+		t.Fatalf("reopened stats = %+v, want 0 appends and the 3-byte newest state", s)
 	}
-	if err := j.Snapshot([]byte("s")); err != nil {
+	if err := j.Append([]byte("twelve bytes")); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append([]byte("rec")); err != nil {
-		t.Fatal(err)
-	}
-	s := j.Stats()
-	if s.Appends != 4 || s.Snapshots != 1 || s.Generation != 1 || s.Incarnation != 1 {
+	if s := j.Stats(); s.Appends != 1 || s.Bytes != 12 || s.Legacy != nil {
 		t.Fatalf("stats = %+v", s)
-	}
-	j.Close()
-	j2, _ := mustOpen(t, dir, Config{})
-	s2 := j2.Stats()
-	if s2.ReplayedRecords != 1 || !s2.SnapshotRestored || s2.Incarnation != 2 {
-		t.Fatalf("reopened stats = %+v", s2)
-	}
-}
-
-// TestReplayTruncationFuzz cuts the log at every byte offset and
-// requires recovery to succeed cleanly, yielding an exact prefix of the
-// appended records — the torn-tail guarantee, exhaustively.
-func TestReplayTruncationFuzz(t *testing.T) {
-	master := t.TempDir()
-	j, _ := mustOpen(t, master, Config{})
-	var want [][]byte
-	for i := 0; i < 8; i++ {
-		rec := []byte(fmt.Sprintf("fuzz-record-%d-%s", i, string(make([]byte, i*3))))
-		if err := j.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, rec)
-	}
-	j.Close()
-	logBytes, err := os.ReadFile(filepath.Join(master, "journal.0.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for cut := 0; cut <= len(logBytes); cut++ {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "journal.0.log"), logBytes[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		j2, state, err := Open(dir, Config{})
-		if err != nil {
-			t.Fatalf("cut at %d: recovery errored: %v", cut, err)
-		}
-		// The recovered records must be an exact prefix of the originals.
-		if len(state.Records) > len(want) {
-			t.Fatalf("cut at %d: %d records recovered, only %d written", cut, len(state.Records), len(want))
-		}
-		for i, rec := range state.Records {
-			if !bytes.Equal(rec, want[i]) {
-				t.Fatalf("cut at %d: record %d = %q, want %q", cut, i, rec, want[i])
-			}
-		}
-		// The journal must be append-ready on the truncated boundary:
-		// a new record lands after the surviving prefix.
-		if err := j2.Append([]byte("appended-after-recovery")); err != nil {
-			t.Fatalf("cut at %d: append after recovery: %v", cut, err)
-		}
-		j2.Close()
-		_, state3, err := Open(dir, Config{})
-		if err != nil {
-			t.Fatalf("cut at %d: second recovery: %v", cut, err)
-		}
-		if n := len(state3.Records); n != len(state.Records)+1 {
-			t.Fatalf("cut at %d: %d records after append, want %d", cut, n, len(state.Records)+1)
-		}
-		if got := state3.Records[len(state3.Records)-1]; string(got) != "appended-after-recovery" {
-			t.Fatalf("cut at %d: tail record = %q", cut, got)
-		}
-	}
-}
-
-// TestCorruptMiddleRecordTruncates flips a byte inside an early record:
-// everything from the damaged record on is discarded, everything before
-// it survives.
-func TestCorruptMiddleRecordTruncates(t *testing.T) {
-	dir := t.TempDir()
-	j, _ := mustOpen(t, dir, Config{})
-	for i := 0; i < 5; i++ {
-		if err := j.Append([]byte(fmt.Sprintf("record-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	j.Close()
-	path := filepath.Join(dir, "journal.0.log")
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Record 0 occupies recHeaderLen+8 bytes; damage record 1's payload.
-	b[(recHeaderLen+8)+recHeaderLen+2] ^= 0xFF
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, state := mustOpen(t, dir, Config{})
-	if len(state.Records) != 1 || string(state.Records[0]) != "record-0" {
-		t.Fatalf("records = %q, want just the intact prefix", state.Records)
-	}
-}
-
-func TestZeroLengthRunIsTornTail(t *testing.T) {
-	// A preallocated-but-unwritten region (all zero bytes) must read as
-	// a torn tail, not as an endless stream of empty records.
-	dir := t.TempDir()
-	j, _ := mustOpen(t, dir, Config{})
-	if err := j.Append([]byte("real")); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-	path := filepath.Join(dir, "journal.0.log")
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(make([]byte, 64)); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	_, state := mustOpen(t, dir, Config{})
-	if len(state.Records) != 1 || string(state.Records[0]) != "real" {
-		t.Fatalf("records = %q", state.Records)
 	}
 }

@@ -454,17 +454,13 @@ type WireStats struct {
 // JournalStats reports the coordinator's durable-state journal activity
 // (all zero when the coordinator runs without a state directory).
 type JournalStats struct {
-	// Appends and Snapshots count journal writes this incarnation.
-	Appends   uint64
-	Snapshots uint64
-	// LogBytes is the current journal log size.
+	// Appends counts whole-state writes this incarnation.
+	Appends uint64
+	// LogBytes is the size of the newest saved state.
 	LogBytes int64
-	// Replayed is how many records startup recovery replayed.
-	Replayed uint64
-	// TruncatedBytes is how much torn tail recovery cut off the log.
-	TruncatedBytes int64
-	// Errors counts journal append/encode failures (state kept serving,
-	// durability degraded).
+	// Errors counts failed state writes, an unreadable state and
+	// log-era files found at startup (state kept serving, durability
+	// degraded).
 	Errors uint64
 }
 

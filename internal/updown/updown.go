@@ -179,10 +179,10 @@ func (t *Table) Snapshot() map[string]float64 {
 }
 
 // Restore overwrites the table with a recovered set of indexes — the
-// coordinator's crash-recovery path replaying a journal snapshot.
+// coordinator's crash-recovery path restoring its saved state.
 // Stations are (re-)registered in sorted-name order, so tie-break
 // arrival order is deterministic after a restart even though the
-// original registration order is not part of the snapshot.
+// original registration order is not part of the saved state.
 func (t *Table) Restore(indexes map[string]float64) {
 	names := make([]string, 0, len(indexes))
 	for name := range indexes {
