@@ -87,10 +87,14 @@ chaos:
 		./internal/journal/... ./internal/coordinator/... ./internal/schedd/... ./internal/chaos/... ./internal/ru/... ./internal/wire/... ./internal/proto/...
 
 # Scheduling-policy gate: every registered policy must satisfy the
-# shared invariant harness, and the pipelined Up-Down must reproduce
-# the seed algorithm byte-for-byte on the committed golden fixtures.
+# shared invariant harness, the pipelined Up-Down must reproduce the
+# seed algorithm byte-for-byte on the committed golden fixtures, and a
+# policy must decide live as it does in simulation (one written Config
+# means the same cycle, one round audits alike, FIFO is registration
+# order on both).
 conformance:
 	$(GO) test -count=1 -run 'TestConformance|TestGoldenEquivalence' ./internal/policy/
+	$(GO) test -count=1 -run 'SameLiveAndSimulated|RegistrationOrder' ./internal/coordinator/ ./internal/simulation/
 
 # Headless dashboard smoke: boot a live pool plus condor-web in one
 # process and walk the whole surface — embedded page, JSON API, 50

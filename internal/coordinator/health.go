@@ -128,10 +128,10 @@ func (h *health) rand() uint64 {
 
 // jitter returns d ± 25%.
 func (h *health) jitter(d time.Duration) time.Duration {
-	if d <= 0 {
-		return d
-	}
 	span := int64(d) / 2 // ±25% = a window half as wide as d
+	if span <= 0 {
+		return d // no backoff, or one too short to jitter (1 ns)
+	}
 	off := int64(h.rand()%uint64(span)) - span/2
 	return d + time.Duration(off)
 }

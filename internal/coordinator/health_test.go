@@ -379,6 +379,18 @@ func TestSuspectStationReceivesNoGrants(t *testing.T) {
 	}
 }
 
+// TestProbeJitterBounds: probe backoff jitter stays within ±25%, and a
+// backoff too short to jitter (ProbeBase 1 ns, from -poll 1ns) comes
+// back unchanged instead of dividing by zero.
+func TestProbeJitterBounds(t *testing.T) {
+	h := newHealth("ws1", time.Unix(0, 0))
+	for _, d := range []time.Duration{time.Nanosecond, 2 * time.Nanosecond, time.Second} {
+		if got := h.jitter(d); got < d-d/4 || got > d+d/4 {
+			t.Errorf("jitter(%v) = %v, outside ±25%%", d, got)
+		}
+	}
+}
+
 func BenchmarkHealthObserve(b *testing.B) {
 	// The per-station scoring runs inside the cycle's result loop under
 	// c.mu — it must stay allocation-free (see BENCH_baseline.json).

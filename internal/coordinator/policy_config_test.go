@@ -52,3 +52,25 @@ func TestPolicyConfigMeansTheSameLiveAndSimulated(t *testing.T) {
 		})
 	}
 }
+
+// TestFIFOServesInRegistrationOrder: live FIFO is registration order, as
+// in the simulator, not the order stations first wanted. late wants
+// first and its job runs on exec; once early wants too, early outranks
+// late and preempts that job.
+func TestFIFOServesInRegistrationOrder(t *testing.T) {
+	coord, scripted := healthPool(t, []string{"early", "late", "exec"}, Config{Policy: policy.Config{Name: "fifo"}})
+	wants := func(r *proto.PollReply) { r.State, r.WaitingJobs = proto.StationOwner, 1 }
+	owner := func(r *proto.PollReply) { r.State = proto.StationOwner }
+	scripted["early"].set(true, owner)
+	scripted["late"].set(true, wants)
+	scripted["exec"].set(true, owner)
+	coord.Cycle()
+	scripted["early"].set(true, wants)
+	scripted["exec"].set(true, func(r *proto.PollReply) {
+		r.State, r.ForeignJob, r.ForeignOwnerStation = proto.StationClaimed, "late/1", "late"
+	})
+	coord.Cycle()
+	if got := coord.Stats().Preempts; got != 1 {
+		t.Fatalf("Preempts = %d, want 1: early registered first, so it outranks late", got)
+	}
+}

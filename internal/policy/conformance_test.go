@@ -128,7 +128,7 @@ func checkDecisionInvariants(pol *Policy, views []StationView, tab *updown.Table
 		if p.Victim == p.Beneficiary {
 			return fmt.Errorf("station %q preempted to serve itself", p.Victim)
 		}
-		if !pol.Ranker.Better(p.Beneficiary, p.Victim, newPool(views), tab, &sanitized) {
+		if !pol.better(p.Beneficiary, p.Victim, newPool(views), tab) {
 			return fmt.Errorf("beneficiary %q does not strictly outrank victim %q under policy %s",
 				p.Beneficiary, p.Victim, pol.Name())
 		}
@@ -137,18 +137,19 @@ func checkDecisionInvariants(pol *Policy, views []StationView, tab *updown.Table
 }
 
 // TestConformanceAllPolicies runs the shared invariant harness against
-// every registered policy over randomized pools and configs.
+// every registered policy over randomized pools and configs. One Policy
+// decides every pool, so each case also checks that a policy holds no
+// state: having decided earlier pools, it decides this one exactly as a
+// fresh instance does.
 func TestConformanceAllPolicies(t *testing.T) {
 	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
+			pol := MustNew(name)
 			property := func(seed int64, burst bool, maxGrants, maxPreempts uint8, minDisk bool, placement uint8) bool {
 				r := rand.New(rand.NewSource(seed))
 				views, tab := randomPool(r)
 				cfg := conformanceCfg(burst, maxGrants, maxPreempts, minDisk, placement)
-				// Fresh instance per pool: stateful rankers (FIFO) must
-				// not leak arrival order across property cases.
-				pol := MustNew(name)
 				snapshot := append([]StationView(nil), views...)
 
 				d := pol.Decide(views, tab, cfg)
@@ -156,10 +157,8 @@ func TestConformanceAllPolicies(t *testing.T) {
 					t.Logf("seed %d: %v", seed, err)
 					return false
 				}
-				// Determinism: the same snapshot yields the same decision,
-				// even for stateful rankers.
-				if again := pol.Decide(views, tab, cfg); !reflect.DeepEqual(d, again) {
-					t.Logf("seed %d: decision not deterministic\n first: %+v\nsecond: %+v", seed, d, again)
+				if fresh := MustNew(name).Decide(views, tab, cfg); !reflect.DeepEqual(d, fresh) {
+					t.Logf("seed %d: decision depends on earlier pools\n  used: %+v\n fresh: %+v", seed, d, fresh)
 					return false
 				}
 				// Purity: Decide never mutates its input views.

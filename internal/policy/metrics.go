@@ -52,7 +52,7 @@ func newPolicyMetrics(name string) *policyMetrics {
 	}
 	m.denied = make([]*telemetry.Counter, len(predicates))
 	for i, p := range predicates {
-		m.denied[i] = mPredicateDenied.With(name + "/" + p.Name())
+		m.denied[i] = mPredicateDenied.With(name + "/" + p.name)
 	}
 	return m
 }

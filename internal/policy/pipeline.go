@@ -1,17 +1,19 @@
 // The scheduling pipeline. One decision cycle flows through four stages:
 //
 //	Predicates  filter which machines may serve (idle, disk, health,
-//	            reservation match) — the same chain for every policy.
-//	Ranker      orders the requesting stations best-first (Up-Down,
-//	            FIFO, busiest-first). The one stage a policy chooses.
+//	            reservation match) — the same table for every policy.
+//	Ranking     orders the requesting stations best-first by the
+//	            policy's order (Up-Down, FIFO, busiest-first). The one
+//	            stage a policy chooses.
 //	Placement   orders the admitted machines best-first, selected by
 //	            Config.Placement (first-fit, availability-history).
 //	Preemption  the paper's §2.4 rule: evict the worst holder the best
-//	            unserved requester strictly outranks.
+//	            unserved requester strictly outranks, under the same
+//	            order.
 //
-// A Policy is a name, the standard predicate chain and a Ranker; the
-// registry (registry.go) maps policy names to rankers so the coordinator
-// and simulator select one by configuration.
+// A Policy is a name and one order (policies.go) behind the standard
+// predicates; the registry (registry.go) maps policy names to orders so
+// the coordinator and simulator select one by configuration.
 package policy
 
 import (
@@ -39,39 +41,63 @@ func newPool(stations []StationView) *Pool {
 	return &Pool{Stations: stations, byName: byName}
 }
 
-// Predicate decides whether a machine may serve a requester this cycle.
-type Predicate interface {
-	Name() string
-	// Admit is called twice per machine: once with req == "" while the
-	// candidate set is built (admit when the machine could serve at
-	// least one requester) and again with the concrete requester during
-	// placement. Requester-independent predicates ignore req.
-	Admit(m *StationView, req string, cfg *Config) bool
-	// Explain articulates the comparison Admit failed, both sides as
-	// short strings — the audit's threshold-vs-observed detail. Only
-	// called on the rejection path, after Admit returned false.
-	Explain(m *StationView, req string, cfg *Config) (threshold, observed string)
+// A predicate decides whether a machine may serve a requester this
+// cycle. admit is called twice per machine: once with req == "" while
+// the candidate set is built (admit when the machine could serve at
+// least one requester) and again with the concrete requester during
+// placement; requester-independent predicates ignore req. explain
+// articulates the comparison admit failed, both sides as short strings —
+// the audit's threshold-vs-observed detail — and is only called after
+// admit returned false.
+type predicate struct {
+	name    string
+	admit   func(m *StationView, req string, cfg *Config) bool
+	explain func(m *StationView, req string, cfg *Config) (threshold, observed string)
 }
 
-// predicates is the filter chain every policy runs, in order.
-var predicates = []Predicate{IdlePredicate{}, MinDiskPredicate{}, HealthPredicate{}, ReservationPredicate{}}
-
-// Ranker orders the requesting stations best-first. table is the pool's
-// Up-Down fairness memory; a ranker reads as much of it as its ordering
-// needs and never updates it.
-type Ranker interface {
-	// Rank orders wanting best-first. wanting arrives in sorted-name
-	// order; implementations must not mutate it.
-	Rank(wanting []string, pool *Pool, table *updown.Table, cfg *Config) []string
-	// Better reports whether a strictly outranks b — the relation every
-	// preemption is judged by.
-	Better(a, b string, pool *Pool, table *updown.Table, cfg *Config) bool
+// predicates is the filter chain every policy runs, in order. The names
+// are the audit's Rejection.Predicate values and the label suffixes of
+// condor_policy_predicate_denied_total.
+var predicates = []predicate{
+	// idle admits only machines with no owner or foreign activity.
+	{"idle",
+		func(m *StationView, _ string, _ *Config) bool { return m.State == proto.StationIdle },
+		func(m *StationView, _ string, _ *Config) (string, string) {
+			return "state == idle", "state " + m.State.String()
+		}},
+	// min-disk enforces §4's free-space requirement: a station whose
+	// disk cannot hold a checkpoint plus executable is unusable.
+	{"min-disk",
+		func(m *StationView, _ string, cfg *Config) bool {
+			return cfg.MinDiskBytes <= 0 || m.DiskFree >= cfg.MinDiskBytes
+		},
+		func(m *StationView, _ string, cfg *Config) (string, string) {
+			return fmt.Sprintf("disk >= %d bytes", cfg.MinDiskBytes),
+				fmt.Sprintf("%d bytes free", m.DiskFree)
+		}},
+	// health blocks grants of machines the health grader marked
+	// non-healthy (see healthy).
+	{"health",
+		func(m *StationView, _ string, _ *Config) bool { return healthy(m) },
+		func(m *StationView, _ string, _ *Config) (string, string) {
+			return "health == healthy", "health " + m.Health.String()
+		}},
+	// reservation enforces §5.3 reservations: a reserved machine serves
+	// only its holder. With no concrete requester it admits — a reserved
+	// machine is still a candidate for its holder.
+	{"reservation",
+		func(m *StationView, req string, _ *Config) bool {
+			return req == "" || m.ReservedFor == "" || m.ReservedFor == req
+		},
+		func(m *StationView, req string, _ *Config) (string, string) {
+			return "reserved for " + m.ReservedFor, "requester " + req
+		}},
 }
 
-// Policy is a named Ranker behind the standard predicate chain.
+// Policy is a named order behind the standard predicates.
 type Policy struct {
 	name   string
-	Ranker Ranker
+	better order
 	met    *policyMetrics
 }
 
@@ -89,8 +115,8 @@ func (p *Policy) DecideTotals() (count uint64, seconds float64) {
 // and the per-predicate deny counters know *which* gate closed without
 // a second pass.
 func admitIdx(m *StationView, req string, cfg *Config) int {
-	for i, pred := range predicates {
-		if !pred.Admit(m, req, cfg) {
+	for i := range predicates {
+		if !predicates[i].admit(m, req, cfg) {
 			return i
 		}
 	}
@@ -100,16 +126,16 @@ func admitIdx(m *StationView, req string, cfg *Config) int {
 // rejection assembles the audit record for predicate idx rejecting m.
 // Only called on the (cold) rejection path with a live builder.
 func rejection(m *StationView, req string, idx int, cfg *Config) decision.Rejection {
-	r := decision.Rejection{Station: m.Name, Requester: req, Predicate: predicates[idx].Name()}
-	r.Threshold, r.Observed = predicates[idx].Explain(m, req, cfg)
+	r := decision.Rejection{Station: m.Name, Requester: req, Predicate: predicates[idx].name}
+	r.Threshold, r.Observed = predicates[idx].explain(m, req, cfg)
 	return r
 }
 
 // healthy is the one health gate, live and simulated: a station graded
 // non-healthy neither asks for capacity (no grants, no preemptions on
-// its behalf), nor donates its machine (HealthPredicate), nor has its
-// running foreign job preempted (pickVictim) — it keeps what it has,
-// nothing more. Zero Health (old fixtures, the simulator) means no
+// its behalf), nor donates its machine (the health predicate), nor has
+// its running foreign job preempted (pickVictim) — it keeps what it
+// has, nothing more. Zero Health (old fixtures, the simulator) means no
 // grading — eligible.
 func healthy(s *StationView) bool {
 	return s.Health == 0 || s.Health == proto.HealthHealthy
@@ -157,14 +183,16 @@ func (p *Policy) DecideAudited(stations []StationView, table *updown.Table, cfg 
 	// for every waiting job, but receive at most one grant per cycle:
 	// placement costs land on the requester's machine (§4), so pacing is
 	// per-station as well as global.
-	var wanting []string
+	var requesters []string
 	for i := range stations {
 		if stations[i].WaitingJobs > 0 && healthy(&stations[i]) {
-			wanting = append(wanting, stations[i].Name)
+			requesters = append(requesters, stations[i].Name)
 		}
 	}
-	sort.Strings(wanting) // deterministic base order before ranking
-	requesters := p.Ranker.Rank(wanting, pool, table, &cfg)
+	sort.Strings(requesters) // deterministic base order before ranking
+	sort.SliceStable(requesters, func(i, j int) bool {
+		return p.better(requesters[i], requesters[j], pool, table)
+	})
 	p.met.requesters.Add(uint64(len(requesters)))
 	if aud != nil {
 		auditRank(requesters, pool, table, aud)
@@ -262,7 +290,7 @@ func (p *Policy) DecideAudited(stations []StationView, table *updown.Table, cfg 
 		}
 	}
 	d.Preempts = outrankPreempts(pool, requesters, granted, idle, &cfg, aud,
-		func(a, b string) bool { return p.Ranker.Better(a, b, pool, table, &cfg) })
+		func(a, b string) bool { return p.better(a, b, pool, table) })
 	p.met.grants.Add(uint64(len(d.Grants)))
 	p.met.preempts.Add(uint64(len(d.Preempts)))
 	p.met.decide.Observe(time.Since(start).Seconds())
@@ -270,7 +298,7 @@ func (p *Policy) DecideAudited(stations []StationView, table *updown.Table, cfg 
 }
 
 // auditRank records each ranked requester with its Up-Down schedule
-// index (lower wins) and the station-view features the rankers read —
+// index (lower wins) and the station-view features the orders read —
 // the breakdown behind "why is my station ranked there".
 func auditRank(requesters []string, pool *Pool, table *updown.Table, aud *decision.Builder) {
 	for i, req := range requesters {
@@ -281,76 +309,6 @@ func auditRank(requesters []string, pool *Pool, table *updown.Table, aud *decisi
 			decision.Feature{Key: "held", Value: strconv.Itoa(m.HeldMachines)})
 		aud.Requester(e)
 	}
-}
-
-// ---- Standard predicates -------------------------------------------
-
-// IdlePredicate admits only machines with no owner or foreign activity.
-type IdlePredicate struct{}
-
-func (IdlePredicate) Name() string { return "idle" }
-
-// Admit implements Predicate.
-func (IdlePredicate) Admit(m *StationView, _ string, _ *Config) bool {
-	return m.State == proto.StationIdle
-}
-
-// Explain implements Predicate.
-func (IdlePredicate) Explain(m *StationView, _ string, _ *Config) (string, string) {
-	return "state == idle", "state " + m.State.String()
-}
-
-// MinDiskPredicate enforces §4's free-space requirement: a station
-// whose disk cannot hold a checkpoint plus executable is unusable.
-type MinDiskPredicate struct{}
-
-func (MinDiskPredicate) Name() string { return "min-disk" }
-
-// Admit implements Predicate.
-func (MinDiskPredicate) Admit(m *StationView, _ string, cfg *Config) bool {
-	return cfg.MinDiskBytes <= 0 || m.DiskFree >= cfg.MinDiskBytes
-}
-
-// Explain implements Predicate.
-func (MinDiskPredicate) Explain(m *StationView, _ string, cfg *Config) (string, string) {
-	return fmt.Sprintf("disk >= %d bytes", cfg.MinDiskBytes),
-		fmt.Sprintf("%d bytes free", m.DiskFree)
-}
-
-// HealthPredicate blocks grants of machines the health grader marked
-// non-healthy (see healthy).
-type HealthPredicate struct{}
-
-func (HealthPredicate) Name() string { return "health" }
-
-// Admit implements Predicate.
-func (HealthPredicate) Admit(m *StationView, _ string, _ *Config) bool {
-	return healthy(m)
-}
-
-// Explain implements Predicate.
-func (HealthPredicate) Explain(m *StationView, _ string, _ *Config) (string, string) {
-	return "health == healthy", "health " + m.Health.String()
-}
-
-// ReservationPredicate enforces §5.3 reservations: a reserved machine
-// serves only its holder. With no concrete requester it admits — a
-// reserved machine is still a candidate for its holder.
-type ReservationPredicate struct{}
-
-func (ReservationPredicate) Name() string { return "reservation" }
-
-// Admit implements Predicate.
-func (ReservationPredicate) Admit(m *StationView, req string, _ *Config) bool {
-	if req == "" {
-		return true
-	}
-	return m.ReservedFor == "" || m.ReservedFor == req
-}
-
-// Explain implements Predicate.
-func (ReservationPredicate) Explain(m *StationView, req string, _ *Config) (string, string) {
-	return "reserved for " + m.ReservedFor, "requester " + req
 }
 
 // ---- Placement -----------------------------------------------------

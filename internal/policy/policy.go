@@ -7,20 +7,21 @@
 // One decision cycle corresponds to one coordinator poll (every 2 minutes
 // in the paper). Per cycle a Policy:
 //
-//  1. Filters the machines that may serve through the standard predicate
-//     chain (idle, sufficient disk §4, healthy, reservation §5.3).
-//  2. Ranks the stations that have background jobs waiting with its
-//     Ranker — the one stage policies differ in. Every Ranker is handed
-//     the Up-Down table (*updown.Table, the pool's fairness memory) and
-//     uses as much of it as it wants: all of it (updown), none (fifo),
-//     or as a tie-break (busiest-first).
+//  1. Filters the machines that may serve through the standard predicates
+//     (idle, sufficient disk §4, healthy, reservation §5.3).
+//  2. Ranks the stations that have background jobs waiting by its one
+//     comparison — the one stage policies differ in. Every comparison is
+//     handed the Up-Down table (*updown.Table, the pool's fairness
+//     memory) and reads as much of it as it wants: the indexes (updown),
+//     only the registration order (fifo), or the indexes as a tie-break
+//     (busiest-first).
 //  3. Grants admitted machines, ordered by Config.Placement, to
 //     requesters in rank order, capped by MaxGrantsPerCycle — the paper
 //     places a single job every two minutes to spread placement cost
 //     (§4).
 //  4. If demand remains and no idle machine exists, preempts the foreign
 //     job of the lowest-priority holder that the best unserved requester
-//     strictly outranks (§2.4).
+//     strictly outranks under the same comparison (§2.4).
 //
 // Policies are selected by name from a registry (registry.go). The
 // "updown" policy is the paper's algorithm, pinned byte-for-byte by the

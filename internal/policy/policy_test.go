@@ -233,20 +233,24 @@ func TestSuspendedStationNotGranted(t *testing.T) {
 	}
 }
 
-func TestFIFORanker(t *testing.T) {
-	f := newFIFORanker(fifoMaxEntries)
-	rank := f.Rank([]string{"c", "a", "b"}, nil, nil, nil)
-	// First Rank call establishes order of appearance: c, a, b.
-	if rank[0] != "c" || rank[1] != "a" || rank[2] != "b" {
-		t.Fatalf("rank = %v", rank)
+// TestFIFOOrder: fifo serves in Up-Down table registration order,
+// whatever the indexes say.
+func TestFIFOOrder(t *testing.T) {
+	tab := table(t)
+	for _, n := range []string{"c", "a", "b"} {
+		tab.Update(n, 0, true)
 	}
-	if !f.Better("c", "b", nil, nil, nil) || f.Better("b", "c", nil, nil, nil) {
-		t.Fatal("Better inconsistent with rank")
+	tab.Update("c", 5, false) // c is the heaviest user, yet registered first
+	if !fifo("c", "b", nil, tab) || fifo("b", "c", nil, tab) || fifo("a", "a", nil, tab) {
+		t.Fatal("fifo is not registration order")
 	}
-	// FIFO ignores consumption entirely: ranking is stable afterwards.
-	rank2 := f.Rank([]string{"b", "a", "c"}, nil, nil, nil)
-	if rank2[0] != "c" {
-		t.Fatalf("rank2 = %v", rank2)
+	stations := []StationView{
+		{Name: "a", State: proto.StationOwner, WaitingJobs: 1},
+		{Name: "c", State: proto.StationOwner, WaitingJobs: 1},
+		{Name: "idle", State: proto.StationIdle},
+	}
+	if d := MustNew("fifo").Decide(stations, tab, DefaultConfig()); d.Grants[0].Requester != "c" {
+		t.Fatalf("grants = %+v, want c served first", d.Grants)
 	}
 }
 

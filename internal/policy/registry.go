@@ -12,16 +12,16 @@ const DefaultPolicy = "updown"
 // registry holds what tells the built-in policies apart. Up-Down is the
 // paper's §2.4 algorithm and the default, decision-identical to the seed
 // Decide (the golden fixtures prove it); the rest span the policy space
-// *A Taxonomy of Schedulers* surveys: arrival order (fifo, the A3
+// *A Taxonomy of Schedulers* surveys: registration order (fifo, the A3
 // ablation) and queue pressure (busiest-first). Every one ranks only by
-// fields a live poll reply carries, so each runs live exactly as it
-// runs in simulation, and all must pass the shared conformance suite
-// (conformance_test.go). Each entry builds a fresh Ranker per Policy
-// instance: FIFO's arrival table is per-instance state.
-var registry = map[string]func() Ranker{
-	"updown":        func() Ranker { return UpDownRanker{} },
-	"fifo":          func() Ranker { return newFIFORanker(fifoMaxEntries) },
-	"busiest-first": func() Ranker { return BusiestRanker{} },
+// the Up-Down table and fields a live poll reply carries, so each runs
+// live exactly as it runs in simulation, and all must pass the shared conformance suite
+// (conformance_test.go). An entry is one order (policies.go) and holds
+// no state, so every Policy of a name decides alike.
+var registry = map[string]order{
+	"updown":        upDown,
+	"fifo":          fifo,
+	"busiest-first": busiest,
 }
 
 // Names lists the registered policies, sorted.
@@ -34,18 +34,18 @@ func Names() []string {
 	return out
 }
 
-// New builds a fresh instance of the named policy. The empty name
+// New returns the named policy. The empty name
 // resolves to DefaultPolicy; unknown names are an error listing the
 // alternatives.
 func New(name string) (*Policy, error) {
 	if name == "" {
 		name = DefaultPolicy
 	}
-	ranker, ok := registry[name]
+	better, ok := registry[name]
 	if !ok {
 		return nil, fmt.Errorf("policy: unknown policy %q (registered: %v)", name, Names())
 	}
-	return &Policy{name: name, Ranker: ranker(), met: newPolicyMetrics(name)}, nil
+	return &Policy{name: name, better: better, met: newPolicyMetrics(name)}, nil
 }
 
 // MustNew is New for callers whose name is statically known.

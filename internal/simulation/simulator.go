@@ -134,7 +134,6 @@ func newSimulator(cfg Config) *simulator {
 		panic(fmt.Sprintf("simulation: %v", err))
 	}
 	s.pol = pol
-	fifo, _ := pol.Ranker.(*policy.FIFORanker)
 	s.rep = newReport(start, end)
 
 	rng := sim.NewRNG(cfg.Seed)
@@ -153,12 +152,9 @@ func newSimulator(cfg Config) *simulator {
 		}
 		s.machines = append(s.machines, m)
 		s.byName[name] = m
+		// Registration order is machine index, so FIFO and Up-Down's
+		// tie-break do not depend on which stations want first.
 		s.table.Touch(name)
-		if fifo != nil {
-			// Pin FIFO arrival order to machine index so runs are
-			// reproducible regardless of which stations want first.
-			fifo.Touch(name)
-		}
 	}
 
 	wl := workload.Generate(workload.Config{Start: start, End: end}, wlRNG)

@@ -151,20 +151,19 @@ func (t *Table) Better(a, b string) bool {
 	return t.arrival[a] < t.arrival[b]
 }
 
-// Rank sorts the given station names by descending priority (best
-// first). The input slice is not modified.
-func (t *Table) Rank(names []string) []string {
-	out := append([]string(nil), names...)
+// Earlier reports whether station a registered before b — the whole of
+// the fifo policy's order. A station the table does not hold (one Remove
+// forgot, whose job may still run elsewhere) comes after every station
+// it does, and re-enters last when it is touched again.
+func (t *Table) Earlier(a, b string) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	sort.SliceStable(out, func(i, j int) bool {
-		ia, ib := t.indexes[out[i]], t.indexes[out[j]]
-		if ia != ib {
-			return ia < ib
-		}
-		return t.arrival[out[i]] < t.arrival[out[j]]
-	})
-	return out
+	ia, ok := t.arrival[a]
+	if !ok {
+		return false
+	}
+	ib, ok := t.arrival[b]
+	return !ok || ia < ib
 }
 
 // Snapshot returns a copy of all indexes.

@@ -82,9 +82,8 @@ func TestLightUserOutranksHeavyUser(t *testing.T) {
 		t.Fatalf("light (idx %v) should outrank heavy (idx %v)",
 			tab.Index("light"), tab.Index("heavy"))
 	}
-	rank := tab.Rank([]string{"heavy", "light"})
-	if rank[0] != "light" {
-		t.Fatalf("rank = %v", rank)
+	if tab.Better("heavy", "light") || !tab.Earlier("heavy", "light") {
+		t.Fatal("heavy outranks light, or registration order was lost")
 	}
 }
 
@@ -113,9 +112,8 @@ func TestTieBreakIsDeterministic(t *testing.T) {
 	if !tab.Better("b", "a") {
 		t.Fatal("tie-break should favor earlier registration")
 	}
-	rank := tab.Rank([]string{"a", "b"})
-	if rank[0] != "b" {
-		t.Fatalf("rank = %v", rank)
+	if tab.Better("a", "b") || !tab.Earlier("b", "a") || tab.Earlier("a", "b") {
+		t.Fatal("Better or Earlier disagrees with registration order")
 	}
 }
 
@@ -134,17 +132,6 @@ func TestClampMaxAbs(t *testing.T) {
 	}
 }
 
-func TestRankDoesNotMutateInput(t *testing.T) {
-	tab := NewTable(DefaultConfig())
-	tab.Update("a", 3, false)
-	tab.Update("b", 0, true)
-	in := []string{"a", "b"}
-	_ = tab.Rank(in)
-	if in[0] != "a" || in[1] != "b" {
-		t.Fatalf("input mutated: %v", in)
-	}
-}
-
 func TestRemove(t *testing.T) {
 	tab := NewTable(DefaultConfig())
 	tab.Update("a", 5, false)
@@ -155,6 +142,16 @@ func TestRemove(t *testing.T) {
 	snap := tab.Snapshot()
 	if _, ok := snap["a"]; ok {
 		t.Fatal("snapshot still contains removed station")
+	}
+	// A removed station comes after every registered one, and re-enters
+	// last when it comes back.
+	tab.Touch("b")
+	if !tab.Earlier("b", "a") || tab.Earlier("a", "b") {
+		t.Fatal("removed station is not last in registration order")
+	}
+	tab.Touch("a")
+	if !tab.Earlier("b", "a") {
+		t.Fatal("re-touched station kept its old registration slot")
 	}
 }
 
