@@ -74,7 +74,10 @@ race:
 # Crash-recovery and fault-injection suite: the newest state slot cut at
 # every byte in the journal and the coordinator, crash/restart recovery,
 # the graded-health state machine (quarantine, flap, byzantine), the
-# cluster-level chaos harness (partitions, slow links, scenario runner),
+# act path's bookkeeping (a requester that never answers its grants
+# loses its capture of the pool, reservation evictions, degraded-mode
+# counts), the cluster-level chaos harness (partitions, slow links,
+# scenario runner),
 # the RU failure paths (executor or shadow dying mid-job, on fresh and
 # reused links), the schedd job-state table (stale events, removal
 # races), the wire's frame deadlines (a Call's deadline bounds its
@@ -83,7 +86,7 @@ race:
 # coordinator's state, log-era state directories refused). Set
 # CONDOR_CHAOS_LONG=1 for the nightly multi-seed soak.
 chaos:
-	$(GO) test -race -count=2 -run 'Crash|Chaos|Replay|Torn|Truncat|Recovery|Scenario|Partition|Quarantine|Flap|Byzantine|Failure|Lost|Hangup|Wedging|Stale|Remove|Transition|Stall|Deadline|Codec|RoundTrip|Rebuild|PreChange' \
+	$(GO) test -race -count=2 -run 'Crash|Chaos|Replay|Torn|Truncat|Recovery|Scenario|Partition|Quarantine|Flap|Byzantine|Failure|Lost|Hangup|Wedging|Stale|Remove|Transition|Stall|Deadline|Codec|RoundTrip|Rebuild|PreChange|Reservation|Degraded|Capture' \
 		./internal/journal/... ./internal/coordinator/... ./internal/schedd/... ./internal/chaos/... ./internal/ru/... ./internal/wire/... ./internal/proto/...
 
 # Scheduling-policy gate: every registered policy must satisfy the

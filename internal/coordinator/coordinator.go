@@ -44,7 +44,7 @@ var (
 	mGrantsDenied = telemetry.NewCounter("condor_coordinator_grants_denied_total",
 		"Grants the receiving station declined (pacing, no jobs left, disk).")
 	mPreempts = telemetry.NewCounter("condor_coordinator_preempts_total",
-		"Up-Down preemption orders sent to execution stations.")
+		"Preemption orders sent to execution stations (Up-Down and reservation evictions).")
 	mStations = telemetry.NewGauge("condor_coordinator_stations",
 		"Stations currently registered in the pool.")
 	mPollInFlight = telemetry.NewGauge("condor_coordinator_polls_in_flight",
@@ -61,10 +61,9 @@ type Config struct {
 	DialTimeout time.Duration
 	// RPCTimeout bounds one station RPC end-to-end, connection
 	// establishment included (default DialTimeout + 10s). It applies
-	// uniformly to polls, grants, preempts, and reservation enforcement,
-	// as each call's context deadline, so it bounds the request's write
-	// to a station that has stopped reading as well as the wait for its
-	// reply.
+	// uniformly to polls, grants and preemption orders, as each call's
+	// context deadline, so it bounds the request's write to a station
+	// that has stopped reading as well as the wait for its reply.
 	RPCTimeout time.Duration
 	// Policy selects and tunes allocation. It is handed to the pipeline
 	// as written: policy.Config documents what a zero or partly filled
@@ -639,9 +638,6 @@ type pollResult struct {
 func (c *Coordinator) pollFanOut(start time.Time) []pollResult {
 	c.mu.Lock()
 	c.stats.Cycles++
-	if c.degraded {
-		c.stats.DegradedCycles++
-	}
 	results := make([]pollResult, 0, len(c.names))
 	for _, name := range c.names {
 		s := c.stations[name]
@@ -733,7 +729,12 @@ type round struct {
 	addrs   map[string]string
 	aud     *decision.Builder
 	dec     policy.Decision
+	// preempts is every preemption order the cycle sends, in order.
+	preempts []preemptOrder
 }
+
+// preemptOrder vacates job from exec, charged to victim, the job's home.
+type preemptOrder struct{ exec, job, victim, reason string }
 
 // roundLocked runs the policy round over the fresh pool picture: every
 // reachable station goes in with its graded health, and the pipeline's
@@ -780,9 +781,26 @@ func (c *Coordinator) roundLocked(now time.Time) round {
 	// failure, not user behaviour, and charging (or crediting) indexes
 	// for it would corrupt the fairness memory.
 	r.dec = c.pipeline.Round(views, c.table, c.cfg.Policy, c.degraded, r.aud)
-	if !c.degraded && len(views) > 0 {
+	if c.degraded {
+		c.stats.DegradedCycles++
+	} else if len(views) > 0 {
 		for i := range views {
 			r.updated[views[i].Name] = c.table.Index(views[i].Name)
+		}
+	}
+	for _, p := range r.dec.Preempts {
+		r.preempts = append(r.preempts, preemptOrder{exec: p.Exec, job: p.JobID, victim: p.Victim,
+			reason: fmt.Sprintf("up-down: %s outranks %s", p.Beneficiary, p.Victim)})
+	}
+	// A reservation takes effect against work already placed: a reserved
+	// machine running another station's job is told to vacate it, unless
+	// §2.4 already vacates it this cycle.
+	for i := range views {
+		if v := &views[i]; v.ReservedFor != "" && v.State == proto.StationClaimed &&
+			v.ForeignOwner != v.ReservedFor && v.ForeignJob != "" &&
+			!slices.ContainsFunc(r.preempts, func(p preemptOrder) bool { return p.exec == v.Name }) {
+			r.preempts = append(r.preempts, preemptOrder{exec: v.Name, job: v.ForeignJob, victim: v.ForeignOwner,
+				reason: "machine reserved for " + v.ReservedFor})
 		}
 	}
 	return r
@@ -811,61 +829,69 @@ func (c *Coordinator) sample(r round) {
 	}
 }
 
-// act carries the round's decision out: grants, preemption orders and
-// reservation enforcement.
+// act sends every order of the round outside the lock, grants then
+// preemptions, in decision order, and books each outcome once.
 func (c *Coordinator) act(r round) {
 	for gi, g := range r.dec.Grants {
 		c.grant(r, gi, g)
 	}
-	for _, p := range r.dec.Preempts {
-		c.bump(func(st *Stats) { st.Preempts++ })
+	for _, p := range r.preempts {
+		sent := time.Now()
+		_, err := c.callStationRetry(r.addrs[p.exec], proto.PreemptRequest{JobID: p.job, Reason: p.reason})
+		c.mu.Lock()
+		c.stats.Preempts++
+		c.unansweredLocked(p.exec, r.addrs[p.exec], err)
+		c.mu.Unlock()
 		mPreempts.Inc()
-		c.led.Preempt(p.Victim)
-		c.events.Append(eventlog.Event{
-			Kind: eventlog.KindPreempt, Job: p.JobID, Station: p.Exec,
-			Detail: fmt.Sprintf("%s outranks %s", p.Beneficiary, p.Victim),
-		})
-		_, _ = c.callStationRetry(r.addrs[p.Exec], proto.PreemptRequest{
-			JobID:  p.JobID,
-			Reason: fmt.Sprintf("up-down: %s outranks %s", p.Beneficiary, p.Victim),
-		})
+		c.led.Preempt(p.victim)
+		c.events.Append(eventlog.Event{At: sent, Kind: eventlog.KindPreempt, Job: p.job, Station: p.exec, Detail: p.reason})
 	}
-	c.enforceReservations(r.addrs)
 }
 
 // grant offers one machine to its requester and books the outcome.
 func (c *Coordinator) grant(r round, gi int, g policy.Grant) {
-	c.bump(func(st *Stats) { st.Grants++ })
-	mGrants.Inc()
-	c.led.Grant(g.Requester)
 	grantStart := time.Now()
 	reply, err := c.callStation(r.addrs[g.Requester], proto.GrantRequest{
-		ExecName: g.Exec,
-		ExecAddr: r.addrs[g.Exec],
+		ExecName:          g.Exec,
+		ExecAddr:          r.addrs[g.Exec],
+		ReplyWithinMillis: c.cfg.RPCTimeout.Milliseconds(),
 	})
 	// A grant that never completed leaves gr zero: whether the station
 	// would have used it is unknowable, so it counts as denied
 	// capacity, like one the station declined.
 	gr, _ := reply.(proto.GrantReply)
-	if err == nil && gr.Used && gr.JobID == "" {
+	used := err == nil && gr.Used && gr.JobID != ""
+	c.mu.Lock()
+	c.stats.Grants++
+	if used {
+		c.stats.GrantsUsed++
+		// Mark the exec station claimed immediately so this cycle's
+		// state is not granted twice before the next poll.
+		if s, ok := c.stations[g.Exec]; ok {
+			s.lastReply.State = proto.StationClaimed
+			s.lastReply.ForeignJob = gr.JobID
+			s.lastReply.ForeignOwnerStation = g.Requester
+		}
+	} else {
+		c.stats.GrantsDenied++
+	}
+	if s, ok := c.stations[g.Requester]; ok && err == nil && gr.Used && gr.JobID == "" {
 		// "Used" with no job named is a grant the coordinator never
 		// placed — the byzantine signature on the grant path.
-		c.mu.Lock()
-		if s, ok := c.stations[g.Requester]; ok {
-			c.stats.ByzantineReplies++
-			mByzantine.Inc()
-			c.setHealthLocked(s, proto.HealthQuarantined,
-				"byzantine: claims used grant but names no job", time.Now())
-		}
-		c.mu.Unlock()
+		c.stats.ByzantineReplies++
+		mByzantine.Inc()
+		c.setHealthLocked(s, proto.HealthQuarantined,
+			"byzantine: claims used grant but names no job", time.Now())
 	}
-	if err != nil || !gr.Used || gr.JobID == "" {
-		c.bump(func(st *Stats) { st.GrantsDenied++ })
+	c.unansweredLocked(g.Requester, r.addrs[g.Requester], err)
+	c.mu.Unlock()
+	mGrants.Inc()
+	c.led.Grant(g.Requester)
+	if !used {
 		mGrantsDenied.Inc()
 		c.led.GrantDenied(g.Requester)
 		return
 	}
-	c.bump(func(st *Stats) { st.GrantsUsed++ })
 	mGrantsUsed.Inc()
 	c.led.GrantUsed(g.Requester)
 	// The pipeline granted a machine to a station; only now is the
@@ -901,15 +927,26 @@ func (c *Coordinator) grant(r round, gi int, g policy.Grant) {
 		At: grantStart, Kind: eventlog.KindGrant, Job: gr.JobID, Station: g.Exec,
 		Detail: "granted to " + g.Requester, TraceID: traceID,
 	})
-	// Mark the exec station claimed immediately so this cycle's
-	// state is not granted twice before the next poll.
-	c.mu.Lock()
-	if s, ok := c.stations[g.Exec]; ok {
-		s.lastReply.State = proto.StationClaimed
-		s.lastReply.ForeignJob = gr.JobID
-		s.lastReply.ForeignOwnerStation = g.Requester
+}
+
+// unansweredLocked books an act-phase RPC to name at addr that got no
+// reply (a deadline or a dead connection) as one failed contact, as a
+// failed poll is. An answer adds nothing, an error reply included: the
+// cycle's poll recorded one, and a grant's RTT includes a placement.
+// Caller holds c.mu.
+func (c *Coordinator) unansweredLocked(name, addr string, err error) {
+	var answered *wire.RemoteError
+	if err == nil || errors.As(err, &answered) {
+		return
 	}
-	c.mu.Unlock()
+	s, ok := c.stations[name]
+	if !ok || s.addr != addr {
+		return
+	}
+	s.health.observe(0, 0, false)
+	if dead := c.evalHealthLocked(s, time.Now(), false, ""); dead != "" {
+		c.pool.Invalidate(dead)
+	}
 }
 
 // publish records the finished audit into the bounded decisions ring;
@@ -935,7 +972,7 @@ func (c *Coordinator) publish(r round, start time.Time) {
 		telemetry.Events.Publish(telemetry.BusEvent{
 			Source: "coordinator", Kind: "cycle",
 			Detail: fmt.Sprintf("cycle %d: %d stations, %d grants, %d preempts, %s",
-				r.n, len(r.addrs), len(r.dec.Grants), len(r.dec.Preempts),
+				r.n, len(r.addrs), len(r.dec.Grants), len(r.preempts),
 				time.Since(start).Round(time.Millisecond)),
 		})
 		// The decision drill-down's refresh signal: announces that cycle
@@ -945,12 +982,6 @@ func (c *Coordinator) publish(r round, start time.Time) {
 			telemetry.Events.Publish(telemetry.BusEvent{Source: "coordinator", Kind: string(eventlog.KindDecision), Detail: summary})
 		}
 	}
-}
-
-func (c *Coordinator) bump(f func(*Stats)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	f(&c.stats)
 }
 
 func (c *Coordinator) pollStation(addr string) (proto.PollReply, error) {

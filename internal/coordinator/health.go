@@ -136,11 +136,12 @@ func (h *health) jitter(d time.Duration) time.Duration {
 	return d + time.Duration(off)
 }
 
-// observe folds one poll (or probe) outcome into the station's health
-// statistics and recomputes the suspicion score. slowRTT is the floor
-// under "slow" (see slowRTTDivisor); slow is computed against the
-// pre-update RTT baseline so one slow sample cannot raise the bar it is
-// judged by. Allocation-free.
+// observe folds one contact outcome (a poll, a probe, or an act-phase
+// order that got no reply) into the station's health statistics and
+// recomputes the suspicion score. slowRTT is the floor under "slow"
+// (see slowRTTDivisor); slow is computed against the pre-update RTT
+// baseline so one slow sample cannot raise the bar it is judged by.
+// Allocation-free.
 func (h *health) observe(slowRTT, rtt time.Duration, ok bool) {
 	h.window <<= 1
 	if !ok {
@@ -367,8 +368,8 @@ func (c *Coordinator) knownHomeLocked(name string) bool {
 	return ok
 }
 
-// evalHealthLocked applies one poll outcome to a station's health state
-// machine. byzReason is non-empty when the reply claimed impossible
+// evalHealthLocked applies one contact outcome to a station's health
+// state machine. byzReason is non-empty when the reply claimed impossible
 // state. Returns the station's address when it was removed (dead), else
 // "". Caller holds c.mu.
 func (c *Coordinator) evalHealthLocked(s *station, now time.Time, pollOK bool, byzReason string) (removedAddr string) {
@@ -497,7 +498,6 @@ func (c *Coordinator) updateDegradedLocked(now time.Time) {
 	c.degraded = degraded
 	if degraded {
 		mDegraded.Set(1)
-		c.stats.DegradedCycles++ // counted again per cycle in Cycle
 		c.events.Append(eventlog.Event{Kind: eventlog.KindDegraded,
 			Detail: fmt.Sprintf("entered: %d/%d stations non-healthy, up-down frozen", nonHealthy, total)})
 	} else {

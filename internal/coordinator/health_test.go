@@ -3,11 +3,14 @@ package coordinator
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"condor/internal/cvm"
 	"condor/internal/decision"
 	"condor/internal/eventlog"
 	"condor/internal/proto"
@@ -229,36 +232,44 @@ func TestForeignJobOfDeadHomeIsNotByzantine(t *testing.T) {
 	}
 }
 
+// TestDegradedModeFreezesUpdown: with most of the pool dark the
+// coordinator freezes index movement, and once the pool heals it
+// resumes. DegradedCycles counts exactly the rounds it froze: not the
+// cycle that leaves degraded mode, whose round moves indexes again.
 func TestDegradedModeFreezesUpdown(t *testing.T) {
 	coord, scripted := healthPool(t, []string{"ws1", "ws2", "ws3", "ws4"}, Config{
 		DeadAfter: 100,
+		// Quarantined stations are probed every cycle.
+		Health: HealthConfig{ProbeBase: time.Nanosecond, ProbeMax: time.Nanosecond},
 	})
-	// ws1 keeps wanting capacity; its index would normally move every
-	// cycle it waits.
+	// ws1 keeps wanting capacity and holds none, so its index moves
+	// every round that is not frozen.
 	scripted["ws1"].set(true, func(r *proto.PollReply) {
 		r.State = proto.StationOwner
 		r.WaitingJobs = 3
 	})
-	coord.Cycle()
-	if coord.Stats().DegradedCycles != 0 {
+	var frozenRounds uint64
+	cycle := func() {
+		before := coord.Index("ws1")
+		coord.Cycle()
+		if coord.Index("ws1") == before {
+			frozenRounds++
+		}
+	}
+	cycle()
+	if frozenRounds != 0 || coord.Stats().DegradedCycles != 0 {
 		t.Fatal("degraded before any station failed")
 	}
-	moving := coord.Index("ws1")
 
 	// Three of four stations go dark → 75% non-healthy > 50% threshold.
 	for _, name := range []string{"ws2", "ws3", "ws4"} {
 		scripted[name].set(false, nil)
 	}
-	coord.Cycle() // enters degraded at the end of this cycle
-	frozen := coord.Index("ws1")
 	for i := 0; i < 3; i++ {
-		coord.Cycle()
+		cycle()
 	}
-	if got := coord.Index("ws1"); got != frozen {
-		t.Fatalf("index moved %v → %v while degraded, want frozen", frozen, got)
-	}
-	if coord.Stats().DegradedCycles == 0 {
-		t.Fatal("DegradedCycles not counted")
+	if frozenRounds != 3 {
+		t.Fatalf("%d of 3 dark rounds froze the index, want all 3", frozenRounds)
 	}
 	var entered bool
 	for _, e := range coord.Events().Recent(0) {
@@ -270,36 +281,30 @@ func TestDegradedModeFreezesUpdown(t *testing.T) {
 		t.Fatal("no degraded-entered event logged")
 	}
 
-	// Pool heals → degraded clears and indexes move again.
+	// Pool heals → degraded clears once the quarantined stations pass
+	// their readmission probes, and indexes move again.
 	for _, name := range []string{"ws2", "ws3", "ws4"} {
 		scripted[name].set(true, nil)
 	}
-	// Quarantined stations probe on their backoff schedule (ProbeBase
-	// defaults to PollInterval = 1h here), so force the probes due.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		coord.mu.Lock()
-		for _, s := range coord.stations {
-			if s.health.state == proto.HealthQuarantined {
-				s.health.probeAt = time.Now()
-			}
-		}
-		c := coord.degraded
-		coord.mu.Unlock()
-		if !c {
-			break
-		}
-		if time.Now().After(deadline) {
+	for i := 0; ; i++ {
+		if i == 10 {
 			t.Fatal("coordinator never left degraded mode after heal")
 		}
-		coord.Cycle()
+		cycle()
+		coord.mu.Lock()
+		degraded := coord.degraded
+		coord.mu.Unlock()
+		if !degraded {
+			break
+		}
 	}
-	coord.Cycle()
-	coord.Cycle()
-	if got := coord.Index("ws1"); got == moving && got == frozen && frozen == 0 {
-		// Index may legitimately be 0 if up-down config nets to zero;
-		// only fail when it was moving before and froze forever.
-		t.Logf("index stayed %v; up-down config nets to zero movement", got)
+	frozen := frozenRounds
+	cycle()
+	if frozenRounds != frozen {
+		t.Fatal("index still frozen after the pool healed")
+	}
+	if got := coord.Stats().DegradedCycles; got != frozenRounds {
+		t.Fatalf("DegradedCycles = %d, want %d: the rounds whose index did not move", got, frozenRounds)
 	}
 }
 
@@ -376,6 +381,144 @@ func TestSuspectStationReceivesNoGrants(t *testing.T) {
 	}
 	if got := coord.Stats().Grants; got != 0 {
 		t.Fatalf("Grants = %d, want 0 while only idle machine is suspect", got)
+	}
+}
+
+// TestStallingRequesterCaptureBroken: a requester that answers polls
+// with a job waiting but never answers a grant holds nothing, so Up-Down
+// keeps it first, and with one grant a cycle it used to take every
+// grant while an honest requester placed nothing on 4 idle machines. A
+// grant that gets no reply is a failed contact of the requester, as a
+// failed poll is: the staller drops out of the requester list as suspect
+// and is then quarantined as flapping, and the honest requester places
+// on every machine. A requester that answers the grant with an error has
+// answered, and stays healthy.
+func TestStallingRequesterCaptureBroken(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		stall      bool
+		wantHealth proto.StationHealth
+	}{
+		{"no reply", true, proto.HealthQuarantined},
+		{"error reply", false, proto.HealthHealthy},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			coord, err := New(Config{PollInterval: time.Hour, RPCTimeout: 100 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(coord.Close)
+			var mu sync.Mutex
+			claimed := map[string]string{} // exec → the honest job it runs
+			stop := make(chan struct{})
+			staller := fakeStation(t, func(_ context.Context, msg any) (any, error) {
+				if _, ok := msg.(proto.GrantRequest); !ok {
+					return proto.PollReply{Name: "a-staller", State: proto.StationOwner, WaitingJobs: 1}, nil
+				}
+				if !tc.stall {
+					return nil, errors.New("grant refused")
+				}
+				select {
+				case <-stop:
+				case <-time.After(time.Second):
+				}
+				return nil, errors.New("too late")
+			})
+			honest := fakeStation(t, func(_ context.Context, msg any) (any, error) {
+				mu.Lock()
+				defer mu.Unlock()
+				if g, ok := msg.(proto.GrantRequest); ok {
+					job := fmt.Sprintf("honest/%d", len(claimed)+1)
+					claimed[g.ExecName] = job
+					return proto.GrantReply{Used: true, JobID: job}, nil
+				}
+				return proto.PollReply{Name: "honest", State: proto.StationOwner, WaitingJobs: 4 - len(claimed)}, nil
+			})
+			t.Cleanup(func() { close(stop) })
+			coord.Register("a-staller", staller.Addr())
+			coord.Register("honest", honest.Addr())
+			for i := 1; i <= 4; i++ {
+				name := fmt.Sprintf("x%d", i)
+				exec := fakeStation(t, func(_ context.Context, msg any) (any, error) {
+					if _, ok := msg.(proto.PreemptRequest); ok {
+						return proto.PreemptReply{}, nil
+					}
+					mu.Lock()
+					defer mu.Unlock()
+					if job := claimed[name]; job != "" {
+						return proto.PollReply{Name: name, State: proto.StationClaimed,
+							ForeignJob: job, ForeignOwnerStation: "honest"}, nil
+					}
+					return proto.PollReply{Name: name, State: proto.StationIdle}, nil
+				})
+				coord.Register(name, exec.Addr())
+			}
+			for i := 0; i < 10; i++ {
+				coord.Cycle()
+			}
+			st, reason := healthOf(coord, "a-staller")
+			if st != tc.wantHealth {
+				t.Errorf("staller health = %v (%s), want %v", st, reason, tc.wantHealth)
+			}
+			if !tc.stall {
+				return
+			}
+			mu.Lock()
+			placed := len(claimed)
+			mu.Unlock()
+			if s := coord.Stats(); placed != 4 || s.GrantsUsed != 4 {
+				t.Errorf("honest placed %d of 4 (%d grants, %d used, %d denied)",
+					placed, s.Grants, s.GrantsUsed, s.GrantsDenied)
+			}
+			if !strings.HasPrefix(reason, "flap") {
+				t.Errorf("staller quarantined for %q, want flap:*", reason)
+			}
+		})
+	}
+}
+
+// TestStalledExecDoesNotQuarantineRequester: an execution machine that
+// polls idle but never answers a PlaceRequest makes the requester's
+// grant wait on it. The grant carries the coordinator's reply deadline,
+// and the requester declines in time instead of going silent, so the
+// honest requester is never booked a failed contact: it stays healthy
+// through every cycle, and its job is back in the queue.
+func TestStalledExecDoesNotQuarantineRequester(t *testing.T) {
+	p := newPool(t, []string{"home"}, Config{RPCTimeout: 200 * time.Millisecond})
+	p.monitors["home"].SetActive(true)
+	jobID, err := p.stations["home"].Submit("u1", cvm.SumProgram(10), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var places atomic.Int32
+	stop := make(chan struct{})
+	stuck := fakeStation(t, func(_ context.Context, msg any) (any, error) {
+		if _, ok := msg.(proto.PlaceRequest); ok {
+			places.Add(1)
+			select {
+			case <-stop:
+			case <-time.After(5 * time.Second):
+			}
+			return nil, errors.New("too late")
+		}
+		return proto.PollReply{Name: "a-stuck", State: proto.StationIdle}, nil
+	})
+	t.Cleanup(func() { close(stop) })
+	p.coord.Register("a-stuck", stuck.Addr())
+	for i := 0; i < 10; i++ {
+		p.coord.Cycle()
+		if st, reason := healthOf(p.coord, "home"); st != proto.HealthHealthy {
+			t.Fatalf("cycle %d: home is %v (%s) for a placement a stuck exec never answered", i, st, reason)
+		}
+	}
+	if places.Load() == 0 {
+		t.Fatal("the stuck exec was never asked to place: the scenario did not run")
+	}
+	if s := p.coord.Stats(); s.GrantsUsed != 0 || s.GrantsDenied == 0 {
+		t.Errorf("%d grants used, %d denied; want every grant declined", s.GrantsUsed, s.GrantsDenied)
+	}
+	if st, err := p.stations["home"].Job(jobID); err != nil || st.State != proto.JobIdle {
+		t.Errorf("job after declined grants: %+v, %v; want idle", st, err)
 	}
 }
 

@@ -294,7 +294,9 @@ func (c *Coordinator) saveState() {
 	c.saveStations = st.Stations
 	c.saveBuf = encodeState(c.saveBuf[:0], st)
 	if err := c.journal.Append(c.saveBuf); err != nil {
-		c.bump(func(s *Stats) { s.JournalErrors++ })
+		c.mu.Lock()
+		c.stats.JournalErrors++
+		c.mu.Unlock()
 		c.journalHealthy.Store(false)
 		return
 	}

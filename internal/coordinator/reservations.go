@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"condor/internal/eventlog"
-	"condor/internal/proto"
 )
 
 // reservation is one §5.3 machine reservation.
@@ -81,41 +80,4 @@ func (c *Coordinator) reservationForLocked(station string, now time.Time) string
 		return ""
 	}
 	return r.holder
-}
-
-// enforceReservations emits preemptions for reserved machines that are
-// running some other station's job, so a reservation takes effect even
-// against already-placed work. Caller must NOT hold c.mu.
-func (c *Coordinator) enforceReservations(addrs map[string]string) {
-	now := time.Now()
-	type evict struct {
-		addr  string
-		jobID string
-		hold  string
-	}
-	var evictions []evict
-	c.mu.Lock()
-	for name, s := range c.stations {
-		holder := c.reservationForLocked(name, now)
-		if holder == "" || !s.reachable {
-			continue
-		}
-		if s.lastReply.State == proto.StationClaimed &&
-			s.lastReply.ForeignOwnerStation != holder &&
-			s.lastReply.ForeignJob != "" {
-			evictions = append(evictions, evict{
-				addr:  addrs[name],
-				jobID: s.lastReply.ForeignJob,
-				hold:  holder,
-			})
-		}
-	}
-	c.mu.Unlock()
-	for _, e := range evictions {
-		c.bump(func(st *Stats) { st.Preempts++ })
-		_, _ = c.callStationRetry(e.addr, proto.PreemptRequest{
-			JobID:  e.jobID,
-			Reason: fmt.Sprintf("machine reserved for %s", e.hold),
-		})
-	}
 }

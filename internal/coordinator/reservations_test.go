@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"condor/internal/cvm"
+	"condor/internal/eventlog"
 	"condor/internal/proto"
 	"condor/internal/wire"
 )
@@ -99,6 +100,68 @@ func TestReservationEvictsForeignJob(t *testing.T) {
 		st, err := p.stations["ws1"].Job(jobID)
 		return err == nil && st.State == proto.JobIdle && st.Checkpoints > 0
 	})
+	// The eviction is booked like any preemption: in the history and
+	// charged to the evicted job's home.
+	var evicted bool
+	for _, e := range p.coord.Events().Recent(0) {
+		if e.Kind == eventlog.KindPreempt && e.Station == "ws2" && e.Job == jobID &&
+			e.Detail == "machine reserved for ws3" {
+			evicted = true
+		}
+	}
+	if !evicted {
+		t.Error("no preempt event on ws2 reading \"machine reserved for ws3\"")
+	}
+	if got := p.coord.Accounting().AllocSnapshot()["ws1"].Preempts; got < 1 {
+		t.Errorf("ws1's allocation row counts %d preempts, want at least 1", got)
+	}
+}
+
+// TestReservationAndOutrankPreemptOnce: when §2.4 picks as its victim a
+// reserved machine that the reservation also evicts, the machine gets
+// one vacate order a cycle, booked once in the stats, the ledger and
+// the history.
+func TestReservationAndOutrankPreemptOnce(t *testing.T) {
+	coord, scripted := healthPool(t, []string{"e", "h", "v"}, Config{DeadAfter: 100})
+	scripted["e"].set(true, func(r *proto.PollReply) {
+		r.State = proto.StationClaimed
+		r.ForeignJob = "v/1"
+		r.ForeignOwnerStation = "v"
+	})
+	scripted["h"].set(true, func(r *proto.PollReply) {
+		r.State = proto.StationOwner
+		r.WaitingJobs = 1
+	})
+	scripted["v"].set(true, func(r *proto.PollReply) { r.State = proto.StationOwner })
+	if _, err := coord.Reserve("e", "h", time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	const cycles = 4
+	for i := 0; i < cycles; i++ {
+		before := coord.Stats().Preempts
+		coord.Cycle()
+		if got := coord.Stats().Preempts - before; got != 1 {
+			t.Fatalf("cycle %d sent %d vacate orders to e, want 1", i, got)
+		}
+	}
+	var events, outranked int
+	for _, e := range coord.Events().Recent(0) {
+		if e.Kind == eventlog.KindPreempt {
+			events++
+			if e.Detail == "up-down: h outranks v" {
+				outranked++
+			}
+		}
+	}
+	if outranked == 0 {
+		t.Fatal("h never outranked v: the orders never overlapped")
+	}
+	if events != cycles {
+		t.Errorf("%d preempt events, want %d", events, cycles)
+	}
+	if got := coord.Accounting().AllocSnapshot()["v"].Preempts; got != cycles {
+		t.Errorf("v's allocation row counts %d preempts, want %d", got, cycles)
+	}
 }
 
 func TestReservationExpires(t *testing.T) {

@@ -94,7 +94,7 @@ func init() {
 		{PollRequest{}, func(*codec.Reader) wire.Message { return PollRequest{} }},
 		{PollReply{}, readPollReply},
 		{GrantRequest{}, func(r *codec.Reader) wire.Message {
-			return GrantRequest{ExecName: r.ReadString(), ExecAddr: r.ReadString()}
+			return GrantRequest{ExecName: r.ReadString(), ExecAddr: r.ReadString(), ReplyWithinMillis: r.ReadInt()}
 		}},
 		{GrantReply{}, func(r *codec.Reader) wire.Message {
 			return GrantReply{Used: r.ReadBool(), JobID: r.ReadString(), Reason: r.ReadString(), Trace: r.ReadString()}
@@ -293,7 +293,8 @@ func readPollReply(r *codec.Reader) wire.Message {
 }
 
 func (m GrantRequest) AppendWire(b []byte) []byte {
-	return codec.AppendString(codec.AppendString(b, m.ExecName), m.ExecAddr)
+	b = codec.AppendString(codec.AppendString(b, m.ExecName), m.ExecAddr)
+	return codec.AppendInt(b, m.ReplyWithinMillis)
 }
 
 func (m GrantReply) AppendWire(b []byte) []byte {

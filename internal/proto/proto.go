@@ -309,6 +309,13 @@ type PollReply struct {
 type GrantRequest struct {
 	ExecName string
 	ExecAddr string
+	// ReplyWithinMillis is how long the coordinator waits for the reply.
+	// The station bounds the placement the grant starts so that it
+	// answers in time, declining the grant if the execution machine has
+	// not taken the job by then: a grant that gets no reply counts
+	// against the station, so it must not be lost waiting on another
+	// machine. Zero sets no bound beyond the placement's own.
+	ReplyWithinMillis int64
 }
 
 // GrantReply reports whether the grant was used.

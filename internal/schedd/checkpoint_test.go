@@ -89,7 +89,7 @@ func TestVacateRefusesAnotherJobsCheckpoint(t *testing.T) {
 	}
 	// A runs to its own answer from the checkpoint it kept.
 	exec := newStation(t, "exec", nil, nil)
-	if _, err := home.PlaceNext("exec", exec.Addr()); err != nil {
+	if _, err := home.PlaceNext(context.Background(), "exec", exec.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	final, err := home.Wait(idA, 10*time.Second)
@@ -159,7 +159,7 @@ func TestPlacementShipsVacatedBlob(t *testing.T) {
 	}
 	const vacates = 2
 	for n := 0; n <= vacates; n++ {
-		if _, err := home.PlaceNext("exec", srv.Addr()); err != nil {
+		if _, err := home.PlaceNext(context.Background(), "exec", srv.Addr()); err != nil {
 			t.Fatalf("placement %d: %v", n, err)
 		}
 		if n == vacates {

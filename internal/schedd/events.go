@@ -23,13 +23,15 @@ type jobEvents struct {
 
 var _ ru.Events = (*jobEvents)(nil)
 
-// stepLocked takes ev's edge for this placement's job and returns the
-// job, or nil when the table refused it. Callers hold st.mu.
+// stepLocked takes ev's edge for this placement's job, booking the
+// placement if this is its first proof, and returns the job, or nil when
+// the table refused it. Callers hold st.mu.
 func (e *jobEvents) stepLocked(ev jobEvent) *job {
 	j, ok := e.station.jobs[e.jobID]
 	if !ok || !e.station.stepLocked(j, ev, e.epoch) {
 		return nil
 	}
+	e.station.placedLocked(j, e.epoch)
 	return j
 }
 

@@ -121,7 +121,16 @@ func homeStationOf(jobID string) string {
 }
 
 func (st *Station) handleGrant(m proto.GrantRequest) proto.GrantReply {
-	jobID, err := st.PlaceNext(m.ExecName, m.ExecAddr)
+	// Answer while the coordinator still waits: a placement the machine
+	// has not taken at three quarters of its wait is declined, so a
+	// stuck execution machine is not booked as this station's silence.
+	ctx := context.Background()
+	if m.ReplyWithinMillis > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(m.ReplyWithinMillis)*time.Millisecond*3/4)
+		defer cancel()
+	}
+	jobID, err := st.PlaceNext(ctx, m.ExecName, m.ExecAddr)
 	if err != nil {
 		return proto.GrantReply{Used: false, Reason: err.Error()}
 	}

@@ -106,7 +106,7 @@ func TestWireQueueRemoveWaitHistory(t *testing.T) {
 	}
 
 	// Run it and wait over the wire.
-	if _, err := ws1.PlaceNext("ws2", ws2.Addr()); err != nil {
+	if _, err := ws1.PlaceNext(context.Background(), "ws2", ws2.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	wait := call(t, peer, proto.WaitRequest{JobID: submit.JobID}).(proto.WaitReply)

@@ -21,6 +21,9 @@ type job struct {
 	// carries the value it started under, which is how a notice from an
 	// earlier placement is told from a current one.
 	epoch uint64
+	// placedEpoch is the newest epoch whose placement is booked (see
+	// placedLocked); placements start at epoch 1.
+	placedEpoch uint64
 	// traceCtx is the job's trace anchor: the submit span's context (or
 	// the recover span's after a restart). Every later span of this job
 	// — place, exec, syscalls, vacate, complete — descends from it, and

@@ -548,8 +548,9 @@ func (st *Station) nextIdleJobLocked() (*job, bool) {
 }
 
 // PlaceNext places the station's next idle job on the execution machine
-// at execAddr. It is called when the coordinator grants capacity.
-func (st *Station) PlaceNext(execName, execAddr string) (string, error) {
+// at execAddr. It is called when the coordinator grants capacity. ctx's
+// deadline, if any, bounds the placement handshake as well as its own.
+func (st *Station) PlaceNext(ctx context.Context, execName, execAddr string) (string, error) {
 	st.mu.Lock()
 	if st.closed {
 		st.mu.Unlock()
@@ -588,7 +589,7 @@ func (st *Station) PlaceNext(execName, execAddr string) (string, error) {
 		st.placeFailed(j, epoch)
 		return "", fmt.Errorf("schedd: checkpoint for %s: %w", jobID, err)
 	}
-	placeCtx := context.Background()
+	placeCtx := ctx
 	if span.Recording() {
 		placeCtx = trace.ContextWith(placeCtx, span.Context())
 	}
@@ -616,7 +617,6 @@ func (st *Station) PlaceNext(execName, execAddr string) (string, error) {
 	// finished or been requeued keeps that state, and its shadow, which
 	// has already let go of the link, is dropped; a removed one refuses
 	// the edge, and closing its shadow vacates the machine.
-	placedAt := time.Now()
 	st.mu.Lock()
 	took := st.stepLocked(j, evPlaced, epoch)
 	state := j.status.State
@@ -629,16 +629,29 @@ func (st *Station) PlaceNext(execName, execAddr string) (string, error) {
 		j.shadow = shadow
 		j.status.WaitingSince = time.Time{}
 	}
-	j.status.Placements++
-	waitingSince := j.status.WaitingSince
-	st.lastPlacement = placedAt
+	st.placedLocked(j, epoch)
 	st.mu.Unlock()
-	j.meter.Placed(placedAt)
-	if state == proto.JobIdle {
-		j.meter.StartWaiting(waitingSince) // Placed closed the episode the requeue opened
-	}
-	st.logEvent(eventlog.KindPlace, j, execName, "")
 	return jobID, nil
+}
+
+// placedLocked books placement epoch once, at the first proof that the
+// machine took the job: PlaceNext's placed edge, or the first notice of
+// the epoch the table accepts, whichever lands first. A notice can
+// overtake the placed edge, and a JobDone retires the job's meter, so
+// the booking must precede the notice's own. Booking under st.mu keeps
+// the trail's place event ahead of the notice's event; the meter, the
+// event log and its bus hook take only their own locks, never st.mu.
+// Callers hold st.mu.
+func (st *Station) placedLocked(j *job, epoch uint64) {
+	if j.placedEpoch == epoch {
+		return
+	}
+	j.placedEpoch = epoch
+	now := time.Now()
+	j.status.Placements++
+	st.lastPlacement = now
+	j.meter.Placed(now)
+	st.logEvent(eventlog.KindPlace, j, j.status.ExecHost, "")
 }
 
 // placeFailed requeues a job whose placement failed. A job removed

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"condor/internal/accounting"
 	"condor/internal/ckpt"
 	"condor/internal/cvm"
 	"condor/internal/eventlog"
@@ -126,7 +127,7 @@ func TestPlaceNextRunsJobRemotely(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	placed, err := ws1.PlaceNext("ws2", ws2.Addr())
+	placed, err := ws1.PlaceNext(context.Background(), "ws2", ws2.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestPlaceNextRunsJobRemotely(t *testing.T) {
 func TestPlaceNextNoJobs(t *testing.T) {
 	ws1 := newStation(t, "ws1", nil, nil)
 	ws2 := newStation(t, "ws2", nil, nil)
-	if _, err := ws1.PlaceNext("ws2", ws2.Addr()); err == nil {
+	if _, err := ws1.PlaceNext(context.Background(), "ws2", ws2.Addr()); err == nil {
 		t.Fatal("placement with empty queue succeeded")
 	}
 }
@@ -178,10 +179,10 @@ func TestPlacementPacing(t *testing.T) {
 	if _, err := st.Submit("a", cvm.SumProgram(20), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.PlaceNext("ws2", ws2.Addr()); err != nil {
+	if _, err := st.PlaceNext(context.Background(), "ws2", ws2.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.PlaceNext("ws3", ws3.Addr()); err == nil ||
+	if _, err := st.PlaceNext(context.Background(), "ws3", ws3.Addr()); err == nil ||
 		!strings.Contains(err.Error(), "pacing") {
 		t.Fatalf("second immediate placement: err = %v, want pacing refusal", err)
 	}
@@ -194,7 +195,7 @@ func TestLocalPriorityIsFIFO(t *testing.T) {
 	if _, err := ws1.Submit("a", cvm.SumProgram(200_000), 0); err != nil {
 		t.Fatal(err)
 	}
-	placed, err := ws1.PlaceNext("ws2", ws2.Addr())
+	placed, err := ws1.PlaceNext(context.Background(), "ws2", ws2.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +226,7 @@ func TestVacatedJobRequeuesWithCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ws1.PlaceNext("ws2", ws2.Addr()); err != nil {
+	if _, err := ws1.PlaceNext(context.Background(), "ws2", ws2.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond) // make progress
@@ -254,7 +255,7 @@ func TestVacatedJobRequeuesWithCheckpoint(t *testing.T) {
 	}
 	// Re-place on a third machine; it must finish with the right answer.
 	ws3 := newStation(t, "ws3", nil, nil)
-	if _, err := ws1.PlaceNext("ws3", ws3.Addr()); err != nil {
+	if _, err := ws1.PlaceNext(context.Background(), "ws3", ws3.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	final, err := ws1.Wait(jobID, 20*time.Second)
@@ -279,7 +280,7 @@ func TestJobLostOnExecCrashRequeues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ws1.PlaceNext("ws2", ws2.Addr()); err != nil {
+	if _, err := ws1.PlaceNext(context.Background(), "ws2", ws2.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	ws2.Close() // exec machine "crashes"
@@ -303,7 +304,7 @@ func TestRemoveRunningJob(t *testing.T) {
 	ws1 := newStation(t, "ws1", nil, nil)
 	ws2 := newStation(t, "ws2", nil, nil)
 	jobID, _ := ws1.Submit("a", cvm.SumProgram(100_000_000), 0)
-	if _, err := ws1.PlaceNext("ws2", ws2.Addr()); err != nil {
+	if _, err := ws1.PlaceNext(context.Background(), "ws2", ws2.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	if !ws1.Remove(jobID) {
@@ -412,7 +413,7 @@ func TestPriorityOrdersLocalQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	placed, err := ws1.PlaceNext("ws2", ws2.Addr())
+	placed, err := ws1.PlaceNext(context.Background(), "ws2", ws2.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +423,7 @@ func TestPriorityOrdersLocalQueue(t *testing.T) {
 	if _, err := ws1.Wait(high, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	placed, err = ws1.PlaceNext("ws2", ws2.Addr())
+	placed, err = ws1.PlaceNext(context.Background(), "ws2", ws2.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +440,7 @@ func TestPriorityTieBreaksFIFO(t *testing.T) {
 	if _, err := ws1.SubmitJob("a", cvm.SumProgram(200), SubmitOptions{Priority: 3}); err != nil {
 		t.Fatal(err)
 	}
-	placed, err := ws1.PlaceNext("ws2", ws2.Addr())
+	placed, err := ws1.PlaceNext(context.Background(), "ws2", ws2.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +456,7 @@ func TestEventLogRecordsJobLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ws1.PlaceNext("ws2", ws2.Addr()); err != nil {
+	if _, err := ws1.PlaceNext(context.Background(), "ws2", ws2.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ws1.Wait(jobID, 10*time.Second); err != nil {
@@ -517,7 +518,7 @@ func TestQueueRecoveryFromDurableStore(t *testing.T) {
 	}
 	// A recovered job runs to completion from its stored checkpoint.
 	ws2 := newStation(t, "ws2", nil, nil)
-	placed, err := ws1b.PlaceNext("ws2", ws2.Addr())
+	placed, err := ws1b.PlaceNext(context.Background(), "ws2", ws2.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -624,7 +625,7 @@ func TestPlaceNextKeepsFastJobTerminal(t *testing.T) {
 				// The exec station runs one job at a time; a placement that
 				// arrives before the previous job has cleared is rejected.
 				for {
-					_, err := home.PlaceNext(exec.Name(), exec.Addr())
+					_, err := home.PlaceNext(context.Background(), exec.Name(), exec.Addr())
 					if err == nil {
 						break
 					}
@@ -659,6 +660,64 @@ func TestPlaceNextKeepsFastJobTerminal(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestPlaceOvertakenByJobDoneBooked: the execution machine reports the
+// job done before its accepting PlaceReply arrives, so the shadow's
+// JobDone lands before PlaceNext's placed edge. The placement is still
+// booked exactly once, before the completion: in the job's status, in
+// the ledger the completion folds the job's meter into, and in the
+// event history.
+func TestPlaceOvertakenByJobDoneBooked(t *testing.T) {
+	// The ledger is process-wide: count what this run adds to the row.
+	placements := func() uint64 {
+		for _, row := range accounting.Default.Snapshot().Stations {
+			if row.Name == "overtaken-home" {
+				return row.Placements
+			}
+		}
+		return 0
+	}
+	before := placements()
+	home := newStation(t, "overtaken-home", nil, nil)
+	jobID, err := home.Submit("alice", cvm.SumProgram(10), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := wire.NewServer("127.0.0.1:0", func(p *wire.Peer) wire.Handler {
+		return func(ctx context.Context, msg any) (any, error) {
+			req, ok := msg.(proto.PlaceRequest)
+			if !ok {
+				return nil, fmt.Errorf("unexpected %T", msg)
+			}
+			_, err := p.Call(ctx, proto.JobDoneMsg{JobID: req.JobID, Steps: 7})
+			return proto.PlaceReply{Accepted: true}, err
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	if _, err := home.PlaceNext(context.Background(), "fake", srv.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	final, err := home.Wait(jobID, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != proto.JobCompleted || final.Placements != 1 {
+		t.Fatalf("job %v after %d placements, want completed after 1", final.State, final.Placements)
+	}
+	if booked := placements() - before; booked != 1 {
+		t.Errorf("ledger counts %d placements for the station, want 1", booked)
+	}
+	var kinds []eventlog.Kind
+	for _, e := range home.Events().ForJob(jobID) {
+		kinds = append(kinds, e.Kind)
+	}
+	if want := []eventlog.Kind{eventlog.KindSubmit, eventlog.KindPlace, eventlog.KindComplete}; fmt.Sprint(kinds) != fmt.Sprint(want) {
+		t.Errorf("events %v, want %v", kinds, want)
+	}
 }
 
 // TestStaleGraceNoticeDropped delivers a placement's suspended/resumed
@@ -697,7 +756,7 @@ func TestStaleGraceNoticeDropped(t *testing.T) {
 		}
 		return s.State
 	}
-	if _, err := home.PlaceNext("slow", slow.Addr()); err != nil {
+	if _, err := home.PlaceNext(context.Background(), "slow", slow.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	first := &jobEvents{station: home, jobID: jobID, epoch: 1}
@@ -725,7 +784,7 @@ func TestStaleGraceNoticeDropped(t *testing.T) {
 	}
 
 	fast := newStation(t, "fast", nil, nil)
-	if _, err := home.PlaceNext("fast", fast.Addr()); err != nil {
+	if _, err := home.PlaceNext(context.Background(), "fast", fast.Addr()); err != nil {
 		t.Fatalf("requeued job not placeable: %v", err)
 	}
 	first.JobSuspended(jobID)
@@ -816,7 +875,7 @@ func TestRemoveDuringRejectedPlacement(t *testing.T) {
 	}
 	addr := placeHook(t, nil, func(req proto.PlaceRequest) { home.Remove(req.JobID) },
 		&proto.PlaceReply{Accepted: false, Reason: "owner active"})
-	if _, err := home.PlaceNext("fake", addr); !errors.Is(err, ru.ErrPlacementRejected) {
+	if _, err := home.PlaceNext(context.Background(), "fake", addr); !errors.Is(err, ru.ErrPlacementRejected) {
 		t.Fatalf("placement err = %v, want rejected", err)
 	}
 	if s, _ := home.Job(first); s.State != proto.JobRemoved {
@@ -826,7 +885,7 @@ func TestRemoveDuringRejectedPlacement(t *testing.T) {
 		t.Fatalf("waiting jobs = %d, want 1", n)
 	}
 	exec := newStation(t, "exec", nil, nil)
-	placed, err := home.PlaceNext("exec", exec.Addr())
+	placed, err := home.PlaceNext(context.Background(), "exec", exec.Addr())
 	if err != nil || placed != second {
 		t.Fatalf("next placement = %q, %v; want %s", placed, err, second)
 	}
@@ -847,7 +906,7 @@ func TestRemoveDuringAcceptedPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := placeHook(t, exec.Starter(), func(req proto.PlaceRequest) { home.Remove(req.JobID) }, nil)
-	if placed, err := home.PlaceNext("exec", addr); err == nil {
+	if placed, err := home.PlaceNext(context.Background(), "exec", addr); err == nil {
 		t.Fatalf("placement of removed job %s reported used", placed)
 	}
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(2 * time.Millisecond) {
@@ -878,7 +937,7 @@ func TestRemoveThenLateEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := home.PlaceNext("exec", exec.Addr()); err != nil {
+	if _, err := home.PlaceNext(context.Background(), "exec", exec.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	if !home.Remove(jobID) {
@@ -928,7 +987,7 @@ func TestStaleJobDoneDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := home.PlaceNext("exec1", exec1.Addr()); err != nil {
+	if _, err := home.PlaceNext(context.Background(), "exec1", exec1.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	if !exec1.Starter().Vacate(jobID, "test") {
@@ -942,7 +1001,7 @@ func TestStaleJobDoneDropped(t *testing.T) {
 			t.Fatal("vacated job never requeued")
 		}
 	}
-	if _, err := home.PlaceNext("exec2", exec2.Addr()); err != nil {
+	if _, err := home.PlaceNext(context.Background(), "exec2", exec2.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	stale := mStaleEvents.Value()
