@@ -81,7 +81,9 @@ race:
 # the RU failure paths (executor or shadow dying mid-job, on fresh and
 # reused links), the schedd job-state table (stale events, removal
 # races), the wire's frame deadlines (a Call's deadline bounds its
-# write; a stalled peer fails a frame within the frame timeout), and the
+# write; a stalled peer fails a frame within the frame timeout, even
+# when its head came in one read with an earlier frame) and reply
+# slots (a recycled slot never carries a stale reply), and the
 # codec round trips (every message through a connection, the
 # coordinator's state, log-era state directories refused). Set
 # CONDOR_CHAOS_LONG=1 for the nightly multi-seed soak.

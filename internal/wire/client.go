@@ -218,7 +218,7 @@ func (p *Peer) Call(ctx context.Context, msg any) (any, error) {
 	}
 	p.nextID++
 	id := p.nextID
-	ch := make(chan Envelope, 1)
+	ch := replySlots.Get().(chan Envelope)
 	p.pending[id] = ch
 	p.mu.Unlock()
 
@@ -230,35 +230,45 @@ func (p *Peer) Call(ctx context.Context, msg any) (any, error) {
 	}
 
 	start := time.Now()
-	if err := p.conn.send(ctx, Envelope{ID: id, Kind: KindRequest, Msg: msg, Trace: traceparent}); err != nil {
-		p.mu.Lock()
-		delete(p.pending, id)
-		p.mu.Unlock()
-		mRPCErrors.Inc()
+	err := p.conn.send(ctx, Envelope{ID: id, Kind: KindRequest, Msg: msg, Trace: traceparent})
+	if err == nil {
+		select {
+		case env := <-ch:
+			replySlots.Put(ch)
+			if env.Err != "" {
+				if env.Err == ErrClosed.Error() {
+					mRPCErrors.Inc()
+					return nil, ErrClosed
+				}
+				// A RemoteError still completed the round trip; its latency
+				// is as real as a success's.
+				mRPCLatency.ObserveDurationExemplar(time.Since(start), traceparent)
+				return nil, &RemoteError{Msg: env.Err}
+			}
+			mRPCLatency.ObserveDurationExemplar(time.Since(start), traceparent)
+			return env.Msg, nil
+		case <-ctx.Done():
+		}
+	}
+	// The slot goes back once nobody can send to it: this Call removed its
+	// own entry, or drained the envelope of whoever did (reader, failAll).
+	p.mu.Lock()
+	_, mine := p.pending[id]
+	delete(p.pending, id)
+	p.mu.Unlock()
+	if !mine {
+		<-ch
+	}
+	replySlots.Put(ch)
+	mRPCErrors.Inc()
+	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrNotSent, err)
 	}
-	select {
-	case env := <-ch:
-		if env.Err != "" {
-			if env.Err == ErrClosed.Error() {
-				mRPCErrors.Inc()
-				return nil, ErrClosed
-			}
-			// A RemoteError still completed the round trip; its latency is
-			// as real as a success's.
-			mRPCLatency.ObserveDurationExemplar(time.Since(start), traceparent)
-			return nil, &RemoteError{Msg: env.Err}
-		}
-		mRPCLatency.ObserveDurationExemplar(time.Since(start), traceparent)
-		return env.Msg, nil
-	case <-ctx.Done():
-		p.mu.Lock()
-		delete(p.pending, id)
-		p.mu.Unlock()
-		mRPCErrors.Inc()
-		return nil, ctx.Err()
-	}
+	return nil, ctx.Err()
 }
+
+// replySlots recycles Call's reply channels, one envelope deep.
+var replySlots = sync.Pool{New: func() any { return make(chan Envelope, 1) }}
 
 // Notify sends a one-way message; no reply is expected.
 func (p *Peer) Notify(msg any) error {

@@ -3,14 +3,16 @@ package wire
 import "bytes"
 
 // ReadFrames runs Recv over a byte stream and returns the envelopes it
-// delivers before it fails, for the external fuzz test.
-func ReadFrames(data []byte) []Envelope {
-	conn := NewConn(&byteConn{r: bytes.NewReader(data)})
+// delivers and the error that ends them, for the external fuzz test.
+// A nil chunk serves the stream whole; otherwise the i-th Read (from 1)
+// returns at most chunk(i) ≥ 1 bytes.
+func ReadFrames(data []byte, chunk func(i int) int) ([]Envelope, error) {
+	conn := NewConn(&byteConn{r: bytes.NewReader(data), chunk: chunk})
 	var envs []Envelope
 	for {
 		env, err := conn.Recv()
 		if err != nil {
-			return envs
+			return envs, err
 		}
 		envs = append(envs, env)
 	}

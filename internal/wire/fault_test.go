@@ -1,10 +1,12 @@
 package wire
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 )
@@ -93,6 +95,102 @@ func TestRecvMidFrameStallFailsByFrameTimeout(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("Recv blocked %v; the 50ms frame deadline never fired", elapsed)
+	}
+}
+
+// A stalled frame whose head arrives in the same Read as a whole
+// earlier frame still fails within the frame timeout: the deadline is
+// armed once the stalled frame needs a second Read, whether its head
+// is part of the length word or past it.
+func TestRecvStallAfterWholeFrameFailsByFrameTimeout(t *testing.T) {
+	whole := encodeFrame(t, Envelope{ID: 1, Kind: KindPing})
+	for _, head := range [][]byte{{0x00, 0x00}, {0x00, 0x00, 0x00, 0x09, 0x02}} {
+		local, remote := net.Pipe()
+		conn := NewConn(local)
+		conn.timeout = 50 * time.Millisecond
+		go remote.Write(append(append([]byte(nil), whole...), head...)) //nolint:errcheck // then silence
+		if env, err := conn.Recv(); err != nil || env.ID != 1 {
+			t.Fatalf("head %x: whole frame = %+v, %v", head, env, err)
+		}
+		failed := make(chan error, 1)
+		go func() {
+			_, err := conn.Recv()
+			failed <- err
+		}()
+		select {
+		case err := <-failed:
+			if err == nil {
+				t.Fatalf("head %x: Recv of a half-delivered frame succeeded", head)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("head %x: Recv still blocked after 2s; the 50ms frame deadline never fired", head)
+		}
+		conn.Close()
+		remote.Close()
+	}
+}
+
+// An idle wait longer than the frame timeout, after a frame split
+// across Reads armed the deadline, does not fail: the deadline is
+// cleared before the wait.
+func TestRecvIdleAfterSplitFrameDeadlineCleared(t *testing.T) {
+	local, remote := net.Pipe()
+	defer remote.Close()
+	receiver := NewConn(local)
+	defer receiver.Close()
+	receiver.timeout = 40 * time.Millisecond
+	first := encodeFrame(t, Envelope{ID: 1, Kind: KindPing})
+	second := encodeFrame(t, Envelope{ID: 2, Kind: KindPing})
+	go func() {
+		remote.Write(first[:2]) //nolint:errcheck
+		time.Sleep(10 * time.Millisecond)
+		remote.Write(first[2:]) //nolint:errcheck
+		time.Sleep(150 * time.Millisecond)
+		remote.Write(second) //nolint:errcheck
+	}()
+	for id := uint64(1); id <= 2; id++ {
+		if env, err := receiver.Recv(); err != nil || env.ID != id {
+			t.Fatalf("frame %d: %+v, %v", id, env, err)
+		}
+	}
+}
+
+// Frames that arrive whole cost one Read each and set no deadline;
+// frames queued together cost one Read between them. A frame split
+// across Reads arms the deadline once, even when the previous frame
+// armed it too, and an armed deadline is cleared only before an idle
+// wait.
+func TestRecvWholeFramesOneReadNoDeadline(t *testing.T) {
+	frames := [][]byte{
+		encodeFrame(t, Envelope{ID: 1, Kind: KindPing}),
+		encodeFrame(t, Envelope{ID: 2, Kind: KindRequest, Msg: note{Text: strings.Repeat("x", 300)}}),
+		encodeFrame(t, Envelope{ID: 3, Kind: KindReply, Msg: blobMsg{Data: make([]byte, 64)}}),
+	}
+	stream := bytes.Join(frames, nil)
+	cases := []struct {
+		name                string
+		chunk               func(i int) int
+		reads, arms, clears int
+	}{
+		{"one frame per read", func(i int) int { return len(frames[i-1]) }, 3, 0, 0},
+		{"all in one read", nil, 1, 0, 0},
+		// 9, 312 and 74 bytes: three-byte Reads end at each frame's end,
+		// four-byte ones read each frame's head with the frame before.
+		{"three bytes per read", func(int) int { return 3 }, (len(stream) + 2) / 3, 3, 2},
+		{"four bytes per read", func(int) int { return 4 }, (len(stream) + 3) / 4, 3, 0},
+	}
+	for _, tc := range cases {
+		raw := &byteConn{r: bytes.NewReader(stream), chunk: tc.chunk}
+		conn := NewConn(raw)
+		for id := uint64(1); id <= 3; id++ {
+			if env, err := conn.Recv(); err != nil || env.ID != id {
+				t.Fatalf("%s: frame %d: %+v, %v", tc.name, id, env, err)
+			}
+		}
+		if raw.reads != tc.reads || raw.arms != tc.arms || raw.clears != tc.clears {
+			t.Errorf("%s: %d reads, %d deadlines armed, %d cleared; want %d, %d, %d",
+				tc.name, raw.reads, raw.arms, raw.clears, tc.reads, tc.arms, tc.clears)
+		}
 	}
 }
 

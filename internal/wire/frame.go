@@ -81,12 +81,14 @@ type Conn struct {
 	// mutex, so a sender can stop waiting for it when its context ends.
 	writing chan struct{}
 
-	// wbuf, under writing, is the reused frame buffer; rbuf and rd, under
-	// readMu, are the reused payload buffer and the reader over it (kept
-	// here so reading a frame does not allocate one).
-	wbuf []byte
-	rbuf []byte
-	rd   codec.Reader
+	// wbuf, under writing, is the reused frame buffer. Under readMu,
+	// rbuf[rpos:] is read but not parsed, armed says raw has a read
+	// deadline, and rd reads a payload (kept here so as not to allocate).
+	wbuf  []byte
+	rbuf  []byte
+	rpos  int
+	armed bool
+	rd    codec.Reader
 
 	closeOnce sync.Once
 	closeErr  error
@@ -169,27 +171,52 @@ func (c *Conn) send(ctx context.Context, env Envelope) error {
 // MaxFrameBytes.
 const maxEagerFrameAlloc = 1 << 20
 
-// readPayload reads an n-byte frame payload. Frames up to keepBufBytes
-// land in the connection's reused buffer; larger ones get a buffer of
-// their own, exactly n bytes long (the decoded message may keep it), and
-// trust n only as far as maxEagerFrameAlloc: beyond that the buffer
-// doubles, up to n, only as the bytes arrive.
-func (c *Conn) readPayload(n uint32) ([]byte, error) {
-	if n <= keepBufBytes {
-		if int(n) > cap(c.rbuf) {
-			c.rbuf = make([]byte, min(max(int(n), 2*cap(c.rbuf)), keepBufBytes))
+// fill reads until rbuf holds need ≤ keepBufBytes unparsed bytes, each
+// Read taking all the socket holds that fits: a whole frame costs one.
+func (c *Conn) fill(need int) error {
+	for len(c.rbuf)-c.rpos < need {
+		if buf := c.rbuf[:0]; c.rpos > 0 || cap(buf) < need {
+			if cap(buf) < need {
+				buf = make([]byte, 0, min(max(need, 2*cap(buf), 1<<10), keepBufBytes))
+			}
+			c.rbuf, c.rpos = append(buf, c.rbuf[c.rpos:]...), 0
 		}
-		payload := c.rbuf[:n]
-		_, err := io.ReadFull(c.raw, payload)
-		return payload, err
+		m, err := c.raw.Read(c.rbuf[len(c.rbuf):cap(c.rbuf)])
+		if c.rbuf = c.rbuf[:len(c.rbuf)+m]; err == io.EOF && len(c.rbuf) > 0 {
+			err = io.ErrUnexpectedEOF // a frame cut short
+		}
+		if err != nil && len(c.rbuf) < need {
+			return err
+		}
 	}
-	payload := make([]byte, min(int(n), maxEagerFrameAlloc))
-	for have := 0; ; {
+	return nil
+}
+
+// readPayload reads the n-byte payload of the frame whose length word is
+// at rbuf[rpos:]. A frame up to keepBufBytes, length word included, is
+// parsed out of the reused buffer; a larger one gets an n-byte buffer of
+// its own (the decoded message may keep it), grown as the bytes arrive
+// once past maxEagerFrameAlloc.
+func (c *Conn) readPayload(n int) ([]byte, error) {
+	if 4+n <= keepBufBytes {
+		if err := c.fill(4 + n); err != nil {
+			return nil, err
+		}
+		c.rpos += 4 + n
+		return c.rbuf[c.rpos-n : c.rpos], nil
+	}
+	payload := make([]byte, min(n, maxEagerFrameAlloc))
+	have := copy(payload, c.rbuf[c.rpos+4:]) // all of it: the buffer is smaller than this frame
+	c.rbuf, c.rpos = c.rbuf[:0], 0
+	for {
 		m, err := io.ReadFull(c.raw, payload[have:])
-		if have += m; err != nil || have == int(n) {
+		if have += m; err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil || have == n {
 			return payload, err
 		}
-		grown := make([]byte, min(2*have, int(n)))
+		grown := make([]byte, min(2*have, n))
 		copy(grown, payload)
 		payload = grown
 	}
@@ -205,24 +232,27 @@ func (c *Conn) readPayload(n uint32) ([]byte, error) {
 func (c *Conn) Recv() (Envelope, error) {
 	c.readMu.Lock()
 	defer c.readMu.Unlock()
-	var lenBuf [4]byte
-	// Clear the deadline armed for the previous frame: idleness between
-	// frames is normal.
-	_ = c.raw.SetReadDeadline(time.Time{})
-	if _, err := io.ReadFull(c.raw, lenBuf[:1]); err != nil {
+	if len(c.rbuf) == c.rpos && c.armed { // an idle wait is never bounded
+		_ = c.raw.SetReadDeadline(time.Time{})
+		c.armed = false
+	}
+	if err := c.fill(1); err != nil {
 		return Envelope{}, fmt.Errorf("wire: read length: %w", err)
 	}
-	_ = c.raw.SetReadDeadline(time.Now().Add(c.timeout))
-	if _, err := io.ReadFull(c.raw, lenBuf[1:]); err != nil {
+	if b := c.rbuf[c.rpos:]; len(b) < 4 || uint32(len(b)-4) < binary.BigEndian.Uint32(b) { // split: bound the rest
+		_ = c.raw.SetReadDeadline(time.Now().Add(c.timeout))
+		c.armed = true
+	}
+	if err := c.fill(4); err != nil {
 		c.Close() // mid-frame failure: stream desynchronized
 		return Envelope{}, fmt.Errorf("wire: read length: %w", err)
 	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
+	n := binary.BigEndian.Uint32(c.rbuf[c.rpos:])
 	if n > MaxFrameBytes {
 		c.Close() // cannot resynchronize without consuming the frame
 		return Envelope{}, fmt.Errorf("%w: %d bytes announced", ErrFrameTooLarge, n)
 	}
-	payload, err := c.readPayload(n)
+	payload, err := c.readPayload(int(n))
 	if err != nil {
 		c.Close()
 		return Envelope{}, fmt.Errorf("wire: read payload: %w", err)
@@ -232,7 +262,7 @@ func (c *Conn) Recv() (Envelope, error) {
 	// A payload larger than keepBufBytes is a buffer of its own, so the
 	// message's byte fields may keep it; the reused one must be copied.
 	c.rd = codec.NewReader(payload)
-	c.rd.Alias = n > keepBufBytes
+	c.rd.Alias = 4+n > keepBufBytes
 	env, err := readEnvelope(&c.rd)
 	c.rd = codec.Reader{}
 	if err != nil {

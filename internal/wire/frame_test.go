@@ -16,20 +16,40 @@ import (
 
 // byteConn is a net.Conn that reads from a fixed byte stream and
 // records what is written to it — enough to drive Conn.Recv over
-// arbitrary input and to capture what Conn.Send emits.
+// arbitrary input and to capture what Conn.Send emits. If chunk is set,
+// the i-th Read (from 1) returns at most chunk(i) ≥ 1 bytes. It counts
+// Reads, and read deadlines armed and cleared.
 type byteConn struct {
 	r      *bytes.Reader
 	w      bytes.Buffer
 	closed bool
+
+	chunk               func(i int) int
+	reads, arms, clears int
 }
 
-func (c *byteConn) Read(p []byte) (int, error)       { return c.r.Read(p) }
+func (c *byteConn) Read(p []byte) (int, error) {
+	c.reads++
+	if c.chunk != nil {
+		p = p[:min(len(p), c.chunk(c.reads))]
+	}
+	return c.r.Read(p)
+}
+
+func (c *byteConn) SetReadDeadline(t time.Time) error {
+	if t.IsZero() {
+		c.clears++
+	} else {
+		c.arms++
+	}
+	return nil
+}
+
 func (c *byteConn) Write(p []byte) (int, error)      { return c.w.Write(p) }
 func (c *byteConn) Close() error                     { c.closed = true; return nil }
 func (c *byteConn) LocalAddr() net.Addr              { return fakeAddr{} }
 func (c *byteConn) RemoteAddr() net.Addr             { return fakeAddr{} }
 func (c *byteConn) SetDeadline(time.Time) error      { return nil }
-func (c *byteConn) SetReadDeadline(time.Time) error  { return nil }
 func (c *byteConn) SetWriteDeadline(time.Time) error { return nil }
 
 type fakeAddr struct{}

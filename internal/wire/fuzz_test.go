@@ -17,7 +17,8 @@ import (
 // malformed input is just an error. Every frame it accepts must re-encode
 // to exactly its own bytes: each hand-written message decoder is
 // canonical. The five JSON-bodied tooling replies are exempt, since
-// encoding/json accepts many spellings of one value.
+// encoding/json accepts many spellings of one value. The same stream
+// served in chunks as small as one byte must decode alike.
 func FuzzFrameDecode(f *testing.F) {
 	frame := func(env wire.Envelope) []byte {
 		b, err := wire.WriteFrame(env)
@@ -51,6 +52,9 @@ func FuzzFrameDecode(f *testing.F) {
 	// A 64 MB announcement with no payload behind it, and an over-limit one.
 	f.Add(binary.BigEndian.AppendUint32(nil, wire.MaxFrameBytes))
 	f.Add(binary.BigEndian.AppendUint32(nil, wire.MaxFrameBytes+1))
+	// A frame too big for the read buffer, whose first payload byte
+	// comes in the length word's Read and whose rest never comes.
+	f.Add([]byte{0, 1, 0, 0, '0'})
 	// Trace-context seeds: a well-formed traceparent, the same frame
 	// truncated inside it, hostile junk where it belongs and an oversized
 	// one. The decoder must treat Trace as opaque bytes — never parse,
@@ -69,8 +73,25 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(stream[:len(stream)-3])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		envs, err := wire.ReadFrames(data, nil)
+		// The same bytes in chunks of 1 to 256, sizes taken from the
+		// input, cross every frame and buffer boundary: they must yield
+		// the same envelopes and end in the same error.
+		if len(data) > 0 {
+			chunked, cerr := wire.ReadFrames(data, func(i int) int { return 1 + int(data[i%len(data)]) })
+			if len(chunked) != len(envs) || cerr.Error() != err.Error() {
+				t.Fatalf("chunked delivery: %d envelopes, %v; whole: %d, %v", len(chunked), cerr, len(envs), err)
+			}
+			for i := range envs {
+				a, _ := wire.WriteFrame(envs[i])
+				b, _ := wire.WriteFrame(chunked[i])
+				if !bytes.Equal(a, b) {
+					t.Fatalf("frame %d differs when delivered in chunks:\n got %x\nwant %x", i, b, a)
+				}
+			}
+		}
 		rest := data
-		for i, env := range wire.ReadFrames(data) {
+		for i, env := range envs {
 			n := 4 + int(binary.BigEndian.Uint32(rest))
 			again, err := wire.WriteFrame(env)
 			if err != nil {
