@@ -80,8 +80,9 @@ race:
 # scenario runner),
 # the RU failure paths (executor or shadow dying mid-job, on fresh and
 # reused links), the schedd job-state table (stale events, removal
-# races), the wire's frame deadlines (a Call's deadline bounds its
-# write; a stalled peer fails a frame within the frame timeout, even
+# races), the wire's frame deadlines (a Call's deadline, from its
+# context or its own bound, ends its write; a stalled peer fails a
+# frame within the frame timeout, even
 # when its head came in one read with an earlier frame) and reply
 # slots (a recycled slot never carries a stale reply), and the
 # codec round trips (every message through a connection, the

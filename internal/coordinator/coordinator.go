@@ -998,7 +998,10 @@ func (c *Coordinator) pollStation(addr string) (proto.PollReply, error) {
 // requests that are not idempotent (grants — a grant whose reply was
 // lost may already have placed a job).
 func (c *Coordinator) callStation(addr string, msg any) (any, error) {
-	return c.callVia(c.pool.Call, addr, msg)
+	if addr == "" {
+		return nil, errNoAddress
+	}
+	return c.pool.CallWithin(context.Background(), addr, msg, c.cfg.RPCTimeout)
 }
 
 // callStationRetry is callStation under the pool's retry policy, for
@@ -1006,17 +1009,13 @@ func (c *Coordinator) callStation(addr string, msg any) (any, error) {
 // transient transport fault is retried with backoff against a freshly
 // dialed connection, still within the RPCTimeout budget.
 func (c *Coordinator) callStationRetry(addr string, msg any) (any, error) {
-	return c.callVia(c.pool.CallRetry, addr, msg)
+	if addr == "" {
+		return nil, errNoAddress
+	}
+	return c.pool.CallRetry(context.Background(), addr, msg, c.cfg.RPCTimeout)
 }
 
-func (c *Coordinator) callVia(call func(context.Context, string, any) (any, error), addr string, msg any) (any, error) {
-	if addr == "" {
-		return nil, errors.New("coordinator: no address")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.RPCTimeout)
-	defer cancel()
-	return call(ctx, addr, msg)
-}
+var errNoAddress = errors.New("coordinator: no address")
 
 // Index exposes a station's Up-Down index (for status and tests).
 func (c *Coordinator) Index(name string) float64 { return c.table.Index(name) }

@@ -278,27 +278,25 @@ func (e *execution) killWithLastCheckpoint(reason string) {
 }
 
 func (e *execution) ship(sc trace.SpanContext, msg proto.JobVacatedMsg) {
-	ctx, cancel := context.WithTimeout(context.Background(), e.starter.cfg.SyscallTimeout)
-	defer cancel()
 	if !sc.Valid() {
 		sc = e.traceCtx
 	}
-	e.terminal(trace.ContextWith(ctx, sc), msg)
+	e.terminal(sc, msg)
 }
 
 func (e *execution) finish(msg proto.JobDoneMsg) {
-	ctx, cancel := context.WithTimeout(context.Background(), e.starter.cfg.SyscallTimeout)
-	defer cancel()
 	// Carry the exec span so the shadow's terminal "complete" span hangs
 	// off it in the tree.
-	e.terminal(trace.ContextWith(ctx, e.traceCtx), msg)
+	e.terminal(e.traceCtx, msg)
 }
 
-// terminal sends the job's last message. Once the shadow acknowledges it
-// the connection is the home station's link again, free for its next
-// placement here; only a failed hand-off closes it.
-func (e *execution) terminal(ctx context.Context, msg any) {
-	if _, err := e.peer.Call(ctx, msg); err != nil {
+// terminal sends the job's last message, within the syscall timeout.
+// Once the shadow acknowledges it the connection is the home station's
+// link again, free for its next placement here; only a failed hand-off
+// closes it.
+func (e *execution) terminal(sc trace.SpanContext, msg any) {
+	ctx := trace.ContextWith(context.Background(), sc)
+	if _, err := e.peer.CallWithin(ctx, msg, e.starter.cfg.SyscallTimeout); err != nil {
 		e.peer.Close()
 	}
 }
@@ -325,8 +323,7 @@ var _ cvm.SyscallHandler = (*remoteHandler)(nil)
 // Syscall implements cvm.SyscallHandler by shipping the request over the
 // placement connection and waiting for the shadow's reply.
 func (h *remoteHandler) Syscall(req cvm.SyscallRequest) (cvm.SyscallReply, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), h.timeout)
-	defer cancel()
+	ctx := context.Background()
 	sp := trace.StartNth(h.parent, "syscall", h.n.Add(1), syscallTraceEvery)
 	sp.SetJob(h.jobID)
 	if sp.Recording() {
@@ -335,7 +332,7 @@ func (h *remoteHandler) Syscall(req cvm.SyscallRequest) (cvm.SyscallReply, error
 		ctx = trace.ContextWith(ctx, sp.Context())
 	}
 	start := time.Now()
-	reply, err := h.peer.Call(ctx, proto.SyscallMsg{JobID: h.jobID, Req: req})
+	reply, err := h.peer.CallWithin(ctx, proto.SyscallMsg{JobID: h.jobID, Req: req}, h.timeout)
 	if err != nil {
 		sp.SetError(err)
 		sp.Finish()

@@ -213,13 +213,12 @@ func (st *Station) Register(coordAddr string) error {
 // register is Register returning the coordinator's poll interval (the
 // paper's 2 minutes if the reply carries none).
 func (st *Station) register(coordAddr string) (time.Duration, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), st.cfg.DialTimeout+5*time.Second)
-	defer cancel()
 	addr := st.cfg.AdvertiseAddr
 	if addr == "" {
 		addr = st.Addr()
 	}
-	reply, err := st.pool.CallRetry(ctx, coordAddr, proto.RegisterRequest{Name: st.cfg.Name, Addr: addr})
+	reply, err := st.pool.CallRetry(context.Background(), coordAddr,
+		proto.RegisterRequest{Name: st.cfg.Name, Addr: addr}, st.cfg.DialTimeout+5*time.Second)
 	if err != nil {
 		return 0, fmt.Errorf("schedd: register %s with %s: %w", st.cfg.Name, coordAddr, err)
 	}

@@ -40,9 +40,7 @@ func (c *Client) Close() { c.pool.Close() }
 func (c *Client) CoordinatorAddr() string { return c.coord }
 
 func (c *Client) call(ctx context.Context, addr string, msg any) (any, error) {
-	ctx, cancel := context.WithTimeout(ctx, rpcTimeout)
-	defer cancel()
-	return c.pool.CallRetry(ctx, addr, msg)
+	return c.pool.CallRetry(ctx, addr, msg, rpcTimeout)
 }
 
 // PoolStatus fetches the coordinator's pool table and self-description.

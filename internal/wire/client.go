@@ -22,9 +22,9 @@ func (e *RemoteError) Error() string { return "wire: remote: " + e.Msg }
 
 // ErrNotSent wraps a Call failure that happened before the request frame
 // was written: the peer was already closed, the caller's context ended
-// while the Call waited to write, or the frame failed to encode or to
-// write. The remote side never dispatched the request, since a
-// receiver drops a partial frame and closes.
+// or the call's bound passed while the Call waited to write, or the
+// frame failed to encode or to write. The remote side never dispatched
+// the request, since a receiver drops a partial frame and closes.
 var ErrNotSent = errors.New("wire: request not sent")
 
 // Handler processes inbound requests and one-way notifications on a
@@ -45,7 +45,10 @@ type Peer struct {
 	mu      sync.Mutex
 	nextID  uint64
 	pending map[uint64]chan Envelope
-	closed  bool
+	// free holds the reply slots no call owns, as many as calls were
+	// ever in flight at once, for the next calls to reuse.
+	free   []*replySlot
+	closed bool
 
 	done chan struct{}
 	// readErr records why the reader loop ended.
@@ -205,12 +208,21 @@ func (p *Peer) failAll(err error) {
 	}
 }
 
-// Call sends msg as a request and waits for the matching reply or ctx
-// cancellation. ctx's deadline bounds the request's write too: a Call
-// that is still waiting for the connection's write side when it passes
-// fails with ErrNotSent and leaves the connection up, and one whose frame
-// is still being written then closes it, as any partial frame does.
+// Call is CallWithin with no bound of its own: ctx's deadline, if any,
+// bounds the call.
 func (p *Peer) Call(ctx context.Context, msg any) (any, error) {
+	return p.CallWithin(ctx, msg, 0)
+}
+
+// CallWithin sends msg as a request and waits for the matching reply,
+// for at most d when d > 0, and no longer than ctx allows. The bound
+// covers the whole call: a call still waiting for the connection's
+// write side when it passes fails with ErrNotSent and leaves the
+// connection up, and one whose frame is still being written then
+// closes it, as any partial frame does. A call that passes d fails with
+// an error for which errors.Is(err, context.DeadlineExceeded) holds.
+// The bound is the reply slot's own timer, so it allocates nothing.
+func (p *Peer) CallWithin(ctx context.Context, msg any, d time.Duration) (any, error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -218,8 +230,8 @@ func (p *Peer) Call(ctx context.Context, msg any) (any, error) {
 	}
 	p.nextID++
 	id := p.nextID
-	ch := replySlots.Get().(chan Envelope)
-	p.pending[id] = ch
+	s := p.slot()
+	p.pending[id] = s.ch
 	p.mu.Unlock()
 
 	// Propagate the caller's span context; pool and retry paths wrap
@@ -230,11 +242,17 @@ func (p *Peer) Call(ctx context.Context, msg any) (any, error) {
 	}
 
 	start := time.Now()
-	err := p.conn.send(ctx, Envelope{ID: id, Kind: KindRequest, Msg: msg, Trace: traceparent})
+	var expire <-chan time.Time
+	if d > 0 {
+		s.t.Reset(d)
+		expire = s.t.C
+	}
+	err := p.conn.send(ctx, expire, start.Add(d), Envelope{ID: id, Kind: KindRequest, Msg: msg, Trace: traceparent})
+	fired := err == errExpired
 	if err == nil {
 		select {
-		case env := <-ch:
-			replySlots.Put(ch)
+		case env := <-s.ch:
+			p.put(s, expire != nil)
 			if env.Err != "" {
 				if env.Err == ErrClosed.Error() {
 					mRPCErrors.Inc()
@@ -248,7 +266,12 @@ func (p *Peer) Call(ctx context.Context, msg any) (any, error) {
 			mRPCLatency.ObserveDurationExemplar(time.Since(start), traceparent)
 			return env.Msg, nil
 		case <-ctx.Done():
+			err = ctx.Err()
+		case <-expire:
+			err, fired = errExpired, true
 		}
+	} else {
+		err = fmt.Errorf("%w: %w", ErrNotSent, err)
 	}
 	// The slot goes back once nobody can send to it: this Call removed its
 	// own entry, or drained the envelope of whoever did (reader, failAll).
@@ -257,18 +280,50 @@ func (p *Peer) Call(ctx context.Context, msg any) (any, error) {
 	delete(p.pending, id)
 	p.mu.Unlock()
 	if !mine {
-		<-ch
+		<-s.ch
 	}
-	replySlots.Put(ch)
+	p.put(s, expire != nil && !fired)
 	mRPCErrors.Inc()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrNotSent, err)
-	}
-	return nil, ctx.Err()
+	return nil, err
 }
 
-// replySlots recycles Call's reply channels, one envelope deep.
-var replySlots = sync.Pool{New: func() any { return make(chan Envelope, 1) }}
+// errExpired fails a call whose own bound (CallWithin's d) passed.
+var errExpired = fmt.Errorf("wire: call bound passed: %w", context.DeadlineExceeded)
+
+// replySlot is a Call's reply channel, one envelope deep, and the timer
+// that bounds the call. A peer reuses its slots, so a call, bounded or
+// not, allocates none.
+type replySlot struct {
+	ch chan Envelope
+	t  *time.Timer
+}
+
+// slot takes a free reply slot or makes one. p.mu is held.
+func (p *Peer) slot() *replySlot {
+	if n := len(p.free); n > 0 {
+		s := p.free[n-1]
+		p.free = p.free[:n-1]
+		return s
+	}
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &replySlot{ch: make(chan Envelope, 1), t: t}
+}
+
+// put frees s, which nobody can send to any more, with its timer stopped
+// and its channel empty. armed says the timer was started and its value
+// not received. Timers here have asynchronous channels (go.mod's go
+// version is below 1.23): a timer that fired before Stop has sent its
+// value, or is about to, so put waits for it. Synchronous timer channels
+// (cap 0) never deliver a value from before Stop.
+func (p *Peer) put(s *replySlot, armed bool) {
+	if armed && !s.t.Stop() && cap(s.t.C) > 0 {
+		<-s.t.C
+	}
+	p.mu.Lock()
+	p.free = append(p.free, s)
+	p.mu.Unlock()
+}
 
 // Notify sends a one-way message; no reply is expected.
 func (p *Peer) Notify(msg any) error {
@@ -289,7 +344,7 @@ func (p *Peer) NotifyCtx(ctx context.Context, msg any) error {
 	if sc := trace.FromContext(ctx); sc.Valid() {
 		traceparent = sc.Traceparent()
 	}
-	return p.conn.send(ctx, Envelope{Kind: KindOneWay, Msg: msg, Trace: traceparent})
+	return p.conn.send(ctx, nil, time.Time{}, Envelope{Kind: KindOneWay, Msg: msg, Trace: traceparent})
 }
 
 // Server accepts connections and runs a Peer for each.

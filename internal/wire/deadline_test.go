@@ -39,11 +39,32 @@ type prefixConn struct {
 
 func (c prefixConn) Read(b []byte) (int, error) { return c.r.Read(b) }
 
+// boundedCall is a Call bounded to 100 ms, either by its context's
+// deadline or by CallWithin's duration.
+type boundedCall func(peer *Peer, msg any) error
+
+func callCtx100ms(peer *Peer, msg any) error {
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	_, err := peer.Call(ctx, msg)
+	return err
+}
+
+func callWithin100ms(peer *Peer, msg any) error {
+	_, err := peer.CallWithin(context.Background(), msg, 100*time.Millisecond)
+	return err
+}
+
 // A Call's deadline bounds writing its request, not only the wait for
 // the reply: against a peer that accepts and never reads, a 32 MiB
 // request must give up at the caller's 100ms deadline rather than sit in
 // the write for the frame timeout.
-func TestCallDeadlineBoundsStalledWrite(t *testing.T) {
+func TestCallDeadlineBoundsStalledWrite(t *testing.T) { stalledWrite(t, callCtx100ms) }
+
+// The same with the bound given as CallWithin's duration.
+func TestCallWithinBoundsStalledWrite(t *testing.T) { stalledWrite(t, callWithin100ms) }
+
+func stalledWrite(t *testing.T, call boundedCall) {
 	addr, accepted := silentPeer(t)
 	peer, err := Dial(addr, time.Second, nil)
 	if err != nil {
@@ -53,14 +74,9 @@ func TestCallDeadlineBoundsStalledWrite(t *testing.T) {
 	raw := <-accepted
 	defer raw.Close()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
 	start := time.Now()
 	done := make(chan error, 1)
-	go func() {
-		_, err := peer.Call(ctx, blobMsg{Data: make([]byte, 32<<20)})
-		done <- err
-	}()
+	go func() { done <- call(peer, blobMsg{Data: make([]byte, 32<<20)}) }()
 	select {
 	case err := <-done:
 		if !errors.Is(err, ErrNotSent) {
@@ -78,6 +94,16 @@ func TestCallDeadlineBoundsStalledWrite(t *testing.T) {
 // never reaches the wire: it fails with ErrNotSent and the context's
 // error, and the connection stays up for the next Call.
 func TestCallDeadlineWhileWriteSideBusyKeepsConn(t *testing.T) {
+	writeSideBusy(t, callCtx100ms)
+}
+
+// The same with the bound given as CallWithin's duration: the slot's
+// timer, not only a context, ends the wait for the write side.
+func TestCallWithinWhileWriteSideBusyKeepsConn(t *testing.T) {
+	writeSideBusy(t, callWithin100ms)
+}
+
+func writeSideBusy(t *testing.T, call boundedCall) {
 	addr, accepted := silentPeer(t)
 	peer, err := Dial(addr, time.Second, nil)
 	if err != nil {
@@ -96,13 +122,8 @@ func TestCallDeadlineWhileWriteSideBusyKeepsConn(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
 	called := make(chan error, 1)
-	go func() {
-		_, err := peer.Call(ctx, ping{N: 1})
-		called <- err
-	}()
+	go func() { called <- call(peer, ping{N: 1}) }()
 	select {
 	case err := <-called:
 		if !errors.Is(err, ErrNotSent) || !errors.Is(err, context.DeadlineExceeded) {
@@ -128,7 +149,7 @@ func TestCallDeadlineWhileWriteSideBusyKeepsConn(t *testing.T) {
 	if err := <-notified; err != nil {
 		t.Fatalf("big frame: %v", err)
 	}
-	ctx, cancel = context.WithTimeout(context.Background(), 5*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	reply, err := peer.Call(ctx, ping{N: 2})
 	if err != nil {

@@ -281,35 +281,49 @@ func TestFaultLatencyDelaysWrites(t *testing.T) {
 	}
 }
 
-func TestFaultCorruptionFailsLoudly(t *testing.T) {
-	// A corrupted frame must surface as an error on some call — never as
-	// a silently delivered wrong payload.
-	local, remote := net.Pipe()
-	fc := NewFaultConn(local)
-	sender := NewConn(fc)
-	receiver := NewConn(remote)
-	defer sender.Close()
-	defer receiver.Close()
-	sender.timeout = 200 * time.Millisecond
-	receiver.timeout = 500 * time.Millisecond
-	fc.SetPlan(FaultPlan{CorruptProb: 1, Seed: 42})
-	go func() {
-		for i := uint64(1); i <= 4; i++ {
-			sender.Send(Envelope{ID: i, Kind: KindPing}) //nolint:errcheck
+// Frames carry no checksum, so a flipped bit is caught only if it breaks
+// the frame or its decode. Either way the reader stays sound: each Recv of
+// a corrupted stream fails, closing the connection, or decodes to some
+// envelope, and the reader never panics or hangs.
+func TestFaultCorruptionFailsRecvOrDecodes(t *testing.T) {
+	var decoded, altered, failed int
+	within(t, 20*time.Second, func() {
+		for seed := uint64(1); seed <= 64; seed++ {
+			local, remote := net.Pipe()
+			fc := NewFaultConn(local)
+			fc.SetPlan(FaultPlan{CorruptProb: 1, Seed: seed})
+			sender := NewConn(fc)
+			receiver := NewConn(remote)
+			receiver.timeout = 500 * time.Millisecond
+			go func() {
+				for i := 1; i <= 4; i++ {
+					sender.Send(Envelope{ID: uint64(i), Kind: KindRequest, Msg: ping{N: i}}) //nolint:errcheck // a failed send ends the stream
+				}
+				sender.Close()
+			}()
+			for {
+				env, err := receiver.Recv()
+				if errors.Is(err, io.EOF) {
+					break // the stream ended between frames
+				}
+				if err != nil {
+					failed++
+					// A closed net.Pipe end reads io.ErrClosedPipe; one whose
+					// peer closed reads io.EOF.
+					if _, rerr := remote.Read(make([]byte, 1)); !errors.Is(rerr, io.ErrClosedPipe) {
+						t.Errorf("seed %d: Recv failed (%v) and left the connection open", seed, err)
+					}
+					break
+				}
+				decoded++
+				if p, ok := env.Msg.(ping); !ok || env.Kind != KindRequest || env.ID != uint64(p.N) {
+					altered++
+				}
+			}
+			receiver.Close()
 		}
-	}()
-	for {
-		env, err := receiver.Recv()
-		if err != nil {
-			return // corruption detected: decode failure, bad prefix, or timeout
-		}
-		if env.Kind != KindPing {
-			return // decoded garbage that is visibly not what was sent
-		}
-		// A flip can land in padding and still decode; keep reading —
-		// with CorruptProb 1 and multi-write frames, a detectable flip
-		// arrives quickly.
-	}
+	})
+	t.Logf("%d envelopes decoded (%d of them altered), %d reads failed", decoded, altered, failed)
 }
 
 func TestFaultFlapScheduleBlackholesAndHeals(t *testing.T) {

@@ -41,9 +41,10 @@ type FaultPlan struct {
 	LatencyMax time.Duration
 	// CorruptProb flips a few random bits in a Write's payload with this
 	// probability per call (on a scratch copy — the caller's buffer is
-	// never modified). The frame layer's CRC should catch every flip;
-	// chaos tests assert the connection fails loudly instead of
-	// delivering garbage. 0 disables.
+	// never modified). Frames carry no checksum, so a flip is caught only
+	// when it breaks the framing or the decode, which fails the read and
+	// closes the connection; one that leaves a valid envelope is
+	// delivered altered. 0 disables.
 	CorruptProb float64
 	// FlapUp/FlapDown, when both positive, alternate the connection
 	// between passing traffic for FlapUp and black-holing it (both

@@ -24,10 +24,10 @@ const MaxFrameBytes = 64 << 20
 const keepBufBytes = 64 << 10
 
 // frameTimeout bounds one frame in flight on every connection: a write
-// must finish within it (or by its caller's context deadline, if that is
-// earlier), and an inbound frame must complete within it once its first
-// byte has arrived. Idleness between frames is never bounded (heartbeats
-// cover that), so it can be generous: its job is to unwedge a connection
+// must finish within it (or by its call's deadline, if that is earlier),
+// and an inbound frame must complete within it once its first byte has
+// arrived. Idleness between frames is never bounded (heartbeats cover
+// that), so it can be generous: its job is to unwedge a connection
 // whose peer died or stopped reading mid-frame.
 const frameTimeout = time.Minute
 
@@ -110,23 +110,36 @@ func (c *Conn) Close() error {
 
 // Send writes one envelope under the frame timeout alone, as replies and
 // heartbeats are.
-func (c *Conn) Send(env Envelope) error { return c.send(context.Background(), env) }
+func (c *Conn) Send(env Envelope) error {
+	return c.send(context.Background(), nil, time.Time{}, env)
+}
 
 // send writes one envelope as one frame in one Write, which must finish
-// by ctx's deadline or within the frame timeout, whichever is earlier.
-// A sender whose ctx ends while it waits for the write side gets ctx's
-// error, writes nothing and leaves the connection up. So does an
-// envelope that cannot be encoded (a Msg that is not a registered
-// Message) or exceeds MaxFrameBytes.
-func (c *Conn) send(ctx context.Context, env Envelope) error {
+// by ctx's deadline, by the bound at (when expire is set) or within the
+// frame timeout, whichever is earliest. expire is the channel of a timer
+// due at at; send returns errExpired only once it has received from it.
+// A sender whose ctx ends or whose bound passes while it waits for the
+// write side gets ctx's error or errExpired, writes nothing and leaves
+// the connection up. So does an envelope that cannot be encoded (a Msg
+// that is not a registered Message) or exceeds MaxFrameBytes.
+func (c *Conn) send(ctx context.Context, expire <-chan time.Time, at time.Time, env Envelope) error {
 	select {
 	case c.writing <- struct{}{}:
 	case <-ctx.Done():
 		return ctx.Err()
+	case <-expire:
+		return errExpired
 	}
 	defer func() { <-c.writing }()
 	if err := ctx.Err(); err != nil {
 		return err // both cases were ready and the lock won
+	}
+	// The same for the bound, or it is due and its timer has not fired
+	// yet: either way a write now would time out at once and close the
+	// connection.
+	if expire != nil && !time.Now().Before(at) {
+		<-expire // due: it fires now if it has not already
+		return errExpired
 	}
 	frame, err := appendEnvelope(append(c.wbuf[:0], 0, 0, 0, 0), &env)
 	if cap(frame) <= keepBufBytes {
@@ -145,6 +158,9 @@ func (c *Conn) send(ctx context.Context, env Envelope) error {
 	deadline := time.Now().Add(c.timeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
+	}
+	if expire != nil && at.Before(deadline) {
+		deadline = at
 	}
 	_ = c.raw.SetWriteDeadline(deadline)
 	if _, err := c.raw.Write(frame); err != nil {

@@ -3,6 +3,7 @@ package wire
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 )
@@ -74,7 +75,10 @@ func NewClientPool(cfg PoolConfig) *ClientPool {
 
 // Get returns a live peer for addr, reusing the cached connection when
 // healthy and dialing (or redialing) otherwise.
-func (p *ClientPool) Get(addr string) (*Peer, error) {
+func (p *ClientPool) Get(addr string) (*Peer, error) { return p.get(addr, 0) }
+
+// get is Get with a dial that also ends within bound, when bound > 0.
+func (p *ClientPool) get(addr string, bound time.Duration) (*Peer, error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -96,7 +100,11 @@ func (p *ClientPool) Get(addr string) (*Peer, error) {
 	}
 	p.mu.Unlock()
 
-	peer, err := Dial(addr, p.cfg.DialTimeout, nil)
+	timeout := p.cfg.DialTimeout
+	if bound > 0 && (timeout <= 0 || bound < timeout) {
+		timeout = bound
+	}
+	peer, err := Dial(addr, timeout, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -127,18 +135,70 @@ func (p *ClientPool) Get(addr string) (*Peer, error) {
 	return peer, nil
 }
 
-// Call issues one request to addr over the pooled connection, dialing or
-// reconnecting as needed. Any failure other than a RemoteError drops the
-// cached connection, so the next call starts from a fresh dial rather
-// than reusing a suspect peer. The call itself is never retried — see
-// CallRetry for idempotent requests. ctx's deadline is the call's only
-// bound beyond the frame timeout, so callers should always set one.
+// Call is CallWithin with no bound of its own: ctx's deadline is the
+// call's only bound beyond the frame timeout.
 func (p *ClientPool) Call(ctx context.Context, addr string, msg any) (any, error) {
-	peer, err := p.Get(addr)
+	return p.CallWithin(ctx, addr, msg, 0)
+}
+
+// CallWithin issues one request to addr over the pooled connection,
+// dialing or reconnecting as needed, all within d when d > 0 (see
+// Peer.CallWithin) and no longer than ctx allows. Any failure other than
+// a RemoteError drops the cached connection, so the next call starts
+// from a fresh dial rather than reusing a suspect peer. The call itself
+// is never retried — see CallRetry for idempotent requests. Callers
+// should always set a bound, d or ctx's deadline.
+func (p *ClientPool) CallWithin(ctx context.Context, addr string, msg any, d time.Duration) (any, error) {
+	return p.callUntil(ctx, addr, msg, after(d))
+}
+
+// CallRetry is CallWithin under the default Retry policy: transient
+// transport failures are retried with backoff against a freshly dialed
+// connection. d, when > 0, is the whole budget, every attempt and
+// backoff included. Only use it for idempotent requests (polls,
+// registrations, preempts) — a request whose reply was lost in flight
+// will execute again.
+func (p *ClientPool) CallRetry(ctx context.Context, addr string, msg any, d time.Duration) (any, error) {
+	var reply any
+	until := after(d)
+	attempt := 0
+	err := Retry{}.do(ctx, until, func() error {
+		attempt++
+		if attempt > 1 {
+			p.mu.Lock()
+			p.stats.Retries++
+			p.mu.Unlock()
+			mPoolRetries.Inc()
+		}
+		var err error
+		reply, err = p.callUntil(ctx, addr, msg, until)
+		return err
+	})
+	return reply, err
+}
+
+// after is the time d from now, or the zero time (no bound) if d ≤ 0.
+func after(d time.Duration) time.Time {
+	if d <= 0 {
+		return time.Time{}
+	}
+	return time.Now().Add(d)
+}
+
+// callUntil is CallWithin ending by until, or unbounded if it is zero.
+func (p *ClientPool) callUntil(ctx context.Context, addr string, msg any, until time.Time) (any, error) {
+	d, err := left(until)
 	if err != nil {
 		return nil, err
 	}
-	reply, err := peer.Call(ctx, msg)
+	peer, err := p.get(addr, d)
+	if err != nil {
+		return nil, err
+	}
+	if d, err = left(until); err != nil {
+		return nil, err
+	}
+	reply, err := peer.CallWithin(ctx, msg, d)
 	if err != nil {
 		var remote *RemoteError
 		if !errors.As(err, &remote) {
@@ -148,26 +208,16 @@ func (p *ClientPool) Call(ctx context.Context, addr string, msg any) (any, error
 	return reply, err
 }
 
-// CallRetry is Call under the default Retry policy: transient transport
-// failures are retried with backoff against a freshly dialed connection.
-// Only use it for idempotent requests (polls, registrations, preempts) —
-// a request whose reply was lost in flight will execute again.
-func (p *ClientPool) CallRetry(ctx context.Context, addr string, msg any) (any, error) {
-	var reply any
-	attempt := 0
-	err := Retry{}.Do(ctx, func() error {
-		attempt++
-		if attempt > 1 {
-			p.mu.Lock()
-			p.stats.Retries++
-			p.mu.Unlock()
-			mPoolRetries.Inc()
-		}
-		var err error
-		reply, err = p.Call(ctx, addr, msg)
-		return err
-	})
-	return reply, err
+// left is the time until until, 0 (no bound) if until is zero, or a
+// not-sent expiry if it has passed.
+func left(until time.Time) (time.Duration, error) {
+	if until.IsZero() {
+		return 0, nil
+	}
+	if d := time.Until(until); d > 0 {
+		return d, nil
+	}
+	return 0, fmt.Errorf("%w: %w", ErrNotSent, errExpired)
 }
 
 // Invalidate drops addr's cached connection (if any), e.g. because the

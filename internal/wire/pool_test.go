@@ -3,6 +3,7 @@ package wire
 import (
 	"context"
 	"errors"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -138,9 +139,7 @@ func TestPoolCallRetryRidesOutTransientDialFailure(t *testing.T) {
 			time.Sleep(50 * time.Millisecond)
 		}
 	}()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	reply, err := p.CallRetry(ctx, addr, ping{N: 1})
+	reply, err := p.CallRetry(context.Background(), addr, ping{N: 1}, 10*time.Second)
 	if srv := <-started; srv != nil {
 		defer srv.Close()
 	}
@@ -164,7 +163,7 @@ func TestPoolCallRetryDoesNotRetryRemoteError(t *testing.T) {
 	}
 	defer srv.Close()
 	p := newTestPool(t, PoolConfig{})
-	_, err = p.CallRetry(context.Background(), srv.Addr(), ping{N: 1})
+	_, err = p.CallRetry(context.Background(), srv.Addr(), ping{N: 1}, 5*time.Second)
 	var remote *RemoteError
 	if !errors.As(err, &remote) {
 		t.Fatalf("err = %v, want RemoteError", err)
@@ -280,5 +279,47 @@ func BenchmarkPooledRPC(b *testing.B) {
 		if _, err := p.Call(ctx, srv.Addr(), ping{N: i}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// CallRetry's bound is its whole budget, backoff included. Against a
+// refused address the default policy's first backoff (50 ms ±20 %) fits
+// in a 100 ms bound and its second (100 ms ±20 %) does not, so the retry
+// gives up after two attempts, before the bound, instead of sleeping past
+// it. Against a station that never answers, the first attempt's wait
+// ends at the bound, and a timeout is not retried.
+func TestCallRetryEndsWithinBound(t *testing.T) {
+	const bound = 100 * time.Millisecond
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := l.Addr().String()
+	l.Close()
+	silent, _ := silentPeer(t)
+
+	for _, tc := range []struct {
+		name, addr string
+		limit      time.Duration
+		retries    uint64
+	}{
+		{"refused", refused, bound, 1},
+		{"silent", silent, bound + 50*time.Millisecond, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newTestPool(t, PoolConfig{})
+			start := time.Now()
+			_, err := p.CallRetry(context.Background(), tc.addr, ping{N: 1}, bound)
+			elapsed := time.Since(start)
+			if err == nil {
+				t.Fatal("CallRetry succeeded")
+			}
+			if elapsed >= tc.limit {
+				t.Fatalf("CallRetry took %v under a %v bound (err %v)", elapsed, bound, err)
+			}
+			if got := p.Stats().Retries; got != tc.retries {
+				t.Fatalf("retries = %d, want %d (err %v)", got, tc.retries, err)
+			}
+		})
 	}
 }

@@ -180,9 +180,9 @@ func deadlineRace(t *testing.T, peer *Peer, deadlines *sync.Map) {
 }
 
 // A Call round trip allocates one object, the server's serve goroutine:
-// the length word lives in the read buffer, the reply slot comes from a
-// pool, and ping{} and the empty envelope fields decode without
-// allocating.
+// the length word lives in the read buffer, the peer reuses its reply
+// slots and the timers that bound calls, and ping{} and the empty
+// envelope fields decode without allocating.
 func TestCallAllocatesOnlyServe(t *testing.T) {
 	srv, err := NewServer("127.0.0.1:0", func(*Peer) Handler {
 		return func(_ context.Context, msg any) (any, error) { return msg, nil }
@@ -197,13 +197,73 @@ func TestCallAllocatesOnlyServe(t *testing.T) {
 	}
 	defer peer.Close()
 	ctx := context.Background()
-	call := func() {
-		if _, err := peer.Call(ctx, ping{}); err != nil {
-			t.Fatal(err)
+	for _, bound := range []time.Duration{0, time.Minute} {
+		call := func() {
+			if _, err := peer.CallWithin(ctx, ping{}, bound); err != nil {
+				t.Fatal(err)
+			}
+		}
+		call()
+		if avg := testing.AllocsPerRun(500, call); avg > 1 {
+			t.Fatalf("a Call round trip bounded by %v allocates %.2f objects, want ≤ 1", bound, avg)
 		}
 	}
-	call()
-	if avg := testing.AllocsPerRun(500, call); avg > 1 {
-		t.Fatalf("a Call round trip allocates %.2f objects, want ≤ 1", avg)
+}
+
+// A slot's timer is reused from call to call, so a call whose reply wins
+// the race against its timer must not leave the timer's value behind: the
+// next call on that slot would read it as its own expiry. 1000 calls
+// alternate: odd ones are answered just as their 2 ms bound passes and
+// may get their reply or expire, and even ones are answered at once and
+// must get their reply. The bound also ends a request write still under
+// way, which closes the connection, so the calls ride TCP, whose small
+// writes land in the socket buffer at once.
+func TestBoundTimerReuseAlternatingOutcomes(t *testing.T) {
+	var deadlines sync.Map // request number → its call's deadline
+	srv, err := NewServer("127.0.0.1:0", func(*Peer) Handler {
+		return func(_ context.Context, msg any) (any, error) {
+			n := msg.(ping).N
+			if d, ok := deadlines.Load(n); ok {
+				time.Sleep(time.Until(d.(time.Time)))
+			}
+			return pong{N: n}, nil
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	peer, err := Dial(srv.Addr(), time.Second, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+
+	var answered, expired int
+	within(t, 20*time.Second, func() {
+		for n := 0; n < 1000; n++ {
+			bound := time.Second
+			if n%2 == 1 {
+				bound = 2 * time.Millisecond
+				deadlines.Store(n, time.Now().Add(bound))
+			}
+			reply, err := peer.CallWithin(context.Background(), ping{N: n}, bound)
+			switch {
+			case err == nil && reply.(pong).N == n:
+				answered++
+			case err == nil:
+				t.Errorf("call %d returned the reply to call %d", n, reply.(pong).N)
+				return
+			case n%2 == 1 && errors.Is(err, context.DeadlineExceeded):
+				expired++
+			default:
+				t.Errorf("call %d (bound %v): %v", n, bound, err)
+				return
+			}
+		}
+	})
+	t.Logf("%d answered, %d expired", answered, expired)
+	if peer.Dead() {
+		t.Fatal("the connection died")
 	}
 }

@@ -95,6 +95,12 @@ func Retryable(err error) bool {
 // between attempts. ctx cancellation stops the loop between attempts
 // (the in-flight op must bound itself with the same ctx).
 func (r Retry) Do(ctx context.Context, op func() error) error {
+	return r.do(ctx, time.Time{}, op)
+}
+
+// do is Do that also gives up, with op's last error, when a backoff would
+// end at or past until (if set): no attempt starts after it.
+func (r Retry) do(ctx context.Context, until time.Time, op func() error) error {
 	r.sanitize()
 	var err error
 	for attempt := 1; ; attempt++ {
@@ -102,7 +108,11 @@ func (r Retry) Do(ctx context.Context, op func() error) error {
 		if err == nil || !Retryable(err) || attempt >= r.MaxAttempts {
 			return err
 		}
-		timer := time.NewTimer(r.Backoff(attempt))
+		backoff := r.Backoff(attempt)
+		if !until.IsZero() && !time.Now().Add(backoff).Before(until) {
+			return err
+		}
+		timer := time.NewTimer(backoff)
 		select {
 		case <-ctx.Done():
 			timer.Stop()
