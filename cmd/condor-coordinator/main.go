@@ -67,7 +67,7 @@ func run(listen string, poll time.Duration, grants int, history bool, policyName
 	}
 	defer coord.Close()
 	if httpAddr != "" {
-		srv, err := telemetry.Serve(httpAddr, telemetry.Default)
+		srv, err := telemetry.Serve(httpAddr, telemetry.Default, coord.Ready)
 		if err != nil {
 			return err
 		}

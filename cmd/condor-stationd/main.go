@@ -157,7 +157,7 @@ func run(o stationOpts) error {
 	defer st.Close()
 	fmt.Printf("condor-stationd %q listening on %s\n", st.Name(), st.Addr())
 	if o.httpAddr != "" {
-		srv, err := telemetry.Serve(o.httpAddr, telemetry.Default)
+		srv, err := telemetry.Serve(o.httpAddr, telemetry.Default, nil)
 		if err != nil {
 			return err
 		}

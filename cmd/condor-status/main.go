@@ -105,9 +105,10 @@ func healthCell(s proto.StationInfo, now time.Time) string {
 	return cell
 }
 
-// printReady surfaces the coordinator's failing readiness checks — the
-// same "name: reason" lines its /healthz serves in a 503 body — so an
-// unready daemon explains itself without a second scrape.
+// printReady surfaces the coordinator's failing readiness check — the
+// reason its /healthz serves in a 503 body, as "coordinator@<addr>:
+// reason" — so an unready daemon explains itself without a second
+// scrape.
 func printReady(ci proto.CoordinatorInfo) {
 	if len(ci.ReadyFailures) == 0 {
 		return

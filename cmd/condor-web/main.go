@@ -29,8 +29,6 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:9620", "dashboard listen address")
 	coordAddr := flag.String("coordinator", "127.0.0.1:9618", "coordinator wire address")
 	refresh := flag.Duration("refresh", 2*time.Second, "aggregation interval")
-	cycleInterval := flag.Duration("cycle-interval", 2*time.Minute,
-		"coordinator's allocation-cycle interval (the cycle_lag alert field is cycle age over this)")
 	var relays, rules repeatable
 	flag.Var(&relays, "relay",
 		"operational listener whose /events stream is relayed onto this dashboard; repeatable (for multi-process pools)")
@@ -49,7 +47,6 @@ func main() {
 	srv, err := web.NewServer(web.Config{
 		CoordinatorAddr: *coordAddr,
 		Refresh:         *refresh,
-		CycleInterval:   *cycleInterval,
 		Rules:           parsed,
 	})
 	if err != nil {

@@ -22,7 +22,7 @@ import (
 // bound, and in agreement with the per-predicate deny counters on
 // /metrics.
 func TestDecisionAuditEndToEnd(t *testing.T) {
-	srv, err := telemetry.Serve("127.0.0.1:0", telemetry.Default)
+	srv, err := telemetry.Serve("127.0.0.1:0", telemetry.Default, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

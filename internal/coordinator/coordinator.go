@@ -207,8 +207,6 @@ type Coordinator struct {
 	// totals are saved and restored with its state, so they need an
 	// instance whose lifecycle matches the journal's.
 	led *accounting.Ledger
-	// readyName identifies this coordinator's /healthz readiness check.
-	readyName string
 	// lastCycleNanos is when the last poll cycle completed; journalHealthy
 	// clears when a state save fails. Both feed Ready().
 	lastCycleNanos atomic.Int64
@@ -282,15 +280,15 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, err
 	}
 	c.server = server
-	c.readyName = "coordinator@" + server.Addr()
-	telemetry.RegisterReadiness(c.readyName, c.Ready)
 	go c.pollLoop()
 	return c, nil
 }
 
 // Ready reports whether this coordinator should pass a readiness probe:
 // the journal (if any) is writable and the poll loop is still turning
-// over. Registered on /healthz, which answers 503 while it errors.
+// over. condor-coordinator hands it to its -http listener, whose
+// /healthz answers 503 while it errors, and PoolStatusReply carries its
+// failure.
 func (c *Coordinator) Ready() error {
 	if !c.journalHealthy.Load() {
 		return errors.New("journal unhealthy (state write failing)")
@@ -298,6 +296,15 @@ func (c *Coordinator) Ready() error {
 	if age := time.Since(time.Unix(0, c.lastCycleNanos.Load())); age > 2*c.cfg.PollInterval {
 		return fmt.Errorf("last poll cycle %s ago (interval %s)",
 			age.Round(time.Millisecond), c.cfg.PollInterval)
+	}
+	return nil
+}
+
+// readyFailures is Ready's failure as PoolStatusReply carries it:
+// "coordinator@<addr>: <reason>", or none when ready.
+func (c *Coordinator) readyFailures() []string {
+	if err := c.Ready(); err != nil {
+		return []string{fmt.Sprintf("coordinator@%s: %v", c.Addr(), err)}
 	}
 	return nil
 }
@@ -341,7 +348,6 @@ func (c *Coordinator) Addr() string { return c.server.Addr() }
 func (c *Coordinator) Close() {
 	c.closeOnce.Do(func() { close(c.stop) })
 	<-c.done
-	telemetry.UnregisterReadiness(c.readyName)
 	c.server.Close()
 	c.pool.Close()
 	if c.journal != nil {
@@ -545,23 +551,24 @@ func (c *Coordinator) handlerFor(peer *wire.Peer) wire.Handler {
 					Retries:    stats.Retries,
 				},
 				Coordinator: proto.CoordinatorInfo{
-					ReadyFailures:     telemetry.ReadinessFailures(),
-					PolicyName:        c.pipeline.Name(),
-					Incarnation:       stats.Incarnation,
-					StartedUnixMillis: c.started.UnixMilli(),
-					Cycles:            stats.Cycles,
-					Grants:            stats.Grants,
-					GrantsUsed:        stats.GrantsUsed,
-					GrantsDenied:      stats.GrantsDenied,
-					Preempts:          stats.Preempts,
-					Degraded:          degraded,
-					Suspects:          stats.Suspects,
-					Quarantines:       stats.Quarantines,
-					Readmissions:      stats.Readmissions,
-					ByzantineReplies:  stats.ByzantineReplies,
-					DecideCount:       decideCount,
-					DecideSeconds:     decideSeconds,
-					Persistent:        c.journal != nil,
+					ReadyFailures:      c.readyFailures(),
+					PollIntervalMillis: c.cfg.PollInterval.Milliseconds(),
+					PolicyName:         c.pipeline.Name(),
+					Incarnation:        stats.Incarnation,
+					StartedUnixMillis:  c.started.UnixMilli(),
+					Cycles:             stats.Cycles,
+					Grants:             stats.Grants,
+					GrantsUsed:         stats.GrantsUsed,
+					GrantsDenied:       stats.GrantsDenied,
+					Preempts:           stats.Preempts,
+					Degraded:           degraded,
+					Suspects:           stats.Suspects,
+					Quarantines:        stats.Quarantines,
+					Readmissions:       stats.Readmissions,
+					ByzantineReplies:   stats.ByzantineReplies,
+					DecideCount:        decideCount,
+					DecideSeconds:      decideSeconds,
+					Persistent:         c.journal != nil,
 					Journal: proto.JournalStats{
 						Appends:  stats.JournalAppends,
 						LogBytes: stats.JournalLogBytes,

@@ -521,3 +521,50 @@ func TestTracesAccountingConcurrentReaders(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPoolStatusReadinessIsThisCoordinators: two coordinators in one
+// process, one unready because its state saves fail. Each
+// PoolStatusReply carries its own coordinator's readiness only: the
+// ready one reports no failure, and the other names itself.
+func TestPoolStatusReadinessIsThisCoordinators(t *testing.T) {
+	good, err := New(Config{PollInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer good.Close()
+	bad, err := New(Config{PollInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bad.Close()
+	bad.journalHealthy.Store(false) // what a failed state save leaves
+	if bad.Ready() == nil {
+		t.Fatal("a coordinator whose saves fail reports ready")
+	}
+
+	readyFailures := func(c *Coordinator) []string {
+		peer, err := wire.Dial(c.Addr(), time.Second, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer peer.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		reply, err := peer.Call(ctx, proto.PoolStatusRequest{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sr := reply.(proto.PoolStatusReply)
+		if want := time.Hour.Milliseconds(); sr.Coordinator.PollIntervalMillis != want {
+			t.Errorf("PollIntervalMillis = %d, want %d", sr.Coordinator.PollIntervalMillis, want)
+		}
+		return sr.Coordinator.ReadyFailures
+	}
+	if f := readyFailures(good); len(f) != 0 {
+		t.Errorf("the ready coordinator reports %q", f)
+	}
+	f := readyFailures(bad)
+	if want := "coordinator@" + bad.Addr() + ": journal unhealthy"; len(f) != 1 || !strings.HasPrefix(f[0], want) {
+		t.Errorf("the unready coordinator reports %q, want one line starting %q", f, want)
+	}
+}

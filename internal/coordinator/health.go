@@ -11,6 +11,7 @@ import (
 	"condor/internal/eventlog"
 	"condor/internal/proto"
 	"condor/internal/telemetry"
+	"condor/internal/wire"
 )
 
 // Graded station health. The paper's coordinator models a station as
@@ -98,10 +99,11 @@ type health struct {
 	// suspicion is the current score in [0,1], recomputed by observe.
 	suspicion float64
 
-	// Quarantine probing.
-	probeAt time.Time
-	backoff time.Duration
-	probeOK int
+	// Quarantine probing: probeAt is the next probe, and backoffs counts
+	// the quarantine's backoff waits so far, which sets the next one.
+	probeAt  time.Time
+	backoffs int
+	probeOK  int
 	// rng is a per-station xorshift state for probe jitter.
 	rng uint64
 }
@@ -126,14 +128,11 @@ func (h *health) rand() uint64 {
 	return x
 }
 
-// jitter returns d ± 25%.
-func (h *health) jitter(d time.Duration) time.Duration {
-	span := int64(d) / 2 // ±25% = a window half as wide as d
-	if span <= 0 {
-		return d // no backoff, or one too short to jitter (1 ns)
-	}
-	off := int64(h.rand()%uint64(span)) - span/2
-	return d + time.Duration(off)
+// probeDelay is the wait before a quarantined station's probe after the
+// attempt-th backoff: ProbeBase doubling up to ProbeMax, ±25% drawn from
+// the uniform word u (the station's own jitter stream).
+func (hc HealthConfig) probeDelay(attempt int, u uint64) time.Duration {
+	return wire.Backoff(hc.ProbeBase, hc.ProbeMax, attempt, 0.25, u)
 }
 
 // observe folds one contact outcome (a poll, a probe, or an act-phase
@@ -234,7 +233,7 @@ func (h *health) resetScoring() {
 	h.slowStreak = 0
 	h.suspicion = 0
 	h.probeOK = 0
-	h.backoff = 0
+	h.backoffs = 0
 	h.probeAt = time.Time{}
 }
 
@@ -314,8 +313,7 @@ func (c *Coordinator) setHealthLocked(s *station, to proto.StationHealth, reason
 		c.stats.Quarantines++
 		mQuarantines.With(coarseReason(reason)).Inc()
 		s.health.probeOK = 0
-		s.health.backoff = c.cfg.Health.ProbeBase
-		s.health.probeAt = now.Add(s.health.jitter(s.health.backoff))
+		c.backoffProbeLocked(s, now) // backoffs is 0: leaving quarantine reset it
 		c.events.Append(eventlog.Event{Kind: eventlog.KindQuarantine, Station: s.name, Detail: reason})
 	}
 }
@@ -406,7 +404,7 @@ func (c *Coordinator) evalHealthLocked(s *station, now time.Time, pollOK bool, b
 			} else {
 				// Probe again soon: readmission wants consecutive
 				// successes, not one lucky packet.
-				h.probeAt = now.Add(h.jitter(c.cfg.Health.ProbeBase))
+				h.probeAt = now.Add(c.cfg.Health.probeDelay(1, h.rand()))
 			}
 		} else {
 			h.probeOK = 0
@@ -458,19 +456,12 @@ func suspectReason(h *health) string {
 	return fmt.Sprintf("timeout: suspicion %.2f over window", h.suspicion)
 }
 
-// backoffProbeLocked doubles (and jitters) a quarantined station's probe
-// gap up to ProbeMax.
+// backoffProbeLocked schedules a quarantined station's next probe one
+// backoff further out than the last.
 func (c *Coordinator) backoffProbeLocked(s *station, now time.Time) {
 	h := &s.health
-	if h.backoff <= 0 {
-		h.backoff = c.cfg.Health.ProbeBase
-	} else {
-		h.backoff *= 2
-	}
-	if h.backoff > c.cfg.Health.ProbeMax {
-		h.backoff = c.cfg.Health.ProbeMax
-	}
-	h.probeAt = now.Add(h.jitter(h.backoff))
+	h.backoffs++
+	h.probeAt = now.Add(c.cfg.Health.probeDelay(h.backoffs, h.rand()))
 }
 
 // updateDegradedLocked recomputes degraded mode from the pool's health

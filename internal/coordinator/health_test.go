@@ -522,14 +522,49 @@ func TestStalledExecDoesNotQuarantineRequester(t *testing.T) {
 	}
 }
 
-// TestProbeJitterBounds: probe backoff jitter stays within ±25%, and a
-// backoff too short to jitter (ProbeBase 1 ns, from -poll 1ns) comes
-// back unchanged instead of dividing by zero.
+// TestProbeJitterBounds: probe backoff jitter, drawn from the station's
+// own stream, stays within ±25%, and a backoff too short to jitter
+// (ProbeBase 1 ns, from -poll 1ns) comes back unchanged.
 func TestProbeJitterBounds(t *testing.T) {
 	h := newHealth("ws1", time.Unix(0, 0))
 	for _, d := range []time.Duration{time.Nanosecond, 2 * time.Nanosecond, time.Second} {
-		if got := h.jitter(d); got < d-d/4 || got > d+d/4 {
-			t.Errorf("jitter(%v) = %v, outside ±25%%", d, got)
+		hc := HealthConfig{ProbeBase: d, ProbeMax: d}
+		for i := 0; i < 100; i++ {
+			if got := hc.probeDelay(1, h.rand()); got < d-d/4 || got > d+d/4 {
+				t.Fatalf("probe delay %v = %v, outside ±25%%", d, got)
+			}
+		}
+	}
+	hc := HealthConfig{ProbeBase: time.Nanosecond, ProbeMax: time.Nanosecond}
+	for i := 0; i < 100; i++ {
+		if got := hc.probeDelay(3, h.rand()); got != time.Nanosecond {
+			t.Fatalf("1ns probe delay = %v, want it unjittered", got)
+		}
+	}
+}
+
+// TestProbeSchedule: with jitter centred, quarantine entry and failed
+// probes wait ProbeBase doubling up to ProbeMax (the readmission probe,
+// attempt 1, waits ProbeBase), and the scheduled probes stay within
+// ±25% of that.
+func TestProbeSchedule(t *testing.T) {
+	cfg := Config{PollInterval: 10 * time.Second}
+	cfg.sanitize()
+	s := 10 * time.Second
+	want := []time.Duration{s, 2 * s, 4 * s, 8 * s, 16 * s, 16 * s, 16 * s, 16 * s}
+	for i, w := range want {
+		if got := cfg.Health.probeDelay(i+1, 1<<63); got != w {
+			t.Errorf("probe delay after backoff %d = %v, want %v", i+1, got, w)
+		}
+	}
+	h := newHealth("ws1", time.Unix(0, 0))
+	coord := &Coordinator{cfg: cfg}
+	st := &station{name: "ws1", health: h}
+	now := time.Unix(1000, 0)
+	for i, w := range want {
+		coord.backoffProbeLocked(st, now)
+		if got := st.health.probeAt.Sub(now); got < w-w/4 || got > w+w/4 {
+			t.Errorf("probe %d scheduled %v out, want %v ±25%%", i+1, got, w)
 		}
 	}
 }

@@ -222,7 +222,7 @@ func (c *Coordinator) openJournal() error {
 				// Probe promptly under the new incarnation: the old
 				// backoff schedule died with the old process, and the
 				// station still has to earn readmission.
-				s.health.backoff = c.cfg.Health.ProbeBase
+				s.health.backoffs = 1
 				s.health.probeAt = now
 			}
 		}

@@ -50,8 +50,10 @@ func (m *ScriptedMonitor) SetActive(active bool) {
 
 // Tracker accumulates a station's availability history from periodic
 // observations: the current idle streak and the historic mean idle
-// interval, which feed the §5.1 history-based placement strategy.
-// The caller passes the time of each call. The zero Tracker (owner
+// interval, which feed the §5.1 history-based placement strategy. It is
+// the one idle history on both substrates: the live starter's owner scan
+// feeds it, and so does the simulator at every owner flip. The caller
+// passes the time of each call. The zero Tracker (owner
 // active, no history) is ready to use and is safe for concurrent use.
 type Tracker struct {
 	mu sync.Mutex
@@ -101,4 +103,11 @@ func (t *Tracker) AvgIdleLen() time.Duration {
 		return 0
 	}
 	return t.totalIdle / time.Duration(t.intervals)
+}
+
+// Intervals returns how many idle intervals have completed.
+func (t *Tracker) Intervals() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.intervals
 }

@@ -507,12 +507,16 @@ type CoordinatorInfo struct {
 	Quarantines      uint64
 	Readmissions     uint64
 	ByzantineReplies uint64
-	// ReadyFailures lists the daemon's failing readiness checks as
-	// "name: reason" lines — the same detail /healthz serves in its 503
-	// body, so condor-status and the dashboard can show *why* a daemon
-	// is unready. Empty means ready (and from coordinators predating
+	// ReadyFailures holds the coordinator's failing readiness check as
+	// one "coordinator@<addr>: reason" line — the reason /healthz serves
+	// in its 503 body, so condor-status and the dashboard can show *why*
+	// it is unready. Empty means ready (and from coordinators predating
 	// this field).
 	ReadyFailures []string
+	// PollIntervalMillis is the coordinator's poll (allocation-cycle)
+	// interval, which condor-web divides cycle age by for cycle_lag. 0
+	// from coordinators predating this field.
+	PollIntervalMillis int64
 	// DecideCount and DecideSeconds are the active policy's
 	// condor_policy_decide_seconds count and sum in this process: the
 	// dashboard turns their deltas into a mean decide latency.

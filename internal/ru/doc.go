@@ -22,6 +22,9 @@
 //     (§4). The §4 alternative, killing immediately and relying on
 //     periodic checkpoints, is available as VacatePolicy/
 //     PeriodicCheckpoint and is compared in the A5 ablation.
+//     The same scan, resident job or not, keeps the machine's idle
+//     history (a machine.Tracker) that the station's poll reply
+//     carries for §5.1 history placement.
 //
 // A link carries one placement at a time, as a Starter hosts one job.
 // The shadow hands it back to the idle pool (at most one idle link per

@@ -36,13 +36,13 @@ var idleLinks = struct {
 	m map[linkKey]*link
 }{m: make(map[linkKey]*link)}
 
-// dialLink opens a link, retrying only the TCP connect under the default
-// policy. The heartbeat starts here, once per link: it keeps probing
+// dialLink opens a link, retrying only the TCP connect under
+// wire.Retry. The heartbeat starts here, once per link: it keeps probing
 // while the link is idle, so a half-open idle link dies within three
 // intervals, as a busy one does.
 func dialLink(ctx context.Context, key linkKey, dialTimeout time.Duration) (*link, error) {
 	l := &link{key: key}
-	err := wire.Retry{}.Do(ctx, func() (err error) {
+	err := wire.Retry(ctx, func() (err error) {
 		l.peer, err = wire.Dial(key.addr, dialTimeout, l.handle)
 		return err
 	})

@@ -542,3 +542,53 @@ func TestNewStarterRequiresMonitor(t *testing.T) {
 		t.Fatal("starter without monitor accepted")
 	}
 }
+
+// TestScanKeepsIdleHistory: every owner scan feeds the starter's idle
+// history, whether or not a job is resident, and IdleStreak/AvgIdleLen
+// (what the station's poll reply carries) read it.
+func TestScanKeepsIdleHistory(t *testing.T) {
+	// An hour-long scan interval keeps the loop out of the way: the test
+	// drives scanOnce itself, at explicit times.
+	s := newSite(t, StarterConfig{ScanInterval: time.Hour, SuspendGrace: time.Hour})
+	st, mon := s.starter, s.monitor
+	t0 := time.Unix(1_000_000, 0)
+	at := func(sec int) time.Time { return t0.Add(time.Duration(sec) * time.Second) }
+	check := func(now time.Time, streak, avg time.Duration) {
+		t.Helper()
+		if got := st.IdleStreak(now); got != streak {
+			t.Errorf("IdleStreak = %v, want %v", got, streak)
+		}
+		if got := st.AvgIdleLen(); got != avg {
+			t.Errorf("AvgIdleLen = %v, want %v", got, avg)
+		}
+	}
+
+	// No job resident: the owner is away from 0s to 60s, back until 90s.
+	check(at(0), 0, 0) // nothing scanned yet: no history
+	st.scanOnce(at(0))
+	st.scanOnce(at(30))
+	check(at(45), 45*time.Second, 0)
+	mon.SetActive(true)
+	st.scanOnce(at(60))
+	check(at(60), 0, 60*time.Second)
+	mon.SetActive(false)
+	st.scanOnce(at(90))
+	check(at(100), 10*time.Second, 60*time.Second)
+
+	// A resident job does not change what the scan records: the owner
+	// returns at 210s (suspending the job) and leaves again at 240s.
+	rec := newRecorder()
+	place(t, s, "spin", freshBlob(t, "spin", cvm.SpinProgram(50_000_000)), cvm.NewMemHost(), rec)
+	if _, _, ok := st.Running(); !ok {
+		t.Fatal("the job is not resident")
+	}
+	mon.SetActive(true)
+	st.scanOnce(at(210))
+	check(at(210), 0, 90*time.Second) // (60s + 120s) / 2
+	mon.SetActive(false)
+	st.scanOnce(at(240))
+	check(at(250), 10*time.Second, 90*time.Second)
+	if !st.Vacate("", "test over") {
+		t.Fatal("no job to vacate")
+	}
+}

@@ -59,9 +59,9 @@ const placeTimeout = 30 * time.Second
 // PlaceConfig parameterizes a placement.
 type PlaceConfig struct {
 	// DialTimeout bounds one TCP connect attempt (default 5s, wire's).
-	// The connect is retried under the default wire.Retry policy; the
-	// PlaceRequest handshake runs at most once, because a handshake whose
-	// reply was lost may already have claimed the execution machine. It
+	// The connect is retried under wire.Retry; the PlaceRequest
+	// handshake runs at most once, because a handshake whose reply was
+	// lost may already have claimed the execution machine. It
 	// only matters when no idle link to the machine is kept.
 	DialTimeout time.Duration
 	// Heartbeat probes the execution machine's liveness so a half-open

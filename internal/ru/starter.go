@@ -97,6 +97,8 @@ type Starter struct {
 	curRunning  bool // false while suspended
 	suspendedAt time.Time
 	stats       StarterStats
+	// idle is the owner's availability history, fed by every scan.
+	idle machine.Tracker
 
 	stop      chan struct{}
 	done      chan struct{}
@@ -139,6 +141,15 @@ func (st *Starter) Stats() StarterStats {
 	defer st.mu.Unlock()
 	return st.stats
 }
+
+// IdleStreak returns how long the owner scan has seen the owner away at
+// now (zero while the owner is active). With AvgIdleLen it is what the
+// station's poll reply carries for §5.1 history placement.
+func (st *Starter) IdleStreak(now time.Time) time.Duration { return st.idle.IdleStreak(now) }
+
+// AvgIdleLen returns the mean length of the owner's completed absences
+// seen by the owner scan.
+func (st *Starter) AvgIdleLen() time.Duration { return st.idle.AvgIdleLen() }
 
 // Running returns the resident foreign job's id and owner, if any.
 func (st *Starter) Running() (jobID, owner string, ok bool) {
@@ -266,8 +277,9 @@ func (st *Starter) clear(exec *execution) {
 	}
 }
 
-// scanLoop is the local scheduler's ½-minute owner scan (§2.1) plus the
-// 5-minute grace bookkeeping (§4).
+// scanLoop is the local scheduler's ½-minute owner scan (§2.1), which
+// keeps the machine's idle history, plus the 5-minute grace bookkeeping
+// (§4).
 func (st *Starter) scanLoop() {
 	defer close(st.done)
 	ticker := time.NewTicker(st.cfg.ScanInterval)
@@ -284,6 +296,7 @@ func (st *Starter) scanLoop() {
 
 func (st *Starter) scanOnce(now time.Time) {
 	active := st.cfg.Monitor.OwnerActive()
+	st.idle.Observe(!active, now)
 	st.mu.Lock()
 	cur := st.cur
 	running := st.curRunning

@@ -3,6 +3,7 @@ package schedd
 import (
 	"context"
 	"fmt"
+	"math/rand/v2"
 	"time"
 
 	"condor/internal/accounting"
@@ -97,8 +98,8 @@ func (st *Station) handlePoll() proto.PollReply {
 		State:            st.State(),
 		WaitingJobs:      st.WaitingJobs(),
 		DiskFreeBytes:    st.diskFree(),
-		IdleStreakMillis: st.tracker.IdleStreak(time.Now()).Milliseconds(),
-		AvgIdleMillis:    st.tracker.AvgIdleLen().Milliseconds(),
+		IdleStreakMillis: st.starter.IdleStreak(time.Now()).Milliseconds(),
+		AvgIdleMillis:    st.starter.AvgIdleLen().Milliseconds(),
 	}
 	if jobID, _, ok := st.starter.Running(); ok {
 		reply.ForeignJob = jobID
@@ -187,7 +188,7 @@ func (st *Station) StartRegistrar(coordAddr string) (stop func(), err error) {
 						interval = iv
 					}
 					attempts++
-					wait = wire.Retry{BaseDelay: interval, MaxDelay: 16 * interval, Jitter: 0.25}.Backoff(attempts)
+					wait = reregisterDelay(interval, attempts, rand.Uint64())
 				} else {
 					attempts = 0
 				}
@@ -199,6 +200,13 @@ func (st *Station) StartRegistrar(coordAddr string) (stop func(), err error) {
 		close(stopCh)
 		<-doneCh
 	}, nil
+}
+
+// reregisterDelay is the wait after the attempt-th re-registration
+// that no poll followed: the poll interval, doubling up to 16×, ±25%
+// (u is the uniform word wire.Backoff draws the jitter from).
+func reregisterDelay(interval time.Duration, attempt int, u uint64) time.Duration {
+	return wire.Backoff(interval, 16*interval, attempt, 0.25, u)
 }
 
 // Register announces the station to the coordinator at coordAddr. The

@@ -2,6 +2,7 @@ package schedd
 
 import (
 	"context"
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -51,5 +52,22 @@ func TestRegistrarBacksOffWhileCoordinatorSilent(t *testing.T) {
 	}
 	if got == 0 {
 		t.Fatal("registrar never re-registered against a silent coordinator")
+	}
+}
+
+// TestReregisterSchedule: with jitter centred, re-registration waits the
+// poll interval doubling up to 16×, and the jitter stays within ±25%.
+func TestReregisterSchedule(t *testing.T) {
+	iv := 10 * time.Second
+	want := []time.Duration{iv, 2 * iv, 4 * iv, 8 * iv, 16 * iv, 16 * iv, 16 * iv, 16 * iv}
+	for i, w := range want {
+		if got := reregisterDelay(iv, i+1, 1<<63); got != w {
+			t.Errorf("re-registration delay after attempt %d = %v, want %v", i+1, got, w)
+		}
+		for _, u := range []uint64{0, math.MaxUint64} {
+			if got := reregisterDelay(iv, i+1, u); got < w-w/4 || got > w+w/4 {
+				t.Errorf("re-registration delay after attempt %d (u=%#x) = %v, want %v ±25%%", i+1, u, got, w)
+			}
+		}
 	}
 }

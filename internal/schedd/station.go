@@ -110,7 +110,6 @@ type Station struct {
 	cfg     Config
 	server  *wire.Server
 	starter *ru.Starter
-	tracker machine.Tracker
 	events  *eventlog.Log
 	// pool caches the station's outbound control connections (to the
 	// coordinator), so the registrar does not dial fresh on every
@@ -131,11 +130,11 @@ type Station struct {
 	closed        bool
 
 	stop chan struct{}
-	done chan struct{}
 }
 
-// New creates and starts a station: its wire server, its starter (so the
-// machine can host foreign jobs), and its availability tracker.
+// New creates and starts a station: its wire server and its starter, whose
+// owner scan lets the machine host foreign jobs and keeps its idle
+// history.
 func New(cfg Config) (*Station, error) {
 	if err := cfg.sanitize(); err != nil {
 		return nil, err
@@ -147,7 +146,6 @@ func New(cfg Config) (*Station, error) {
 		gQueue:   mQueueDepth.With(cfg.Name),
 		gWaiting: mWaitingJobs.With(cfg.Name),
 		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
 	}
 	// The station's job-lifecycle trail (submit, place, vacate,
 	// complete, ...) also rides the process event bus for the
@@ -175,7 +173,6 @@ func New(cfg Config) (*Station, error) {
 	}
 	st.server = server
 	st.recoverJobs()
-	go st.trackLoop()
 	return st, nil
 }
 
@@ -305,33 +302,12 @@ func (st *Station) Close() {
 	}
 	st.mu.Unlock()
 	close(st.stop)
-	<-st.done
 	for _, sh := range shadows {
 		sh.Close()
 	}
 	st.server.Close()
 	st.starter.Close()
 	st.pool.Close()
-}
-
-// trackLoop feeds the availability tracker, mirroring the local
-// scheduler's ½-minute scan.
-func (st *Station) trackLoop() {
-	defer close(st.done)
-	interval := st.cfg.Starter.ScanInterval
-	if interval <= 0 {
-		interval = 30 * time.Second
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-st.stop:
-			return
-		case <-ticker.C:
-			st.tracker.Observe(!st.cfg.Monitor.OwnerActive(), time.Now())
-		}
-	}
 }
 
 // SubmitOptions tunes one submission.

@@ -165,8 +165,8 @@ func (r *Report) collect(s *simulator) {
 			CondorPct:     100 * m.claimedTime.Hours() / w,
 			SuspendPct:    100 * m.suspendTime.Hours() / w,
 			DownPct:       100 * m.downTime.Hours() / w,
-			IdleIntervals: m.idleIntervals,
-			AvgIdleHours:  m.avgIdle().Hours(),
+			IdleIntervals: m.idle.Intervals(),
+			AvgIdleHours:  m.idle.AvgIdleLen().Hours(),
 		}
 		row.IdlePct = 100 - row.OwnerPct - row.CondorPct - row.SuspendPct - row.DownPct
 		if row.IdlePct < 0 {

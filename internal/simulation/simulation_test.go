@@ -383,6 +383,22 @@ func TestHistoryPlacementReducesPreemptions(t *testing.T) {
 	}
 }
 
+// TestHistoryPlacementPinned pins -ablation history's scalars on the
+// short run at seed 1987. History placement reads each machine's
+// AvgIdleLen and IdleStreak from its machine.Tracker, the code the live
+// starter's scan feeds too; a change to how the tracker is fed or read
+// moves these counts.
+func TestHistoryPlacementPinned(t *testing.T) {
+	cfg := shortConfig()
+	cfg.Policy = policy.DefaultConfig()
+	cfg.Policy.Placement = policy.PlaceHistory
+	rep := Run(cfg)
+	if cfg.Seed != 1987 || rep.Vacates != 1191 || rep.Preempts != 288 {
+		t.Fatalf("seed %d: %d vacates, %d preempts; want 1191 and 288 at seed 1987",
+			cfg.Seed, rep.Vacates, rep.Preempts)
+	}
+}
+
 func TestReportRenderers(t *testing.T) {
 	rep := month(t)
 	out := rep.String()

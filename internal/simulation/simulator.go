@@ -6,6 +6,7 @@ import (
 
 	"condor/internal/avail"
 	"condor/internal/decision"
+	"condor/internal/machine"
 	"condor/internal/policy"
 	"condor/internal/proto"
 	"condor/internal/sim"
@@ -57,10 +58,10 @@ type simMachine struct {
 	foreign     *simJob
 	graceTimer  *sim.Timer
 
-	// owner-availability history (for §5.1 placement).
-	idleSince     time.Time
-	completedIdle time.Duration
-	idleIntervals int
+	// idle is the owner-availability history §5.1 placement reads,
+	// observed at every owner flip and at repair: the same code the live
+	// starter's owner scan feeds.
+	idle machine.Tracker
 
 	// state integration for utilization accounting.
 	lastChange  time.Time
@@ -147,9 +148,9 @@ func newSimulator(cfg Config) *simulator {
 			name:       name,
 			class:      class,
 			gen:        avail.NewMachine(name, class, availRNG.Derive()),
-			idleSince:  start,
 			lastChange: start,
 		}
+		m.idle.Observe(true, start) // machines start with the owner away
 		s.machines = append(s.machines, m)
 		s.byName[name] = m
 		// Registration order is machine index, so FIFO and Up-Down's
@@ -247,7 +248,7 @@ func (s *simulator) ownerFlip(m *simMachine, now time.Time) {
 	if m.ownerActive {
 		s.integrate(m, now)
 		m.ownerActive = false
-		m.idleSince = now
+		m.idle.Observe(true, now)
 		if m.foreign != nil && m.foreign.state == jobSuspended {
 			// Owner left within the grace period: resume in place (§4).
 			if m.graceTimer != nil {
@@ -262,10 +263,7 @@ func (s *simulator) ownerFlip(m *simMachine, now time.Time) {
 	// Owner returns.
 	s.integrate(m, now)
 	m.ownerActive = true
-	if !m.idleSince.IsZero() {
-		m.completedIdle += now.Sub(m.idleSince)
-		m.idleIntervals++
-	}
+	m.idle.Observe(false, now)
 	if m.foreign != nil && m.foreign.state == jobRunning {
 		switch s.cfg.Vacate {
 		case VacateKillImmediately:
@@ -493,8 +491,8 @@ func (s *simulator) pollCycle(now time.Time) {
 		v := policy.StationView{
 			Name:         m.name,
 			HeldMachines: held[m.name],
-			AvgIdleLen:   m.avgIdle(),
-			IdleStreak:   m.idleStreak(now),
+			AvgIdleLen:   m.idle.AvgIdleLen(),
+			IdleStreak:   m.idle.IdleStreak(now),
 		}
 		switch {
 		case m.foreign != nil && m.foreign.state == jobSuspended:
@@ -549,7 +547,9 @@ func (s *simulator) pollCycle(now time.Time) {
 
 // crash takes the machine down: the resident job loses all progress
 // since its last checkpoint and is requeued; the machine is unusable
-// until repair.
+// until repair, which finds the owner away. The idle history sees only
+// owner flips and the repair, so an idle interval open at the crash
+// stays open through the downtime.
 func (s *simulator) crash(m *simMachine, r *sim.RNG, now time.Time) {
 	s.integrate(m, now)
 	m.down = true
@@ -578,25 +578,11 @@ func (s *simulator) crash(m *simMachine, r *sim.RNG, now time.Time) {
 	s.engine.After(repair, func(t time.Time) {
 		s.integrate(m, t)
 		m.down = false
-		m.idleSince = t
 		m.ownerActive = false
+		m.idle.Observe(true, t)
 		next := time.Duration(r.Exp(float64(s.cfg.CrashMTBF)))
 		s.engine.After(next, func(t2 time.Time) { s.crash(m, r, t2) })
 	})
-}
-
-func (m *simMachine) avgIdle() time.Duration {
-	if m.idleIntervals == 0 {
-		return 0
-	}
-	return m.completedIdle / time.Duration(m.idleIntervals)
-}
-
-func (m *simMachine) idleStreak(now time.Time) time.Duration {
-	if m.ownerActive {
-		return 0
-	}
-	return now.Sub(m.idleSince)
 }
 
 // sampleHour records the hourly series for Figures 3, 5, 6 and 7.

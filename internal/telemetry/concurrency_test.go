@@ -1,28 +1,35 @@
-// Concurrency coverage for the operational HTTP surface: readiness
-// registration racing active Serve listeners and their readers. This
-// test carries its weight under -race (the Makefile's race and chaos
-// targets); without it it is still a smoke test that nothing deadlocks
-// or panics.
+// Concurrency coverage for the operational HTTP surface: listeners
+// starting and stopping while others serve, and a ready check whose
+// answer flips under concurrent /healthz readers. This test carries its
+// weight under -race (the Makefile's race and chaos targets); without it
+// it is still a smoke test that nothing deadlocks or panics.
 package telemetry_test
 
 import (
-	"fmt"
+	"errors"
 	"io"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"condor/internal/telemetry"
 )
 
-// TestServeConcurrentRegistration churns RegisterReadiness and
-// UnregisterReadiness from many goroutines while other goroutines start
-// and stop Serve listeners and hammer a long-lived listener's /metrics
-// and /healthz. The registry is process-global; any missing lock shows
-// up under -race.
-func TestServeConcurrentRegistration(t *testing.T) {
-	srv, err := telemetry.Serve("127.0.0.1:0", telemetry.Default)
+// TestServeConcurrentListeners flips a long-lived listener's ready check
+// from many goroutines while other goroutines start and stop Serve
+// listeners and hammer the long-lived one's /metrics and /healthz. Any
+// missing lock shows up under -race; afterwards /healthz still answers
+// the check's current state.
+func TestServeConcurrentListeners(t *testing.T) {
+	var down atomic.Bool
+	srv, err := telemetry.Serve("127.0.0.1:0", telemetry.Default, func() error {
+		if down.Load() {
+			return errors.New("down")
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,28 +38,25 @@ func TestServeConcurrentRegistration(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
-	// Readiness churn: register, evaluate, unregister.
+	// Readiness churn: the check's answer flips while /healthz reads it.
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			name := fmt.Sprintf("conc-check-%d", i)
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				telemetry.RegisterReadiness(name, func() error { return fmt.Errorf("busy") })
-				_ = telemetry.ReadinessFailures()
-				telemetry.UnregisterReadiness(name)
+				down.Store(!down.Load())
 				time.Sleep(time.Millisecond)
 			}
-		}(i)
+		}()
 	}
 
-	// Listener churn: listeners start and stop while /healthz on the
-	// long-lived one evaluates the registry.
+	// Listener churn: listeners start and stop while the long-lived one
+	// serves.
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func() {
@@ -63,7 +67,7 @@ func TestServeConcurrentRegistration(t *testing.T) {
 					return
 				default:
 				}
-				s, err := telemetry.Serve("127.0.0.1:0", telemetry.Default)
+				s, err := telemetry.Serve("127.0.0.1:0", telemetry.Default, nil)
 				if err != nil {
 					t.Error(err)
 					return
@@ -102,10 +106,19 @@ func TestServeConcurrentRegistration(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	// The registry must still work after the churn.
-	telemetry.RegisterReadiness("conc-final", func() error { return fmt.Errorf("down") })
-	if f := telemetry.ReadinessFailures(); len(f) == 0 {
-		t.Error("readiness registry lost registrations after concurrent churn")
+	// /healthz must still answer the check after the churn.
+	for _, c := range []struct {
+		down bool
+		want int
+	}{{true, http.StatusServiceUnavailable}, {false, http.StatusOK}} {
+		down.Store(c.down)
+		resp, err := http.Get("http://" + srv.Addr() + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("/healthz with the check down=%v: %d, want %d", c.down, resp.StatusCode, c.want)
+		}
 	}
-	telemetry.UnregisterReadiness("conc-final")
 }

@@ -6,67 +6,8 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"sort"
-	"sync"
 	"time"
 )
-
-// Readiness checks turn /healthz from a liveness ping into a readiness
-// probe: a daemon registers a check describing a condition under which
-// it must stop looking healthy (the coordinator registers "poll cycles
-// are still running and the journal is writable"), and any failing check
-// makes every Serve listener answer 503. Deregistration on daemon close
-// keeps the registry scoped to live components.
-var (
-	readyMu     sync.Mutex
-	readyChecks = map[string]func() error{}
-)
-
-// RegisterReadiness installs a named readiness check evaluated on every
-// /healthz request. check returns nil when ready, an error describing
-// why not otherwise. Re-registering a name replaces the check.
-func RegisterReadiness(name string, check func() error) {
-	readyMu.Lock()
-	defer readyMu.Unlock()
-	readyChecks[name] = check
-}
-
-// UnregisterReadiness removes a named check (a closed daemon must not
-// keep the process unready).
-func UnregisterReadiness(name string) {
-	readyMu.Lock()
-	defer readyMu.Unlock()
-	delete(readyChecks, name)
-}
-
-// ReadinessFailures evaluates every registered readiness check and
-// returns "name: error" lines, sorted for deterministic output (empty
-// when all ready). /healthz serves these in its 503 body; the
-// coordinator also ships them in CoordinatorInfo so condor-status and
-// the dashboard can show *why* a daemon is unready without a second
-// scrape.
-func ReadinessFailures() []string { return readinessFailures() }
-
-// readinessFailures evaluates all checks and returns "name: error"
-// lines, sorted for deterministic output (empty when all ready).
-func readinessFailures() []string {
-	readyMu.Lock()
-	names := make([]string, 0, len(readyChecks))
-	checks := make([]func() error, 0, len(readyChecks))
-	for name, check := range readyChecks {
-		names = append(names, name)
-		checks = append(checks, check)
-	}
-	readyMu.Unlock()
-	var failures []string
-	for i, check := range checks {
-		if err := check(); err != nil {
-			failures = append(failures, fmt.Sprintf("%s: %v", names[i], err))
-		}
-	}
-	sort.Strings(failures)
-	return failures
-}
 
 // Handler returns an http.Handler serving the registry's exposition page
 // (mount it at /metrics).
@@ -92,7 +33,11 @@ type Server struct {
 
 // Serve starts the operational HTTP listener on addr (e.g.
 // "127.0.0.1:9100"; port 0 picks a free one). reg is usually Default.
-func Serve(addr string, reg *Registry) (*Server, error) {
+// ready is the daemon's own readiness check, nil for none: while it
+// returns an error, /healthz answers 503 with the error as its body (the
+// coordinator passes Coordinator.Ready: its cycles are turning over and
+// its journal is writable).
+func Serve(addr string, reg *Registry, ready func() error) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: listen %s: %w", addr, err)
@@ -104,13 +49,12 @@ func Serve(addr string, reg *Registry) (*Server, error) {
 	// operational listener also streams its bus at /events.
 	mux.Handle("/events", SSEHandler(Events, 0))
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		if failures := readinessFailures(); len(failures) > 0 {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprint(w, "not ready\n")
-			for _, f := range failures {
-				fmt.Fprintln(w, f)
+		if ready != nil {
+			if err := ready(); err != nil {
+				w.WriteHeader(http.StatusServiceUnavailable)
+				fmt.Fprintf(w, "not ready\n%v\n", err)
+				return
 			}
-			return
 		}
 		fmt.Fprintf(w, "ok\nuptime %s\ngoroutines %d\n",
 			time.Since(s.started).Round(time.Second), runtime.NumGoroutine())

@@ -1,10 +1,12 @@
 package telemetry
 
 import (
+	"errors"
 	"io"
 	"math"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -142,7 +144,7 @@ func TestKindMismatchPanics(t *testing.T) {
 func TestServeMetricsAndHealth(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("served_total", "h").Add(7)
-	srv, err := Serve("127.0.0.1:0", r)
+	srv, err := Serve("127.0.0.1:0", r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,5 +173,47 @@ func TestServeMetricsAndHealth(t *testing.T) {
 	}
 	if body := get("/debug/pprof/cmdline"); body == "" {
 		t.Error("/debug/pprof/cmdline empty")
+	}
+}
+
+// TestServeHealthzAnswersItsOwnCheck: /healthz answers the ready check
+// its listener was given, and nothing else: one listener's failing check
+// does not make another listener in the same process unready.
+func TestServeHealthzAnswersItsOwnCheck(t *testing.T) {
+	var down atomic.Bool
+	unready, err := Serve("127.0.0.1:0", NewRegistry(), func() error {
+		if down.Load() {
+			return errors.New("journal unhealthy")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer unready.Close()
+	ready, err := Serve("127.0.0.1:0", NewRegistry(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ready.Close()
+
+	healthz := func(srv *Server) (int, string) {
+		resp, err := http.Get("http://" + srv.Addr() + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(b)
+	}
+	if code, body := healthz(unready); code != http.StatusOK {
+		t.Fatalf("healthy check: %d %q", code, body)
+	}
+	down.Store(true)
+	if code, body := healthz(unready); code != http.StatusServiceUnavailable || body != "not ready\njournal unhealthy\n" {
+		t.Errorf("failing check: %d %q, want 503 naming the reason", code, body)
+	}
+	if code, body := healthz(ready); code != http.StatusOK {
+		t.Errorf("a listener without a check: %d %q, want 200", code, body)
 	}
 }

@@ -25,8 +25,9 @@ import (
 //
 // Ops are > >= < <= == !=. Values are plain numbers; duration-valued
 // fields (cycle_age) compare in seconds, so "cycle_age > 360" also
-// works — but cycle_lag (cycle age divided by the coordinator's poll
-// interval) is the portable spelling of "the cycle is 3× overdue".
+// works — but cycle_lag (cycle age divided by the poll interval the
+// coordinator reports) is the portable spelling of "the cycle is 3×
+// overdue".
 // The optional "for" clause debounces: the condition must hold
 // continuously that long before the rule fires. Transitions publish
 // firing/resolved events on the bus (kind "alert-firing" /

@@ -1,6 +1,7 @@
 package web
 
 import (
+	"context"
 	"encoding/json"
 	"net/http/httptest"
 	"strings"
@@ -66,5 +67,36 @@ func TestAPIDecisionsJSONShape(t *testing.T) {
 	s.Handler().ServeHTTP(w2, httptest.NewRequest("GET", "/api/decisions?station=nosuch", nil))
 	if !strings.Contains(w2.Body.String(), `"cycles":[]`) {
 		t.Fatalf("no-match reply serves null cycles:\n%s", w2.Body.String())
+	}
+}
+
+// TestCycleLagInCoordinatorIntervals: cycle_lag is cycle age over the
+// poll interval the coordinator reports, not over a setting of the
+// dashboard's own.
+func TestCycleLagInCoordinatorIntervals(t *testing.T) {
+	const interval = 40 * time.Minute
+	coord, err := coordinator.New(coordinator.Config{PollInterval: interval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	s, err := NewServer(Config{CoordinatorAddr: coord.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	time.Sleep(20 * time.Millisecond) // let the cycle age grow past 0
+	if err := s.Refresh(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	age, lag := s.lastFields["cycle_age"], s.lastFields["cycle_lag"]
+	s.mu.Unlock()
+	if age <= 0 {
+		t.Fatalf("cycle_age = %v, want it positive", age)
+	}
+	if want := age / interval.Seconds(); lag != want {
+		t.Errorf("cycle_lag = %v, want cycle_age/%v = %v", lag, interval, want)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"condor/internal/telemetry"
+	"condor/internal/wire"
 )
 
 // Relay bridges a remote daemon's /events SSE stream onto a local bus,
@@ -61,21 +62,28 @@ func (r *Relay) Start() {
 	r.wg.Add(1)
 	go func() {
 		defer r.wg.Done()
-		backoff := 500 * time.Millisecond
-		const maxBackoff = 15 * time.Second
+		failures := 0
 		for ctx.Err() == nil {
 			if r.stream(ctx) {
-				backoff = 500 * time.Millisecond // had events; restart eagerly
-			} else if backoff < maxBackoff {
-				backoff *= 2
+				failures = 0
+			} else {
+				failures++
 			}
 			select {
 			case <-ctx.Done():
 				return
-			case <-time.After(backoff):
+			case <-time.After(relayDelay(failures)):
 			}
 		}
 	}()
+}
+
+// relayDelay is the wait before reconnecting after failures streams in a
+// row that carried no event: 500ms after one that did (restart eagerly),
+// else 1s doubling up to 15s. One relay per upstream has no lockstep to
+// break, so it is not jittered.
+func relayDelay(failures int) time.Duration {
+	return wire.Backoff(500*time.Millisecond, 15*time.Second, failures+1, 0, 0)
 }
 
 // Close stops the relay and waits for its loop to exit.

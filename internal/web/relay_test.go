@@ -140,3 +140,19 @@ func TestRelayReconnect(t *testing.T) {
 		t.Errorf("local subscriber dropped %d events", n)
 	}
 }
+
+// TestRelaySchedule: the relay waits 500ms after a stream that carried
+// events, and after failures 1s doubling to a 15s cap that the fifth
+// failure reaches and no wait passes.
+func TestRelaySchedule(t *testing.T) {
+	if got := relayDelay(0); got != 500*time.Millisecond {
+		t.Errorf("delay after a stream with events = %v, want 500ms", got)
+	}
+	s := time.Second
+	want := []time.Duration{s, 2 * s, 4 * s, 8 * s, 15 * s, 15 * s, 15 * s, 15 * s}
+	for i, w := range want {
+		if got := relayDelay(i + 1); got != w {
+			t.Errorf("delay after failure %d = %v, want %v", i+1, got, w)
+		}
+	}
+}

@@ -58,10 +58,6 @@ type Config struct {
 	CoordinatorAddr string
 	// Refresh is the aggregation interval (default 2s).
 	Refresh time.Duration
-	// CycleInterval is the coordinator's allocation-cycle interval; the
-	// cycle_lag alert field is cycle age divided by it (default 2m, the
-	// coordinator's own default).
-	CycleInterval time.Duration
 	// Rules are the alert rules; nil means DefaultRules.
 	Rules []Rule
 }
@@ -146,9 +142,6 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if cfg.Refresh <= 0 {
 		cfg.Refresh = 2 * time.Second
-	}
-	if cfg.CycleInterval <= 0 {
-		cfg.CycleInterval = 2 * time.Minute
 	}
 	if cfg.Rules == nil {
 		rules, err := ParseRules(DefaultRules)
@@ -301,6 +294,12 @@ func (s *Server) Refresh(ctx context.Context) error {
 		s.lastCycleAt = now
 	}
 	cycleAge := now.Sub(s.lastCycleAt).Seconds()
+	// cycle_lag is in the coordinator's own poll intervals (the paper's 2
+	// minutes from a coordinator too old to report its interval).
+	interval := 2 * time.Minute
+	if info.PollIntervalMillis > 0 {
+		interval = time.Duration(info.PollIntervalMillis) * time.Millisecond
+	}
 
 	total := len(ps.Stations)
 	fields := map[string]float64{
@@ -322,7 +321,7 @@ func (s *Server) Refresh(ctx context.Context) error {
 		"journal_errors":    float64(info.Journal.Errors),
 		"unready":           float64(len(info.ReadyFailures)),
 		"cycle_age":         cycleAge,
-		"cycle_lag":         cycleAge / s.cfg.CycleInterval.Seconds(),
+		"cycle_lag":         cycleAge / interval.Seconds(),
 		"coord_unreachable": 0,
 	}
 	if total > 0 {
@@ -503,9 +502,9 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealthz reports the aggregator's own readiness: it is ready
-// once a refresh has succeeded recently. It deliberately does not use
-// the process-global readiness registry — in an all-in-one process the
-// dashboard must not vouch for (or taint) the daemons' own probes.
+// once a refresh has succeeded recently. As every daemon's /healthz, it
+// answers its own check only, so in an all-in-one process the dashboard
+// neither vouches for nor taints the daemons' probes.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	s.mu.RLock()
 	lastOK := s.lastOK

@@ -217,10 +217,11 @@ func (p *Peer) Call(ctx context.Context, msg any) (any, error) {
 // CallWithin sends msg as a request and waits for the matching reply,
 // for at most d when d > 0, and no longer than ctx allows. The bound
 // covers the whole call: a call still waiting for the connection's
-// write side when it passes fails with ErrNotSent and leaves the
-// connection up, and one whose frame is still being written then
-// closes it, as any partial frame does. A call that passes d fails with
-// an error for which errors.Is(err, context.DeadlineExceeded) holds.
+// write side, or for its write's first byte to be taken, when it passes
+// fails with ErrNotSent and leaves the connection up, and one whose
+// frame is partly written then closes it, as any partial frame does. A
+// call that passes d fails with an error for which
+// errors.Is(err, context.DeadlineExceeded) holds.
 // The bound is the reply slot's own timer, so it allocates nothing.
 func (p *Peer) CallWithin(ctx context.Context, msg any, d time.Duration) (any, error) {
 	p.mu.Lock()

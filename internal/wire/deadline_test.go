@@ -159,3 +159,37 @@ func writeSideBusy(t *testing.T, call boundedCall) {
 		t.Fatalf("reply = %#v", reply)
 	}
 }
+
+// TestUnwrittenWriteTimeoutKeepsPeer: a Call whose 1ms bound passes while
+// its write waits for the reader to take the first byte has written
+// nothing, so the stream is still in sync. It fails with ErrNotSent, the
+// peer stays up, and the next Call on it succeeds once the other end
+// reads.
+func TestUnwrittenWriteTimeoutKeepsPeer(t *testing.T) {
+	local, remote := net.Pipe()
+	peer := NewPeer(NewConn(local), nil)
+	defer peer.Close()
+	defer remote.Close()
+
+	// Nothing reads remote yet, so the write waits until the bound.
+	if _, err := peer.CallWithin(context.Background(), ping{N: 1}, time.Millisecond); !errors.Is(err, ErrNotSent) {
+		t.Fatalf("err = %v, want ErrNotSent", err)
+	}
+	if peer.Dead() {
+		t.Fatal("a write that timed out before its first byte closed the connection")
+	}
+
+	server := NewPeer(NewConn(remote), func(_ context.Context, msg any) (any, error) {
+		return pong{N: msg.(ping).N + 1}, nil
+	})
+	defer server.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	reply, err := peer.Call(ctx, ping{N: 2})
+	if err != nil {
+		t.Fatalf("next Call on the same peer: %v", err)
+	}
+	if reply.(pong).N != 3 {
+		t.Fatalf("reply = %#v", reply)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"time"
 
@@ -121,7 +122,8 @@ func (c *Conn) Send(env Envelope) error {
 // A sender whose ctx ends or whose bound passes while it waits for the
 // write side gets ctx's error or errExpired, writes nothing and leaves
 // the connection up. So does an envelope that cannot be encoded (a Msg
-// that is not a registered Message) or exceeds MaxFrameBytes.
+// that is not a registered Message) or exceeds MaxFrameBytes, and a
+// write whose deadline passes before its first byte is taken.
 func (c *Conn) send(ctx context.Context, expire <-chan time.Time, at time.Time, env Envelope) error {
 	select {
 	case c.writing <- struct{}{}:
@@ -135,8 +137,7 @@ func (c *Conn) send(ctx context.Context, expire <-chan time.Time, at time.Time, 
 		return err // both cases were ready and the lock won
 	}
 	// The same for the bound, or it is due and its timer has not fired
-	// yet: either way a write now would time out at once and close the
-	// connection.
+	// yet: either way a write now would only time out at once.
 	if expire != nil && !time.Now().Before(at) {
 		<-expire // due: it fires now if it has not already
 		return errExpired
@@ -163,10 +164,14 @@ func (c *Conn) send(ctx context.Context, expire <-chan time.Time, at time.Time, 
 		deadline = at
 	}
 	_ = c.raw.SetWriteDeadline(deadline)
-	if _, err := c.raw.Write(frame); err != nil {
-		// A failed (possibly partial) frame write desynchronizes the
-		// stream; the connection cannot be used again.
-		c.Close()
+	if w, err := c.raw.Write(frame); err != nil {
+		// A partial frame desynchronizes the stream, and so may any
+		// failure but a deadline: the connection cannot be used again. A
+		// write that timed out before its first byte left the stream as
+		// it was.
+		if w > 0 || !errors.Is(err, os.ErrDeadlineExceeded) {
+			c.Close()
+		}
 		return fmt.Errorf("wire: write frame: %w", err)
 	}
 	mFramesSent.Inc()

@@ -152,8 +152,8 @@ func (p *ClientPool) CallWithin(ctx context.Context, addr string, msg any, d tim
 	return p.callUntil(ctx, addr, msg, after(d))
 }
 
-// CallRetry is CallWithin under the default Retry policy: transient
-// transport failures are retried with backoff against a freshly dialed
+// CallRetry is CallWithin under Retry's schedule: transient transport
+// failures are retried with backoff against a freshly dialed
 // connection. d, when > 0, is the whole budget, every attempt and
 // backoff included. Only use it for idempotent requests (polls,
 // registrations, preempts) — a request whose reply was lost in flight
@@ -162,7 +162,7 @@ func (p *ClientPool) CallRetry(ctx context.Context, addr string, msg any, d time
 	var reply any
 	until := after(d)
 	attempt := 0
-	err := Retry{}.do(ctx, until, func() error {
+	err := retry(ctx, until, func() error {
 		attempt++
 		if attempt > 1 {
 			p.mu.Lock()

@@ -3,71 +3,37 @@ package wire
 import (
 	"context"
 	"errors"
-	"math/rand"
+	"math/rand/v2"
 	"time"
 )
 
-// Retry is a bounded exponential-backoff policy for transport-level
-// failures. The zero value sanitizes to 3 attempts starting at 50ms,
-// doubling up to 2s, with ±20% jitter. Only use it for idempotent
-// operations (dials, polls, registrations, preempts): a retried request
-// may execute twice when the first reply was lost in flight.
-type Retry struct {
-	// MaxAttempts is the total number of tries, first included (default 3).
-	MaxAttempts int
-	// BaseDelay is the backoff after the first failure (default 50ms).
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff (default 2s).
-	MaxDelay time.Duration
-	// Multiplier grows the backoff per failure (default 2; min 1).
-	Multiplier float64
-	// Jitter randomizes each backoff by ±Jitter fraction so a pool of
-	// clients does not retry in lockstep (default 0.2; negative disables).
-	Jitter float64
-}
+// The retry schedule of Retry and CallRetry: 3 attempts in all, waiting
+// 50ms and then 100ms (doubling up to 2s), each wait ±20%.
+const (
+	retryAttempts = 3
+	retryBase     = 50 * time.Millisecond
+	retryMax      = 2 * time.Second
+	retryJitter   = 0.2
+)
 
-func (r *Retry) sanitize() {
-	if r.MaxAttempts <= 0 {
-		r.MaxAttempts = 3
-	}
-	if r.BaseDelay <= 0 {
-		r.BaseDelay = 50 * time.Millisecond
-	}
-	if r.MaxDelay <= 0 {
-		r.MaxDelay = 2 * time.Second
-	}
-	if r.Multiplier < 1 {
-		r.Multiplier = 2
-	}
-	if r.Jitter == 0 {
-		r.Jitter = 0.2
-	}
-	if r.Jitter < 0 {
-		r.Jitter = 0
-	}
-	if r.Jitter > 1 {
-		r.Jitter = 1
-	}
-}
-
-// Backoff returns the sleep after the attempt-th failure (1-based):
-// BaseDelay·Multiplier^(attempt-1), capped at MaxDelay, jittered.
-func (r Retry) Backoff(attempt int) time.Duration {
-	r.sanitize()
-	d := float64(r.BaseDelay)
-	for i := 1; i < attempt; i++ {
-		d *= r.Multiplier
-		if d >= float64(r.MaxDelay) {
-			break
+// Backoff is the system's one "wait longer after each failure" rule: the
+// wait after the attempt-th failure (1-based) is base·2^(attempt−1),
+// capped at max, scaled by a factor in [1−jitter, 1+jitter] so a pool of
+// callers does not retry in lockstep. The factor is drawn from u, a
+// uniform word the caller supplies (rand.Uint64, or a per-station stream
+// for a schedule that is deterministic per station); u = 1<<63 is the
+// factor 1. A delay too short to jitter (1 ns) comes back unjittered.
+func Backoff(base, max time.Duration, attempt int, jitter float64, u uint64) time.Duration {
+	d := min(base, max)
+	for i := 1; i < attempt && d < max; i++ {
+		if d > max/2 {
+			d = max
+		} else {
+			d *= 2
 		}
 	}
-	if d > float64(r.MaxDelay) {
-		d = float64(r.MaxDelay)
-	}
-	if r.Jitter > 0 {
-		d *= 1 - r.Jitter + 2*r.Jitter*rand.Float64()
-	}
-	return time.Duration(d)
+	f := float64(u>>11)/(1<<53)*2 - 1 // u's top 53 bits, in [-1, 1)
+	return d + time.Duration(float64(d)*jitter*f)
 }
 
 // Retryable reports whether err is a transport-level failure worth
@@ -90,25 +56,26 @@ func Retryable(err error) bool {
 	return true
 }
 
-// Do runs op under the policy: it returns op's result as soon as it
-// succeeds, fails non-retryably, or exhausts MaxAttempts, backing off
-// between attempts. ctx cancellation stops the loop between attempts
-// (the in-flight op must bound itself with the same ctx).
-func (r Retry) Do(ctx context.Context, op func() error) error {
-	return r.do(ctx, time.Time{}, op)
+// Retry runs op until it succeeds, fails non-retryably, or has been tried
+// 3 times, backing off between attempts. ctx cancellation stops the loop
+// between attempts (the in-flight op must bound itself with the same
+// ctx). Only use it for idempotent operations (dials, polls,
+// registrations, preempts): a retried request may execute twice when the
+// first reply was lost in flight.
+func Retry(ctx context.Context, op func() error) error {
+	return retry(ctx, time.Time{}, op)
 }
 
-// do is Do that also gives up, with op's last error, when a backoff would
-// end at or past until (if set): no attempt starts after it.
-func (r Retry) do(ctx context.Context, until time.Time, op func() error) error {
-	r.sanitize()
+// retry is Retry that also gives up, with op's last error, when a backoff
+// would end at or past until (if set): no attempt starts after it.
+func retry(ctx context.Context, until time.Time, op func() error) error {
 	var err error
 	for attempt := 1; ; attempt++ {
 		err = op()
-		if err == nil || !Retryable(err) || attempt >= r.MaxAttempts {
+		if err == nil || !Retryable(err) || attempt >= retryAttempts {
 			return err
 		}
-		backoff := r.Backoff(attempt)
+		backoff := Backoff(retryBase, retryMax, attempt, retryJitter, rand.Uint64())
 		if !until.IsZero() && !time.Now().Add(backoff).Before(until) {
 			return err
 		}

@@ -18,7 +18,7 @@ import (
 // latency histograms from the wire layer, coordinator cycle duration,
 // and the shadow syscall round-trip histogram.
 func TestTelemetryEndToEnd(t *testing.T) {
-	srv, err := telemetry.Serve("127.0.0.1:0", telemetry.Default)
+	srv, err := telemetry.Serve("127.0.0.1:0", telemetry.Default, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
