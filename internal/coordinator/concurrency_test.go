@@ -11,7 +11,7 @@ import (
 	"condor/internal/proto"
 )
 
-// TestCycleBoundsPollConcurrency proves the PollConcurrency semaphore
+// TestCycleBoundsPollConcurrency proves the PollConcurrency window
 // is a real ceiling: with 32 stations and a cap of 4, the station-side
 // handler must never observe more than 4 polls in flight, and every
 // station must still get polled.

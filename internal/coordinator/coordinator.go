@@ -127,8 +127,11 @@ func (c *Config) sanitize() {
 
 // station is the coordinator's view of one workstation.
 type station struct {
-	name      string
-	addr      string
+	name string
+	addr string
+	// series is indexSeries(name), built once at registration: the
+	// sampler's key for this station's schedule-index trajectory.
+	series    string
 	lastPoll  time.Time
 	lastReply proto.PollReply
 	reachable bool
@@ -402,7 +405,7 @@ func (c *Coordinator) registerLocked(name, addr string) bool {
 		// to the old one is garbage.
 		c.pool.Invalidate(prev.addr)
 	}
-	s := &station{name: name, addr: addr, reachable: true}
+	s := &station{name: name, addr: addr, series: indexSeries(name), reachable: true}
 	if known {
 		// Health survives re-registration: a quarantined station cannot
 		// launder its record by registering again — it still has to pass
@@ -657,25 +660,30 @@ func (c *Coordinator) pollFanOut(start time.Time) []pollResult {
 	}
 	c.mu.Unlock()
 
-	// Bounded fan-out: the semaphore is acquired *before* the goroutine
-	// spawns, so at most PollConcurrency polls (goroutines and dials) are
-	// ever alive at once — a 10k-station pool streams through a fixed
-	// window instead of bursting 10k goroutines each cycle.
-	sem := make(chan struct{}, c.cfg.PollConcurrency)
+	// Bounded fan-out: min(PollConcurrency, stations) pollers, each
+	// taking the next station until none is left, so at most
+	// PollConcurrency polls (goroutines and dials) are ever alive at
+	// once — a 10k-station pool streams through a fixed window instead
+	// of bursting 10k goroutines each cycle.
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i := range results {
-		r := &results[i]
-		sem <- struct{}{}
+	for range min(c.cfg.PollConcurrency, len(results)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
-			mPollInFlight.Inc()
-			pollStart := time.Now()
-			r.reply, r.err = c.pollStation(r.addr)
-			r.rtt = time.Since(pollStart)
-			mPollLatency.ObserveDuration(r.rtt)
-			mPollInFlight.Dec()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(results) {
+					return
+				}
+				r := &results[i]
+				mPollInFlight.Inc()
+				pollStart := time.Now()
+				r.reply, r.err = c.pollStation(r.addr)
+				r.rtt = time.Since(pollStart)
+				mPollLatency.ObserveDuration(r.rtt)
+				mPollInFlight.Dec()
+			}
 		}()
 	}
 	wg.Wait()
@@ -732,12 +740,18 @@ type round struct {
 	// (empty while degraded); addrs maps every station to its address.
 	held    map[string]int
 	states  map[proto.StationState]int
-	updated map[string]float64
+	updated []indexPoint
 	addrs   map[string]string
 	aud     *decision.Builder
 	dec     policy.Decision
 	// preempts is every preemption order the cycle sends, in order.
 	preempts []preemptOrder
+}
+
+// indexPoint is one station's Up-Down index under its series key.
+type indexPoint struct {
+	series string
+	index  float64
 }
 
 // preemptOrder vacates job from exec, charged to victim, the job's home.
@@ -749,12 +763,11 @@ type preemptOrder struct{ exec, job, victim, reason string }
 // quarantined station may do. Caller holds c.mu.
 func (c *Coordinator) roundLocked(now time.Time) round {
 	r := round{
-		n:       c.stats.Cycles,
-		at:      now,
-		held:    c.heldCountLocked(),
-		states:  make(map[proto.StationState]int, 4),
-		updated: make(map[string]float64, len(c.stations)),
-		addrs:   make(map[string]string, len(c.stations)),
+		n:      c.stats.Cycles,
+		at:     now,
+		held:   c.heldCountLocked(),
+		states: make(map[proto.StationState]int, 4),
+		addrs:  make(map[string]string, len(c.stations)),
 	}
 	views := make([]policy.StationView, 0, len(c.names))
 	for _, name := range c.names {
@@ -791,8 +804,10 @@ func (c *Coordinator) roundLocked(now time.Time) round {
 	if c.degraded {
 		c.stats.DegradedCycles++
 	} else if len(views) > 0 {
+		r.updated = make([]indexPoint, len(views))
 		for i := range views {
-			r.updated[views[i].Name] = c.table.Index(views[i].Name)
+			name := views[i].Name
+			r.updated[i] = indexPoint{c.stations[name].series, c.table.Index(name)}
 		}
 	}
 	for _, p := range r.dec.Preempts {
@@ -831,8 +846,8 @@ func (c *Coordinator) sample(r round) {
 		sam.Observe("util/claimed", r.at, frac(proto.StationClaimed))
 		sam.Observe("util/suspended", r.at, frac(proto.StationSuspended))
 	}
-	for name, idx := range r.updated {
-		sam.Observe(indexSeries(name), r.at, idx)
+	for _, p := range r.updated {
+		sam.Observe(p.series, r.at, p.index)
 	}
 }
 

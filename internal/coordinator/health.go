@@ -329,7 +329,7 @@ func (c *Coordinator) removeStationLocked(s *station, reason string, now time.Ti
 	c.rememberRemovedLocked(s.name, now)
 	mStations.Set(int64(len(c.stations)))
 	c.table.Remove(s.name)
-	c.led.Sampler().Forget(indexSeries(s.name))
+	c.led.Sampler().Forget(s.series)
 	c.events.Append(eventlog.Event{Kind: eventlog.KindDead, Station: s.name, Detail: reason})
 	return s.addr
 }

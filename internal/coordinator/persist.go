@@ -211,7 +211,7 @@ func (c *Coordinator) openJournal() error {
 	c.incarnation = st.Incarnation + 1
 	indexes := make(map[string]float64, len(st.Stations))
 	for _, ps := range st.Stations {
-		s := &station{name: ps.Name, addr: ps.Addr, reachable: true}
+		s := &station{name: ps.Name, addr: ps.Addr, series: indexSeries(ps.Name), reachable: true}
 		s.health = newHealth(ps.Name, now)
 		if h := proto.StationHealth(ps.Health); h != 0 && h != proto.HealthHealthy {
 			s.health.state = h
@@ -234,7 +234,7 @@ func (c *Coordinator) openJournal() error {
 	// A restored index starts a fresh trajectory: pre-crash samples are
 	// not part of the state.
 	for name := range indexes {
-		c.led.Sampler().Observe(indexSeries(name), now, c.table.Index(name))
+		c.led.Sampler().Observe(c.stations[name].series, now, c.table.Index(name))
 	}
 	c.led.RestoreAlloc(st.Alloc)
 	for name, r := range st.Reservations {

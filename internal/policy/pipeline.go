@@ -63,7 +63,7 @@ var predicates = []predicate{
 	{"idle",
 		func(m *StationView, _ string, _ *Config) bool { return m.State == proto.StationIdle },
 		func(m *StationView, _ string, _ *Config) (string, string) {
-			return "state == idle", "state " + m.State.String()
+			return "state == idle", stateObserved(m.State)
 		}},
 	// min-disk enforces §4's free-space requirement: a station whose
 	// disk cannot hold a checkpoint plus executable is unusable.
@@ -80,7 +80,7 @@ var predicates = []predicate{
 	{"health",
 		func(m *StationView, _ string, _ *Config) bool { return healthy(m) },
 		func(m *StationView, _ string, _ *Config) (string, string) {
-			return "health == healthy", "health " + m.Health.String()
+			return "health == healthy", healthObserved(m.Health)
 		}},
 	// reservation enforces §5.3 reservations: a reserved machine serves
 	// only its holder. With no concrete requester it admits — a reserved
@@ -92,6 +92,28 @@ var predicates = []predicate{
 		func(m *StationView, req string, _ *Config) (string, string) {
 			return "reserved for " + m.ReservedFor, "requester " + req
 		}},
+}
+
+// stateObserved and healthObserved are the idle and health predicates'
+// observed sides, one string per named value built once, so a cycle that
+// rejects every machine builds no string per machine.
+var (
+	stateObserved  = observed("state ", proto.StationSuspended, proto.StationState.String)
+	healthObserved = observed("health ", proto.HealthDead, proto.StationHealth.String)
+)
+
+// observed returns prefix + name(v), from a table of the values 0..last.
+func observed[T ~int](prefix string, last T, name func(T) string) func(T) string {
+	table := make([]string, last+1)
+	for v := range table {
+		table[v] = prefix + name(T(v))
+	}
+	return func(v T) string {
+		if v >= 0 && v <= last {
+			return table[v]
+		}
+		return prefix + name(v)
+	}
 }
 
 // Policy is a named order behind the standard predicates.
@@ -301,13 +323,15 @@ func (p *Policy) DecideAudited(stations []StationView, table *updown.Table, cfg 
 // index (lower wins) and the station-view features the orders read —
 // the breakdown behind "why is my station ranked there".
 func auditRank(requesters []string, pool *Pool, table *updown.Table, aud *decision.Builder) {
+	// One backing array for every requester's features; each entry gets
+	// a cap-limited window of it, so no append can reach its neighbour's.
+	features := make([]decision.Feature, 2*len(requesters))
 	for i, req := range requesters {
-		e := decision.RankEntry{Requester: req, Position: i, Score: table.Index(req), HasScore: true}
 		m := pool.byName[req]
-		e.Features = append(e.Features,
-			decision.Feature{Key: "waiting", Value: strconv.Itoa(m.WaitingJobs)},
-			decision.Feature{Key: "held", Value: strconv.Itoa(m.HeldMachines)})
-		aud.Requester(e)
+		f := features[2*i : 2*i+2 : 2*i+2]
+		f[0] = decision.Feature{Key: "waiting", Value: strconv.Itoa(m.WaitingJobs)}
+		f[1] = decision.Feature{Key: "held", Value: strconv.Itoa(m.HeldMachines)}
+		aud.Requester(decision.RankEntry{Requester: req, Position: i, Score: table.Index(req), HasScore: true, Features: f})
 	}
 }
 

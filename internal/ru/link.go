@@ -117,9 +117,9 @@ func (l *link) closeIfBound(s *Shadow) {
 }
 
 // handle delivers the execution side's messages to the bound shadow, and
-// only those naming its job. Wire runs one-way notices on goroutines of
-// their own, so a late notice of the link's previous job can arrive after
-// the link was rebound: it is refused (a request) or dropped (one-way),
+// only those naming its job. Wire serves one-way notices concurrently,
+// so a late notice of the link's previous job can arrive after the link
+// was rebound: it is refused (a request) or dropped (one-way),
 // and counted.
 func (l *link) handle(ctx context.Context, msg any) (any, error) {
 	l.mu.Lock()

@@ -11,7 +11,7 @@ import (
 )
 
 // jobEvents routes one placement's shadow events back into the station.
-// Each notice runs on its own goroutine, so one can land after another
+// Notices are served concurrently, so one can land after another
 // that ended its placement; the placement's epoch makes the state table
 // refuse it.
 type jobEvents struct {

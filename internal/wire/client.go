@@ -37,10 +37,15 @@ type Handler func(ctx context.Context, msg any) (any, error)
 // Peer runs both sides of the symmetric protocol on one connection: it
 // can issue requests (Call/Notify) and it dispatches the remote side's
 // requests to its Handler. A Peer owns one background reader goroutine,
-// stopped by Close.
+// stopped by Close, and the goroutines that serve inbound messages,
+// which end with the reader.
 type Peer struct {
 	conn    *Conn
 	handler Handler
+	// inbound hands a request or one-way message from the reader to a
+	// serving goroutine parked on it. It is unbuffered, so a send
+	// succeeds only when one is parked.
+	inbound chan Envelope
 
 	mu      sync.Mutex
 	nextID  uint64
@@ -69,6 +74,7 @@ func newStoppedPeer(conn *Conn, handler Handler) *Peer {
 	return &Peer{
 		conn:    conn,
 		handler: handler,
+		inbound: make(chan Envelope),
 		pending: make(map[uint64]chan Envelope),
 		done:    make(chan struct{}),
 	}
@@ -149,18 +155,48 @@ func (p *Peer) readLoop() {
 				ch <- env
 			}
 		case KindRequest:
-			// Serve each request on its own goroutine so a slow handler
-			// (e.g. a long shadow I/O) does not stall unrelated traffic.
-			go p.serve(env)
+			p.dispatch(env)
 		case KindOneWay:
 			if p.handler != nil {
-				go p.handler(envContext(env), env.Msg) //nolint:errcheck // one-way: no reply channel
+				p.dispatch(env)
 			}
 		}
 	}
 }
 
+// dispatch hands env to a parked serving goroutine, or starts one when
+// none is parked: the reader never waits for a handler, so a slow one
+// (e.g. a long shadow I/O) stalls no other traffic on the peer.
+func (p *Peer) dispatch(env Envelope) {
+	select {
+	case p.inbound <- env:
+	default:
+		go p.serve(env)
+	}
+}
+
+// serve handles env, then parks for the next envelope the reader hands
+// over, until the reader ends. A peer so keeps as many serving
+// goroutines as it ever had messages in service at once, and a message
+// starts no goroutine, grows no fresh stack and allocates no closure.
 func (p *Peer) serve(env Envelope) {
+	for {
+		p.handle(env)
+		select {
+		case env = <-p.inbound:
+		case <-p.done:
+			return
+		}
+	}
+}
+
+// handle runs the handler on one inbound envelope and, for a request,
+// sends its reply.
+func (p *Peer) handle(env Envelope) {
+	if env.Kind == KindOneWay {
+		p.handler(envContext(env), env.Msg) //nolint:errcheck // one-way: no reply channel
+		return
+	}
 	reply := Envelope{ID: env.ID, Kind: KindReply}
 	if p.handler == nil {
 		reply.Err = "peer does not serve requests"

@@ -162,9 +162,9 @@ func writeSideBusy(t *testing.T, call boundedCall) {
 
 // TestUnwrittenWriteTimeoutKeepsPeer: a Call whose 1ms bound passes while
 // its write waits for the reader to take the first byte has written
-// nothing, so the stream is still in sync. It fails with ErrNotSent, the
-// peer stays up, and the next Call on it succeeds once the other end
-// reads.
+// nothing, so the stream is still in sync. It fails with ErrNotSent and,
+// as any call whose bound passed, context.DeadlineExceeded; the peer
+// stays up, and the next Call on it succeeds once the other end reads.
 func TestUnwrittenWriteTimeoutKeepsPeer(t *testing.T) {
 	local, remote := net.Pipe()
 	peer := NewPeer(NewConn(local), nil)
@@ -172,8 +172,9 @@ func TestUnwrittenWriteTimeoutKeepsPeer(t *testing.T) {
 	defer remote.Close()
 
 	// Nothing reads remote yet, so the write waits until the bound.
-	if _, err := peer.CallWithin(context.Background(), ping{N: 1}, time.Millisecond); !errors.Is(err, ErrNotSent) {
-		t.Fatalf("err = %v, want ErrNotSent", err)
+	if _, err := peer.CallWithin(context.Background(), ping{N: 1}, time.Millisecond); !errors.Is(err, ErrNotSent) ||
+		!errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want ErrNotSent and context.DeadlineExceeded", err)
 	}
 	if peer.Dead() {
 		t.Fatal("a write that timed out before its first byte closed the connection")

@@ -123,7 +123,8 @@ func (c *Conn) Send(env Envelope) error {
 // write side gets ctx's error or errExpired, writes nothing and leaves
 // the connection up. So does an envelope that cannot be encoded (a Msg
 // that is not a registered Message) or exceeds MaxFrameBytes, and a
-// write whose deadline passes before its first byte is taken.
+// write whose deadline passes before its first byte is taken. A write
+// that the bound ends returns errExpired too.
 func (c *Conn) send(ctx context.Context, expire <-chan time.Time, at time.Time, env Envelope) error {
 	select {
 	case c.writing <- struct{}{}:
@@ -169,8 +170,13 @@ func (c *Conn) send(ctx context.Context, expire <-chan time.Time, at time.Time, 
 		// failure but a deadline: the connection cannot be used again. A
 		// write that timed out before its first byte left the stream as
 		// it was.
-		if w > 0 || !errors.Is(err, os.ErrDeadlineExceeded) {
+		timedOut := errors.Is(err, os.ErrDeadlineExceeded)
+		if w > 0 || !timedOut {
 			c.Close()
+		}
+		if timedOut && expire != nil && deadline.Equal(at) {
+			<-expire // the bound ended the write, so its timer is due
+			return errExpired
 		}
 		return fmt.Errorf("wire: write frame: %w", err)
 	}

@@ -335,13 +335,13 @@ func TestPeerWithNilHandlerRejectsRequests(t *testing.T) {
 	p := newStoppedPeer(NewConn(nopConn{}), nil)
 	reply := make(chan Envelope, 1)
 	go func() {
-		p.serve(Envelope{ID: 1, Kind: KindRequest, Msg: ping{}})
+		p.handle(Envelope{ID: 1, Kind: KindRequest, Msg: ping{}})
 		reply <- Envelope{}
 	}()
 	select {
 	case <-reply:
 	case <-time.After(time.Second):
-		t.Fatal("serve with nil handler hung")
+		t.Fatal("handle with nil handler hung")
 	}
 }
 
