@@ -97,10 +97,14 @@ chaos:
 # seed algorithm byte-for-byte on the committed golden fixtures, and a
 # policy must decide live as it does in simulation (one written Config
 # means the same cycle, one round audits alike, FIFO is registration
-# order on both).
+# order on both), and condor-sim must print and export byte for byte
+# what cmd/condor-sim/testdata/ pins (the default report at three seeds,
+# the scalars, each ablation, -seeds, a -policy A/B and the JSON/CSV
+# exports; about 10 s, amd64 only).
 conformance:
 	$(GO) test -count=1 -run 'TestConformance|TestGoldenEquivalence' ./internal/policy/
 	$(GO) test -count=1 -run 'SameLiveAndSimulated|RegistrationOrder' ./internal/coordinator/ ./internal/simulation/
+	$(GO) test -count=1 -run 'TestOutputsPinned' ./cmd/condor-sim/
 
 # Headless dashboard smoke: boot a live pool plus condor-web in one
 # process and walk the whole surface — embedded page, JSON API, 50

@@ -14,6 +14,9 @@
 // into per-station and per-user totals, tracks the coordinator's
 // allocation counters (grants/denials/preempts/capacity), and renders
 // everything as a View for the AccountingRequest RPC and condor-report.
+// The month simulator books into meters of a ledger of its own, and
+// Figures draws §3's per-job results from meter totals on either
+// substrate.
 //
 // One subtlety when home and execution sides share a process (in-process
 // pools, tests): both sides intern the same meter, so each field has
@@ -201,8 +204,8 @@ func (t JobTotals) Leverage() float64 {
 	return cost.Leverage(time.Duration(t.RemoteNanos), time.Duration(t.SupportNanos))
 }
 
-// totals snapshots the meter's atomics.
-func (m *Meter) totals() JobTotals {
+// Totals snapshots the meter's atomics.
+func (m *Meter) Totals() JobTotals {
 	return JobTotals{
 		RemoteSteps:    m.remoteSteps.Load(),
 		RemoteNanos:    m.remoteNanos.Load(),
@@ -336,7 +339,7 @@ func (l *Ledger) Retire(jobID string) {
 		return
 	}
 	delete(l.jobs, jobID)
-	t := m.totals()
+	t := m.Totals()
 	for _, p := range []*PartyTotals{
 		l.partyLocked(l.stations, m.Home),
 		l.partyLocked(l.users, m.Owner),
@@ -478,7 +481,7 @@ func (l *Ledger) Snapshot() View {
 		users[name] = *p
 	}
 	for _, m := range l.jobs {
-		t := m.totals()
+		t := m.Totals()
 		row := JobRow{JobID: m.JobID, Owner: m.Owner, Home: m.Home, JobTotals: t}
 		if since := m.waitingSince.Load(); since != 0 {
 			if w := now.UnixNano() - since; w > 0 {

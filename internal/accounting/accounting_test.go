@@ -162,7 +162,7 @@ func TestMeterConcurrency(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	tt := m.totals()
+	tt := m.Totals()
 	if tt.Syscalls != goroutines*per {
 		t.Errorf("Syscalls = %d, want %d", tt.Syscalls, goroutines*per)
 	}

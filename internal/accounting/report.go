@@ -13,9 +13,9 @@ import (
 // in this package (rather than the command) lets the e2e tests assert on
 // the exact text a user sees.
 
-// leverageCap bounds rendered leverage, matching the simulator's Figure
-// 9 reproduction: a job that needed no measurable support has unbounded
-// leverage, displayed as the cap.
+// leverageCap bounds leverage in Figure 9 and in rendered reports: a job
+// that needed no measurable support has unbounded leverage, shown as the
+// cap.
 const leverageCap = 1e6
 
 // Section is one named ledger view in a report.

@@ -7,7 +7,7 @@
 //     per megabyte of checkpoint file, with an average checkpoint file of
 //     ½ MB (≈2.5 s per move);
 //   - a remote system call costs ≈10 ms of local capacity on the
-//     submitting machine, 20× the 0.5 ms of a local call;
+//     submitting machine, 20× a local call;
 //   - the local scheduler and the coordinator each consume <1% of a
 //     machine.
 //
@@ -27,9 +27,6 @@ type Model struct {
 	// RemoteSyscall is local CPU per system call executed on behalf of a
 	// remote job.
 	RemoteSyscall time.Duration
-	// LocalSyscall is CPU per system call when running locally (for the
-	// remote/local comparison and the "when is remote worth it" bound).
-	LocalSyscall time.Duration
 }
 
 // Paper returns the cost model with the paper's measured constants.
@@ -37,7 +34,6 @@ func Paper() Model {
 	return Model{
 		PlacePerMB:    5 * time.Second,
 		RemoteSyscall: 10 * time.Millisecond,
-		LocalSyscall:  500 * time.Microsecond,
 	}
 }
 
@@ -60,23 +56,6 @@ func (m Model) SyscallCost(n int64) time.Duration {
 	return time.Duration(n) * m.RemoteSyscall
 }
 
-// JobSupport itemizes the local capacity one job consumed.
-type JobSupport struct {
-	// Placements and Checkpoints count transfers; TransferBytes is their
-	// cumulative size.
-	Placements    int
-	Checkpoints   int
-	TransferBytes int64
-	// Syscalls counts remote system calls served by the shadow.
-	Syscalls int64
-}
-
-// LocalSupport returns the total local capacity a job consumed under the
-// model.
-func (m Model) LocalSupport(s JobSupport) time.Duration {
-	return m.TransferCost(s.TransferBytes) + m.SyscallCost(s.Syscalls)
-}
-
 // Leverage computes the paper's §3.1 metric: remote capacity obtained per
 // unit of local capacity spent. A leverage below 1 means the job should
 // have run locally. Returns 0 when nothing ran remotely; when local
@@ -93,14 +72,3 @@ func Leverage(remote, localSupport time.Duration) float64 {
 }
 
 const inf = 1e18
-
-// BreakEvenSyscallRate returns the remote syscall rate (calls per second
-// of remote CPU) above which leverage drops below 1 — the §3.1
-// observation that syscall-heavy programs are "better executed locally
-// instead of remotely".
-func (m Model) BreakEvenSyscallRate() float64 {
-	if m.RemoteSyscall <= 0 {
-		return 0
-	}
-	return float64(time.Second) / float64(m.RemoteSyscall)
-}

@@ -5,14 +5,16 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"condor/internal/accounting"
 )
 
 // exportedReport is the JSON shape of a Report: everything a plotting
 // script needs to redraw the paper's figures.
 type exportedReport struct {
-	Start string    `json:"start"`
-	End   string    `json:"end"`
-	Users []UserRow `json:"users"`
+	Start string               `json:"start"`
+	End   string               `json:"end"`
+	Users []accounting.UserRow `json:"users"`
 
 	DemandCDF struct {
 		PointsHours []float64 `json:"pointsHours"`

@@ -2,10 +2,10 @@ package simulation
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
+	"condor/internal/accounting"
 	"condor/internal/cost"
 	"condor/internal/figures"
 )
@@ -25,32 +25,18 @@ type MachineRow struct {
 	AvgIdleHours  float64 `json:"avgIdleHours"`
 }
 
-// UserRow is one Table 1 row.
-type UserRow struct {
-	User          string
-	Jobs          int
-	PctJobs       float64
-	MeanDemandH   float64
-	TotalDemandH  float64
-	PctDemand     float64
-	Completed     int
-	MeanWaitRatio float64
-}
-
 // Report is everything the paper's evaluation section reports, computed
 // from one simulation run.
 type Report struct {
 	Start time.Time
 	End   time.Time
 
-	// Table 1.
-	Users []UserRow
+	// Table 1, Figures 2, 4, 8 and 9 and their scalars, drawn by
+	// accounting.Figures from the meters the run's jobs booked into.
+	accounting.JobFigures
 
 	// Per-machine availability profile (the ref [1] view).
 	Machines []MachineRow
-
-	// Figure 2: service-demand distribution.
-	Demands figures.Histogram
 
 	// Figures 3 and 7: hourly queue lengths.
 	TotalQueue *figures.HourlySeries
@@ -60,71 +46,35 @@ type Report struct {
 	LocalUtil  *figures.HourlySeries
 	SystemUtil *figures.HourlySeries
 
-	// Figure 4: mean wait ratio vs service demand.
-	WaitAll   *figures.Bins
-	WaitLight *figures.Bins
-
-	// Figure 8: checkpoints per remote-CPU-hour vs service demand.
-	CkptRate *figures.Bins
-
-	// Figure 9: leverage vs service demand.
-	LeverageBins *figures.Bins
-
-	// §3 scalars.
-	TotalMachineHours  float64
-	AvailableHours     float64
-	ConsumedHours      float64
-	LocalUtilMean      float64
-	CompletedJobs      int
-	TotalJobs          int
-	MeanWaitRatioAll   float64
-	MeanWaitRatioLight float64
-	OverallLeverage    float64
-	ShortJobLeverage   float64 // jobs with demand < 2h
-	MeanCkptsPerJob    float64
-	Preempts           int
-	Vacates            int
-	Crashes            int
-	WorkLostHours      float64
-	DownHours          float64
+	// §3 scalars of the machines and the pool.
+	TotalMachineHours float64
+	AvailableHours    float64
+	ConsumedHours     float64
+	LocalUtilMean     float64
+	// Preempts counts Up-Down preemptions, booked on the victims' home
+	// stations as the coordinator books them.
+	Preempts      int
+	Crashes       int
+	WorkLostHours float64
+	DownHours     float64
 	// PeakStationBurst is the most placements any single station made in
 	// one poll cycle — the §4 local-impact quantity pacing bounds at 1.
 	PeakStationBurst int
-	// MeanCheckpointMB is the mean checkpoint-file size across all
-	// transfers (paper: ≈0.5 MB, hence ≈2.5 s per move at 5 s/MB).
-	MeanCheckpointMB float64
-	// MeanMoveCostSeconds is the implied mean local cost of one
-	// placement or checkpoint under the cost model.
-	MeanMoveCostSeconds float64
 
 	// run accumulators (filled during simulation).
-	preempts         int
-	vacates          int
-	crashes          int
 	workLost         time.Duration
 	consumedInWindow time.Duration
-	peakStationBurst int
-	transferMoves    int
-	transferBytes    int64
 }
-
-// costModel prices placements, checkpoints and system calls for the
-// leverage figures: the paper's §3.1 measurements.
-var costModel = cost.Paper()
 
 func newReport(start, end time.Time) *Report {
 	hours := int(end.Sub(start) / time.Hour)
 	return &Report{
-		Start:        start,
-		End:          end,
-		TotalQueue:   figures.NewHourlySeries(start, hours, time.Hour),
-		LightQueue:   figures.NewHourlySeries(start, hours, time.Hour),
-		LocalUtil:    figures.NewHourlySeries(start, hours, time.Hour),
-		SystemUtil:   figures.NewHourlySeries(start, hours, time.Hour),
-		WaitAll:      figures.DemandBins(),
-		WaitLight:    figures.DemandBins(),
-		CkptRate:     figures.DemandBins(),
-		LeverageBins: figures.DemandBins(),
+		Start:      start,
+		End:        end,
+		TotalQueue: figures.NewHourlySeries(start, hours, time.Hour),
+		LightQueue: figures.NewHourlySeries(start, hours, time.Hour),
+		LocalUtil:  figures.NewHourlySeries(start, hours, time.Hour),
+		SystemUtil: figures.NewHourlySeries(start, hours, time.Hour),
 	}
 }
 
@@ -139,16 +89,9 @@ func (r *Report) recordRemoteCPU(from, to, windowEnd time.Time) {
 	}
 }
 
-// leverageCap renders infinite leverage (zero local support) finitely.
-const leverageCap = 1e6
-
 // collect computes the final statistics from the simulator state.
 func (r *Report) collect(s *simulator) {
-	r.Preempts = r.preempts
-	r.Vacates = r.vacates
-	r.Crashes = r.crashes
 	r.WorkLostHours = r.workLost.Hours()
-	r.PeakStationBurst = r.peakStationBurst
 
 	// Machine-side accounting.
 	window := s.end.Sub(windowStart)
@@ -179,129 +122,23 @@ func (r *Report) collect(s *simulator) {
 	r.ConsumedHours = r.consumedInWindow.Hours()
 	r.LocalUtilMean = ownerHours / r.TotalMachineHours
 
-	// Per-user rows and per-job statistics.
-	type agg struct {
-		jobs      int
-		demand    float64
-		completed int
-		waitSum   float64
-	}
-	byUser := map[string]*agg{}
-	var (
-		totalRemote  time.Duration
-		totalLocal   time.Duration
-		shortRemote  time.Duration
-		shortLocal   time.Duration
-		waitSumAll   float64
-		waitNAll     int
-		waitSumLight float64
-		waitNLight   int
-		ckptTotal    int
-	)
-	for _, j := range s.jobs {
-		r.TotalJobs++
-		a := byUser[j.wj.User]
-		if a == nil {
-			a = &agg{}
-			byUser[j.wj.User] = a
-		}
-		a.jobs++
-		demandH := j.wj.Demand.Hours()
-		a.demand += demandH
-		r.Demands.Add(demandH)
-		if j.state != jobDone {
-			continue
-		}
-		r.CompletedJobs++
-		a.completed++
-		ckptTotal += j.checkpoints
-
-		wait := j.doneAt.Sub(j.submitted) - j.wj.Demand
-		if wait < 0 {
-			wait = 0
-		}
-		ratio := float64(wait) / float64(j.wj.Demand)
-		a.waitSum += ratio
-		waitSumAll += ratio
-		waitNAll++
-		heavy := s.userOf(j.wj.User) != nil && s.userOf(j.wj.User).profile.Heavy()
-		if !heavy {
-			waitSumLight += ratio
-			waitNLight++
-			r.WaitLight.Observe(demandH, ratio)
-		}
-		r.WaitAll.Observe(demandH, ratio)
-
-		// Figure 8: moves per hour of service demand.
-		r.CkptRate.Observe(demandH, float64(j.checkpoints)/demandH)
-
-		// §3.1 transfer statistics.
-		moves := j.placements + j.checkpoints
-		if moves > 0 {
-			r.transferMoves += moves
-			r.transferBytes += j.transferBytes
-		}
-
-		// Figure 9: leverage.
-		support := costModel.LocalSupport(cost.JobSupport{
-			Placements:    j.placements,
-			Checkpoints:   j.checkpoints,
-			TransferBytes: j.transferBytes,
-			Syscalls:      j.syscalls,
-		})
-		lev := cost.Leverage(j.wj.Demand, support)
-		if lev > leverageCap {
-			lev = leverageCap
-		}
-		r.LeverageBins.Observe(demandH, lev)
-		totalRemote += j.wj.Demand
-		totalLocal += support
-		if demandH < 2 {
-			shortRemote += j.wj.Demand
-			shortLocal += support
+	// Per-job figures, from the meters the run booked into.
+	jobs := make([]accounting.FigureJob, len(s.jobs))
+	for i, j := range s.jobs {
+		jobs[i] = accounting.FigureJob{
+			User:           j.wj.User,
+			Totals:         j.meter.Totals(),
+			Demand:         j.wj.Demand,
+			Done:           j.state == jobDone,
+			Turnaround:     j.doneAt.Sub(j.submitted),
+			PlacementBytes: j.wj.CheckpointBytes,
+			Light:          !s.userOf(j.wj.User).profile.Heavy(),
 		}
 	}
-	if waitNAll > 0 {
-		r.MeanWaitRatioAll = waitSumAll / float64(waitNAll)
-	}
-	if waitNLight > 0 {
-		r.MeanWaitRatioLight = waitSumLight / float64(waitNLight)
-	}
-	if r.CompletedJobs > 0 {
-		r.MeanCkptsPerJob = float64(ckptTotal) / float64(r.CompletedJobs)
-	}
-	r.OverallLeverage = cost.Leverage(totalRemote, totalLocal)
-	r.ShortJobLeverage = cost.Leverage(shortRemote, shortLocal)
-	if r.transferMoves > 0 {
-		meanBytes := r.transferBytes / int64(r.transferMoves)
-		r.MeanCheckpointMB = float64(meanBytes) / (1 << 20)
-		r.MeanMoveCostSeconds = costModel.TransferCost(meanBytes).Seconds()
-	}
-
-	var totalDemand float64
-	for _, a := range byUser {
-		totalDemand += a.demand
-	}
-	names := make([]string, 0, len(byUser))
-	for name := range byUser {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		a := byUser[name]
-		row := UserRow{
-			User:         name,
-			Jobs:         a.jobs,
-			PctJobs:      100 * float64(a.jobs) / float64(r.TotalJobs),
-			MeanDemandH:  a.demand / float64(a.jobs),
-			TotalDemandH: a.demand,
-			PctDemand:    100 * a.demand / totalDemand,
-			Completed:    a.completed,
-		}
-		if a.completed > 0 {
-			row.MeanWaitRatio = a.waitSum / float64(a.completed)
-		}
-		r.Users = append(r.Users, row)
+	// Support is priced by the paper's §3.1 measurements.
+	r.JobFigures = accounting.Figures(jobs, cost.Paper())
+	for _, a := range s.ledger.AllocSnapshot() {
+		r.Preempts += int(a.Preempts)
 	}
 }
 

@@ -92,7 +92,8 @@ func simulatedRound(t *testing.T, script []machineScript, pol policy.Config) (de
 	}
 	job := func(home string, n int, state jobState) *simJob {
 		wj := workload.Job{ID: fmt.Sprintf("%s/%d", home, n), User: s.byHome[home].profile.Name, Demand: time.Hour}
-		return &simJob{wj: wj, state: state, remaining: wj.Demand, lastCkptRemaining: wj.Demand, runStart: now}
+		return &simJob{wj: wj, state: state, remaining: wj.Demand, lastCkptRemaining: wj.Demand, runStart: now,
+			meter: s.ledger.Job(wj.ID, wj.User, home)}
 	}
 	for i, ms := range script {
 		m, u := s.machines[i], s.byHome[stationName(i)]

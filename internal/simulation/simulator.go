@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"condor/internal/accounting"
 	"condor/internal/avail"
 	"condor/internal/decision"
 	"condor/internal/machine"
@@ -36,10 +37,9 @@ type simJob struct {
 	submitted time.Time
 	doneAt    time.Time
 
-	placements    int
-	checkpoints   int
-	transferBytes int64
-	syscalls      int64
+	// meter books the job's placements, checkpoints, forwarded calls and
+	// preemptions, as the live shadow and executor book theirs.
+	meter *accounting.Meter
 
 	// lastCkptRemaining is the remaining CPU recorded at the last
 	// checkpoint; under kill-immediately, work past it is redone.
@@ -80,7 +80,6 @@ type user struct {
 	queue   []*simJob // FIFO of queued jobs
 	// inSystem counts queued+running+suspended jobs.
 	inSystem int
-	// lastGrantCycle enforces nothing; pacing comes from policy.
 }
 
 // simulator holds one run's state.
@@ -97,6 +96,9 @@ type simulator struct {
 	jobs     []*simJob
 
 	table *updown.Table
+	// ledger is this run's own: the jobs' meters and the Up-Down
+	// preemptions charged to their home stations.
+	ledger *accounting.Ledger
 	// pol is the scheduling policy under test.
 	pol *policy.Policy
 
@@ -129,6 +131,7 @@ func newSimulator(cfg Config) *simulator {
 		byHome:  make(map[string]*user),
 		byName:  make(map[string]*simMachine),
 		table:   updown.NewTable(updown.DefaultConfig()),
+		ledger:  accounting.NewLedger(),
 	}
 	pol, err := policy.New(cfg.Policy.Name)
 	if err != nil {
@@ -231,6 +234,7 @@ func (s *simulator) arrive(wj workload.Job, now time.Time) {
 		remaining:         wj.Demand,
 		submitted:         now,
 		lastCkptRemaining: wj.Demand,
+		meter:             s.ledger.Job(wj.ID, wj.User, u.home),
 	}
 	u.queue = append(u.queue, j)
 	u.inSystem++
@@ -251,10 +255,7 @@ func (s *simulator) ownerFlip(m *simMachine, now time.Time) {
 		m.idle.Observe(true, now)
 		if m.foreign != nil && m.foreign.state == jobSuspended {
 			// Owner left within the grace period: resume in place (§4).
-			if m.graceTimer != nil {
-				m.graceTimer.Stop()
-				m.graceTimer = nil
-			}
+			m.stopGrace()
 			s.resume(m.foreign, now)
 		}
 		s.engine.After(m.gen.NextIdle(now), func(t time.Time) { s.ownerFlip(m, t) })
@@ -273,7 +274,7 @@ func (s *simulator) ownerFlip(m *simMachine, now time.Time) {
 			job := m.foreign
 			m.graceTimer = s.engine.After(suspendGrace, func(t time.Time) {
 				if m.foreign == job && job.state == jobSuspended {
-					s.vacate(job, t, "grace expired")
+					s.vacate(job, t)
 				}
 			})
 		}
@@ -316,8 +317,7 @@ func (s *simulator) place(u *user, m *simMachine, now time.Time) bool {
 	j.state = jobRunning
 	j.machine = m
 	j.runStart = now
-	j.placements++
-	j.transferBytes += j.wj.CheckpointBytes
+	j.meter.Placed(now)
 	m.foreign = j
 	s.scheduleCompletion(j, now)
 	s.schedulePeriodic(j, now)
@@ -338,8 +338,7 @@ func (s *simulator) schedulePeriodic(j *simJob, now time.Time) {
 		}
 		s.chargeProgress(j, t)
 		j.runStart = t
-		j.checkpoints++
-		j.transferBytes += j.wj.CheckpointBytes
+		j.meter.Checkpoint(int(j.wj.CheckpointBytes), 0)
 		j.lastCkptRemaining = j.remaining
 		s.schedulePeriodic(j, t)
 	})
@@ -355,7 +354,10 @@ func (s *simulator) chargeProgress(j *simJob, now time.Time) {
 		consumed = j.remaining
 	}
 	j.remaining -= consumed
-	j.syscalls += int64(j.wj.SyscallRate * consumed.Seconds())
+	// The calls the job forwarded home while it ran (§3.1's model).
+	for n := int64(j.wj.SyscallRate * consumed.Seconds()); n > 0; n-- {
+		j.meter.Syscall(0, 0)
+	}
 	// Remote capacity consumed inside the window counts toward Figure 5.
 	s.rep.recordRemoteCPU(j.runStart, now, s.end)
 }
@@ -389,7 +391,7 @@ func (s *simulator) resume(j *simJob, now time.Time) {
 }
 
 // vacate checkpoints a job off its machine and requeues it.
-func (s *simulator) vacate(j *simJob, now time.Time, reason string) {
+func (s *simulator) vacate(j *simJob, now time.Time) {
 	m := j.machine
 	if m == nil {
 		return
@@ -399,42 +401,50 @@ func (s *simulator) vacate(j *simJob, now time.Time, reason string) {
 		s.chargeProgress(j, now)
 	}
 	s.stopTimers(j)
-	if m.graceTimer != nil {
-		m.graceTimer.Stop()
-		m.graceTimer = nil
-	}
-	j.checkpoints++
-	j.transferBytes += j.wj.CheckpointBytes
+	j.meter.Checkpoint(int(j.wj.CheckpointBytes), 0)
+	j.meter.Preempted()
 	j.lastCkptRemaining = j.remaining
-	j.state = jobQueued
-	j.machine = nil
-	m.foreign = nil
-	u := s.userOf(j.wj.User)
-	u.queue = append(u.queue, j)
-	s.rep.vacates++
-	_ = reason
+	s.requeue(j)
 }
 
 // killToLastCheckpoint implements the §4 kill-immediately policy in the
 // simulator: the job restarts from its last checkpoint; progress since
 // then is redone.
 func (s *simulator) killToLastCheckpoint(j *simJob, now time.Time) {
-	m := j.machine
-	s.integrate(m, now)
+	s.integrate(j.machine, now)
 	s.chargeProgress(j, now)
 	s.stopTimers(j)
-	// Lose the work since the last checkpoint.
-	lost := j.lastCkptRemaining - j.remaining
-	if lost > 0 {
+	s.rollback(j)
+	j.meter.Preempted()
+	s.requeue(j)
+}
+
+// rollback loses the job's work since its last checkpoint: it will be
+// redone.
+func (s *simulator) rollback(j *simJob) {
+	if lost := j.lastCkptRemaining - j.remaining; lost > 0 {
 		s.rep.workLost += lost
 		j.remaining = j.lastCkptRemaining
 	}
-	j.state = jobQueued
+}
+
+// requeue takes a job off its machine and puts it back at the end of its
+// owner's queue.
+func (s *simulator) requeue(j *simJob) {
+	j.machine.foreign = nil
+	j.machine.stopGrace()
 	j.machine = nil
-	m.foreign = nil
+	j.state = jobQueued
 	u := s.userOf(j.wj.User)
 	u.queue = append(u.queue, j)
-	s.rep.vacates++
+}
+
+// stopGrace cancels a suspended job's pending grace expiry.
+func (m *simMachine) stopGrace() {
+	if m.graceTimer != nil {
+		m.graceTimer.Stop()
+		m.graceTimer = nil
+	}
 }
 
 // complete finishes a job.
@@ -449,10 +459,7 @@ func (s *simulator) complete(j *simJob, now time.Time) {
 	j.doneAt = now
 	if m != nil {
 		m.foreign = nil
-		if m.graceTimer != nil {
-			m.graceTimer.Stop()
-			m.graceTimer = nil
-		}
+		m.stopGrace()
 	}
 	j.machine = nil
 	u := s.userOf(j.wj.User)
@@ -531,15 +538,13 @@ func (s *simulator) pollCycle(now time.Time) {
 		}
 	}
 	for _, n := range perStation {
-		if n > s.rep.peakStationBurst {
-			s.rep.peakStationBurst = n
-		}
+		s.rep.PeakStationBurst = max(s.rep.PeakStationBurst, n)
 	}
 	for _, p := range dec.Preempts {
 		m := s.byName[p.Exec]
 		if m != nil && m.foreign != nil && m.foreign.state == jobRunning {
-			s.rep.preempts++
-			s.vacate(m.foreign, now, "up-down preemption")
+			s.ledger.Preempt(m.foreign.meter.Home)
+			s.vacate(m.foreign, now)
 		}
 	}
 	s.cfg.Audit.Record(aud.Done())
@@ -553,26 +558,15 @@ func (s *simulator) pollCycle(now time.Time) {
 func (s *simulator) crash(m *simMachine, r *sim.RNG, now time.Time) {
 	s.integrate(m, now)
 	m.down = true
-	s.rep.crashes++
+	s.rep.Crashes++
 	if j := m.foreign; j != nil {
 		s.stopTimers(j)
 		if j.state == jobRunning {
 			s.chargeProgress(j, now)
 		}
 		// No chance to checkpoint: roll back to the last one.
-		if lost := j.lastCkptRemaining - j.remaining; lost > 0 {
-			s.rep.workLost += lost
-			j.remaining = j.lastCkptRemaining
-		}
-		j.state = jobQueued
-		j.machine = nil
-		m.foreign = nil
-		if m.graceTimer != nil {
-			m.graceTimer.Stop()
-			m.graceTimer = nil
-		}
-		u := s.userOf(j.wj.User)
-		u.queue = append(u.queue, j)
+		s.rollback(j)
+		s.requeue(j)
 	}
 	repair := time.Duration(r.Exp(float64(s.cfg.CrashRepair)))
 	s.engine.After(repair, func(t time.Time) {

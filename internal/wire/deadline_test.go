@@ -160,6 +160,42 @@ func writeSideBusy(t *testing.T, call boundedCall) {
 	}
 }
 
+// TestUnwrittenWriteContextDeadlineKeepsPeer is the context's twin of
+// TestUnwrittenWriteTimeoutKeepsPeer: a Call whose context deadline, not
+// a bound of its own, ends its write before the first byte is taken fails
+// with ErrNotSent and context.DeadlineExceeded, so Retryable treats it as
+// final, and the peer stays up.
+func TestUnwrittenWriteContextDeadlineKeepsPeer(t *testing.T) {
+	local, remote := net.Pipe()
+	peer := NewPeer(NewConn(local), nil)
+	defer peer.Close()
+	defer remote.Close()
+
+	// Nothing reads remote yet, so the write waits until the deadline.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	_, err := peer.Call(ctx, ping{N: 1})
+	cancel()
+	if !errors.Is(err, ErrNotSent) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want ErrNotSent and context.DeadlineExceeded", err)
+	}
+	if Retryable(err) {
+		t.Fatalf("Retryable(%v) = true for a call whose deadline passed", err)
+	}
+	if peer.Dead() {
+		t.Fatal("a write that timed out before its first byte closed the connection")
+	}
+
+	server := NewPeer(NewConn(remote), func(_ context.Context, msg any) (any, error) {
+		return pong{N: msg.(ping).N + 1}, nil
+	})
+	defer server.Close()
+	ctx, cancel = context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if reply, err := peer.Call(ctx, ping{N: 2}); err != nil || reply.(pong).N != 3 {
+		t.Fatalf("next Call on the same peer: %#v, %v", reply, err)
+	}
+}
+
 // TestUnwrittenWriteTimeoutKeepsPeer: a Call whose 1ms bound passes while
 // its write waits for the reader to take the first byte has written
 // nothing, so the stream is still in sync. It fails with ErrNotSent and,

@@ -124,7 +124,8 @@ func (c *Conn) Send(env Envelope) error {
 // the connection up. So does an envelope that cannot be encoded (a Msg
 // that is not a registered Message) or exceeds MaxFrameBytes, and a
 // write whose deadline passes before its first byte is taken. A write
-// that the bound ends returns errExpired too.
+// that the bound ends returns errExpired too, and one that ctx's deadline
+// ends an error wrapping context.DeadlineExceeded.
 func (c *Conn) send(ctx context.Context, expire <-chan time.Time, at time.Time, env Envelope) error {
 	select {
 	case c.writing <- struct{}{}:
@@ -177,6 +178,11 @@ func (c *Conn) send(ctx context.Context, expire <-chan time.Time, at time.Time, 
 		if timedOut && expire != nil && deadline.Equal(at) {
 			<-expire // the bound ended the write, so its timer is due
 			return errExpired
+		}
+		if d, ok := ctx.Deadline(); timedOut && ok && deadline.Equal(d) {
+			// The context's deadline ended the write: say so, as the
+			// context itself may not have reported it yet.
+			return fmt.Errorf("wire: write frame: %w: %w", err, context.DeadlineExceeded)
 		}
 		return fmt.Errorf("wire: write frame: %w", err)
 	}
