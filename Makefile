@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all verify build lint vet test bench-test race chaos conformance smoke bench bench-baseline bench-drift fuzz sim examples clean
+.PHONY: all verify build lint vet test bench-test bench-smoke race chaos conformance smoke bench bench-baseline bench-drift fuzz sim examples clean
 
 # The benchmarks tracked in BENCH_baseline.json: telemetry and
 # accounting hot paths (the per-syscall meter must stay 0 allocs/op,
@@ -27,11 +27,11 @@ BASELINE_PKGS = . ./internal/telemetry/ ./internal/wire/ ./internal/journal/ ./i
 
 all: verify
 
-# Full pre-merge gate: compile, lint, plain tests, the race detector,
-# the end-to-end benchmark's own tests, the crash-recovery chaos suite,
-# the scheduling-policy conformance suite, and the headless dashboard
-# smoke.
-verify: build vet test bench-test race chaos conformance smoke
+# Full pre-merge gate: compile, lint, plain tests, the end-to-end
+# benchmark's own tests, one iteration of every go test benchmark, the
+# race detector, the crash-recovery chaos suite, the scheduling-policy
+# conformance suite, and the headless dashboard smoke.
+verify: build vet test bench-test bench-smoke race chaos conformance smoke
 
 build:
 	$(GO) build ./...
@@ -67,6 +67,12 @@ test:
 # not reach it: every workload at ~1/50 scale, a few seconds.
 bench-test:
 	cd bench && $(GO) test ./...
+
+# Every benchmark of the go test suites, once: bench-drift runs only the
+# BASELINE_BENCH rows, so a benchmark that panics or fails would
+# otherwise go unseen.
+bench-smoke:
+	$(GO) test -run NONE -bench . -benchtime 1x ./...
 
 race:
 	$(GO) test -race ./...
@@ -113,8 +119,9 @@ conformance:
 smoke:
 	$(GO) test -race -count=1 -run 'TestDashboardSmoke|TestSSEFanout' .
 
-# Regenerate every table and figure of the paper (tee'd outputs land in
-# test_output.txt / bench_output.txt).
+# Every benchmark of the go test suites at full length (tee'd to
+# bench_output.txt). The paper's tables, figures and ablations are
+# condor-sim's: `make sim`, or `go run ./cmd/condor-sim -ablation NAME`.
 bench:
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
 

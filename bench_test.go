@@ -1,10 +1,10 @@
 package condor
 
-// The benchmark harness regenerates every table and figure of the
-// paper's evaluation (run with `go test -bench=. -benchmem`). Each
-// Benchmark prints the artifact once (so `go test -bench` output is the
-// reproduction) and reports the headline quantity as a benchmark metric.
-// Ablation benches correspond to the A1–A6 rows in DESIGN.md.
+// The root package's benchmarks time the paper's §3.1 costs on the real
+// daemons: a coordinator cycle, a forwarded system call, a placement,
+// checkpoint encode and decode, and guest execution. The paper's tables,
+// figures and ablations come from condor-sim, whose outputs
+// cmd/condor-sim/testdata pins.
 
 import (
 	"bytes"
@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -20,226 +19,75 @@ import (
 	"condor/internal/coordinator"
 	"condor/internal/cvm"
 	"condor/internal/machine"
-	"condor/internal/policy"
 	"condor/internal/proto"
 	"condor/internal/ru"
 	"condor/internal/schedd"
-	"condor/internal/simulation"
-	"condor/internal/updown"
 	"condor/internal/wire"
 )
-
-// monthReport caches one full-month run for the figure benches' printed
-// artifacts; the timed loop still runs fresh simulations.
-var (
-	benchOnce   sync.Once
-	benchReport *simulation.Report
-)
-
-func cachedMonth() *simulation.Report {
-	benchOnce.Do(func() { benchReport = simulation.Run(simulation.DefaultConfig()) })
-	return benchReport
-}
-
-// shortSim is the config used inside timed loops (a 10-day window keeps
-// a full -bench=. run fast while preserving every mechanism).
-func shortSim() simulation.Config {
-	cfg := simulation.DefaultConfig()
-	cfg.Days = 10
-	cfg.DrainDays = 8
-	return cfg
-}
-
-var printOnce sync.Map
-
-func printArtifact(key, text string) {
-	if _, loaded := printOnce.LoadOrStore(key, true); !loaded {
-		fmt.Println(text)
-	}
-}
-
-// --- Table 1 and Figures 2–9 -------------------------------------------
-
-func BenchmarkTable1UserProfile(b *testing.B) {
-	printArtifact("table1", cachedMonth().Table1())
-	cfg := shortSim()
-	var jobs int
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i)
-		rep := simulation.Run(cfg)
-		jobs = rep.TotalJobs
-	}
-	b.ReportMetric(float64(jobs), "jobs")
-}
-
-func BenchmarkFigure2ServiceDemandCDF(b *testing.B) {
-	rep := cachedMonth()
-	printArtifact("fig2", rep.Figure2())
-	b.ReportMetric(rep.Demands.Mean(), "mean-demand-h")
-	b.ReportMetric(rep.Demands.Median(), "median-demand-h")
-	cfg := shortSim()
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i)
-		_ = simulation.Run(cfg).Demands.Median()
-	}
-}
-
-func BenchmarkFigure3QueueLength(b *testing.B) {
-	rep := cachedMonth()
-	printArtifact("fig3", rep.Figure3())
-	b.ReportMetric(rep.TotalQueue.Mean(), "mean-total-queue")
-	b.ReportMetric(rep.LightQueue.Mean(), "mean-light-queue")
-	cfg := shortSim()
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i)
-		_ = simulation.Run(cfg).TotalQueue.Mean()
-	}
-}
-
-func BenchmarkFigure4WaitRatio(b *testing.B) {
-	rep := cachedMonth()
-	printArtifact("fig4", rep.Figure4())
-	b.ReportMetric(rep.MeanWaitRatioAll, "wait-ratio-all")
-	b.ReportMetric(rep.MeanWaitRatioLight, "wait-ratio-light")
-	cfg := shortSim()
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i)
-		_ = simulation.Run(cfg).MeanWaitRatioAll
-	}
-}
-
-func BenchmarkFigure5Utilization(b *testing.B) {
-	rep := cachedMonth()
-	printArtifact("fig5", rep.Figure5())
-	b.ReportMetric(100*rep.LocalUtilMean, "local-util-pct")
-	b.ReportMetric(rep.AvailableHours, "available-h")
-	b.ReportMetric(rep.ConsumedHours, "consumed-h")
-	cfg := shortSim()
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i)
-		_ = simulation.Run(cfg).ConsumedHours
-	}
-}
-
-func BenchmarkFigure6WeekUtilization(b *testing.B) {
-	rep := cachedMonth()
-	printArtifact("fig6", rep.Figure6())
-	cfg := shortSim()
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i)
-		_ = simulation.Run(cfg).Figure6()
-	}
-}
-
-func BenchmarkFigure7WeekQueues(b *testing.B) {
-	rep := cachedMonth()
-	printArtifact("fig7", rep.Figure7())
-	cfg := shortSim()
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i)
-		_ = simulation.Run(cfg).Figure7()
-	}
-}
-
-func BenchmarkFigure8CheckpointRate(b *testing.B) {
-	rep := cachedMonth()
-	printArtifact("fig8", rep.Figure8())
-	b.ReportMetric(rep.MeanCkptsPerJob, "ckpts-per-job")
-	b.ReportMetric(float64(rep.Vacates), "vacates")
-	cfg := shortSim()
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i)
-		_ = simulation.Run(cfg).MeanCkptsPerJob
-	}
-}
-
-func BenchmarkFigure9Leverage(b *testing.B) {
-	rep := cachedMonth()
-	printArtifact("fig9", rep.Figure9())
-	b.ReportMetric(rep.OverallLeverage, "leverage")
-	b.ReportMetric(rep.ShortJobLeverage, "leverage-short")
-	cfg := shortSim()
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i)
-		_ = simulation.Run(cfg).OverallLeverage
-	}
-}
 
 // --- §3.1 overheads on the real daemons ---------------------------------
 
 // BenchmarkOverheadCoordinatorPoll measures one full poll-decide-act
 // cycle over a live pool of stations — the coordinator cost the paper
 // bounds below 1% of a workstation ("a coordinator can manage as many as
-// 100 workstations").
+// 100 workstations"), at its 2-minute cadence.
 func BenchmarkOverheadCoordinatorPoll(b *testing.B) {
 	for _, n := range []int{5, 23} {
 		b.Run(fmt.Sprintf("stations-%d", n), func(b *testing.B) {
-			coord, err := coordinator.New(coordinator.Config{PollInterval: time.Hour})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer coord.Close()
-			stations := make([]*schedd.Station, n)
-			for i := range stations {
-				st, err := schedd.New(schedd.Config{
-					Name:    fmt.Sprintf("b%02d", i),
-					Monitor: machine.NewScriptedMonitor(false),
-					Starter: ru.StarterConfig{ScanInterval: time.Hour},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer st.Close()
-				if err := st.Register(coord.Addr()); err != nil {
-					b.Fatal(err)
-				}
-				stations[i] = st
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				coord.Cycle()
-			}
-			b.StopTimer()
-			perCycle := b.Elapsed() / time.Duration(b.N)
-			// Fraction of a machine consumed at the paper's 2-minute
-			// cadence (paper bound: <1%).
-			b.ReportMetric(100*float64(perCycle)/float64(2*time.Minute), "pct-of-machine")
+			timeCycles(b, overheadPool(b, n, 0), 2*time.Minute)
 		})
 	}
 }
 
-// BenchmarkOverheadStationPoll measures the station's side of a poll:
-// the local scheduler work the paper also bounds below 1%.
+// BenchmarkOverheadStationPoll measures a poll of one station with 50
+// queued jobs, against the station's 30 s scan: the local scheduler work
+// the paper also bounds below 1%. The timed cycle is the coordinator's
+// whole cycle, so both daemons and the poll RPC are in it.
 func BenchmarkOverheadStationPoll(b *testing.B) {
-	st, err := schedd.New(schedd.Config{
-		Name:    "bench",
-		Monitor: machine.NewScriptedMonitor(false),
-		Starter: ru.StarterConfig{ScanInterval: time.Hour},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer st.Close()
-	for i := 0; i < 50; i++ {
-		if _, err := st.Submit("u", cvm.SpinProgram(int64(i+1)), 0); err != nil {
-			b.Fatal(err)
-		}
-	}
+	timeCycles(b, overheadPool(b, 1, 50), 30*time.Second)
+}
+
+// overheadPool registers stations, each with jobs queued spin jobs, with
+// a new coordinator. Every interval is an hour, so only the benchmark's
+// own cycles run.
+func overheadPool(b *testing.B, stations, jobs int) *coordinator.Coordinator {
 	coord, err := coordinator.New(coordinator.Config{PollInterval: time.Hour})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer coord.Close()
-	if err := st.Register(coord.Addr()); err != nil {
-		b.Fatal(err)
+	b.Cleanup(coord.Close)
+	for i := 0; i < stations; i++ {
+		st, err := schedd.New(schedd.Config{
+			Name:    fmt.Sprintf("b%02d", i),
+			Monitor: machine.NewScriptedMonitor(false),
+			Starter: ru.StarterConfig{ScanInterval: time.Hour},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(st.Close)
+		for j := 0; j < jobs; j++ {
+			if _, err := st.Submit("u", cvm.SpinProgram(int64(j+1)), 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := st.Register(coord.Addr()); err != nil {
+			b.Fatal(err)
+		}
 	}
+	return coord
+}
+
+// timeCycles times b.N cycles of coord and reports one cycle's share of
+// a machine that spends it once per interval.
+func timeCycles(b *testing.B, coord *coordinator.Coordinator, interval time.Duration) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		coord.Cycle() // includes the wire round trip to the station
+		coord.Cycle()
 	}
 	b.StopTimer()
-	perScan := b.Elapsed() / time.Duration(b.N)
-	b.ReportMetric(100*float64(perScan)/float64(30*time.Second), "pct-of-machine")
+	perCycle := b.Elapsed() / time.Duration(b.N)
+	b.ReportMetric(100*float64(perCycle)/float64(interval), "pct-of-machine")
 }
 
 // BenchmarkSyscallRoundTrip measures a remote system call through the
@@ -325,12 +173,7 @@ func (doneEvents) JobLost(string, error)                  {}
 // — the paper's 5 s/MB placement/checkpoint cost on 1987 hardware.
 func BenchmarkCheckpointPerMB(b *testing.B) {
 	// A program with ≈1 MiB of static state (128Ki words).
-	prog := cvm.MustAssemble("big", ".bss\nbuf: .space 131072\n.text\nstart:\n HALT 0\n")
-	vm, err := cvm.New(prog, cvm.NewMemHost(), cvm.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	img := vm.Snapshot()
+	img := newVM(b, cvm.MustAssemble("big", ".bss\nbuf: .space 131072\n.text\nstart:\n HALT 0\n")).Snapshot()
 	meta := ckpt.Meta{JobID: "bench/1"}
 	blob, err := ckpt.EncodeBytes(meta, img)
 	if err != nil {
@@ -339,13 +182,7 @@ func BenchmarkCheckpointPerMB(b *testing.B) {
 	mb := float64(len(blob)) / (1 << 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := ckpt.EncodeBytes(meta, img)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := ckpt.DecodeBytes(out); err != nil {
-			b.Fatal(err)
-		}
+		roundTrip(b, meta, img, ckpt.Options{})
 	}
 	b.StopTimer()
 	perMB := b.Elapsed().Seconds() / float64(b.N) / mb
@@ -357,21 +194,11 @@ func BenchmarkCheckpointPerMB(b *testing.B) {
 // fixed cost of a call, not the bytes, is the whole price. A per-call
 // flate.NewWriter shows up here as allocs/op growth.
 func BenchmarkCheckpointSmallCompressed(b *testing.B) {
-	vm, err := cvm.New(cvm.SpinProgram(1000), cvm.NewMemHost(), cvm.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	img := vm.Snapshot()
+	img := newVM(b, cvm.SpinProgram(1000)).Snapshot()
 	meta := ckpt.Meta{JobID: "bench/2", Owner: "bench", ProgramName: "spin"}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		blob, err := ckpt.EncodeBytesWith(meta, img, ckpt.Options{Compress: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := ckpt.DecodeBytes(blob); err != nil {
-			b.Fatal(err)
-		}
+		roundTrip(b, meta, img, ckpt.Options{Compress: true})
 	}
 }
 
@@ -380,12 +207,7 @@ func BenchmarkCheckpointSmallCompressed(b *testing.B) {
 // cannot shrink, so the blob stays plain. What it costs is the attempt
 // (given up on after its probe) and the codec's long-word paths.
 func BenchmarkCheckpointIncompressible(b *testing.B) {
-	prog := cvm.MustAssemble("noise", ".bss\nbuf: .space 131072\n.text\nstart:\n HALT 0\n")
-	vm, err := cvm.New(prog, cvm.NewMemHost(), cvm.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	img := vm.Snapshot()
+	img := newVM(b, cvm.MustAssemble("noise", ".bss\nbuf: .space 131072\n.text\nstart:\n HALT 0\n")).Snapshot()
 	r := rand.New(rand.NewSource(1))
 	for i := range img.Mem {
 		img.Mem[i] = r.Int63()
@@ -395,25 +217,28 @@ func BenchmarkCheckpointIncompressible(b *testing.B) {
 	// was put in: a Get on another P misses, and the refill (16
 	// allocations) would make allocs/op jitter.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	round := func() {
-		blob, err := ckpt.EncodeBytesWith(meta, img, ckpt.Options{Compress: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := ckpt.DecodeBytes(blob); err != nil {
-			b.Fatal(err)
-		}
-	}
+	opts := ckpt.Options{Compress: true}
 	// The set-up above (the VM's memory and the image, about 3 MB) and a
 	// first round, which refills the deflate writer pool the collector
 	// emptied before this run, stay off the clock: counted, they cost a
 	// run 3.4 MB and 16 allocations over however many rounds it makes,
 	// and allocs/op read 11 or 12 by b.N.
-	round()
+	roundTrip(b, meta, img, opts)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		round()
+		roundTrip(b, meta, img, opts)
+	}
+}
+
+// roundTrip encodes img under opts and decodes the blob.
+func roundTrip(b *testing.B, meta ckpt.Meta, img *cvm.Image, opts ckpt.Options) {
+	blob, err := ckpt.EncodeBytesWith(meta, img, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, _, err := ckpt.DecodeBytes(blob); err != nil {
+		b.Fatal(err)
 	}
 }
 
@@ -445,27 +270,26 @@ swept:
     ADDI r5, r5, 1
     JMP  sweep
 `)
-	vm, err := cvm.New(prog, cvm.NewMemHost(), cvm.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := vm.Run(100_000); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)*100_000/b.Elapsed().Seconds()/1e6, "Minstr-per-s")
+	timeInstructions(b, newVM(b, prog))
 }
 
 // BenchmarkVMExecution measures guest instruction throughput.
 func BenchmarkVMExecution(b *testing.B) {
-	prog := cvm.SpinProgram(1 << 30)
+	timeInstructions(b, newVM(b, cvm.SpinProgram(1<<30)))
+}
+
+// newVM loads prog on an in-memory host.
+func newVM(b *testing.B, prog *cvm.Program) *cvm.VM {
 	vm, err := cvm.New(prog, cvm.NewMemHost(), cvm.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
+	return vm
+}
+
+// timeInstructions runs vm for 100,000 instructions per iteration and
+// reports the guest's instruction rate.
+func timeInstructions(b *testing.B, vm *cvm.VM) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := vm.Run(100_000); err != nil {
@@ -474,164 +298,6 @@ func BenchmarkVMExecution(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)*100_000/b.Elapsed().Seconds()/1e6, "Minstr-per-s")
-}
-
-// BenchmarkPolicyDecide measures one allocation decision at pool sizes
-// up to the paper's "100 workstations" scaling claim.
-func BenchmarkPolicyDecide(b *testing.B) {
-	for _, n := range []int{23, 100, 400} {
-		b.Run(fmt.Sprintf("stations-%d", n), func(b *testing.B) {
-			table := updown.NewTable(updown.DefaultConfig())
-			views := make([]policy.StationView, n)
-			for i := range views {
-				name := fmt.Sprintf("ws%03d", i)
-				views[i] = policy.StationView{Name: name}
-				switch i % 3 {
-				case 0:
-					views[i].State = proto.StationIdle
-				case 1:
-					views[i].State = proto.StationOwner
-					views[i].WaitingJobs = i % 7
-				default:
-					views[i].State = proto.StationClaimed
-					views[i].ForeignJob = "x/1"
-					views[i].ForeignOwner = fmt.Sprintf("ws%03d", (i+1)%n)
-				}
-				table.Update(name, i%3, i%2 == 0)
-			}
-			cfg := policy.DefaultConfig()
-			pol := policy.MustNew("")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = pol.Decide(views, table, cfg)
-			}
-		})
-	}
-}
-
-// --- Ablations (DESIGN.md A1–A6) ----------------------------------------
-
-func benchAblationPair(b *testing.B, name string, mk func(base simulation.Config) (simulation.Config, simulation.Config), metric func(*simulation.Report) float64, unitA, unitB string) {
-	b.Helper()
-	base := shortSim()
-	cfgA, cfgB := mk(base)
-	var a, bb float64
-	for i := 0; i < b.N; i++ {
-		cfgA.Seed = int64(i)
-		cfgB.Seed = int64(i)
-		a = metric(simulation.Run(cfgA))
-		bb = metric(simulation.Run(cfgB))
-	}
-	b.ReportMetric(a, unitA)
-	b.ReportMetric(bb, unitB)
-	printArtifact("ablation-"+name, fmt.Sprintf("Ablation %s: %s=%.2f %s=%.2f", name, unitA, a, unitB, bb))
-}
-
-// BenchmarkAblationVacatePolicy (A1): suspend-then-vacate vs
-// kill-immediately-with-periodic-checkpoints — compare work redone.
-func BenchmarkAblationVacatePolicy(b *testing.B) {
-	benchAblationPair(b, "vacate",
-		func(base simulation.Config) (simulation.Config, simulation.Config) {
-			kill := base
-			kill.Vacate = simulation.VacateKillImmediately
-			kill.PeriodicCheckpoint = 30 * time.Minute
-			kill.DrainDays = 15
-			return base, kill
-		},
-		func(r *simulation.Report) float64 { return r.WorkLostHours },
-		"suspend-lost-h", "kill-lost-h")
-}
-
-// BenchmarkAblationPlacementPacing (A2): paced (one placement per
-// station per cycle, the paper's §4 rule) vs unpaced bursts — compare
-// the peak number of simultaneous placements a single station suffers,
-// the quantity that "severely degraded" local machines when unbounded.
-func BenchmarkAblationPlacementPacing(b *testing.B) {
-	benchAblationPair(b, "pacing",
-		func(base simulation.Config) (simulation.Config, simulation.Config) {
-			burst := base
-			burst.Policy = policy.DefaultConfig()
-			burst.Policy.MaxGrantsPerCycle = 16
-			burst.Policy.AllowBurstPerStation = true
-			return base, burst
-		},
-		func(r *simulation.Report) float64 { return float64(r.PeakStationBurst) },
-		"paced-peak-burst", "unpaced-peak-burst")
-}
-
-// BenchmarkAblationUpDownVsFIFO (A3): the fairness algorithm vs FIFO —
-// compare light users' wait ratio.
-func BenchmarkAblationUpDownVsFIFO(b *testing.B) {
-	benchAblationPair(b, "updown",
-		func(base simulation.Config) (simulation.Config, simulation.Config) {
-			fifo := base
-			fifo.Policy.Name = "fifo"
-			return base, fifo
-		},
-		func(r *simulation.Report) float64 { return r.MeanWaitRatioLight },
-		"updown-light-wait", "fifo-light-wait")
-}
-
-// BenchmarkAblationHistoryPlacement (A4): §5.1 availability-history
-// placement vs first-fit — compare owner-return vacates.
-func BenchmarkAblationHistoryPlacement(b *testing.B) {
-	benchAblationPair(b, "history",
-		func(base simulation.Config) (simulation.Config, simulation.Config) {
-			hist := base
-			hist.Policy = policy.DefaultConfig()
-			hist.Policy.Placement = policy.PlaceHistory
-			return base, hist
-		},
-		func(r *simulation.Report) float64 { return float64(r.Vacates) },
-		"firstfit-vacates", "history-vacates")
-}
-
-// BenchmarkAblationPeriodicCheckpoint (A5): hourly periodic checkpoints
-// under the suspend policy — compare checkpoint traffic per job.
-func BenchmarkAblationPeriodicCheckpoint(b *testing.B) {
-	benchAblationPair(b, "periodic",
-		func(base simulation.Config) (simulation.Config, simulation.Config) {
-			per := base
-			per.PeriodicCheckpoint = time.Hour
-			return base, per
-		},
-		func(r *simulation.Report) float64 { return r.MeanCkptsPerJob },
-		"vacate-only-ckpts", "periodic-ckpts")
-}
-
-// BenchmarkAblationSharedText (A6): shared vs private text segments in
-// the checkpoint store (§4) — compare bytes for a 50-job sweep.
-func BenchmarkAblationSharedText(b *testing.B) {
-	images := make([]*cvm.Image, 50)
-	for i := range images {
-		vm, err := cvm.New(cvm.SumProgram(int64(1000+i)), cvm.NewMemHost(), cvm.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		images[i] = vm.Snapshot()
-	}
-	var sharedBytes, privateBytes int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		shared := ckpt.NewMemStore(0, true)
-		private := ckpt.NewMemStore(0, false)
-		for j, img := range images {
-			meta := ckpt.Meta{JobID: fmt.Sprintf("sweep/%d", j)}
-			if err := shared.Put(meta, img); err != nil {
-				b.Fatal(err)
-			}
-			if err := private.Put(meta, img); err != nil {
-				b.Fatal(err)
-			}
-		}
-		sharedBytes = shared.Usage().Bytes
-		privateBytes = private.Usage().Bytes
-	}
-	b.ReportMetric(float64(sharedBytes), "shared-bytes")
-	b.ReportMetric(float64(privateBytes), "private-bytes")
-	printArtifact("ablation-text", fmt.Sprintf(
-		"Ablation shared-text: 50-job sweep stores %d B shared vs %d B private (%.1fx saving)",
-		sharedBytes, privateBytes, float64(privateBytes)/float64(sharedBytes)))
 }
 
 // syscallServer is a minimal shadow: a wire server executing guest

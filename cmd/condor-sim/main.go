@@ -6,6 +6,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -13,7 +14,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"time"
 
 	"condor/internal/decision"
 	"condor/internal/policy"
@@ -41,7 +41,7 @@ func main() {
 		experiment = flag.String("experiment", "all",
 			"what to print: all, table1, fig2..fig9, scalars")
 		ablation = flag.String("ablation", "",
-			"run an ablation: vacate, pacing, updown, history, periodic")
+			"run an ablation: "+strings.Join(simulation.AblationNames(), ", "))
 		policyNames = flag.String("policy", "",
 			"scheduling policy to run ("+strings.Join(policy.Names(), ", ")+"); a comma-separated list runs an A/B comparison")
 		seeds   = flag.Int("seeds", 0, "aggregate over this many seeds (prints mean ± std) instead of one run")
@@ -51,35 +51,75 @@ func main() {
 			"audit every cycle's decision and show where the -policy pair's grants diverge (default pair: updown,fifo)")
 	)
 	flag.Parse()
-	if *explain {
+	set := make(map[string]bool)
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	base := baseConfig(*machines, *days, *seed)
+	err := checkFlags(set, *explain, strings.Contains(*policyNames, ","), *seeds > 1, *ablation)
+	switch {
+	case err != nil: // a refused combination, reported below
+	case *explain:
 		names := []string{"updown", "fifo"}
 		if *policyNames != "" {
 			names = strings.Split(*policyNames, ",")
 		}
-		if err := runExplainAB(baseConfig(*machines, *days, *seed), names); err != nil {
-			log.Fatal(err)
+		err = runExplainAB(base, names)
+	case strings.Contains(*policyNames, ","):
+		err = runPolicyAB(base, strings.Split(*policyNames, ","))
+	case *seeds > 1:
+		if base, _, err = withPolicy(base, *policyNames); err == nil {
+			list := make([]int64, *seeds)
+			for i := range list {
+				list[i] = *seed + int64(i)
+			}
+			fmt.Print(simulation.RunMany(base, list).String())
 		}
-		return
+	default:
+		err = run(*machines, *days, *seed, *experiment, *ablation, *policyNames, *jsonOut, *csvOut)
 	}
-	if *policyNames != "" && strings.Contains(*policyNames, ",") {
-		if err := runPolicyAB(baseConfig(*machines, *days, *seed), strings.Split(*policyNames, ",")); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *seeds > 1 {
-		cfg := baseConfig(*machines, *days, *seed)
-		cfg.Policy.Name = *policyNames
-		list := make([]int64, *seeds)
-		for i := range list {
-			list[i] = *seed + int64(i)
-		}
-		fmt.Print(simulation.RunMany(cfg, list).String())
-		return
-	}
-	if err := run(*machines, *days, *seed, *experiment, *ablation, *policyNames, *jsonOut, *csvOut); err != nil {
+	if err != nil {
 		log.Fatal(err)
 	}
+}
+
+// checkFlags refuses a set flag that the chosen mode would not read.
+// -explain, an A/B -policy list, -seeds above 1 and -ablation each run
+// a mode of their own, and main picks the first of them in this order.
+func checkFlags(set map[string]bool, explain, policyAB, manySeeds bool, ablation string) error {
+	mode, ignores := "", []string{"seeds", "ablation", "experiment", "json", "csv"}
+	switch {
+	case explain:
+		mode = "explain"
+	case policyAB:
+		mode = "policy"
+	case manySeeds:
+		mode, ignores = "seeds", ignores[1:]
+	case ablation == "updown" && set["policy"]:
+		return errors.New("-ablation updown cannot be combined with -policy: A3 is itself the policy swap")
+	case ablation != "":
+		mode, ignores = "ablation", ignores[2:]
+	default:
+		return nil
+	}
+	for _, f := range ignores {
+		if set[f] {
+			return fmt.Errorf("-%s cannot be combined with -%s", mode, f)
+		}
+	}
+	return nil
+}
+
+// withPolicy returns base under the named registered policy, and the
+// name to print for it.
+func withPolicy(base simulation.Config, name string) (simulation.Config, string, error) {
+	name = strings.TrimSpace(name)
+	if _, err := policy.New(name); err != nil {
+		return base, "", err
+	}
+	base.Policy.Name = name
+	if name == "" {
+		name = policy.DefaultPolicy
+	}
+	return base, name, nil
 }
 
 func baseConfig(machines, days int, seed int64) simulation.Config {
@@ -91,12 +131,9 @@ func baseConfig(machines, days int, seed int64) simulation.Config {
 }
 
 func run(machines, days int, seed int64, experiment, ablation, policyName, jsonOut, csvOut string) error {
-	cfg := baseConfig(machines, days, seed)
-	if policyName != "" {
-		if _, err := policy.New(policyName); err != nil {
-			return err
-		}
-		cfg.Policy.Name = policyName
+	cfg, _, err := withPolicy(baseConfig(machines, days, seed), policyName)
+	if err != nil {
+		return err
 	}
 	if ablation != "" {
 		return runAblation(cfg, ablation)
@@ -115,30 +152,16 @@ func run(machines, days int, seed int64, experiment, ablation, policyName, jsonO
 			return err
 		}
 	}
-	switch experiment {
-	case "all":
-		fmt.Print(rep.String())
-	case "table1":
-		fmt.Print(rep.Table1())
-	case "fig2":
-		fmt.Print(rep.Figure2())
-	case "fig3":
-		fmt.Print(rep.Figure3())
-	case "fig4":
-		fmt.Print(rep.Figure4())
-	case "fig5":
-		fmt.Print(rep.Figure5())
-	case "fig6":
-		fmt.Print(rep.Figure6())
-	case "fig7":
-		fmt.Print(rep.Figure7())
-	case "fig8":
-		fmt.Print(rep.Figure8())
-	case "fig9":
-		fmt.Print(rep.Figure9())
-	case "scalars":
+	artifacts := map[string]func() string{
+		"all": rep.String, "table1": rep.Table1, "fig2": rep.Figure2, "fig3": rep.Figure3,
+		"fig4": rep.Figure4, "fig5": rep.Figure5, "fig6": rep.Figure6, "fig7": rep.Figure7,
+		"fig8": rep.Figure8, "fig9": rep.Figure9,
+	}
+	if experiment == "scalars" {
 		printScalars(rep)
-	default:
+	} else if artifact, ok := artifacts[experiment]; ok {
+		fmt.Print(artifact())
+	} else {
 		return fmt.Errorf("unknown experiment %q", experiment)
 	}
 	return nil
@@ -164,14 +187,9 @@ func printScalars(rep *simulation.Report) {
 // free A/B against the paper's workload.
 func runPolicyAB(base simulation.Config, names []string) error {
 	for _, name := range names {
-		name = strings.TrimSpace(name)
-		if _, err := policy.New(name); err != nil {
+		cfg, name, err := withPolicy(base, name)
+		if err != nil {
 			return err
-		}
-		cfg := base
-		cfg.Policy.Name = name
-		if name == "" {
-			name = policy.DefaultPolicy
 		}
 		rep := simulation.Run(cfg)
 		fmt.Printf("=== policy %s ===\n", name)
@@ -193,7 +211,6 @@ func runExplainAB(base simulation.Config, names []string) error {
 	}
 	type side struct {
 		name   string
-		rec    *decision.Recorder
 		cycles map[uint64]*decision.CycleAudit
 	}
 	sides := make([]*side, 2)
@@ -201,20 +218,14 @@ func runExplainAB(base simulation.Config, names []string) error {
 	// (where the policies first split) are still in the ring.
 	capacity := (base.Days + 10) * 24 * 60
 	for i, name := range names {
-		name = strings.TrimSpace(name)
-		if _, err := policy.New(name); err != nil {
+		cfg, name, err := withPolicy(base, name)
+		if err != nil {
 			return err
 		}
-		cfg := base
-		cfg.Policy.Name = name
 		cfg.Audit = decision.NewRecorder(capacity)
 		simulation.Run(cfg)
-		if name == "" {
-			name = policy.DefaultPolicy
-		}
 		audits := cfg.Audit.Snapshot()
-		s := &side{name: name, rec: cfg.Audit,
-			cycles: make(map[uint64]*decision.CycleAudit, len(audits))}
+		s := &side{name: name, cycles: make(map[uint64]*decision.CycleAudit, len(audits))}
 		for j := range audits {
 			s.cycles[audits[j].Cycle] = &audits[j]
 		}
@@ -266,43 +277,14 @@ func orNone(s string) string {
 	return s
 }
 
-func runAblation(base simulation.Config, which string) error {
-	type variant struct {
-		name string
-		cfg  simulation.Config
+func runAblation(base simulation.Config, name string) error {
+	ab, err := simulation.FindAblation(name)
+	if err != nil {
+		return err
 	}
-	var variants []variant
-	switch which {
-	case "vacate":
-		kill := base
-		kill.Vacate = simulation.VacateKillImmediately
-		kill.PeriodicCheckpoint = 30 * time.Minute
-		variants = []variant{{"suspend-then-vacate (paper)", base}, {"kill-immediately + 30m periodic ckpt (§4)", kill}}
-	case "pacing":
-		burst := base
-		burst.Policy = policy.DefaultConfig()
-		burst.Policy.MaxGrantsPerCycle = 16
-		burst.Policy.AllowBurstPerStation = true
-		variants = []variant{{"paced placements (paper §4)", base}, {"unpaced bursts", burst}}
-	case "updown":
-		fifo := base
-		fifo.Policy.Name = "fifo"
-		variants = []variant{{"Up-Down (paper)", base}, {"FIFO grants", fifo}}
-	case "history":
-		hist := base
-		hist.Policy = policy.DefaultConfig()
-		hist.Policy.Placement = policy.PlaceHistory
-		variants = []variant{{"first-fit placement (paper)", base}, {"availability-history placement (§5.1)", hist}}
-	case "periodic":
-		per := base
-		per.PeriodicCheckpoint = time.Hour
-		variants = []variant{{"checkpoint on vacate only (paper)", base}, {"+ hourly periodic checkpoints (§4)", per}}
-	default:
-		return fmt.Errorf("unknown ablation %q", which)
-	}
-	for _, v := range variants {
-		rep := simulation.Run(v.cfg)
-		fmt.Printf("=== %s ===\n", v.name)
+	for i, cfg := range ab.Configs(base) {
+		rep := simulation.Run(cfg)
+		fmt.Printf("=== %s ===\n", ab.Labels[i])
 		printScalars(rep)
 		if rep.WorkLostHours > 0 {
 			fmt.Printf("work redone: %.1f h\n", rep.WorkLostHours)

@@ -9,7 +9,6 @@ import (
 	"bytes"
 	"flag"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -17,19 +16,6 @@ import (
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/ from the current code's outputs")
-
-// asMainEnv makes the test binary run main() on its arguments, so the
-// pinned outputs are the command's own: its flags, its printing and its
-// export files.
-const asMainEnv = "CONDOR_SIM_AS_MAIN"
-
-func TestMain(m *testing.M) {
-	if os.Getenv(asMainEnv) == "1" {
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
 
 // TestOutputsPinned runs the month-scale simulation as the command does
 // and compares what it prints, and the files it exports, with
@@ -72,13 +58,9 @@ func TestOutputsPinned(t *testing.T) {
 			for i, a := range tc.args {
 				args[i] = strings.ReplaceAll(a, "{out}", prefix)
 			}
-			cmd := exec.Command(os.Args[0], args...)
-			cmd.Env = append(os.Environ(), asMainEnv+"=1")
-			var stderr bytes.Buffer
-			cmd.Stderr = &stderr
-			stdout, err := cmd.Output()
+			stdout, stderr, err := runMain(args...)
 			if err != nil {
-				t.Fatalf("condor-sim %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
+				t.Fatalf("condor-sim %s: %v\n%s", strings.Join(args, " "), err, stderr)
 			}
 			comparePinned(t, tc.name+".txt", stdout)
 			for _, suffix := range tc.exports {

@@ -49,8 +49,8 @@ func TestDecisionAuditEndToEnd(t *testing.T) {
 	}
 
 	// Snapshot both surfaces before driving cycles, so the assertions
-	// below are deltas — immune to audits and denials other tests left
-	// in the process-wide ring and registry.
+	// below are deltas — immune to cycles the pool's own loop ran and to
+	// denials other tests left in the process-wide registry.
 	before := p.Decisions("", "dryws0", 0, 0)
 	var sinceCycle uint64
 	for _, c := range before.Cycles {
@@ -167,6 +167,29 @@ func TestDecisionAuditEndToEnd(t *testing.T) {
 	}
 	if pred, _, ok := decision.TopRejection(lastFresh, "dryws0"); !ok || pred != "min-disk" {
 		t.Fatalf("Last=%d TopRejection = %q %v, want min-disk", cycles, pred, ok)
+	}
+}
+
+// TestPoolsKeepTheirOwnDecisions runs two pools in one process: each
+// coordinator records into its own ring, so one pool's cycles never
+// show in the other's decision audits.
+func TestPoolsKeepTheirOwnDecisions(t *testing.T) {
+	a, err := NewPool(PoolConfig{Stations: 1, StationPrefix: "owna"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := NewPool(PoolConfig{Stations: 1, StationPrefix: "ownb"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	a.Cycle()
+	if got := a.Decisions("", "", 0, 0).Cycles; len(got) == 0 {
+		t.Fatal("pool a audited no cycle")
+	}
+	if got := b.Decisions("", "", 0, 0).Cycles; len(got) != 0 {
+		t.Fatalf("pool b holds %d cycles it never ran, first %d", len(got), got[0].Cycle)
 	}
 }
 

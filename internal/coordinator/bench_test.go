@@ -52,14 +52,11 @@ func benchmarkCycleAt(b *testing.B, stations int) {
 func BenchmarkCycle100(b *testing.B)  { benchmarkCycleAt(b, 100) }
 func BenchmarkCycle1000(b *testing.B) { benchmarkCycleAt(b, 1000) }
 
-// benchmarkPipelineCycleAt isolates the scheduling pipeline itself —
-// predicates, ranking, placement, preemption — on a synthetic snapshot,
-// with the RPC fabric of the full-cycle benchmarks above factored out.
-// This is the decision path both the live coordinator and the simulator
-// run once per poll cycle; it must stay allocation-lean as policies are
-// added.
-func benchmarkPipelineCycleAt(b *testing.B, stations int) {
-	pol := policy.MustNew(policy.DefaultPolicy)
+// pipelineInput is the synthetic snapshot the pipeline benchmarks
+// decide on: a quarter of the stations idle, a quarter owner-busy, a
+// quarter running a foreign job with two waiting, and a quarter idle
+// with one waiting.
+func pipelineInput(stations int) (*updown.Table, []policy.StationView, policy.Config) {
 	tab := updown.NewTable(updown.DefaultConfig())
 	views := make([]policy.StationView, 0, stations)
 	for i := 0; i < stations; i++ {
@@ -83,6 +80,18 @@ func benchmarkPipelineCycleAt(b *testing.B, stations int) {
 	}
 	cfg := policy.DefaultConfig()
 	cfg.MaxGrantsPerCycle = 4
+	return tab, views, cfg
+}
+
+// benchmarkPipelineCycleAt isolates the scheduling pipeline itself —
+// predicates, ranking, placement, preemption — on a synthetic snapshot,
+// with the RPC fabric of the full-cycle benchmarks above factored out.
+// This is the decision path both the live coordinator and the simulator
+// run once per poll cycle; it must stay allocation-lean as policies are
+// added.
+func benchmarkPipelineCycleAt(b *testing.B, stations int) {
+	pol := policy.MustNew(policy.DefaultPolicy)
+	tab, views, cfg := pipelineInput(stations)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -98,31 +107,8 @@ func BenchmarkPipelineCycle1000(b *testing.B) { benchmarkPipelineCycleAt(b, 1000
 // comparison against the recorder-off baseline above (which runs the
 // identical code with a nil builder).
 func BenchmarkPipelineCycleAudited1000(b *testing.B) {
-	const stations = 1000
 	pol := policy.MustNew(policy.DefaultPolicy)
-	tab := updown.NewTable(updown.DefaultConfig())
-	views := make([]policy.StationView, 0, stations)
-	for i := 0; i < stations; i++ {
-		v := policy.StationView{Name: fmt.Sprintf("ws%04d", i), DiskFree: 1 << 30}
-		switch i % 4 {
-		case 0:
-			v.State = proto.StationIdle
-		case 1:
-			v.State = proto.StationOwner
-		case 2:
-			v.State = proto.StationClaimed
-			v.ForeignOwner = fmt.Sprintf("ws%04d", (i+1)%stations)
-			v.ForeignJob = v.ForeignOwner + "/1"
-			v.WaitingJobs = 2
-		case 3:
-			v.State = proto.StationIdle
-			v.WaitingJobs = 1
-		}
-		tab.Touch(v.Name)
-		views = append(views, v)
-	}
-	cfg := policy.DefaultConfig()
-	cfg.MaxGrantsPerCycle = 4
+	tab, views, cfg := pipelineInput(1000)
 	rec := decision.NewRecorder(decision.DefaultCapacity)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -90,8 +90,8 @@ type Config struct {
 	StateDir string
 	// Decisions receives each cycle's scheduling audit (why every
 	// machine was filtered, ranked, granted, or preempted — see
-	// internal/decision). Nil means decision.Default. DecisionsRequest
-	// reads it.
+	// internal/decision). Nil gives the coordinator a ring of its own
+	// (decision.DefaultCapacity cycles). DecisionsRequest reads it.
 	Decisions *decision.Recorder
 }
 
@@ -115,7 +115,7 @@ func (c *Config) sanitize() {
 		c.PollConcurrency = 64
 	}
 	if c.Decisions == nil {
-		c.Decisions = decision.Default
+		c.Decisions = decision.NewRecorder(decision.DefaultCapacity)
 	}
 	if c.Health.ProbeBase <= 0 {
 		c.Health.ProbeBase = c.PollInterval

@@ -232,32 +232,3 @@ func TestCyclesReuseStationConnections(t *testing.T) {
 		t.Fatalf("stats = %+v, want %d reuses", stats, want)
 	}
 }
-
-// --- benchmark: steady-state cycles over pooled connections -----------
-
-func BenchmarkCoordinatorCycle(b *testing.B) {
-	const stations = 8
-	coord, err := New(Config{PollInterval: time.Hour})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer coord.Close()
-	for i := 0; i < stations; i++ {
-		name := fmt.Sprintf("ws%d", i)
-		srv := fakeStation(b, func(_ context.Context, msg any) (any, error) {
-			return proto.PollReply{Name: name, State: proto.StationOwner}, nil
-		})
-		coord.Register(name, srv.Addr())
-	}
-	coord.Cycle() // warm the pool so the loop measures steady state
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		coord.Cycle()
-	}
-	b.StopTimer()
-	stats := coord.Stats()
-	b.ReportMetric(float64(stats.Dials)/stations, "dials/station")
-	if stats.Dials > stations {
-		b.Fatalf("stats = %+v, want ≤1 dial per station in steady state", stats)
-	}
-}

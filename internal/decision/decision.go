@@ -305,13 +305,11 @@ type Recorder struct {
 	audits *ring.Ring[*CycleAudit]
 }
 
-// DefaultCapacity is the cycle capacity of the package-level Default
-// recorder: at the paper's 2-minute cycle that is over 8 hours of
-// history; at the simulator's pace, the last 256 cycles.
+// DefaultCapacity is the cycle capacity of a coordinator's own ring
+// when its Config names none: at the paper's 2-minute cycle that is
+// over 8 hours of history; at the simulator's pace, the last 256
+// cycles.
 const DefaultCapacity = 256
-
-// Default is the process-wide recorder; DecisionsRequest reads it.
-var Default = NewRecorder(DefaultCapacity)
 
 // NewRecorder creates a recorder retaining up to capacity cycles.
 func NewRecorder(capacity int) *Recorder {

@@ -5,8 +5,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"condor/internal/policy"
 )
 
 // monthReport runs the default month once per test binary (it takes
@@ -333,12 +331,20 @@ func TestPolicyABRegression(t *testing.T) {
 	}
 }
 
+// ablationArms is the named ablation's two arms over shortConfig.
+func ablationArms(t *testing.T, name string) (paper, alternative Config) {
+	t.Helper()
+	ab, err := FindAblation(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := ab.Configs(shortConfig())
+	return cfgs[0], cfgs[1]
+}
+
 func TestFIFOAblationHurtsLightUsers(t *testing.T) {
-	base := shortConfig()
-	fair := Run(base)
-	fifoCfg := base
-	fifoCfg.Policy.Name = "fifo"
-	fifo := Run(fifoCfg)
+	fairCfg, fifoCfg := ablationArms(t, "updown")
+	fair, fifo := Run(fairCfg), Run(fifoCfg)
 	// Under FIFO the heavy user's home station (registered first) owns
 	// the grant order; light users wait longer than under Up-Down.
 	if fifo.MeanWaitRatioLight <= fair.MeanWaitRatioLight {
@@ -348,11 +354,8 @@ func TestFIFOAblationHurtsLightUsers(t *testing.T) {
 }
 
 func TestKillImmediatelyAblation(t *testing.T) {
-	base := shortConfig()
-	suspend := Run(base)
-	killCfg := base
-	killCfg.Vacate = VacateKillImmediately
-	killCfg.PeriodicCheckpoint = 30 * time.Minute
+	suspendCfg, killCfg := ablationArms(t, "vacate")
+	suspend := Run(suspendCfg)
 	// Redone work slows the tail down; allow a longer drain.
 	killCfg.DrainDays = 15
 	kill := Run(killCfg)
@@ -368,12 +371,8 @@ func TestKillImmediatelyAblation(t *testing.T) {
 }
 
 func TestHistoryPlacementReducesPreemptions(t *testing.T) {
-	base := shortConfig()
-	first := Run(base)
-	histCfg := base
-	histCfg.Policy = policy.DefaultConfig()
-	histCfg.Policy.Placement = policy.PlaceHistory
-	hist := Run(histCfg)
+	firstCfg, histCfg := ablationArms(t, "history")
+	first, hist := Run(firstCfg), Run(histCfg)
 	// §5.1: choosing machines by availability history should reduce the
 	// owner-return vacates long jobs suffer. Allow equality noise but
 	// require it not be dramatically worse.
@@ -389,9 +388,7 @@ func TestHistoryPlacementReducesPreemptions(t *testing.T) {
 // starter's scan feeds too; a change to how the tracker is fed or read
 // moves these counts.
 func TestHistoryPlacementPinned(t *testing.T) {
-	cfg := shortConfig()
-	cfg.Policy = policy.DefaultConfig()
-	cfg.Policy.Placement = policy.PlaceHistory
+	_, cfg := ablationArms(t, "history")
 	rep := Run(cfg)
 	if cfg.Seed != 1987 || rep.Vacates != 1191 || rep.Preempts != 288 {
 		t.Fatalf("seed %d: %d vacates, %d preempts; want 1191 and 288 at seed 1987",
@@ -498,4 +495,18 @@ func TestCheckpointFileSizeMatchesPaper(t *testing.T) {
 	if rep.MeanMoveCostSeconds < 1.7 || rep.MeanMoveCostSeconds > 3.5 {
 		t.Fatalf("mean move cost = %.1f s, want ≈2.5", rep.MeanMoveCostSeconds)
 	}
+}
+
+// BenchmarkRun times one 10-day simulation of the default pool, every
+// mechanism engaged, at a new seed per iteration.
+func BenchmarkRun(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Days = 10
+	cfg.DrainDays = 8
+	var jobs int
+	for i := 0; i < b.N; i++ {
+		cfg.Seed = int64(i)
+		jobs = Run(cfg).TotalJobs
+	}
+	b.ReportMetric(float64(jobs), "jobs")
 }

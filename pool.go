@@ -51,10 +51,6 @@ type PoolConfig struct {
 	// Policy tunes the coordinator's allocation pipeline (predicates,
 	// grant caps, preemption). The zero value means policy.DefaultConfig.
 	Policy policy.Config
-	// Decisions overrides the decision-audit ring the coordinator
-	// records each cycle's explain trace into. Nil means the
-	// process-wide decision.Default ring.
-	Decisions *decision.Recorder
 }
 
 func (c *PoolConfig) sanitize() {
@@ -90,17 +86,14 @@ type Pool struct {
 // NewPool builds and starts a cluster.
 func NewPool(cfg PoolConfig) (*Pool, error) {
 	cfg.sanitize()
+	decisions := decision.NewRecorder(decision.DefaultCapacity)
 	coord, err := coordinator.New(coordinator.Config{
 		PollInterval: cfg.PollInterval,
 		Policy:       cfg.Policy,
-		Decisions:    cfg.Decisions,
+		Decisions:    decisions,
 	})
 	if err != nil {
 		return nil, err
-	}
-	decisions := cfg.Decisions
-	if decisions == nil {
-		decisions = decision.Default
 	}
 	p := &Pool{
 		coord:     coord,
